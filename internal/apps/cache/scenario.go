@@ -37,10 +37,13 @@ func Scenarios(srv *Server) map[string]faultinject.Scenario {
 		}
 		return ops
 	}
+	// getN repeats one op value: the closure is stateless, so n copies of
+	// it behave exactly like n separately built ones.
 	getN := func(key string, n int) []faultinject.Op {
-		ops := make([]faultinject.Op, 0, n)
-		for i := 0; i < n; i++ {
-			ops = append(ops, get(key))
+		op := get(key)
+		ops := make([]faultinject.Op, n)
+		for i := range ops {
+			ops[i] = op
 		}
 		return ops
 	}

@@ -3,6 +3,7 @@ package obsv
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -29,39 +30,59 @@ func L(pairs ...string) []Label {
 	return out
 }
 
-// sortLabels orders labels by name (then value, for pathological duplicates).
-func sortLabels(ls []Label) {
-	sort.Slice(ls, func(i, j int) bool {
-		if ls[i].Name != ls[j].Name {
-			return ls[i].Name < ls[j].Name
-		}
-		return ls[i].Value < ls[j].Value
-	})
+// compareLabels orders labels by name, then value (for pathological
+// duplicates).
+func compareLabels(a, b Label) int {
+	if c := strings.Compare(a.Name, b.Name); c != 0 {
+		return c
+	}
+	return strings.Compare(a.Value, b.Value)
 }
 
+// sortLabels orders labels by compareLabels.
+func sortLabels(ls []Label) { slices.SortFunc(ls, compareLabels) }
+
 // labelKey serializes a sorted label list into a map key.
-func labelKey(ls []Label) string {
-	if len(ls) == 0 {
-		return ""
-	}
-	var b strings.Builder
+func labelKey(ls []Label) string { return string(appendLabelKey(nil, ls)) }
+
+// appendLabelKey appends the serialized label list to b: name=value pairs,
+// comma-separated, values escaped as in the Prometheus text format.
+func appendLabelKey(b []byte, ls []Label) []byte {
 	for i, l := range ls {
 		if i > 0 {
-			b.WriteByte(',')
+			b = append(b, ',')
 		}
-		b.WriteString(l.Name)
-		b.WriteByte('=')
-		b.WriteString(escapeLabelValue(l.Value))
+		b = append(b, l.Name...)
+		b = append(b, '=')
+		b = appendEscapedLabelValue(b, l.Value)
 	}
-	return b.String()
+	return b
 }
 
 // escapeLabelValue escapes a label value for the Prometheus text format.
 func escapeLabelValue(v string) string {
-	v = strings.ReplaceAll(v, `\`, `\\`)
-	v = strings.ReplaceAll(v, "\n", `\n`)
-	v = strings.ReplaceAll(v, `"`, `\"`)
-	return v
+	if !strings.ContainsAny(v, "\\\n\"") {
+		return v
+	}
+	return string(appendEscapedLabelValue(nil, v))
+}
+
+// appendEscapedLabelValue appends v to b with backslash, newline and double
+// quote escaped.
+func appendEscapedLabelValue(b []byte, v string) []byte {
+	for i := 0; i < len(v); i++ {
+		switch c := v[i]; c {
+		case '\\':
+			b = append(b, `\\`...)
+		case '\n':
+			b = append(b, `\n`...)
+		case '"':
+			b = append(b, `\"`...)
+		default:
+			b = append(b, c)
+		}
+	}
+	return b
 }
 
 // Counter is a monotonically increasing value.
@@ -275,23 +296,38 @@ func (r *Registry) Help(name, help string) {
 
 // seriesKey builds the registry key for a (name, labels) pair.
 func seriesKey(name string, labels []Label) string {
-	return name + "{" + labelKey(labels) + "}"
+	return string(appendSeriesKey(nil, name, labels))
+}
+
+// appendSeriesKey appends the registry key for a (name, labels) pair to b.
+func appendSeriesKey(b []byte, name string, labels []Label) []byte {
+	b = append(b, name...)
+	b = append(b, '{')
+	b = appendLabelKey(b, labels)
+	return append(b, '}')
 }
 
 // lookup returns (creating if needed) the series for name+labels, verifying
 // the kind matches. Mismatched kinds panic: that is a programming error at
-// an instrumentation site, not a runtime condition.
+// an instrumentation site, not a runtime condition. Labels that arrive
+// sorted (everything built with L) are keyed in place in a stack buffer, so
+// finding an existing series allocates nothing; the labels are copied only
+// when a new series is stored.
 func (r *Registry) lookup(name string, labels []Label, kind metricKind, mk func() *series) *series {
-	ls := append([]Label(nil), labels...)
-	sortLabels(ls)
-	key := seriesKey(name, ls)
+	ls := labels
+	if !slices.IsSortedFunc(ls, compareLabels) {
+		ls = slices.Clone(labels)
+		sortLabels(ls)
+	}
+	var stack [128]byte
+	key := appendSeriesKey(stack[:0], name, ls)
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s, ok := r.series[key]
+	s, ok := r.series[string(key)]
 	if !ok {
 		s = mk()
-		s.name, s.labels, s.kind = name, ls, kind
-		r.series[key] = s
+		s.name, s.labels, s.kind = name, append([]Label(nil), ls...), kind
+		r.series[string(key)] = s
 	}
 	if s.kind != kind {
 		panic(fmt.Sprintf("obsv: metric %q registered with two kinds", name))

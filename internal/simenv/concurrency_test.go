@@ -51,23 +51,30 @@ func TestConcurrentEnvironmentUse(t *testing.T) {
 	}
 }
 
-// TestConcurrentServeSafety drives one environment from concurrent
-// goroutines through the scheduler and clock only — the paths the recovery
-// manager touches while applications run.
+// TestConcurrentRerollAndInterleave drives one environment's scheduler from
+// concurrent goroutines — the path the recovery manager touches while
+// applications run. Half the goroutines only reroll, so pending seeds race
+// against the draws that apply them; every choice must stay in range. CI
+// runs it with -race -count=10.
 func TestConcurrentRerollAndInterleave(t *testing.T) {
 	env := New(5)
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func() {
+		go func(w int) {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				_ = env.Sched().Interleave("x", 8)
-				if i%100 == 0 {
+				if w%2 == 0 {
 					env.Reroll()
+					continue
 				}
+				if c := env.Sched().Interleave("x", 8); c < 0 || c >= 8 {
+					t.Errorf("Interleave = %d, want [0, 8)", c)
+					return
+				}
+				_ = env.Sched().RaceFires("y", 3)
 			}
-		}()
+		}(w)
 	}
 	wg.Wait()
 }

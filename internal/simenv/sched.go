@@ -12,9 +12,17 @@ import (
 // seeded generator so a run is deterministic until the environment is
 // explicitly rerolled (Env.Reroll), which models the clock interrupt arriving
 // at a different moment on retry.
+//
+// Seeding is lazy: a reseed only records the seed, and the generator is
+// (re)seeded just before the next draw. Most rerolls are never drawn from,
+// so they cost no generator work; the choices are exactly those of a
+// generator rebuilt eagerly on every reseed.
 type Scheduler struct {
 	mu  sync.Mutex
 	rng *rand.Rand
+	// seed is the seed the next draw must start from, valid while pending.
+	seed    int64
+	pending bool
 	// forced pins the next Interleave results for adversarial tests:
 	// key -> forced choice.
 	forced map[string]int
@@ -22,15 +30,31 @@ type Scheduler struct {
 
 func newScheduler(rng *rand.Rand) *Scheduler {
 	return &Scheduler{
-		rng:    rand.New(rand.NewSource(rng.Int63())),
-		forced: make(map[string]int),
+		seed:    rng.Int63(),
+		pending: true,
+		forced:  make(map[string]int),
 	}
 }
 
 func (s *Scheduler) reseed(seed int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.rng = rand.New(rand.NewSource(seed))
+	s.seed, s.pending = seed, true
+}
+
+// draw returns a choice in [0, n), first applying a pending seed. Reseeding
+// the existing generator in place resets it exactly as building a new one
+// from the same seed would. The caller holds s.mu.
+func (s *Scheduler) draw(n int) int {
+	if s.pending {
+		if s.rng == nil {
+			s.rng = rand.New(rand.NewSource(s.seed))
+		} else {
+			s.rng.Seed(s.seed)
+		}
+		s.pending = false
+	}
+	return s.rng.Intn(n)
 }
 
 // Interleave chooses which of n runnable threads at the named program point
@@ -48,7 +72,7 @@ func (s *Scheduler) Interleave(point string, n int) int {
 		}
 		return c
 	}
-	return s.rng.Intn(n)
+	return s.draw(n)
 }
 
 // Force pins the choice at a program point; used to stage the losing

@@ -8,31 +8,24 @@ import (
 // backoff produces the jittered exponential delay sequence the supervisor
 // sleeps between recovery attempts: base·2^(attempt−1), capped, plus a
 // uniformly drawn jitter fraction so synchronized restarts don't stampede.
-// The jitter generator is injected rather than constructed here, so a caller
-// owns the seeding discipline: soak runs thread one seeded *rand.Rand per
-// supervisor and the full delay sequence is reproducible from the config
-// seed alone (never the global math/rand source — see faultlint's rawrand
-// rule).
+// The jitter generator is dedicated to one sequence and derived only from
+// the config seed, so the full delay sequence is reproducible from the seed
+// alone (never the global math/rand source — see faultlint's rawrand rule).
+// It is built the first time a delay is jittered: most supervised runs never
+// back off, and seeding a generator they never draw from is wasted work.
 type backoff struct {
 	base   time.Duration
 	cap    time.Duration
 	jitter float64
-	rng    *rand.Rand
+	seed   int64
+	rng    *rand.Rand // nil until the first jittered delay
 }
 
-// newBackoff builds the delay sequence around the caller's generator. A nil
-// rng disables jitter rather than falling back to the global source.
-func newBackoff(base, cap time.Duration, jitter float64, rng *rand.Rand) *backoff {
-	if rng == nil {
-		jitter = 0
-	}
-	return &backoff{base: base, cap: cap, jitter: jitter, rng: rng}
-}
-
-// seededRand is the supervisor's canonical jitter generator: dedicated to
-// one backoff sequence and derived only from the config seed.
-func seededRand(seed int64) *rand.Rand {
-	return rand.New(rand.NewSource(seed))
+// newBackoff builds the delay sequence whose jitter is drawn from a
+// generator seeded with seed. A jitter of 0 yields the exact exponential
+// sequence and never builds the generator.
+func newBackoff(base, cap time.Duration, jitter float64, seed int64) *backoff {
+	return &backoff{base: base, cap: cap, jitter: jitter, seed: seed}
 }
 
 // next returns the delay before the attempt-th recovery attempt (1-based).
@@ -52,6 +45,9 @@ func (b *backoff) next(attempt int) time.Duration {
 		d = b.cap
 	}
 	if b.jitter > 0 {
+		if b.rng == nil {
+			b.rng = rand.New(rand.NewSource(b.seed))
+		}
 		d += time.Duration(float64(d) * b.jitter * b.rng.Float64())
 	}
 	return d
@@ -64,7 +60,7 @@ func (b *backoff) next(attempt int) time.Duration {
 // backoff trace exactly.
 func BackoffSchedule(cfg Config, n int) []time.Duration {
 	cfg = cfg.withDefaults()
-	b := newBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.BackoffJitter, seededRand(cfg.Seed))
+	b := newBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.BackoffJitter, cfg.Seed)
 	out := make([]time.Duration, 0, n)
 	for i := 1; i <= n; i++ {
 		out = append(out, b.next(i))

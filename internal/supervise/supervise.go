@@ -197,7 +197,7 @@ func New(app recovery.Application, cfg Config) *Supervisor {
 		cfg:      cfg,
 		app:      app,
 		clock:    clock,
-		backoff:  newBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.BackoffJitter, seededRand(cfg.Seed)),
+		backoff:  newBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.BackoffJitter, cfg.Seed),
 		breakers: newBreakerSet(cfg.BreakerThreshold, cfg.BreakerCooldown),
 	}
 }

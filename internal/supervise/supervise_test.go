@@ -516,7 +516,10 @@ func TestRungAndEventNames(t *testing.T) {
 
 func TestBackoffInjectedRandReproducible(t *testing.T) {
 	mk := func(seed int64) []time.Duration {
-		b := newBackoff(10*time.Millisecond, 500*time.Millisecond, 0.5, seededRand(seed))
+		b := newBackoff(10*time.Millisecond, 500*time.Millisecond, 0.5, seed)
+		if b.rng != nil {
+			t.Fatal("jitter generator built before the first delay")
+		}
 		out := make([]time.Duration, 0, 6)
 		for i := 1; i <= 6; i++ {
 			out = append(out, b.next(i))
@@ -542,12 +545,15 @@ func TestBackoffInjectedRandReproducible(t *testing.T) {
 }
 
 func TestBackoffNilRandDisablesJitter(t *testing.T) {
-	b := newBackoff(10*time.Millisecond, 500*time.Millisecond, 0.5, nil)
+	b := newBackoff(10*time.Millisecond, 500*time.Millisecond, 0, 7)
 	want := []time.Duration{10 * time.Millisecond, 20 * time.Millisecond, 40 * time.Millisecond}
 	for i, w := range want {
 		if got := b.next(i + 1); got != w {
-			t.Errorf("attempt %d: delay %v, want exact %v (nil rng must mean no jitter)", i+1, got, w)
+			t.Errorf("attempt %d: delay %v, want exact %v (zero jitter must mean no jitter)", i+1, got, w)
 		}
+	}
+	if b.rng != nil {
+		t.Error("an unjittered sequence built a jitter generator")
 	}
 }
 
