@@ -13,6 +13,7 @@ import (
 	"strings"
 	"testing"
 
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/supervise"
 )
 
@@ -76,14 +77,99 @@ var goldenCases = []struct {
 		}
 		return fingerprint(t, tel, rep.String())
 	}},
+	{"resil", func(t *testing.T, workers int) []byte {
+		tel := NewTelemetry()
+		rep, err := RunResil(ResilConfig{Seed: 42, MaxPages: 60, Telemetry: tel, Workers: workers})
+		if err != nil {
+			t.Fatalf("RunResil: %v", err)
+		}
+		return fingerprint(t, tel, rep.String())
+	}},
+	{"scope", func(t *testing.T, workers int) []byte {
+		tel := NewTelemetry()
+		rep, err := RunScope(ScopeConfig{Seed: 42, Telemetry: tel, Workers: workers})
+		if err != nil {
+			t.Fatalf("RunScope: %v", err)
+		}
+		return fingerprint(t, tel, rep.String())
+	}},
+	{"soak", func(t *testing.T, workers int) []byte {
+		return soakFingerprint(t, 42, workers)
+	}},
+	{"matrix", func(t *testing.T, workers int) []byte {
+		tel := NewTelemetry()
+		m, err := RunMatrixWorkers(recovery.Policy{}, 42, workers)
+		if err != nil {
+			t.Fatalf("RunMatrixWorkers: %v", err)
+		}
+		if err := m.AddSupervisedWorkers(42, supervise.Config{GrowResources: true}, tel, workers); err != nil {
+			t.Fatalf("AddSupervisedWorkers: %v", err)
+		}
+		var b strings.Builder
+		b.WriteString(m.String())
+		b.WriteString(ComputeLee93(m).String())
+		files, err := ExportAll(m)
+		if err != nil {
+			t.Fatalf("ExportAll: %v", err)
+		}
+		names := make([]string, 0, len(files))
+		for name := range files {
+			names = append(names, name)
+		}
+		sort.Strings(names)
+		for _, name := range names {
+			fmt.Fprintf(&b, "\n--%s--\n%s", name, files[name])
+		}
+		return fingerprint(t, tel, b.String())
+	}},
+	{"lint", func(t *testing.T, workers int) []byte {
+		root, err := ModuleRoot()
+		if err != nil {
+			t.Fatal(err)
+		}
+		rep, err := RunLintWorkers(root, workers)
+		if err != nil {
+			t.Fatalf("RunLintWorkers: %v", err)
+		}
+		return []byte(rep.String())
+	}},
+	{"ablations", func(t *testing.T, _ int) []byte {
+		// The ablations are serial; the row still runs at every worker count
+		// so the digest table stays rectangular.
+		var b strings.Builder
+		retry, err := RunRetryAblation(5, 42)
+		if err != nil {
+			t.Fatalf("RunRetryAblation: %v", err)
+		}
+		b.WriteString(retry.String())
+		rejuv, err := RunRejuvenationAblation([]int{0, 16, 32, 64, 128}, 42)
+		if err != nil {
+			t.Fatalf("RunRejuvenationAblation: %v", err)
+		}
+		b.WriteString(rejuv.String())
+		reclaim, err := RunReclaimAblation(42)
+		if err != nil {
+			t.Fatalf("RunReclaimAblation: %v", err)
+		}
+		b.WriteString(reclaim.String())
+		mit, err := RunMitigationAblation(42)
+		if err != nil {
+			t.Fatalf("RunMitigationAblation: %v", err)
+		}
+		b.WriteString(mit.String())
+		return []byte(b.String())
+	}},
 }
 
 // TestGoldenDigests checks every sweep's report, trace and Prometheus export
-// (plus SERVE's request log) against the pinned digests, at 1 and 2 workers.
+// (plus SERVE's request log and the matrix's CSV artifacts) against the
+// pinned digests, at every worker count in workerArms. It is the one
+// determinism test: a sweep whose output moved with the pool size fails
+// here.
 func TestGoldenDigests(t *testing.T) {
 	got := map[string]string{}
 	for _, c := range goldenCases {
-		for _, workers := range []int{1, 2} {
+		for _, workers := range workerArms {
 			key := fmt.Sprintf("%s/workers=%d", c.name, workers)
 			sum := sha256.Sum256(c.run(t, workers))
 			got[key] = hex.EncodeToString(sum[:])
