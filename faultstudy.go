@@ -248,7 +248,7 @@ func RenderSoak(results []SoakResult) string { return experiment.RenderSoak(resu
 type (
 	// Telemetry bundles a metrics registry and an episode recorder for one
 	// experiment run. Attach one via SoakConfig.Telemetry (or
-	// RecoveryMatrix.AddSupervisedObserved) and export with its WriteTrace,
+	// RecoveryMatrix.AddSupervisedWorkers) and export with its WriteTrace,
 	// WriteTimeline, WritePrometheus, and WriteMetricsJSON methods. A nil
 	// Telemetry disables observation at zero cost.
 	Telemetry = experiment.Telemetry

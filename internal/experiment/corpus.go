@@ -7,10 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"faultstudy/internal/apps/cache"
-	"faultstudy/internal/apps/desktop"
-	"faultstudy/internal/apps/httpd"
-	"faultstudy/internal/apps/sqldb"
 	"faultstudy/internal/classify"
 	"faultstudy/internal/corpus"
 	"faultstudy/internal/corpusgen"
@@ -19,7 +15,6 @@ import (
 	"faultstudy/internal/parallel"
 	"faultstudy/internal/recovery"
 	"faultstudy/internal/scrape"
-	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
 	"faultstudy/internal/supervise"
 	"faultstudy/internal/taxonomy"
@@ -191,11 +186,8 @@ type CorpusReport struct {
 // sampler's goodness of fit, and crawl a sample of the population's
 // synthetic PR site.
 //
-// Faults, episodes, and baseline runs are independent shards on a pool of
-// cfg.Workers workers: each derives its seed from (Seed, salted index) and
-// records into a private telemetry, and the shards are reduced in population
-// order — so reports, traces, and metric dumps are byte-identical at every
-// worker count.
+// Faults, episodes, and baseline runs are arms of runArms, seeded from
+// (Seed, salted index): outputs are byte-identical at every worker count.
 func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	cfg = cfg.withDefaults()
 	spec, err := corpusgen.ParseCorpusSpec(cfg.Spec)
@@ -223,27 +215,23 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	type faultOut struct {
 		agree   bool
 		verdict SupervisorVerdict
-		tel     *Telemetry
 	}
-	fouts, err := parallel.MapOrdered(cfg.Workers, len(faults), func(i int) (faultOut, error) {
+	fouts, err := runArms(cfg.Workers, len(faults), cfg.Telemetry, func(i int, tel *Telemetry) (faultOut, error) {
 		f := faults[i]
 		res := classify.New(classifyDefaults()).Classify(f.Report())
 		out := faultOut{agree: res.Class == f.Class}
-		if cfg.Telemetry != nil {
-			out.tel = NewTelemetry()
-		}
 		seed := parallel.Derive(cfg.Seed, corpusLadderSalt+uint64(i))
-		verdict, err := runCorpusLadder(cfg.Supervise, out.tel, obsv.Context{
+		verdict, err := runCorpusLadder(cfg.Supervise, tel, obsv.Context{
 			App: f.App.String(), FaultID: f.ID, Class: f.Class.Short(),
 		}, seed, f.Mechanism, "", "", 0)
 		if err != nil {
 			return out, fmt.Errorf("experiment: corpus fault %s (%s): %w", f.ID, f.Mechanism, err)
 		}
 		out.verdict = verdict
-		if out.tel != nil {
-			out.tel.Registry.Counter(MetricCorpusFaults,
+		if tel != nil {
+			tel.Registry.Counter(MetricCorpusFaults,
 				obsv.L("app", f.App.String(), "class", f.Class.Short(), "verdict", verdict.String())...).Inc()
-			out.tel.Registry.Counter(MetricCorpusClassified,
+			tel.Registry.Counter(MetricCorpusClassified,
 				obsv.L("class", f.Class.Short(), "agree", fmt.Sprint(out.agree))...).Inc()
 		}
 		return out, nil
@@ -253,30 +241,21 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	}
 
 	// Phase 2: every two-fault episode through the ladder.
-	type episodeOut struct {
-		verdict SupervisorVerdict
-		tel     *Telemetry
-	}
-	eouts, err := parallel.MapOrdered(cfg.Workers, len(episodes), func(j int) (episodeOut, error) {
+	everdicts, err := runArms(cfg.Workers, len(episodes), cfg.Telemetry, func(j int, tel *Telemetry) (SupervisorVerdict, error) {
 		e := episodes[j]
 		pf := faults[e.Primary]
-		var out episodeOut
-		if cfg.Telemetry != nil {
-			out.tel = NewTelemetry()
-		}
 		seed := parallel.Derive(cfg.Seed, corpusEpisodeSalt+uint64(j))
-		verdict, err := runCorpusLadder(cfg.Supervise, out.tel, obsv.Context{
+		verdict, err := runCorpusLadder(cfg.Supervise, tel, obsv.Context{
 			App: pf.App.String(), FaultID: fmt.Sprintf("gen/ep-%05d", j), Class: pf.Class.Short(),
 		}, seed, pf.Mechanism, e.Secondary, e.Overlap, e.Gap)
 		if err != nil {
-			return out, fmt.Errorf("experiment: corpus episode %d (%s + %s): %w", j, pf.Mechanism, e.Secondary, err)
+			return VerdictNone, fmt.Errorf("experiment: corpus episode %d (%s + %s): %w", j, pf.Mechanism, e.Secondary, err)
 		}
-		out.verdict = verdict
-		if out.tel != nil {
-			out.tel.Registry.Counter(MetricCorpusEpisodes,
+		if tel != nil {
+			tel.Registry.Counter(MetricCorpusEpisodes,
 				obsv.L("overlap", e.Overlap, "verdict", verdict.String())...).Inc()
 		}
-		return out, nil
+		return verdict, nil
 	})
 	if err != nil {
 		return nil, err
@@ -285,7 +264,7 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	// Phase 3: the curated 139 through the identical ladder — the baseline
 	// the generated population's recovery rates are gated against.
 	curated := corpus.All()
-	bouts, err := parallel.MapOrdered(cfg.Workers, len(curated), func(i int) (SupervisorVerdict, error) {
+	bouts, err := runArms(cfg.Workers, len(curated), nil, func(i int, _ *Telemetry) (SupervisorVerdict, error) {
 		f := curated[i]
 		seed := parallel.Derive(cfg.Seed, corpusBaselineSalt+uint64(i))
 		verdict, err := runCorpusLadder(cfg.Supervise, nil, obsv.Context{}, seed, f.Mechanism, "", "", 0)
@@ -303,7 +282,6 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	for _, class := range taxonomy.Classes() {
 		byClass[class] = &CorpusClassStat{Class: class}
 	}
-	tels := make([]*Telemetry, 0, len(fouts)+len(eouts))
 	for i, o := range fouts {
 		st := byClass[faults[i].Class]
 		st.Agreement.N++
@@ -317,7 +295,6 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 				st.Degraded++
 			}
 		}
-		tels = append(tels, o.tel)
 	}
 	type mechTally struct{ hits, n int }
 	mechRate := make(map[string]*mechTally)
@@ -360,25 +337,21 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 		"concurrent": {Overlap: "concurrent"},
 		"cascade":    {Overlap: "cascade"},
 	}
-	for j, o := range eouts {
+	for j, v := range everdicts {
 		st := byOverlap[episodes[j].Overlap]
 		st.NotLost.N++
-		if o.verdict != VerdictLost {
+		if v != VerdictLost {
 			st.NotLost.Hits++
-			if o.verdict == VerdictDegraded {
+			if v == VerdictDegraded {
 				st.Degraded++
 			}
 		}
-		tels = append(tels, o.tel)
 	}
 	for _, class := range taxonomy.Classes() {
 		rep.Classes = append(rep.Classes, *byClass[class])
 	}
 	rep.EpisodeStats = []CorpusEpisodeStat{*byOverlap["concurrent"], *byOverlap["cascade"]}
 	rep.GOF = gen.GoodnessOfFit(faults, episodes)
-	if err := cfg.Telemetry.Merge(tels...); err != nil {
-		return nil, err
-	}
 
 	// Phase 4: emit the population as a synthetic PR site and crawl a
 	// bounded sample through the real crawler.
@@ -514,33 +487,14 @@ func interleaveOps(a, b []faultinject.Op) []faultinject.Op {
 // episodes strike one application, not two.
 func buildDuet(primary, secondary string, seed int64) (recovery.Application, faultinject.Scenario, faultinject.Scenario, error) {
 	var zero faultinject.Scenario
-	ns := primary[:strings.IndexByte(primary, '/')+1]
-	if !strings.HasPrefix(secondary, ns) {
+	e, err := appFor(primary)
+	if err != nil {
+		return nil, zero, zero, err
+	}
+	if !strings.HasPrefix(secondary, e.ns) {
 		return nil, zero, zero, fmt.Errorf("experiment: episode mechanisms %q and %q span applications", primary, secondary)
 	}
-	set := faultinject.NewSet(primary, secondary)
-	var app recovery.Application
-	var scenarios map[string]faultinject.Scenario
-	switch ns {
-	case "httpd/":
-		env := simenv.New(seed, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
-		srv := httpd.New(env, set, httpd.Config{})
-		app, scenarios = srv, httpd.Scenarios(srv)
-	case "sqldb/":
-		env := simenv.New(seed, simenv.WithFDLimit(64))
-		db := sqldb.New(env, set)
-		app, scenarios = db, sqldb.Scenarios(db)
-	case "desktop/":
-		env := simenv.New(seed)
-		d := desktop.New(env, set)
-		app, scenarios = d, desktop.Scenarios(d)
-	case "cache/":
-		env := simenv.New(seed, simenv.WithFDLimit(64))
-		srv := cache.New(env, set, cache.Config{Capacity: 16})
-		app, scenarios = srv, cache.Scenarios(srv)
-	default:
-		return nil, zero, zero, fmt.Errorf("experiment: unknown mechanism namespace %q", primary)
-	}
+	app, scenarios := e.build(seed, false, faultinject.NewSet(primary, secondary))
 	scA, okA := scenarios[primary]
 	scB, okB := scenarios[secondary]
 	if !okA || !okB {

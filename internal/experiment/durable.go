@@ -257,7 +257,7 @@ func RunDurable(cfg DurableConfig) (*DurableReport, error) {
 		}
 		return &DurableReport{Seed: cfg.Seed, Halted: true, Done: len(done), Total: len(names)}, nil
 	}
-	arms, err := parallel.MapOrdered(cfg.Workers, len(names), func(i int) (DurableArm, error) {
+	arms, err := runArms(cfg.Workers, len(names), nil, func(i int, _ *Telemetry) (DurableArm, error) {
 		if arm, ok := done[i]; ok {
 			return arm, nil
 		}
@@ -405,6 +405,31 @@ func runDurableArm(name string, seed int64) (DurableArm, error) {
 	}
 }
 
+// endEpisode closes ep at the environment's current time and files it on the
+// arm, charging its repair time to MTTRTotal when charged is set.
+func (a *DurableArm) endEpisode(ep DurableEpisode, env *simenv.Env, charged bool) {
+	ep.End = env.Monotonic()
+	if charged {
+		a.MTTRTotal += ep.End - ep.Start
+	}
+	a.Eps = append(a.Eps, ep)
+}
+
+// finishWorkload scores an episode whose recovery resumed the whole
+// workload: when the resumed workload completed (ok), the store must hold
+// exactly the model's final state.
+func (a *DurableArm) finishWorkload(ep DurableEpisode, env *simenv.Env, st *durable.Store, batches [][]durable.Op, ok bool) {
+	a.Acked += len(batches)
+	if ok && durableStateEqual(st, durableModelAt(batches, uint64(len(batches)))) {
+		a.Recovered += len(batches)
+		ep.Recovered = true
+		a.RecoveredEpisodes++
+	} else if ok {
+		a.UndetectedCorruption++
+	}
+	a.endEpisode(ep, env, true)
+}
+
 // verifyReopen closes the damaged store handle, replaces the process on the
 // virtual clock, recovers through durable.Open, and scores the episode: the
 // recovered sequence number must cover every acknowledged record, the state
@@ -423,8 +448,7 @@ func verifyReopen(arm *DurableArm, env *simenv.Env, old *durable.Store, opts dur
 	arm.Acked += acked
 	st, info, err := durable.Open(env, durableOwner, durableDir, opts)
 	if err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.endEpisode(ep, env, false)
 		return
 	}
 	defer st.Close()
@@ -450,34 +474,28 @@ func verifyReopen(arm *DurableArm, env *simenv.Env, old *durable.Store, opts dur
 		}
 		if !durableStateEqual(st, durableModelAt(batches, seq)) {
 			arm.UndetectedCorruption++
-			ep.End = env.Monotonic()
-			arm.Eps = append(arm.Eps, ep)
+			arm.endEpisode(ep, env, false)
 			return
 		}
 	case seq > maxSeq:
 		arm.UndetectedCorruption++
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.endEpisode(ep, env, false)
 		return
 	default:
 		if !durableStateEqual(st, durableModelAt(batches, seq)) {
 			arm.UndetectedCorruption++
-			ep.End = env.Monotonic()
-			arm.Eps = append(arm.Eps, ep)
+			arm.endEpisode(ep, env, false)
 			return
 		}
 	}
 	// Recovery must hand back a writable store, not just a readable one.
 	if err := st.Put("post-recovery", []byte("ok")); err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.endEpisode(ep, env, false)
 		return
 	}
-	ep.End = env.Monotonic()
 	ep.Recovered = true
 	arm.RecoveredEpisodes++
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.endEpisode(ep, env, true)
 }
 
 // runDurableBaselineArm is the control: a clean workload, a clean close, and
@@ -590,24 +608,13 @@ func runDurableDiskFullArm(name string, seed int64) (DurableArm, error) {
 	arm.Episodes++
 	for _, b := range batches[half:] {
 		if err := st.Apply(b); err != nil {
-			ep.End = env.Monotonic()
-			arm.Eps = append(arm.Eps, ep)
+			arm.endEpisode(ep, env, false)
 			arm.Acked += len(batches)
 			arm.Recovered += half
 			return arm, nil
 		}
 	}
-	arm.Acked += len(batches)
-	if !durableStateEqual(st, durableModelAt(batches, uint64(len(batches)))) {
-		arm.UndetectedCorruption++
-	} else {
-		arm.Recovered += len(batches)
-		ep.Recovered = true
-		arm.RecoveredEpisodes++
-	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.finishWorkload(ep, env, st, batches, true)
 	return arm, nil
 }
 
@@ -634,29 +641,17 @@ func runDurableFDArm(name string, seed int64) (DurableArm, error) {
 	arm.Episodes++
 	st, _, err := durable.Open(env, durableOwner, durableDir, durable.Options{})
 	if err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.endEpisode(ep, env, false)
 		return arm, nil
 	}
 	defer st.Close()
 	for _, b := range batches {
 		if err := st.Apply(b); err != nil {
-			ep.End = env.Monotonic()
-			arm.Eps = append(arm.Eps, ep)
+			arm.endEpisode(ep, env, false)
 			return arm, nil
 		}
 	}
-	arm.Acked += len(batches)
-	if !durableStateEqual(st, durableModelAt(batches, uint64(len(batches)))) {
-		arm.UndetectedCorruption++
-	} else {
-		arm.Recovered += len(batches)
-		ep.Recovered = true
-		arm.RecoveredEpisodes++
-	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.finishWorkload(ep, env, st, batches, true)
 	return arm, nil
 }
 
@@ -693,8 +688,7 @@ func runDurableFileLimitArm(name string, seed int64) (DurableArm, error) {
 	// recurs under a cap this small; recovery is the compaction, not a
 	// one-off).
 	if err := st.Checkpoint(); err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.endEpisode(ep, env, false)
 		return arm, nil
 	}
 	ok := true
@@ -710,17 +704,7 @@ func runDurableFileLimitArm(name string, seed int64) (DurableArm, error) {
 			break
 		}
 	}
-	arm.Acked += len(batches)
-	if ok && durableStateEqual(st, durableModelAt(batches, uint64(len(batches)))) {
-		arm.Recovered += len(batches)
-		ep.Recovered = true
-		arm.RecoveredEpisodes++
-	} else if ok {
-		arm.UndetectedCorruption++
-	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.finishWorkload(ep, env, st, batches, ok)
 	return arm, nil
 }
 
@@ -765,18 +749,8 @@ func runDurableWriteFaultArm(name string, seed int64, kind string) (DurableArm, 
 			break
 		}
 	}
-	arm.Acked += len(batches)
 	arm.Repairs += int(st.Stats().Repairs)
-	if ok && durableStateEqual(st, durableModelAt(batches, uint64(len(batches)))) {
-		arm.Recovered += len(batches)
-		ep.Recovered = true
-		arm.RecoveredEpisodes++
-	} else if ok {
-		arm.UndetectedCorruption++
-	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.finishWorkload(ep, env, st, batches, ok)
 	return arm, nil
 }
 
@@ -888,8 +862,7 @@ func runDurableSQLArm(name string, seed int64) (DurableArm, error) {
 	arm.Episodes++
 	arm.Acked += 3 // the snapshot's rows are the acknowledged state to recover
 	if err := srv.Restore(snap); err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.endEpisode(ep, env, false)
 		return arm, nil
 	}
 	rs, err := srv.Exec("SELECT id FROM t")
@@ -904,9 +877,7 @@ func runDurableSQLArm(name string, seed int64) (DurableArm, error) {
 	} else if rows != 3 {
 		arm.SilentLoss += 3 - rows
 	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.endEpisode(ep, env, true)
 	srv.Stop()
 	return arm, nil
 }
@@ -938,8 +909,7 @@ func runDurableCacheArm(name string, seed int64) (DurableArm, error) {
 	arm.Episodes++
 	arm.Acked += len(keys)
 	if err := c.Tree().Restart(cache.CompPersist); err != nil {
-		ep.End = env.Monotonic()
-		arm.Eps = append(arm.Eps, ep)
+		arm.endEpisode(ep, env, false)
 		c.Stop()
 		return arm, nil
 	}
@@ -957,9 +927,7 @@ func runDurableCacheArm(name string, seed int64) (DurableArm, error) {
 	} else {
 		arm.SilentLoss += len(keys) - got
 	}
-	ep.End = env.Monotonic()
-	arm.MTTRTotal += ep.End - ep.Start
-	arm.Eps = append(arm.Eps, ep)
+	arm.endEpisode(ep, env, true)
 	c.Stop()
 	return arm, nil
 }

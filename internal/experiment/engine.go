@@ -10,112 +10,131 @@ import (
 	"faultstudy/internal/supervise"
 )
 
-// This file is the parallel experiment engine: the fault × strategy × app
-// sweeps sharded over a bounded worker pool (internal/parallel). The
-// determinism contract is worker-count invariance — every report, trace,
-// timeline, and metrics dump an N-worker run produces is byte-identical to
-// the 1-worker (serial) run — and it holds because:
+// This file is the parallel experiment engine: every sweep is a list of
+// independent arms run by runArms over a bounded worker pool
+// (internal/parallel). The determinism contract is worker-count invariance —
+// every report, trace, timeline, and metrics dump an N-worker run produces is
+// byte-identical to the 1-worker (serial) run — and it holds because:
 //
-//   - each shard is one corpus fault (matrix paths) or one application
-//     (soak), with its own freshly seeded environment, application instance,
-//     and supervisor: no shard shares mutable state with another (verified
+//   - each arm has its own freshly seeded environment, application instance,
+//     and supervisor: no arm shares mutable state with another (verified
 //     under -race);
-//   - every seed a shard uses is a pure function of the root seed and the
-//     shard's position, never of scheduling (see parallel.Derive for the
-//     SplitMix64 derivation used where shards need private streams);
-//   - each shard writes into its own obsv sinks, and the engine reduces them
-//     in shard order with Registry.Merge / Recorder.Append, which reproduces
-//     exactly what a serial run sharing one sink would have recorded;
-//   - outcomes land in index-addressed slots, so presentation order is the
-//     corpus order regardless of completion order.
+//   - every seed an arm uses is a pure function of the root seed and the
+//     arm's position, never of scheduling (see parallel.Derive for the
+//     SplitMix64 derivation used where arms need private streams); each
+//     sweep keeps its own derivation, because changing one shifts its
+//     outputs;
+//   - each arm writes into its own telemetry, and runArms reduces them in arm
+//     order with Telemetry.Merge, which reproduces exactly what a serial run
+//     sharing one telemetry would have recorded;
+//   - results land in index-addressed slots, so presentation order is arm
+//     order regardless of completion order.
+
+// runArms runs arm(i, ·) for every i in [0, n) on a pool of workers (≤ 0
+// means one per processor) and returns the results in arm order. When tel is
+// non-nil each arm records into a private telemetry, merged into tel in arm
+// order once every arm has finished; when tel is nil the arms get nil and no
+// telemetry is created.
+func runArms[A any](workers, n int, tel *Telemetry, arm func(i int, tel *Telemetry) (A, error)) ([]A, error) {
+	var tels []*Telemetry
+	if tel != nil {
+		tels = make([]*Telemetry, n)
+	}
+	out, err := parallel.MapOrdered(workers, n, func(i int) (A, error) {
+		var t *Telemetry
+		if tels != nil {
+			t = NewTelemetry()
+			tels[i] = t
+		}
+		return arm(i, t)
+	})
+	if err != nil {
+		return nil, err
+	}
+	if err := tel.Merge(tels...); err != nil {
+		return nil, err
+	}
+	return out, nil
+}
 
 // RunMatrixWorkers is RunMatrix sharded over a worker pool: every corpus
-// fault is one shard, run under every strategy with a fresh environment and
+// fault is one arm, run under every strategy with a fresh environment and
 // application. workers ≤ 0 means one worker per processor. The resulting
 // matrix is byte-identical at every worker count.
 //
 // With workers > 1 the policy's Trace hook, if any, is invoked concurrently
-// from multiple shards; hooks must be safe for concurrent use (the CLI's
-// -steps hook is only attached to single-mechanism runs).
+// from multiple arms; hooks must be safe for concurrent use.
 func RunMatrixWorkers(policy recovery.Policy, seed int64, workers int) (*Matrix, error) {
 	faults := corpus.All()
-	m := &Matrix{
-		Strategies: recovery.Strategies(),
-		PerFault:   make([]FaultOutcome, len(faults)),
-	}
-	err := parallel.ForEach(workers, len(faults), func(i int) error {
+	strategies := recovery.Strategies()
+	perFault, err := runArms(workers, len(faults), nil, func(i int, _ *Telemetry) (FaultOutcome, error) {
 		f := faults[i]
 		mgr := recovery.NewManager(policy)
 		fo := FaultOutcome{
 			FaultID:   f.ID,
 			Mechanism: f.Mechanism,
 			Class:     f.Class,
-			Survived:  make(map[recovery.Strategy]bool, len(m.Strategies)),
+			Survived:  make(map[recovery.Strategy]bool, len(strategies)),
 		}
-		for si, strat := range m.Strategies {
+		for si, strat := range strategies {
 			app, sc, err := BuildScenario(f.Mechanism, seed+int64(si))
 			if err != nil {
-				return fmt.Errorf("experiment: %s: %w", f.ID, err)
+				return fo, fmt.Errorf("experiment: %s: %w", f.ID, err)
 			}
 			out, err := mgr.Run(app, sc, strat)
 			if err != nil {
-				return fmt.Errorf("experiment: %s under %s: %w", f.ID, strat, err)
+				return fo, fmt.Errorf("experiment: %s under %s: %w", f.ID, strat, err)
 			}
 			fo.Survived[strat] = out.Survived
 		}
-		m.PerFault[i] = fo
-		return nil
+		return fo, nil
 	})
 	if err != nil {
 		return nil, err
 	}
-	return m, nil
+	return &Matrix{Strategies: strategies, PerFault: perFault}, nil
 }
 
-// AddSupervisedWorkers is the sharded supervised-column run: every corpus
-// fault is one shard with a fresh environment, application, and supervisor.
-// When t is non-nil each shard records into a private telemetry whose
-// metrics and episodes are folded into t in corpus order afterwards, so the
-// merged trace, timeline, summary, and exports are byte-identical at every
+// AddSupervisedWorkers runs every corpus fault's scenario under a supervisor
+// and records each verdict in the matrix, adding the paper-extension column
+// that compares supervision against the bare one-shot strategies. Every
+// fault is one arm with a fresh environment, application, and supervisor.
+// When t is non-nil every run is observed under its corpus identity
+// (application, fault ID, oracle class), so the recorded episodes carry the
+// labels the per-class summary keys on. Output is byte-identical at every
 // worker count (workers ≤ 0 means one per processor).
 func (m *Matrix) AddSupervisedWorkers(seed int64, cfg supervise.Config, t *Telemetry, workers int) error {
-	shards := make([]*Telemetry, len(m.PerFault))
-	err := parallel.ForEach(workers, len(m.PerFault), func(i int) error {
-		fo := &m.PerFault[i]
-		app, sc, err := BuildScenario(fo.Mechanism, seed)
+	verdicts, err := runArms(workers, len(m.PerFault), t, func(i int, tel *Telemetry) (SupervisorVerdict, error) {
+		fo := m.PerFault[i]
+		e, app, sc, err := buildScenario(fo.Mechanism, seed)
 		if err != nil {
-			return fmt.Errorf("experiment: supervised %s: %w", fo.FaultID, err)
+			return VerdictNone, fmt.Errorf("experiment: supervised %s: %w", fo.FaultID, err)
 		}
 		// Start before staging, like the bare-strategy runs: the staged
 		// environmental condition hits a running application.
 		if err := app.Start(); err != nil {
-			return fmt.Errorf("experiment: supervised %s: start: %w", fo.FaultID, err)
+			return VerdictNone, fmt.Errorf("experiment: supervised %s: start: %w", fo.FaultID, err)
 		}
 		if sc.Stage != nil {
 			sc.Stage()
 		}
-		runCfg := cfg
-		var obs *obsv.Observer
-		if t != nil {
-			shards[i] = NewTelemetry()
-			mech, _ := Registry().Lookup(fo.Mechanism)
-			runCfg, obs = shards[i].superviseConfig(cfg, obsv.Context{
-				App:     mech.App.String(),
-				FaultID: fo.FaultID,
-				Class:   fo.Class.Short(),
-			})
-		}
-		sup := supervise.New(app, runCfg)
-		rep, err := sup.Run(wrapScenarioOps(fo.Mechanism, sc.Ops))
+		runCfg, obs := tel.superviseConfig(cfg, obsv.Context{
+			App:     e.app.String(),
+			FaultID: fo.FaultID,
+			Class:   fo.Class.Short(),
+		})
+		rep, err := supervise.New(app, runCfg).Run(wrapScenarioOps(fo.Mechanism, sc.Ops))
 		if err != nil {
-			return fmt.Errorf("experiment: supervised %s: %w", fo.FaultID, err)
+			return VerdictNone, fmt.Errorf("experiment: supervised %s: %w", fo.FaultID, err)
 		}
 		obs.Flush(app.Env().Monotonic())
-		fo.Supervised = verdictOf(rep)
-		return nil
+		return verdictOf(rep), nil
 	})
 	if err != nil {
 		return err
 	}
-	return t.Merge(shards...)
+	for i, v := range verdicts {
+		m.PerFault[i].Supervised = v
+	}
+	return nil
 }

@@ -13,15 +13,8 @@ import (
 	"fmt"
 	"strings"
 
-	"faultstudy/internal/apps/cache"
-	"faultstudy/internal/apps/desktop"
-	"faultstudy/internal/apps/httpd"
-	"faultstudy/internal/apps/sqldb"
 	"faultstudy/internal/classify"
 	"faultstudy/internal/corpus"
-	"faultstudy/internal/faultinject"
-	"faultstudy/internal/recovery"
-	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
 	"faultstudy/internal/taxonomy"
 )
@@ -134,70 +127,5 @@ func (a *Aggregate) String() string {
 	return b.String()
 }
 
-// BuildScenario constructs the simulated application and executable scenario
-// for a seeded-bug mechanism. The environment is sized so the scenario's
-// exhaustion conditions trigger quickly.
-func BuildScenario(mechanism string, seed int64) (recovery.Application, faultinject.Scenario, error) {
-	switch {
-	case strings.HasPrefix(mechanism, "httpd/"):
-		env := simenv.New(seed, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
-		srv := httpd.New(env, faultinject.NewSet(mechanism), httpd.Config{})
-		sc, ok := httpd.Scenarios(srv)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no httpd scenario for %s", mechanism)
-		}
-		return srv, sc, nil
-	case strings.HasPrefix(mechanism, "sqldb/"):
-		env := simenv.New(seed, simenv.WithFDLimit(64))
-		srv := sqldb.New(env, faultinject.NewSet(mechanism))
-		sc, ok := sqldb.Scenarios(srv)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no sqldb scenario for %s", mechanism)
-		}
-		return srv, sc, nil
-	case strings.HasPrefix(mechanism, "desktop/"):
-		env := simenv.New(seed)
-		d := desktop.New(env, faultinject.NewSet(mechanism))
-		sc, ok := desktop.Scenarios(d)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no desktop scenario for %s", mechanism)
-		}
-		return d, sc, nil
-	case strings.HasPrefix(mechanism, "cache/"):
-		env := simenv.New(seed, simenv.WithFDLimit(64))
-		srv := cache.New(env, faultinject.NewSet(mechanism), cache.Config{Capacity: 16})
-		sc, ok := cache.Scenarios(srv)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no cache scenario for %s", mechanism)
-		}
-		return srv, sc, nil
-	default:
-		return nil, faultinject.Scenario{}, fmt.Errorf("experiment: unknown mechanism namespace %q", mechanism)
-	}
-}
-
 // classifyDefaults returns the study's classifier configuration.
 func classifyDefaults() classify.Options { return classify.Options{} }
-
-// Registry returns the full seeded-bug catalogue of all three applications.
-func Registry() *faultinject.Registry {
-	r := faultinject.NewRegistry()
-	httpd.RegisterMechanisms(r)
-	sqldb.RegisterMechanisms(r)
-	desktop.RegisterMechanisms(r)
-	return r
-}
-
-// CorpusRegistry returns the extended mechanism catalogue the generated
-// corpus samples from: the paper's three applications plus the extension
-// archetypes. It is deliberately distinct from Registry() so the paper-table
-// experiments (matrix, soak, mreboot, lint, scope, serve) keep the studied
-// universe untouched.
-func CorpusRegistry() *faultinject.Registry {
-	r := faultinject.NewRegistry()
-	httpd.RegisterMechanisms(r)
-	sqldb.RegisterMechanisms(r)
-	desktop.RegisterMechanisms(r)
-	cache.RegisterMechanisms(r)
-	return r
-}

@@ -9,7 +9,6 @@ import (
 
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/faultlint"
-	"faultstudy/internal/parallel"
 	"faultstudy/internal/stats"
 	"faultstudy/internal/taxonomy"
 )
@@ -22,14 +21,6 @@ import (
 // alone. Agreement between the two is measured as precision/recall per
 // class — a static, pre-execution analogue of the paper's 72–87%
 // environment-independent headline (§4, Table 2).
-
-// lintAppDirs maps each studied application to the directory holding its
-// simulated implementation, relative to the module root.
-var lintAppDirs = map[taxonomy.Application]string{
-	taxonomy.AppApache: "internal/apps/httpd",
-	taxonomy.AppMySQL:  "internal/apps/sqldb",
-	taxonomy.AppGnome:  "internal/apps/desktop",
-}
 
 // ClassScore accumulates the confusion tallies for one fault class.
 type ClassScore struct {
@@ -141,18 +132,11 @@ func resolvePredicted(votes map[taxonomy.FaultClass]int) taxonomy.FaultClass {
 	return taxonomy.ClassUnknown
 }
 
-// RunLint loads the three application packages under root, runs the envsite
-// analyzer, and scores its predictions against the seeded registry. It is
-// the single-worker case of RunLintWorkers.
-func RunLint(root string) (*LintReport, error) {
-	return RunLintWorkers(root, 1)
-}
-
 // scoreLintApp scores one application's envsite predictions against the
 // seeded registry — a pure function of the (read-only) analyzer result and
 // the app's registry slice, so the three applications score in parallel.
 func scoreLintApp(result *faultlint.Result, reg *faultinject.Registry, app taxonomy.Application) LintApp {
-	dir := lintAppDirs[app]
+	dir := appOf(app).lintDir
 	la := LintApp{App: app, Dir: dir, Predicted: make(map[string]taxonomy.FaultClass)}
 
 	// Gather per-mechanism class votes from the diagnostics raised in
@@ -209,19 +193,20 @@ func scoreLintApp(result *faultlint.Result, reg *faultinject.Registry, app taxon
 	return la
 }
 
-// RunLintWorkers is RunLint with per-application scoring sharded over a
-// worker pool (workers ≤ 0 means one per processor). Scoring is pure
-// computation over the shared, read-only analyzer result, and the per-app
-// reports are reduced in application order, so the report is identical at
-// every worker count.
+// RunLintWorkers loads the three application packages under root, runs the
+// envsite analyzer, and scores its predictions against the seeded registry,
+// with per-application scoring sharded over a worker pool (workers ≤ 0 means
+// one per processor). Scoring is pure computation over the shared, read-only
+// analyzer result, and the per-app reports are reduced in application order,
+// so the report is identical at every worker count.
 func RunLintWorkers(root string, workers int) (*LintReport, error) {
 	reg := Registry()
 	report := &LintReport{Root: root}
 
-	apps := taxonomy.Applications()
+	studied := taxonomy.Applications()
 	var patterns []string
-	for _, app := range apps {
-		patterns = append(patterns, lintAppDirs[app])
+	for _, app := range studied {
+		patterns = append(patterns, appOf(app).lintDir)
 	}
 	pkgs, err := faultlint.Load(root, patterns)
 	if err != nil {
@@ -233,8 +218,8 @@ func RunLintWorkers(root string, workers int) (*LintReport, error) {
 	}
 	report.Result = result
 
-	report.Apps, err = parallel.MapOrdered(workers, len(apps), func(i int) (LintApp, error) {
-		return scoreLintApp(result, reg, apps[i]), nil
+	report.Apps, err = runArms(workers, len(studied), nil, func(i int, _ *Telemetry) (LintApp, error) {
+		return scoreLintApp(result, reg, studied[i]), nil
 	})
 	if err != nil {
 		return nil, err
@@ -261,7 +246,7 @@ func RunLintWorkers(root string, workers int) (*LintReport, error) {
 	}
 	report.PredictedEI = stats.Proportion{Hits: predEI, N: predN}
 	truthEI, truthN := 0, 0
-	for _, app := range apps {
+	for _, app := range studied {
 		for _, m := range reg.ByApp(app) {
 			truthN++
 			if m.Trigger.DefaultClass() == taxonomy.ClassEnvIndependent {

@@ -25,7 +25,7 @@ func TestLintValidation(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	report, err := RunLint(root)
+	report, err := RunLintWorkers(root, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -72,16 +72,16 @@ func TestLintPredictionsDeterministic(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	a, err := RunLint(root)
+	a, err := RunLintWorkers(root, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	b, err := RunLint(root)
+	b, err := RunLintWorkers(root, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if a.String() != b.String() {
-		t.Error("two RunLint passes rendered differently")
+		t.Error("two RunLintWorkers passes rendered differently")
 	}
 	for i, la := range a.Apps {
 		lb := b.Apps[i]

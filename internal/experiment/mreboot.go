@@ -6,9 +6,6 @@ import (
 	"strings"
 	"time"
 
-	"faultstudy/internal/apps/desktop"
-	"faultstudy/internal/apps/httpd"
-	"faultstudy/internal/apps/sqldb"
 	"faultstudy/internal/component"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/obsv"
@@ -136,40 +133,29 @@ type MRebootReport struct {
 // virtual clock, and recovers every fault episode with the arm's policy —
 // scoring MTTR, requests lost, and the goodput dip of each mechanism.
 //
-// Arms are independent shards on a pool of cfg.Workers workers: each derives
-// its seed from (Seed, arm index) and records into a private telemetry, and
-// the shards are reduced in fixed arm order — so reports, traces, and metric
-// dumps are byte-identical at every worker count.
+// Arms run on runArms, seeded from (Seed, arm index): outputs are
+// byte-identical at every worker count.
 func RunMReboot(cfg MRebootConfig) (*MRebootReport, error) {
-	keys := Registry().Keys()
+	mechs := registryMechanisms()
 	policies := MRebootPolicies()
-	type shardOut struct {
-		arm MRebootArm
-		tel *Telemetry
-	}
-	n := len(keys) * len(policies)
-	outs, err := parallel.MapOrdered(cfg.Workers, n, func(i int) (shardOut, error) {
-		var tel *Telemetry
-		if cfg.Telemetry != nil {
-			tel = NewTelemetry()
-		}
-		mech, _ := Registry().Lookup(keys[i/len(policies)])
-		arm, err := runMRebootArm(cfg, i, mech, policies[i%len(policies)], tel)
-		return shardOut{arm: arm, tel: tel}, err
+	arms, err := runArms(cfg.Workers, len(mechs)*len(policies), cfg.Telemetry, func(i int, tel *Telemetry) (MRebootArm, error) {
+		return runMRebootArm(cfg, i, mechs[i/len(policies)], policies[i%len(policies)], tel)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &MRebootReport{Seed: cfg.Seed, Arms: make([]MRebootArm, 0, n)}
-	tels := make([]*Telemetry, 0, n)
-	for _, o := range outs {
-		rep.Arms = append(rep.Arms, o.arm)
-		tels = append(tels, o.tel)
+	return &MRebootReport{Seed: cfg.Seed, Arms: arms}, nil
+}
+
+// registryMechanisms returns every mechanism of Registry(), in key order.
+func registryMechanisms() []faultinject.Mechanism {
+	reg := Registry()
+	keys := reg.Keys()
+	mechs := make([]faultinject.Mechanism, len(keys))
+	for i, k := range keys {
+		mechs[i], _ = reg.Lookup(k)
 	}
-	if err := cfg.Telemetry.Merge(tels...); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return mechs
 }
 
 // componentApp is what an MREBOOT arm needs from an application: the recovery
@@ -193,80 +179,16 @@ type mrebootDriver struct {
 // tolerated (a seeded bug may fire during warmup; the workload then reports
 // it), with crashes contained so staging still runs against a live process.
 func buildComponentized(mechanism string, seed int64) (*mrebootDriver, faultinject.Scenario, error) {
-	switch {
-	case strings.HasPrefix(mechanism, "httpd/"):
-		env := simenv.New(seed, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
-		srv := httpd.New(env, faultinject.NewSet(mechanism), httpd.Config{})
-		sc, ok := httpd.Scenarios(srv)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no httpd scenario for %s", mechanism)
-		}
-		c := httpd.Componentize(srv, component.NewStore())
-		paths := []string{"/", "/index.html", "/proxy/asset", "/"}
-		sessions := []string{"alice", "bob"}
-		return &mrebootDriver{
-			app:  c,
-			warm: func() {},
-			bg: func(i int) error {
-				_, err := c.Serve(httpd.Request{
-					Method:  "GET",
-					Path:    paths[i%len(paths)],
-					Session: sessions[i%len(sessions)],
-				})
-				return err
-			},
-		}, sc, nil
-	case strings.HasPrefix(mechanism, "sqldb/"):
-		env := simenv.New(seed, simenv.WithFDLimit(64))
-		srv := sqldb.New(env, faultinject.NewSet(mechanism))
-		sc, ok := sqldb.Scenarios(srv)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no sqldb scenario for %s", mechanism)
-		}
-		c := sqldb.Componentize(srv, component.NewStore())
-		return &mrebootDriver{
-			app: c,
-			warm: func() {
-				tolerate(c, func() error { return c.Connect("alice", "10.0.0.7") })
-				tolerate(c, func() error {
-					_, err := c.Exec("alice", "CREATE TABLE warm (id INT, name TEXT)")
-					return err
-				})
-				tolerate(c, func() error {
-					_, err := c.Exec("alice", "INSERT INTO warm VALUES (1, 'w')")
-					return err
-				})
-			},
-			bg: func(i int) error {
-				_, err := c.Exec("alice", "SELECT id FROM warm")
-				return err
-			},
-		}, sc, nil
-	case strings.HasPrefix(mechanism, "desktop/"):
-		env := simenv.New(seed)
-		desk := desktop.New(env, faultinject.NewSet(mechanism))
-		sc, ok := desktop.Scenarios(desk)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no desktop scenario for %s", mechanism)
-		}
-		c := desktop.Componentize(desk, component.NewStore())
-		events := []desktop.Event{
-			{Widget: "calendar", Action: "next"},
-			{Widget: "gnumeric", Action: "get-cell", Arg: "A1"},
-			{Widget: "session", Action: "noop"},
-		}
-		return &mrebootDriver{
-			app: c,
-			warm: func() {
-				tolerate(c, func() error {
-					return c.Dispatch(desktop.Event{Widget: "gnumeric", Action: "set-cell", Arg: "A1=1"})
-				})
-			},
-			bg: func(i int) error { return c.Dispatch(events[i%len(events)]) },
-		}, sc, nil
-	default:
-		return nil, faultinject.Scenario{}, fmt.Errorf("experiment: unknown mechanism namespace %q", mechanism)
+	e, app, sc, err := buildScenario(mechanism, seed)
+	if err == nil && e.drive == nil {
+		err = fmt.Errorf("experiment: %s has no background workload driver", mechanism)
 	}
+	if err != nil {
+		return nil, faultinject.Scenario{}, err
+	}
+	c := e.componentize(app)
+	warm, bg := e.drive(c)
+	return &mrebootDriver{app: c, warm: warm, bg: bg}, sc, nil
 }
 
 // tolerate runs a warmup step, containing any crash it causes so the arm
@@ -416,12 +338,12 @@ func (r *mrebootRun) serveOutage(window time.Duration) {
 	}
 }
 
-// perturb forces a fresh interleaving before a retry (Wang93), exactly as
-// the supervisor's ladder does.
-func (r *mrebootRun) perturb(attempt int) {
-	r.env.Sched().UnforceAll()
-	r.env.Reroll()
-	r.env.Sched().Force(r.mech.Key, attempt)
+// perturb forces a fresh interleaving before a retry of mechanism (Wang93),
+// exactly as the supervisor's ladder does.
+func perturb(env *simenv.Env, mechanism string, attempt int) {
+	env.Sched().UnforceAll()
+	env.Reroll()
+	env.Sched().Force(mechanism, attempt)
 }
 
 // episode recovers one failed arrival with the arm's policy: detection
@@ -520,7 +442,7 @@ func (r *mrebootRun) applyPolicy(attempt int, preOp []byte) string {
 					_ = tree.Restart(name)
 				}
 			}
-			r.perturb(attempt)
+			perturb(r.env, r.mech.Key, attempt)
 			return target
 		}
 		// No attribution: fall through to a process restart.
@@ -530,7 +452,7 @@ func (r *mrebootRun) applyPolicy(attempt int, preOp []byte) string {
 	r.env.Advance(mrebootProcRestart)
 	r.lostWindow(mrebootProcRestart, true)
 	r.env.ReclaimOwner(app.Name())
-	r.perturb(attempt)
+	perturb(r.env, r.mech.Key, attempt)
 	snap := preOp
 	if r.policy == "rollback" {
 		snap = r.epoch
@@ -581,62 +503,34 @@ func (r *mrebootRun) observeArm() {
 	}
 }
 
+// cell sums the arms of one class under one policy into one arm.
+func (r *MRebootReport) cell(class taxonomy.FaultClass, policy string) MRebootArm {
+	var c MRebootArm
+	for _, a := range r.Arms {
+		if a.Class == class && a.Policy == policy {
+			c.Requests += a.Requests
+			c.Lost += a.Lost
+			c.OutageArrivals += a.OutageArrivals
+			c.OutageServed += a.OutageServed
+			c.Episodes += a.Episodes
+			c.Recovered += a.Recovered
+			c.MTTRTotal += a.MTTRTotal
+		}
+	}
+	return c
+}
+
 // LostBy aggregates requests lost across the arms of one class under one
 // policy.
 func (r *MRebootReport) LostBy(class taxonomy.FaultClass, policy string) (lost, requests int) {
-	for _, a := range r.Arms {
-		if a.Class != class || a.Policy != policy {
-			continue
-		}
-		lost += a.Lost
-		requests += a.Requests
-	}
-	return lost, requests
+	c := r.cell(class, policy)
+	return c.Lost, c.Requests
 }
 
 // MTTRBy is the mean time to repair across one class's recovered episodes
 // under one policy (0 when nothing recovered).
 func (r *MRebootReport) MTTRBy(class taxonomy.FaultClass, policy string) time.Duration {
-	var total time.Duration
-	var n int
-	for _, a := range r.Arms {
-		if a.Class != class || a.Policy != policy {
-			continue
-		}
-		total += a.MTTRTotal
-		n += a.Recovered
-	}
-	if n == 0 {
-		return 0
-	}
-	return total / time.Duration(n)
-}
-
-// recoveredBy aggregates recovered-over-episodes for one class × policy.
-func (r *MRebootReport) recoveredBy(class taxonomy.FaultClass, policy string) stats.Proportion {
-	var p stats.Proportion
-	for _, a := range r.Arms {
-		if a.Class != class || a.Policy != policy {
-			continue
-		}
-		p.Hits += a.Recovered
-		p.N += a.Episodes
-	}
-	return p
-}
-
-// outageGoodputBy aggregates served-during-outage over outage arrivals for
-// one class × policy — the inverse of the goodput dip.
-func (r *MRebootReport) outageGoodputBy(class taxonomy.FaultClass, policy string) stats.Proportion {
-	var p stats.Proportion
-	for _, a := range r.Arms {
-		if a.Class != class || a.Policy != policy {
-			continue
-		}
-		p.Hits += a.OutageServed
-		p.N += a.OutageArrivals
-	}
-	return p
+	return r.cell(class, policy).MTTR()
 }
 
 // Check asserts the sweep's headline claim — the microreboot argument made
@@ -681,15 +575,15 @@ func (r *MRebootReport) String() string {
 		"class", "policy", "episodes", "recovered", "requests", "lost", "outage-served", "mttr"}}
 	for _, class := range taxonomy.Classes() {
 		for _, policy := range MRebootPolicies() {
-			rec := r.recoveredBy(class, policy)
-			lost, req := r.LostBy(class, policy)
-			good := r.outageGoodputBy(class, policy)
+			c := r.cell(class, policy)
+			rec := stats.Proportion{Hits: c.Recovered, N: c.Episodes}
+			good := stats.Proportion{Hits: c.OutageServed, N: c.OutageArrivals}
 			tbl.Add(class.Short(), policy,
 				fmt.Sprint(rec.N),
 				fmt.Sprintf("%d/%d (%s)", rec.Hits, rec.N, rec.Percent()),
-				fmt.Sprint(req), fmt.Sprint(lost),
+				fmt.Sprint(c.Requests), fmt.Sprint(c.Lost),
 				fmt.Sprintf("%d/%d (%s)", good.Hits, good.N, good.Percent()),
-				mrebootMTTRCell(r.MTTRBy(class, policy)))
+				mrebootMTTRCell(c.MTTR()))
 		}
 	}
 	b.WriteString(tbl.String())

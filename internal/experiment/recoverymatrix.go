@@ -19,8 +19,8 @@ type FaultOutcome struct {
 	Class taxonomy.FaultClass
 	// Survived maps each strategy to its outcome.
 	Survived map[recovery.Strategy]bool
-	// Supervised is the supervision-layer verdict, when AddSupervised has
-	// been run (VerdictNone otherwise).
+	// Supervised is the supervision-layer verdict, when AddSupervisedWorkers
+	// has been run (VerdictNone otherwise).
 	Supervised SupervisorVerdict
 }
 

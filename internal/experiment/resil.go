@@ -94,41 +94,19 @@ type ResilReport struct {
 // chaos injector with exactly one fault active, using a resilient client
 // configured by the arm's policy, all on a shared virtual clock.
 //
-// Arms are independent shards on a pool of cfg.Workers workers: each derives
-// its seed from (Seed, arm index) via the parallel engine's SplitMix64
-// stream and records into a private telemetry, and the shards are reduced in
-// fixed arm order — so reports, traces, and metric dumps are byte-identical
-// at every worker count.
+// Arms run on runArms, seeded from (Seed, arm index): outputs are
+// byte-identical at every worker count.
 func RunResil(cfg ResilConfig) (*ResilReport, error) {
 	cfg = cfg.withDefaults()
 	faults := chaoshttp.Catalog()
 	policies := ResilPolicies()
-	type shardOut struct {
-		arm ResilArm
-		tel *Telemetry
-	}
-	n := len(faults) * len(policies)
-	outs, err := parallel.MapOrdered(cfg.Workers, n, func(i int) (shardOut, error) {
-		var tel *Telemetry
-		if cfg.Telemetry != nil {
-			tel = NewTelemetry()
-		}
-		arm, err := runResilArm(cfg, i, faults[i/len(policies)], policies[i%len(policies)], tel)
-		return shardOut{arm: arm, tel: tel}, err
+	arms, err := runArms(cfg.Workers, len(faults)*len(policies), cfg.Telemetry, func(i int, tel *Telemetry) (ResilArm, error) {
+		return runResilArm(cfg, i, faults[i/len(policies)], policies[i%len(policies)], tel)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &ResilReport{Seed: cfg.Seed, MaxPages: cfg.MaxPages, Arms: make([]ResilArm, 0, n)}
-	tels := make([]*Telemetry, 0, n)
-	for _, o := range outs {
-		rep.Arms = append(rep.Arms, o.arm)
-		tels = append(tels, o.tel)
-	}
-	if err := cfg.Telemetry.Merge(tels...); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return &ResilReport{Seed: cfg.Seed, MaxPages: cfg.MaxPages, Arms: arms}, nil
 }
 
 // runResilArm runs one (fault, policy) cell: build the chaos-wrapped site,

@@ -156,9 +156,8 @@ type ScopeReport struct {
 // is fully restored. The scorecard compares prediction against the registry
 // class and the cheapest curing rung.
 //
-// Probe arms are independent shards on a pool of cfg.Workers workers, each
-// deriving its seed from (Seed, arm index); shards reduce in fixed arm
-// order, so reports and telemetry are byte-identical at every worker count.
+// Probe arms run on runArms, seeded from (Seed, arm index): outputs are
+// byte-identical at every worker count.
 func RunScope(cfg ScopeConfig) (*ScopeReport, error) {
 	root := cfg.Root
 	if root == "" {
@@ -174,43 +173,25 @@ func RunScope(cfg ScopeConfig) (*ScopeReport, error) {
 	analysis := recoveryscope.Analyze(pkgs)
 	byMech := analysis.ByMechanism()
 
-	keys := Registry().Keys()
+	mechs := registryMechanisms()
 	rungs := recoveryscope.Rungs()
-	type shardOut struct {
-		arm ScopeArm
-		tel *Telemetry
-	}
-	n := len(keys) * len(rungs)
-	outs, err := parallel.MapOrdered(cfg.Workers, n, func(i int) (shardOut, error) {
-		var tel *Telemetry
-		if cfg.Telemetry != nil {
-			tel = NewTelemetry()
-		}
-		mech, _ := Registry().Lookup(keys[i/len(rungs)])
-		arm, err := runScopeArm(cfg, i, mech, rungs[i%len(rungs)], byMech[mech.Key].Rung, tel)
-		return shardOut{arm: arm, tel: tel}, err
+	arms, err := runArms(cfg.Workers, len(mechs)*len(rungs), cfg.Telemetry, func(i int, tel *Telemetry) (ScopeArm, error) {
+		mech := mechs[i/len(rungs)]
+		return runScopeArm(cfg, i, mech, rungs[i%len(rungs)], byMech[mech.Key].Rung, tel)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &ScopeReport{Seed: cfg.Seed, Sites: len(analysis.Sites)}
-	tels := make([]*Telemetry, 0, n)
-	curedAt := make(map[string]recoveryscope.Rung, len(keys))
-	for _, o := range outs {
-		rep.Arms = append(rep.Arms, o.arm)
-		tels = append(tels, o.tel)
-		if o.arm.Cured {
-			if _, ok := curedAt[o.arm.Mechanism]; !ok {
-				curedAt[o.arm.Mechanism] = o.arm.Rung // arms arrive in ladder order
-			}
+	rep := &ScopeReport{Seed: cfg.Seed, Arms: arms, Sites: len(analysis.Sites)}
+	curedAt := make(map[string]recoveryscope.Rung, len(mechs))
+	for _, a := range arms {
+		if _, ok := curedAt[a.Mechanism]; a.Cured && !ok {
+			curedAt[a.Mechanism] = a.Rung // arms arrive in ladder order
 		}
 	}
-	if err := cfg.Telemetry.Merge(tels...); err != nil {
-		return nil, err
-	}
 
-	for _, key := range keys {
-		mech, _ := Registry().Lookup(key)
+	for _, mech := range mechs {
+		key := mech.Key
 		sm := ScopeMech{Mechanism: key, App: mech.App, TruthClass: mech.Class()}
 		if mp, ok := byMech[key]; ok {
 			sm.StaticClass = mp.Class
@@ -433,9 +414,7 @@ func (r *scopeRun) applyRung(attempt int, preOp []byte) string {
 		app.Env().ReclaimOwner(app.Name())
 		_ = app.Reset()
 	}
-	app.Env().Sched().UnforceAll()
-	app.Env().Reroll()
-	app.Env().Sched().Force(r.mech.Key, attempt)
+	perturb(app.Env(), r.mech.Key, attempt)
 	return target
 }
 

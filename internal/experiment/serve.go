@@ -191,24 +191,23 @@ type ServeReport struct {
 }
 
 // serveMechanisms picks the experiment's fault axis from the registry: per
-// daemonized application (httpd, sqldb), the first two EI, one EDN, and one
+// serving daemon of the catalogue (httpd, sqldb), the first two EI, one EDN, and one
 // EDT mechanisms in sorted key order — a small cross-class slice of the
 // corpus so the sweep stays tractable while still striking every class
 // mid-traffic.
 func serveMechanisms() []faultinject.Mechanism {
 	reg := Registry()
 	var out []faultinject.Mechanism
-	for _, prefix := range []string{"httpd/", "sqldb/"} {
+	for _, e := range apps {
+		if !e.serve {
+			continue
+		}
 		quota := map[taxonomy.FaultClass]int{
 			taxonomy.ClassEnvIndependent:           2,
 			taxonomy.ClassEnvDependentNonTransient: 1,
 			taxonomy.ClassEnvDependentTransient:    1,
 		}
-		for _, k := range reg.Keys() {
-			if !strings.HasPrefix(k, prefix) {
-				continue
-			}
-			m, _ := reg.Lookup(k)
+		for _, m := range reg.ByApp(e.app) {
 			if quota[m.Class()] <= 0 {
 				continue
 			}
@@ -227,10 +226,8 @@ func serveMechanisms() []faultinject.Mechanism {
 // arriving — scoring SLO burn, goodput during recovery, per-request latency,
 // and MTTR.
 //
-// Arms are independent shards on a pool of cfg.Workers workers: each derives
-// its seed from (Seed, arm index) and records into a private telemetry, and
-// the shards are reduced in fixed arm order — so reports, traces, metric
-// dumps, and request logs are byte-identical at every worker count.
+// Arms run on runArms, seeded from (Seed, arm index): reports, telemetry
+// and request logs are byte-identical at every worker count.
 func RunServe(cfg ServeConfig) (*ServeReport, error) {
 	cfg = cfg.withDefaults()
 	if _, err := traffic.ParseArrivals(cfg.Arrival); err != nil {
@@ -238,33 +235,14 @@ func RunServe(cfg ServeConfig) (*ServeReport, error) {
 	}
 	mechs := serveMechanisms()
 	rungs := ServeRungs()
-	type shardOut struct {
-		arm ServeArm
-		tel *Telemetry
-	}
-	n := len(mechs) * len(rungs)
-	outs, err := parallel.MapOrdered(cfg.Workers, n, func(i int) (shardOut, error) {
-		var tel *Telemetry
-		if cfg.Telemetry != nil {
-			tel = NewTelemetry()
-		}
-		arm, err := runServeArm(cfg, i, mechs[i/len(rungs)], rungs[i%len(rungs)], tel)
-		return shardOut{arm: arm, tel: tel}, err
+	arms, err := runArms(cfg.Workers, len(mechs)*len(rungs), cfg.Telemetry, func(i int, tel *Telemetry) (ServeArm, error) {
+		return runServeArm(cfg, i, mechs[i/len(rungs)], rungs[i%len(rungs)], tel)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &ServeReport{Seed: cfg.Seed, Users: cfg.Users, Requests: cfg.Requests,
-		Arrival: cfg.Arrival, SLO: cfg.SLO, Arms: make([]ServeArm, 0, n)}
-	tels := make([]*Telemetry, 0, n)
-	for _, o := range outs {
-		rep.Arms = append(rep.Arms, o.arm)
-		tels = append(tels, o.tel)
-	}
-	if err := cfg.Telemetry.Merge(tels...); err != nil {
-		return nil, err
-	}
-	return rep, nil
+	return &ServeReport{Seed: cfg.Seed, Users: cfg.Users, Requests: cfg.Requests,
+		Arrival: cfg.Arrival, SLO: cfg.SLO, Arms: arms}, nil
 }
 
 // serveApp is what a SERVE arm needs from an application: the recovery
@@ -275,29 +253,16 @@ type serveApp interface {
 }
 
 // buildServeApp constructs the daemonized application and its scenario for
-// a mechanism. Only the componentized daemons serve open-loop traffic, so
-// only httpd/ and sqldb/ mechanisms are valid here.
+// a mechanism. Only the catalogue's serving daemons take open-loop traffic.
 func buildServeApp(mechanism string, seed int64) (serveApp, faultinject.Scenario, error) {
-	switch {
-	case strings.HasPrefix(mechanism, "httpd/"):
-		env := simenv.New(seed, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
-		srv := httpd.New(env, faultinject.NewSet(mechanism), httpd.Config{})
-		sc, ok := httpd.Scenarios(srv)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no httpd scenario for %s", mechanism)
-		}
-		return httpd.Componentize(srv, component.NewStore()), sc, nil
-	case strings.HasPrefix(mechanism, "sqldb/"):
-		env := simenv.New(seed, simenv.WithFDLimit(64))
-		srv := sqldb.New(env, faultinject.NewSet(mechanism))
-		sc, ok := sqldb.Scenarios(srv)[mechanism]
-		if !ok {
-			return nil, faultinject.Scenario{}, fmt.Errorf("experiment: no sqldb scenario for %s", mechanism)
-		}
-		return sqldb.Componentize(srv, component.NewStore()), sc, nil
-	default:
-		return nil, faultinject.Scenario{}, fmt.Errorf("experiment: mechanism %q is not a daemon mechanism", mechanism)
+	e, app, sc, err := buildScenario(mechanism, seed)
+	if err == nil && !e.serve {
+		err = fmt.Errorf("experiment: mechanism %q is not a daemon mechanism", mechanism)
 	}
+	if err != nil {
+		return nil, faultinject.Scenario{}, err
+	}
+	return e.componentize(app).(serveApp), sc, nil
 }
 
 // serveRun is the per-arm state shared by the traffic loop and the episode
@@ -641,9 +606,7 @@ func (r *serveRun) applyServeRung(attempt int) string {
 	case "restart":
 		r.bounceProcess(true)
 	}
-	r.env.Sched().UnforceAll()
-	r.env.Reroll()
-	r.env.Sched().Force(r.mech.Key, attempt)
+	perturb(r.env, r.mech.Key, attempt)
 	return target
 }
 
@@ -740,50 +703,40 @@ func (r *serveRun) score() float64 {
 	return burn
 }
 
+// cell sums the arms of one class at one rung into one arm.
+func (r *ServeReport) cell(class taxonomy.FaultClass, rung string) ServeArm {
+	var c ServeArm
+	for _, a := range r.Arms {
+		if a.Class == class && a.Rung == rung {
+			c.Requests += a.Requests
+			c.Good += a.Good
+			c.OutageArrivals += a.OutageArrivals
+			c.OutageServed += a.OutageServed
+			c.Recovered += a.Recovered
+			c.MTTRTotal += a.MTTRTotal
+		}
+	}
+	return c
+}
+
 // BurnBy aggregates SLO burn across the arms of one class at one rung:
 // total bad requests over total requests, as error-budget multiples.
 func (r *ServeReport) BurnBy(class taxonomy.FaultClass, rung string) float64 {
-	bad, total := 0, 0
-	for _, a := range r.Arms {
-		if a.Class != class || a.Rung != rung {
-			continue
-		}
-		bad += a.Requests - a.Good
-		total += a.Requests
-	}
-	return r.SLO.Burn(bad, total)
+	c := r.cell(class, rung)
+	return r.SLO.Burn(c.Requests-c.Good, c.Requests)
 }
 
 // GoodputBy aggregates served-during-reboot over reboot-window arrivals for
 // one class × rung.
 func (r *ServeReport) GoodputBy(class taxonomy.FaultClass, rung string) stats.Proportion {
-	var p stats.Proportion
-	for _, a := range r.Arms {
-		if a.Class != class || a.Rung != rung {
-			continue
-		}
-		p.Hits += a.OutageServed
-		p.N += a.OutageArrivals
-	}
-	return p
+	c := r.cell(class, rung)
+	return stats.Proportion{Hits: c.OutageServed, N: c.OutageArrivals}
 }
 
 // MTTRBy is the mean time to repair across one class's recovered episodes
 // at one rung (0 when nothing recovered).
 func (r *ServeReport) MTTRBy(class taxonomy.FaultClass, rung string) time.Duration {
-	var total time.Duration
-	var n int
-	for _, a := range r.Arms {
-		if a.Class != class || a.Rung != rung {
-			continue
-		}
-		total += a.MTTRTotal
-		n += a.Recovered
-	}
-	if n == 0 {
-		return 0
-	}
-	return total / time.Duration(n)
+	return r.cell(class, rung).MTTR()
 }
 
 // WriteRequestLog writes every arm's request records as one JSONL stream in

@@ -6,13 +6,7 @@ import (
 	"sort"
 	"strings"
 
-	"faultstudy/internal/apps/desktop"
-	"faultstudy/internal/apps/httpd"
-	"faultstudy/internal/apps/sqldb"
 	"faultstudy/internal/faultinject"
-	"faultstudy/internal/parallel"
-	"faultstudy/internal/recovery"
-	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
 	"faultstudy/internal/supervise"
 	"faultstudy/internal/taxonomy"
@@ -61,55 +55,6 @@ func verdictOf(rep *supervise.Report) SupervisorVerdict {
 	default:
 		return VerdictServed
 	}
-}
-
-// opKindFor classifies a scenario or workload op name for degraded-mode
-// shedding: conservative name-based heuristics per application namespace.
-func opKindFor(mechanism, name string) supervise.OpKind {
-	switch {
-	case strings.HasPrefix(mechanism, "httpd/"):
-		if strings.Contains(name, "/proxy/") || strings.Contains(name, "/cgi-bin/") ||
-			strings.Contains(name, "SIGHUP") || strings.Contains(name, "restart") {
-			return supervise.OpWrite
-		}
-		return supervise.OpRead
-	case strings.HasPrefix(mechanism, "sqldb/"):
-		if strings.HasPrefix(name, "SELECT") {
-			return supervise.OpRead
-		}
-		return supervise.OpWrite
-	case strings.HasPrefix(mechanism, "desktop/"):
-		if strings.Contains(name, "play-sound") || strings.Contains(name, "set-cell") {
-			return supervise.OpWrite
-		}
-		return supervise.OpRead
-	case strings.HasPrefix(mechanism, "cache/"):
-		if strings.HasPrefix(name, "SET") || strings.HasPrefix(name, "DEL") ||
-			strings.HasPrefix(name, "FLUSH") {
-			return supervise.OpWrite
-		}
-		return supervise.OpRead
-	default:
-		return supervise.OpRead
-	}
-}
-
-// wrapScenarioOps converts scenario trigger ops into supervised ops.
-func wrapScenarioOps(mechanism string, ops []faultinject.Op) []supervise.Op {
-	out := make([]supervise.Op, 0, len(ops))
-	for _, op := range ops {
-		out = append(out, supervise.Op{Name: op.Name, Kind: opKindFor(mechanism, op.Name), Do: op.Do})
-	}
-	return out
-}
-
-// AddSupervised runs every corpus fault's scenario under a supervisor and
-// records each verdict in the matrix, adding the paper-extension column that
-// compares supervision against the bare one-shot strategies. Each fault gets
-// a fresh environment and application, like the strategy runs. It is the
-// single-worker, no-telemetry case of AddSupervisedWorkers.
-func (m *Matrix) AddSupervised(seed int64, cfg supervise.Config) error {
-	return m.AddSupervisedWorkers(seed, cfg, nil, 1)
 }
 
 // HasSupervised reports whether the supervisor column has been filled in.
@@ -188,22 +133,6 @@ func (c SoakConfig) workloadHook() workload.Hook {
 	return c.Telemetry.workloadHook()
 }
 
-// workloadHTTP generates the web soak's base request stream, observed by the
-// telemetry's workload hook when one is attached.
-func workloadHTTP(cfg SoakConfig) []httpd.Request {
-	return workload.HTTPRequestsObserved(cfg.Seed, workload.DefaultHTTPMix(), cfg.Ops, cfg.workloadHook())
-}
-
-// workloadSQL generates the database soak's base statement stream, observed.
-func workloadSQL(cfg SoakConfig) []string {
-	return workload.SQLStatementsObserved(cfg.Seed, cfg.Ops, cfg.workloadHook())
-}
-
-// workloadDesktop generates the desktop soak's base event stream, observed.
-func workloadDesktop(cfg SoakConfig) []desktop.Event {
-	return workload.DesktopEventsObserved(cfg.Seed, cfg.Ops, cfg.workloadHook())
-}
-
 // SoakResult is one application's soak outcome.
 type SoakResult struct {
 	// App is the simulated application.
@@ -216,9 +145,9 @@ type SoakResult struct {
 
 // pickMechanisms draws n distinct mechanism keys for the app from the
 // registry with the given generator.
-func pickMechanisms(app taxonomy.Application, n int, rng *rand.Rand) []string {
+func pickMechanisms(reg *faultinject.Registry, app taxonomy.Application, n int, rng *rand.Rand) []string {
 	var keys []string
-	for _, mech := range Registry().ByApp(app) {
+	for _, mech := range reg.ByApp(app) {
 		keys = append(keys, mech.Key)
 	}
 	sort.Strings(keys)
@@ -249,90 +178,20 @@ func interleave(base []supervise.Op, triggers [][]supervise.Op, min int, rng *ra
 	return out
 }
 
-// soakApps is the fixed shard order of the soak: one shard per application,
-// in the presentation (and historical serial-execution) order.
-var soakApps = []taxonomy.Application{taxonomy.AppApache, taxonomy.AppMySQL, taxonomy.AppGnome}
-
-// soakInstance is what a per-app soak builder hands back to the generic
-// driver: the started application, its environment, the mechanism→scenario
-// catalogue, the base workload ops, and where trigger streams may be
-// interleaved from (the database keeps its schema-creating statements
-// first).
-type soakInstance struct {
-	app       recovery.Application
-	env       *simenv.Env
-	scenarios map[string]faultinject.Scenario
-	base      []supervise.Op
-	minAt     int
-}
-
-// buildSoakInstance constructs one application's soak instance: environment,
-// application with the chosen mechanisms seeded, and the base workload
-// stream (observed by cfg's telemetry hook, if any).
-func buildSoakInstance(cfg SoakConfig, app taxonomy.Application, mechs []string) (*soakInstance, error) {
-	inst := &soakInstance{}
-	switch app {
-	case taxonomy.AppApache:
-		inst.env = simenv.New(cfg.Seed, simenv.WithFDLimit(256), simenv.WithProcLimit(192))
-		srv := httpd.New(inst.env, faultinject.NewSet(mechs...), httpd.Config{})
-		inst.app = srv
-		inst.scenarios = httpd.Scenarios(srv)
-		for _, req := range workloadHTTP(cfg) {
-			req := req
-			name := req.Method + " " + req.Path
-			inst.base = append(inst.base, supervise.Op{Name: name, Kind: opKindFor("httpd/", name), Do: func() error {
-				_, err := srv.Serve(req)
-				return err
-			}})
-		}
-	case taxonomy.AppMySQL:
-		inst.env = simenv.New(cfg.Seed, simenv.WithFDLimit(256))
-		db := sqldb.New(inst.env, faultinject.NewSet(mechs...))
-		inst.app = db
-		inst.scenarios = sqldb.Scenarios(db)
-		for _, stmt := range workloadSQL(cfg) {
-			stmt := stmt
-			inst.base = append(inst.base, supervise.Op{Name: stmt, Kind: opKindFor("sqldb/", stmt), Do: func() error {
-				_, err := db.Exec(stmt)
-				return err
-			}})
-		}
-		// Keep the schema-creating statements first.
-		inst.minAt = 2
-	case taxonomy.AppGnome:
-		inst.env = simenv.New(cfg.Seed, simenv.WithFDLimit(256))
-		d := desktop.New(inst.env, faultinject.NewSet(mechs...))
-		inst.app = d
-		inst.scenarios = desktop.Scenarios(d)
-		for _, ev := range workloadDesktop(cfg) {
-			ev := ev
-			name := ev.Widget + " " + ev.Action
-			inst.base = append(inst.base, supervise.Op{Name: name, Kind: opKindFor("desktop/", name), Do: func() error {
-				return d.Dispatch(ev)
-			}})
-		}
-	default:
-		return nil, fmt.Errorf("experiment: soak: unknown application %v", app)
-	}
-	return inst, nil
-}
-
-// runSoakApp drives one application's soak shard end to end: start, stage
-// the chosen mechanisms, interleave their trigger ops into the base
+// runSoakApp drives one application's soak arm end to end: build, start,
+// stage the chosen mechanisms, interleave their trigger ops into the base
 // workload, and supervise the whole stream. Everything it does is a pure
-// function of (cfg, app, rng state, mechs); it shares no state with other
-// shards.
-func runSoakApp(cfg SoakConfig, app taxonomy.Application, rng *rand.Rand, mechs []string) (*supervise.Report, error) {
-	inst, err := buildSoakInstance(cfg, app, mechs)
-	if err != nil {
-		return nil, err
-	}
-	if err := inst.app.Start(); err != nil {
+// function of (cfg, e, rng state, mechs); it shares no state with other
+// arms.
+func runSoakApp(cfg SoakConfig, e *appEntry, rng *rand.Rand, mechs []string) (*supervise.Report, error) {
+	app, scenarios := e.build(cfg.Seed, true, faultinject.NewSet(mechs...))
+	base := e.soakOps(cfg, app)
+	if err := app.Start(); err != nil {
 		return nil, fmt.Errorf("experiment: soak start: %w", err)
 	}
 	var triggers [][]supervise.Op
 	for _, mech := range mechs {
-		sc, ok := inst.scenarios[mech]
+		sc, ok := scenarios[mech]
 		if !ok {
 			continue
 		}
@@ -341,10 +200,10 @@ func runSoakApp(cfg SoakConfig, app taxonomy.Application, rng *rand.Rand, mechs 
 		}
 		triggers = append(triggers, wrapScenarioOps(mech, sc.Ops))
 	}
-	supCfg, obs := cfg.Telemetry.superviseConfig(cfg.Supervise, soakContext(app))
-	sup := supervise.New(inst.app, supCfg)
-	rep, err := sup.Run(interleave(inst.base, triggers, inst.minAt, rng))
-	obs.Flush(inst.env.Monotonic())
+	supCfg, obs := cfg.Telemetry.superviseConfig(cfg.Supervise, soakContext(e.app))
+	sup := supervise.New(app, supCfg)
+	rep, err := sup.Run(interleave(base, triggers, e.soakMinAt, rng))
+	obs.Flush(app.Env().Monotonic())
 	return rep, err
 }
 
@@ -355,39 +214,31 @@ func runSoakApp(cfg SoakConfig, app taxonomy.Application, rng *rand.Rand, mechs 
 // ops are interleaved into the base workload at random positions, and the
 // supervisor keeps the service running as they fire. Deterministic in Seed.
 //
-// The three applications are independent shards run on a pool of
-// cfg.Workers workers (0 means one per processor): each shard draws its
-// randomness from a source seeded only by (Seed, app) and records into a
-// private telemetry, and the shards are reduced in fixed application order —
-// so reports, traces, and metric dumps are byte-identical at every worker
-// count.
+// The applications that soak are independent arms, in catalogue order, run
+// on a pool of cfg.Workers workers (0 means one per processor): each arm
+// draws its randomness from a source seeded only by (Seed, app), so reports,
+// traces, and metric dumps are byte-identical at every worker count.
 func RunSoak(cfg SoakConfig) ([]SoakResult, error) {
 	cfg = cfg.withDefaults()
-	results := make([]SoakResult, len(soakApps))
-	shardTels := make([]*Telemetry, len(soakApps))
-	err := parallel.ForEach(cfg.Workers, len(soakApps), func(i int) error {
-		app := soakApps[i]
-		shardCfg := cfg
-		if cfg.Telemetry != nil {
-			shardTels[i] = NewTelemetry()
-			shardCfg.Telemetry = shardTels[i]
+	reg := Registry()
+	var soaking []*appEntry
+	for i := range apps {
+		if apps[i].soakOps != nil {
+			soaking = append(soaking, &apps[i])
 		}
-		rng := rand.New(rand.NewSource(cfg.Seed + int64(app)))
-		mechs := pickMechanisms(app, cfg.Faults, rng)
-		rep, err := runSoakApp(shardCfg, app, rng, mechs)
+	}
+	return runArms(cfg.Workers, len(soaking), cfg.Telemetry, func(i int, tel *Telemetry) (SoakResult, error) {
+		e := soaking[i]
+		armCfg := cfg
+		armCfg.Telemetry = tel
+		rng := rand.New(rand.NewSource(cfg.Seed + int64(e.app)))
+		mechs := pickMechanisms(reg, e.app, cfg.Faults, rng)
+		rep, err := runSoakApp(armCfg, e, rng, mechs)
 		if err != nil {
-			return err
+			return SoakResult{}, err
 		}
-		results[i] = SoakResult{App: app, Mechanisms: mechs, Report: rep}
-		return nil
+		return SoakResult{App: e.app, Mechanisms: mechs, Report: rep}, nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	if err := cfg.Telemetry.Merge(shardTels...); err != nil {
-		return nil, err
-	}
-	return results, nil
 }
 
 // RenderSoak formats the soak results, one report per application.

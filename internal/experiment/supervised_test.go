@@ -17,11 +17,11 @@ func TestSupervisedColumn(t *testing.T) {
 	if m.HasSupervised() {
 		t.Fatal("fresh matrix should have no supervised column")
 	}
-	if err := m.AddSupervised(42, supervise.Config{GrowResources: true}); err != nil {
+	if err := m.AddSupervisedWorkers(42, supervise.Config{GrowResources: true}, nil, 1); err != nil {
 		t.Fatal(err)
 	}
 	if !m.HasSupervised() {
-		t.Fatal("supervised column missing after AddSupervised")
+		t.Fatal("supervised column missing after AddSupervisedWorkers")
 	}
 	for _, fo := range m.PerFault {
 		if fo.Supervised == VerdictNone {

@@ -124,15 +124,6 @@ func (t *Telemetry) Merge(shards ...*Telemetry) error {
 	return nil
 }
 
-// AddSupervisedObserved is AddSupervised with telemetry: every fault's
-// supervised run is observed under its corpus identity (application, fault
-// ID, oracle class), so the recorded episodes carry the labels the per-class
-// summary keys on. A nil telemetry makes it identical to AddSupervised. It
-// is the single-worker case of AddSupervisedWorkers.
-func (m *Matrix) AddSupervisedObserved(seed int64, cfg supervise.Config, t *Telemetry) error {
-	return m.AddSupervisedWorkers(seed, cfg, t, 1)
-}
-
 // soakContext is the observer identity for one soak application: class labels
 // come from the mechanism catalogue because a soak run hosts several
 // mechanisms of different classes at once.

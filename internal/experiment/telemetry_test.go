@@ -92,8 +92,8 @@ func TestSupervisedObservedFillsMatrixAndEpisodes(t *testing.T) {
 		t.Fatalf("matrix: %v", err)
 	}
 	tel := NewTelemetry()
-	if err := m1.AddSupervisedObserved(5, supervise.Config{GrowResources: true}, tel); err != nil {
-		t.Fatalf("AddSupervisedObserved: %v", err)
+	if err := m1.AddSupervisedWorkers(5, supervise.Config{GrowResources: true}, tel, 1); err != nil {
+		t.Fatalf("AddSupervisedWorkers: %v", err)
 	}
 	if !m1.HasSupervised() {
 		t.Fatal("supervised column not filled")
