@@ -306,12 +306,8 @@ func Registry() *faultinject.Registry { return newRegistry(false) }
 func CorpusRegistry() *faultinject.Registry { return newRegistry(true) }
 
 // wrapScenarioOps converts scenario trigger ops into supervised ops,
-// classified by the mechanism's op-kind rule.
-func wrapScenarioOps(mechanism string, ops []faultinject.Op) []supervise.Op {
-	kind := func(string) supervise.OpKind { return supervise.OpRead }
-	if e, err := appFor(mechanism); err == nil {
-		kind = e.opKind
-	}
+// classified by an application's op-kind rule.
+func wrapScenarioOps(kind func(string) supervise.OpKind, ops []faultinject.Op) []supervise.Op {
 	out := make([]supervise.Op, 0, len(ops))
 	for _, op := range ops {
 		out = append(out, supervise.Op{Name: op.Name, Kind: kind(op.Name), Do: op.Do})

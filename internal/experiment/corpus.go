@@ -417,7 +417,7 @@ func runCorpusLadder(sup supervise.Config, tel *Telemetry, ctx obsv.Context, see
 	if tel != nil {
 		runCfg, obs = tel.superviseConfig(sup, ctx)
 	}
-	repo, err := supervise.New(app, runCfg).Run(wrapScenarioOps(primary, ops))
+	repo, err := supervise.New(app, runCfg).Run(ops)
 	if err != nil {
 		return VerdictNone, err
 	}
@@ -426,12 +426,12 @@ func runCorpusLadder(sup supervise.Config, tel *Telemetry, ctx obsv.Context, see
 }
 
 // buildCorpusRun constructs the application, the post-start staging hook,
-// and the op stream for one run. A single fault is its scenario. A two-fault
+// and the supervised op stream for one run. A single fault is its scenario. A two-fault
 // episode activates both mechanisms in one application instance: concurrent
 // episodes stage both conditions after start and interleave the trigger ops;
 // cascade episodes stage and trigger the secondary only after the gap has
 // passed mid-stream.
-func buildCorpusRun(primary, secondary, overlap string, gap time.Duration, seed int64) (recovery.Application, func(), []faultinject.Op, error) {
+func buildCorpusRun(primary, secondary, overlap string, gap time.Duration, seed int64) (recovery.Application, func(), []supervise.Op, error) {
 	stageOf := func(sc faultinject.Scenario) func() {
 		if sc.Stage == nil {
 			return func() {}
@@ -439,20 +439,20 @@ func buildCorpusRun(primary, secondary, overlap string, gap time.Duration, seed 
 		return sc.Stage
 	}
 	if secondary == "" {
-		app, sc, err := BuildScenario(primary, seed)
+		e, app, sc, err := buildScenario(primary, seed)
 		if err != nil {
 			return nil, nil, nil, err
 		}
-		return app, stageOf(sc), sc.Ops, nil
+		return app, stageOf(sc), wrapScenarioOps(e.opKind, sc.Ops), nil
 	}
-	app, scA, scB, err := buildDuet(primary, secondary, seed)
+	e, app, scA, scB, err := buildDuet(primary, secondary, seed)
 	if err != nil {
 		return nil, nil, nil, err
 	}
 	switch overlap {
 	case "concurrent":
 		stage := func() { stageOf(scA)(); stageOf(scB)() }
-		return app, stage, interleaveOps(scA.Ops, scB.Ops), nil
+		return app, stage, wrapScenarioOps(e.opKind, interleaveOps(scA.Ops, scB.Ops)), nil
 	default: // cascade
 		env := app.Env()
 		bridge := faultinject.Op{Name: "episode-gap", Do: func() error {
@@ -464,7 +464,7 @@ func buildCorpusRun(primary, secondary, overlap string, gap time.Duration, seed 
 		ops = append(ops, scA.Ops...)
 		ops = append(ops, bridge)
 		ops = append(ops, scB.Ops...)
-		return app, stageOf(scA), ops, nil
+		return app, stageOf(scA), wrapScenarioOps(e.opKind, ops), nil
 	}
 }
 
@@ -483,24 +483,25 @@ func interleaveOps(a, b []faultinject.Op) []faultinject.Op {
 }
 
 // buildDuet constructs one application instance with two mechanisms active
-// and both scenarios bound to it. Both mechanisms must share a namespace:
-// episodes strike one application, not two.
-func buildDuet(primary, secondary string, seed int64) (recovery.Application, faultinject.Scenario, faultinject.Scenario, error) {
+// and both scenarios bound to it, and returns it with its catalogue entry.
+// Both mechanisms must share a namespace: episodes strike one application,
+// not two.
+func buildDuet(primary, secondary string, seed int64) (*appEntry, recovery.Application, faultinject.Scenario, faultinject.Scenario, error) {
 	var zero faultinject.Scenario
 	e, err := appFor(primary)
 	if err != nil {
-		return nil, zero, zero, err
+		return nil, nil, zero, zero, err
 	}
 	if !strings.HasPrefix(secondary, e.ns) {
-		return nil, zero, zero, fmt.Errorf("experiment: episode mechanisms %q and %q span applications", primary, secondary)
+		return nil, nil, zero, zero, fmt.Errorf("experiment: episode mechanisms %q and %q span applications", primary, secondary)
 	}
 	app, scenarios := e.build(seed, false, faultinject.NewSet(primary, secondary))
 	scA, okA := scenarios[primary]
 	scB, okB := scenarios[secondary]
 	if !okA || !okB {
-		return nil, zero, zero, fmt.Errorf("experiment: missing scenario for %q or %q", primary, secondary)
+		return nil, nil, zero, zero, fmt.Errorf("experiment: missing scenario for %q or %q", primary, secondary)
 	}
-	return app, scA, scB, nil
+	return e, app, scA, scB, nil
 }
 
 // Check asserts the experiment's gates: every sampler fits its declared

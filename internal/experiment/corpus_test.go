@@ -169,7 +169,7 @@ func TestCorpusCheckGates(t *testing.T) {
 // TestCorpusEpisodeSpansApps guards the duet invariant: mechanisms from two
 // applications cannot form an episode.
 func TestCorpusEpisodeSpansApps(t *testing.T) {
-	if _, _, _, err := buildDuet("httpd/heap-leak", "sqldb/heap-leak", 1); err == nil {
+	if _, _, _, _, err := buildDuet("httpd/heap-leak", "sqldb/heap-leak", 1); err == nil {
 		t.Fatal("cross-application duet accepted")
 	}
 }

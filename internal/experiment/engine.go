@@ -123,7 +123,7 @@ func (m *Matrix) AddSupervisedWorkers(seed int64, cfg supervise.Config, t *Telem
 			FaultID: fo.FaultID,
 			Class:   fo.Class.Short(),
 		})
-		rep, err := supervise.New(app, runCfg).Run(wrapScenarioOps(fo.Mechanism, sc.Ops))
+		rep, err := supervise.New(app, runCfg).Run(wrapScenarioOps(e.opKind, sc.Ops))
 		if err != nil {
 			return VerdictNone, fmt.Errorf("experiment: supervised %s: %w", fo.FaultID, err)
 		}

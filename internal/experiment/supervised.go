@@ -198,7 +198,7 @@ func runSoakApp(cfg SoakConfig, e *appEntry, rng *rand.Rand, mechs []string) (*s
 		if sc.Stage != nil {
 			sc.Stage()
 		}
-		triggers = append(triggers, wrapScenarioOps(mech, sc.Ops))
+		triggers = append(triggers, wrapScenarioOps(e.opKind, sc.Ops))
 	}
 	supCfg, obs := cfg.Telemetry.superviseConfig(cfg.Supervise, soakContext(e.app))
 	sup := supervise.New(app, supCfg)
