@@ -27,6 +27,41 @@ func corpusTestConfig(tel *Telemetry, workers int) CorpusConfig {
 	}
 }
 
+// corpusDump renders everything a CORPUS run produces: the report and the
+// telemetry trace, timeline, and metric dumps.
+func corpusDump(t *testing.T, workers int) string {
+	t.Helper()
+	tel := NewTelemetry()
+	rep, err := RunCorpus(corpusTestConfig(tel, workers))
+	if err != nil {
+		t.Fatalf("RunCorpus(workers=%d): %v", workers, err)
+	}
+	var b bytes.Buffer
+	b.WriteString(rep.String())
+	if err := tel.WriteTrace(&b); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	if err := tel.WriteTimeline(&b); err != nil {
+		t.Fatalf("WriteTimeline: %v", err)
+	}
+	if err := tel.WritePrometheus(&b); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	return b.String()
+}
+
+// TestCorpusWorkerInvariance is the determinism contract: the CORPUS report,
+// trace, timeline, and metrics dump are byte-identical at 1, 2, and 8
+// workers.
+func TestCorpusWorkerInvariance(t *testing.T) {
+	serial := corpusDump(t, 1)
+	for _, workers := range []int{2, 8} {
+		if got := corpusDump(t, workers); got != serial {
+			t.Fatalf("CORPUS output at %d workers differs from serial run", workers)
+		}
+	}
+}
+
 // TestCorpusGate runs the experiment once and asserts the CI gate plus the
 // mechanics behind it: population sizes honour the spec, every class was
 // sampled and graded, both episode modes ran, the samplers fit, and the site

@@ -114,6 +114,30 @@ func TestSupervisedMatrixDeterminismProperty(t *testing.T) {
 	}
 }
 
+// TestLintDeterminism checks the lint sweep renders identically at every
+// worker count (one seedless analysis; the analyzer result is shared).
+func TestLintDeterminism(t *testing.T) {
+	root, err := ModuleRoot()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var want string
+	for _, w := range workerArms {
+		rep, err := RunLintWorkers(root, w)
+		if err != nil {
+			t.Fatalf("RunLintWorkers(workers=%d): %v", w, err)
+		}
+		got := rep.String()
+		if w == workerArms[0] {
+			want = got
+			continue
+		}
+		if got != want {
+			t.Errorf("workers=%d lint report differs:\n%s", w, firstDiff([]byte(want), []byte(got)))
+		}
+	}
+}
+
 // firstDiff renders the first divergence between two outputs with context —
 // a full dump of two multi-kilobyte artifacts would drown the signal.
 func firstDiff(a, b []byte) string {

@@ -73,6 +73,25 @@ func TestRunDurableGate(t *testing.T) {
 	}
 }
 
+// TestRunDurableWorkerIdentity asserts the contract the sharded sweeps
+// document: report, trace, and metric dumps are byte-identical at every
+// worker count.
+func TestRunDurableWorkerIdentity(t *testing.T) {
+	baseRep, baseTrace, baseProm := durableOutputs(t, DurableConfig{Seed: 11, Workers: 1})
+	for _, workers := range []int{2, 8} {
+		rep, trace, prom := durableOutputs(t, DurableConfig{Seed: 11, Workers: workers})
+		if rep != baseRep {
+			t.Fatalf("report differs at %d workers", workers)
+		}
+		if !bytes.Equal(trace, baseTrace) {
+			t.Fatalf("trace differs at %d workers", workers)
+		}
+		if !bytes.Equal(prom, baseProm) {
+			t.Fatalf("metrics differ at %d workers", workers)
+		}
+	}
+}
+
 // TestRunDurableResumeEquivalence is the warehouse claim end to end: halt a
 // sweep partway (with a torn tail on the warehouse file, as a real kill
 // would leave), resume it, and require the resumed run's report, trace, and

@@ -163,9 +163,10 @@ var goldenCases = []struct {
 
 // TestGoldenDigests checks every sweep's report, trace and Prometheus export
 // (plus SERVE's request log and the matrix's CSV artifacts) against the
-// pinned digests, at every worker count in workerArms. It is the one
-// determinism test: a sweep whose output moved with the pool size fails
-// here.
+// pinned digests, at every worker count in workerArms: a sweep whose output
+// moved with the pool size, or moved at all, fails here. The per-sweep
+// worker-invariance tests compare worker counts directly at each sweep's
+// own configuration.
 func TestGoldenDigests(t *testing.T) {
 	got := map[string]string{}
 	for _, c := range goldenCases {

@@ -8,6 +8,41 @@ import (
 	"faultstudy/internal/taxonomy"
 )
 
+// mrebootDump renders everything a MREBOOT run produces: the report and the
+// telemetry trace, timeline, and metric dumps.
+func mrebootDump(t *testing.T, workers int) string {
+	t.Helper()
+	tel := NewTelemetry()
+	rep, err := RunMReboot(MRebootConfig{Seed: 42, Telemetry: tel, Workers: workers})
+	if err != nil {
+		t.Fatalf("RunMReboot(workers=%d): %v", workers, err)
+	}
+	var b bytes.Buffer
+	b.WriteString(rep.String())
+	if err := tel.WriteTrace(&b); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	if err := tel.WriteTimeline(&b); err != nil {
+		t.Fatalf("WriteTimeline: %v", err)
+	}
+	if err := tel.WritePrometheus(&b); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	return b.String()
+}
+
+// TestMRebootWorkerInvariance is the determinism contract: every report,
+// trace, timeline, and metrics dump of the MREBOOT sweep is byte-identical
+// at 1, 2, and 8 workers.
+func TestMRebootWorkerInvariance(t *testing.T) {
+	serial := mrebootDump(t, 1)
+	for _, workers := range []int{2, 8} {
+		if got := mrebootDump(t, workers); got != serial {
+			t.Fatalf("MREBOOT output at %d workers differs from serial run", workers)
+		}
+	}
+}
+
 // TestMRebootGate runs the sweep once and asserts the CI gate plus the
 // mechanics behind it: microreboot strictly beats process restart on
 // EI requests lost, repairs faster wherever both recovered, reboots

@@ -8,6 +8,30 @@ import (
 	"faultstudy/internal/taxonomy"
 )
 
+// resilFingerprint runs one telemetry-instrumented RESIL sweep and returns
+// its complete observable output.
+func resilFingerprint(t *testing.T, seed int64, workers int) []byte {
+	t.Helper()
+	tel := NewTelemetry()
+	rep, err := RunResil(ResilConfig{Seed: seed, Workers: workers, MaxPages: 60, Telemetry: tel})
+	if err != nil {
+		t.Fatalf("RunResil(seed=%d, workers=%d): %v", seed, workers, err)
+	}
+	return fingerprint(t, tel, rep.String())
+}
+
+// TestResilDeterminism checks the RESIL sweep's full output — report, JSONL
+// trace, Prometheus export — is byte-identical at every worker count.
+func TestResilDeterminism(t *testing.T) {
+	want := resilFingerprint(t, 42, workerArms[0])
+	for _, w := range workerArms[1:] {
+		got := resilFingerprint(t, 42, w)
+		if !bytes.Equal(want, got) {
+			t.Errorf("workers=%d output differs from workers=1:\n%s", w, firstDiff(want, got))
+		}
+	}
+}
+
 // TestResilCheck runs the sweep at the default size and asserts the headline
 // bounds the CLI gates on: under the full policy, EDT chaos survives and EDN
 // chaos does not.

@@ -9,6 +9,41 @@ import (
 	"faultstudy/internal/taxonomy"
 )
 
+// scopeDump renders everything a SCOPE run produces: the report and the
+// telemetry trace, timeline, and metric dumps.
+func scopeDump(t *testing.T, workers int) string {
+	t.Helper()
+	tel := NewTelemetry()
+	rep, err := RunScope(ScopeConfig{Seed: 42, Telemetry: tel, Workers: workers})
+	if err != nil {
+		t.Fatalf("RunScope(workers=%d): %v", workers, err)
+	}
+	var b bytes.Buffer
+	b.WriteString(rep.String())
+	if err := tel.WriteTrace(&b); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	if err := tel.WriteTimeline(&b); err != nil {
+		t.Fatalf("WriteTimeline: %v", err)
+	}
+	if err := tel.WritePrometheus(&b); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	return b.String()
+}
+
+// TestScopeWorkerInvariance is the determinism contract: every report,
+// trace, timeline, and metrics dump of the SCOPE experiment is
+// byte-identical at 1, 2, and 8 workers.
+func TestScopeWorkerInvariance(t *testing.T) {
+	serial := scopeDump(t, 1)
+	for _, workers := range []int{2, 8} {
+		if got := scopeDump(t, workers); got != serial {
+			t.Fatalf("SCOPE output at %d workers differs from serial run", workers)
+		}
+	}
+}
+
 // TestScopeGate runs the experiment once with telemetry attached and asserts
 // the CI gate plus the mechanics behind it: one scorecard per registered
 // mechanism, one probe arm per (mechanism, rung) cell, the documented metric

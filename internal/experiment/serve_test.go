@@ -9,6 +9,44 @@ import (
 	"faultstudy/internal/traffic"
 )
 
+// serveDump renders everything a SERVE run produces: the report, the full
+// request log, and the telemetry trace, timeline, and metric dumps.
+func serveDump(t *testing.T, workers int) string {
+	t.Helper()
+	tel := NewTelemetry()
+	rep, err := RunServe(ServeConfig{Seed: 42, Telemetry: tel, Workers: workers})
+	if err != nil {
+		t.Fatalf("RunServe(workers=%d): %v", workers, err)
+	}
+	var b bytes.Buffer
+	b.WriteString(rep.String())
+	if err := rep.WriteRequestLog(&b); err != nil {
+		t.Fatalf("WriteRequestLog: %v", err)
+	}
+	if err := tel.WriteTrace(&b); err != nil {
+		t.Fatalf("WriteTrace: %v", err)
+	}
+	if err := tel.WriteTimeline(&b); err != nil {
+		t.Fatalf("WriteTimeline: %v", err)
+	}
+	if err := tel.WritePrometheus(&b); err != nil {
+		t.Fatalf("WritePrometheus: %v", err)
+	}
+	return b.String()
+}
+
+// TestServeWorkerInvariance is the determinism contract: every report,
+// request log, trace, timeline, and metrics dump of the SERVE experiment is
+// byte-identical at 1, 2, and 8 workers.
+func TestServeWorkerInvariance(t *testing.T) {
+	serial := serveDump(t, 1)
+	for _, workers := range []int{2, 8} {
+		if got := serveDump(t, workers); got != serial {
+			t.Fatalf("SERVE output at %d workers differs from serial run", workers)
+		}
+	}
+}
+
 // TestServeGate runs the experiment once and asserts the CI gate plus the
 // mechanics behind it: the EI SLO-burn ordering, full user coverage, at
 // least two fault classes striking mid-traffic, and a valid request log.
