@@ -216,14 +216,10 @@ func BuildScenario(mechanism string, seed int64) (RecoverableApp, Scenario, erro
 
 // Supervision layer (the operator's story over generic recovery).
 type (
-	// Supervisor keeps an application serving a workload while faults fire.
-	Supervisor = supervise.Supervisor
 	// SupervisorConfig tunes a Supervisor.
 	SupervisorConfig = supervise.Config
 	// SupervisorReport is the accounting of one supervised run.
 	SupervisorReport = supervise.Report
-	// SupervisedOp is one supervised workload operation.
-	SupervisedOp = supervise.Op
 	// SoakConfig tunes the sustained-workload soak run.
 	SoakConfig = experiment.SoakConfig
 	// SoakResult is one application's soak outcome.
@@ -231,11 +227,6 @@ type (
 	// SupervisorVerdict grades one supervised run in the matrix.
 	SupervisorVerdict = experiment.SupervisorVerdict
 )
-
-// NewSupervisor builds a supervisor over a recoverable application.
-func NewSupervisor(app RecoverableApp, cfg SupervisorConfig) *Supervisor {
-	return supervise.New(app, cfg)
-}
 
 // RunSoak drives all three applications under sustained workload with a
 // random subset of seeded bugs active, each under a supervisor.

@@ -58,13 +58,13 @@ func TestHotKeysSurviveRebootAndRestart(t *testing.T) {
 		t.Fatalf("hot-key counter = %q/%v, want 2", v, ok)
 	}
 
-	if err := c.Tree().Reboot(CompCore); err != nil {
+	if err := c.Tree().Reboot(CompCore, false, nil); err != nil {
 		t.Fatalf("reboot core: %v", err)
 	}
 	if v, _ := c.Store().Get(HotKeyBucket, "u00001"); v != "2" {
 		t.Fatalf("hot key lost in core reboot: %q", v)
 	}
-	if err := c.Tree().RebootSubtree(CompCore); err != nil {
+	if err := c.Tree().Reboot(CompCore, true, nil); err != nil {
 		t.Fatalf("reboot subtree: %v", err)
 	}
 	if v, _ := c.Store().Get(HotKeyBucket, "u00001"); v != "2" {
@@ -176,7 +176,7 @@ func TestListenerRebootDropsLeakedDescriptors(t *testing.T) {
 	if held == 0 {
 		t.Fatal("leak mechanism held no descriptors")
 	}
-	if err := c.Tree().Reboot(CompListener); err != nil {
+	if err := c.Tree().Reboot(CompListener, false, nil); err != nil {
 		t.Fatalf("reboot listener: %v", err)
 	}
 	c.srv.mu.Lock()
@@ -211,7 +211,7 @@ func TestContainCrashRevivesProcess(t *testing.T) {
 	if !c.Running() {
 		t.Fatal("process dead after containment")
 	}
-	if err := c.Tree().Reboot(comp); err != nil {
+	if err := c.Tree().Reboot(comp, false, nil); err != nil {
 		t.Fatalf("reboot: %v", err)
 	}
 	if v, err := c.srv.Get("motd"); err != nil || v == "" {
@@ -235,7 +235,7 @@ func TestCoreRebootClearsShadowCopies(t *testing.T) {
 	if leaked != 5 {
 		t.Fatalf("shadow copies = %d, want 5", leaked)
 	}
-	if err := c.Tree().Reboot(CompCore); err != nil {
+	if err := c.Tree().Reboot(CompCore, false, nil); err != nil {
 		t.Fatalf("reboot core: %v", err)
 	}
 	c.srv.mu.Lock()

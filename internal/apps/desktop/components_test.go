@@ -26,7 +26,7 @@ func TestCalendarViewSurvivesWidgetReboot(t *testing.T) {
 	if err := c.Dispatch(Event{Widget: "calendar", Action: "view-year"}); err != nil {
 		t.Fatalf("view-year: %v", err)
 	}
-	if err := c.Tree().Reboot(CompCalendar); err != nil {
+	if err := c.Tree().Reboot(CompCalendar, false, nil); err != nil {
 		t.Fatalf("reboot calendar: %v", err)
 	}
 	c.desk.mu.Lock()
@@ -55,7 +55,7 @@ func TestWidgetRebootClosesPoisonedDialog(t *testing.T) {
 		t.Fatalf("press-tab: %v", err)
 	}
 	c.ContainCrash()
-	if err := c.Tree().Reboot(CompGnumeric); err != nil {
+	if err := c.Tree().Reboot(CompGnumeric, false, nil); err != nil {
 		t.Fatalf("reboot gnumeric: %v", err)
 	}
 	// The dialog is gone, the document is not, and Tab is harmless now.
@@ -82,7 +82,7 @@ func TestSoundRebootReleasesLeakedSockets(t *testing.T) {
 	if leaked != 8 {
 		t.Fatalf("leaked sockets = %d, want 8", leaked)
 	}
-	if err := c.Tree().Reboot(CompSound); err != nil {
+	if err := c.Tree().Reboot(CompSound, false, nil); err != nil {
 		t.Fatalf("reboot sound: %v", err)
 	}
 	c.desk.mu.Lock()
@@ -131,7 +131,7 @@ func TestPanelRebootReleasesFrozenMenuGrab(t *testing.T) {
 		t.Fatalf("click-desktop: %v", err)
 	}
 	c.ContainCrash()
-	if err := c.Tree().Reboot(CompPanel); err != nil {
+	if err := c.Tree().Reboot(CompPanel, false, nil); err != nil {
 		t.Fatalf("reboot panel: %v", err)
 	}
 	// The grab is released with the menu closed; the same click is harmless.

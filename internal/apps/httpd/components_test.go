@@ -34,7 +34,7 @@ func TestSessionsSurviveComponentReboot(t *testing.T) {
 		t.Fatalf("session depth = %d, want 2", got)
 	}
 
-	if err := c.Tree().Reboot(CompCore); err != nil {
+	if err := c.Tree().Reboot(CompCore, false, nil); err != nil {
 		t.Fatalf("reboot core: %v", err)
 	}
 	if got := c.SessionDepth("alice"); got != 2 {
@@ -47,7 +47,7 @@ func TestSessionsSurviveComponentReboot(t *testing.T) {
 		t.Fatalf("session did not resume: depth = %d", got)
 	}
 
-	if err := c.Tree().RebootSubtree(CompCore); err != nil {
+	if err := c.Tree().Reboot(CompCore, true, nil); err != nil {
 		t.Fatalf("reboot subtree: %v", err)
 	}
 	if got := c.SessionDepth("alice"); got != 3 {
@@ -122,7 +122,7 @@ func TestCoreRebootDiscardsLeakedDescriptors(t *testing.T) {
 	if leaked != 10 {
 		t.Fatalf("leaked fds = %d, want 10", leaked)
 	}
-	if err := c.Tree().Reboot(CompCore); err != nil {
+	if err := c.Tree().Reboot(CompCore, false, nil); err != nil {
 		t.Fatalf("reboot core: %v", err)
 	}
 	c.srv.mu.Lock()
@@ -154,7 +154,7 @@ func TestContainCrashRevivesProcess(t *testing.T) {
 	if !c.Running() {
 		t.Fatal("process dead after containment")
 	}
-	if err := c.Tree().Reboot(comp); err != nil {
+	if err := c.Tree().Reboot(comp, false, nil); err != nil {
 		t.Fatalf("reboot: %v", err)
 	}
 	if resp, err := c.Serve(Request{Method: "GET", Path: "/"}); err != nil || resp.Status != 200 {
@@ -177,7 +177,7 @@ func TestCGIRebootReapsHungChildren(t *testing.T) {
 	if kids != 5 {
 		t.Fatalf("hung children = %d, want 5", kids)
 	}
-	if err := c.Tree().Reboot(CompCGI); err != nil {
+	if err := c.Tree().Reboot(CompCGI, false, nil); err != nil {
 		t.Fatalf("reboot cgi: %v", err)
 	}
 	c.srv.mu.Lock()

@@ -37,7 +37,7 @@ func TestSessionReattachAfterListenerReboot(t *testing.T) {
 		t.Fatalf("connections = %d", c.srv.Connections())
 	}
 
-	if err := c.Tree().Reboot(CompListener); err != nil {
+	if err := c.Tree().Reboot(CompListener, false, nil); err != nil {
 		t.Fatalf("reboot listener: %v", err)
 	}
 	if c.srv.Connections() != 0 {
@@ -153,7 +153,7 @@ func TestDBContainCrash(t *testing.T) {
 		t.Fatalf("ComponentFor = %q/%v", comp, ok)
 	}
 	c.ContainCrash()
-	if err := c.Tree().Reboot(comp); err != nil {
+	if err := c.Tree().Reboot(comp, false, nil); err != nil {
 		t.Fatalf("reboot: %v", err)
 	}
 	if _, err := c.Exec("alice", "SELECT id FROM empty"); err != nil {

@@ -55,7 +55,7 @@ func TestServeArrivalRefusedNamesComponent(t *testing.T) {
 	if _, comp, err := c.ServeArrival(1, 9, 0.1); err == nil || comp != CompExecutor {
 		t.Fatalf("select through dead executor: comp=%q err=%v, want refusal naming %q", comp, err, CompExecutor)
 	}
-	if err := c.Tree().Reboot(CompExecutor); err != nil {
+	if err := c.Tree().Reboot(CompExecutor, false, nil); err != nil {
 		t.Fatalf("reboot executor: %v", err)
 	}
 	if _, comp, err := c.ServeArrival(2, 9, 0.1); err != nil || comp != "" {

@@ -109,9 +109,9 @@ func (e *DownError) Error() string {
 func Down(name string) error { return &DownError{Component: name} }
 
 // Host is implemented by applications that have been restructured into a
-// component tree. The supervisor's microreboot rung and the MREBOOT
-// experiment use it to target recovery at the faulty component instead of
-// the whole process.
+// component tree. The recovery executor (supervise.Apply), which runs the
+// supervisor's microreboot rung and the sweeps' component reboots, uses it
+// to target recovery at the faulty component instead of the whole process.
 type Host interface {
 	// Tree returns the application's component tree.
 	Tree() *Tree

@@ -105,7 +105,7 @@ func TestTreeRebootChargesClockAndCounts(t *testing.T) {
 		t.Fatalf("StartAll: %v", err)
 	}
 	before := clock.Now()
-	if err := tree.Reboot("logger"); err != nil {
+	if err := tree.Reboot("logger", false, nil); err != nil {
 		t.Fatalf("Reboot: %v", err)
 	}
 	if got, want := clock.Now()-before, 2*time.Millisecond; got != want {
@@ -120,7 +120,7 @@ func TestTreeRebootChargesClockAndCounts(t *testing.T) {
 	if tree.Reboots("logger") != 1 || tree.TotalReboots() != 1 {
 		t.Fatalf("reboot counters: %d/%d", tree.Reboots("logger"), tree.TotalReboots())
 	}
-	if err := tree.Reboot("nope"); err == nil {
+	if err := tree.Reboot("nope", false, nil); err == nil {
 		t.Fatal("reboot of unknown component accepted")
 	}
 }
@@ -137,7 +137,7 @@ func TestTreeSubtree(t *testing.T) {
 	if got, want := tree.SubtreeCost("cache"), 8*time.Millisecond; got != want {
 		t.Fatalf("SubtreeCost = %s, want %s", got, want)
 	}
-	if err := tree.RebootSubtree("cache"); err != nil {
+	if err := tree.Reboot("cache", true, nil); err != nil {
 		t.Fatalf("RebootSubtree: %v", err)
 	}
 	if comps["cache"].kills != 1 || comps["proxy"].kills != 1 {

@@ -1,6 +1,7 @@
 package component
 
 import (
+	"errors"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -59,7 +60,7 @@ func TestConcurrentRebootWhileSiblingsServe(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for i := 0; i < rounds; i++ {
-				if err := tree.Reboot("flaky"); err != nil {
+				if err := tree.Reboot("flaky", false, nil); err != nil {
 					t.Errorf("Reboot: %v", err)
 					return
 				}
@@ -141,5 +142,60 @@ func TestConcurrentStoreAccess(t *testing.T) {
 		if v, _ := s.Get("counters", k); v != "500" {
 			t.Fatalf("counter %s = %s, want 500", k, v)
 		}
+	}
+}
+
+// TestWindowedRebootUnlocksTree reboots a subtree with a window that reads
+// the tree the way a serving sweep does, from the rebooting goroutine and
+// from a concurrent one. Run under -race it proves the window runs with the
+// tree unlocked (a locked window would deadlock on Running and Probe), and
+// that a member whose Start fails does not keep its later siblings down.
+func TestWindowedRebootUnlocksTree(t *testing.T) {
+	tree := NewTree(&lockedClock{})
+	failing := NewPart("cache", Hooks{OnStart: func() error { return errors.New("disk full") }})
+	for _, spec := range []Spec{
+		{Component: NewPart("core", Hooks{}), StartCost: time.Millisecond},
+		{Component: NewPart("logger", Hooks{}), Deps: []string{"core"}, StartCost: 2 * time.Millisecond},
+		{Component: NewPart("web", Hooks{}), StartCost: 3 * time.Millisecond},
+		{Component: failing, Deps: []string{"web"}, StartCost: 4 * time.Millisecond},
+		{Component: NewPart("proxy", Hooks{}), Deps: []string{"cache"}, StartCost: 5 * time.Millisecond},
+	} {
+		tree.MustAdd(spec)
+	}
+	if err := tree.StartAll(); err == nil {
+		t.Fatal("StartAll: cache start failure not reported")
+	}
+	var windows int
+	err := tree.Reboot("web", true, func(cost time.Duration) {
+		windows++
+		if cost != 12*time.Millisecond {
+			t.Errorf("window cost = %s, want the web subtree's 12ms", cost)
+		}
+		if tree.Running("web") || tree.Running("proxy") {
+			t.Error("subtree member up inside the window")
+		}
+		if !tree.Running("core") || !tree.Running("logger") {
+			t.Error("sibling outside the subtree down inside the window")
+		}
+		if findings := tree.Probe(); findings["web"] == nil || findings["core"] != nil {
+			t.Errorf("probe inside the window = %v", findings)
+		}
+		done := make(chan bool)
+		go func() { done <- tree.Running("logger") }()
+		if !<-done {
+			t.Error("concurrent reader saw logger down")
+		}
+	})
+	if err == nil {
+		t.Fatal("Reboot: cache start failure not reported")
+	}
+	if windows != 1 {
+		t.Fatalf("window ran %d times, want 1", windows)
+	}
+	if !tree.Running("web") || !tree.Running("proxy") {
+		t.Fatal("a failed member kept its later siblings down")
+	}
+	if tree.Running("cache") {
+		t.Fatal("cache up despite its failing Start")
 	}
 }

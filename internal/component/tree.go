@@ -131,16 +131,6 @@ func (t *Tree) StopAll() {
 	}
 }
 
-// KillAll crash-stops every component in reverse dependency order — the
-// whole-process crash, for the recovery arms that model it.
-func (t *Tree) KillAll() {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	for i := len(t.order) - 1; i >= 0; i-- {
-		t.nodes[t.order[i]].spec.Component.Kill()
-	}
-}
-
 // Running reports whether the named component is up; unknown names are not
 // running.
 func (t *Tree) Running(name string) bool {
@@ -177,7 +167,7 @@ func (t *Tree) Probe() map[string]error {
 }
 
 // SubtreeOf returns name followed by every transitive dependent, in
-// dependency order — the set a subtree reboot cycles.
+// dependency order — the set a widened Reboot cycles.
 func (t *Tree) SubtreeOf(name string) []string {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -218,7 +208,7 @@ func (t *Tree) RebootCost(name string) time.Duration {
 	return n.spec.StartCost
 }
 
-// SubtreeCost returns the virtual time a RebootSubtree of name charges: the
+// SubtreeCost returns the virtual time a widened Reboot of name charges: the
 // summed StartCost of the component and its transitive dependents.
 func (t *Tree) SubtreeCost(name string) time.Duration {
 	t.mu.Lock()
@@ -230,10 +220,9 @@ func (t *Tree) SubtreeCost(name string) time.Duration {
 	return total
 }
 
-// Kill crash-stops one component without restarting it — the first half of
-// a windowed reboot. Serving continues through siblings; operations routed
-// through the dead component observe DownError until Restart brings it
-// back.
+// Kill crash-stops one component without restarting it. Serving continues
+// through siblings; operations routed through the dead component observe
+// DownError until Restart brings it back.
 func (t *Tree) Kill(name string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -266,40 +255,43 @@ func (t *Tree) restartLocked(name string) error {
 	return nil
 }
 
-// Reboot microreboots one component: crash-stop, then start, charging the
-// StartCost. Siblings are untouched — this is the cheap recovery the
-// escalation ladder's microreboot rung engages.
-func (t *Tree) Reboot(name string) error {
+// Reboot microreboots the named component — with widen, the component and
+// every transitive dependent. The members are crash-stopped in reverse
+// dependency order and restarted forward, each restart charging its
+// StartCost; siblings outside the set are untouched. Between the two halves
+// window, when non-nil, runs with the tree unlocked and the reboot's cost
+// (RebootCost or SubtreeCost): the outage during which requests routed
+// through a member observe DownError while siblings keep serving through the
+// same tree. Every member is restarted even when an earlier one fails to
+// start; the first error is returned.
+func (t *Tree) Reboot(name string, widen bool, window func(cost time.Duration)) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	n, err := t.lookup(name)
-	if err != nil {
+	if _, err := t.lookup(name); err != nil {
 		return err
 	}
-	n.spec.Component.Kill()
-	return t.restartLocked(name)
-}
-
-// RebootSubtree reboots the named component and every transitive dependent:
-// all are crash-stopped in reverse dependency order, then restarted in
-// dependency order — the escalation between a leaf microreboot and a
-// whole-process restart.
-func (t *Tree) RebootSubtree(name string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	sub := t.subtreeLocked(name)
-	if len(sub) == 0 {
-		return fmt.Errorf("component: unknown component %q", name)
+	members := []string{name}
+	if widen {
+		members = t.subtreeLocked(name)
 	}
-	for i := len(sub) - 1; i >= 0; i-- {
-		t.nodes[sub[i]].spec.Component.Kill()
+	var cost time.Duration
+	for i := len(members) - 1; i >= 0; i-- {
+		n := t.nodes[members[i]]
+		n.spec.Component.Kill()
+		cost += n.spec.StartCost
 	}
-	for _, n := range sub {
-		if err := t.restartLocked(n); err != nil {
-			return err
+	if window != nil {
+		t.mu.Unlock()
+		window(cost)
+		t.mu.Lock()
+	}
+	var first error
+	for _, m := range members {
+		if err := t.restartLocked(m); err != nil && first == nil {
+			first = err
 		}
 	}
-	return nil
+	return first
 }
 
 // Reboots returns how many completed reboots the named component has had.

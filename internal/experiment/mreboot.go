@@ -1,7 +1,6 @@
 package experiment
 
 import (
-	"errors"
 	"fmt"
 	"strings"
 	"time"
@@ -13,6 +12,7 @@ import (
 	"faultstudy/internal/recovery"
 	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
+	"faultstudy/internal/supervise"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -233,12 +233,12 @@ func spliceArrivals(drv *mrebootDriver, ops []faultinject.Op, bg int) []mrebootA
 // mrebootRun is the per-arm state shared by the workload loop and the
 // episode handler.
 type mrebootRun struct {
-	cfg    MRebootConfig
 	mech   faultinject.Mechanism
 	policy string
 	drv    *mrebootDriver
 	env    *simenv.Env
 	epoch  []byte
+	action supervise.Action // the policy's executor input, less the per-attempt fields
 	arm    *MRebootArm
 	tel    *Telemetry
 	bgIdx  int
@@ -265,8 +265,15 @@ func runMRebootArm(cfg MRebootConfig, armIdx int, mech faultinject.Mechanism, po
 	if err != nil {
 		return arm, fmt.Errorf("experiment: mreboot %s × %s: checkpoint: %w", mech.Key, policy, err)
 	}
-	run := &mrebootRun{cfg: cfg, mech: mech, policy: policy, drv: drv,
+	run := &mrebootRun{mech: mech, policy: policy, drv: drv,
 		env: app.Env(), epoch: epoch, arm: &arm, tel: tel, bgIdx: mrebootBgOps}
+	// Restart and rollback bounce the process and restore a snapshot; so
+	// does a microreboot with no attributed component.
+	run.action = supervise.Action{Rung: supervise.RungRestore, Mechanism: mech.Key,
+		Fallback: supervise.RungRestore, ResetOnFail: true}
+	if policy == "microreboot" {
+		run.action.Rung = supervise.RungMicroreboot
+	}
 	if tel != nil {
 		obsv.RegisterBridgeHelp(tel.Registry)
 		tel.Recorder.SetContext(obsv.Context{
@@ -311,41 +318,6 @@ func (r *mrebootRun) lostWindow(window time.Duration, outage bool) {
 	}
 }
 
-// serveOutage drives the concurrent arrivals that land inside a component
-// outage window through the (partially down) component tree: arrivals routed
-// through the dead component fail fast and are lost, arrivals through live
-// siblings still serve.
-func (r *mrebootRun) serveOutage(window time.Duration) {
-	k := int(window / mrebootInterval)
-	for i := 0; i < k; i++ {
-		r.arm.Requests++
-		r.arm.OutageArrivals++
-		idx := r.bgIdx
-		r.bgIdx++
-		err := r.drv.bg(idx)
-		var de *component.DownError
-		switch {
-		case err == nil:
-			r.arm.Served++
-			r.arm.OutageServed++
-		case errors.As(err, &de):
-			r.arm.Lost++
-		default:
-			// The arrival hit the active fault rather than the outage; the
-			// episode in progress already owns recovery, so it is lost too.
-			r.arm.Lost++
-		}
-	}
-}
-
-// perturb forces a fresh interleaving before a retry of mechanism (Wang93),
-// exactly as the supervisor's ladder does.
-func perturb(env *simenv.Env, mechanism string, attempt int) {
-	env.Sched().UnforceAll()
-	env.Reroll()
-	env.Sched().Force(mechanism, attempt)
-}
-
 // episode recovers one failed arrival with the arm's policy: detection
 // window, then up to mrebootAttempts (recovery action, outage window, retry)
 // rounds, then abandonment.
@@ -365,23 +337,15 @@ func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 	r.env.Advance(mrebootDetect)
 	r.lostWindow(mrebootDetect, false)
 
-	recovered := false
-	for attempt := 1; attempt <= mrebootAttempts && !recovered; attempt++ {
-		target := r.applyPolicy(attempt, preOp)
-		if rec != nil {
-			rec.Note(r.env.Monotonic(), obsv.Span{Kind: obsv.SpanAction, Rung: r.policy,
-				Attempt: attempt, Outcome: "ok", Component: target})
+	recovered := recoverAttempts(rec, r.env, r.policy, mrebootAttempts, func(attempt int) string {
+		act := r.action
+		act.Attempt, act.Widen, act.Snapshot = attempt, attempt > 1, preOp
+		if r.policy == "rollback" {
+			act.Snapshot = r.epoch
 		}
-		retryErr := a.do()
-		if retryErr == nil {
-			recovered = true
-			break
-		}
-		if rec != nil {
-			rec.Note(r.env.Monotonic(), obsv.Span{Kind: obsv.SpanRetry, Rung: r.policy,
-				Attempt: attempt, Outcome: "fail", Note: retryErr.Error()})
-		}
-	}
+		target, _ := supervise.Apply(r.drv.app, act, r.outage)
+		return target
+	}, a.do) > 0
 	end := r.env.Monotonic()
 	if recovered {
 		arm.Served++
@@ -399,10 +363,12 @@ func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 		// The trigger is abandoned; make sure the process is alive for the
 		// rest of the workload.
 		arm.Lost++
-		r.ensureRunning(preOp)
-		if rec != nil {
-			rec.End(end, obsv.OutcomeLost, r.policy)
+		revive := preOp
+		if r.action.Rung == supervise.RungMicroreboot {
+			revive = nil // the crash-only tree revives in place
 		}
+		_ = supervise.Revive(r.drv.app, revive)
+		rec.End(end, obsv.OutcomeLost, r.policy)
 	}
 	if r.tel != nil {
 		outcome := obsv.OutcomeLost
@@ -415,70 +381,54 @@ func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 	}
 }
 
-// applyPolicy performs one recovery attempt and returns the component a
-// microreboot targeted ("" for process-level recovery).
-func (r *mrebootRun) applyPolicy(attempt int, preOp []byte) string {
-	app := r.drv.app
-	if r.policy == "microreboot" {
-		if target, ok := app.ComponentFor(r.mech.Key); ok {
-			app.ContainCrash()
-			tree := app.Tree()
-			if attempt == 1 {
-				// Crash-stop the attributed component alone; siblings keep
-				// serving the arrivals that land in the reboot window.
-				if tree.Kill(target) == nil {
-					r.serveOutage(tree.RebootCost(target))
-					_ = tree.Restart(target)
-				}
-			} else {
-				// The rung widens: crash-stop the component's dependent
-				// subtree, reverse dependency order, and restart it forward.
-				members := tree.SubtreeOf(target)
-				for i := len(members) - 1; i >= 0; i-- {
-					_ = tree.Kill(members[i])
-				}
-				r.serveOutage(tree.SubtreeCost(target))
-				for _, name := range members {
-					_ = tree.Restart(name)
-				}
-			}
-			perturb(r.env, r.mech.Key, attempt)
-			return target
+// outage charges one recovery window. A process bounce costs
+// mrebootProcRestart, during which every arrival is lost. The arrivals that
+// land inside a component reboot are driven through the partially down
+// tree: those routed through a dead component fail fast and are lost, those
+// through live siblings still serve.
+func (r *mrebootRun) outage(target string, cost time.Duration) {
+	if target == "" {
+		r.env.Advance(mrebootProcRestart)
+		r.lostWindow(mrebootProcRestart, true)
+		return
+	}
+	k := int(cost / mrebootInterval)
+	for i := 0; i < k; i++ {
+		r.arm.Requests++
+		r.arm.OutageArrivals++
+		idx := r.bgIdx
+		r.bgIdx++
+		if r.drv.bg(idx) == nil {
+			r.arm.Served++
+			r.arm.OutageServed++
+		} else {
+			// Down components refuse the arrival; one that hits the active
+			// fault instead is lost too, since the episode in progress
+			// already owns recovery.
+			r.arm.Lost++
 		}
-		// No attribution: fall through to a process restart.
 	}
-	// Process-level recovery: the whole application is down for the bounce.
-	app.Stop()
-	r.env.Advance(mrebootProcRestart)
-	r.lostWindow(mrebootProcRestart, true)
-	r.env.ReclaimOwner(app.Name())
-	perturb(r.env, r.mech.Key, attempt)
-	snap := preOp
-	if r.policy == "rollback" {
-		snap = r.epoch
-	}
-	if err := app.Restore(snap); err != nil {
-		_ = app.Reset()
-	}
-	return ""
 }
 
-// ensureRunning brings an abandoned episode's application back to life.
-func (r *mrebootRun) ensureRunning(preOp []byte) {
-	app := r.drv.app
-	if app.Running() && app.Tree().AllRunning() {
-		return
+// recoverAttempts runs up to n (recovery action, retry) rounds of one fault
+// episode, the attempt loop MREBOOT, SCOPE and SERVE share. act applies the
+// attempt's recovery action and names the component it targeted; retry
+// re-runs the failed op. Each action and each failed retry is noted on rec
+// (nil-safe). It returns the attempt whose retry succeeded, or 0 when none
+// did.
+func recoverAttempts(rec *obsv.Recorder, env *simenv.Env, rung string, n int, act func(attempt int) string, retry func() error) int {
+	for attempt := 1; attempt <= n; attempt++ {
+		target := act(attempt)
+		rec.Note(env.Monotonic(), obsv.Span{Kind: obsv.SpanAction, Rung: rung,
+			Attempt: attempt, Outcome: "ok", Component: target})
+		err := retry()
+		if err == nil {
+			return attempt
+		}
+		rec.Note(env.Monotonic(), obsv.Span{Kind: obsv.SpanRetry, Rung: rung,
+			Attempt: attempt, Outcome: "fail", Note: err.Error()})
 	}
-	if r.policy == "microreboot" {
-		app.ContainCrash()
-		_ = app.Tree().StartAll()
-		return
-	}
-	app.Stop()
-	r.env.ReclaimOwner(app.Name())
-	if err := app.Restore(preOp); err != nil {
-		_ = app.Reset()
-	}
+	return 0
 }
 
 // observeArm tallies the arm's component reboots and folds the terminal

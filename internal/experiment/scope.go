@@ -10,6 +10,7 @@ import (
 	"faultstudy/internal/parallel"
 	"faultstudy/internal/recoveryscope"
 	"faultstudy/internal/stats"
+	"faultstudy/internal/supervise"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -263,13 +264,11 @@ func firstMechanism(mechs []string) string {
 // scopeRun is the per-arm state shared by the workload loop and the episode
 // handler.
 type scopeRun struct {
-	mech      faultinject.Mechanism
-	rung      recoveryscope.Rung
-	drv       *mrebootDriver
-	arm       *ScopeArm
-	rec       *obsv.Recorder
-	target    string
-	hasTarget bool
+	mech faultinject.Mechanism
+	rung recoveryscope.Rung
+	drv  *mrebootDriver
+	arm  *ScopeArm
+	rec  *obsv.Recorder
 }
 
 // runScopeArm probes one (mechanism, rung) cell. Everything it does is a
@@ -301,7 +300,6 @@ func runScopeArm(cfg ScopeConfig, armIdx int, mech faultinject.Mechanism, rung r
 		}
 		run.rec.SetContext(ctx)
 	}
-	run.target, run.hasTarget = app.ComponentFor(mech.Key)
 
 	for _, a := range spliceArrivals(drv, sc.Ops, scopeBgOps) {
 		app.Env().Advance(scopeInterval)
@@ -347,23 +345,17 @@ func (r *scopeRun) episode(a mrebootArrival, preOp []byte, opErr error) bool {
 	start := env.Monotonic()
 	r.rec.Begin(start, a.name, r.mech.Key)
 	r.rec.Note(start, obsv.Span{Kind: obsv.SpanActivation, Note: opErr.Error()})
-	for attempt := 1; attempt <= scopeAttempts; attempt++ {
-		target := r.applyRung(attempt, preOp)
-		r.rec.Note(env.Monotonic(), obsv.Span{Kind: obsv.SpanAction, Rung: rung,
-			Attempt: attempt, Outcome: "ok", Component: target})
-		retryErr := a.do()
-		if retryErr == nil {
-			end := env.Monotonic()
-			r.arm.Recovered++
-			r.rec.Note(end, obsv.Span{Kind: obsv.SpanRetry, Rung: rung,
-				Attempt: attempt, Outcome: "ok"})
-			r.rec.End(end, obsv.OutcomeRecovered, rung)
-			return true
-		}
-		r.rec.Note(env.Monotonic(), obsv.Span{Kind: obsv.SpanRetry, Rung: rung,
-			Attempt: attempt, Outcome: "fail", Note: retryErr.Error()})
+	if attempt := recoverAttempts(r.rec, env, rung, scopeAttempts, func(attempt int) string {
+		return r.apply(attempt, preOp)
+	}, a.do); attempt > 0 {
+		end := env.Monotonic()
+		r.arm.Recovered++
+		r.rec.Note(end, obsv.Span{Kind: obsv.SpanRetry, Rung: rung,
+			Attempt: attempt, Outcome: "ok"})
+		r.rec.End(end, obsv.OutcomeRecovered, rung)
+		return true
 	}
-	target := r.applyRung(scopeAttempts+1, preOp)
+	target := r.apply(scopeAttempts+1, preOp)
 	end := env.Monotonic()
 	r.rec.Note(end, obsv.Span{Kind: obsv.SpanAction, Rung: rung,
 		Attempt: scopeAttempts + 1, Outcome: "ok", Component: target})
@@ -371,51 +363,37 @@ func (r *scopeRun) episode(a mrebootArrival, preOp []byte, opErr error) bool {
 	return false
 }
 
-// applyRung performs one recovery action at the arm's rung, then perturbs
-// the schedule exactly as the supervisor's ladder does before a retry. It
-// returns the component a structural rung targeted ("" for process-level
-// rungs), for the action span.
+// apply performs one recovery action at exactly the arm's rung and returns
+// the component a structural rung targeted ("" for process-level rungs),
+// for the action span. A microreboot with no attributed component does
+// nothing structural rather than borrow another rung's action: the probe
+// measures one rung alone.
 //
 // The retry rung deliberately performs no structural recovery — a crashed
 // process cannot retry itself back to life; measuring that is the point.
-func (r *scopeRun) applyRung(attempt int, preOp []byte) string {
-	app := r.drv.app
-	tree := app.Tree()
-	target := ""
-	switch r.rung {
-	case recoveryscope.RungMicroreboot:
-		app.ContainCrash()
-		if r.hasTarget {
-			target = r.target
-			if tree.Kill(r.target) == nil {
-				_ = tree.Restart(r.target)
-			}
-		}
-	case recoveryscope.RungSubtreeReboot:
-		app.ContainCrash()
-		if r.hasTarget {
-			target = r.target
-			members := tree.SubtreeOf(r.target)
-			for i := len(members) - 1; i >= 0; i-- {
-				_ = tree.Kill(members[i])
-			}
-			for _, name := range members {
-				_ = tree.Restart(name)
-			}
-		}
-	case recoveryscope.RungRestore:
-		app.Stop()
-		app.Env().ReclaimOwner(app.Name())
-		if err := app.Restore(preOp); err != nil {
-			_ = app.Reset()
-		}
-	case recoveryscope.RungRestart:
-		app.Stop()
-		app.Env().ReclaimOwner(app.Name())
-		_ = app.Reset()
-	}
-	perturb(app.Env(), r.mech.Key, attempt)
+func (r *scopeRun) apply(attempt int, preOp []byte) string {
+	act := ladderAction(r.rung)
+	act.Mechanism, act.Attempt, act.Snapshot = r.mech.Key, attempt, preOp
+	act.Fallback, act.ResetOnFail = supervise.RungRetry, true
+	target, _ := supervise.Apply(r.drv.app, act, nil)
 	return target
+}
+
+// ladderAction maps a rung of the recovery-scope ladder onto the executor's
+// rung: a subtree reboot is a widened microreboot.
+func ladderAction(rung recoveryscope.Rung) supervise.Action {
+	switch rung {
+	case recoveryscope.RungMicroreboot:
+		return supervise.Action{Rung: supervise.RungMicroreboot}
+	case recoveryscope.RungSubtreeReboot:
+		return supervise.Action{Rung: supervise.RungMicroreboot, Widen: true}
+	case recoveryscope.RungRestore:
+		return supervise.Action{Rung: supervise.RungRestore}
+	case recoveryscope.RungRestart:
+		return supervise.Action{Rung: supervise.RungRestart}
+	default:
+		return supervise.Action{Rung: supervise.RungRetry}
+	}
 }
 
 // ClassRecall is the fraction of mechanisms whose static class matches the

@@ -13,8 +13,10 @@ import (
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/obsv"
 	"faultstudy/internal/parallel"
+	"faultstudy/internal/recoveryscope"
 	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
+	"faultstudy/internal/supervise"
 	"faultstudy/internal/taxonomy"
 	"faultstudy/internal/traffic"
 	"faultstudy/internal/workload"
@@ -276,9 +278,10 @@ type serveRun struct {
 	arm      *ServeArm
 	tel      *Telemetry
 	schedule []traffic.Arrival
-	next     int           // cursor into schedule
-	base     time.Duration // virtual clock at traffic start
-	cp       []byte        // most recent healthy checkpoint (restore rung)
+	next     int              // cursor into schedule
+	base     time.Duration    // virtual clock at traffic start
+	cp       []byte           // most recent healthy checkpoint (restore rung)
+	action   supervise.Action // the rung's executor input, less the per-attempt fields
 }
 
 // runServeArm runs one (mechanism, rung) cell. Everything it does is a pure
@@ -318,6 +321,12 @@ func runServeArm(cfg ServeConfig, armIdx int, mech faultinject.Mechanism, rung s
 	run := &serveRun{cfg: cfg, mech: mech, rung: rung, app: app,
 		env: app.Env(), arm: &arm, tel: tel, schedule: schedule,
 		base: app.Env().Monotonic(), cp: cp}
+	ladderRung, err := recoveryscope.ParseRung(rung)
+	if err != nil {
+		return arm, err
+	}
+	run.action = ladderAction(ladderRung)
+	run.action.Mechanism, run.action.Fallback, run.action.ResetOnFail = mech.Key, supervise.RungRestore, true
 	if tel != nil {
 		obsv.RegisterBridgeHelp(tel.Registry)
 		tel.Recorder.SetContext(obsv.Context{
@@ -378,7 +387,7 @@ func (r *serveRun) trigger(op faultinject.Op) {
 	}
 	if r.breakerOpen() {
 		r.arm.Shed++
-		r.ensureServing()
+		_ = supervise.Revive(r.app, nil)
 		return
 	}
 	r.episode(op.Name, err, op.Do)
@@ -393,7 +402,7 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 		// Nothing is listening; the supervisor of last resort brings the
 		// process back for subsequent traffic.
 		r.record(arr, traffic.OutcomeLost, "", "process down", 0)
-		r.ensureServing()
+		_ = supervise.Revive(r.app, nil)
 		return
 	}
 	category, comp, err := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
@@ -411,7 +420,7 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 		if r.breakerOpen() {
 			r.arm.Shed++
 			r.record(arr, traffic.OutcomeError, comp, err.Error(), 0)
-			r.ensureServing()
+			_ = supervise.Revive(r.app, nil)
 			return
 		}
 		arrivedAt := r.base + arr.At
@@ -515,39 +524,19 @@ func (r *serveRun) episode(name string, faultErr error, retry func() error) bool
 	r.env.Advance(serveDetect)
 	r.drainLost(r.env.Monotonic(), "detection window")
 
-	recovered := false
-	for attempt := 1; attempt <= serveAttempts && !recovered; attempt++ {
-		target := r.applyServeRung(attempt)
-		if rec != nil {
-			rec.Note(r.env.Monotonic(), obsv.Span{Kind: obsv.SpanAction, Rung: r.rung,
-				Attempt: attempt, Outcome: "ok", Component: target})
-		}
-		retryErr := retry()
-		if retryErr == nil {
-			recovered = true
-			break
-		}
-		if rec != nil {
-			rec.Note(r.env.Monotonic(), obsv.Span{Kind: obsv.SpanRetry, Rung: r.rung,
-				Attempt: attempt, Outcome: "fail", Note: retryErr.Error()})
-		}
-	}
+	recovered := recoverAttempts(rec, r.env, r.rung, serveAttempts, r.apply, retry) > 0
 	end := r.env.Monotonic()
 	if recovered {
 		arm.Recovered++
 		arm.MTTRTotal += end - start
-		if rec != nil {
-			rec.End(end, obsv.OutcomeRecovered, r.rung)
-		}
+		rec.End(end, obsv.OutcomeRecovered, r.rung)
 		if r.tel != nil {
 			r.tel.Registry.Histogram(MetricServeMTTRSeconds, obsv.LatencyBuckets,
 				obsv.L("rung", r.rung, "class", r.mech.Class().Short())...).ObserveDuration(end - start)
 		}
 	} else {
-		r.ensureServing()
-		if rec != nil {
-			rec.End(end, obsv.OutcomeLost, r.rung)
-		}
+		_ = supervise.Revive(r.app, nil)
+		rec.End(end, obsv.OutcomeLost, r.rung)
 	}
 	if r.tel != nil {
 		outcome := obsv.OutcomeLost
@@ -561,116 +550,39 @@ func (r *serveRun) episode(name string, faultErr error, retry func() error) bool
 	return recovered
 }
 
-// applyServeRung performs one recovery attempt at the arm's rung and returns
-// the component a structural rung targeted ("" for process-level rungs).
+// apply performs one recovery attempt at the arm's rung and returns the
+// component a structural rung targeted ("" for process-level rungs).
+// Process-level rungs restore the latest checkpoint. A process left in
+// pristine state, by the restart rung or by a failed restore, is re-warmed.
 //
 // The retry rung deliberately performs no structural recovery — a crashed
 // process cannot retry itself back to life; measuring that under live
 // traffic is part of the point.
-func (r *serveRun) applyServeRung(attempt int) string {
-	app := r.app
-	target := ""
-	switch r.rung {
-	case "retry":
-		// Perturb only.
-	case "microreboot":
-		app.ContainCrash()
-		if name, ok := app.ComponentFor(r.mech.Key); ok {
-			target = name
-			tree := app.Tree()
-			if tree.Kill(name) == nil {
-				r.drainOutage(r.env.Monotonic() + tree.RebootCost(name))
-				_ = tree.Restart(name)
-			}
-		} else {
-			r.bounceProcess(false)
-		}
-	case "subtree-reboot":
-		app.ContainCrash()
-		if name, ok := app.ComponentFor(r.mech.Key); ok {
-			target = name
-			tree := app.Tree()
-			members := tree.SubtreeOf(name)
-			for i := len(members) - 1; i >= 0; i-- {
-				_ = tree.Kill(members[i])
-			}
-			r.drainOutage(r.env.Monotonic() + tree.SubtreeCost(name))
-			for _, m := range members {
-				_ = tree.Restart(m)
-			}
-		} else {
-			r.bounceProcess(false)
-		}
-	case "restore":
-		r.bounceProcess(false)
-	case "restart":
-		r.bounceProcess(true)
+func (r *serveRun) apply(attempt int) string {
+	act := r.action
+	act.Attempt, act.Snapshot = attempt, r.cp
+	target, err := supervise.Apply(r.app, act, r.outage)
+	if act.Rung == supervise.RungRestart || (target == "" && err != nil) {
+		// A restart re-runs the init script: schema and seed state return,
+		// accumulated state does not.
+		_ = r.app.ServeWarm()
 	}
-	perturb(r.env, r.mech.Key, attempt)
 	return target
 }
 
-// bounceProcess restarts the whole process: stop, a full restart window
-// with every in-window arrival lost, then reinstate state — the latest
-// checkpoint for restore (and as the fallback), or pristine state re-warmed
-// for restart.
-func (r *serveRun) bounceProcess(pristine bool) {
-	app := r.app
-	app.Stop()
-	r.env.Advance(serveProcRestart)
-	r.drainLost(r.env.Monotonic(), "process restart")
-	r.env.ReclaimOwner(app.Name())
-	if pristine {
-		_ = app.Reset()
-		// A restart re-runs the init script: schema and seed state return,
-		// accumulated state does not.
-		_ = app.ServeWarm()
+// outage charges one recovery window. A process bounce costs
+// serveProcRestart, during which every arrival is lost. The arrivals
+// scheduled inside a component reboot are served through the partially
+// down tree: those routed through the dead component are refused fast,
+// those through live siblings still serve — the goodput a microreboot
+// preserves and a process restart forfeits.
+func (r *serveRun) outage(target string, cost time.Duration) {
+	if target == "" {
+		r.env.Advance(serveProcRestart)
+		r.drainLost(r.env.Monotonic(), "process restart")
 		return
 	}
-	if err := app.Restore(r.cp); err != nil {
-		_ = app.Reset()
-		_ = app.ServeWarm()
-	}
-}
-
-// ensureServing is the supervisor of last resort: whatever an abandoned
-// episode (or a shed failure) left behind, subsequent traffic must find a
-// listening process. Component-level damage is rebooted in place; a dead
-// process pays the full restart window.
-func (r *serveRun) ensureServing() {
-	app := r.app
-	if app.Running() && app.Tree().AllRunning() {
-		return
-	}
-	if app.Running() {
-		app.ContainCrash()
-		_ = app.Tree().StartAll()
-		return
-	}
-	app.ContainCrash()
-	if app.Running() {
-		_ = app.Tree().StartAll()
-		return
-	}
-	r.bounceProcess(false)
-}
-
-// drainLost consumes every scheduled arrival at or before the given virtual
-// time as lost: the process (or the whole service) was not answering.
-func (r *serveRun) drainLost(until time.Duration, why string) {
-	for r.next < len(r.schedule) && r.base+r.schedule[r.next].At <= until {
-		arr := r.schedule[r.next]
-		r.next++
-		r.record(arr, traffic.OutcomeLost, "", why, 0)
-	}
-}
-
-// drainOutage consumes every scheduled arrival up to the given virtual time
-// through the partially-down component tree: arrivals routed through the
-// dead component are refused fast, arrivals through live siblings still
-// serve — the goodput a microreboot preserves and a process restart
-// forfeits.
-func (r *serveRun) drainOutage(until time.Duration) {
+	until := r.env.Monotonic() + cost
 	for r.next < len(r.schedule) && r.base+r.schedule[r.next].At <= until {
 		arr := r.schedule[r.next]
 		r.next++
@@ -688,6 +600,16 @@ func (r *serveRun) drainOutage(until time.Duration) {
 			// episode in progress already owns recovery.
 			r.record(arr, traffic.OutcomeError, comp, err.Error(), 0)
 		}
+	}
+}
+
+// drainLost consumes every scheduled arrival at or before the given virtual
+// time as lost: the process (or the whole service) was not answering.
+func (r *serveRun) drainLost(until time.Duration, why string) {
+	for r.next < len(r.schedule) && r.base+r.schedule[r.next].At <= until {
+		arr := r.schedule[r.next]
+		r.next++
+		r.record(arr, traffic.OutcomeLost, "", why, 0)
 	}
 }
 

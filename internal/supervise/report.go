@@ -21,9 +21,11 @@ const (
 	// deliberately perturbed interleaving — Wang93's induced environment
 	// change. Survives the transient class.
 	RungRetry Rung = iota + 1
-	// RungMicroreboot stops the application, reclaims every operating-system
-	// resource it held, and restores the pre-op checkpoint — a cheap
-	// component-level reboot that preserves all logical state.
+	// RungMicroreboot crash-reboots the component the failing mechanism is
+	// attributed to — its dependent subtree on the rung's later attempts —
+	// while siblings serve. An application with no attributed component is
+	// stopped, reclaimed and restored from the pre-op checkpoint instead: a
+	// coarse reboot that preserves all logical state.
 	RungMicroreboot
 	// RungRestore rolls back to the last epoch checkpoint — older state, on
 	// the theory that recently accumulated state is what's poisoned.

@@ -30,7 +30,6 @@ import (
 	"fmt"
 	"time"
 
-	"faultstudy/internal/component"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/recovery"
 )
@@ -317,7 +316,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 	if !s.breakers.allow(mech, s.clock.Now()) {
 		s.report.mech(mech).FastFails++
 		s.trace(Event{Kind: EventFastFail, Op: op.Name, Mechanism: mech, Err: initial})
-		s.ensureRunning(preOp)
+		_ = Revive(s.app, preOp)
 		return opFailed
 	}
 
@@ -377,7 +376,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 		if s.breakers.failure(mech, s.clock.Now()) {
 			s.report.mech(mech).BreakerOpens++
 			s.trace(Event{Kind: EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Err: retryErr})
-			s.ensureRunning(preOp)
+			_ = Revive(s.app, preOp)
 			s.trace(Event{Kind: EventGiveUp, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Err: retryErr})
 			return opFailed
 		}
@@ -395,7 +394,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 // mode is reverted, full service resumes, and the mechanism's breaker opens.
 func (s *Supervisor) degradeAndFinish(idx int, op Op, preOp []byte, mech string) opResult {
 	s.enterDegraded(idx)
-	s.ensureRunning(preOp)
+	_ = Revive(s.app, preOp)
 	if op.Kind == OpWrite {
 		s.trace(Event{Kind: EventShed, Op: op.Name, Mechanism: mech, Rung: RungDegraded})
 		return opShed
@@ -413,93 +412,32 @@ func (s *Supervisor) degradeAndFinish(idx int, op Op, preOp []byte, mech string)
 		s.report.mech(mech).BreakerOpens++
 		s.trace(Event{Kind: EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: RungDegraded})
 	}
-	s.ensureRunning(preOp)
+	_ = Revive(s.app, preOp)
 	s.trace(Event{Kind: EventGiveUp, Op: op.Name, Mechanism: mech, Rung: RungDegraded})
 	return opFailed
 }
 
-// applyRung applies one ladder rung's recovery action. The first return
-// value names the component a real microreboot targeted ("" for
-// process-level actions). attemptAt is the attempt number within the current
-// rung: the microreboot rung reboots the attributed component alone first
-// and widens to its dependent subtree on the rung's later attempts.
+// applyRung applies one ladder rung's recovery action through Apply. The
+// first return value names the component a real microreboot targeted (""
+// for process-level actions). attemptAt is the attempt number within the
+// current rung: the microreboot rung reboots the attributed component alone
+// first and widens to its dependent subtree on the rung's later attempts.
+// A retry on a dead application restores the pre-op checkpoint instead, and
+// a microreboot with no attributed component falls back to that same
+// restore: the coarse reboot that preserves all logical state.
 func (s *Supervisor) applyRung(rung Rung, preOp []byte, mech string, attempt, attemptAt int, fe *faultinject.FailureError) (string, error) {
-	env := s.app.Env()
 	if s.cfg.GrowResources && fe != nil {
-		recovery.GrowResources(env, fe)
+		recovery.GrowResources(s.app.Env(), fe)
 	}
-	perturb := func() {
-		// Wang93: each retry deliberately forces a different interleaving at
-		// the failing program point, so races are not retried into the same
-		// losing schedule.
-		env.Sched().UnforceAll()
-		env.Reroll()
-		env.Sched().Force(mech, attempt)
+	a := Action{Rung: rung, Mechanism: mech, Attempt: attempt, Widen: attemptAt > 1,
+		Snapshot: preOp, Fallback: RungRestore}
+	switch {
+	case rung == RungRetry && !s.app.Running():
+		a.Rung = RungRestore
+	case rung == RungRestore:
+		a.Snapshot = s.epoch
 	}
-	switch rung {
-	case RungRetry:
-		if s.app.Running() {
-			perturb()
-			return "", nil
-		}
-		s.app.Stop()
-		env.ReclaimOwner(s.app.Name())
-		perturb()
-		return "", s.app.Restore(preOp)
-	case RungMicroreboot:
-		// A real microreboot, when the application is a component tree and
-		// the mechanism attributes to a component: contain the crash to the
-		// tree, then cycle the faulty component — its subtree on later
-		// attempts — while siblings keep serving. No process stop, no
-		// resource reclaim, no state restore: the crash-only contract makes
-		// all three unnecessary.
-		if host, ok := s.app.(component.Host); ok {
-			if target, attributed := host.ComponentFor(mech); attributed {
-				host.ContainCrash()
-				perturb()
-				if attemptAt <= 1 {
-					return target, host.Tree().Reboot(target)
-				}
-				return target, host.Tree().RebootSubtree(target)
-			}
-		}
-		// Monolithic fallback: the coarse component-level reboot that
-		// preserves all logical state.
-		s.app.Stop()
-		env.ReclaimOwner(s.app.Name())
-		perturb()
-		return "", s.app.Restore(preOp)
-	case RungRestore:
-		s.app.Stop()
-		env.ReclaimOwner(s.app.Name())
-		perturb()
-		return "", s.app.Restore(s.epoch)
-	case RungRestart:
-		s.app.Stop()
-		env.ReclaimOwner(s.app.Name())
-		perturb()
-		return "", s.app.Reset()
-	default:
-		return "", fmt.Errorf("supervise: no action for rung %s", rung)
-	}
-}
-
-// ensureRunning brings the application back up after an abandoned episode so
-// the remaining workload keeps being served: restore the pre-op state, and
-// fall back to a clean restart when even that fails.
-func (s *Supervisor) ensureRunning(preOp []byte) {
-	if s.app.Running() {
-		return
-	}
-	env := s.app.Env()
-	s.app.Stop()
-	env.ReclaimOwner(s.app.Name())
-	env.Sched().UnforceAll()
-	env.Reroll()
-	if err := s.app.Restore(preOp); err == nil {
-		return
-	}
-	_ = s.app.Reset()
+	return Apply(s.app, a, nil)
 }
 
 func (s *Supervisor) enterDegraded(idx int) {
