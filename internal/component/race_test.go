@@ -199,3 +199,29 @@ func TestWindowedRebootUnlocksTree(t *testing.T) {
 		t.Fatal("cache up despite its failing Start")
 	}
 }
+
+// TestRebootWindowPanicLeavesTreeUsable panics inside a reboot window, as
+// application code serving arrivals there may. The panic must reach the
+// caller as an ordinary recoverable panic, with the tree unlocked and the
+// rebooting member still down.
+func TestRebootWindowPanicLeavesTreeUsable(t *testing.T) {
+	tree := NewTree(&lockedClock{})
+	tree.MustAdd(Spec{Component: NewPart("core", Hooks{}), StartCost: time.Millisecond})
+	if err := tree.StartAll(); err != nil {
+		t.Fatalf("StartAll: %v", err)
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Error("window panic not propagated")
+			}
+		}()
+		_ = tree.Reboot("core", false, func(time.Duration) { panic("arrival handler") })
+	}()
+	if tree.Running("core") {
+		t.Error("core up after a reboot whose window panicked")
+	}
+	if err := tree.Restart("core"); err != nil || !tree.Running("core") {
+		t.Errorf("tree unusable after the panic: %v", err)
+	}
+}

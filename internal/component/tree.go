@@ -265,10 +265,31 @@ func (t *Tree) restartLocked(name string) error {
 // same tree. Every member is restarted even when an earlier one fails to
 // start; the first error is returned.
 func (t *Tree) Reboot(name string, widen bool, window func(cost time.Duration)) error {
+	members, cost, err := t.killMembers(name, widen)
+	if err != nil {
+		return err
+	}
+	if window != nil {
+		window(cost)
+	}
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	var first error
+	for _, m := range members {
+		if err := t.restartLocked(m); err != nil && first == nil {
+			first = err
+		}
+	}
+	return first
+}
+
+// killMembers crash-stops Reboot's members in reverse dependency order and
+// returns them with their summed StartCost.
+func (t *Tree) killMembers(name string, widen bool) ([]string, time.Duration, error) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, err := t.lookup(name); err != nil {
-		return err
+		return nil, 0, err
 	}
 	members := []string{name}
 	if widen {
@@ -280,18 +301,7 @@ func (t *Tree) Reboot(name string, widen bool, window func(cost time.Duration)) 
 		n.spec.Component.Kill()
 		cost += n.spec.StartCost
 	}
-	if window != nil {
-		t.mu.Unlock()
-		window(cost)
-		t.mu.Lock()
-	}
-	var first error
-	for _, m := range members {
-		if err := t.restartLocked(m); err != nil && first == nil {
-			first = err
-		}
-	}
-	return first
+	return members, cost, nil
 }
 
 // Reboots returns how many completed reboots the named component has had.

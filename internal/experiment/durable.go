@@ -901,14 +901,11 @@ func runDurableCacheArm(name string, seed int64) (DurableArm, error) {
 		}
 	}
 	start := env.Monotonic()
-	if err := c.Tree().Kill(cache.CompPersist); err != nil {
-		return arm, err
-	}
-	env.Advance(durableDetect)
+	err := c.Tree().Reboot(cache.CompPersist, false, func(time.Duration) { env.Advance(durableDetect) })
 	ep := DurableEpisode{Op: "persist-reboot", Note: "persist component crash-stopped and restarted", Start: start}
 	arm.Episodes++
 	arm.Acked += len(keys)
-	if err := c.Tree().Restart(cache.CompPersist); err != nil {
+	if err != nil {
 		arm.endEpisode(ep, env, false)
 		c.Stop()
 		return arm, nil

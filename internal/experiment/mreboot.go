@@ -241,6 +241,7 @@ type mrebootRun struct {
 	action supervise.Action // the policy's executor input, less the per-attempt fields
 	arm    *MRebootArm
 	tel    *Telemetry
+	rec    *obsv.Recorder // tel's recorder; nil without telemetry
 	bgIdx  int
 }
 
@@ -265,17 +266,15 @@ func runMRebootArm(cfg MRebootConfig, armIdx int, mech faultinject.Mechanism, po
 	if err != nil {
 		return arm, fmt.Errorf("experiment: mreboot %s × %s: checkpoint: %w", mech.Key, policy, err)
 	}
-	run := &mrebootRun{mech: mech, policy: policy, drv: drv,
-		env: app.Env(), epoch: epoch, arm: &arm, tel: tel, bgIdx: mrebootBgOps}
-	// Restart and rollback bounce the process and restore a snapshot; so
-	// does a microreboot with no attributed component.
-	run.action = supervise.Action{Rung: supervise.RungRestore, Mechanism: mech.Key,
-		Fallback: supervise.RungRestore, ResetOnFail: true}
+	// Restart and rollback bounce the process and restore a snapshot.
+	run := &mrebootRun{mech: mech, policy: policy, drv: drv, env: app.Env(), epoch: epoch, arm: &arm, tel: tel,
+		bgIdx: mrebootBgOps, action: supervise.Action{Rung: supervise.RungRestore, Mechanism: mech.Key, ResetOnFail: true}}
 	if policy == "microreboot" {
 		run.action.Rung = supervise.RungMicroreboot
 	}
 	if tel != nil {
 		obsv.RegisterBridgeHelp(tel.Registry)
+		run.rec = tel.Recorder
 		tel.Recorder.SetContext(obsv.Context{
 			App: mech.App.String(), FaultID: mech.Key, Class: mech.Class().Short()})
 	}
@@ -325,19 +324,15 @@ func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 	arm := r.arm
 	arm.Episodes++
 	start := r.env.Monotonic()
-	var rec *obsv.Recorder
-	if r.tel != nil {
-		rec = r.tel.Recorder
-		rec.Begin(start, a.name, r.mech.Key)
-		rec.Note(start, obsv.Span{Kind: obsv.SpanActivation, Note: opErr.Error()})
-	}
+	r.rec.Begin(start, a.name, r.mech.Key)
+	r.rec.Note(start, obsv.Span{Kind: obsv.SpanActivation, Note: opErr.Error()})
 
 	// Detection: between the fault firing and recovery engaging nothing
 	// serves, under every policy alike.
 	r.env.Advance(mrebootDetect)
 	r.lostWindow(mrebootDetect, false)
 
-	recovered := recoverAttempts(rec, r.env, r.policy, mrebootAttempts, func(attempt int) string {
+	recovered := recoverAttempts(r.rec, r.env, r.policy, mrebootAttempts, func(attempt int) string {
 		act := r.action
 		act.Attempt, act.Widen, act.Snapshot = attempt, attempt > 1, preOp
 		if r.policy == "rollback" {
@@ -346,15 +341,13 @@ func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 		target, _ := supervise.Apply(r.drv.app, act, r.outage)
 		return target
 	}, a.do) > 0
-	end := r.env.Monotonic()
+	end, outcome := r.env.Monotonic(), obsv.OutcomeLost
 	if recovered {
+		outcome = obsv.OutcomeRecovered
 		arm.Served++
 		arm.Recovered++
 		arm.MTTRTotal += end - start
-		if rec != nil {
-			rec.Note(end, obsv.Span{Kind: obsv.SpanRetry, Rung: r.policy, Outcome: "ok"})
-			rec.End(end, obsv.OutcomeRecovered, r.policy)
-		}
+		r.rec.Note(end, obsv.Span{Kind: obsv.SpanRetry, Rung: r.policy, Outcome: "ok"})
 		if r.tel != nil {
 			r.tel.Registry.Histogram(MetricMRebootMTTRSeconds, obsv.LatencyBuckets,
 				obsv.L("policy", r.policy, "class", r.mech.Class().Short())...).ObserveDuration(end - start)
@@ -368,13 +361,9 @@ func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 			revive = nil // the crash-only tree revives in place
 		}
 		_ = supervise.Revive(r.drv.app, revive)
-		rec.End(end, obsv.OutcomeLost, r.policy)
 	}
+	r.rec.End(end, outcome, r.policy)
 	if r.tel != nil {
-		outcome := obsv.OutcomeLost
-		if recovered {
-			outcome = obsv.OutcomeRecovered
-		}
 		r.tel.Registry.Counter(MetricMRebootEpisodes,
 			obsv.L("app", r.mech.App.String(), "policy", r.policy,
 				"class", r.mech.Class().Short(), "outcome", outcome)...).Inc()

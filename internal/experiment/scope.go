@@ -311,19 +311,13 @@ func runScopeArm(cfg ScopeConfig, armIdx int, mech faultinject.Mechanism, rung r
 		if opErr == nil {
 			continue
 		}
-		if _, isFault := faultinject.AsFailure(opErr); isFault {
-			if run.episode(a, preOp, opErr) {
-				continue
-			}
-			// The arrival is abandoned; only unserved background traffic
-			// counts against the cure (the trigger is the fault itself).
-			if !a.trigger {
-				arm.BgUnserved++
-			}
+		if _, isFault := faultinject.AsFailure(opErr); isFault && run.episode(a, preOp, opErr) {
 			continue
 		}
-		// A plain failure — most often a dead process the rung's action
-		// failed to revive. Unserved background traffic is the cure signal.
+		// The arrival is abandoned after its episode, or failed plainly —
+		// most often a dead process the rung's action failed to revive.
+		// Only unserved background traffic counts against the cure (the
+		// trigger is the fault itself).
 		if !a.trigger {
 			arm.BgUnserved++
 		}
@@ -365,35 +359,24 @@ func (r *scopeRun) episode(a mrebootArrival, preOp []byte, opErr error) bool {
 
 // apply performs one recovery action at exactly the arm's rung and returns
 // the component a structural rung targeted ("" for process-level rungs),
-// for the action span. A microreboot with no attributed component does
-// nothing structural rather than borrow another rung's action: the probe
-// measures one rung alone.
-//
-// The retry rung deliberately performs no structural recovery — a crashed
-// process cannot retry itself back to life; measuring that is the point.
+// for the action span. The retry rung deliberately performs no structural
+// recovery — a crashed process cannot retry itself back to life; measuring
+// that is the point.
 func (r *scopeRun) apply(attempt int, preOp []byte) string {
-	act := ladderAction(r.rung)
-	act.Mechanism, act.Attempt, act.Snapshot = r.mech.Key, attempt, preOp
-	act.Fallback, act.ResetOnFail = supervise.RungRetry, true
+	act := ladderActions[r.rung]
+	act.Mechanism, act.Attempt, act.Snapshot, act.ResetOnFail = r.mech.Key, attempt, preOp, true
 	target, _ := supervise.Apply(r.drv.app, act, nil)
 	return target
 }
 
-// ladderAction maps a rung of the recovery-scope ladder onto the executor's
-// rung: a subtree reboot is a widened microreboot.
-func ladderAction(rung recoveryscope.Rung) supervise.Action {
-	switch rung {
-	case recoveryscope.RungMicroreboot:
-		return supervise.Action{Rung: supervise.RungMicroreboot}
-	case recoveryscope.RungSubtreeReboot:
-		return supervise.Action{Rung: supervise.RungMicroreboot, Widen: true}
-	case recoveryscope.RungRestore:
-		return supervise.Action{Rung: supervise.RungRestore}
-	case recoveryscope.RungRestart:
-		return supervise.Action{Rung: supervise.RungRestart}
-	default:
-		return supervise.Action{Rung: supervise.RungRetry}
-	}
+// ladderActions maps each rung of the recovery-scope ladder onto the
+// executor's: a subtree reboot is a widened microreboot.
+var ladderActions = map[recoveryscope.Rung]supervise.Action{
+	recoveryscope.RungRetry:         {Rung: supervise.RungRetry},
+	recoveryscope.RungMicroreboot:   {Rung: supervise.RungMicroreboot},
+	recoveryscope.RungSubtreeReboot: {Rung: supervise.RungMicroreboot, Widen: true},
+	recoveryscope.RungRestore:       {Rung: supervise.RungRestore},
+	recoveryscope.RungRestart:       {Rung: supervise.RungRestart},
 }
 
 // ClassRecall is the fraction of mechanisms whose static class matches the

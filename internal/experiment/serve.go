@@ -236,7 +236,7 @@ func RunServe(cfg ServeConfig) (*ServeReport, error) {
 		return nil, err
 	}
 	mechs := serveMechanisms()
-	rungs := ServeRungs()
+	rungs := recoveryscope.Rungs()
 	arms, err := runArms(cfg.Workers, len(mechs)*len(rungs), cfg.Telemetry, func(i int, tel *Telemetry) (ServeArm, error) {
 		return runServeArm(cfg, i, mechs[i/len(rungs)], rungs[i%len(rungs)], tel)
 	})
@@ -277,6 +277,7 @@ type serveRun struct {
 	env      *simenv.Env
 	arm      *ServeArm
 	tel      *Telemetry
+	rec      *obsv.Recorder // tel's recorder; nil without telemetry
 	schedule []traffic.Arrival
 	next     int              // cursor into schedule
 	base     time.Duration    // virtual clock at traffic start
@@ -286,7 +287,8 @@ type serveRun struct {
 
 // runServeArm runs one (mechanism, rung) cell. Everything it does is a pure
 // function of (cfg, arm index); it shares no state with other arms.
-func runServeArm(cfg ServeConfig, armIdx int, mech faultinject.Mechanism, rung string, tel *Telemetry) (ServeArm, error) {
+func runServeArm(cfg ServeConfig, armIdx int, mech faultinject.Mechanism, ladderRung recoveryscope.Rung, tel *Telemetry) (ServeArm, error) {
+	rung := ladderRung.String()
 	arm := ServeArm{Mechanism: mech.Key, App: mech.App, Class: mech.Class(), Rung: rung}
 	armSeed := parallel.Derive(cfg.Seed, uint64(armIdx))
 	app, sc, err := buildServeApp(mech.Key, armSeed)
@@ -320,15 +322,11 @@ func runServeArm(cfg ServeConfig, armIdx int, mech faultinject.Mechanism, rung s
 	}
 	run := &serveRun{cfg: cfg, mech: mech, rung: rung, app: app,
 		env: app.Env(), arm: &arm, tel: tel, schedule: schedule,
-		base: app.Env().Monotonic(), cp: cp}
-	ladderRung, err := recoveryscope.ParseRung(rung)
-	if err != nil {
-		return arm, err
-	}
-	run.action = ladderAction(ladderRung)
-	run.action.Mechanism, run.action.Fallback, run.action.ResetOnFail = mech.Key, supervise.RungRestore, true
+		base: app.Env().Monotonic(), cp: cp, action: ladderActions[ladderRung]}
+	run.action.Mechanism, run.action.ResetOnFail = mech.Key, true
 	if tel != nil {
 		obsv.RegisterBridgeHelp(tel.Registry)
+		run.rec = tel.Recorder
 		tel.Recorder.SetContext(obsv.Context{
 			App: mech.App.String(), FaultID: mech.Key, Class: mech.Class().Short()})
 	}
@@ -379,9 +377,6 @@ func (r *serveRun) checkpoint() {
 // episode around the op itself; anything else is the scenario idling.
 func (r *serveRun) trigger(op faultinject.Op) {
 	err := op.Do()
-	if err == nil {
-		return
-	}
 	if _, isFault := faultinject.AsFailure(err); !isFault { //faultlint:ignore swallowfail fault failures proceed to an episode below; only non-fault scenario idling returns here
 		return
 	}
@@ -405,7 +400,7 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 		_ = supervise.Revive(r.app, nil)
 		return
 	}
-	category, comp, err := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
+	_, comp, err := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
 	var de *component.DownError
 	switch {
 	case err == nil:
@@ -436,7 +431,6 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 			r.record(arr, traffic.OutcomeLost, "", err.Error(), 0)
 		}
 	}
-	_ = category
 }
 
 // breakerOpen reports whether the arm's episode budget is spent.
@@ -512,37 +506,29 @@ func (r *serveRun) episode(name string, faultErr error, retry func() error) bool
 	arm := r.arm
 	arm.Episodes++
 	start := r.env.Monotonic()
-	var rec *obsv.Recorder
-	if r.tel != nil {
-		rec = r.tel.Recorder
-		rec.Begin(start, name, r.mech.Key)
-		rec.Note(start, obsv.Span{Kind: obsv.SpanActivation, Note: faultErr.Error()})
-	}
+	r.rec.Begin(start, name, r.mech.Key)
+	r.rec.Note(start, obsv.Span{Kind: obsv.SpanActivation, Note: faultErr.Error()})
 
 	// Detection: between the fault firing and recovery engaging, nothing
 	// serves, under every rung alike.
 	r.env.Advance(serveDetect)
 	r.drainLost(r.env.Monotonic(), "detection window")
 
-	recovered := recoverAttempts(rec, r.env, r.rung, serveAttempts, r.apply, retry) > 0
-	end := r.env.Monotonic()
+	recovered := recoverAttempts(r.rec, r.env, r.rung, serveAttempts, r.apply, retry) > 0
+	end, outcome := r.env.Monotonic(), obsv.OutcomeLost
 	if recovered {
+		outcome = obsv.OutcomeRecovered
 		arm.Recovered++
 		arm.MTTRTotal += end - start
-		rec.End(end, obsv.OutcomeRecovered, r.rung)
 		if r.tel != nil {
 			r.tel.Registry.Histogram(MetricServeMTTRSeconds, obsv.LatencyBuckets,
 				obsv.L("rung", r.rung, "class", r.mech.Class().Short())...).ObserveDuration(end - start)
 		}
 	} else {
 		_ = supervise.Revive(r.app, nil)
-		rec.End(end, obsv.OutcomeLost, r.rung)
 	}
+	r.rec.End(end, outcome, r.rung)
 	if r.tel != nil {
-		outcome := obsv.OutcomeLost
-		if recovered {
-			outcome = obsv.OutcomeRecovered
-		}
 		r.tel.Registry.Counter(MetricServeEpisodes,
 			obsv.L("app", r.mech.App.String(), "rung", r.rung,
 				"class", r.mech.Class().Short(), "outcome", outcome)...).Inc()

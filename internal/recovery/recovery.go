@@ -325,27 +325,22 @@ func (m *Manager) recover(app Application, snapshot []byte, strat Strategy, fe *
 		growResources(env, fe)
 	}
 	env.Advance(m.policy.Takeover)
+	// Every strategy recovers on a fresh schedule: the backup or the
+	// restarted process does not inherit the failed run's interleavings.
+	env.Sched().UnforceAll()
+	env.Reroll()
 
 	switch strat {
 	case StrategyProcessPairs:
-		// The backup runs on its own machine: interleavings land differently
-		// and any adversarial scheduling alignment from the failed run is
-		// gone.
-		env.Sched().UnforceAll()
-		env.Reroll()
 		return app.Restore(snapshot)
 	case StrategyProgressiveRetry:
 		// Wang93: deliberately reorder events at the failing point so the
 		// retry observes a *different* interleaving, and back off longer on
 		// each attempt so slow external conditions have time to heal.
-		env.Sched().UnforceAll()
-		env.Reroll()
 		env.Sched().Force(fe.Mechanism, attempt)
 		env.Advance(time.Duration(attempt) * m.policy.Takeover)
 		return app.Restore(snapshot)
 	case StrategyCleanRestart:
-		env.Sched().UnforceAll()
-		env.Reroll()
 		return app.Reset()
 	default:
 		return errors.New("recovery: unknown strategy")

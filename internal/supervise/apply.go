@@ -10,15 +10,13 @@ import (
 )
 
 // Action is one recovery action for Apply, the executor the supervisor's
-// ladder and every experiment sweep share. Callers differ only in the fields
-// they settle before the call.
+// ladder and every experiment sweep share.
 type Action struct {
-	// Rung is the action: RungRetry only perturbs the schedule,
-	// RungMicroreboot reboots the component Mechanism is attributed to,
-	// RungRestore reinstates Snapshot, RungRestart resets to pristine state.
+	// Rung is the action. A microreboot of a mechanism no component is
+	// attributed to restores Snapshot instead.
 	Rung Rung
-	// Mechanism is the failing fault mechanism: the key a component tree
-	// attributes, and the program point the retry's interleaving is forced at.
+	// Mechanism is the failing fault mechanism: the component tree's
+	// attribution key and the program point Attempt is forced at.
 	Mechanism string
 	// Attempt is the recovery attempt number, forced as the interleaving
 	// choice at Mechanism so successive retries run successive schedules.
@@ -27,29 +25,25 @@ type Action struct {
 	Widen bool
 	// Snapshot is the state a restore reinstates.
 	Snapshot []byte
-	// Fallback is the rung run instead of a microreboot that has no
-	// attributed component; RungRetry means no structural action.
-	Fallback Rung
 	// ResetOnFail makes a failed restore fall back to a pristine Reset. The
 	// restore's error is returned either way.
 	ResetOnFail bool
 }
 
 // Outage charges a recovery action's outage window. For a microreboot it
-// runs while the rebooting components are down and their siblings are up,
-// with the target's name and the tree's reboot cost (RebootCost, or
-// SubtreeCost when widened). An empty component means the whole process is
-// down: the hook runs between Stop and the reclaim of the process's
-// resources, with zero cost, because a process bounce is priced by the
-// caller's platform model rather than by the tree.
+// runs while the rebooting components are down and their siblings up, with
+// the target's name and the tree's reboot cost. An empty component means
+// the whole process is down: the hook runs between Stop and the reclaim of
+// the process's resources, with zero cost, because the caller prices a
+// process bounce itself.
 type Outage func(component string, cost time.Duration)
 
-// Apply performs one recovery action and returns the component a
-// microreboot targeted ("" for process-level actions) and the action's
-// error; outage, when non-nil, charges the window. Afterwards it perturbs
-// the schedule (Wang93): forced choices are cleared, the scheduler reseeded
-// and Attempt forced at Mechanism, so a retry never replays the
-// interleaving that just failed.
+// Apply performs one recovery action, charging its window to outage when
+// non-nil, and returns the component a microreboot targeted ("" for
+// process-level actions) and the action's error. It then perturbs the
+// schedule (Wang93) so a retry never replays the interleaving that just
+// failed: forced choices cleared, the scheduler reseeded and Attempt forced
+// at Mechanism.
 func Apply(app recovery.Application, a Action, outage Outage) (string, error) {
 	target, err := act(app, a, outage)
 	reroll(app.Env())
@@ -59,26 +53,22 @@ func Apply(app recovery.Application, a Action, outage Outage) (string, error) {
 
 // act performs the structural half of an Action.
 func act(app recovery.Application, a Action, outage Outage) (string, error) {
-	if a.Rung == RungMicroreboot {
-		// Crash-only: contain the crash to the tree and cycle the faulty
-		// component while siblings serve. No process stop, no reclaim, no
-		// restore.
-		if host, ok := app.(component.Host); ok {
-			if target, attributed := host.ComponentFor(a.Mechanism); attributed {
-				host.ContainCrash()
-				var window func(time.Duration)
-				if outage != nil {
-					window = func(cost time.Duration) { outage(target, cost) }
-				}
-				return target, host.Tree().Reboot(target, a.Widen, window)
+	if host, ok := app.(component.Host); ok && a.Rung == RungMicroreboot {
+		if target, attributed := host.ComponentFor(a.Mechanism); attributed {
+			// Crash-only: contain the crash and cycle the faulty component
+			// while siblings serve.
+			host.ContainCrash()
+			var window func(time.Duration)
+			if outage != nil {
+				window = func(cost time.Duration) { outage(target, cost) }
 			}
+			return target, host.Tree().Reboot(target, a.Widen, window)
 		}
-		a.Rung = a.Fallback
 	}
 	switch a.Rung {
 	case RungRetry:
 		return "", nil
-	case RungRestore:
+	case RungMicroreboot, RungRestore:
 		bounce(app, outage)
 		err := app.Restore(a.Snapshot)
 		if err != nil && a.ResetOnFail {
@@ -88,9 +78,8 @@ func act(app recovery.Application, a Action, outage Outage) (string, error) {
 	case RungRestart:
 		bounce(app, outage)
 		return "", app.Reset()
-	default:
-		return "", fmt.Errorf("supervise: no action for rung %s", a.Rung)
 	}
+	return "", fmt.Errorf("supervise: no action for rung %s", a.Rung)
 }
 
 // bounce stops the whole process, charges the outage, then reclaims every
@@ -103,13 +92,11 @@ func bounce(app recovery.Application, outage Outage) {
 	app.Env().ReclaimOwner(app.Name())
 }
 
-// Revive brings an application back up after an abandoned episode, so the
-// rest of the workload finds it serving. A running application with every
-// component up is left alone. With a nil snapshot a component tree is
-// revived in place: the crash is contained and the down components started.
-// Otherwise the process is stopped, its resources reclaimed and the
-// schedule reseeded, and snapshot restored, or the application reset when
-// that fails.
+// Revive brings an application back up after an abandoned episode. A
+// running application with every component up is left alone; a component
+// tree with a nil snapshot is revived in place. Otherwise the process is
+// bounced, the schedule reseeded and snapshot restored, or the application
+// reset when that fails.
 func Revive(app recovery.Application, snapshot []byte) error {
 	host, isHost := app.(component.Host)
 	if app.Running() && (!isHost || host.Tree().AllRunning()) {

@@ -1,21 +1,25 @@
 package supervise
 
 import (
+	"errors"
 	"fmt"
 	"testing"
 	"time"
 
 	"faultstudy/internal/component"
+	"faultstudy/internal/faultinject"
 	"faultstudy/internal/simenv"
 )
 
 // hostApp is a componentized Application over a real tree:
-// core <- (leaf, mid <- top). Mechanism hostMech is attributed to mid.
+// core <- (leaf, mid <- top). Mechanism hostMech is attributed to mid, whose
+// next midFails starts fail.
 type hostApp struct {
-	env     *simenv.Env
-	tree    *component.Tree
-	running bool
-	log     []string
+	env      *simenv.Env
+	tree     *component.Tree
+	running  bool
+	log      []string
+	midFails int
 }
 
 const hostMech = "host/mid-bug"
@@ -27,7 +31,13 @@ func newHostApp(t *testing.T) *hostApp {
 	for _, spec := range []component.Spec{
 		{Component: component.NewPart("core", component.Hooks{}), StartCost: 10 * time.Millisecond},
 		{Component: component.NewPart("leaf", component.Hooks{}), Deps: []string{"core"}, StartCost: 2 * time.Millisecond},
-		{Component: component.NewPart("mid", component.Hooks{}), Deps: []string{"core"}, StartCost: 3 * time.Millisecond},
+		{Component: component.NewPart("mid", component.Hooks{OnStart: func() error {
+			if a.midFails > 0 {
+				a.midFails--
+				return errors.New("mid: start failed")
+			}
+			return nil
+		}}), Deps: []string{"core"}, StartCost: 3 * time.Millisecond},
 		{Component: component.NewPart("top", component.Hooks{}), Deps: []string{"mid"}, StartCost: 4 * time.Millisecond},
 	} {
 		a.tree.MustAdd(spec)
@@ -81,7 +91,7 @@ func TestApplyContract(t *testing.T) {
 				}
 				t.Run(fmt.Sprintf("%s/attributed=%t/widen=%t", rung, attributed, widen), func(t *testing.T) {
 					checkApply(t, Action{Rung: rung, Mechanism: mech, Attempt: 2, Widen: widen,
-						Snapshot: []byte("pre-op"), Fallback: RungRestore})
+						Snapshot: []byte("pre-op")})
 				})
 			}
 		}
@@ -155,5 +165,41 @@ func checkApply(t *testing.T, a Action) {
 	}
 	if got := app.env.Sched().Describe(); got != "scheduler: 1 forced point(s)" {
 		t.Errorf("after Apply %s, want only the attempt forced", got)
+	}
+}
+
+// TestDegradedReviveBouncesPartialTree drives the supervisor into degraded
+// mode with a component down: the microreboot's restart of mid fails, the
+// ladder escalates, and the retry budget trips. The process is still
+// running, but Revive treats a component tree with a member down as not
+// serving, so it bounces the process and restores the pre-op checkpoint;
+// the shed write then finds every component up.
+func TestDegradedReviveBouncesPartialTree(t *testing.T) {
+	app := newHostApp(t)
+	app.midFails = 1
+	var shedAllUp []bool
+	sup := New(app, Config{Seed: 1, RetryBudget: 2, RungAttempts: 1, Trace: func(ev Event) {
+		if ev.Kind == EventShed {
+			shedAllUp = append(shedAllUp, app.running && app.tree.AllRunning())
+		}
+	}})
+	rep, err := sup.Run([]Op{{Name: "write", Kind: OpWrite, Do: func() error {
+		return &faultinject.FailureError{Mechanism: hostMech, Msg: "bug"}
+	}}})
+	if err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if rep.Escalations[RungMicroreboot] != 1 || rep.CrashLoopTrips != 1 || !rep.Degraded || rep.OpsShed != 1 {
+		t.Fatalf("want one microreboot, a budget trip and a shed write:\n%s", rep)
+	}
+	if app.midFails != 0 {
+		t.Fatal("the microreboot never restarted mid")
+	}
+	// Revive's bounce, then Run's closing Stop.
+	if want := "[stop restore snap stop]"; fmt.Sprint(app.log) != want {
+		t.Errorf("process log = %v, want %s", app.log, want)
+	}
+	if len(shedAllUp) != 1 || !shedAllUp[0] {
+		t.Errorf("shed with every component up = %v, want [true]", shedAllUp)
 	}
 }

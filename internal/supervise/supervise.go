@@ -347,16 +347,15 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 		s.clock.Sleep(delay)
 
 		target, err := s.applyRung(rung, preOp, mech, attempt, attemptAt, lastFE)
+		s.trace(Event{Kind: EventAction, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Component: target, Err: err})
 		if err != nil {
 			// The recovery action itself failed (e.g. restore ran into the
 			// same full disk): escalate immediately.
-			s.trace(Event{Kind: EventAction, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Component: target, Err: err})
 			s.escalateTo(op, mech, rung+1)
 			rung++
 			attemptAt = 0
 			continue
 		}
-		s.trace(Event{Kind: EventAction, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Component: target})
 		s.report.mech(mech).Retries++
 
 		retryErr := s.execute(op)
@@ -366,10 +365,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 			s.trace(Event{Kind: EventRetryOK, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt})
 			return opRecovered
 		}
-		newMech := s.classify(retryErr)
-		if newMech != mech {
-			mech = newMech
-		}
+		mech = s.classify(retryErr)
 		s.noteFailure(op, mech, rung, retryErr)
 		lastFE, _ = faultinject.AsFailure(retryErr)
 
@@ -417,20 +413,16 @@ func (s *Supervisor) degradeAndFinish(idx int, op Op, preOp []byte, mech string)
 	return opFailed
 }
 
-// applyRung applies one ladder rung's recovery action through Apply. The
-// first return value names the component a real microreboot targeted (""
-// for process-level actions). attemptAt is the attempt number within the
-// current rung: the microreboot rung reboots the attributed component alone
-// first and widens to its dependent subtree on the rung's later attempts.
-// A retry on a dead application restores the pre-op checkpoint instead, and
-// a microreboot with no attributed component falls back to that same
-// restore: the coarse reboot that preserves all logical state.
+// applyRung applies one ladder rung's recovery action through Apply and
+// names the component a microreboot targeted. attemptAt is the attempt
+// number within the current rung: the microreboot rung widens to the
+// dependent subtree after its first attempt. A retry on a dead application
+// restores the pre-op checkpoint instead.
 func (s *Supervisor) applyRung(rung Rung, preOp []byte, mech string, attempt, attemptAt int, fe *faultinject.FailureError) (string, error) {
 	if s.cfg.GrowResources && fe != nil {
 		recovery.GrowResources(s.app.Env(), fe)
 	}
-	a := Action{Rung: rung, Mechanism: mech, Attempt: attempt, Widen: attemptAt > 1,
-		Snapshot: preOp, Fallback: RungRestore}
+	a := Action{Rung: rung, Mechanism: mech, Attempt: attempt, Widen: attemptAt > 1, Snapshot: preOp}
 	switch {
 	case rung == RungRetry && !s.app.Running():
 		a.Rung = RungRestore
