@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"faultstudy/internal/faultinject"
-	"faultstudy/internal/simenv"
 )
 
 // healTTR is how long the transient environmental conditions staged by the
@@ -180,14 +179,4 @@ func Scenarios(srv *Server) map[string]faultinject.Scenario {
 		scenarios[key] = sc
 	}
 	return scenarios
-}
-
-// StageProcTablePressure pre-loads the process table so the proc-table
-// scenario fails quickly; exported for tests that want a fast trigger.
-func StageProcTablePressure(env *simenv.Env, slotsLeft int) {
-	for env.Procs().Limit()-env.Procs().InUse() > slotsLeft {
-		if _, err := env.Procs().Spawn("other-daemon"); err != nil {
-			return
-		}
-	}
 }

@@ -117,16 +117,6 @@ func (s serveIndexed) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	fmt.Fprint(w, page)
 }
 
-// paths returns the sorted page paths (for tests and index generation).
-func (s serveIndexed) paths() []string {
-	out := make([]string, 0, len(s))
-	for p := range s {
-		out = append(out, p)
-	}
-	sort.Strings(out)
-	return out
-}
-
 // faultsSorted returns the app's corpus faults ordered by filing date then ID
 // so generated artifact numbering is stable and chronological.
 func faultsSorted(faults []*corpus.Fault) []*corpus.Fault {

@@ -210,13 +210,6 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	}
 }
 
-// Requests returns the number of requests the injector has seen.
-func (in *Injector) Requests() int {
-	in.mu.Lock()
-	defer in.mu.Unlock()
-	return in.requests
-}
-
 // Injections returns a copy of the injection log, in firing order.
 func (in *Injector) Injections() []Injection {
 	in.mu.Lock()

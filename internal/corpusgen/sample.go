@@ -130,9 +130,6 @@ func New(spec *Spec, seed int64) *Corpus {
 // Spec returns the corpus spec.
 func (c *Corpus) Spec() *Spec { return c.spec }
 
-// Seed returns the root seed.
-func (c *Corpus) Seed() int64 { return c.seed }
-
 // Derived-seed stream layout: fault i draws from index i, episode j from
 // Faults+j, and the PR site's duplicate counts from Faults+Episodes onward —
 // disjoint streams off one root seed.

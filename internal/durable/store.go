@@ -235,11 +235,6 @@ func (s *Store) Delete(key string) error {
 	return s.Apply([]Op{{Kind: OpDelete, Key: key}})
 }
 
-// Clear removes every key.
-func (s *Store) Clear() error {
-	return s.Apply([]Op{{Kind: OpClear}})
-}
-
 // Get returns the value stored under key.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()

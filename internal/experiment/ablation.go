@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"fmt"
+	"sort"
 	"strings"
 	"time"
 
@@ -30,37 +31,51 @@ type RetryAblation struct {
 func RunRetryAblation(trials int, seed int64) (*RetryAblation, error) {
 	mgr := recovery.NewManager(recovery.Policy{MaxRetries: 1, Takeover: 45 * time.Second})
 	ab := &RetryAblation{Budget: 1}
-	for _, f := range corpus.All() {
-		if f.Class != taxonomy.ClassEnvDependentTransient {
-			continue
-		}
-		for trial := 0; trial < trials; trial++ {
-			trialSeed := seed + int64(trial)*1000
-			for _, strat := range []recovery.Strategy{recovery.StrategyProcessPairs, recovery.StrategyProgressiveRetry} {
-				app, sc, err := BuildScenario(f.Mechanism, trialSeed)
-				if err != nil {
-					return nil, err
-				}
-				out, err := mgr.Run(app, sc, strat)
-				if err != nil {
-					return nil, fmt.Errorf("experiment: retry ablation %s: %w", f.ID, err)
-				}
-				switch strat {
-				case recovery.StrategyProcessPairs:
-					ab.Plain.N++
-					if out.Survived {
-						ab.Plain.Hits++
-					}
-				case recovery.StrategyProgressiveRetry:
-					ab.Progressive.N++
-					if out.Survived {
-						ab.Progressive.Hits++
-					}
-				}
+	for trial := 0; trial < trials; trial++ {
+		trialSeed := seed + int64(trial)*1000
+		for _, arm := range []struct {
+			strat recovery.Strategy
+			p     *stats.Proportion
+		}{
+			{recovery.StrategyProcessPairs, &ab.Plain},
+			{recovery.StrategyProgressiveRetry, &ab.Progressive},
+		} {
+			p, _, err := survival(mgr, arm.strat, taxonomy.ClassEnvDependentTransient, trialSeed)
+			if err != nil {
+				return nil, fmt.Errorf("experiment: retry ablation: %w", err)
 			}
+			arm.p.Hits += p.Hits
+			arm.p.N += p.N
 		}
 	}
 	return ab, nil
+}
+
+// survival runs every corpus fault of one class under strat, each in a fresh
+// application seeded with seed, and returns the survival rate and the IDs of
+// the faults that survived, in corpus order.
+func survival(mgr *recovery.Manager, strat recovery.Strategy, class taxonomy.FaultClass, seed int64) (stats.Proportion, []string, error) {
+	var p stats.Proportion
+	var survivors []string
+	for _, f := range corpus.All() {
+		if f.Class != class {
+			continue
+		}
+		app, sc, err := BuildScenario(f.Mechanism, seed)
+		if err != nil {
+			return p, nil, err
+		}
+		out, err := mgr.Run(app, sc, strat)
+		if err != nil {
+			return p, nil, fmt.Errorf("%s under %s: %w", f.ID, strat, err)
+		}
+		p.N++
+		if out.Survived {
+			p.Hits++
+			survivors = append(survivors, f.ID)
+		}
+	}
+	return p, survivors, nil
 }
 
 // String renders the comparison.
@@ -135,11 +150,7 @@ func (a *RejuvenationAblation) String() string {
 	for k := range a.Intervals {
 		keys = append(keys, k)
 	}
-	for i := 1; i < len(keys); i++ {
-		for j := i; j > 0 && keys[j] < keys[j-1]; j-- {
-			keys[j], keys[j-1] = keys[j-1], keys[j]
-		}
-	}
+	sort.Ints(keys)
 	for _, k := range keys {
 		label := fmt.Sprint(k)
 		if k <= 0 {
@@ -211,32 +222,14 @@ type ReclaimAblation struct {
 // with reclamation on and off.
 func RunReclaimAblation(seed int64) (*ReclaimAblation, error) {
 	ab := &ReclaimAblation{}
-	for _, withReclaim := range []bool{true, false} {
-		mgr := recovery.NewManager(recovery.Policy{SkipReclaim: !withReclaim})
-		for _, f := range corpus.All() {
-			if f.Class != taxonomy.ClassEnvDependentTransient {
-				continue
-			}
-			app, sc, err := BuildScenario(f.Mechanism, seed)
-			if err != nil {
-				return nil, err
-			}
-			out, err := mgr.Run(app, sc, recovery.StrategyProcessPairs)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: reclaim ablation %s: %w", f.ID, err)
-			}
-			if withReclaim {
-				ab.WithReclaim.N++
-				if out.Survived {
-					ab.WithReclaim.Hits++
-				}
-			} else {
-				ab.WithoutReclaim.N++
-				if out.Survived {
-					ab.WithoutReclaim.Hits++
-				}
-			}
-		}
+	var err error
+	with := recovery.NewManager(recovery.Policy{})
+	if ab.WithReclaim, _, err = survival(with, recovery.StrategyProcessPairs, taxonomy.ClassEnvDependentTransient, seed); err != nil {
+		return nil, fmt.Errorf("experiment: reclaim ablation: %w", err)
+	}
+	without := recovery.NewManager(recovery.Policy{SkipReclaim: true})
+	if ab.WithoutReclaim, _, err = survival(without, recovery.StrategyProcessPairs, taxonomy.ClassEnvDependentTransient, seed); err != nil {
+		return nil, fmt.Errorf("experiment: reclaim ablation: %w", err)
 	}
 	return ab, nil
 }
@@ -256,7 +249,7 @@ type MitigationAblation struct {
 	Plain stats.Proportion
 	// Governed is EDN survival with the resource governor enabled.
 	Governed stats.Proportion
-	// Rescued lists the fault IDs the governor saved.
+	// Rescued lists the fault IDs that survived with the governor enabled.
 	Rescued []string
 }
 
@@ -264,33 +257,14 @@ type MitigationAblation struct {
 // pairs, with the governor off and on.
 func RunMitigationAblation(seed int64) (*MitigationAblation, error) {
 	ab := &MitigationAblation{}
-	for _, governed := range []bool{false, true} {
-		mgr := recovery.NewManager(recovery.Policy{GrowResources: governed})
-		for _, f := range corpus.All() {
-			if f.Class != taxonomy.ClassEnvDependentNonTransient {
-				continue
-			}
-			app, sc, err := BuildScenario(f.Mechanism, seed)
-			if err != nil {
-				return nil, err
-			}
-			out, err := mgr.Run(app, sc, recovery.StrategyProcessPairs)
-			if err != nil {
-				return nil, fmt.Errorf("experiment: mitigation ablation %s: %w", f.ID, err)
-			}
-			if governed {
-				ab.Governed.N++
-				if out.Survived {
-					ab.Governed.Hits++
-					ab.Rescued = append(ab.Rescued, f.ID)
-				}
-			} else {
-				ab.Plain.N++
-				if out.Survived {
-					ab.Plain.Hits++
-				}
-			}
-		}
+	var err error
+	plain := recovery.NewManager(recovery.Policy{})
+	if ab.Plain, _, err = survival(plain, recovery.StrategyProcessPairs, taxonomy.ClassEnvDependentNonTransient, seed); err != nil {
+		return nil, fmt.Errorf("experiment: mitigation ablation: %w", err)
+	}
+	governed := recovery.NewManager(recovery.Policy{GrowResources: true})
+	if ab.Governed, ab.Rescued, err = survival(governed, recovery.StrategyProcessPairs, taxonomy.ClassEnvDependentNonTransient, seed); err != nil {
+		return nil, fmt.Errorf("experiment: mitigation ablation: %w", err)
 	}
 	return ab, nil
 }

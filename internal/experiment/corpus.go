@@ -221,9 +221,8 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 		res := classify.New(classifyDefaults()).Classify(f.Report())
 		out := faultOut{agree: res.Class == f.Class}
 		seed := parallel.Derive(cfg.Seed, corpusLadderSalt+uint64(i))
-		verdict, err := runCorpusLadder(cfg.Supervise, tel, obsv.Context{
-			App: f.App.String(), FaultID: f.ID, Class: f.Class.Short(),
-		}, seed, f.Mechanism, "", "", 0)
+		verdict, err := runLadder(cfg.Supervise, tel, obsv.Context{FaultID: f.ID, Class: f.Class.Short()},
+			seed, f.Mechanism, "", "", 0)
 		if err != nil {
 			return out, fmt.Errorf("experiment: corpus fault %s (%s): %w", f.ID, f.Mechanism, err)
 		}
@@ -245,9 +244,8 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 		e := episodes[j]
 		pf := faults[e.Primary]
 		seed := parallel.Derive(cfg.Seed, corpusEpisodeSalt+uint64(j))
-		verdict, err := runCorpusLadder(cfg.Supervise, tel, obsv.Context{
-			App: pf.App.String(), FaultID: fmt.Sprintf("gen/ep-%05d", j), Class: pf.Class.Short(),
-		}, seed, pf.Mechanism, e.Secondary, e.Overlap, e.Gap)
+		verdict, err := runLadder(cfg.Supervise, tel, obsv.Context{FaultID: fmt.Sprintf("gen/ep-%05d", j), Class: pf.Class.Short()},
+			seed, pf.Mechanism, e.Secondary, e.Overlap, e.Gap)
 		if err != nil {
 			return VerdictNone, fmt.Errorf("experiment: corpus episode %d (%s + %s): %w", j, pf.Mechanism, e.Secondary, err)
 		}
@@ -267,7 +265,7 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	bouts, err := runArms(cfg.Workers, len(curated), nil, func(i int, _ *Telemetry) (SupervisorVerdict, error) {
 		f := curated[i]
 		seed := parallel.Derive(cfg.Seed, corpusBaselineSalt+uint64(i))
-		verdict, err := runCorpusLadder(cfg.Supervise, nil, obsv.Context{}, seed, f.Mechanism, "", "", 0)
+		verdict, err := runLadder(cfg.Supervise, nil, obsv.Context{}, seed, f.Mechanism, "", "", 0)
 		if err != nil {
 			return VerdictNone, fmt.Errorf("experiment: corpus baseline %s: %w", f.ID, err)
 		}
@@ -398,25 +396,25 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	return rep, nil
 }
 
-// runCorpusLadder runs one generated fault — or, with a secondary mechanism,
-// one two-fault episode — through the supervised escalation ladder, exactly
-// as the matrix's supervised column runs the curated corpus: build, start,
-// stage, supervise, flush, grade.
-func runCorpusLadder(sup supervise.Config, tel *Telemetry, ctx obsv.Context, seed int64,
+// runLadder runs one fault — or, with a secondary mechanism, one two-fault
+// episode — through the supervised escalation ladder: build, start, stage,
+// supervise, flush, grade. The matrix's supervised column and every CORPUS
+// phase run through it. A run is observed under ctx, its App set to the
+// mechanism's application.
+func runLadder(sup supervise.Config, tel *Telemetry, ctx obsv.Context, seed int64,
 	primary, secondary, overlap string, gap time.Duration) (SupervisorVerdict, error) {
-	app, stage, ops, err := buildCorpusRun(primary, secondary, overlap, gap, seed)
+	e, app, stage, ops, err := buildCorpusRun(primary, secondary, overlap, gap, seed)
 	if err != nil {
 		return VerdictNone, err
 	}
+	// Start before staging, like the bare-strategy runs: the staged
+	// environmental condition hits a running application.
 	if err := app.Start(); err != nil {
 		return VerdictNone, fmt.Errorf("start: %w", err)
 	}
 	stage()
-	runCfg := sup
-	var obs *obsv.Observer
-	if tel != nil {
-		runCfg, obs = tel.superviseConfig(sup, ctx)
-	}
+	ctx.App = e.app.String()
+	runCfg, obs := tel.superviseConfig(sup, ctx)
 	repo, err := supervise.New(app, runCfg).Run(ops)
 	if err != nil {
 		return VerdictNone, err
@@ -431,7 +429,7 @@ func runCorpusLadder(sup supervise.Config, tel *Telemetry, ctx obsv.Context, see
 // episodes stage both conditions after start and interleave the trigger ops;
 // cascade episodes stage and trigger the secondary only after the gap has
 // passed mid-stream.
-func buildCorpusRun(primary, secondary, overlap string, gap time.Duration, seed int64) (recovery.Application, func(), []supervise.Op, error) {
+func buildCorpusRun(primary, secondary, overlap string, gap time.Duration, seed int64) (*appEntry, recovery.Application, func(), []supervise.Op, error) {
 	stageOf := func(sc faultinject.Scenario) func() {
 		if sc.Stage == nil {
 			return func() {}
@@ -441,18 +439,18 @@ func buildCorpusRun(primary, secondary, overlap string, gap time.Duration, seed 
 	if secondary == "" {
 		e, app, sc, err := buildScenario(primary, seed)
 		if err != nil {
-			return nil, nil, nil, err
+			return nil, nil, nil, nil, err
 		}
-		return app, stageOf(sc), wrapScenarioOps(e.opKind, sc.Ops), nil
+		return e, app, stageOf(sc), wrapScenarioOps(e.opKind, sc.Ops), nil
 	}
 	e, app, scA, scB, err := buildDuet(primary, secondary, seed)
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, nil, nil, err
 	}
 	switch overlap {
 	case "concurrent":
 		stage := func() { stageOf(scA)(); stageOf(scB)() }
-		return app, stage, wrapScenarioOps(e.opKind, interleaveOps(scA.Ops, scB.Ops)), nil
+		return e, app, stage, wrapScenarioOps(e.opKind, interleaveOps(scA.Ops, scB.Ops)), nil
 	default: // cascade
 		env := app.Env()
 		bridge := faultinject.Op{Name: "episode-gap", Do: func() error {
@@ -464,7 +462,7 @@ func buildCorpusRun(primary, secondary, overlap string, gap time.Duration, seed 
 		ops = append(ops, scA.Ops...)
 		ops = append(ops, bridge)
 		ops = append(ops, scB.Ops...)
-		return app, stageOf(scA), wrapScenarioOps(e.opKind, ops), nil
+		return e, app, stageOf(scA), wrapScenarioOps(e.opKind, ops), nil
 	}
 }
 

@@ -144,7 +144,7 @@ func (a DurableArm) MTTR() time.Duration {
 type DurableReport struct {
 	// Seed is the experiment's root seed.
 	Seed int64
-	// Arms holds every fault-condition cell, in durableArmNames order.
+	// Arms holds every fault-condition cell, in durableArms order.
 	Arms []DurableArm
 	// Halted is true when HaltAfter stopped the sweep early; the report then
 	// carries no arms and gates nothing — resume to finish.
@@ -153,22 +153,25 @@ type DurableReport struct {
 	Done, Total int
 }
 
-// durableArmNames is the fixed arm axis, in report order.
-func durableArmNames() []string {
-	return []string{
-		"none",
-		"crash-drop",
-		"crash-tear",
-		"disk-full",
-		"fd-exhaustion",
-		"file-limit",
-		"short-write",
-		"sync-fail",
-		"torn-write",
-		"crash-before-rename",
-		"app-sqldb-restore",
-		"app-cache-reboot",
-	}
+// durableArms is the fixed arm axis, in report order: each arm's name and
+// its run func, a pure function of (name, seed) sharing no state with other
+// arms.
+var durableArms = []struct {
+	name string
+	run  func(name string, seed int64) (DurableArm, error)
+}{
+	{"none", runDurableBaselineArm},
+	{"crash-drop", func(name string, seed int64) (DurableArm, error) { return runDurableCrashArm(name, seed, 0) }},
+	{"crash-tear", func(name string, seed int64) (DurableArm, error) { return runDurableCrashArm(name, seed, 3) }},
+	{"disk-full", runDurableDiskFullArm},
+	{"fd-exhaustion", runDurableFDArm},
+	{"file-limit", runDurableFileLimitArm},
+	{"short-write", func(name string, seed int64) (DurableArm, error) { return runDurableWriteFaultArm(name, seed, "short") }},
+	{"sync-fail", func(name string, seed int64) (DurableArm, error) { return runDurableWriteFaultArm(name, seed, "sync") }},
+	{"torn-write", runDurableTornArm},
+	{"crash-before-rename", runDurableRenameArm},
+	{"app-sqldb-restore", runDurableSQLArm},
+	{"app-cache-reboot", runDurableCacheArm},
 }
 
 // durableArmKey is an arm's record key in the warehouse.
@@ -192,7 +195,6 @@ func durableArmKey(idx int, name string) string {
 // worker count, and identical whether the sweep ran uninterrupted or was
 // killed and resumed from the warehouse.
 func RunDurable(cfg DurableConfig) (*DurableReport, error) {
-	names := durableArmNames()
 	var wh *warehouse.Warehouse
 	if cfg.Warehouse != "" {
 		if !cfg.Resume {
@@ -209,66 +211,72 @@ func RunDurable(cfg DurableConfig) (*DurableReport, error) {
 		}
 		defer wh.Close()
 	}
-	done := make(map[int]DurableArm)
-	if wh != nil && cfg.Resume {
-		for i, name := range names {
-			raw, ok := wh.Get(durableArmKey(i, name))
-			if !ok {
+	// Preload the warehoused arms; the rest are missing. Halting, resuming
+	// and a full run all run the missing arms through the one path below.
+	arms := make([]DurableArm, len(durableArms))
+	var missing []int
+	for i, a := range durableArms {
+		if wh != nil && cfg.Resume {
+			if raw, ok := wh.Get(durableArmKey(i, a.name)); ok {
+				if err := json.Unmarshal(raw, &arms[i]); err != nil {
+					return nil, fmt.Errorf("experiment: durable: warehouse arm %s: %w", a.name, err)
+				}
 				continue
 			}
-			var arm DurableArm
-			if err := json.Unmarshal(raw, &arm); err != nil {
-				return nil, fmt.Errorf("experiment: durable: warehouse arm %s: %w", name, err)
-			}
-			done[i] = arm
 		}
+		missing = append(missing, i)
 	}
-	finish := func(i int) (DurableArm, error) {
-		arm, err := runDurableArm(names[i], parallel.Derive(cfg.Seed, uint64(i)))
-		if err != nil {
+	preloaded := len(durableArms) - len(missing)
+	workers := cfg.Workers
+	if cfg.HaltAfter > 0 {
+		if len(missing) > cfg.HaltAfter {
+			missing = missing[:cfg.HaltAfter]
+		}
+		workers = 1
+	}
+	// Arm k of the run records itself only after arm k-1 has, so the
+	// warehouse file holds arms in arm order at every worker count.
+	// parallel.ForEach hands shards out in index order, so the wait never
+	// deadlocks; the deferred close releases the successor even when an arm
+	// fails or panics.
+	var turns []chan struct{}
+	if wh != nil {
+		turns = make([]chan struct{}, len(missing)+1)
+		for k := range turns {
+			turns[k] = make(chan struct{})
+		}
+		close(turns[0])
+	}
+	ran, err := runArms(workers, len(missing), nil, func(k int, _ *Telemetry) (DurableArm, error) {
+		i := missing[k]
+		if wh != nil {
+			defer func() { <-turns[k]; close(turns[k+1]) }()
+		}
+		arm, err := durableArms[i].run(durableArms[i].name, parallel.Derive(cfg.Seed, uint64(i)))
+		if err != nil || wh == nil {
 			return arm, err
 		}
-		if wh != nil {
-			raw, err := json.Marshal(arm)
-			if err != nil {
-				return arm, fmt.Errorf("experiment: durable: encode arm %s: %w", arm.Name, err)
-			}
-			if err := wh.Put(durableArmKey(i, arm.Name), raw); err != nil {
-				return arm, fmt.Errorf("experiment: durable: %w", err)
-			}
+		raw, err := json.Marshal(arm)
+		if err != nil {
+			return arm, fmt.Errorf("experiment: durable: encode arm %s: %w", arm.Name, err)
+		}
+		<-turns[k]
+		if err := wh.Put(durableArmKey(i, arm.Name), raw); err != nil {
+			return arm, fmt.Errorf("experiment: durable: %w", err)
 		}
 		return arm, nil
-	}
-	if cfg.HaltAfter > 0 {
-		ran := 0
-		for i := range names {
-			if _, ok := done[i]; ok {
-				continue
-			}
-			if ran == cfg.HaltAfter {
-				break
-			}
-			arm, err := finish(i)
-			if err != nil {
-				return nil, err
-			}
-			done[i] = arm
-			ran++
-		}
-		return &DurableReport{Seed: cfg.Seed, Halted: true, Done: len(done), Total: len(names)}, nil
-	}
-	arms, err := runArms(cfg.Workers, len(names), nil, func(i int, _ *Telemetry) (DurableArm, error) {
-		if arm, ok := done[i]; ok {
-			return arm, nil
-		}
-		return finish(i)
 	})
 	if err != nil {
 		return nil, err
 	}
-	rep := &DurableReport{Seed: cfg.Seed, Arms: arms}
+	for k, i := range missing {
+		arms[i] = ran[k]
+	}
+	if cfg.HaltAfter > 0 {
+		return &DurableReport{Seed: cfg.Seed, Halted: true, Done: preloaded + len(missing), Total: len(durableArms)}, nil
+	}
 	deriveDurableTelemetry(cfg.Telemetry, arms)
-	return rep, nil
+	return &DurableReport{Seed: cfg.Seed, Arms: arms}, nil
 }
 
 // deriveDurableTelemetry replays the finished arm records into the
@@ -372,37 +380,25 @@ func durableStateEqual(st *durable.Store, want map[string][]byte) bool {
 	return true
 }
 
-// runDurableArm dispatches one arm by name. Everything it does is a pure
-// function of (name, seed); it shares no state with other arms.
-func runDurableArm(name string, seed int64) (DurableArm, error) {
-	switch name {
-	case "none":
-		return runDurableBaselineArm(name, seed)
-	case "crash-drop":
-		return runDurableCrashArm(name, seed, 0)
-	case "crash-tear":
-		return runDurableCrashArm(name, seed, 3)
-	case "disk-full":
-		return runDurableDiskFullArm(name, seed)
-	case "fd-exhaustion":
-		return runDurableFDArm(name, seed)
-	case "file-limit":
-		return runDurableFileLimitArm(name, seed)
-	case "short-write":
-		return runDurableWriteFaultArm(name, seed, "short")
-	case "sync-fail":
-		return runDurableWriteFaultArm(name, seed, "sync")
-	case "torn-write":
-		return runDurableTornArm(name, seed)
-	case "crash-before-rename":
-		return runDurableRenameArm(name, seed)
-	case "app-sqldb-restore":
-		return runDurableSQLArm(name, seed)
-	case "app-cache-reboot":
-		return runDurableCacheArm(name, seed)
-	default:
-		return DurableArm{Name: name}, fmt.Errorf("experiment: durable: unknown arm %q", name)
+// applyAll applies batches in order until one fails, returning how many
+// were acknowledged and the failure.
+func applyAll(st *durable.Store, batches [][]durable.Op) (acked int, err error) {
+	for _, b := range batches {
+		if err := st.Apply(b); err != nil {
+			return acked, err
+		}
+		acked++
 	}
+	return acked, nil
+}
+
+// detect opens an episode at the environment's current time, charges the
+// failure-detection latency, and counts the episode on the arm.
+func (a *DurableArm) detect(env *simenv.Env, op, note string) DurableEpisode {
+	ep := DurableEpisode{Op: op, Note: note, Start: env.Monotonic()}
+	env.Advance(durableDetect)
+	a.Episodes++
+	return ep
 }
 
 // endEpisode closes ep at the environment's current time and files it on the
@@ -438,13 +434,10 @@ func (a *DurableArm) finishWorkload(ep DurableEpisode, env *simenv.Env, st *dura
 // any in-flight record the crash may have preserved).
 func verifyReopen(arm *DurableArm, env *simenv.Env, old *durable.Store, opts durable.Options,
 	batches [][]durable.Op, acked int, maxSeq uint64, op, note string) {
-	start := env.Monotonic()
-	env.Advance(durableDetect)
+	ep := arm.detect(env, op, note)
 	env.Disk().ClearCrash()
 	old.Close()
 	env.Advance(durableRestart)
-	ep := DurableEpisode{Op: op, Note: note, Start: start}
-	arm.Episodes++
 	arm.Acked += acked
 	st, info, err := durable.Open(env, durableOwner, durableDir, opts)
 	if err != nil {
@@ -509,10 +502,8 @@ func runDurableBaselineArm(name string, seed int64) (DurableArm, error) {
 	if err != nil {
 		return arm, err
 	}
-	for _, b := range batches {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable baseline: %w", err)
-		}
+	if _, err := applyAll(st, batches); err != nil {
+		return arm, fmt.Errorf("experiment: durable baseline: %w", err)
 	}
 	verifyReopen(&arm, env, st, opts, batches, len(batches), uint64(len(batches)),
 		"clean-reopen", "clean close and reopen")
@@ -533,10 +524,8 @@ func runDurableCrashArm(name string, seed int64, keepTail int64) (DurableArm, er
 	if err != nil {
 		return arm, err
 	}
-	for _, b := range batches {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable crash dry run: %w", err)
-		}
+	if _, err := applyAll(st, batches); err != nil {
+		return arm, fmt.Errorf("experiment: durable crash dry run: %w", err)
 	}
 	st.Close()
 	arm.Boundaries = int(dry.Disk().WriteOps())
@@ -547,15 +536,7 @@ func runDurableCrashArm(name string, seed int64, keepTail int64) (DurableArm, er
 			return arm, err
 		}
 		env.Disk().ScheduleCrash(b, keepTail)
-		acked := 0
-		var crashErr error
-		for _, batch := range batches {
-			if err := st.Apply(batch); err != nil {
-				crashErr = err
-				break
-			}
-			acked++
-		}
+		acked, crashErr := applyAll(st, batches)
 		if crashErr == nil {
 			// The crash landed inside a post-acknowledgement checkpoint step
 			// of the final record; the workload finished but the disk is
@@ -587,10 +568,8 @@ func runDurableDiskFullArm(name string, seed int64) (DurableArm, error) {
 	}
 	defer st.Close()
 	half := len(batches) / 2
-	for _, b := range batches[:half] {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable disk-full: %w", err)
-		}
+	if _, err := applyAll(st, batches[:half]); err != nil {
+		return arm, fmt.Errorf("experiment: durable disk-full: %w", err)
 	}
 	// The margin is smaller than any WAL record, so the next append
 	// genuinely hits the full partition.
@@ -601,18 +580,13 @@ func runDurableDiskFullArm(name string, seed int64) (DurableArm, error) {
 	if !errors.Is(ferr, simenv.ErrDiskFull) {
 		return arm, fmt.Errorf("experiment: durable disk-full: want ErrDiskFull, got %v", ferr)
 	}
-	start := env.Monotonic()
-	env.Advance(durableDetect)
+	ep := arm.detect(env, "append-enospc", ferr.Error())
 	env.Disk().RemoveOwner("other-tenant")
-	ep := DurableEpisode{Op: "append-enospc", Note: ferr.Error(), Start: start}
-	arm.Episodes++
-	for _, b := range batches[half:] {
-		if err := st.Apply(b); err != nil {
-			arm.endEpisode(ep, env, false)
-			arm.Acked += len(batches)
-			arm.Recovered += half
-			return arm, nil
-		}
+	if _, err := applyAll(st, batches[half:]); err != nil {
+		arm.endEpisode(ep, env, false)
+		arm.Acked += len(batches)
+		arm.Recovered += half
+		return arm, nil
 	}
 	arm.finishWorkload(ep, env, st, batches, true)
 	return arm, nil
@@ -634,22 +608,17 @@ func runDurableFDArm(name string, seed int64) (DurableArm, error) {
 	if !errors.Is(ferr, simenv.ErrFDExhausted) {
 		return arm, fmt.Errorf("experiment: durable fd: want ErrFDExhausted, got %v", ferr)
 	}
-	start := env.Monotonic()
-	env.Advance(durableDetect)
+	ep := arm.detect(env, "open-emfile", ferr.Error())
 	env.FDs().ReleaseOwner("competitor")
-	ep := DurableEpisode{Op: "open-emfile", Note: ferr.Error(), Start: start}
-	arm.Episodes++
 	st, _, err := durable.Open(env, durableOwner, durableDir, durable.Options{})
 	if err != nil {
 		arm.endEpisode(ep, env, false)
 		return arm, nil
 	}
 	defer st.Close()
-	for _, b := range batches {
-		if err := st.Apply(b); err != nil {
-			arm.endEpisode(ep, env, false)
-			return arm, nil
-		}
+	if _, err := applyAll(st, batches); err != nil {
+		arm.endEpisode(ep, env, false)
+		return arm, nil
 	}
 	arm.finishWorkload(ep, env, st, batches, true)
 	return arm, nil
@@ -667,22 +636,11 @@ func runDurableFileLimitArm(name string, seed int64) (DurableArm, error) {
 		return arm, err
 	}
 	defer st.Close()
-	applied := 0
-	var ferr error
-	for _, b := range batches {
-		if err := st.Apply(b); err != nil {
-			ferr = err
-			break
-		}
-		applied++
-	}
+	applied, ferr := applyAll(st, batches)
 	if !errors.Is(ferr, simenv.ErrFileTooLarge) {
 		return arm, fmt.Errorf("experiment: durable file-limit: want ErrFileTooLarge, got %v", ferr)
 	}
-	start := env.Monotonic()
-	env.Advance(durableDetect)
-	ep := DurableEpisode{Op: "append-efbig", Note: ferr.Error(), Start: start}
-	arm.Episodes++
+	ep := arm.detect(env, "append-efbig", ferr.Error())
 	// The rewrite: checkpoint the state and truncate the log, then resume —
 	// compacting again whenever the tight limit bites (the same condition
 	// recurs under a cap this small; recovery is the compaction, not a
@@ -722,10 +680,8 @@ func runDurableWriteFaultArm(name string, seed int64, kind string) (DurableArm, 
 	}
 	defer st.Close()
 	half := len(batches) / 2
-	for _, b := range batches[:half] {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable %s: %w", name, err)
-		}
+	if _, err := applyAll(st, batches[:half]); err != nil {
+		return arm, fmt.Errorf("experiment: durable %s: %w", name, err)
 	}
 	want := simenv.ErrShortWrite
 	if kind == "sync" {
@@ -738,19 +694,10 @@ func runDurableWriteFaultArm(name string, seed int64, kind string) (DurableArm, 
 	if !errors.Is(ferr, want) {
 		return arm, fmt.Errorf("experiment: durable %s: want %v, got %v", name, want, ferr)
 	}
-	start := env.Monotonic()
-	env.Advance(durableDetect)
-	ep := DurableEpisode{Op: "append-" + kind, Note: ferr.Error(), Start: start}
-	arm.Episodes++
-	ok := true
-	for _, b := range batches[half:] {
-		if err := st.Apply(b); err != nil {
-			ok = false
-			break
-		}
-	}
+	ep := arm.detect(env, "append-"+kind, ferr.Error())
+	_, err = applyAll(st, batches[half:])
 	arm.Repairs += int(st.Stats().Repairs)
-	arm.finishWorkload(ep, env, st, batches, ok)
+	arm.finishWorkload(ep, env, st, batches, err == nil)
 	return arm, nil
 }
 
@@ -769,10 +716,8 @@ func runDurableTornArm(name string, seed int64) (DurableArm, error) {
 		return arm, err
 	}
 	last := len(batches) - 1
-	for _, b := range batches[:last] {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable torn: %w", err)
-		}
+	if _, err := applyAll(st, batches[:last]); err != nil {
+		return arm, fmt.Errorf("experiment: durable torn: %w", err)
 	}
 	env.Disk().ArmTornWrite(2)
 	if err := st.Apply(batches[last]); err != nil {
@@ -798,18 +743,14 @@ func runDurableRenameArm(name string, seed int64) (DurableArm, error) {
 		return arm, err
 	}
 	half := len(batches) / 2
-	for _, b := range batches[:half] {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable rename: %w", err)
-		}
+	if _, err := applyAll(st, batches[:half]); err != nil {
+		return arm, fmt.Errorf("experiment: durable rename: %w", err)
 	}
 	if err := st.Checkpoint(); err != nil {
 		return arm, fmt.Errorf("experiment: durable rename: baseline checkpoint: %w", err)
 	}
-	for _, b := range batches[half:] {
-		if err := st.Apply(b); err != nil {
-			return arm, fmt.Errorf("experiment: durable rename: %w", err)
-		}
+	if _, err := applyAll(st, batches[half:]); err != nil {
+		return arm, fmt.Errorf("experiment: durable rename: %w", err)
 	}
 	env.Disk().ArmCrashBeforeRename()
 	cerr := st.Checkpoint()
@@ -854,12 +795,9 @@ func runDurableSQLArm(name string, seed int64) (DurableArm, error) {
 			return arm, err
 		}
 	}
-	start := env.Monotonic()
-	env.Advance(durableDetect)
+	ep := arm.detect(env, "restore-rollback", "process replaced; restoring the pre-fault snapshot")
 	srv.Stop()
 	env.Advance(durableRestart)
-	ep := DurableEpisode{Op: "restore-rollback", Note: "process replaced; restoring the pre-fault snapshot", Start: start}
-	arm.Episodes++
 	arm.Acked += 3 // the snapshot's rows are the acknowledged state to recover
 	if err := srv.Restore(snap); err != nil {
 		arm.endEpisode(ep, env, false)

@@ -2,6 +2,7 @@ package experiment
 
 import (
 	"bytes"
+	"fmt"
 	"os"
 	"path/filepath"
 	"testing"
@@ -39,8 +40,8 @@ func TestRunDurableGate(t *testing.T) {
 	if err := rep.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
-	if len(rep.Arms) != len(durableArmNames()) {
-		t.Fatalf("got %d arms, want %d", len(rep.Arms), len(durableArmNames()))
+	if len(rep.Arms) != len(durableArms) {
+		t.Fatalf("got %d arms, want %d", len(rep.Arms), len(durableArms))
 	}
 	byName := make(map[string]DurableArm)
 	for _, a := range rep.Arms {
@@ -105,7 +106,7 @@ func TestRunDurableResumeEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatalf("halted run: %v", err)
 	}
-	if !rep.Halted || rep.Done != 4 || rep.Total != len(durableArmNames()) {
+	if !rep.Halted || rep.Done != 4 || rep.Total != len(durableArms) {
 		t.Fatalf("halted run: got halted=%v done=%d total=%d", rep.Halted, rep.Done, rep.Total)
 	}
 	if err := rep.Check(); err != nil {
@@ -153,5 +154,44 @@ func TestRunDurableFreshWarehouseResets(t *testing.T) {
 	}
 	if after.Size() >= before.Size() {
 		t.Fatalf("fresh run did not reset the warehouse: %d -> %d bytes", before.Size(), after.Size())
+	}
+}
+
+// TestRunDurableWarehouseIdentity asserts the warehouse file is inside the
+// determinism contract: arms are recorded in arm order, so the file's bytes
+// are identical at every worker count and after a halt-then-resume.
+func TestRunDurableWarehouseIdentity(t *testing.T) {
+	dir := t.TempDir()
+	warehouseBytes := func(path string) []byte {
+		t.Helper()
+		raw, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return raw
+	}
+	base := filepath.Join(dir, "w1.whs")
+	if _, err := RunDurable(DurableConfig{Seed: 7, Workers: 1, Warehouse: base}); err != nil {
+		t.Fatalf("RunDurable: %v", err)
+	}
+	want := warehouseBytes(base)
+	for _, workers := range []int{2, 8} {
+		path := filepath.Join(dir, fmt.Sprintf("w%d.whs", workers))
+		if _, err := RunDurable(DurableConfig{Seed: 7, Workers: workers, Warehouse: path}); err != nil {
+			t.Fatalf("RunDurable at %d workers: %v", workers, err)
+		}
+		if !bytes.Equal(warehouseBytes(path), want) {
+			t.Fatalf("warehouse differs at %d workers", workers)
+		}
+	}
+	resumed := filepath.Join(dir, "resumed.whs")
+	if _, err := RunDurable(DurableConfig{Seed: 7, Workers: 2, Warehouse: resumed, HaltAfter: 4}); err != nil {
+		t.Fatalf("halted run: %v", err)
+	}
+	if _, err := RunDurable(DurableConfig{Seed: 7, Workers: 8, Warehouse: resumed, Resume: true}); err != nil {
+		t.Fatalf("resumed run: %v", err)
+	}
+	if !bytes.Equal(warehouseBytes(resumed), want) {
+		t.Fatalf("warehouse differs after halt-then-resume")
 	}
 }

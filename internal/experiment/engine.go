@@ -106,29 +106,11 @@ func RunMatrixWorkers(policy recovery.Policy, seed int64, workers int) (*Matrix,
 func (m *Matrix) AddSupervisedWorkers(seed int64, cfg supervise.Config, t *Telemetry, workers int) error {
 	verdicts, err := runArms(workers, len(m.PerFault), t, func(i int, tel *Telemetry) (SupervisorVerdict, error) {
 		fo := m.PerFault[i]
-		e, app, sc, err := buildScenario(fo.Mechanism, seed)
+		v, err := runLadder(cfg, tel, obsv.Context{FaultID: fo.FaultID, Class: fo.Class.Short()}, seed, fo.Mechanism, "", "", 0)
 		if err != nil {
 			return VerdictNone, fmt.Errorf("experiment: supervised %s: %w", fo.FaultID, err)
 		}
-		// Start before staging, like the bare-strategy runs: the staged
-		// environmental condition hits a running application.
-		if err := app.Start(); err != nil {
-			return VerdictNone, fmt.Errorf("experiment: supervised %s: start: %w", fo.FaultID, err)
-		}
-		if sc.Stage != nil {
-			sc.Stage()
-		}
-		runCfg, obs := tel.superviseConfig(cfg, obsv.Context{
-			App:     e.app.String(),
-			FaultID: fo.FaultID,
-			Class:   fo.Class.Short(),
-		})
-		rep, err := supervise.New(app, runCfg).Run(wrapScenarioOps(e.opKind, sc.Ops))
-		if err != nil {
-			return VerdictNone, fmt.Errorf("experiment: supervised %s: %w", fo.FaultID, err)
-		}
-		obs.Flush(app.Env().Monotonic())
-		return verdictOf(rep), nil
+		return v, nil
 	})
 	if err != nil {
 		return err

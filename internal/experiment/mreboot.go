@@ -36,28 +36,32 @@ const (
 // the pre-failure state, and rollback to the run-start checkpoint.
 func MRebootPolicies() []string { return []string{"microreboot", "restart", "rollback"} }
 
-// The sweep's virtual-time model. The asymmetry between rebootCost (per
-// component, simulated milliseconds charged by the tree) and
-// mrebootProcRestart (simulated seconds) is the experiment's subject: a
-// crash-only component cycles in the time a process takes to even exit.
+// The componentized sweeps' virtual-time model: MREBOOT, SCOPE and SERVE
+// share the arrival spacing, detection latency, process-restart cost and
+// attempt bound, because they are properties of the platform, not of the
+// experiment asking the question. The asymmetry between rebootCost (per
+// component, simulated milliseconds charged by the tree) and procRestart
+// (simulated seconds) is MREBOOT's subject: a crash-only component cycles in
+// the time a process takes to even exit.
 const (
-	// mrebootInterval is the arrival spacing of the concurrent workload; every
-	// outage window loses (or, under microreboot, re-routes) window/interval
-	// arrivals. It is tighter than the cheapest component reboot so even leaf
-	// reboots see in-flight traffic.
-	mrebootInterval = 2 * time.Millisecond
-	// mrebootDetect is the failure-detection latency charged to every episode
+	// arrivalInterval is the arrival spacing of the MREBOOT and SCOPE
+	// background workload; every outage window loses (or, under microreboot,
+	// re-routes) window/interval arrivals. It is tighter than the cheapest
+	// component reboot so even leaf reboots see in-flight traffic.
+	arrivalInterval = 2 * time.Millisecond
+	// detectLatency is the failure-detection latency charged to every episode
 	// under every policy: the time between the fault firing and the recovery
 	// mechanism engaging, during which nothing serves.
-	mrebootDetect = 100 * time.Millisecond
-	// mrebootProcRestart is the cost of bouncing the whole process: exit,
-	// exec, reinitialize, restore. Both the restart and rollback policies pay
-	// it on every attempt.
-	mrebootProcRestart = 2 * time.Second
-	// mrebootAttempts bounds recovery attempts per episode; the microreboot
-	// policy widens from the attributed component to its dependent subtree on
-	// the second attempt, mirroring the supervisor's rung.
-	mrebootAttempts = 2
+	detectLatency = 100 * time.Millisecond
+	// procRestart is the cost of bouncing the whole process: exit, exec,
+	// reinitialize, restore. Every rung that bounces the process pays it on
+	// every attempt.
+	procRestart = 2 * time.Second
+	// recoveryAttempts bounds recovery attempts per episode; MREBOOT's
+	// microreboot policy widens from the attributed component to its
+	// dependent subtree on the second attempt, mirroring the supervisor's
+	// rung.
+	recoveryAttempts = 2
 	// mrebootBgOps is the background workload length per arm; the scenario's
 	// trigger ops are spliced in at evenly spaced positions.
 	mrebootBgOps = 60
@@ -280,7 +284,7 @@ func runMRebootArm(cfg MRebootConfig, armIdx int, mech faultinject.Mechanism, po
 	}
 
 	for _, a := range spliceArrivals(drv, sc.Ops, mrebootBgOps) {
-		run.env.Advance(mrebootInterval)
+		run.env.Advance(arrivalInterval)
 		preOp, err := app.Snapshot()
 		if err != nil {
 			return arm, fmt.Errorf("experiment: mreboot %s × %s: pre-op checkpoint: %w", mech.Key, policy, err)
@@ -309,7 +313,7 @@ func runMRebootArm(cfg MRebootConfig, armIdx int, mech faultinject.Mechanism, po
 // arrivals also count toward the goodput-dip denominator (recovery windows;
 // detection windows hit every policy alike and are excluded).
 func (r *mrebootRun) lostWindow(window time.Duration, outage bool) {
-	k := int(window / mrebootInterval)
+	k := int(window / arrivalInterval)
 	r.arm.Requests += k
 	r.arm.Lost += k
 	if outage {
@@ -318,7 +322,7 @@ func (r *mrebootRun) lostWindow(window time.Duration, outage bool) {
 }
 
 // episode recovers one failed arrival with the arm's policy: detection
-// window, then up to mrebootAttempts (recovery action, outage window, retry)
+// window, then up to recoveryAttempts (recovery action, outage window, retry)
 // rounds, then abandonment.
 func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 	arm := r.arm
@@ -329,10 +333,10 @@ func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 
 	// Detection: between the fault firing and recovery engaging nothing
 	// serves, under every policy alike.
-	r.env.Advance(mrebootDetect)
-	r.lostWindow(mrebootDetect, false)
+	r.env.Advance(detectLatency)
+	r.lostWindow(detectLatency, false)
 
-	recovered := recoverAttempts(r.rec, r.env, r.policy, mrebootAttempts, func(attempt int) string {
+	recovered := recoverAttempts(r.rec, r.env, r.policy, recoveryAttempts, func(attempt int) string {
 		act := r.action
 		act.Attempt, act.Widen, act.Snapshot = attempt, attempt > 1, preOp
 		if r.policy == "rollback" {
@@ -371,17 +375,17 @@ func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 }
 
 // outage charges one recovery window. A process bounce costs
-// mrebootProcRestart, during which every arrival is lost. The arrivals that
+// procRestart, during which every arrival is lost. The arrivals that
 // land inside a component reboot are driven through the partially down
 // tree: those routed through a dead component fail fast and are lost, those
 // through live siblings still serve.
 func (r *mrebootRun) outage(target string, cost time.Duration) {
 	if target == "" {
-		r.env.Advance(mrebootProcRestart)
-		r.lostWindow(mrebootProcRestart, true)
+		r.env.Advance(procRestart)
+		r.lostWindow(procRestart, true)
 		return
 	}
-	k := int(cost / mrebootInterval)
+	k := int(cost / arrivalInterval)
 	for i := 0; i < k; i++ {
 		r.arm.Requests++
 		r.arm.OutageArrivals++
@@ -509,7 +513,7 @@ func mrebootMTTRCell(d time.Duration) string {
 func (r *MRebootReport) String() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "MREBOOT sweep (seed %d, %d arms, %s arrivals):\n",
-		r.Seed, len(r.Arms), mrebootInterval)
+		r.Seed, len(r.Arms), arrivalInterval)
 	tbl := &stats.Table{Header: []string{
 		"class", "policy", "episodes", "recovered", "requests", "lost", "outage-served", "mttr"}}
 	for _, class := range taxonomy.Classes() {

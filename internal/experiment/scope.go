@@ -31,18 +31,10 @@ const (
 	MetricScopeProbeEpisodes = "faultstudy_scope_probe_episodes_total"
 )
 
-// The SCOPE probe's workload model, mirroring MREBOOT's virtual clock.
-const (
-	// scopeInterval is the arrival spacing of the probe workload.
-	scopeInterval = mrebootInterval
-	// scopeBgOps is the background workload length per probe arm.
-	scopeBgOps = 40
-	// scopeAttempts bounds recovery attempts per fault episode; after the
-	// last the trigger is abandoned and the rung's action is applied once
-	// more so the arm ends rung-faithfully revived (or not — that is the
-	// measurement).
-	scopeAttempts = 2
-)
+// scopeBgOps is the background workload length per probe arm; arrivals are
+// spaced and recovery attempts bounded as in MREBOOT (arrivalInterval,
+// recoveryAttempts).
+const scopeBgOps = 40
 
 // CI gate thresholds: the static class prediction must agree with the
 // registry on at least scopeClassRecallFloor of the mechanisms, and on
@@ -302,7 +294,7 @@ func runScopeArm(cfg ScopeConfig, armIdx int, mech faultinject.Mechanism, rung r
 	}
 
 	for _, a := range spliceArrivals(drv, sc.Ops, scopeBgOps) {
-		app.Env().Advance(scopeInterval)
+		app.Env().Advance(arrivalInterval)
 		preOp, err := app.Snapshot()
 		if err != nil {
 			return arm, fmt.Errorf("experiment: scope %s × %s: checkpoint: %w", mech.Key, rung, err)
@@ -329,7 +321,7 @@ func runScopeArm(cfg ScopeConfig, armIdx int, mech faultinject.Mechanism, rung r
 }
 
 // episode recovers one faulted arrival at exactly the arm's rung: up to
-// scopeAttempts (rung action, retry) rounds, then one final rung action so
+// recoveryAttempts (rung action, retry) rounds, then one final rung action so
 // abandonment still leaves whatever revival the rung can buy. Every episode
 // is recorded with the static plan stamped on it (Recorder is nil-safe).
 func (r *scopeRun) episode(a mrebootArrival, preOp []byte, opErr error) bool {
@@ -339,7 +331,7 @@ func (r *scopeRun) episode(a mrebootArrival, preOp []byte, opErr error) bool {
 	start := env.Monotonic()
 	r.rec.Begin(start, a.name, r.mech.Key)
 	r.rec.Note(start, obsv.Span{Kind: obsv.SpanActivation, Note: opErr.Error()})
-	if attempt := recoverAttempts(r.rec, env, rung, scopeAttempts, func(attempt int) string {
+	if attempt := recoverAttempts(r.rec, env, rung, recoveryAttempts, func(attempt int) string {
 		return r.apply(attempt, preOp)
 	}, a.do); attempt > 0 {
 		end := env.Monotonic()
@@ -349,10 +341,10 @@ func (r *scopeRun) episode(a mrebootArrival, preOp []byte, opErr error) bool {
 		r.rec.End(end, obsv.OutcomeRecovered, rung)
 		return true
 	}
-	target := r.apply(scopeAttempts+1, preOp)
+	target := r.apply(recoveryAttempts+1, preOp)
 	end := env.Monotonic()
 	r.rec.Note(end, obsv.Span{Kind: obsv.SpanAction, Rung: rung,
-		Attempt: scopeAttempts + 1, Outcome: "ok", Component: target})
+		Attempt: recoveryAttempts + 1, Outcome: "ok", Component: target})
 	r.rec.End(end, obsv.OutcomeLost, rung)
 	return false
 }

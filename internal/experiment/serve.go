@@ -41,18 +41,10 @@ const (
 	MetricServeSLOBurn = "faultstudy_serve_slo_burn"
 )
 
-// The serving tier's virtual-time model, shared with the MREBOOT sweep where
-// the quantities coincide: detection and process restart are properties of
-// the platform, not of the experiment asking the question.
+// The serving tier's own model. Detection latency, process-restart cost and
+// the attempt bound are the platform's, shared with MREBOOT (detectLatency,
+// procRestart, recoveryAttempts).
 const (
-	// serveDetect is the failure-detection latency charged to every episode:
-	// arrivals inside it find nothing serving and are lost.
-	serveDetect = 100 * time.Millisecond
-	// serveProcRestart is the cost of bouncing the whole process; the
-	// retry-on-a-dead-process, restore, and restart rungs all pay it.
-	serveProcRestart = 2 * time.Second
-	// serveAttempts bounds recovery attempts per episode at the arm's rung.
-	serveAttempts = 2
 	// serveBreakerLimit caps recovery episodes per arm: after this many, the
 	// arm sheds further fault failures as plain errors instead of walking the
 	// ladder again — the supervisor's circuit breaker, keeping an
@@ -499,7 +491,7 @@ func categoryFor(app serveApp, arr traffic.Arrival) string {
 }
 
 // episode recovers one fault failure at the arm's rung while traffic keeps
-// arriving: a detection window (arrivals lost), then up to serveAttempts
+// arriving: a detection window (arrivals lost), then up to recoveryAttempts
 // (recovery action, retry) rounds. Reports whether the failing op was
 // eventually served.
 func (r *serveRun) episode(name string, faultErr error, retry func() error) bool {
@@ -511,10 +503,10 @@ func (r *serveRun) episode(name string, faultErr error, retry func() error) bool
 
 	// Detection: between the fault firing and recovery engaging, nothing
 	// serves, under every rung alike.
-	r.env.Advance(serveDetect)
+	r.env.Advance(detectLatency)
 	r.drainLost(r.env.Monotonic(), "detection window")
 
-	recovered := recoverAttempts(r.rec, r.env, r.rung, serveAttempts, r.apply, retry) > 0
+	recovered := recoverAttempts(r.rec, r.env, r.rung, recoveryAttempts, r.apply, retry) > 0
 	end, outcome := r.env.Monotonic(), obsv.OutcomeLost
 	if recovered {
 		outcome = obsv.OutcomeRecovered
@@ -557,14 +549,14 @@ func (r *serveRun) apply(attempt int) string {
 }
 
 // outage charges one recovery window. A process bounce costs
-// serveProcRestart, during which every arrival is lost. The arrivals
+// procRestart, during which every arrival is lost. The arrivals
 // scheduled inside a component reboot are served through the partially
 // down tree: those routed through the dead component are refused fast,
 // those through live siblings still serve — the goodput a microreboot
 // preserves and a process restart forfeits.
 func (r *serveRun) outage(target string, cost time.Duration) {
 	if target == "" {
-		r.env.Advance(serveProcRestart)
+		r.env.Advance(procRestart)
 		r.drainLost(r.env.Monotonic(), "process restart")
 		return
 	}
@@ -618,6 +610,8 @@ func (r *ServeReport) cell(class taxonomy.FaultClass, rung string) ServeArm {
 		if a.Class == class && a.Rung == rung {
 			c.Requests += a.Requests
 			c.Good += a.Good
+			c.Refused += a.Refused
+			c.Lost += a.Lost
 			c.OutageArrivals += a.OutageArrivals
 			c.OutageServed += a.OutageServed
 			c.Recovered += a.Recovered
@@ -632,19 +626,6 @@ func (r *ServeReport) cell(class taxonomy.FaultClass, rung string) ServeArm {
 func (r *ServeReport) BurnBy(class taxonomy.FaultClass, rung string) float64 {
 	c := r.cell(class, rung)
 	return r.SLO.Burn(c.Requests-c.Good, c.Requests)
-}
-
-// GoodputBy aggregates served-during-reboot over reboot-window arrivals for
-// one class × rung.
-func (r *ServeReport) GoodputBy(class taxonomy.FaultClass, rung string) stats.Proportion {
-	c := r.cell(class, rung)
-	return stats.Proportion{Hits: c.OutageServed, N: c.OutageArrivals}
-}
-
-// MTTRBy is the mean time to repair across one class's recovered episodes
-// at one rung (0 when nothing recovered).
-func (r *ServeReport) MTTRBy(class taxonomy.FaultClass, rung string) time.Duration {
-	return r.cell(class, rung).MTTR()
 }
 
 // WriteRequestLog writes every arm's request records as one JSONL stream in
@@ -679,14 +660,6 @@ func (r *ServeReport) Check() error {
 	return nil
 }
 
-// serveMTTRCell renders a mean repair time ("-" when nothing recovered).
-func serveMTTRCell(d time.Duration) string {
-	if d == 0 {
-		return "-"
-	}
-	return fmt.Sprintf("%.3fs", d.Seconds())
-}
-
 // String renders the class × rung aggregate and the headline.
 func (r *ServeReport) String() string {
 	var b strings.Builder
@@ -697,25 +670,16 @@ func (r *ServeReport) String() string {
 		"class", "rung", "requests", "good", "refused", "lost", "burn", "reboot-served", "mttr"}}
 	for _, class := range taxonomy.Classes() {
 		for _, rung := range ServeRungs() {
-			good, refused, lost, req := 0, 0, 0, 0
-			for _, a := range r.Arms {
-				if a.Class != class || a.Rung != rung {
-					continue
-				}
-				good += a.Good
-				refused += a.Refused
-				lost += a.Lost
-				req += a.Requests
-			}
-			if req == 0 {
+			c := r.cell(class, rung)
+			if c.Requests == 0 {
 				continue
 			}
-			gp := r.GoodputBy(class, rung)
+			gp := stats.Proportion{Hits: c.OutageServed, N: c.OutageArrivals}
 			tbl.Add(class.Short(), rung,
-				fmt.Sprint(req), fmt.Sprint(good), fmt.Sprint(refused), fmt.Sprint(lost),
-				fmt.Sprintf("%.1fx", r.BurnBy(class, rung)),
+				fmt.Sprint(c.Requests), fmt.Sprint(c.Good), fmt.Sprint(c.Refused), fmt.Sprint(c.Lost),
+				fmt.Sprintf("%.1fx", r.SLO.Burn(c.Requests-c.Good, c.Requests)),
 				fmt.Sprintf("%d/%d (%s)", gp.Hits, gp.N, gp.Percent()),
-				serveMTTRCell(r.MTTRBy(class, rung)))
+				mrebootMTTRCell(c.MTTR()))
 		}
 	}
 	b.WriteString(tbl.String())

@@ -41,7 +41,6 @@ package faultlint
 
 import (
 	"fmt"
-	"go/ast"
 	"go/token"
 
 	"faultstudy/internal/taxonomy"
@@ -159,13 +158,6 @@ func (p *Pass) ReportSite(pos token.Pos, class taxonomy.FaultClass, mechanisms [
 		Mechanisms: mechanisms,
 		Advisory:   p.Analyzer.Advisory,
 	})
-}
-
-// Inspect walks every file of the package in source order.
-func (p *Pass) Inspect(fn func(ast.Node) bool) {
-	for _, f := range p.Pkg.Files {
-		ast.Inspect(f, fn)
-	}
 }
 
 // Result is the outcome of running analyzers over a set of packages.

@@ -173,29 +173,6 @@ func withStack(f *ast.File, fn func(n ast.Node, stack []ast.Node) bool) {
 	})
 }
 
-// enclosingFunc returns the innermost function declaration or literal in the
-// stack.
-func enclosingFunc(stack []ast.Node) ast.Node {
-	for i := len(stack) - 1; i >= 0; i-- {
-		switch stack[i].(type) {
-		case *ast.FuncDecl, *ast.FuncLit:
-			return stack[i]
-		}
-	}
-	return nil
-}
-
-// funcBody returns the body of a FuncDecl or FuncLit node.
-func funcBody(n ast.Node) *ast.BlockStmt {
-	switch fn := n.(type) {
-	case *ast.FuncDecl:
-		return fn.Body
-	case *ast.FuncLit:
-		return fn.Body
-	}
-	return nil
-}
-
 // identNamed reports whether the expression is (or ends in) an identifier
 // with the given name.
 func identNamed(expr ast.Expr, name string) bool {
