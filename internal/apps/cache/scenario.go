@@ -13,21 +13,22 @@ import (
 // strategy which waits between retries observes the healed environment.
 const healTTR = 90 * time.Second
 
-// Scenarios returns the executable reproduction of each seeded cache-daemon
-// bug: the staged environmental precondition and the workload that triggers
-// it. The ops close over srv, so a recovery manager that restores srv's
-// state can re-execute the failing op directly.
-func Scenarios(srv *Server) map[string]faultinject.Scenario {
+// Scenario returns the executable reproduction of the seeded cache-daemon bug
+// named by key: the staged environmental precondition and the workload that
+// triggers it. It reports false for a key with no scenario. The ops close
+// over srv, so a recovery manager that restores srv's state can re-execute
+// the failing op directly.
+func Scenario(srv *Server, key string) (faultinject.Scenario, bool) {
 	env := srv.Env()
-	get := func(key string) faultinject.Op {
-		return faultinject.Op{Name: "GET " + key, Do: func() error {
-			_, err := srv.Get(key)
+	get := func(k string) faultinject.Op {
+		return faultinject.Op{Name: "GET " + k, Do: func() error {
+			_, err := srv.Get(k)
 			return err
 		}}
 	}
-	set := func(key, value string) faultinject.Op {
-		return faultinject.Op{Name: "SET " + key, Do: func() error {
-			return srv.Set(key, value)
+	set := func(k, value string) faultinject.Op {
+		return faultinject.Op{Name: "SET " + k, Do: func() error {
+			return srv.Set(k, value)
 		}}
 	}
 	setN := func(prefix string, n int) []faultinject.Op {
@@ -53,77 +54,89 @@ func Scenarios(srv *Server) map[string]faultinject.Scenario {
 	}}
 	flush := faultinject.Op{Name: "FLUSH", Do: func() error { return srv.Flush() }}
 
-	scenarios := map[string]faultinject.Scenario{
-		MechEmptyKeyDeref: {
+	var sc faultinject.Scenario
+	switch key {
+	case MechEmptyKeyDeref:
+		sc = faultinject.Scenario{
 			Description: "a client sends a get with an empty key",
 			Ops:         []faultinject.Op{set("a", "1"), get("")},
-		},
-		MechEvictOffByOne: {
+		}
+	case MechEvictOffByOne:
+		sc = faultinject.Scenario{
 			Description: "a store at exactly the LRU capacity forces an eviction",
 			Ops:         setN("fill", srv.cfg.Capacity+1),
-		},
-		MechTTLParseLoop: {
+		}
+	case MechTTLParseLoop:
+		sc = faultinject.Scenario{
 			Description: "a store carries a negative TTL in its value",
 			Ops:         []faultinject.Op{set("k", "payload ttl=-1")},
-		},
-		MechStatsDivZero: {
+		}
+	case MechStatsDivZero:
+		sc = faultinject.Scenario{
 			Description: "stats are requested before the first lookup",
 			Ops:         []faultinject.Op{stats},
-		},
-		MechBigValueBounds: {
+		}
+	case MechBigValueBounds:
+		sc = faultinject.Scenario{
 			Description: "a client stores a value larger than the slab size",
 			Ops:         []faultinject.Op{set("big", strings.Repeat("x", maxValueBytes+1))},
-		},
-		MechFlushDoubleFree: {
+		}
+	case MechFlushDoubleFree:
+		sc = faultinject.Scenario{
 			Description: "an operator script flushes twice in a row",
 			Ops:         []faultinject.Op{flush, flush},
-		},
-		MechWrongHitCount: {
+		}
+	case MechWrongHitCount:
+		sc = faultinject.Scenario{
 			Description: "stats are read after normal traffic",
 			Ops:         []faultinject.Op{set("a", "1"), get("a"), stats},
-		},
-		MechAOFDiskFull: {
+		}
+	case MechAOFDiskFull:
+		sc = faultinject.Scenario{
 			Description: "another tenant fills the persistence partition",
 			// The margin must be smaller than the smallest log record the
 			// triggering SET can append (29 bytes for SET k v), so the
 			// append genuinely hits the full partition.
 			Stage: func() { _ = env.Disk().FillFrom("other-tenant", 16) }, //faultlint:ignore envcheck staging the hostile environment is the point
 			Ops:   []faultinject.Op{set("k", "v")},
-		},
-		MechConnFDLeak: {
+		}
+	case MechConnFDLeak:
+		sc = faultinject.Scenario{
 			Description: "leaked connection descriptors fill the table",
 			Stage:       func() { env.FDs().SetLimit(40) },
 			Ops:         getN("motd", 60),
-		},
-		MechShadowCopyLeak: {
+		}
+	case MechShadowCopyLeak:
+		sc = faultinject.Scenario{
 			Description: "sustained store traffic leaks shadow copies",
 			Ops:         setN("load", shadowCopyCap+5),
-		},
-		MechPeerDNSFlap: {
+		}
+	case MechPeerDNSFlap:
+		sc = faultinject.Scenario{
 			Description: "the resolver starts failing replication-peer lookups",
 			Stage: func() {
 				env.DNS().AddHost(peerHost, "10.9.9.9")
 				env.DNS().Fail(healTTR)
 			},
 			Ops: []faultinject.Op{get("missing-key")},
-		},
-		MechExpiryRace: {
+		}
+	case MechExpiryRace:
+		sc = faultinject.Scenario{
 			Description: "a delete lands inside the expiry sweep's window",
 			Stage:       func() { env.Sched().Force(MechExpiryRace, 0) },
 			Ops: []faultinject.Op{set("doomed", "v"), {Name: "DEL doomed", Do: func() error {
 				return srv.Del("doomed")
 			}}},
-		},
-		MechSlowReplFlush: {
+		}
+	case MechSlowReplFlush:
+		sc = faultinject.Scenario{
 			Description: "the replication uplink saturates",
 			Stage:       func() { env.Net().SlowFor(healTTR) },
 			Ops:         []faultinject.Op{set("k", "v"), get("k")},
-		},
+		}
+	default:
+		return faultinject.Scenario{}, false
 	}
-
-	for key, sc := range scenarios {
-		sc.Mechanism = key
-		scenarios[key] = sc
-	}
-	return scenarios
+	sc.Mechanism = key
+	return sc, true
 }

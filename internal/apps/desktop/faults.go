@@ -1,6 +1,8 @@
 package desktop
 
 import (
+	"strings"
+
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/taxonomy"
 )
@@ -61,8 +63,9 @@ func RegisterMechanisms(r *faultinject.Registry) {
 	}
 }
 
-// Scenarios returns the executable reproduction of each seeded GNOME bug.
-func Scenarios(d *Desktop) map[string]faultinject.Scenario {
+// Scenario returns the executable reproduction of the seeded GNOME bug named
+// by key, or false for a key with no scenario.
+func Scenario(d *Desktop, key string) (faultinject.Scenario, bool) {
 	env := d.Env()
 	ev := func(widget, action, arg string) faultinject.Op {
 		name := widget + "." + action
@@ -74,42 +77,50 @@ func Scenarios(d *Desktop) map[string]faultinject.Scenario {
 		}}
 	}
 
-	scenarios := map[string]faultinject.Scenario{
-		MechTasklistTab: {
+	var sc faultinject.Scenario
+	switch key {
+	case MechTasklistTab:
+		sc = faultinject.Scenario{
 			Description: "the user opens pager settings and clicks the tasklist tab",
 			Ops:         []faultinject.Op{ev("panel", "click-tasklist-tab", "")},
-		},
-		MechCalendarPrev: {
+		}
+	case MechCalendarPrev:
+		sc = faultinject.Scenario{
 			Description: "the user switches to year view and clicks prev",
 			Ops: []faultinject.Op{
 				ev("calendar", "view-year", ""),
 				ev("calendar", "prev", ""),
 			},
-		},
-		MechGnumericTab: {
+		}
+	case MechGnumericTab:
+		sc = faultinject.Scenario{
 			Description: "the user presses Tab in the define-name dialog",
 			Ops: []faultinject.Op{
 				ev("gnumeric", "open-define-name", ""),
 				ev("gnumeric", "press-tab", ""),
 			},
-		},
-		MechGmcTarGz: {
+		}
+	case MechGmcTarGz:
+		sc = faultinject.Scenario{
 			Description: "the user double-clicks a tar.gz icon on the desktop",
 			Ops:         []faultinject.Op{ev("gmc", "open", "backup.tar.gz")},
-		},
-		MechMenuFreeze: {
+		}
+	case MechMenuFreeze:
+		sc = faultinject.Scenario{
 			Description: "the user opens the main menu and clicks the desktop",
 			Ops: []faultinject.Op{
 				ev("panel", "open-main-menu", ""),
 				ev("panel", "click-desktop", ""),
 			},
-		},
-		MechHostnameChange: {
+		}
+	case MechHostnameChange:
+		sc = faultinject.Scenario{
 			Description: "the hostname changes while the session runs",
 			Stage:       func() { env.SetHostname("renamed-host") },
 			Ops:         []faultinject.Op{ev("session", "noop", "")},
-		},
-		MechSoundSocketLeak: {
+		}
+	case MechSoundSocketLeak:
+		sc = faultinject.Scenario{
 			Description: "event sounds leak sockets until descriptors run out",
 			Stage:       func() { env.FDs().SetLimit(20) },
 			Ops: func() []faultinject.Op {
@@ -119,44 +130,44 @@ func Scenarios(d *Desktop) map[string]faultinject.Scenario {
 				}
 				return ops
 			}(),
-		},
-		MechIllegalOwner: {
+		}
+	case MechIllegalOwner:
+		sc = faultinject.Scenario{
 			Description: "a file's owner field holds an illegal value",
 			Stage: func() {
 				_ = env.Disk().Append("/home/user/broken.txt", "user", 10) //faultlint:ignore envcheck staging the corrupt file is the point
 				_ = env.Disk().SetIllegalOwner("/home/user/broken.txt", true)
 			},
 			Ops: []faultinject.Op{ev("gmc", "properties", "/home/user/broken.txt")},
-		},
-		MechUnknownTransient: {
+		}
+	case MechUnknownTransient:
+		sc = faultinject.Scenario{
 			Description: "an unexplained failure that works on retry",
 			Stage:       func() { env.Sched().Force(MechUnknownTransient, 0) },
 			Ops:         []faultinject.Op{ev("session", "mystery-op", "")},
-		},
-		MechViewerRace: {
+		}
+	case MechViewerRace:
+		sc = faultinject.Scenario{
 			Description: "the viewer and property editor open the same file together",
 			Stage:       func() { env.Sched().Force(MechViewerRace, 0) },
 			Ops:         []faultinject.Op{ev("gmc", "view-and-edit-properties", "photo.png")},
-		},
-		MechAppletRace: {
+		}
+	case MechAppletRace:
+		sc = faultinject.Scenario{
 			Description: "an applet is removed at the moment it is asked to act",
 			Stage:       func() { env.Sched().Force(MechAppletRace, 0) },
 			Ops:         []faultinject.Op{ev("panel", "applet-action-during-removal", "clock")},
-		},
-	}
-
-	for _, defect := range []string{"stale-widget", "bad-init", "event-loop-stall",
-		"config-truncate", "off-by-one", "type-mismatch", "double-free"} {
-		key := "desktop/" + defect
-		scenarios[key] = faultinject.Scenario{
+		}
+	case MechStaleWidget, MechBadInit, MechEventLoopStall, MechConfigTruncate,
+		MechOffByOne, MechTypeMismatch, MechDoubleFree:
+		defect := strings.TrimPrefix(key, "desktop/")
+		sc = faultinject.Scenario{
 			Description: "an interaction exercises the " + defect + " defect path",
 			Ops:         []faultinject.Op{ev("bug", defect, "")},
 		}
+	default:
+		return faultinject.Scenario{}, false
 	}
-
-	for key, sc := range scenarios {
-		sc.Mechanism = key
-		scenarios[key] = sc
-	}
-	return scenarios
+	sc.Mechanism = key
+	return sc, true
 }

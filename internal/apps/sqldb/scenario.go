@@ -2,12 +2,14 @@ package sqldb
 
 import (
 	"fmt"
+	"strings"
 
 	"faultstudy/internal/faultinject"
 )
 
-// Scenarios returns the executable reproduction of each seeded MySQL bug.
-func Scenarios(srv *Server) map[string]faultinject.Scenario {
+// Scenario returns the executable reproduction of the seeded MySQL bug named
+// by key, or false for a key with no scenario.
+func Scenario(srv *Server, key string) (faultinject.Scenario, bool) {
 	env := srv.Env()
 	q := func(sql string) faultinject.Op {
 		return faultinject.Op{Name: sql, Do: func() error {
@@ -26,36 +28,43 @@ func Scenarios(srv *Server) map[string]faultinject.Scenario {
 		return ops
 	}
 
-	scenarios := map[string]faultinject.Scenario{
-		MechIndexUpdateScan: {
+	var sc faultinject.Scenario
+	switch key {
+	case MechIndexUpdateScan:
+		sc = faultinject.Scenario{
 			Description: "an UPDATE moves indexed keys to values found later in the scan",
 			Ops: append(seedTable(5),
 				q("UPDATE t SET k = k + 1")),
-		},
-		MechOrderByEmpty: {
+		}
+	case MechOrderByEmpty:
+		sc = faultinject.Scenario{
 			Description: "a SELECT matching zero records carries an ORDER BY",
 			Ops: append(seedTable(3),
 				q("SELECT * FROM t WHERE k > 100 ORDER BY name")),
-		},
-		MechCountEmpty: {
+		}
+	case MechCountEmpty:
+		sc = faultinject.Scenario{
 			Description: "COUNT runs against a freshly created empty table",
 			Ops: []faultinject.Op{
 				q("CREATE TABLE empty_t (c INT)"),
 				q("SELECT COUNT(c) FROM empty_t"),
 			},
-		},
-		MechOptimizeCrash: {
+		}
+	case MechOptimizeCrash:
+		sc = faultinject.Scenario{
 			Description: "OPTIMIZE TABLE rebuilds a table",
 			Ops: append(seedTable(3),
 				q("OPTIMIZE TABLE t")),
-		},
-		MechFlushAfterLock: {
+		}
+	case MechFlushAfterLock:
+		sc = faultinject.Scenario{
 			Description: "FLUSH TABLES is issued while LOCK TABLES is held",
 			Ops: append(seedTable(2),
 				q("LOCK TABLES t READ"),
 				q("FLUSH TABLES")),
-		},
-		MechFDCompetition: {
+		}
+	case MechFDCompetition:
+		sc = faultinject.Scenario{
 			Description: "a co-hosted web server consumes nearly every descriptor",
 			Stage: func() {
 				for env.FDs().Limit()-env.FDs().InUse() > 0 {
@@ -65,8 +74,9 @@ func Scenarios(srv *Server) map[string]faultinject.Scenario {
 				}
 			},
 			Ops: []faultinject.Op{q("CREATE TABLE t2 (c INT)")},
-		},
-		MechNoReverseDNS: {
+		}
+	case MechNoReverseDNS:
+		sc = faultinject.Scenario{
 			Description: "a client connects from an address with no PTR record",
 			Stage: func() {
 				env.DNS().AddHostNoReverse("client.remote.example", "10.7.7.7")
@@ -75,8 +85,9 @@ func Scenarios(srv *Server) map[string]faultinject.Scenario {
 				_, err := srv.Connect("10.7.7.7")
 				return err
 			}}},
-		},
-		MechDBFileLimit: {
+		}
+	case MechDBFileLimit:
+		sc = faultinject.Scenario{
 			Description: "the table datafile reaches the maximum allowed file size",
 			Stage: func() {
 				_ = env.Disk().SetCapacity(1 << 30)
@@ -89,8 +100,9 @@ func Scenarios(srv *Server) map[string]faultinject.Scenario {
 				}},
 			},
 				q("INSERT INTO big VALUES (1)")),
-		},
-		MechFSFull: {
+		}
+	case MechFSFull:
+		sc = faultinject.Scenario{
 			Description: "another tenant fills the data partition",
 			Ops: []faultinject.Op{
 				q("CREATE TABLE t3 (c INT)"),
@@ -99,15 +111,17 @@ func Scenarios(srv *Server) map[string]faultinject.Scenario {
 				}},
 				q("INSERT INTO t3 VALUES (1)"),
 			},
-		},
-		MechSignalMaskRace: {
+		}
+	case MechSignalMaskRace:
+		sc = faultinject.Scenario{
 			Description: "a signal lands inside the unmask window during a query",
 			Stage:       func() { env.Sched().Force(MechSignalMaskRace, 0) },
 			Ops: []faultinject.Op{
 				q("CREATE TABLE r (c INT)"),
 			},
-		},
-		MechLoginAdminRace: {
+		}
+	case MechLoginAdminRace:
+		sc = faultinject.Scenario{
 			Description: "a login interleaves with the administrator's privilege reload",
 			Stage:       func() { env.Sched().Force(MechLoginAdminRace, 0) },
 			Ops: []faultinject.Op{
@@ -117,27 +131,23 @@ func Scenarios(srv *Server) map[string]faultinject.Scenario {
 					return err
 				}},
 			},
-		},
-	}
-
-	for _, defect := range []string{"null-deref", "stale-buffer", "bad-init",
-		"exec-loop", "bounds", "missing-check"} {
-		key := "sqldb/" + defect
+		}
+	case MechNullDeref, MechStaleBuffer, MechBadInit, MechExecLoop,
+		MechBounds, MechMissingCheck:
+		defect := strings.TrimPrefix(key, "sqldb/")
 		tbl := "bug_" + underscore(defect)
-		scenarios[key] = faultinject.Scenario{
+		sc = faultinject.Scenario{
 			Description: "a query exercises the " + defect + " defect path",
 			Ops: []faultinject.Op{
 				q("CREATE TABLE " + tbl + " (c INT)"),
 				q("SELECT * FROM " + tbl),
 			},
 		}
+	default:
+		return faultinject.Scenario{}, false
 	}
-
-	for key, sc := range scenarios {
-		sc.Mechanism = key
-		scenarios[key] = sc
-	}
-	return scenarios
+	sc.Mechanism = key
+	return sc, true
 }
 
 func underscore(s string) string {

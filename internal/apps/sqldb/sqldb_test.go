@@ -392,9 +392,8 @@ func TestScenariosCoverEveryMechanism(t *testing.T) {
 	reg := faultinject.NewRegistry()
 	RegisterMechanisms(reg)
 	srv := New(simenv.New(1), faultinject.NewSet())
-	scenarios := Scenarios(srv)
 	for _, key := range reg.Keys() {
-		sc, ok := scenarios[key]
+		sc, ok := Scenario(srv, key)
 		if !ok {
 			t.Errorf("mechanism %s has no scenario", key)
 			continue
@@ -403,8 +402,8 @@ func TestScenariosCoverEveryMechanism(t *testing.T) {
 			t.Errorf("scenario %s malformed", key)
 		}
 	}
-	if len(scenarios) != len(reg.Keys()) {
-		t.Errorf("%d scenarios vs %d mechanisms", len(scenarios), len(reg.Keys()))
+	if _, ok := Scenario(srv, "sqldb/no-such-bug"); ok {
+		t.Error("unregistered mechanism sqldb/no-such-bug has a scenario")
 	}
 }
 
@@ -419,7 +418,7 @@ func TestEveryScenarioTriggersItsMechanism(t *testing.T) {
 			if err := srv.Start(); err != nil {
 				t.Fatalf("start: %v", err)
 			}
-			sc := Scenarios(srv)[key]
+			sc, _ := Scenario(srv, key)
 			if sc.Stage != nil {
 				sc.Stage()
 			}

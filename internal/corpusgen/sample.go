@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"math/rand"
+	"sync"
 	"time"
 
 	"faultstudy/internal/apps/cache"
@@ -137,12 +138,26 @@ func (c *Corpus) episodeStream(j int) int64 {
 	return parallel.Derive(c.seed, uint64(c.spec.Faults)+uint64(j))
 }
 
+// samplers recycles the generators FaultAt and EpisodeAt draw from. A
+// generator never outlives its call, and reseeding one gives exactly the
+// stream rand.NewSource(seed) would, so a sample costs no fresh source.
+var samplers = sync.Pool{New: func() any { return rand.New(rand.NewSource(1)) }}
+
+// sampler takes a generator from the pool, seeded with seed; the caller puts
+// it back when done.
+func sampler(seed int64) *rand.Rand {
+	rng := samplers.Get().(*rand.Rand)
+	rng.Seed(seed)
+	return rng
+}
+
 // FaultAt samples fault i: class, application, defect type, and lifetime
 // are independent draws from the spec's distributions; the runnable
 // mechanism is drawn uniformly from the (application, class) pool, so the
 // mechanism's trigger always implies the sampled class.
 func (c *Corpus) FaultAt(i int) *GenFault {
-	rng := rand.New(rand.NewSource(parallel.Derive(c.seed, uint64(i))))
+	rng := sampler(parallel.Derive(c.seed, uint64(i)))
+	defer samplers.Put(rng)
 	classKey := c.spec.Class.Sample(rng.Float64())
 	class := classValues[classKey]
 	appName := c.spec.App.Sample(rng.Float64())
@@ -187,7 +202,8 @@ func (c *Corpus) FaultAt(i int) *GenFault {
 // mechanism of that class, falling back to any other mechanism of the app
 // when the sampled class pool holds only the primary itself.
 func (c *Corpus) EpisodeAt(j int) *Episode {
-	rng := rand.New(rand.NewSource(c.episodeStream(j)))
+	rng := sampler(c.episodeStream(j))
+	defer samplers.Put(rng)
 	primary := rng.Intn(c.spec.Faults)
 	pf := c.FaultAt(primary)
 	overlap := c.spec.Overlap.Sample(rng.Float64())

@@ -1,6 +1,7 @@
 package corpusgen
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
 
@@ -136,4 +137,24 @@ func TestEmptyClassPoolImpossible(t *testing.T) {
 		}
 	}()
 	testCorpus(t, "faults=1", 1)
+}
+
+// TestSamplerMatchesFreshSource pins what the sampler pool relies on: a
+// reseeded generator that has already been drawn from yields the same
+// stream as a freshly constructed one.
+func TestSamplerMatchesFreshSource(t *testing.T) {
+	used := sampler(1)
+	for i := 0; i < 1000; i++ {
+		used.Float64()
+	}
+	samplers.Put(used)
+	for _, seed := range []int64{0, 7, -3, 1 << 40} {
+		got, want := sampler(seed), rand.New(rand.NewSource(seed))
+		for i := 0; i < 700; i++ {
+			if g, w := got.Int63(), want.Int63(); g != w {
+				t.Fatalf("seed %d draw %d: pooled %d, fresh %d", seed, i, g, w)
+			}
+		}
+		samplers.Put(got)
+	}
 }

@@ -34,10 +34,11 @@ type appEntry struct {
 	// register adds the namespace's seeded-bug mechanisms to a registry.
 	register func(*faultinject.Registry)
 	// build constructs the application on a fresh environment with the given
-	// mechanisms seeded, and returns it with its scenario table. Scenario
-	// runs size the environment so exhaustion triggers quickly; soak runs
-	// give every application simenv's default 256 descriptors.
-	build func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, map[string]faultinject.Scenario)
+	// mechanisms seeded, and returns it with its scenario lookup, which builds
+	// only the scenario asked for. Scenario runs size the environment so
+	// exhaustion triggers quickly; soak runs give every application simenv's
+	// default 256 descriptors.
+	build func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, scenarioFunc)
 	// componentize wraps a built application in its crash-only component
 	// tree.
 	componentize func(recovery.Application) componentApp
@@ -57,6 +58,10 @@ type appEntry struct {
 	lintDir string
 }
 
+// scenarioFunc returns the scenario of one mechanism bound to a built
+// application, or false when the application has none for it.
+type scenarioFunc func(mechanism string) (faultinject.Scenario, bool)
+
 // scenarioFDLimit is the descriptor limit of scenario runs for the daemons;
 // the desktop keeps simenv's default.
 const scenarioFDLimit = 64
@@ -75,10 +80,10 @@ var apps = []appEntry{
 	{
 		ns: "httpd/", app: taxonomy.AppApache, paper: true, serve: true,
 		register: httpd.RegisterMechanisms,
-		build: func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, map[string]faultinject.Scenario) {
+		build: func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, scenarioFunc) {
 			env := simenv.New(seed, simenv.WithFDLimit(fdLimit(soak)), simenv.WithProcLimit(192))
 			srv := httpd.New(env, set, httpd.Config{})
-			return srv, httpd.Scenarios(srv)
+			return srv, func(key string) (faultinject.Scenario, bool) { return httpd.Scenario(srv, key) }
 		},
 		componentize: func(app recovery.Application) componentApp {
 			return httpd.Componentize(app.(*httpd.Server), component.NewStore())
@@ -115,9 +120,9 @@ var apps = []appEntry{
 	{
 		ns: "sqldb/", app: taxonomy.AppMySQL, paper: true, serve: true,
 		register: sqldb.RegisterMechanisms,
-		build: func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, map[string]faultinject.Scenario) {
+		build: func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, scenarioFunc) {
 			db := sqldb.New(simenv.New(seed, simenv.WithFDLimit(fdLimit(soak))), set)
-			return db, sqldb.Scenarios(db)
+			return db, func(key string) (faultinject.Scenario, bool) { return sqldb.Scenario(db, key) }
 		},
 		componentize: func(app recovery.Application) componentApp {
 			return sqldb.Componentize(app.(*sqldb.Server), component.NewStore())
@@ -161,9 +166,9 @@ var apps = []appEntry{
 		ns: "desktop/", app: taxonomy.AppGnome, paper: true,
 		register: desktop.RegisterMechanisms,
 		// The desktop runs at simenv's default limits, scenario and soak alike.
-		build: func(seed int64, _ bool, set *faultinject.Set) (recovery.Application, map[string]faultinject.Scenario) {
+		build: func(seed int64, _ bool, set *faultinject.Set) (recovery.Application, scenarioFunc) {
 			d := desktop.New(simenv.New(seed), set)
-			return d, desktop.Scenarios(d)
+			return d, func(key string) (faultinject.Scenario, bool) { return desktop.Scenario(d, key) }
 		},
 		componentize: func(app recovery.Application) componentApp {
 			return desktop.Componentize(app.(*desktop.Desktop), component.NewStore())
@@ -200,9 +205,9 @@ var apps = []appEntry{
 	{
 		ns: "cache/", app: taxonomy.AppCache,
 		register: cache.RegisterMechanisms,
-		build: func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, map[string]faultinject.Scenario) {
+		build: func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, scenarioFunc) {
 			srv := cache.New(simenv.New(seed, simenv.WithFDLimit(fdLimit(soak))), set, cache.Config{Capacity: 16})
-			return srv, cache.Scenarios(srv)
+			return srv, func(key string) (faultinject.Scenario, bool) { return cache.Scenario(srv, key) }
 		},
 		opKind: cacheOpKind,
 	},
@@ -279,8 +284,8 @@ func buildScenario(mechanism string, seed int64) (*appEntry, recovery.Applicatio
 	if err != nil {
 		return nil, nil, faultinject.Scenario{}, err
 	}
-	app, scenarios := e.build(seed, false, faultinject.NewSet(mechanism))
-	sc, ok := scenarios[mechanism]
+	app, scenario := e.build(seed, false, faultinject.NewSet(mechanism))
+	sc, ok := scenario(mechanism)
 	if !ok {
 		return nil, nil, faultinject.Scenario{}, fmt.Errorf("experiment: no %s scenario for %s", strings.TrimSuffix(e.ns, "/"), mechanism)
 	}

@@ -10,8 +10,8 @@ import (
 	"faultstudy/internal/apps/sqldb"
 )
 
-// BenchmarkBuildScenario measures building one application and its scenario
-// table, done once per ladder run, for a representative mechanism of each
+// BenchmarkBuildScenario measures building one application and its scenario,
+// done once per ladder run, for a representative mechanism of each
 // namespace (httpd and cache pick ones with long repeated-request workloads).
 func BenchmarkBuildScenario(b *testing.B) {
 	for _, mech := range []string{

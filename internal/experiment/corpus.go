@@ -493,9 +493,9 @@ func buildDuet(primary, secondary string, seed int64) (*appEntry, recovery.Appli
 	if !strings.HasPrefix(secondary, e.ns) {
 		return nil, nil, zero, zero, fmt.Errorf("experiment: episode mechanisms %q and %q span applications", primary, secondary)
 	}
-	app, scenarios := e.build(seed, false, faultinject.NewSet(primary, secondary))
-	scA, okA := scenarios[primary]
-	scB, okB := scenarios[secondary]
+	app, scenario := e.build(seed, false, faultinject.NewSet(primary, secondary))
+	scA, okA := scenario(primary)
+	scB, okB := scenario(secondary)
 	if !okA || !okB {
 		return nil, nil, zero, zero, fmt.Errorf("experiment: missing scenario for %q or %q", primary, secondary)
 	}

@@ -184,14 +184,14 @@ func interleave(base []supervise.Op, triggers [][]supervise.Op, min int, rng *ra
 // function of (cfg, e, rng state, mechs); it shares no state with other
 // arms.
 func runSoakApp(cfg SoakConfig, e *appEntry, rng *rand.Rand, mechs []string) (*supervise.Report, error) {
-	app, scenarios := e.build(cfg.Seed, true, faultinject.NewSet(mechs...))
+	app, scenario := e.build(cfg.Seed, true, faultinject.NewSet(mechs...))
 	base := e.soakOps(cfg, app)
 	if err := app.Start(); err != nil {
 		return nil, fmt.Errorf("experiment: soak start: %w", err)
 	}
 	var triggers [][]supervise.Op
 	for _, mech := range mechs {
-		sc, ok := scenarios[mech]
+		sc, ok := scenario(mech)
 		if !ok {
 			continue
 		}

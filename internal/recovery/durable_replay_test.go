@@ -25,7 +25,7 @@ func mustExec(t *testing.T, srv *sqldb.Server, sql string) {
 func TestProcessPairsRestoreReplaysWAL(t *testing.T) {
 	env := simenv.New(23)
 	srv := sqldb.New(env, faultinject.NewSet(sqldb.MechSignalMaskRace))
-	sc := sqldb.Scenarios(srv)[sqldb.MechSignalMaskRace]
+	sc, _ := sqldb.Scenario(srv, sqldb.MechSignalMaskRace)
 	// Seed real rows through the WAL before staging the losing
 	// interleaving, so the takeover has durable bytes to replay. The
 	// winning interleaving is pinned while seeding: the race must not fire

@@ -23,7 +23,7 @@ func httpdScenario(t *testing.T, mech string, seed int64) (*httpd.Server, faulti
 	t.Helper()
 	env := simenv.New(seed, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
 	srv := httpd.New(env, faultinject.NewSet(mech), httpd.Config{})
-	sc, ok := httpd.Scenarios(srv)[mech]
+	sc, ok := httpd.Scenario(srv, mech)
 	if !ok {
 		t.Fatalf("no scenario for %s", mech)
 	}
@@ -162,7 +162,7 @@ func TestCleanRestartLosesDatabaseState(t *testing.T) {
 	// workload: the retried statement fails outside the fault model.
 	env := simenv.New(8)
 	srv := sqldb.New(env, faultinject.NewSet(sqldb.MechOrderByEmpty))
-	sc := sqldb.Scenarios(srv)[sqldb.MechOrderByEmpty]
+	sc, _ := sqldb.Scenario(srv, sqldb.MechOrderByEmpty)
 	out := run(t, srv, sc, StrategyCleanRestart)
 	if out.Survived {
 		t.Error("dropping the database should not count as surviving")
@@ -176,7 +176,7 @@ func TestProcessPairsOnDatabaseRaces(t *testing.T) {
 	for _, mech := range []string{sqldb.MechSignalMaskRace, sqldb.MechLoginAdminRace} {
 		env := simenv.New(9)
 		srv := sqldb.New(env, faultinject.NewSet(mech))
-		sc := sqldb.Scenarios(srv)[mech]
+		sc, _ := sqldb.Scenario(srv, mech)
 		out := run(t, srv, sc, StrategyProcessPairs)
 		if !out.Survived {
 			t.Errorf("%s: race should clear on retry (err: %v)", mech, out.Err)
@@ -194,7 +194,7 @@ func TestProcessPairsOnDatabaseDeterministicFaults(t *testing.T) {
 	} {
 		env := simenv.New(10)
 		srv := sqldb.New(env, faultinject.NewSet(mech))
-		sc := sqldb.Scenarios(srv)[mech]
+		sc, _ := sqldb.Scenario(srv, mech)
 		out := run(t, srv, sc, StrategyProcessPairs)
 		if out.Survived {
 			t.Errorf("%s: deterministic database fault should recur after state-preserving recovery", mech)
@@ -207,7 +207,7 @@ func TestProcessPairsOnDesktop(t *testing.T) {
 	for _, mech := range transient {
 		env := simenv.New(11)
 		d := desktop.New(env, faultinject.NewSet(mech))
-		sc := desktop.Scenarios(d)[mech]
+		sc, _ := desktop.Scenario(d, mech)
 		out := run(t, d, sc, StrategyProcessPairs)
 		if !out.Survived {
 			t.Errorf("%s: desktop race should clear on retry (err: %v)", mech, out.Err)
@@ -217,7 +217,7 @@ func TestProcessPairsOnDesktop(t *testing.T) {
 	for _, mech := range persistent {
 		env := simenv.New(12, simenv.WithFDLimit(24))
 		d := desktop.New(env, faultinject.NewSet(mech))
-		sc := desktop.Scenarios(d)[mech]
+		sc, _ := desktop.Scenario(d, mech)
 		out := run(t, d, sc, StrategyProcessPairs)
 		if out.Survived {
 			t.Errorf("%s: persistent condition should defeat process pairs", mech)
@@ -228,7 +228,7 @@ func TestProcessPairsOnDesktop(t *testing.T) {
 func TestCleanRestartFixesHostnameChange(t *testing.T) {
 	env := simenv.New(13)
 	d := desktop.New(env, faultinject.NewSet(desktop.MechHostnameChange))
-	sc := desktop.Scenarios(d)[desktop.MechHostnameChange]
+	sc, _ := desktop.Scenario(d, desktop.MechHostnameChange)
 	out := run(t, d, sc, StrategyCleanRestart)
 	if !out.Survived {
 		t.Errorf("logging out and back in re-reads the hostname; should survive (err: %v)", out.Err)

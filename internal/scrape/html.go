@@ -38,13 +38,30 @@ const (
 // five predefined entities.
 func Tokenize(html string) []Token {
 	var tokens []Token
+	scan(html, func(kind TokenKind, name, text string) {
+		switch kind {
+		case TokenText:
+			tokens = append(tokens, Token{Kind: TokenText, Text: decodeEntities(text)})
+		case TokenEndTag:
+			tokens = append(tokens, Token{Kind: TokenEndTag, Name: name})
+		case TokenStartTag:
+			tokens = append(tokens, Token{Kind: TokenStartTag, Name: name, Attrs: parseAttrs(text)})
+		}
+	})
+	return tokens
+}
+
+// scan is the one tokenizing loop: it walks html in document order and calls
+// emit once per token. Text tokens carry their raw (undecoded) text and no
+// name; tags carry their lowercased name, and start tags also their raw
+// attribute text, left for eachAttr to parse.
+func scan(html string, emit func(kind TokenKind, name, text string)) {
 	i := 0
 	n := len(html)
 	emitText := func(s string) {
-		if s == "" {
-			return
+		if s != "" {
+			emit(TokenText, "", s)
 		}
-		tokens = append(tokens, Token{Kind: TokenText, Text: decodeEntities(s)})
 	}
 	for i < n {
 		lt := strings.IndexByte(html[i:], '<')
@@ -75,25 +92,25 @@ func Tokenize(html string) []Token {
 			continue // doctype / processing instruction
 		}
 		if strings.HasPrefix(raw, "/") {
-			tokens = append(tokens, Token{
-				Kind: TokenEndTag,
-				Name: strings.ToLower(strings.TrimSpace(raw[1:])),
-			})
+			emit(TokenEndTag, strings.ToLower(strings.TrimSpace(raw[1:])), "")
 			continue
 		}
 		raw = strings.TrimSuffix(raw, "/")
 		name, attrText, _ := strings.Cut(raw, " ")
-		tokens = append(tokens, Token{
-			Kind:  TokenStartTag,
-			Name:  strings.ToLower(strings.TrimSpace(name)),
-			Attrs: parseAttrs(attrText),
-		})
+		emit(TokenStartTag, strings.ToLower(strings.TrimSpace(name)), attrText)
 	}
-	return tokens
 }
 
 func parseAttrs(s string) map[string]string {
 	attrs := make(map[string]string)
+	eachAttr(s, func(key, val string) { attrs[key] = decodeEntities(val) })
+	return attrs
+}
+
+// eachAttr walks a start tag's attribute text and calls f with each
+// lowercased key and its raw (undecoded) value, in order; a key without a
+// value gets "". A repeated key is passed each time it appears.
+func eachAttr(s string, f func(key, val string)) {
 	i := 0
 	n := len(s)
 	for i < n {
@@ -113,7 +130,7 @@ func parseAttrs(s string) map[string]string {
 			continue
 		}
 		if i >= n || s[i] != '=' {
-			attrs[key] = ""
+			f(key, "")
 			continue
 		}
 		i++ // skip '='
@@ -124,7 +141,7 @@ func parseAttrs(s string) map[string]string {
 			for i < n && s[i] != quote {
 				i++
 			}
-			attrs[key] = decodeEntities(s[vstart:i])
+			f(key, s[vstart:i])
 			if i < n {
 				i++
 			}
@@ -133,10 +150,9 @@ func parseAttrs(s string) map[string]string {
 			for i < n && s[i] != ' ' && s[i] != '\t' && s[i] != '\n' {
 				i++
 			}
-			attrs[key] = decodeEntities(s[vstart:i])
+			f(key, s[vstart:i])
 		}
 	}
-	return attrs
 }
 
 var entityReplacer = strings.NewReplacer(
@@ -156,26 +172,35 @@ func decodeEntities(s string) string {
 	return entityReplacer.Replace(s)
 }
 
-// EncodeEntities escapes text for embedding in HTML.
-func EncodeEntities(s string) string {
-	return strings.NewReplacer(
-		"&", "&amp;",
-		"<", "&lt;",
-		">", "&gt;",
-		`"`, "&quot;",
-	).Replace(s)
-}
+var encodeReplacer = strings.NewReplacer(
+	"&", "&amp;",
+	"<", "&lt;",
+	">", "&gt;",
+	`"`, "&quot;",
+)
 
-// Links returns the href targets of all anchor tags, in document order.
+// EncodeEntities escapes text for embedding in HTML.
+func EncodeEntities(s string) string { return encodeReplacer.Replace(s) }
+
+// Links returns the href targets of all anchor tags, in document order. It
+// reads the same tokens Tokenize does, but parses attributes only on anchor
+// start tags: the last href of a tag wins, and an empty target is dropped.
 func Links(html string) []string {
 	var links []string
-	for _, tok := range Tokenize(html) {
-		if tok.Kind == TokenStartTag && tok.Name == "a" {
-			if href, ok := tok.Attrs["href"]; ok && href != "" {
-				links = append(links, href)
-			}
+	scan(html, func(kind TokenKind, name, attrText string) {
+		if kind != TokenStartTag || name != "a" {
+			return
 		}
-	}
+		href := ""
+		eachAttr(attrText, func(key, val string) {
+			if key == "href" {
+				href = val
+			}
+		})
+		if href = decodeEntities(href); href != "" {
+			links = append(links, href)
+		}
+	})
 	return links
 }
 

@@ -27,7 +27,7 @@ func newFDTable(limit int) *FDTable {
 	return &FDTable{
 		limit: limit,
 		next:  3, // 0-2 reserved, as on a real system
-		open:  make(map[FD]string, limit),
+		open:  make(map[FD]string),
 	}
 }
 

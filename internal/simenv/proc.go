@@ -62,7 +62,7 @@ func newProcTable(limit int) *ProcTable {
 	return &ProcTable{
 		limit: limit,
 		next:  2, // PID 1 is init
-		procs: make(map[PID]*Proc, limit),
+		procs: make(map[PID]*Proc),
 	}
 }
 

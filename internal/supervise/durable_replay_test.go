@@ -17,7 +17,7 @@ import (
 func TestRestoreRungReplaysWAL(t *testing.T) {
 	env := simenv.New(31)
 	srv := sqldb.New(env, faultinject.NewSet(sqldb.MechOrderByEmpty))
-	sc := sqldb.Scenarios(srv)[sqldb.MechOrderByEmpty]
+	sc, _ := sqldb.Scenario(srv, sqldb.MechOrderByEmpty)
 	// CheckpointEvery 1 keeps the epoch on the served prefix (a snapshot
 	// with durable state), so the restore rung's rollback target is real.
 	sup := New(srv, Config{Seed: 31, BreakerThreshold: 5, CheckpointEvery: 1})
@@ -56,7 +56,7 @@ func TestRestoreRungReplaysWAL(t *testing.T) {
 func TestRestartRungFallsBackToLogicalRebuild(t *testing.T) {
 	env := simenv.New(32)
 	srv := sqldb.New(env, faultinject.NewSet(sqldb.MechOrderByEmpty))
-	sc := sqldb.Scenarios(srv)[sqldb.MechOrderByEmpty]
+	sc, _ := sqldb.Scenario(srv, sqldb.MechOrderByEmpty)
 	sup := New(srv, Config{Seed: 32})
 	rep, err := sup.Run(wrapOps(sc.Ops, OpRead))
 	if err != nil {

@@ -29,7 +29,7 @@ func httpdUnder(t *testing.T, mech string, seed int64) (*httpd.Server, faultinje
 	t.Helper()
 	env := simenv.New(seed, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
 	srv := httpd.New(env, faultinject.NewSet(mech), httpd.Config{})
-	sc, ok := httpd.Scenarios(srv)[mech]
+	sc, ok := httpd.Scenario(srv, mech)
 	if !ok {
 		t.Fatalf("no scenario for %s", mech)
 	}
