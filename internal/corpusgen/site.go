@@ -2,6 +2,7 @@ package corpusgen
 
 import (
 	"fmt"
+	"io"
 	"net/http"
 	"sort"
 	"strconv"
@@ -86,13 +87,26 @@ func (s *Site) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 	}
 }
 
+// pageFrame bounds the bytes a root or index page spends outside its link
+// list: heading, closing tags and the next-page link.
+const pageFrame = 128
+
 // serveRoot lists every index chunk.
 func (s *Site) serveRoot(w http.ResponseWriter) {
+	const lineFixed = len("<li><a href=\"/gen/index/\">PRs &ndash;</a></li>\n")
+	pages, prs := s.IndexPages(), s.PRPages()
 	var b strings.Builder
+	b.Grow(pageFrame + pages*(lineFixed+digits(pages)+2*digits(prs)))
+	var num [20]byte
 	b.WriteString("<html><body><h1>Generated fault PR database</h1>\n<ul>\n")
-	for k := 0; k < s.IndexPages(); k++ {
-		fmt.Fprintf(&b, "<li><a href=\"/gen/index/%d\">PRs %d&ndash;%d</a></li>\n",
-			k, k*s.perPage, min(s.PRPages(), (k+1)*s.perPage)-1)
+	for k := 0; k < pages; k++ {
+		b.WriteString(`<li><a href="/gen/index/`)
+		b.Write(strconv.AppendInt(num[:0], int64(k), 10))
+		b.WriteString(`">PRs `)
+		b.Write(strconv.AppendInt(num[:0], int64(k*s.perPage), 10))
+		b.WriteString("&ndash;")
+		b.Write(strconv.AppendInt(num[:0], int64(min(prs, (k+1)*s.perPage)-1), 10))
+		b.WriteString("</a></li>\n")
 	}
 	b.WriteString("</ul></body></html>\n")
 	writePage(w, b.String())
@@ -101,17 +115,39 @@ func (s *Site) serveRoot(w http.ResponseWriter) {
 // serveIndex lists one chunk of PR links, plus the next chunk for crawlers
 // that land mid-index.
 func (s *Site) serveIndex(w http.ResponseWriter, k int) {
+	const lineFixed = len("<li><a href=\"/gen/pr/\">PR </a></li>\n")
+	lo, hi := k*s.perPage, min(s.PRPages(), (k+1)*s.perPage)
 	var b strings.Builder
-	fmt.Fprintf(&b, "<html><body><h2>PR index %d</h2>\n<ul>\n", k)
-	for n := k * s.perPage; n < min(s.PRPages(), (k+1)*s.perPage); n++ {
-		fmt.Fprintf(&b, "<li><a href=\"/gen/pr/%d\">PR %d</a></li>\n", n, n)
+	b.Grow(pageFrame + (hi-lo)*(lineFixed+2*digits(hi)))
+	var num [20]byte
+	b.WriteString("<html><body><h2>PR index ")
+	b.Write(strconv.AppendInt(num[:0], int64(k), 10))
+	b.WriteString("</h2>\n<ul>\n")
+	for n := lo; n < hi; n++ {
+		d := strconv.AppendInt(num[:0], int64(n), 10)
+		b.WriteString(`<li><a href="/gen/pr/`)
+		b.Write(d)
+		b.WriteString(`">PR `)
+		b.Write(d)
+		b.WriteString("</a></li>\n")
 	}
 	b.WriteString("</ul>\n")
 	if k+1 < s.IndexPages() {
-		fmt.Fprintf(&b, "<a href=\"/gen/index/%d\">next page</a>\n", k+1)
+		b.WriteString(`<a href="/gen/index/`)
+		b.Write(strconv.AppendInt(num[:0], int64(k+1), 10))
+		b.WriteString("\">next page</a>\n")
 	}
 	b.WriteString("</body></html>\n")
 	writePage(w, b.String())
+}
+
+// digits is the number of decimal digits in n >= 0.
+func digits(n int) int {
+	d := 1
+	for ; n >= 10; n /= 10 {
+		d++
+	}
+	return d
 }
 
 // servePR renders one PR page: the canonical GNATS-style report for ordinal
@@ -147,8 +183,11 @@ func (s *Site) servePR(w http.ResponseWriter, n int) {
 	writePage(w, b.String())
 }
 
-// writePage writes one HTML page.
+// writePage writes one HTML page. The declared length lets a client size
+// its read buffer once instead of decoding a chunked body.
 func writePage(w http.ResponseWriter, body string) {
-	w.Header().Set("Content-Type", "text/html; charset=utf-8")
-	_, _ = w.Write([]byte(body))
+	h := w.Header()
+	h.Set("Content-Type", "text/html; charset=utf-8")
+	h.Set("Content-Length", strconv.Itoa(len(body)))
+	_, _ = io.WriteString(w, body)
 }

@@ -127,3 +127,48 @@ func TestSiteScale(t *testing.T) {
 		t.Fatalf("tail PR: code %d", rec.Code)
 	}
 }
+
+// TestSiteIndexBytes pins the root and index pages byte for byte against a
+// reference rendered with fmt from the page formats.
+func TestSiteIndexBytes(t *testing.T) {
+	s := NewSite(testCorpus(t, "faults=1200", 42))
+	pages, prs := s.IndexPages(), s.PRPages()
+	if pages < 3 || prs%sitePerPage == 0 {
+		t.Fatalf("%d PR pages over %d index pages: want >= 3 indexes and a partial last chunk", prs, pages)
+	}
+	get := func(path string) string {
+		rec := httptest.NewRecorder()
+		s.ServeHTTP(rec, httptest.NewRequest(http.MethodGet, path, nil))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("%s: code %d", path, rec.Code)
+		}
+		return rec.Body.String()
+	}
+
+	var want strings.Builder
+	want.WriteString("<html><body><h1>Generated fault PR database</h1>\n<ul>\n")
+	for k := 0; k < pages; k++ {
+		fmt.Fprintf(&want, "<li><a href=\"/gen/index/%d\">PRs %d&ndash;%d</a></li>\n",
+			k, k*sitePerPage, min(prs, (k+1)*sitePerPage)-1)
+	}
+	want.WriteString("</ul></body></html>\n")
+	if got := get("/gen"); got != want.String() {
+		t.Errorf("root page differs:\ngot  %q\nwant %q", got, want.String())
+	}
+
+	for k := 0; k < pages; k++ {
+		want.Reset()
+		fmt.Fprintf(&want, "<html><body><h2>PR index %d</h2>\n<ul>\n", k)
+		for n := k * sitePerPage; n < min(prs, (k+1)*sitePerPage); n++ {
+			fmt.Fprintf(&want, "<li><a href=\"/gen/pr/%d\">PR %d</a></li>\n", n, n)
+		}
+		want.WriteString("</ul>\n")
+		if k+1 < pages {
+			fmt.Fprintf(&want, "<a href=\"/gen/index/%d\">next page</a>\n", k+1)
+		}
+		want.WriteString("</body></html>\n")
+		if got := get(fmt.Sprintf("/gen/index/%d", k)); got != want.String() {
+			t.Errorf("index %d differs:\ngot  %q\nwant %q", k, got, want.String())
+		}
+	}
+}

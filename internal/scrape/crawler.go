@@ -1,6 +1,7 @@
 package scrape
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"fmt"
@@ -10,7 +11,6 @@ import (
 	"sort"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 )
 
@@ -64,7 +64,9 @@ func (realSleeper) Sleep(ctx context.Context, d time.Duration) error {
 // CrawlerOption configures a Crawler.
 type CrawlerOption func(*Crawler)
 
-// WithMaxPages caps the number of pages fetched.
+// WithMaxPages caps the number of pages fetched. Links the cap can no
+// longer reach are neither resolved nor recorded, so a crawl costs what it
+// fetches rather than what the fetched pages link to.
 func WithMaxPages(n int) CrawlerOption { return func(c *Crawler) { c.maxPages = n } }
 
 // WithDelay sets the politeness delay between requests.
@@ -100,9 +102,6 @@ type Crawler struct {
 	pathPrefix    string
 	sleeper       Sleeper
 	retryAfterCap time.Duration
-
-	mu      sync.Mutex
-	visited map[string]bool
 }
 
 // NewCrawler builds a crawler with the given options.
@@ -110,7 +109,6 @@ func NewCrawler(opts ...CrawlerOption) *Crawler {
 	c := &Crawler{
 		client:        &http.Client{Timeout: 10 * time.Second},
 		maxPages:      10000,
-		visited:       make(map[string]bool),
 		sleeper:       realSleeper{},
 		retryAfterCap: 2 * time.Second,
 	}
@@ -125,6 +123,11 @@ func NewCrawler(opts ...CrawlerOption) *Crawler {
 // order. Non-2xx responses are recorded but not followed. Failed fetches
 // are recorded as gap pages (Status 0, Err set) and skipped rather than
 // aborting the crawl; only context cancellation ends a crawl early.
+//
+// Every dequeued URL becomes exactly one page, so a link queued at or past
+// the page cap is never fetched. Once the queue already holds every page the
+// cap has room for, a page's links are neither resolved nor recorded as
+// visited; the fetched sequence is the same as if they were.
 func (c *Crawler) Crawl(ctx context.Context, start string) ([]*Page, error) {
 	base, err := url.Parse(start)
 	if err != nil {
@@ -135,7 +138,7 @@ func (c *Crawler) Crawl(ctx context.Context, start string) ([]*Page, error) {
 	}
 
 	queue := []string{base.String()}
-	c.markVisited(base.String())
+	visited := map[string]bool{queue[0]: true}
 	var pages []*Page
 	first := true
 	for len(queue) > 0 && len(pages) < c.maxPages {
@@ -163,25 +166,22 @@ func (c *Crawler) Crawl(ctx context.Context, start string) ([]*Page, error) {
 		if page.Status < 200 || page.Status >= 300 {
 			continue
 		}
+		room := c.maxPages - len(pages) - len(queue)
+		if room <= 0 {
+			continue
+		}
 		for _, link := range c.eligibleLinks(base, next, page.Body) {
-			if c.markVisited(link) {
+			if visited[link] {
 				continue
 			}
+			visited[link] = true
 			queue = append(queue, link)
+			if room--; room == 0 {
+				break
+			}
 		}
 	}
 	return pages, nil
-}
-
-// markVisited records the URL; it returns true when it was already visited.
-func (c *Crawler) markVisited(u string) bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if c.visited[u] {
-		return true
-	}
-	c.visited[u] = true
-	return false
 }
 
 // fetch gets one URL, honoring Retry-After hints on 429/503 responses: the
@@ -220,10 +220,16 @@ func (c *Crawler) fetchOnce(ctx context.Context, u string) (*Page, time.Duration
 		return nil, 0, err
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(io.LimitReader(resp.Body, MaxBodyBytes+1))
-	if err != nil {
+	// A declared length within the cap sizes the buffer once; MinRead spare
+	// bytes let the final read see EOF without growing it.
+	var buf bytes.Buffer
+	if n := resp.ContentLength; n >= 0 && n <= MaxBodyBytes {
+		buf.Grow(int(n) + bytes.MinRead)
+	}
+	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, MaxBodyBytes+1)); err != nil {
 		return nil, 0, err
 	}
+	body := buf.Bytes()
 	if len(body) > MaxBodyBytes {
 		return nil, 0, fmt.Errorf("%w: %s is over %d bytes", ErrBodyTooLarge, u, MaxBodyBytes)
 	}

@@ -209,3 +209,98 @@ func TestCrawlBodyTooLarge(t *testing.T) {
 		t.Errorf("oversized body should be an ErrBodyTooLarge gap, got %v", pages[0].Err)
 	}
 }
+
+// newCapSite serves a site whose pages link more URLs than a small cap can
+// fetch: duplicate and fragment links, an offsite link, a 404 and a page
+// that drops its connection (a gap), spread over two hubs whose leaf sets
+// overlap.
+func newCapSite(t *testing.T) *httptest.Server {
+	t.Helper()
+	mux := http.NewServeMux()
+	mux.HandleFunc("/", func(w http.ResponseWriter, r *http.Request) {
+		if r.URL.Path != "/" {
+			http.NotFound(w, r)
+			return
+		}
+		fmt.Fprint(w, `<a href="/hub/b">b</a> <a href="/hub/a">a</a> <a href="/hub/a#top">a again</a>`+
+			` <a href="http://elsewhere.example/x">offsite</a> <a href="/gap">gap</a>`)
+	})
+	hub := func(name string, leaves ...int) {
+		mux.HandleFunc("/hub/"+name, func(w http.ResponseWriter, r *http.Request) {
+			for _, n := range leaves {
+				fmt.Fprintf(w, `<a href="/leaf/%d">%d</a> <a href="/leaf/%d#x">again</a> `, n, n, n)
+			}
+			fmt.Fprint(w, `<a href="/missing">404</a> <a href="/">home</a>`)
+		})
+	}
+	hub("a", 0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11)
+	hub("b", 9, 10, 11, 12, 13, 14, 15)
+	mux.HandleFunc("/leaf/", func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, `<a href="/leaf/20">deep</a> <a href="/hub/b">b</a> <a href="/gap">gap</a>`)
+	})
+	mux.HandleFunc("/gap", func(w http.ResponseWriter, r *http.Request) {
+		panic(http.ErrAbortHandler) // drop the connection, every time
+	})
+	return httptest.NewServer(mux)
+}
+
+// crawlTrace is the fetch sequence of a crawl: URL, status and whether the
+// page is a gap.
+func crawlTrace(pages []*Page) []string {
+	out := make([]string, len(pages))
+	for i, p := range pages {
+		out[i] = fmt.Sprintf("%s %d gap=%t", p.URL, p.Status, p.Err != nil)
+	}
+	return out
+}
+
+// TestCrawlCapIsPrefix checks that the cap only truncates: a crawl capped at
+// k returns exactly the first k pages of the uncapped crawl, for every k.
+func TestCrawlCapIsPrefix(t *testing.T) {
+	srv := newCapSite(t)
+	defer srv.Close()
+	full, err := NewCrawler().Crawl(context.Background(), srv.URL+"/")
+	if err != nil {
+		t.Fatalf("uncapped crawl: %v", err)
+	}
+	want := crawlTrace(full)
+	if cov := CoverageOf(full); cov.Gaps != 1 || len(full) < 20 {
+		t.Fatalf("site too small to exercise the cap: %+v over %d pages", cov, len(full))
+	}
+	for k := 1; k <= len(full)+1; k++ {
+		pages, err := NewCrawler(WithMaxPages(k)).Crawl(context.Background(), srv.URL+"/")
+		if err != nil {
+			t.Fatalf("cap %d: %v", k, err)
+		}
+		got := crawlTrace(pages)
+		n := min(k, len(want))
+		if len(got) != n {
+			t.Fatalf("cap %d: fetched %d pages, want %d", k, len(got), n)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("cap %d: page %d is %q, uncapped crawl has %q", k, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestCrawlerReuse crawls twice with one Crawler: each crawl starts with an
+// empty visited set, so both return the same pages.
+func TestCrawlerReuse(t *testing.T) {
+	srv := newSite(t)
+	defer srv.Close()
+	c := NewCrawler()
+	first, err := c.Crawl(context.Background(), srv.URL+"/")
+	if err != nil {
+		t.Fatalf("first crawl: %v", err)
+	}
+	second, err := c.Crawl(context.Background(), srv.URL+"/")
+	if err != nil {
+		t.Fatalf("second crawl: %v", err)
+	}
+	a, b := crawlTrace(first), crawlTrace(second)
+	if strings.Join(a, "\n") != strings.Join(b, "\n") {
+		t.Fatalf("second crawl differs:\nfirst:  %q\nsecond: %q", a, b)
+	}
+}
