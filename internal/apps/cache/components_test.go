@@ -12,7 +12,7 @@ import (
 func newComponentized(t *testing.T, mechs ...string) *Componentized {
 	t.Helper()
 	env := simenv.New(1, simenv.WithFDLimit(64))
-	c := Componentize(New(env, faultinject.NewSet(mechs...), Config{}), component.NewStore())
+	c := Componentize(New(env, faultinject.NewSet(mechs...), Config{}))
 	if err := c.Start(); err != nil {
 		t.Fatalf("start: %v", err)
 	}
@@ -50,7 +50,7 @@ func TestHotKeysSurviveRebootAndRestart(t *testing.T) {
 		t.Fatalf("warm: %v", err)
 	}
 	for i := 0; i < 2; i++ {
-		if _, _, err := c.ServeArrival(i, 1, 0.10); err != nil {
+		if err := c.ServeArrival(i, 1, 0.10); err != nil {
 			t.Fatalf("arrival %d: %v", i, err)
 		}
 	}
@@ -79,7 +79,7 @@ func TestHotKeysSurviveRebootAndRestart(t *testing.T) {
 	if err := c.Restore(snap); err != nil {
 		t.Fatalf("restore: %v", err)
 	}
-	if _, _, err := c.ServeArrival(2, 1, 0.10); err != nil {
+	if err := c.ServeArrival(2, 1, 0.10); err != nil {
 		t.Fatalf("arrival after restart: %v", err)
 	}
 	if v, _ := c.Store().Get(HotKeyBucket, "u00001"); v != "3" {
@@ -92,27 +92,56 @@ func TestServeRefusesThroughDownComponents(t *testing.T) {
 	if err := c.ServeWarm(); err != nil {
 		t.Fatal(err)
 	}
+	// The 60/15/15/5/5 mix, with whether each category routes through the
+	// sweeper.
+	mix := []struct {
+		u       float64
+		want    string
+		sweeper bool
+	}{
+		{0, ServeGetHit, false},
+		{0.10, ServeGetHit, false},
+		{0.599, ServeGetHit, false},
+		{0.60, ServeGetMiss, true},
+		{0.70, ServeGetMiss, true},
+		{0.749, ServeGetMiss, true},
+		{0.75, ServeSet, false},
+		{0.80, ServeSet, false},
+		{0.899, ServeSet, false},
+		{0.90, ServeDel, true},
+		{0.92, ServeDel, true},
+		{0.949, ServeDel, true},
+		{0.95, ServeStats, false},
+		{0.97, ServeStats, false},
+		{0.999, ServeStats, false},
+	}
 	if err := c.Tree().Kill(CompSweeper); err != nil {
 		t.Fatalf("kill sweeper: %v", err)
 	}
-	// Miss fills and deletes route through the sweeper and must refuse…
-	for _, u := range []float64{0.70, 0.92} {
-		category, comp, err := c.ServeArrival(0, 1, u)
-		var de *component.DownError
-		if !errors.As(err, &de) || de.Component != CompSweeper || comp != CompSweeper {
-			t.Fatalf("%s with sweeper down: comp=%q err=%v", category, comp, err)
+	// Miss fills and deletes route through the sweeper and must refuse,
+	// while hits, sets, and stats keep serving — and advance the session's
+	// hot-key counter.
+	for i, m := range mix {
+		if got := c.ServeCategory(m.u); got != m.want {
+			t.Errorf("u=%v category %q, want %q", m.u, got, m.want)
 		}
-	}
-	// …while hits, sets, and stats keep serving.
-	for _, u := range []float64{0.10, 0.80, 0.97} {
-		if category, _, err := c.ServeArrival(1, 1, u); err != nil {
-			t.Fatalf("%s failed during sweeper outage: %v", category, err)
+		before, _ := c.Store().Get(HotKeyBucket, "u00001")
+		err := c.ServeArrival(i, 1, m.u)
+		after, _ := c.Store().Get(HotKeyBucket, "u00001")
+		var de *component.DownError
+		switch {
+		case m.sweeper && (!errors.As(err, &de) || de.Component != CompSweeper):
+			t.Errorf("%s with sweeper down: err=%v, want refusal naming the sweeper", m.want, err)
+		case !m.sweeper && err != nil:
+			t.Errorf("%s failed during sweeper outage: %v", m.want, err)
+		case (after != before) == m.sweeper:
+			t.Errorf("%s moved the hot-key counter %q -> %q", m.want, before, after)
 		}
 	}
 	if err := c.Tree().Restart(CompSweeper); err != nil {
 		t.Fatalf("restart sweeper: %v", err)
 	}
-	if _, _, err := c.ServeArrival(2, 1, 0.70); err != nil {
+	if err := c.ServeArrival(2, 1, 0.70); err != nil {
 		t.Fatalf("miss after sweeper restart: %v", err)
 	}
 
@@ -120,10 +149,10 @@ func TestServeRefusesThroughDownComponents(t *testing.T) {
 	if err := c.Tree().Kill(CompListener); err != nil {
 		t.Fatalf("kill listener: %v", err)
 	}
-	for _, u := range []float64{0.10, 0.70, 0.80, 0.92, 0.97} {
-		category, comp, err := c.ServeArrival(3, 1, u)
-		if err == nil || comp != CompListener {
-			t.Fatalf("%s served through a dead listener: comp=%q err=%v", category, comp, err)
+	for _, m := range mix {
+		var de *component.DownError
+		if err := c.ServeArrival(3, 1, m.u); !errors.As(err, &de) || de.Component != CompListener {
+			t.Fatalf("%s served through a dead listener: err=%v", m.want, err)
 		}
 	}
 }
@@ -143,8 +172,8 @@ func TestPersistDownDegradesToUnpersisted(t *testing.T) {
 		t.Fatal("persist kill did not suspend the append-only log")
 	}
 	// Mutations still serve — unpersisted rather than refused.
-	if category, comp, err := c.ServeArrival(0, 1, 0.80); err != nil {
-		t.Fatalf("%s with persist down: comp=%q err=%v", category, comp, err)
+	if err := c.ServeArrival(0, 1, 0.80); err != nil {
+		t.Fatalf("set with persist down: %v", err)
 	}
 	if err := c.Tree().Restart(CompPersist); err != nil {
 		t.Fatalf("restart persist: %v", err)
@@ -166,7 +195,7 @@ func TestListenerRebootDropsLeakedDescriptors(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 5; i++ {
-		if _, _, err := c.ServeArrival(i, 1, 0.10); err != nil {
+		if err := c.ServeArrival(i, 1, 0.10); err != nil {
 			t.Fatalf("arrival %d: %v", i, err)
 		}
 	}
@@ -185,7 +214,7 @@ func TestListenerRebootDropsLeakedDescriptors(t *testing.T) {
 	if held != 0 || want != 0 {
 		t.Fatalf("listener reboot kept leaks: fds=%d want=%d", held, want)
 	}
-	if _, _, err := c.ServeArrival(9, 1, 0.10); err != nil {
+	if err := c.ServeArrival(9, 1, 0.10); err != nil {
 		t.Fatalf("arrival after listener reboot: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package cache
 
 import (
-	"errors"
 	"fmt"
 
 	"faultstudy/internal/component"
@@ -30,53 +29,50 @@ func (c *Componentized) ServeWarm() error {
 	return nil
 }
 
-// ServeArrival serves one open-loop arrival: u in [0, 1) picks the operation
-// from a read-heavy 60/15/15/5/5 cache mix, seq individualizes keys, and
-// user names the session whose externalized hot-key counter the operation
-// advances. It returns the category served, the name of the down component
-// when the operation was refused mid-reboot, and the serve error.
-func (c *Componentized) ServeArrival(seq, user int, u float64) (category, comp string, err error) {
-	var do func() error
+// ServeCategory maps a uniform draw u in [0, 1) onto the read-heavy
+// 60/15/15/5/5 cache mix.
+func (c *Componentized) ServeCategory(u float64) string {
 	switch {
 	case u < 0.60:
-		category = ServeGetHit
-		do = func() error {
-			_, err := c.srv.Get(fmt.Sprintf("warm%d", seq%8))
-			return err
-		}
+		return ServeGetHit
 	case u < 0.75:
-		category = ServeGetMiss
-		do = func() error {
-			_, err := c.srv.Get(fmt.Sprintf("cold%d", seq))
-			return err
-		}
+		return ServeGetMiss
 	case u < 0.90:
-		category = ServeSet
-		do = func() error { return c.srv.Set(fmt.Sprintf("hot%d", seq%16), "v") }
+		return ServeSet
 	case u < 0.95:
-		category = ServeDel
-		do = func() error { return c.srv.Del(fmt.Sprintf("hot%d", seq%16)) }
+		return ServeDel
 	default:
-		category = ServeStats
-		do = func() error {
-			_, err := c.srv.Stats()
-			return err
-		}
+		return ServeStats
 	}
+}
+
+// ServeArrival serves one open-loop arrival: u picks the operation
+// (ServeCategory), seq individualizes keys, and user names the session
+// whose externalized hot-key counter the operation advances.
+func (c *Componentized) ServeArrival(seq, user int, u float64) error {
+	category := c.ServeCategory(u)
 	for _, name := range routeOf(category) {
-		if !c.tree.Running(name) {
-			return category, name, component.Down(name)
+		if !c.Tree().Running(name) {
+			return component.Down(name)
 		}
 	}
-	err = do()
+	var err error
+	switch category {
+	case ServeGetHit:
+		_, err = c.srv.Get(fmt.Sprintf("warm%d", seq%8))
+	case ServeGetMiss:
+		_, err = c.srv.Get(fmt.Sprintf("cold%d", seq))
+	case ServeSet:
+		err = c.srv.Set(fmt.Sprintf("hot%d", seq%16), "v")
+	case ServeDel:
+		err = c.srv.Del(fmt.Sprintf("hot%d", seq%16))
+	default:
+		_, err = c.srv.Stats()
+	}
 	if err == nil {
-		c.store.Incr(HotKeyBucket, fmt.Sprintf("u%05d", user))
+		c.Store().Incr(HotKeyBucket, fmt.Sprintf("u%05d", user))
 	}
-	var de *component.DownError
-	if errors.As(err, &de) {
-		comp = de.Component
-	}
-	return category, comp, err
+	return err
 }
 
 // routeOf lists the components an operation routes through. The persist

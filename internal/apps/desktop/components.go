@@ -4,7 +4,6 @@ import (
 	"time"
 
 	"faultstudy/internal/component"
-	"faultstudy/internal/simenv"
 )
 
 // Component names of the componentized desktop session.
@@ -67,22 +66,20 @@ var deskComponentFor = map[string]string{
 // externalized store, and crash-stopping a widget closes its dialogs and
 // releases its sockets — rebooting one applet no longer means logging out.
 type Componentized struct {
-	desk  *Desktop
-	store *component.Store
-	tree  *component.Tree
+	*component.Process
+	desk *Desktop
 }
 
-// Componentize wraps a desktop session into its component tree over the
-// given externalized store.
-func Componentize(desk *Desktop, store *component.Store) *Componentized {
-	c := &Componentized{
-		desk:  desk,
-		store: store,
-		tree:  component.NewTree(component.EnvClock{Env: desk.env}),
-	}
-	d := desk
-	c.tree.MustAdd(component.Spec{StartCost: sessionStartCost, Component: component.NewPart(CompSession, component.Hooks{})})
-	c.tree.MustAdd(component.Spec{StartCost: panelStartCost, Deps: []string{CompSession}, Component: component.NewPart(CompPanel, component.Hooks{
+// Componentize wraps a desktop session into its component tree, with the UI
+// session state in the Process's store.
+func Componentize(d *Desktop) *Componentized {
+	c := &Componentized{desk: d, Process: component.NewProcess(d, deskComponentFor, func() {
+		d.mu.Lock()
+		defer d.mu.Unlock()
+		d.running = true
+	})}
+	c.Tree().MustAdd(component.Spec{StartCost: sessionStartCost, Component: component.NewPart(CompSession, component.Hooks{})})
+	c.Tree().MustAdd(component.Spec{StartCost: panelStartCost, Deps: []string{CompSession}, Component: component.NewPart(CompPanel, component.Hooks{
 		// Crash-stopping the panel releases the pointer grab a frozen menu
 		// holds — the microreboot answer to the menu-freeze hang.
 		OnKill: func() {
@@ -91,7 +88,7 @@ func Componentize(desk *Desktop, store *component.Store) *Componentized {
 			d.menuOpen = false
 		},
 	})})
-	c.tree.MustAdd(component.Spec{StartCost: calendarStartCost, Deps: []string{CompSession}, Component: component.NewPart(CompCalendar, component.Hooks{
+	c.Tree().MustAdd(component.Spec{StartCost: calendarStartCost, Deps: []string{CompSession}, Component: component.NewPart(CompCalendar, component.Hooks{
 		OnKill: func() {
 			d.mu.Lock()
 			defer d.mu.Unlock()
@@ -100,7 +97,7 @@ func Componentize(desk *Desktop, store *component.Store) *Componentized {
 		// The rebooted calendar rehydrates the user's view from the
 		// externalized store: the reboot is invisible to the session.
 		OnStart: func() error {
-			if view, ok := store.Get(UIBucket, "calendarView"); ok {
+			if view, ok := c.Store().Get(UIBucket, "calendarView"); ok {
 				d.mu.Lock()
 				d.calendarView = view
 				d.mu.Unlock()
@@ -108,7 +105,7 @@ func Componentize(desk *Desktop, store *component.Store) *Componentized {
 			return nil
 		},
 	})})
-	c.tree.MustAdd(component.Spec{StartCost: gnumericStartCost, Deps: []string{CompSession}, Component: component.NewPart(CompGnumeric, component.Hooks{
+	c.Tree().MustAdd(component.Spec{StartCost: gnumericStartCost, Deps: []string{CompSession}, Component: component.NewPart(CompGnumeric, component.Hooks{
 		// A rebooted spreadsheet comes back with its dialogs closed — the
 		// poisoned focus chain is gone while the cells (document state)
 		// survive in the snapshot-carried state.
@@ -118,8 +115,8 @@ func Componentize(desk *Desktop, store *component.Store) *Componentized {
 			d.dialogOpen = ""
 		},
 	})})
-	c.tree.MustAdd(component.Spec{StartCost: gmcStartCost, Deps: []string{CompSession}, Component: component.NewPart(CompGmc, component.Hooks{})})
-	c.tree.MustAdd(component.Spec{StartCost: soundStartCost, Deps: []string{CompSession}, Component: component.NewPart(CompSound, component.Hooks{
+	c.Tree().MustAdd(component.Spec{StartCost: gmcStartCost, Deps: []string{CompSession}, Component: component.NewPart(CompGmc, component.Hooks{})})
+	c.Tree().MustAdd(component.Spec{StartCost: soundStartCost, Deps: []string{CompSession}, Component: component.NewPart(CompSound, component.Hooks{
 		// Crash-stopping the sound utility closes every leaked socket.
 		OnKill: func() {
 			d.mu.Lock()
@@ -129,68 +126,6 @@ func Componentize(desk *Desktop, store *component.Store) *Componentized {
 		},
 	})})
 	return c
-}
-
-// Name returns the environment owner tag.
-func (c *Componentized) Name() string { return Owner }
-
-// Env returns the underlying environment.
-func (c *Componentized) Env() *simenv.Env { return c.desk.Env() }
-
-// Running reports whether the simulated session process is alive.
-func (c *Componentized) Running() bool { return c.desk.Running() }
-
-// Start boots the session and brings every component up.
-func (c *Componentized) Start() error {
-	if err := c.desk.Start(); err != nil {
-		return err
-	}
-	return c.tree.StartAll()
-}
-
-// Stop crash-stops the tree and shuts the session down.
-func (c *Componentized) Stop() {
-	c.tree.StopAll()
-	c.desk.Stop()
-}
-
-// Snapshot captures the session's logical state; the store is outside it.
-func (c *Componentized) Snapshot() ([]byte, error) { return c.desk.Snapshot() }
-
-// Restore replaces session state from a snapshot and brings the tree up.
-func (c *Componentized) Restore(snapshot []byte) error {
-	if err := c.desk.Restore(snapshot); err != nil {
-		return err
-	}
-	return c.tree.StartAll()
-}
-
-// Reset logs out and back in, then brings the tree up; the store survives.
-func (c *Componentized) Reset() error {
-	if err := c.desk.Reset(); err != nil {
-		return err
-	}
-	return c.tree.StartAll()
-}
-
-// Tree returns the component tree.
-func (c *Componentized) Tree() *component.Tree { return c.tree }
-
-// Store returns the externalized UI-state store.
-func (c *Componentized) Store() *component.Store { return c.store }
-
-// ComponentFor maps a mechanism key to the component its defect lives in.
-func (c *Componentized) ComponentFor(mechanism string) (string, bool) {
-	name, ok := deskComponentFor[mechanism]
-	return name, ok
-}
-
-// ContainCrash revives the process-level liveness flag after a crash that
-// the component tree contains.
-func (c *Componentized) ContainCrash() {
-	c.desk.mu.Lock()
-	defer c.desk.mu.Unlock()
-	c.desk.running = true
 }
 
 // widgetComponent maps an event's widget to the component it routes through
@@ -220,7 +155,7 @@ func widgetComponent(ev Event) []string {
 // store so a rebooted calendar comes back showing the same view.
 func (c *Componentized) Dispatch(ev Event) error {
 	for _, name := range widgetComponent(ev) {
-		if !c.tree.Running(name) {
+		if !c.Tree().Running(name) {
 			return component.Down(name)
 		}
 	}
@@ -230,9 +165,9 @@ func (c *Componentized) Dispatch(ev Event) error {
 	if ev.Widget == "calendar" {
 		switch ev.Action {
 		case "view-year":
-			c.store.Put(UIBucket, "calendarView", "year")
+			c.Store().Put(UIBucket, "calendarView", "year")
 		case "view-month":
-			c.store.Put(UIBucket, "calendarView", "month")
+			c.Store().Put(UIBucket, "calendarView", "month")
 		}
 	}
 	return nil

@@ -5,7 +5,6 @@ import (
 	"time"
 
 	"faultstudy/internal/component"
-	"faultstudy/internal/simenv"
 )
 
 // Component names of the componentized server.
@@ -76,26 +75,23 @@ var componentFor = map[string]string{
 
 // Componentized is the crash-only decomposition of the web server: the same
 // simulated Apache, restructured into a component tree with sessions
-// externalized to a store that survives component death. It implements both
-// recovery.Application (the whole-process lifecycle) and component.Host (the
-// per-component one).
+// externalized to a store that survives component death. Its embedded
+// Process implements both recovery.Application (the whole-process
+// lifecycle) and component.Host (the per-component one).
 type Componentized struct {
-	srv   *Server
-	store *component.Store
-	tree  *component.Tree
+	*component.Process
+	srv *Server
 }
 
-// Componentize wraps a server into its component tree. The store holds the
-// externalized session state; passing a shared store across restarts is what
-// makes sessions survive them.
-func Componentize(srv *Server, store *component.Store) *Componentized {
-	c := &Componentized{
-		srv:   srv,
-		store: store,
-		tree:  component.NewTree(component.EnvClock{Env: srv.env}),
-	}
-	s := srv
-	c.tree.MustAdd(component.Spec{StartCost: coreStartCost, Component: component.NewPart(CompCore, component.Hooks{
+// Componentize wraps a server into its component tree, with the
+// externalized session state in the Process's store.
+func Componentize(s *Server) *Componentized {
+	c := &Componentized{srv: s, Process: component.NewProcess(s, componentFor, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.running = true
+	})}
+	c.Tree().MustAdd(component.Spec{StartCost: coreStartCost, Component: component.NewPart(CompCore, component.Hooks{
 		// Crash-stopping the core discards its heap and every descriptor it
 		// leaked — the microreboot answer to the leak-class mechanisms.
 		OnKill: func() {
@@ -107,7 +103,7 @@ func Componentize(srv *Server, store *component.Store) *Componentized {
 			s.leakFDWant = 0
 		},
 	})})
-	c.tree.MustAdd(component.Spec{StartCost: listenerStartCost, Deps: []string{CompCore}, Component: component.NewPart(CompListener, component.Hooks{
+	c.Tree().MustAdd(component.Spec{StartCost: listenerStartCost, Deps: []string{CompCore}, Component: component.NewPart(CompListener, component.Hooks{
 		OnKill: func() {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -128,7 +124,7 @@ func Componentize(srv *Server, store *component.Store) *Componentized {
 			return nil
 		},
 	})})
-	c.tree.MustAdd(component.Spec{StartCost: loggerStartCost, Deps: []string{CompCore}, Component: component.NewPart(CompLogger, component.Hooks{
+	c.Tree().MustAdd(component.Spec{StartCost: loggerStartCost, Deps: []string{CompCore}, Component: component.NewPart(CompLogger, component.Hooks{
 		OnKill: func() {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -145,8 +141,8 @@ func Componentize(srv *Server, store *component.Store) *Componentized {
 			return nil
 		},
 	})})
-	c.tree.MustAdd(component.Spec{StartCost: cacheStartCost, Deps: []string{CompCore}, Component: component.NewPart(CompCache, component.Hooks{})})
-	c.tree.MustAdd(component.Spec{StartCost: cgiStartCost, Deps: []string{CompCore}, Component: component.NewPart(CompCGI, component.Hooks{
+	c.Tree().MustAdd(component.Spec{StartCost: cacheStartCost, Deps: []string{CompCore}, Component: component.NewPart(CompCache, component.Hooks{})})
+	c.Tree().MustAdd(component.Spec{StartCost: cgiStartCost, Deps: []string{CompCore}, Component: component.NewPart(CompCGI, component.Hooks{
 		// Crash-stopping the CGI manager reaps every child, hung ones
 		// included — freeing the process table (and any squatted port hold).
 		OnKill: func() {
@@ -159,75 +155,6 @@ func Componentize(srv *Server, store *component.Store) *Componentized {
 		},
 	})})
 	return c
-}
-
-// Name returns the environment owner tag (unchanged by componentization).
-func (c *Componentized) Name() string { return Owner }
-
-// Env returns the underlying environment.
-func (c *Componentized) Env() *simenv.Env { return c.srv.Env() }
-
-// Running reports whether the simulated process is alive.
-func (c *Componentized) Running() bool { return c.srv.Running() }
-
-// Start boots the process and brings every component up.
-func (c *Componentized) Start() error {
-	if err := c.srv.Start(); err != nil {
-		return err
-	}
-	return c.tree.StartAll()
-}
-
-// Stop crash-stops every component in reverse dependency order, then shuts
-// the process down.
-func (c *Componentized) Stop() {
-	c.tree.StopAll()
-	c.srv.Stop()
-}
-
-// Snapshot captures the process's logical state. The externalized store is
-// deliberately absent: it lives outside the process, so neither a crash nor
-// a rollback touches it.
-func (c *Componentized) Snapshot() ([]byte, error) { return c.srv.Snapshot() }
-
-// Restore replaces the process state from a snapshot, restarts it, and
-// brings the component tree back up. Sessions in the store are untouched.
-func (c *Componentized) Restore(snapshot []byte) error {
-	if err := c.srv.Restore(snapshot); err != nil {
-		return err
-	}
-	return c.tree.StartAll()
-}
-
-// Reset reinitializes the process to pristine state and brings the tree up.
-// The store survives even this: sessions live in a different failure domain.
-func (c *Componentized) Reset() error {
-	if err := c.srv.Reset(); err != nil {
-		return err
-	}
-	return c.tree.StartAll()
-}
-
-// Tree returns the component tree.
-func (c *Componentized) Tree() *component.Tree { return c.tree }
-
-// Store returns the externalized session store.
-func (c *Componentized) Store() *component.Store { return c.store }
-
-// ComponentFor maps a mechanism key to the component its defect lives in.
-func (c *Componentized) ComponentFor(mechanism string) (string, bool) {
-	name, ok := componentFor[mechanism]
-	return name, ok
-}
-
-// ContainCrash reattributes a process-fatal failure to the component tree:
-// in the componentized build only the faulty component's process died, so
-// the process-level liveness flag comes back up and the caller reboots the
-// component.
-func (c *Componentized) ContainCrash() {
-	c.srv.mu.Lock()
-	defer c.srv.mu.Unlock()
-	c.srv.running = true
 }
 
 // routeOf lists the components a request routes through. The logger is
@@ -251,13 +178,13 @@ func routeOf(req Request) []string {
 // session advances its externalized session counter on success.
 func (c *Componentized) Serve(req Request) (Response, error) {
 	for _, name := range routeOf(req) {
-		if !c.tree.Running(name) {
+		if !c.Tree().Running(name) {
 			return Response{}, component.Down(name)
 		}
 	}
 	resp, err := c.srv.Serve(req)
 	if err == nil && req.Session != "" {
-		c.store.Incr(SessionBucket, req.Session)
+		c.Store().Incr(SessionBucket, req.Session)
 	}
 	return resp, err
 }
@@ -265,7 +192,7 @@ func (c *Componentized) Serve(req Request) (Response, error) {
 // SessionDepth returns a session's externalized request counter (0 when the
 // session has never been seen).
 func (c *Componentized) SessionDepth(session string) int64 {
-	v, ok := c.store.Get(SessionBucket, session)
+	v, ok := c.Store().Get(SessionBucket, session)
 	if !ok {
 		return 0
 	}

@@ -1,11 +1,6 @@
 package httpd
 
-import (
-	"errors"
-	"fmt"
-
-	"faultstudy/internal/component"
-)
+import "fmt"
 
 // Serving-tier category names for the HTTP operation mix — the same mix
 // workload.HTTPRequests generates, re-expressed as cumulative thresholds
@@ -24,34 +19,44 @@ const (
 // immediately, so warmup is a no-op kept for the workload.Server contract.
 func (c *Componentized) ServeWarm() error { return nil }
 
-// ServeArrival serves one open-loop arrival: u in [0, 1) picks the request
-// category from the standard 70/10/10/5/5 HTTP mix, seq individualizes
-// paths, and user names the session whose externalized counter the request
-// advances. It returns the category served, the name of the down component
-// when the request was refused mid-reboot, and the serve error.
-func (c *Componentized) ServeArrival(seq, user int, u float64) (category, comp string, err error) {
-	var path string
+// ServeCategory maps a uniform draw u in [0, 1) onto the standard
+// 70/10/10/5/5 HTTP mix.
+func (c *Componentized) ServeCategory(u float64) string {
 	switch {
 	case u < 0.70:
-		category, path = ServeStatic, "/index.html"
+		return ServeStatic
 	case u < 0.80:
-		category, path = ServeListing, "/pub/"
+		return ServeListing
 	case u < 0.90:
-		category, path = ServeCGI, "/cgi-bin/env"
+		return ServeCGI
 	case u < 0.95:
-		category, path = ServeProxy, fmt.Sprintf("/proxy/page%d", seq%8)
+		return ServeProxy
 	default:
-		category, path = ServeNotFound, fmt.Sprintf("/missing-%d", seq)
+		return ServeNotFound
 	}
-	req := Request{
+}
+
+// ServeArrival serves one open-loop arrival: u picks the request category
+// (ServeCategory), seq individualizes paths, and user names the session
+// whose externalized counter the request advances.
+func (c *Componentized) ServeArrival(seq, user int, u float64) error {
+	var path string
+	switch c.ServeCategory(u) {
+	case ServeStatic:
+		path = "/index.html"
+	case ServeListing:
+		path = "/pub/"
+	case ServeCGI:
+		path = "/cgi-bin/env"
+	case ServeProxy:
+		path = fmt.Sprintf("/proxy/page%d", seq%8)
+	default:
+		path = fmt.Sprintf("/missing-%d", seq)
+	}
+	_, err := c.Serve(Request{
 		Method:  "GET",
 		Path:    path,
 		Session: fmt.Sprintf("u%05d", user),
-	}
-	_, err = c.Serve(req)
-	var de *component.DownError
-	if errors.As(err, &de) {
-		comp = de.Component
-	}
-	return category, comp, err
+	})
+	return err
 }

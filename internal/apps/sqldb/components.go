@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"faultstudy/internal/component"
-	"faultstudy/internal/simenv"
 )
 
 // Component names of the componentized database server.
@@ -72,23 +71,21 @@ var dbComponentFor = map[string]string{
 // listener reboot drops TCP connections but not sessions — clients re-attach
 // transparently on their next statement.
 type Componentized struct {
-	srv   *Server
-	store *component.Store
-	tree  *component.Tree
+	*component.Process
+	srv *Server
 }
 
-// Componentize wraps a server into its component tree over the given
-// externalized store.
-func Componentize(srv *Server, store *component.Store) *Componentized {
-	c := &Componentized{
-		srv:   srv,
-		store: store,
-		tree:  component.NewTree(component.EnvClock{Env: srv.env}),
-	}
-	s := srv
-	c.tree.MustAdd(component.Spec{StartCost: executorStartCost, Component: component.NewPart(CompExecutor, component.Hooks{})})
-	c.tree.MustAdd(component.Spec{StartCost: parserStartCost, Deps: []string{CompExecutor}, Component: component.NewPart(CompParser, component.Hooks{})})
-	c.tree.MustAdd(component.Spec{StartCost: dbListenerStartCost, Deps: []string{CompExecutor}, Component: component.NewPart(CompListener, component.Hooks{
+// Componentize wraps a server into its component tree, with sessions and
+// prepared statements in the Process's store.
+func Componentize(s *Server) *Componentized {
+	c := &Componentized{srv: s, Process: component.NewProcess(s, dbComponentFor, func() {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		s.running = true
+	})}
+	c.Tree().MustAdd(component.Spec{StartCost: executorStartCost, Component: component.NewPart(CompExecutor, component.Hooks{})})
+	c.Tree().MustAdd(component.Spec{StartCost: parserStartCost, Deps: []string{CompExecutor}, Component: component.NewPart(CompParser, component.Hooks{})})
+	c.Tree().MustAdd(component.Spec{StartCost: dbListenerStartCost, Deps: []string{CompExecutor}, Component: component.NewPart(CompListener, component.Hooks{
 		// Crash-stopping the listener drops every TCP connection; sessions
 		// survive in the store and re-attach on the next statement.
 		OnKill: func() {
@@ -112,7 +109,7 @@ func Componentize(srv *Server, store *component.Store) *Componentized {
 			return nil
 		},
 	})})
-	c.tree.MustAdd(component.Spec{StartCost: storageStartCost, Deps: []string{CompExecutor}, Component: component.NewPart(CompStorage, component.Hooks{
+	c.Tree().MustAdd(component.Spec{StartCost: storageStartCost, Deps: []string{CompExecutor}, Component: component.NewPart(CompStorage, component.Hooks{
 		OnKill: func() {
 			s.mu.Lock()
 			defer s.mu.Unlock()
@@ -140,82 +137,19 @@ func Componentize(srv *Server, store *component.Store) *Componentized {
 	return c
 }
 
-// Name returns the environment owner tag.
-func (c *Componentized) Name() string { return Owner }
-
-// Env returns the underlying environment.
-func (c *Componentized) Env() *simenv.Env { return c.srv.Env() }
-
-// Running reports whether the simulated process is alive.
-func (c *Componentized) Running() bool { return c.srv.Running() }
-
-// Start boots the process and brings every component up.
-func (c *Componentized) Start() error {
-	if err := c.srv.Start(); err != nil {
-		return err
-	}
-	return c.tree.StartAll()
-}
-
-// Stop crash-stops the tree and shuts the process down.
-func (c *Componentized) Stop() {
-	c.tree.StopAll()
-	c.srv.Stop()
-}
-
-// Snapshot captures the process's logical state; the store is outside it.
-func (c *Componentized) Snapshot() ([]byte, error) { return c.srv.Snapshot() }
-
-// Restore replaces process state from a snapshot and brings the tree up.
-func (c *Componentized) Restore(snapshot []byte) error {
-	if err := c.srv.Restore(snapshot); err != nil {
-		return err
-	}
-	return c.tree.StartAll()
-}
-
-// Reset reinitializes the process and brings the tree up; the store and its
-// sessions survive.
-func (c *Componentized) Reset() error {
-	if err := c.srv.Reset(); err != nil {
-		return err
-	}
-	return c.tree.StartAll()
-}
-
-// Tree returns the component tree.
-func (c *Componentized) Tree() *component.Tree { return c.tree }
-
-// Store returns the externalized session store.
-func (c *Componentized) Store() *component.Store { return c.store }
-
-// ComponentFor maps a mechanism key to the component its defect lives in.
-func (c *Componentized) ComponentFor(mechanism string) (string, bool) {
-	name, ok := dbComponentFor[mechanism]
-	return name, ok
-}
-
-// ContainCrash revives the process-level liveness flag after a crash that
-// the component tree contains.
-func (c *Componentized) ContainCrash() {
-	c.srv.mu.Lock()
-	defer c.srv.mu.Unlock()
-	c.srv.running = true
-}
-
 // Connect opens (or re-opens) a named session from the given client address.
 // The session is externalized: it survives listener reboots and process
 // restarts, re-attaching to a fresh connection id on demand.
 func (c *Componentized) Connect(session, clientAddr string) error {
-	if !c.tree.Running(CompListener) {
+	if !c.Tree().Running(CompListener) {
 		return component.Down(CompListener)
 	}
 	id, err := c.srv.Connect(clientAddr)
 	if err != nil {
 		return err
 	}
-	c.store.Put(SessionBucket, session, clientAddr)
-	c.store.Put(ConnBucket, session, fmt.Sprint(id))
+	c.Store().Put(SessionBucket, session, clientAddr)
+	c.Store().Put(ConnBucket, session, fmt.Sprint(id))
 	return nil
 }
 
@@ -223,24 +157,24 @@ func (c *Componentized) Connect(session, clientAddr string) error {
 // reconnecting with the externalized client address when the old connection
 // died with a rebooted listener.
 func (c *Componentized) reattach(session string) error {
-	addr, ok := c.store.Get(SessionBucket, session)
+	addr, ok := c.Store().Get(SessionBucket, session)
 	if !ok {
 		return fmt.Errorf("sqldb: unknown session %q", session)
 	}
-	if v, ok := c.store.Get(ConnBucket, session); ok {
+	if v, ok := c.Store().Get(ConnBucket, session); ok {
 		var id int
 		if _, err := fmt.Sscanf(v, "%d", &id); err == nil && c.srv.Connected(id) {
 			return nil
 		}
 	}
-	if !c.tree.Running(CompListener) {
+	if !c.Tree().Running(CompListener) {
 		return component.Down(CompListener)
 	}
 	id, err := c.srv.Connect(addr)
 	if err != nil {
 		return err
 	}
-	c.store.Put(ConnBucket, session, fmt.Sprint(id))
+	c.Store().Put(ConnBucket, session, fmt.Sprint(id))
 	return nil
 }
 
@@ -249,7 +183,7 @@ func (c *Componentized) reattach(session string) error {
 // listener reboot dropped it.
 func (c *Componentized) Exec(session, sql string) (*ResultSet, error) {
 	for _, name := range []string{CompParser, CompExecutor, CompStorage} {
-		if !c.tree.Running(name) {
+		if !c.Tree().Running(name) {
 			return nil, component.Down(name)
 		}
 	}
@@ -263,13 +197,13 @@ func (c *Componentized) Exec(session, sql string) (*ResultSet, error) {
 // parser must be up at Prepare time; afterwards the statement outlives both
 // the parser and the process.
 func (c *Componentized) Prepare(session, name, sql string) error {
-	if !c.tree.Running(CompParser) {
+	if !c.Tree().Running(CompParser) {
 		return component.Down(CompParser)
 	}
 	if _, err := Parse(sql); err != nil {
 		return err
 	}
-	c.store.Put(PreparedBucket, session+"/"+name, sql)
+	c.Store().Put(PreparedBucket, session+"/"+name, sql)
 	return nil
 }
 
@@ -277,12 +211,12 @@ func (c *Componentized) Prepare(session, name, sql string) error {
 // storage only — the parse happened at Prepare time — so prepared traffic
 // keeps flowing while the parser is mid-reboot.
 func (c *Componentized) ExecPrepared(session, name string) (*ResultSet, error) {
-	sql, ok := c.store.Get(PreparedBucket, session+"/"+name)
+	sql, ok := c.Store().Get(PreparedBucket, session+"/"+name)
 	if !ok {
 		return nil, fmt.Errorf("sqldb: no prepared statement %q for session %q", name, session)
 	}
 	for _, comp := range []string{CompExecutor, CompStorage} {
-		if !c.tree.Running(comp) {
+		if !c.Tree().Running(comp) {
 			return nil, component.Down(comp)
 		}
 	}
@@ -294,6 +228,6 @@ func (c *Componentized) ExecPrepared(session, name string) (*ResultSet, error) {
 
 // SessionAlive reports whether the session exists in the externalized store.
 func (c *Componentized) SessionAlive(session string) bool {
-	_, ok := c.store.Get(SessionBucket, session)
+	_, ok := c.Store().Get(SessionBucket, session)
 	return ok
 }

@@ -12,7 +12,7 @@ import (
 func newComponentized(t *testing.T, mechs ...string) *Componentized {
 	t.Helper()
 	env := simenv.New(1, simenv.WithFDLimit(64))
-	c := Componentize(New(env, faultinject.NewSet(mechs...)), component.NewStore())
+	c := Componentize(New(env, faultinject.NewSet(mechs...)))
 	if err := c.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}

@@ -1,11 +1,6 @@
 package sqldb
 
-import (
-	"errors"
-	"fmt"
-
-	"faultstudy/internal/component"
-)
+import "fmt"
 
 // Serving-tier category names for the SQL operation mix.
 const (
@@ -38,43 +33,43 @@ func (c *Componentized) ServeWarm() error {
 	return nil
 }
 
-// ServeArrival serves one open-loop arrival: u in [0, 1) picks the
-// statement kind from a 55/20/15/10 select/insert/count/update mix, seq
-// individualizes keys, and user names the client session. Sessions connect
-// lazily and survive in the externalized store, so a rebooted listener does
-// not force every user back through Connect. It returns the category
-// served, the down component's name when the request was refused
-// mid-reboot, and the execution error.
-func (c *Componentized) ServeArrival(seq, user int, u float64) (category, comp string, err error) {
+// ServeCategory maps a uniform draw u in [0, 1) onto the 55/20/15/10
+// select/insert/count/update mix.
+func (c *Componentized) ServeCategory(u float64) string {
+	switch {
+	case u < 0.55:
+		return ServeSelect
+	case u < 0.75:
+		return ServeInsert
+	case u < 0.90:
+		return ServeCount
+	default:
+		return ServeUpdate
+	}
+}
+
+// ServeArrival serves one open-loop arrival: u picks the statement kind
+// (ServeCategory), seq individualizes keys, and user names the client
+// session. Sessions connect lazily and survive in the externalized store,
+// so a rebooted listener does not force every user back through Connect.
+func (c *Componentized) ServeArrival(seq, user int, u float64) error {
 	session := fmt.Sprintf("u%05d", user)
 	if !c.SessionAlive(session) {
-		if err = c.Connect(session, fmt.Sprintf("10.1.%d.%d", user/256, user%256)); err != nil {
-			var de *component.DownError
-			if errors.As(err, &de) {
-				comp = de.Component
-			}
-			return "connect", comp, err
+		if err := c.Connect(session, fmt.Sprintf("10.1.%d.%d", user/256, user%256)); err != nil {
+			return err
 		}
 	}
 	var stmt string
-	switch {
-	case u < 0.55:
-		category = ServeSelect
+	switch c.ServeCategory(u) {
+	case ServeSelect:
 		stmt = fmt.Sprintf("SELECT * FROM %s WHERE k <= %d ORDER BY k LIMIT 10", ServeTable, seq%64)
-	case u < 0.75:
-		category = ServeInsert
+	case ServeInsert:
 		stmt = fmt.Sprintf("INSERT INTO %s VALUES (%d, 'p%d')", ServeTable, 8+seq, seq)
-	case u < 0.90:
-		category = ServeCount
+	case ServeCount:
 		stmt = "SELECT COUNT(*) FROM " + ServeTable
 	default:
-		category = ServeUpdate
 		stmt = fmt.Sprintf("UPDATE %s SET payload = 'u%d' WHERE k = %d", ServeTable, seq, seq%8)
 	}
-	_, err = c.Exec(session, stmt)
-	var de *component.DownError
-	if errors.As(err, &de) {
-		comp = de.Component
-	}
-	return category, comp, err
+	_, err := c.Exec(session, stmt)
+	return err
 }

@@ -1,14 +1,29 @@
 package sqldb
 
-import "testing"
+import (
+	"errors"
+	"testing"
+
+	"faultstudy/internal/component"
+)
 
 // TestServeWarmAndMix verifies warmup creates the serve table and that every
 // category of the 55/20/15/10 mix executes cleanly against it, with lazy
-// per-user session connects.
+// per-user session connects: ServeCategory maps each draw onto its
+// category, and ServeArrival serves that category — the serve table gains
+// a row exactly on inserts.
 func TestServeWarmAndMix(t *testing.T) {
 	c := newComponentized(t)
 	if err := c.ServeWarm(); err != nil {
 		t.Fatalf("ServeWarm: %v", err)
+	}
+	rows := func() int64 {
+		t.Helper()
+		rs, err := c.srv.Exec("SELECT COUNT(*) FROM " + ServeTable)
+		if err != nil {
+			t.Fatalf("count: %v", err)
+		}
+		return rs.Count
 	}
 	cases := []struct {
 		u    float64
@@ -24,15 +39,19 @@ func TestServeWarmAndMix(t *testing.T) {
 		{0.999, ServeUpdate},
 	}
 	for i, tc := range cases {
-		cat, comp, err := c.ServeArrival(i, i%5, tc.u)
-		if cat != tc.want {
-			t.Errorf("u=%v category %q, want %q", tc.u, cat, tc.want)
+		if got := c.ServeCategory(tc.u); got != tc.want {
+			t.Errorf("u=%v category %q, want %q", tc.u, got, tc.want)
 		}
-		if err != nil {
+		before := rows()
+		if err := c.ServeArrival(i, i%5, tc.u); err != nil {
 			t.Errorf("u=%v healthy serve errored: %v", tc.u, err)
 		}
-		if comp != "" {
-			t.Errorf("u=%v healthy serve named down component %q", tc.u, comp)
+		want := before
+		if tc.want == ServeInsert {
+			want++
+		}
+		if got := rows(); got != want {
+			t.Errorf("u=%v (%s) left %d rows, want %d", tc.u, tc.want, got, want)
 		}
 	}
 	if !c.SessionAlive("u00000") {
@@ -41,24 +60,26 @@ func TestServeWarmAndMix(t *testing.T) {
 }
 
 // TestServeArrivalRefusedNamesComponent pins the refusal contract: a
-// statement through a down executor names the executor; after the reboot the
-// same user serves again without reconnecting.
+// statement through a down executor returns a DownError naming the
+// executor; after the reboot the same user serves again without
+// reconnecting.
 func TestServeArrivalRefusedNamesComponent(t *testing.T) {
 	c := newComponentized(t)
 	if err := c.ServeWarm(); err != nil {
 		t.Fatalf("ServeWarm: %v", err)
 	}
-	if _, _, err := c.ServeArrival(0, 9, 0.1); err != nil {
+	if err := c.ServeArrival(0, 9, 0.1); err != nil {
 		t.Fatalf("pre-kill serve: %v", err)
 	}
 	c.Tree().Kill(CompExecutor)
-	if _, comp, err := c.ServeArrival(1, 9, 0.1); err == nil || comp != CompExecutor {
-		t.Fatalf("select through dead executor: comp=%q err=%v, want refusal naming %q", comp, err, CompExecutor)
+	var de *component.DownError
+	if err := c.ServeArrival(1, 9, 0.1); !errors.As(err, &de) || de.Component != CompExecutor {
+		t.Fatalf("select through dead executor: err=%v, want refusal naming %q", err, CompExecutor)
 	}
 	if err := c.Tree().Reboot(CompExecutor, false, nil); err != nil {
 		t.Fatalf("reboot executor: %v", err)
 	}
-	if _, comp, err := c.ServeArrival(2, 9, 0.1); err != nil || comp != "" {
-		t.Fatalf("post-reboot serve: comp=%q err=%v, want clean serve", comp, err)
+	if err := c.ServeArrival(2, 9, 0.1); err != nil {
+		t.Fatalf("post-reboot serve: err=%v, want clean serve", err)
 	}
 }

@@ -24,10 +24,11 @@
 //     seconds" a measured claim instead of an assertion (the MREBOOT
 //     experiment, EXPERIMENTS.md).
 //
-// internal/apps/{httpd,sqldb,desktop} each provide a componentized
-// decomposition built on this runtime, and internal/supervise targets the
-// ladder's microreboot rung at the faulty component through the Host
-// interface.
+// internal/apps/{httpd,sqldb,desktop,cache} each declare a componentized
+// decomposition on this runtime — their component.Spec literals and
+// mechanism→component map, wrapped in one Process that carries the shared
+// lifecycle — and internal/supervise targets the ladder's microreboot rung
+// at the faulty component through the Host interface.
 package component
 
 import (
@@ -57,15 +58,12 @@ type Component interface {
 	// are gone immediately, resources it held are dropped for the
 	// environment to reclaim, and nothing is flushed. Kill never fails.
 	Kill()
-	// Probe reports the component's health: nil when it is up and its owned
-	// resources are intact, an error describing what is wrong otherwise.
-	Probe() error
 	// Running reports whether the component is up.
 	Running() bool
 }
 
 // Clock is the virtual clock reboot costs are charged to. simenv.Env
-// satisfies the shape via EnvClock in the apps; tests may supply fakes.
+// satisfies the shape via EnvClock in NewProcess; tests may supply fakes.
 type Clock interface {
 	// Now returns the current monotonic virtual time.
 	Now() time.Duration

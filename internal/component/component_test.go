@@ -1,7 +1,6 @@
 package component
 
 import (
-	"bytes"
 	"errors"
 	"testing"
 	"time"
@@ -15,27 +14,17 @@ func (c *fakeClock) Advance(d time.Duration) { c.now += d }
 
 // fakeComp is a minimal crash-only component for tree tests.
 type fakeComp struct {
-	name    string
-	up      bool
-	starts  int
-	kills   int
-	stops   int
-	probeFn func() error
+	name   string
+	up     bool
+	starts int
+	kills  int
+	stops  int
 }
 
-func (f *fakeComp) Name() string { return f.name }
-func (f *fakeComp) Start() error { f.starts++; f.up = true; return nil }
-func (f *fakeComp) Stop()        { f.stops++; f.up = false }
-func (f *fakeComp) Kill()        { f.kills++; f.up = false }
-func (f *fakeComp) Probe() error {
-	if f.probeFn != nil {
-		return f.probeFn()
-	}
-	if !f.up {
-		return Down(f.name)
-	}
-	return nil
-}
+func (f *fakeComp) Name() string  { return f.name }
+func (f *fakeComp) Start() error  { f.starts++; f.up = true; return nil }
+func (f *fakeComp) Stop()         { f.stops++; f.up = false }
+func (f *fakeComp) Kill()         { f.kills++; f.up = false }
 func (f *fakeComp) Running() bool { return f.up }
 
 // buildTree assembles core <- (logger, cache <- proxy) for the tests.
@@ -181,25 +170,6 @@ func TestTreeKillRestartWindow(t *testing.T) {
 	}
 }
 
-func TestTreeProbe(t *testing.T) {
-	tree, _, comps := buildTree(t)
-	if err := tree.StartAll(); err != nil {
-		t.Fatalf("StartAll: %v", err)
-	}
-	if findings := tree.Probe(); len(findings) != 0 {
-		t.Fatalf("healthy probe found %v", findings)
-	}
-	comps["logger"].up = false
-	findings := tree.Probe()
-	if len(findings) != 1 {
-		t.Fatalf("probe findings = %v", findings)
-	}
-	var de *DownError
-	if !errors.As(findings["logger"], &de) || de.Component != "logger" {
-		t.Fatalf("logger probe error = %v", findings["logger"])
-	}
-}
-
 func TestStoreBasics(t *testing.T) {
 	s := NewStore()
 	s.Put("b", "k", "v")
@@ -211,59 +181,6 @@ func TestStoreBasics(t *testing.T) {
 	}
 	if n := s.Incr("b", "seq"); n != 2 {
 		t.Fatalf("second Incr = %d", n)
-	}
-	if s.Len("b") != 2 {
-		t.Fatalf("Len = %d", s.Len("b"))
-	}
-	keys := s.Keys("b")
-	if len(keys) != 2 || keys[0] != "k" || keys[1] != "seq" {
-		t.Fatalf("Keys = %v", keys)
-	}
-	s.Delete("b", "k")
-	if _, ok := s.Get("b", "k"); ok {
-		t.Fatal("key survived Delete")
-	}
-	s.Reset()
-	if s.Len("b") != 0 {
-		t.Fatal("bucket survived Reset")
-	}
-}
-
-func TestStoreSnapshotDeterministicAndRestores(t *testing.T) {
-	s := NewStore()
-	s.Put("z", "b", "2")
-	s.Put("z", "a", "1")
-	s.Put("a", "x", "9")
-	snap1, err := s.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	snap2, err := s.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	if !bytes.Equal(snap1, snap2) {
-		t.Fatal("snapshots of identical state differ")
-	}
-	s.Put("z", "c", "3")
-	if err := s.Restore(snap1); err != nil {
-		t.Fatalf("Restore: %v", err)
-	}
-	if _, ok := s.Get("z", "c"); ok {
-		t.Fatal("post-snapshot write survived Restore")
-	}
-	if v, _ := s.Get("z", "a"); v != "1" {
-		t.Fatalf("restored value = %q", v)
-	}
-	snap3, err := s.Snapshot()
-	if err != nil {
-		t.Fatalf("Snapshot: %v", err)
-	}
-	if !bytes.Equal(snap1, snap3) {
-		t.Fatal("round-tripped snapshot differs")
-	}
-	if err := s.Restore([]byte("not json")); err == nil {
-		t.Fatal("garbage snapshot accepted")
 	}
 }
 

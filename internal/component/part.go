@@ -15,13 +15,10 @@ type Hooks struct {
 	// OnKill drops the part's resources on crash-stop. It must not block and
 	// must not fail; there is deliberately no way to return an error.
 	OnKill func()
-	// OnProbe checks part-specific health while the part is up. A down part
-	// already probes as DownError without this hook running.
-	OnProbe func() error
 }
 
 // Part is a Component assembled from callbacks — the building block the
-// componentized applications use instead of writing six methods per part.
+// componentized applications use instead of writing five methods per part.
 // Stop and Kill are the same operation: crash-only parts have no graceful
 // shutdown path to maintain, which is precisely what makes Kill always safe.
 type Part struct {
@@ -71,19 +68,6 @@ func (p *Part) Kill() {
 	if p.hooks.OnKill != nil {
 		p.hooks.OnKill()
 	}
-}
-
-// Probe reports DownError when the part is down, OnProbe's verdict otherwise.
-func (p *Part) Probe() error {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	if !p.up {
-		return Down(p.name)
-	}
-	if p.hooks.OnProbe != nil {
-		return p.hooks.OnProbe()
-	}
-	return nil
 }
 
 // Running reports whether the part is up.

@@ -1,8 +1,6 @@
 package component
 
 import (
-	"encoding/json"
-	"sort"
 	"strconv"
 	"sync"
 )
@@ -48,13 +46,6 @@ func (s *Store) Get(bucket, key string) (string, bool) {
 	return v, ok
 }
 
-// Delete removes key from bucket; absent keys are ignored.
-func (s *Store) Delete(bucket, key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.buckets[bucket], key)
-}
-
 // Incr increments the integer value of key in bucket by one and returns the
 // new value. A missing or non-integer value counts as zero — the session
 // sequence numbers this backs start at one.
@@ -70,85 +61,4 @@ func (s *Store) Incr(bucket, key string) int64 {
 	n++
 	b[key] = strconv.FormatInt(n, 10)
 	return n
-}
-
-// Len returns the number of keys in bucket.
-func (s *Store) Len(bucket string) int {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return len(s.buckets[bucket])
-}
-
-// Keys returns the keys of bucket in sorted order.
-func (s *Store) Keys(bucket string) []string {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	keys := make([]string, 0, len(s.buckets[bucket]))
-	for k := range s.buckets[bucket] {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Snapshot serializes the whole store deterministically (buckets and keys
-// sorted) — the hook that lets an experiment checkpoint the externalized
-// state alongside application state.
-func (s *Store) Snapshot() ([]byte, error) {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	type bucketState struct {
-		Name string      `json:"name"`
-		KV   [][2]string `json:"kv"`
-	}
-	names := make([]string, 0, len(s.buckets))
-	for name := range s.buckets {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	out := make([]bucketState, 0, len(names))
-	for _, name := range names {
-		bs := bucketState{Name: name}
-		keys := make([]string, 0, len(s.buckets[name]))
-		for k := range s.buckets[name] {
-			keys = append(keys, k)
-		}
-		sort.Strings(keys)
-		for _, k := range keys {
-			bs.KV = append(bs.KV, [2]string{k, s.buckets[name][k]})
-		}
-		out = append(out, bs)
-	}
-	return json.Marshal(out)
-}
-
-// Restore replaces the store's contents from a Snapshot.
-func (s *Store) Restore(snapshot []byte) error {
-	type bucketState struct {
-		Name string      `json:"name"`
-		KV   [][2]string `json:"kv"`
-	}
-	var in []bucketState
-	if err := json.Unmarshal(snapshot, &in); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.buckets = make(map[string]map[string]string, len(in))
-	for _, bs := range in {
-		b := make(map[string]string, len(bs.KV))
-		for _, kv := range bs.KV {
-			b[kv[0]] = kv[1]
-		}
-		s.buckets[bs.Name] = b
-	}
-	return nil
-}
-
-// Reset empties the store — the one deliberate way to lose sessions (a
-// datacenter-level wipe, not any recovery mechanism's side effect).
-func (s *Store) Reset() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.buckets = make(map[string]map[string]string)
 }

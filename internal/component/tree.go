@@ -152,20 +152,6 @@ func (t *Tree) AllRunning() bool {
 	return true
 }
 
-// Probe runs every component's health probe and returns the findings by
-// component name (empty map when everything is healthy).
-func (t *Tree) Probe() map[string]error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	out := make(map[string]error)
-	for _, name := range t.order {
-		if err := t.nodes[name].spec.Component.Probe(); err != nil {
-			out[name] = err
-		}
-	}
-	return out
-}
-
 // SubtreeOf returns name followed by every transitive dependent, in
 // dependency order — the set a widened Reboot cycles.
 func (t *Tree) SubtreeOf(name string) []string {

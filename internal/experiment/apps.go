@@ -8,7 +8,6 @@ import (
 	"faultstudy/internal/apps/desktop"
 	"faultstudy/internal/apps/httpd"
 	"faultstudy/internal/apps/sqldb"
-	"faultstudy/internal/component"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/recovery"
 	"faultstudy/internal/simenv"
@@ -86,7 +85,7 @@ var apps = []appEntry{
 			return srv, func(key string) (faultinject.Scenario, bool) { return httpd.Scenario(srv, key) }
 		},
 		componentize: func(app recovery.Application) componentApp {
-			return httpd.Componentize(app.(*httpd.Server), component.NewStore())
+			return httpd.Componentize(app.(*httpd.Server))
 		},
 		drive: func(app componentApp) (func(), func(int) error) {
 			c := app.(*httpd.Componentized)
@@ -125,7 +124,7 @@ var apps = []appEntry{
 			return db, func(key string) (faultinject.Scenario, bool) { return sqldb.Scenario(db, key) }
 		},
 		componentize: func(app recovery.Application) componentApp {
-			return sqldb.Componentize(app.(*sqldb.Server), component.NewStore())
+			return sqldb.Componentize(app.(*sqldb.Server))
 		},
 		drive: func(app componentApp) (func(), func(int) error) {
 			c := app.(*sqldb.Componentized)
@@ -171,7 +170,7 @@ var apps = []appEntry{
 			return d, func(key string) (faultinject.Scenario, bool) { return desktop.Scenario(d, key) }
 		},
 		componentize: func(app recovery.Application) componentApp {
-			return desktop.Componentize(app.(*desktop.Desktop), component.NewStore())
+			return desktop.Componentize(app.(*desktop.Desktop))
 		},
 		drive: func(app componentApp) (func(), func(int) error) {
 			c := app.(*desktop.Componentized)

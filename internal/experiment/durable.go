@@ -10,7 +10,6 @@ import (
 
 	"faultstudy/internal/apps/cache"
 	"faultstudy/internal/apps/sqldb"
-	"faultstudy/internal/component"
 	"faultstudy/internal/durable"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/obsv"
@@ -828,7 +827,7 @@ func runDurableCacheArm(name string, seed int64) (DurableArm, error) {
 	arm := DurableArm{Name: name, Class: "app"}
 	env := simenv.New(seed)
 	srv := cache.New(env, faultinject.NewSet(), cache.Config{})
-	c := cache.Componentize(srv, component.NewStore())
+	c := cache.Componentize(srv)
 	if err := c.Start(); err != nil {
 		return arm, err
 	}

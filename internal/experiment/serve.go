@@ -7,8 +7,6 @@ import (
 	"strings"
 	"time"
 
-	"faultstudy/internal/apps/httpd"
-	"faultstudy/internal/apps/sqldb"
 	"faultstudy/internal/component"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/obsv"
@@ -392,7 +390,7 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 		_ = supervise.Revive(r.app, nil)
 		return
 	}
-	_, comp, err := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
+	err := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
 	var de *component.DownError
 	switch {
 	case err == nil:
@@ -401,19 +399,18 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 		r.record(arr, traffic.OutcomeRefused, de.Component, err.Error(), 0)
 	default:
 		if _, isFault := faultinject.AsFailure(err); !isFault { //faultlint:ignore swallowfail fault failures proceed to the breaker/episode paths below; non-fault errors are recorded as error outcomes
-			r.record(arr, traffic.OutcomeError, comp, err.Error(), 0)
+			r.record(arr, traffic.OutcomeError, "", err.Error(), 0)
 			return
 		}
 		if r.breakerOpen() {
 			r.arm.Shed++
-			r.record(arr, traffic.OutcomeError, comp, err.Error(), 0)
+			r.record(arr, traffic.OutcomeError, "", err.Error(), 0)
 			_ = supervise.Revive(r.app, nil)
 			return
 		}
 		arrivedAt := r.base + arr.At
 		recovered := r.episode(fmt.Sprintf("arr-%04d", arr.Seq), err, func() error {
-			_, _, rerr := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
-			return rerr
+			return r.app.ServeArrival(arr.Seq, arr.User, arr.U)
 		})
 		if recovered {
 			// The user waited from arrival through recovery, then was served.
@@ -443,9 +440,8 @@ func (r *serveRun) record(arr traffic.Arrival, outcome, comp, errMsg string, lat
 	case traffic.OutcomeLost:
 		r.arm.Lost++
 	}
-	category := categoryFor(r.app, arr)
 	r.arm.Records = append(r.arm.Records, traffic.Record{
-		Seq: arr.Seq, User: arr.User, At: arr.At, Category: category,
+		Seq: arr.Seq, User: arr.User, At: arr.At, Category: r.app.ServeCategory(arr.U),
 		Latency: latency, Outcome: outcome, Component: comp, Err: errMsg,
 	})
 	if r.tel != nil {
@@ -454,38 +450,6 @@ func (r *serveRun) record(arr traffic.Arrival, outcome, comp, errMsg string, lat
 		if outcome == traffic.OutcomeOK || outcome == traffic.OutcomeSlow {
 			r.tel.Registry.Histogram(MetricServeRequestLatency, obsv.RequestLatencyBuckets,
 				obsv.L("app", r.mech.App.String(), "rung", r.rung)...).ObserveDuration(latency)
-		}
-	}
-}
-
-// categoryFor names the operation-mix bucket an arrival's draw maps to,
-// without serving anything — pure threshold arithmetic mirroring the apps'
-// ServeArrival switch.
-func categoryFor(app serveApp, arr traffic.Arrival) string {
-	switch app.Name() {
-	case httpd.Owner:
-		switch {
-		case arr.U < 0.70:
-			return httpd.ServeStatic
-		case arr.U < 0.80:
-			return httpd.ServeListing
-		case arr.U < 0.90:
-			return httpd.ServeCGI
-		case arr.U < 0.95:
-			return httpd.ServeProxy
-		default:
-			return httpd.ServeNotFound
-		}
-	default:
-		switch {
-		case arr.U < 0.55:
-			return sqldb.ServeSelect
-		case arr.U < 0.75:
-			return sqldb.ServeInsert
-		case arr.U < 0.90:
-			return sqldb.ServeCount
-		default:
-			return sqldb.ServeUpdate
 		}
 	}
 }
@@ -565,7 +529,7 @@ func (r *serveRun) outage(target string, cost time.Duration) {
 		arr := r.schedule[r.next]
 		r.next++
 		r.arm.OutageArrivals++
-		_, comp, err := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
+		err := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
 		var de *component.DownError
 		switch {
 		case err == nil:
@@ -576,7 +540,7 @@ func (r *serveRun) outage(target string, cost time.Duration) {
 		default:
 			// The arrival hit the active fault rather than the outage; the
 			// episode in progress already owns recovery.
-			r.record(arr, traffic.OutcomeError, comp, err.Error(), 0)
+			r.record(arr, traffic.OutcomeError, "", err.Error(), 0)
 		}
 	}
 }

@@ -95,9 +95,8 @@ func sortedKeys(m map[string]bool) []string {
 // storeWriteMethods are the externalized-store mutators; a call to one with
 // a constant first argument taints that bucket.
 var storeWriteMethods = map[string]bool{
-	"Put":    true,
-	"Incr":   true,
-	"Delete": true,
+	"Put":  true,
+	"Incr": true,
 }
 
 // collectWrites gathers the direct write set of a subtree: assignment and

@@ -10,7 +10,6 @@ import (
 	"faultstudy/internal/apps/desktop"
 	"faultstudy/internal/apps/httpd"
 	"faultstudy/internal/apps/sqldb"
-	"faultstudy/internal/component"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/simenv"
 	"faultstudy/internal/taxonomy"
@@ -636,8 +635,7 @@ func TestEpisodeDurationStampedAtDecisionTime(t *testing.T) {
 func TestMicrorebootTargetsFaultyComponent(t *testing.T) {
 	env := simenv.New(7, simenv.WithFDLimit(16), simenv.WithProcLimit(192))
 	c := httpd.Componentize(
-		httpd.New(env, faultinject.NewSet(httpd.MechFDExhaustion), httpd.Config{}),
-		component.NewStore())
+		httpd.New(env, faultinject.NewSet(httpd.MechFDExhaustion), httpd.Config{}))
 
 	var actions []Event
 	cfg := Config{Seed: 7, Trace: func(ev Event) {
@@ -708,8 +706,7 @@ func TestMicrorebootTargetsFaultyComponent(t *testing.T) {
 func TestMicrorebootWidensToSubtree(t *testing.T) {
 	env := simenv.New(9, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
 	c := httpd.Componentize(
-		httpd.New(env, faultinject.NewSet(httpd.MechNullDeref), httpd.Config{}),
-		component.NewStore())
+		httpd.New(env, faultinject.NewSet(httpd.MechNullDeref), httpd.Config{}))
 
 	var microAttempts int
 	cfg := Config{Seed: 9, RungAttempts: 2, Trace: func(ev Event) {

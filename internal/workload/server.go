@@ -13,19 +13,23 @@ import (
 // app packages can implement it without importing the traffic model, and
 // the traffic model can drive apps without importing them.
 //
-// ServeArrival's contract: category names the operation-mix bucket the draw
-// mapped to; component names the down component when the request was
-// refused mid-reboot (empty otherwise); err is the serve error, which
-// callers classify with faultinject.AsFailure into fault-induced failures
-// versus refusals. Implementations must be deterministic functions of
+// The contract: ServeCategory names the operation-mix bucket a draw maps to
+// and is the one copy of the app's mix thresholds; ServeArrival serves that
+// category and returns only the serve error. A request refused because a
+// component it routes through is down returns a *component.DownError naming
+// that component; callers classify any other error with
+// faultinject.AsFailure. Implementations must be deterministic functions of
 // (seq, user, u) and current server state.
 type Server interface {
 	// Name identifies the application ("httpd", "sqldb").
 	Name() string
 	// ServeWarm brings the application to serving steady state.
 	ServeWarm() error
+	// ServeCategory maps a uniform draw u in [0, 1) to its operation-mix
+	// bucket without serving anything.
+	ServeCategory(u float64) string
 	// ServeArrival serves one scheduled arrival.
-	ServeArrival(seq, user int, u float64) (category, component string, err error)
+	ServeArrival(seq, user int, u float64) error
 }
 
 // The componentized applications are the serving tier's drivers; keep them
