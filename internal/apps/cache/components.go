@@ -22,10 +22,6 @@ const (
 	CompSweeper = "cache/sweeper"
 )
 
-// HotKeyBucket is the externalized-store bucket holding per-session hot-key
-// counters — the state that must survive any component reboot.
-const HotKeyBucket = "cache/hotkeys"
-
 // Reboot costs on the virtual clock: what one microreboot of each part
 // costs, in simulated milliseconds — against whole-process restart measured
 // in seconds.
@@ -55,17 +51,15 @@ var componentFor = map[string]string{
 }
 
 // Componentized is the crash-only decomposition of the cache daemon: the
-// same simulated daemon, restructured into a component tree with the hot-key
-// counters externalized to a store that survives component death. Its
-// embedded Process implements both recovery.Application (the whole-process
+// same simulated daemon, restructured into a component tree. Its embedded
+// Process implements both recovery.Application (the whole-process
 // lifecycle) and component.Host (the per-component one).
 type Componentized struct {
 	*component.Process
 	srv *Server
 }
 
-// Componentize wraps a daemon into its component tree, with the externalized
-// hot-key state in the Process's store.
+// Componentize wraps a daemon into its component tree.
 func Componentize(s *Server) *Componentized {
 	c := &Componentized{srv: s, Process: component.NewProcess(s, componentFor, func() {
 		s.mu.Lock()

@@ -1,10 +1,8 @@
 package cache
 
 import (
-	"errors"
 	"testing"
 
-	"faultstudy/internal/component"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/simenv"
 )
@@ -42,126 +40,8 @@ func TestComponentForCoversEveryMechanism(t *testing.T) {
 	}
 }
 
-func TestHotKeysSurviveRebootAndRestart(t *testing.T) {
-	// The externalization regression test: a session's hot-key counter must
-	// survive a core microreboot, a subtree reboot, and a process restart.
-	c := newComponentized(t)
-	if err := c.ServeWarm(); err != nil {
-		t.Fatalf("warm: %v", err)
-	}
-	for i := 0; i < 2; i++ {
-		if err := c.ServeArrival(i, 1, 0.10); err != nil {
-			t.Fatalf("arrival %d: %v", i, err)
-		}
-	}
-	if v, ok := c.Store().Get(HotKeyBucket, "u00001"); !ok || v != "2" {
-		t.Fatalf("hot-key counter = %q/%v, want 2", v, ok)
-	}
-
-	if err := c.Tree().Reboot(CompCore, false, nil); err != nil {
-		t.Fatalf("reboot core: %v", err)
-	}
-	if v, _ := c.Store().Get(HotKeyBucket, "u00001"); v != "2" {
-		t.Fatalf("hot key lost in core reboot: %q", v)
-	}
-	if err := c.Tree().Reboot(CompCore, true, nil); err != nil {
-		t.Fatalf("reboot subtree: %v", err)
-	}
-	if v, _ := c.Store().Get(HotKeyBucket, "u00001"); v != "2" {
-		t.Fatalf("hot key lost in subtree reboot: %q", v)
-	}
-
-	snap, err := c.Snapshot()
-	if err != nil {
-		t.Fatalf("snapshot: %v", err)
-	}
-	c.Stop()
-	if err := c.Restore(snap); err != nil {
-		t.Fatalf("restore: %v", err)
-	}
-	if err := c.ServeArrival(2, 1, 0.10); err != nil {
-		t.Fatalf("arrival after restart: %v", err)
-	}
-	if v, _ := c.Store().Get(HotKeyBucket, "u00001"); v != "3" {
-		t.Fatalf("hot key did not resume across restart: %q, want 3", v)
-	}
-}
-
-func TestServeRefusesThroughDownComponents(t *testing.T) {
-	c := newComponentized(t)
-	if err := c.ServeWarm(); err != nil {
-		t.Fatal(err)
-	}
-	// The 60/15/15/5/5 mix, with whether each category routes through the
-	// sweeper.
-	mix := []struct {
-		u       float64
-		want    string
-		sweeper bool
-	}{
-		{0, ServeGetHit, false},
-		{0.10, ServeGetHit, false},
-		{0.599, ServeGetHit, false},
-		{0.60, ServeGetMiss, true},
-		{0.70, ServeGetMiss, true},
-		{0.749, ServeGetMiss, true},
-		{0.75, ServeSet, false},
-		{0.80, ServeSet, false},
-		{0.899, ServeSet, false},
-		{0.90, ServeDel, true},
-		{0.92, ServeDel, true},
-		{0.949, ServeDel, true},
-		{0.95, ServeStats, false},
-		{0.97, ServeStats, false},
-		{0.999, ServeStats, false},
-	}
-	if err := c.Tree().Kill(CompSweeper); err != nil {
-		t.Fatalf("kill sweeper: %v", err)
-	}
-	// Miss fills and deletes route through the sweeper and must refuse,
-	// while hits, sets, and stats keep serving — and advance the session's
-	// hot-key counter.
-	for i, m := range mix {
-		if got := c.ServeCategory(m.u); got != m.want {
-			t.Errorf("u=%v category %q, want %q", m.u, got, m.want)
-		}
-		before, _ := c.Store().Get(HotKeyBucket, "u00001")
-		err := c.ServeArrival(i, 1, m.u)
-		after, _ := c.Store().Get(HotKeyBucket, "u00001")
-		var de *component.DownError
-		switch {
-		case m.sweeper && (!errors.As(err, &de) || de.Component != CompSweeper):
-			t.Errorf("%s with sweeper down: err=%v, want refusal naming the sweeper", m.want, err)
-		case !m.sweeper && err != nil:
-			t.Errorf("%s failed during sweeper outage: %v", m.want, err)
-		case (after != before) == m.sweeper:
-			t.Errorf("%s moved the hot-key counter %q -> %q", m.want, before, after)
-		}
-	}
-	if err := c.Tree().Restart(CompSweeper); err != nil {
-		t.Fatalf("restart sweeper: %v", err)
-	}
-	if err := c.ServeArrival(2, 1, 0.70); err != nil {
-		t.Fatalf("miss after sweeper restart: %v", err)
-	}
-
-	// A dead listener refuses every category.
-	if err := c.Tree().Kill(CompListener); err != nil {
-		t.Fatalf("kill listener: %v", err)
-	}
-	for _, m := range mix {
-		var de *component.DownError
-		if err := c.ServeArrival(3, 1, m.u); !errors.As(err, &de) || de.Component != CompListener {
-			t.Fatalf("%s served through a dead listener: err=%v", m.want, err)
-		}
-	}
-}
-
 func TestPersistDownDegradesToUnpersisted(t *testing.T) {
 	c := newComponentized(t)
-	if err := c.ServeWarm(); err != nil {
-		t.Fatal(err)
-	}
 	if err := c.Tree().Kill(CompPersist); err != nil {
 		t.Fatalf("kill persist: %v", err)
 	}
@@ -172,8 +52,11 @@ func TestPersistDownDegradesToUnpersisted(t *testing.T) {
 		t.Fatal("persist kill did not suspend the append-only log")
 	}
 	// Mutations still serve — unpersisted rather than refused.
-	if err := c.ServeArrival(0, 1, 0.80); err != nil {
+	if err := c.srv.Set("down", "v"); err != nil {
 		t.Fatalf("set with persist down: %v", err)
+	}
+	if v, err := c.srv.Get("down"); err != nil || v != "v" {
+		t.Fatalf("get with persist down: %q, %v", v, err)
 	}
 	if err := c.Tree().Restart(CompPersist); err != nil {
 		t.Fatalf("restart persist: %v", err)
@@ -184,6 +67,15 @@ func TestPersistDownDegradesToUnpersisted(t *testing.T) {
 	if suspended {
 		t.Fatal("persist restart did not resume the append-only log")
 	}
+	if _, ok := c.srv.DurableStore().Get("down"); ok {
+		t.Fatal("a set served with persist down reached the log")
+	}
+	if err := c.srv.Set("up", "v"); err != nil {
+		t.Fatalf("set after persist restart: %v", err)
+	}
+	if _, ok := c.srv.DurableStore().Get("up"); !ok {
+		t.Fatal("a set after persist restart was not logged")
+	}
 }
 
 func TestListenerRebootDropsLeakedDescriptors(t *testing.T) {
@@ -191,12 +83,9 @@ func TestListenerRebootDropsLeakedDescriptors(t *testing.T) {
 	// closes every leaked connection descriptor and rebinds the port clean,
 	// where a generic restore would faithfully re-leak them.
 	c := newComponentized(t, MechConnFDLeak)
-	if err := c.ServeWarm(); err != nil {
-		t.Fatal(err)
-	}
 	for i := 0; i < 5; i++ {
-		if err := c.ServeArrival(i, 1, 0.10); err != nil {
-			t.Fatalf("arrival %d: %v", i, err)
+		if _, err := c.srv.Get("motd"); err != nil {
+			t.Fatalf("get %d: %v", i, err)
 		}
 	}
 	c.srv.mu.Lock()
@@ -214,8 +103,8 @@ func TestListenerRebootDropsLeakedDescriptors(t *testing.T) {
 	if held != 0 || want != 0 {
 		t.Fatalf("listener reboot kept leaks: fds=%d want=%d", held, want)
 	}
-	if err := c.ServeArrival(9, 1, 0.10); err != nil {
-		t.Fatalf("arrival after listener reboot: %v", err)
+	if _, err := c.srv.Get("motd"); err != nil {
+		t.Fatalf("get after listener reboot: %v", err)
 	}
 }
 

@@ -13,8 +13,7 @@ const (
 	// CompExecutor is the query-execution engine — the root every other part
 	// depends on, and where the executor-path defects live.
 	CompExecutor = "sqldb/executor"
-	// CompParser is the SQL parser; ad-hoc statements route through it, but
-	// prepared statements do not — they were parsed at Prepare time.
+	// CompParser is the SQL parser; every statement routes through it.
 	CompParser = "sqldb/parser"
 	// CompListener is the accept path: the listening port and connection
 	// admission (reverse DNS, privilege checks).
@@ -24,16 +23,13 @@ const (
 	CompStorage = "sqldb/storage"
 )
 
-// Externalized-store buckets: sessions (session -> client address), live
-// connection ids (session -> conn id), and prepared statements
-// (session/name -> SQL text). All survive any component reboot.
+// Externalized-store buckets: sessions (session -> client address) and live
+// connection ids (session -> conn id). Both survive any component reboot.
 const (
 	// SessionBucket maps a session name to its client address.
 	SessionBucket = "sqldb/sessions"
 	// ConnBucket maps a session name to its current server connection id.
 	ConnBucket = "sqldb/conns"
-	// PreparedBucket maps "session/name" to prepared SQL text.
-	PreparedBucket = "sqldb/prepared"
 )
 
 // Reboot costs on the virtual clock, in simulated milliseconds.
@@ -67,7 +63,7 @@ var dbComponentFor = map[string]string{
 }
 
 // Componentized is the crash-only decomposition of the database server:
-// sessions and prepared statements live in an externalized store, so a
+// sessions and their connection ids live in an externalized store, so a
 // listener reboot drops TCP connections but not sessions — clients re-attach
 // transparently on their next statement.
 type Componentized struct {
@@ -76,7 +72,7 @@ type Componentized struct {
 }
 
 // Componentize wraps a server into its component tree, with sessions and
-// prepared statements in the Process's store.
+// their connection ids in the Process's store.
 func Componentize(s *Server) *Componentized {
 	c := &Componentized{srv: s, Process: component.NewProcess(s, dbComponentFor, func() {
 		s.mu.Lock()
@@ -185,39 +181,6 @@ func (c *Componentized) Exec(session, sql string) (*ResultSet, error) {
 	for _, name := range []string{CompParser, CompExecutor, CompStorage} {
 		if !c.Tree().Running(name) {
 			return nil, component.Down(name)
-		}
-	}
-	if err := c.reattach(session); err != nil {
-		return nil, err
-	}
-	return c.srv.Exec(sql)
-}
-
-// Prepare validates and externalizes a named statement for the session. The
-// parser must be up at Prepare time; afterwards the statement outlives both
-// the parser and the process.
-func (c *Componentized) Prepare(session, name, sql string) error {
-	if !c.Tree().Running(CompParser) {
-		return component.Down(CompParser)
-	}
-	if _, err := Parse(sql); err != nil {
-		return err
-	}
-	c.Store().Put(PreparedBucket, session+"/"+name, sql)
-	return nil
-}
-
-// ExecPrepared runs a prepared statement: it routes through the executor and
-// storage only — the parse happened at Prepare time — so prepared traffic
-// keeps flowing while the parser is mid-reboot.
-func (c *Componentized) ExecPrepared(session, name string) (*ResultSet, error) {
-	sql, ok := c.Store().Get(PreparedBucket, session+"/"+name)
-	if !ok {
-		return nil, fmt.Errorf("sqldb: no prepared statement %q for session %q", name, session)
-	}
-	for _, comp := range []string{CompExecutor, CompStorage} {
-		if !c.Tree().Running(comp) {
-			return nil, component.Down(comp)
 		}
 	}
 	if err := c.reattach(session); err != nil {

@@ -12,10 +12,10 @@
 //   - every component implements a crash-only lifecycle: Kill is always safe,
 //     always instant, and never negotiates — cleanup happens on the next
 //     Start, not on the way down;
-//   - components hold no private session state. Sessions, prepared
-//     statements, and open-request context live in an externalized Store
-//     that survives component death, so rebooting a component loses work in
-//     flight but never the user's session;
+//   - components hold no private session state. Sessions and their
+//     connection bindings live in an externalized Store that survives
+//     component death, so rebooting a component loses work in flight but
+//     never the user's session;
 //   - components declare dependency edges in a Tree, so the runtime can
 //     reboot one leaf (or, when that does not help, the subtree above it)
 //     in dependency order while siblings keep serving;

@@ -13,7 +13,7 @@ import (
 // lives inside them.
 //
 // Buckets namespace the state by concern ("httpd/sessions",
-// "sqldb/prepared", ...). All methods are safe for concurrent use; sibling
+// "sqldb/conns", ...). All methods are safe for concurrent use; sibling
 // components read and write the store while another component is
 // mid-reboot.
 type Store struct {

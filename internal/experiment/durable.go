@@ -152,25 +152,89 @@ type DurableReport struct {
 	Done, Total int
 }
 
-// durableArms is the fixed arm axis, in report order: each arm's name and
-// its run func, a pure function of (name, seed) sharing no state with other
-// arms.
+// durableArms is the fixed arm axis, in report order: each arm's name, its
+// class, and its run func, a pure function of the seed that fills the arm
+// and shares no state with other arms. The store arms are rows of one fault
+// table run by runFault; the crash matrix runs one row per write boundary.
 var durableArms = []struct {
-	name string
-	run  func(name string, seed int64) (DurableArm, error)
+	name, class string
+	run         func(a *DurableArm, seed int64) error
 }{
-	{"none", runDurableBaselineArm},
-	{"crash-drop", func(name string, seed int64) (DurableArm, error) { return runDurableCrashArm(name, seed, 0) }},
-	{"crash-tear", func(name string, seed int64) (DurableArm, error) { return runDurableCrashArm(name, seed, 3) }},
-	{"disk-full", runDurableDiskFullArm},
-	{"fd-exhaustion", runDurableFDArm},
-	{"file-limit", runDurableFileLimitArm},
-	{"short-write", func(name string, seed int64) (DurableArm, error) { return runDurableWriteFaultArm(name, seed, "short") }},
-	{"sync-fail", func(name string, seed int64) (DurableArm, error) { return runDurableWriteFaultArm(name, seed, "sync") }},
-	{"torn-write", runDurableTornArm},
-	{"crash-before-rename", runDurableRenameArm},
-	{"app-sqldb-restore", runDurableSQLArm},
-	{"app-cache-reboot", runDurableCacheArm},
+	{"none", "none", storeArm(durableFault{every: durableCrashCkptEvery, at: durableOps, hit: noFault,
+		op: "clean-reopen", note: "clean close and reopen"})},
+	{"crash-drop", "crash", func(a *DurableArm, seed int64) error { return a.runCrashMatrix(seed, 0) }},
+	{"crash-tear", "crash", func(a *DurableArm, seed int64) error { return a.runCrashMatrix(seed, 3) }},
+	{"disk-full", "EDN", storeArm(durableFault{every: -1, at: durableOps / 2,
+		// The margin is smaller than any WAL record, so the next append
+		// genuinely hits the full partition.
+		hit: strikeNext(func(env *simenv.Env) error {
+			return env.Disk().FillFrom("other-tenant", 8) //faultlint:ignore envcheck staging the hostile environment is the point
+		}),
+		want: simenv.ErrDiskFull, heal: func(env *simenv.Env, _ *durable.Store) error {
+			env.Disk().RemoveOwner("other-tenant")
+			return nil
+		}, op: "append-enospc"})},
+	{"fd-exhaustion", "EDN", storeArm(durableFault{env: []simenv.Option{simenv.WithFDLimit(8)}, at: -1,
+		hit: func(env *simenv.Env, _ *durable.Store, _ [][]durable.Op) error {
+			for {
+				if _, err := env.FDs().Open("competitor"); err != nil {
+					break
+				}
+			}
+			st, _, err := durable.Open(env, durableOwner, durableDir, durable.Options{})
+			if err == nil {
+				st.Close()
+			}
+			return err
+		},
+		want: simenv.ErrFDExhausted, heal: func(env *simenv.Env, _ *durable.Store) error {
+			env.FDs().ReleaseOwner("competitor")
+			return nil
+		}, op: "open-emfile"})},
+	// The uncompacted log grows into the per-file limit; the heal is
+	// compaction (checkpoint + log truncation), and under a cap this small
+	// the condition recurs, so the resume compacts again whenever it bites.
+	{"file-limit", "EDN", storeArm(durableFault{env: []simenv.Option{simenv.WithMaxFileSize(512)}, every: -1,
+		hit: func(_ *simenv.Env, st *durable.Store, rest [][]durable.Op) error {
+			_, err := applyAll(st, rest)
+			return err
+		},
+		want: simenv.ErrFileTooLarge, heal: func(_ *simenv.Env, st *durable.Store) error { return st.Checkpoint() },
+		op: "append-efbig"})},
+	// Transient device faults: the heal is nothing at all — the store
+	// repairs its own tail before retrying the same record.
+	{"short-write", "EDT", storeArm(durableFault{every: -1, at: durableOps / 2,
+		hit:  strikeNext(func(env *simenv.Env) error { env.Disk().ArmShortWrite(3); return nil }),
+		want: simenv.ErrShortWrite, heal: transient, op: "append-short"})},
+	{"sync-fail", "EDT", storeArm(durableFault{every: -1, at: durableOps / 2,
+		hit:  strikeNext(func(env *simenv.Env) error { env.Disk().ArmSyncFail(); return nil }),
+		want: simenv.ErrIOFault, heal: transient, op: "append-sync"})},
+	// The silent device lie: the last record's write is torn while
+	// reporting success, so the store acknowledges a record the disk never
+	// fully held. The loss is unavoidable — the gate is that reopening
+	// DETECTS it rather than serving corrupt state.
+	{"torn-write", "EDT", storeArm(durableFault{every: -1, at: durableOps - 1,
+		hit: strikeNext(func(env *simenv.Env) error { env.Disk().ArmTornWrite(2); return nil }),
+		op:  "torn-ack", note: "write torn to 2 bytes while reporting success"})},
+	// A crash at the checkpoint commit point: recovery must sweep the
+	// temporary, keep the old checkpoint, and replay the full log.
+	{"crash-before-rename", "crash", storeArm(durableFault{every: -1, at: durableOps / 2,
+		hit: func(env *simenv.Env, st *durable.Store, rest [][]durable.Op) error {
+			// Stage an old checkpoint behind a log tail, then crash the next
+			// checkpoint before its rename lands.
+			if err := st.Checkpoint(); err != nil {
+				return err
+			}
+			if _, err := applyAll(st, rest); err != nil {
+				return err
+			}
+			env.Disk().ArmCrashBeforeRename()
+			return st.Checkpoint()
+		},
+		want: simenv.ErrDiskCrashed, inFlight: 1,
+		op: "ckpt-commit-crash", note: "crashed before the checkpoint rename landed"})},
+	{"app-sqldb-restore", "app", runDurableSQLArm},
+	{"app-cache-reboot", "app", runDurableCacheArm},
 }
 
 // durableArmKey is an arm's record key in the warehouse.
@@ -251,7 +315,8 @@ func RunDurable(cfg DurableConfig) (*DurableReport, error) {
 		if wh != nil {
 			defer func() { <-turns[k]; close(turns[k+1]) }()
 		}
-		arm, err := durableArms[i].run(durableArms[i].name, parallel.Derive(cfg.Seed, uint64(i)))
+		arm := DurableArm{Name: durableArms[i].name, Class: durableArms[i].class}
+		err := durableArms[i].run(&arm, parallel.Derive(cfg.Seed, uint64(i)))
 		if err != nil || wh == nil {
 			return arm, err
 		}
@@ -346,39 +411,6 @@ func durableWorkload(n int) [][]durable.Op {
 	return batches
 }
 
-// durableModelAt replays the first seq batches into a fresh map — the state
-// an honest store must hold after acknowledging record seq.
-func durableModelAt(batches [][]durable.Op, seq uint64) map[string][]byte {
-	state := make(map[string][]byte)
-	for i := uint64(0); i < seq && i < uint64(len(batches)); i++ {
-		for _, op := range batches[i] {
-			switch op.Kind {
-			case durable.OpPut:
-				state[op.Key] = op.Value
-			case durable.OpDelete:
-				delete(state, op.Key)
-			case durable.OpClear:
-				state = make(map[string][]byte)
-			}
-		}
-	}
-	return state
-}
-
-// durableStateEqual reports whether the store's state matches the model.
-func durableStateEqual(st *durable.Store, want map[string][]byte) bool {
-	if st.Len() != len(want) {
-		return false
-	}
-	for k, v := range want {
-		got, ok := st.Get(k)
-		if !ok || string(got) != string(v) {
-			return false
-		}
-	}
-	return true
-}
-
 // applyAll applies batches in order until one fails, returning how many
 // were acknowledged and the failure.
 func applyAll(st *durable.Store, batches [][]durable.Op) (acked int, err error) {
@@ -401,406 +433,265 @@ func (a *DurableArm) detect(env *simenv.Env, op, note string) DurableEpisode {
 }
 
 // endEpisode closes ep at the environment's current time and files it on the
-// arm, charging its repair time to MTTRTotal when charged is set.
-func (a *DurableArm) endEpisode(ep DurableEpisode, env *simenv.Env, charged bool) {
+// arm. Only a recovered episode counts as recovered and charges its repair
+// time to MTTRTotal, so MTTR averages over exactly the episodes it sums.
+func (a *DurableArm) endEpisode(ep DurableEpisode, env *simenv.Env) {
 	ep.End = env.Monotonic()
-	if charged {
+	if ep.Recovered {
+		a.RecoveredEpisodes++
 		a.MTTRTotal += ep.End - ep.Start
 	}
 	a.Eps = append(a.Eps, ep)
 }
 
-// finishWorkload scores an episode whose recovery resumed the whole
-// workload: when the resumed workload completed (ok), the store must hold
-// exactly the model's final state.
-func (a *DurableArm) finishWorkload(ep DurableEpisode, env *simenv.Env, st *durable.Store, batches [][]durable.Op, ok bool) {
-	a.Acked += len(batches)
-	if ok && durableStateEqual(st, durableModelAt(batches, uint64(len(batches)))) {
-		a.Recovered += len(batches)
-		ep.Recovered = true
-		a.RecoveredEpisodes++
-	} else if ok {
-		a.UndetectedCorruption++
+// durableFault is one row of the store arms' fault table: the environment,
+// the point the fault strikes, the typed error it must surface, and how the
+// episode recovers.
+type durableFault struct {
+	// env are the environment's options and every the store's checkpoint
+	// cadence (durable.Options.CheckpointEvery).
+	env   []simenv.Option
+	every int
+	// at is the number of batches applied before the fault; -1 means the
+	// fault breaks durable.Open itself, so hit runs before any store exists.
+	at int
+	// hit stages the fault and runs the step it breaks over the batches
+	// after the prefix; that step must fail with want (nil: a silent fault).
+	hit  func(env *simenv.Env, st *durable.Store, rest [][]durable.Op) error
+	want error
+	// heal, when set, repairs the environment so the workload resumes on
+	// the live store; when nil the process is replaced and the store
+	// reopened through durable.Open.
+	heal func(env *simenv.Env, st *durable.Store) error
+	// inFlight (0 or 1) is how many unacknowledged records the reopened
+	// store may legitimately hold beyond the acknowledged prefix.
+	inFlight int
+	// op and note label the episode; a healed row with no note records the
+	// typed error's text.
+	op, note string
+}
+
+// storeArm runs one fault-table row over the environmental-fault workload.
+func storeArm(r durableFault) func(*DurableArm, int64) error {
+	return func(a *DurableArm, seed int64) error {
+		return a.runFault(r, seed, durableWorkload(durableOps))
 	}
-	a.endEpisode(ep, env, true)
+}
+
+// noFault is the control row's hit: nothing breaks.
+func noFault(*simenv.Env, *durable.Store, [][]durable.Op) error { return nil }
+
+// transient is the heal of a one-shot device fault: nothing to repair.
+func transient(*simenv.Env, *durable.Store) error { return nil }
+
+// strikeNext stages a fault and applies the next record into it.
+func strikeNext(stage func(env *simenv.Env) error) func(*simenv.Env, *durable.Store, [][]durable.Op) error {
+	return func(env *simenv.Env, st *durable.Store, rest [][]durable.Op) error {
+		if err := stage(env); err != nil {
+			return err
+		}
+		return st.Apply(rest[0])
+	}
+}
+
+// runFault is the one episode driver of the store arms: on a fresh
+// environment it opens the store, applies the first r.at batches, strikes
+// (the struck step must fail with r.want), and then either heals and resumes
+// on the live store or replaces the process and reopens.
+func (a *DurableArm) runFault(r durableFault, seed int64, batches [][]durable.Op) error {
+	env := simenv.New(seed, r.env...)
+	opts := durable.Options{CheckpointEvery: r.every}
+	var st *durable.Store
+	if r.at >= 0 {
+		var err error
+		if st, _, err = durable.Open(env, durableOwner, durableDir, opts); err != nil {
+			return err
+		}
+		defer st.Close()
+		if _, err := applyAll(st, batches[:r.at]); err != nil {
+			return fmt.Errorf("experiment: durable %s: %w", a.Name, err)
+		}
+	}
+	ferr := r.hit(env, st, batches[max(r.at, 0):])
+	if !errors.Is(ferr, r.want) {
+		return fmt.Errorf("experiment: durable %s: want %v, got %v", a.Name, r.want, ferr)
+	}
+	if r.heal == nil {
+		if env.Disk().Crashed() {
+			a.Crashes++
+		}
+		a.verifyReopen(r, env, st, opts, batches)
+		return nil
+	}
+	note := r.note
+	if note == "" {
+		note = ferr.Error()
+	}
+	a.resume(r, env, st, opts, batches, a.detect(env, r.op, note))
+	return nil
+}
+
+// resume heals ep's fault, resumes the workload where the store's
+// acknowledged prefix ends — healing and retrying a record once when the
+// fault recurs — and scores the episode. Whether or not the workload
+// finished, the store must hold exactly the model's state at its sequence
+// number; the episode recovers only if every record was acknowledged.
+func (a *DurableArm) resume(r durableFault, env *simenv.Env, st *durable.Store, opts durable.Options,
+	batches [][]durable.Op, ep DurableEpisode) {
+	err := r.heal(env, st)
+	if err == nil && st == nil {
+		if st, _, err = durable.Open(env, durableOwner, durableDir, opts); err == nil {
+			defer st.Close()
+		}
+	}
+	if err == nil {
+		for _, b := range batches[st.Seq():] {
+			if err = st.Apply(b); errors.Is(err, r.want) {
+				if err = r.heal(env, st); err == nil {
+					err = st.Apply(b)
+				}
+			}
+			if err != nil {
+				break
+			}
+		}
+	}
+	if st != nil {
+		seq := st.Seq()
+		a.Repairs += int(st.Stats().Repairs)
+		a.Acked += int(seq)
+		if durable.StateEqual(st, durable.ModelAt(batches, seq)) {
+			a.Recovered += int(seq)
+			ep.Recovered = err == nil
+		} else {
+			a.UndetectedCorruption++
+		}
+	}
+	a.endEpisode(ep, env)
 }
 
 // verifyReopen closes the damaged store handle, replaces the process on the
 // virtual clock, recovers through durable.Open, and scores the episode: the
-// recovered sequence number must cover every acknowledged record, the state
-// must match the acknowledged-prefix model at that sequence, and the store
-// must accept a fresh append. maxSeq bounds the recovered head (acked plus
-// any in-flight record the crash may have preserved).
-func verifyReopen(arm *DurableArm, env *simenv.Env, old *durable.Store, opts durable.Options,
-	batches [][]durable.Op, acked int, maxSeq uint64, op, note string) {
-	ep := arm.detect(env, op, note)
+// recovered sequence number must cover every record the old handle
+// acknowledged, may exceed it only by r.inFlight records the crash
+// preserved, the state must match the acknowledged-prefix model at that
+// sequence, and the store must accept a fresh append.
+func (a *DurableArm) verifyReopen(r durableFault, env *simenv.Env, old *durable.Store, opts durable.Options,
+	batches [][]durable.Op) {
+	acked := int(old.Seq())
+	ep := a.detect(env, r.op, r.note)
 	env.Disk().ClearCrash()
 	old.Close()
 	env.Advance(durableRestart)
-	arm.Acked += acked
+	a.Acked += acked
 	st, info, err := durable.Open(env, durableOwner, durableDir, opts)
 	if err != nil {
-		arm.endEpisode(ep, env, false)
+		a.endEpisode(ep, env)
 		return
 	}
 	defer st.Close()
 	if info.TruncatedBytes > 0 {
-		arm.Repairs++
+		a.Repairs++
 	}
-	damage := info.TornTail || info.Corrupt
 	seq := st.Seq()
-	recovered := int(seq)
-	if recovered > acked {
-		recovered = acked
-	}
-	arm.Recovered += recovered
-	switch {
-	case seq < uint64(acked):
+	a.Recovered += min(int(seq), acked)
+	if seq < uint64(acked) {
 		// Acknowledged records are missing. Reported damage makes it
 		// detected loss (tolerable only where the device lied); silence is
 		// the loss class the experiment exists to rule out.
-		if damage {
-			arm.DetectedLoss += acked - int(seq)
+		if info.TornTail || info.Corrupt {
+			a.DetectedLoss += acked - int(seq)
 		} else {
-			arm.SilentLoss += acked - int(seq)
-		}
-		if !durableStateEqual(st, durableModelAt(batches, seq)) {
-			arm.UndetectedCorruption++
-			arm.endEpisode(ep, env, false)
-			return
-		}
-	case seq > maxSeq:
-		arm.UndetectedCorruption++
-		arm.endEpisode(ep, env, false)
-		return
-	default:
-		if !durableStateEqual(st, durableModelAt(batches, seq)) {
-			arm.UndetectedCorruption++
-			arm.endEpisode(ep, env, false)
-			return
+			a.SilentLoss += acked - int(seq)
 		}
 	}
-	// Recovery must hand back a writable store, not just a readable one.
-	if err := st.Put("post-recovery", []byte("ok")); err != nil {
-		arm.endEpisode(ep, env, false)
-		return
+	if seq > uint64(acked+r.inFlight) || !durable.StateEqual(st, durable.ModelAt(batches, seq)) {
+		a.UndetectedCorruption++
+	} else {
+		// Recovery must hand back a writable store, not just a readable one.
+		ep.Recovered = st.Put("post-recovery", []byte("ok")) == nil
 	}
-	ep.Recovered = true
-	arm.RecoveredEpisodes++
-	arm.endEpisode(ep, env, true)
+	a.endEpisode(ep, env)
 }
 
-// runDurableBaselineArm is the control: a clean workload, a clean close, and
-// a reopen that must find everything with no repairs.
-func runDurableBaselineArm(name string, seed int64) (DurableArm, error) {
-	arm := DurableArm{Name: name, Class: "none"}
-	batches := durableWorkload(durableOps)
-	env := simenv.New(seed)
-	opts := durable.Options{CheckpointEvery: durableCrashCkptEvery}
-	st, _, err := durable.Open(env, durableOwner, durableDir, opts)
-	if err != nil {
-		return arm, err
-	}
-	if _, err := applyAll(st, batches); err != nil {
-		return arm, fmt.Errorf("experiment: durable baseline: %w", err)
-	}
-	verifyReopen(&arm, env, st, opts, batches, len(batches), uint64(len(batches)),
-		"clean-reopen", "clean close and reopen")
-	return arm, nil
-}
-
-// runDurableCrashArm is the crash matrix: one episode per write boundary of
-// the workload, each killing the process at that boundary with unsynced
-// tails torn to keepTail bytes, then recovering and verifying.
-func runDurableCrashArm(name string, seed int64, keepTail int64) (DurableArm, error) {
-	arm := DurableArm{Name: name, Class: "crash"}
+// runCrashMatrix kills the crash workload at every one of its write
+// boundaries, one row per boundary, with unsynced tails torn to keepTail
+// bytes; each episode replaces the process and reopens.
+func (a *DurableArm) runCrashMatrix(seed int64, keepTail int64) error {
 	batches := durableWorkload(durableCrashOps)
-	opts := durable.Options{CheckpointEvery: durableCrashCkptEvery}
 	// Dry run on a pristine environment to enumerate the workload's write
 	// boundaries (WAL appends, syncs, and every checkpoint step).
 	dry := simenv.New(seed)
-	st, _, err := durable.Open(dry, durableOwner, durableDir, opts)
+	st, _, err := durable.Open(dry, durableOwner, durableDir, durable.Options{CheckpointEvery: durableCrashCkptEvery})
 	if err != nil {
-		return arm, err
+		return err
 	}
 	if _, err := applyAll(st, batches); err != nil {
-		return arm, fmt.Errorf("experiment: durable crash dry run: %w", err)
+		return fmt.Errorf("experiment: durable crash dry run: %w", err)
 	}
 	st.Close()
-	arm.Boundaries = int(dry.Disk().WriteOps())
-	for b := 0; b < arm.Boundaries; b++ {
-		env := simenv.New(seed)
-		st, _, err := durable.Open(env, durableOwner, durableDir, opts)
+	a.Boundaries = int(dry.Disk().WriteOps())
+	for b := 0; b < a.Boundaries; b++ {
+		err := a.runFault(durableFault{every: durableCrashCkptEvery,
+			hit: func(env *simenv.Env, st *durable.Store, rest [][]durable.Op) error {
+				env.Disk().ScheduleCrash(b, keepTail)
+				_, err := applyAll(st, rest)
+				if err == nil && env.Disk().Crashed() {
+					// The workload finished, but the crash fired in a
+					// post-acknowledgement checkpoint step of the final record.
+					err = simenv.ErrDiskCrashed
+				}
+				return err
+			},
+			want: simenv.ErrDiskCrashed, inFlight: 1,
+			op:   fmt.Sprintf("crash@%03d", b),
+			note: fmt.Sprintf("killed at write boundary %d, tails torn to %d bytes", b, keepTail),
+		}, seed, batches)
 		if err != nil {
-			return arm, err
-		}
-		env.Disk().ScheduleCrash(b, keepTail)
-		acked, crashErr := applyAll(st, batches)
-		if crashErr == nil {
-			// The crash landed inside a post-acknowledgement checkpoint step
-			// of the final record; the workload finished but the disk is
-			// down all the same.
-			if !env.Disk().Crashed() {
-				return arm, fmt.Errorf("experiment: durable crash: boundary %d never fired", b)
-			}
-		} else if !errors.Is(crashErr, simenv.ErrDiskCrashed) {
-			return arm, fmt.Errorf("experiment: durable crash: boundary %d: unexpected %v", b, crashErr)
-		}
-		arm.Crashes++
-		verifyReopen(&arm, env, st, opts, batches, acked, uint64(acked)+1,
-			fmt.Sprintf("crash@%03d", b), fmt.Sprintf("killed at write boundary %d, tails torn to %d bytes", b, keepTail))
-	}
-	return arm, nil
-}
-
-// runDurableDiskFullArm fills the partition from under the store
-// mid-workload, expects a typed refusal, reclaims the hostile tenant's
-// space, and finishes the workload without losing anything.
-func runDurableDiskFullArm(name string, seed int64) (DurableArm, error) {
-	arm := DurableArm{Name: name, Class: "EDN"}
-	batches := durableWorkload(durableOps)
-	env := simenv.New(seed)
-	opts := durable.Options{CheckpointEvery: -1}
-	st, _, err := durable.Open(env, durableOwner, durableDir, opts)
-	if err != nil {
-		return arm, err
-	}
-	defer st.Close()
-	half := len(batches) / 2
-	if _, err := applyAll(st, batches[:half]); err != nil {
-		return arm, fmt.Errorf("experiment: durable disk-full: %w", err)
-	}
-	// The margin is smaller than any WAL record, so the next append
-	// genuinely hits the full partition.
-	if err := env.Disk().FillFrom("other-tenant", 8); err != nil { //faultlint:ignore envcheck staging the hostile environment is the point
-		return arm, fmt.Errorf("experiment: durable disk-full: stage: %w", err)
-	}
-	ferr := st.Apply(batches[half])
-	if !errors.Is(ferr, simenv.ErrDiskFull) {
-		return arm, fmt.Errorf("experiment: durable disk-full: want ErrDiskFull, got %v", ferr)
-	}
-	ep := arm.detect(env, "append-enospc", ferr.Error())
-	env.Disk().RemoveOwner("other-tenant")
-	if _, err := applyAll(st, batches[half:]); err != nil {
-		arm.endEpisode(ep, env, false)
-		arm.Acked += len(batches)
-		arm.Recovered += half
-		return arm, nil
-	}
-	arm.finishWorkload(ep, env, st, batches, true)
-	return arm, nil
-}
-
-// runDurableFDArm exhausts the descriptor table before the store opens,
-// expects the typed refusal, reclaims the competitor's descriptors, and
-// verifies the store then opens and serves the full workload.
-func runDurableFDArm(name string, seed int64) (DurableArm, error) {
-	arm := DurableArm{Name: name, Class: "EDN"}
-	batches := durableWorkload(durableOps)
-	env := simenv.New(seed, simenv.WithFDLimit(8))
-	for {
-		if _, err := env.FDs().Open("competitor"); err != nil {
-			break
+			return err
 		}
 	}
-	_, _, ferr := durable.Open(env, durableOwner, durableDir, durable.Options{})
-	if !errors.Is(ferr, simenv.ErrFDExhausted) {
-		return arm, fmt.Errorf("experiment: durable fd: want ErrFDExhausted, got %v", ferr)
-	}
-	ep := arm.detect(env, "open-emfile", ferr.Error())
-	env.FDs().ReleaseOwner("competitor")
-	st, _, err := durable.Open(env, durableOwner, durableDir, durable.Options{})
-	if err != nil {
-		arm.endEpisode(ep, env, false)
-		return arm, nil
-	}
-	defer st.Close()
-	if _, err := applyAll(st, batches); err != nil {
-		arm.endEpisode(ep, env, false)
-		return arm, nil
-	}
-	arm.finishWorkload(ep, env, st, batches, true)
-	return arm, nil
-}
-
-// runDurableFileLimitArm lets the uncompacted WAL grow into the per-file
-// size limit, expects the typed refusal, compacts (checkpoint + log
-// truncation), and finishes the workload.
-func runDurableFileLimitArm(name string, seed int64) (DurableArm, error) {
-	arm := DurableArm{Name: name, Class: "EDN"}
-	batches := durableWorkload(durableOps)
-	env := simenv.New(seed, simenv.WithMaxFileSize(512))
-	st, _, err := durable.Open(env, durableOwner, durableDir, durable.Options{CheckpointEvery: -1})
-	if err != nil {
-		return arm, err
-	}
-	defer st.Close()
-	applied, ferr := applyAll(st, batches)
-	if !errors.Is(ferr, simenv.ErrFileTooLarge) {
-		return arm, fmt.Errorf("experiment: durable file-limit: want ErrFileTooLarge, got %v", ferr)
-	}
-	ep := arm.detect(env, "append-efbig", ferr.Error())
-	// The rewrite: checkpoint the state and truncate the log, then resume —
-	// compacting again whenever the tight limit bites (the same condition
-	// recurs under a cap this small; recovery is the compaction, not a
-	// one-off).
-	if err := st.Checkpoint(); err != nil {
-		arm.endEpisode(ep, env, false)
-		return arm, nil
-	}
-	ok := true
-	for _, b := range batches[applied:] {
-		err := st.Apply(b)
-		if errors.Is(err, simenv.ErrFileTooLarge) {
-			if err = st.Checkpoint(); err == nil {
-				err = st.Apply(b)
-			}
-		}
-		if err != nil {
-			ok = false
-			break
-		}
-	}
-	arm.finishWorkload(ep, env, st, batches, ok)
-	return arm, nil
-}
-
-// runDurableWriteFaultArm injects one transient device fault mid-workload —
-// a short write ("short") or a failed sync ("sync") — expects the typed
-// error, retries the same record (the store repairs its own tail first), and
-// verifies nothing was lost.
-func runDurableWriteFaultArm(name string, seed int64, kind string) (DurableArm, error) {
-	arm := DurableArm{Name: name, Class: "EDT"}
-	batches := durableWorkload(durableOps)
-	env := simenv.New(seed)
-	st, _, err := durable.Open(env, durableOwner, durableDir, durable.Options{CheckpointEvery: -1})
-	if err != nil {
-		return arm, err
-	}
-	defer st.Close()
-	half := len(batches) / 2
-	if _, err := applyAll(st, batches[:half]); err != nil {
-		return arm, fmt.Errorf("experiment: durable %s: %w", name, err)
-	}
-	want := simenv.ErrShortWrite
-	if kind == "sync" {
-		env.Disk().ArmSyncFail()
-		want = simenv.ErrIOFault
-	} else {
-		env.Disk().ArmShortWrite(3)
-	}
-	ferr := st.Apply(batches[half])
-	if !errors.Is(ferr, want) {
-		return arm, fmt.Errorf("experiment: durable %s: want %v, got %v", name, want, ferr)
-	}
-	ep := arm.detect(env, "append-"+kind, ferr.Error())
-	_, err = applyAll(st, batches[half:])
-	arm.Repairs += int(st.Stats().Repairs)
-	arm.finishWorkload(ep, env, st, batches, err == nil)
-	return arm, nil
-}
-
-// runDurableTornArm is the silent device lie: the last record's write is
-// torn while reporting success, so the store acknowledges a record the disk
-// never fully held. The loss is unavoidable — the gate is that reopening
-// DETECTS it (checksum, reported damage, bounded to the lied-about record)
-// rather than serving corrupt state.
-func runDurableTornArm(name string, seed int64) (DurableArm, error) {
-	arm := DurableArm{Name: name, Class: "EDT"}
-	batches := durableWorkload(durableOps)
-	env := simenv.New(seed)
-	opts := durable.Options{CheckpointEvery: -1}
-	st, _, err := durable.Open(env, durableOwner, durableDir, opts)
-	if err != nil {
-		return arm, err
-	}
-	last := len(batches) - 1
-	if _, err := applyAll(st, batches[:last]); err != nil {
-		return arm, fmt.Errorf("experiment: durable torn: %w", err)
-	}
-	env.Disk().ArmTornWrite(2)
-	if err := st.Apply(batches[last]); err != nil {
-		return arm, fmt.Errorf("experiment: durable torn: the device lie surfaced: %v", err)
-	}
-	// Every record was acknowledged; the disk holds one lie.
-	verifyReopen(&arm, env, st, opts, batches, len(batches), uint64(len(batches)),
-		"torn-ack", "write torn to 2 bytes while reporting success")
-	return arm, nil
-}
-
-// runDurableRenameArm crashes the process at the checkpoint commit point:
-// the temporary file is written and synced but the rename never lands.
-// Recovery must sweep the temporary, keep the old checkpoint, and replay the
-// full log — no acknowledged record depends on the failed commit.
-func runDurableRenameArm(name string, seed int64) (DurableArm, error) {
-	arm := DurableArm{Name: name, Class: "crash"}
-	batches := durableWorkload(durableOps)
-	env := simenv.New(seed)
-	opts := durable.Options{CheckpointEvery: -1}
-	st, _, err := durable.Open(env, durableOwner, durableDir, opts)
-	if err != nil {
-		return arm, err
-	}
-	half := len(batches) / 2
-	if _, err := applyAll(st, batches[:half]); err != nil {
-		return arm, fmt.Errorf("experiment: durable rename: %w", err)
-	}
-	if err := st.Checkpoint(); err != nil {
-		return arm, fmt.Errorf("experiment: durable rename: baseline checkpoint: %w", err)
-	}
-	if _, err := applyAll(st, batches[half:]); err != nil {
-		return arm, fmt.Errorf("experiment: durable rename: %w", err)
-	}
-	env.Disk().ArmCrashBeforeRename()
-	cerr := st.Checkpoint()
-	if !errors.Is(cerr, simenv.ErrDiskCrashed) {
-		return arm, fmt.Errorf("experiment: durable rename: want ErrDiskCrashed, got %v", cerr)
-	}
-	arm.Crashes++
-	verifyReopen(&arm, env, st, opts, batches, len(batches), uint64(len(batches))+1,
-		"ckpt-commit-crash", "crashed before the checkpoint rename landed")
-	return arm, nil
+	return nil
 }
 
 // runDurableSQLArm probes the database's restore rung over the WAL-backed
 // engine: snapshot, more writes, a crash, then Restore — which must take the
 // log-rollback path (not the logical JSON rebuild) and land exactly on the
 // snapshot's rows.
-func runDurableSQLArm(name string, seed int64) (DurableArm, error) {
-	arm := DurableArm{Name: name, Class: "app"}
+func runDurableSQLArm(a *DurableArm, seed int64) error {
 	env := simenv.New(seed)
 	srv := sqldb.New(env, faultinject.NewSet())
 	if err := srv.Start(); err != nil {
-		return arm, err
+		return err
 	}
 	exec := func(sql string) error {
 		_, err := srv.Exec(sql)
 		return err
 	}
 	if err := exec("CREATE TABLE t (id INT, name TEXT)"); err != nil {
-		return arm, err
+		return err
 	}
 	for i := 0; i < 3; i++ {
 		if err := exec(fmt.Sprintf("INSERT INTO t VALUES (%d, 'row%d')", i, i)); err != nil {
-			return arm, err
+			return err
 		}
 	}
 	snap, err := srv.Snapshot()
 	if err != nil {
-		return arm, err
+		return err
 	}
 	for i := 3; i < 5; i++ {
 		if err := exec(fmt.Sprintf("INSERT INTO t VALUES (%d, 'row%d')", i, i)); err != nil {
-			return arm, err
+			return err
 		}
 	}
-	ep := arm.detect(env, "restore-rollback", "process replaced; restoring the pre-fault snapshot")
+	ep := a.detect(env, "restore-rollback", "process replaced; restoring the pre-fault snapshot")
 	srv.Stop()
 	env.Advance(durableRestart)
-	arm.Acked += 3 // the snapshot's rows are the acknowledged state to recover
+	a.Acked += 3 // the snapshot's rows are the acknowledged state to recover
 	if err := srv.Restore(snap); err != nil {
-		arm.endEpisode(ep, env, false)
-		return arm, nil
+		a.endEpisode(ep, env)
+		return nil
 	}
 	rs, err := srv.Exec("SELECT id FROM t")
 	rows := 0
@@ -808,62 +699,53 @@ func runDurableSQLArm(name string, seed int64) (DurableArm, error) {
 		rows = len(rs.Rows)
 	}
 	if srv.WALReplays() == 1 && rows == 3 {
-		arm.Recovered += 3
+		a.Recovered += 3
 		ep.Recovered = true
-		arm.RecoveredEpisodes++
 	} else if rows != 3 {
-		arm.SilentLoss += 3 - rows
+		a.SilentLoss += 3 - rows
 	}
-	arm.endEpisode(ep, env, true)
+	a.endEpisode(ep, env)
 	srv.Stop()
-	return arm, nil
+	return nil
 }
 
 // runDurableCacheArm probes the cache's persist component: kill it
 // (crash-only: the store closes with no flush), restart it (real recovery
 // over whatever the kill left), and verify every acknowledged SET is in the
 // recovered store.
-func runDurableCacheArm(name string, seed int64) (DurableArm, error) {
-	arm := DurableArm{Name: name, Class: "app"}
+func runDurableCacheArm(a *DurableArm, seed int64) error {
 	env := simenv.New(seed)
 	srv := cache.New(env, faultinject.NewSet(), cache.Config{})
 	c := cache.Componentize(srv)
 	if err := c.Start(); err != nil {
-		return arm, err
+		return err
 	}
+	defer c.Stop()
 	keys := []string{"alpha", "beta", "gamma", "delta"}
 	for i, k := range keys {
 		if err := srv.Set(k, fmt.Sprintf("v%d", i)); err != nil {
-			return arm, err
+			return err
 		}
 	}
 	start := env.Monotonic()
 	err := c.Tree().Reboot(cache.CompPersist, false, func(time.Duration) { env.Advance(durableDetect) })
 	ep := DurableEpisode{Op: "persist-reboot", Note: "persist component crash-stopped and restarted", Start: start}
-	arm.Episodes++
-	arm.Acked += len(keys)
-	if err != nil {
-		arm.endEpisode(ep, env, false)
-		c.Stop()
-		return arm, nil
-	}
-	st := srv.DurableStore()
-	got := 0
-	for i, k := range keys {
-		if v, ok := st.Get(k); ok && string(v) == fmt.Sprintf("v%d", i) {
-			got++
+	a.Episodes++
+	a.Acked += len(keys)
+	if err == nil {
+		st := srv.DurableStore()
+		got := 0
+		for i, k := range keys {
+			if v, ok := st.Get(k); ok && string(v) == fmt.Sprintf("v%d", i) {
+				got++
+			}
 		}
+		a.Recovered += got
+		a.SilentLoss += len(keys) - got
+		ep.Recovered = got == len(keys)
 	}
-	arm.Recovered += got
-	if got == len(keys) {
-		ep.Recovered = true
-		arm.RecoveredEpisodes++
-	} else {
-		arm.SilentLoss += len(keys) - got
-	}
-	arm.endEpisode(ep, env, true)
-	c.Stop()
-	return arm, nil
+	a.endEpisode(ep, env)
+	return nil
 }
 
 // Check asserts the experiment's headline claims: every episode recovered;

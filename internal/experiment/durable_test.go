@@ -6,6 +6,8 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+
+	"faultstudy/internal/simenv"
 )
 
 // durableOutputs renders everything a DURABLE run emits: the report text,
@@ -193,5 +195,36 @@ func TestRunDurableWarehouseIdentity(t *testing.T) {
 	}
 	if !bytes.Equal(warehouseBytes(resumed), want) {
 		t.Fatalf("warehouse differs after halt-then-resume")
+	}
+}
+
+// TestUnrecoveredEpisodeChargesNoMTTR runs the disk-full row with a heal
+// that leaves the hostile tenant in place: the resume fails, the episode
+// does not recover, and its time must stay out of MTTRTotal, which MTTR
+// divides by the recovered episodes alone.
+func TestUnrecoveredEpisodeChargesNoMTTR(t *testing.T) {
+	row := durableFault{every: -1, at: durableOps / 2,
+		hit:  strikeNext(func(env *simenv.Env) error { return env.Disk().FillFrom("other-tenant", 8) }),
+		want: simenv.ErrDiskFull, heal: transient, op: "append-enospc"}
+	arm := DurableArm{Name: "disk-full-unhealed", Class: "EDN"}
+	if err := storeArm(row)(&arm, 7); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	if arm.Episodes != 1 || arm.RecoveredEpisodes != 0 {
+		t.Fatalf("episodes %d, recovered %d; want 1 unrecovered", arm.Episodes, arm.RecoveredEpisodes)
+	}
+	if arm.MTTRTotal != 0 || arm.MTTR() != 0 {
+		t.Fatalf("unrecovered episode charged MTTRTotal %v", arm.MTTRTotal)
+	}
+	// The refused resume keeps the acknowledged prefix intact.
+	if arm.Acked != durableOps/2 || arm.Recovered != durableOps/2 || arm.UndetectedCorruption != 0 {
+		t.Fatalf("acked %d, recovered %d, corruption %d; want the intact prefix of %d",
+			arm.Acked, arm.Recovered, arm.UndetectedCorruption, durableOps/2)
+	}
+	if len(arm.Eps) != 1 || arm.Eps[0].Recovered || arm.Eps[0].End <= arm.Eps[0].Start {
+		t.Fatalf("episode record %+v", arm.Eps)
+	}
+	if err := (&DurableReport{Arms: []DurableArm{arm}}).Check(); err == nil {
+		t.Fatal("gate passed an unrecovered episode")
 	}
 }

@@ -1,7 +1,6 @@
 package workload
 
 import (
-	"faultstudy/internal/apps/cache"
 	"faultstudy/internal/apps/httpd"
 	"faultstudy/internal/apps/sqldb"
 )
@@ -37,5 +36,4 @@ type Server interface {
 var (
 	_ Server = (*httpd.Componentized)(nil)
 	_ Server = (*sqldb.Componentized)(nil)
-	_ Server = (*cache.Componentized)(nil)
 )
