@@ -240,7 +240,7 @@ type (
 	// Telemetry bundles a metrics registry and an episode recorder for one
 	// experiment run. Attach one via SoakConfig.Telemetry (or
 	// RecoveryMatrix.AddSupervisedWorkers) and export with its WriteTrace,
-	// WriteTimeline, WritePrometheus, and WriteMetricsJSON methods. A nil
+	// WriteTimeline and WritePrometheus methods. A nil
 	// Telemetry disables observation at zero cost.
 	Telemetry = experiment.Telemetry
 	// FaultEpisode is one recorded fault-handling episode: everything that

@@ -21,26 +21,19 @@ import (
 )
 
 // Options tunes the classifier; the zero value is the study configuration.
-// The knobs exist for the §5.4 subjectivity ablation.
+// The knob exists for the §5.4 subjectivity ablation.
 type Options struct {
-	// EIPrior is the baseline score of the environment-independent
-	// hypothesis before any deterministic cue is seen; 0 means 1.0.
-	EIPrior float64
 	// TriggerWeightScale multiplies every trigger cue weight; 0 means 1.0.
 	// Values below 1 bias the classifier toward environment-independent.
 	TriggerWeightScale float64
-	// DisabledTriggers removes trigger kinds from consideration entirely.
-	DisabledTriggers map[taxonomy.TriggerKind]bool
-	// MinEvidence is the minimum trigger score needed to call a fault
-	// environment-dependent even when the trigger outscores the prior;
-	// 0 means no floor.
-	MinEvidence float64
 }
 
+// eiPrior is the baseline score of the environment-independent hypothesis
+// before any deterministic cue is seen: a trigger must outscore it for the
+// fault to be called environment-dependent.
+const eiPrior = 1.0
+
 func (o Options) withDefaults() Options {
-	if o.EIPrior == 0 {
-		o.EIPrior = 1.0
-	}
 	if o.TriggerWeightScale == 0 {
 		o.TriggerWeightScale = 1.0
 	}
@@ -76,7 +69,7 @@ func (c *Classifier) Classify(r *report.Report) Result {
 	text := strings.ToLower(r.Text())
 
 	// Score the environment-independent hypothesis.
-	eiScore := c.opts.EIPrior
+	eiScore := eiPrior
 	var eiEvidence []string
 	for _, p := range deterministicLexicon {
 		if matchPhrase(text, p.text) {
@@ -93,9 +86,6 @@ func (c *Classifier) Classify(r *report.Report) Result {
 	}
 	var hyps []hypothesis
 	for kind, phrases := range triggerLexicon {
-		if c.opts.DisabledTriggers[kind] {
-			continue
-		}
 		h := hypothesis{kind: kind}
 		for _, p := range phrases {
 			if matchPhrase(text, p.text) {
@@ -118,7 +108,7 @@ func (c *Classifier) Classify(r *report.Report) Result {
 	runnerUp := 0.0
 	if len(hyps) > 0 {
 		top := hyps[0]
-		if top.score > eiScore && top.score >= c.opts.MinEvidence {
+		if top.score > eiScore {
 			best = top
 			runnerUp = eiScore
 			if len(hyps) > 1 && hyps[1].score > runnerUp {

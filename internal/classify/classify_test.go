@@ -141,19 +141,6 @@ func TestConfidenceBounds(t *testing.T) {
 	}
 }
 
-func TestDisabledTriggers(t *testing.T) {
-	c := New(Options{DisabledTriggers: map[taxonomy.TriggerKind]bool{taxonomy.TriggerRace: true}})
-	r := &report.Report{
-		ID: "x", App: taxonomy.AppMySQL,
-		Synopsis:    "server dies",
-		Description: "race condition between threads, not reliably reproducible",
-	}
-	res := c.Classify(r)
-	if res.Trigger == taxonomy.TriggerRace {
-		t.Error("disabled trigger still selected")
-	}
-}
-
 func TestWeightScaleBiasesTowardEI(t *testing.T) {
 	// With trigger weights scaled to near zero, everything becomes
 	// environment-independent — the ablation's extreme point.
@@ -163,22 +150,6 @@ func TestWeightScaleBiasesTowardEI(t *testing.T) {
 	if counts[taxonomy.ClassEnvIndependent] != cm.Total {
 		t.Errorf("EI predictions = %d of %d; crushing trigger weights should flatten to EI",
 			counts[taxonomy.ClassEnvIndependent], cm.Total)
-	}
-}
-
-func TestMinEvidenceFloor(t *testing.T) {
-	r := &report.Report{
-		ID: "x", App: taxonomy.AppApache,
-		Synopsis:    "weird failure",
-		Description: "the disk cache seems involved",
-	}
-	base := New(Options{}).Classify(r)
-	if base.Class != taxonomy.ClassEnvDependentNonTransient {
-		t.Skip("premise changed: weak cue no longer wins at default options")
-	}
-	floored := New(Options{MinEvidence: 10}).Classify(r)
-	if floored.Class != taxonomy.ClassEnvIndependent {
-		t.Errorf("MinEvidence floor not applied: %v", floored.Class)
 	}
 }
 

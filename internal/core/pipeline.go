@@ -13,8 +13,6 @@ import (
 // Options tunes the study pipeline; the zero value is the paper
 // configuration.
 type Options struct {
-	// Dedup tunes the duplicate detector.
-	Dedup dedup.Options
 	// Classifier tunes the fault classifier.
 	Classifier classify.Options
 }
@@ -67,7 +65,7 @@ func Classify(raw []*report.Report, opts Options) *AppResult {
 	res.Qualifying = len(qualifying)
 	sortReports(qualifying)
 
-	res.Duplicates = dedup.Mark(qualifying, opts.Dedup)
+	res.Duplicates = dedup.Mark(qualifying)
 	canonical := report.Canonical(qualifying)
 	res.Unique = len(canonical)
 

@@ -42,7 +42,7 @@ func BenchmarkMark500(b *testing.B) {
 	b.ResetTimer()
 	var marked int
 	for i := 0; i < b.N; i++ {
-		marked = Mark(reports, Options{})
+		marked = Mark(reports)
 	}
 	b.ReportMetric(float64(marked), "duplicates")
 }

@@ -16,51 +16,31 @@ import (
 	"faultstudy/internal/report"
 )
 
-// Options tunes the deduplicator.
-type Options struct {
-	// ShingleSize is the word-shingle width; 0 means 3.
-	ShingleSize int
-	// Threshold is the Jaccard similarity at or above which two reports are
-	// duplicates; 0 means 0.6.
-	Threshold float64
-	// MaxDocFreq drops shingles appearing in more than this many reports from
-	// the candidate index (boilerplate suppression); 0 means 50.
-	MaxDocFreq int
-	// DisableSynopsisRule turns off the structural duplicate signal: a
+// The duplicate detector's settings, one fixed configuration for every
+// mining run.
+const (
+	// shingleSize is the word-shingle width.
+	shingleSize = 3
+	// threshold is the Jaccard similarity at or above which two reports are
+	// duplicates.
+	threshold = 0.6
+	// maxDocFreq drops shingles appearing in more than this many reports
+	// from the candidate index (boilerplate suppression).
+	maxDocFreq = 50
+	// minContainmentSim is the body-similarity floor of the synopsis rule: a
 	// report whose normalized synopsis contains (or equals) an earlier
-	// canonical's synopsis, with at least MinContainmentSim body similarity,
-	// is that report's duplicate even below Threshold. Trackers title
-	// re-reports with the same summary, so the rule is what lets short
-	// reports dedup reliably.
-	DisableSynopsisRule bool
-	// MinContainmentSim is the body-similarity floor for the synopsis rule;
-	// 0 means 0.25.
-	MinContainmentSim float64
-}
-
-func (o Options) withDefaults() Options {
-	if o.ShingleSize == 0 {
-		o.ShingleSize = 3
-	}
-	if o.Threshold == 0 {
-		o.Threshold = 0.6
-	}
-	if o.MaxDocFreq == 0 {
-		o.MaxDocFreq = 50
-	}
-	if o.MinContainmentSim == 0 {
-		o.MinContainmentSim = 0.25
-	}
-	return o
-}
+	// canonical's synopsis, with at least this body similarity, is that
+	// report's duplicate even below threshold. Trackers title re-reports
+	// with the same summary, so the rule is what lets short reports dedup
+	// reliably.
+	minContainmentSim = 0.25
+)
 
 // Mark detects duplicate reports in place: for every duplicate it sets
 // DuplicateOf to the canonical (earliest-filed) report's ID and returns the
 // number of reports so marked. Reports of different applications are never
 // duplicates of each other.
-func Mark(reports []*report.Report, opts Options) int {
-	opts = opts.withDefaults()
-
+func Mark(reports []*report.Report) int {
 	// Earliest-filed first, so canonical reports are seen before their
 	// duplicates; ties break by ID for determinism.
 	order := make([]*report.Report, len(reports))
@@ -75,7 +55,7 @@ func Mark(reports []*report.Report, opts Options) int {
 	shingleSets := make([]map[string]struct{}, len(order))
 	synopses := make([]string, len(order))
 	for i, r := range order {
-		shingleSets[i] = Shingles(r.Text(), opts.ShingleSize)
+		shingleSets[i] = Shingles(r.Text(), shingleSize)
 		synopses[i] = normalizeSynopsis(r.Synopsis)
 	}
 
@@ -99,8 +79,8 @@ func Mark(reports []*report.Report, opts Options) int {
 					continue
 				}
 				sim := jaccard(set, shingleSets[j])
-				match := sim >= opts.Threshold
-				if !match && !opts.DisableSynopsisRule && sim >= opts.MinContainmentSim {
+				match := sim >= threshold
+				if !match && sim >= minContainmentSim {
 					match = synopsisContains(synopses[i], synopses[j])
 				}
 				if match && sim > bestSim {
@@ -115,7 +95,7 @@ func Mark(reports []*report.Report, opts Options) int {
 		}
 		// Canonical: index its shingles (subject to the doc-frequency cap).
 		for sh := range set {
-			if len(index[sh]) < opts.MaxDocFreq {
+			if len(index[sh]) < maxDocFreq {
 				index[sh] = append(index[sh], i)
 			}
 		}

@@ -64,7 +64,7 @@ func TestMarkDetectsDuplicates(t *testing.T) {
 	other := mk("PR-3", taxonomy.AppApache, t0.AddDate(0, 0, 7),
 		"optimize table query crashes the server because of a missing initialization statement")
 
-	n := Mark([]*report.Report{dup, canonical, other}, Options{})
+	n := Mark([]*report.Report{dup, canonical, other})
 	if n != 1 {
 		t.Fatalf("marked %d, want 1", n)
 	}
@@ -81,7 +81,7 @@ func TestMarkCanonicalIsEarliest(t *testing.T) {
 	text := "panel applet crashes when the tasklist tab is clicked in the settings dialog"
 	later := mk("GB-9", taxonomy.AppGnome, t0.AddDate(0, 1, 0), text)
 	earlier := mk("GB-2", taxonomy.AppGnome, t0, text)
-	Mark([]*report.Report{later, earlier}, Options{})
+	Mark([]*report.Report{later, earlier})
 	if later.DuplicateOf != "GB-2" {
 		t.Errorf("later.DuplicateOf = %q, want GB-2", later.DuplicateOf)
 	}
@@ -95,7 +95,7 @@ func TestMarkAppsNeverCrossMatch(t *testing.T) {
 	text := "the server crashes with a segmentation fault on startup every single time"
 	a := mk("PR-1", taxonomy.AppApache, t0, text)
 	m := mk("M-1", taxonomy.AppMySQL, t0.AddDate(0, 0, 1), text)
-	if n := Mark([]*report.Report{a, m}, Options{}); n != 0 {
+	if n := Mark([]*report.Report{a, m}); n != 0 {
 		t.Errorf("cross-app duplicates marked: %d", n)
 	}
 }
@@ -108,7 +108,7 @@ func TestMarkChainCollapsesToOneCanonical(t *testing.T) {
 		reports = append(reports, mk(fmt.Sprintf("M-%d", i), taxonomy.AppMySQL,
 			t0.AddDate(0, 0, i), fmt.Sprintf("%s variant %d", base, i)))
 	}
-	n := Mark(reports, Options{Threshold: 0.5})
+	n := Mark(reports)
 	if n != 4 {
 		t.Fatalf("marked %d, want 4", n)
 	}
@@ -128,8 +128,8 @@ func TestMarkIdempotent(t *testing.T) {
 	a := mk("GB-1", taxonomy.AppGnome, t0, text)
 	b := mk("GB-2", taxonomy.AppGnome, t0.AddDate(0, 0, 1), text+" also on red hat")
 	rs := []*report.Report{a, b}
-	first := Mark(rs, Options{})
-	second := Mark(rs, Options{})
+	first := Mark(rs)
+	second := Mark(rs)
 	if first != second {
 		t.Errorf("Mark not idempotent: %d then %d", first, second)
 	}
@@ -138,12 +138,17 @@ func TestMarkIdempotent(t *testing.T) {
 func TestMarkThresholdRespected(t *testing.T) {
 	t0 := time.Date(1999, 1, 1, 0, 0, 0, 0, time.UTC)
 	a := mk("PR-1", taxonomy.AppApache, t0,
-		"server dies with segfault when url is long")
+		"server dies with a segfault when the requested url is long")
 	b := mk("PR-2", taxonomy.AppApache, t0.AddDate(0, 0, 1),
-		"server dies with segfault when header is malformed")
-	// At an impossible threshold nothing matches.
-	if n := Mark([]*report.Report{a, b}, Options{Threshold: 0.99}); n != 0 {
-		t.Errorf("marked %d at threshold 0.99", n)
+		"server dies with a segfault when the requested url is malformed")
+	// The pair shares all but its last word, which keeps it just below the
+	// 0.6 threshold, and neither synopsis contains the other, so nothing
+	// matches.
+	if sim := Similarity(a.Text(), b.Text(), 3); sim < 0.55 || sim >= 0.6 {
+		t.Fatalf("premise: similarity %.2f is not just below the threshold", sim)
+	}
+	if n := Mark([]*report.Report{a, b}); n != 0 {
+		t.Errorf("marked %d below the threshold", n)
 	}
 }
 
@@ -167,7 +172,7 @@ func TestMarkInvariantsProperty(t *testing.T) {
 			rs = append(rs, mk(fmt.Sprintf("R-%d", i), taxonomy.AppApache,
 				t0.AddDate(0, 0, i), texts[int(c)%len(texts)]))
 		}
-		n := Mark(rs, Options{})
+		n := Mark(rs)
 		if n >= len(rs) && len(rs) > 0 {
 			return false
 		}

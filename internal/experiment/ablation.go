@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"time"
 
 	"faultstudy/internal/classify"
 	"faultstudy/internal/corpus"
@@ -29,7 +28,7 @@ type RetryAblation struct {
 // RunRetryAblation runs every transient corpus fault under both strategies
 // with MaxRetries=1, across trials differently seeded environments.
 func RunRetryAblation(trials int, seed int64) (*RetryAblation, error) {
-	mgr := recovery.NewManager(recovery.Policy{MaxRetries: 1, Takeover: 45 * time.Second})
+	mgr := recovery.NewManager(recovery.Policy{MaxRetries: 1})
 	ab := &RetryAblation{Budget: 1}
 	for trial := 0; trial < trials; trial++ {
 		trialSeed := seed + int64(trial)*1000

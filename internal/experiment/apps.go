@@ -103,7 +103,7 @@ var apps = []appEntry{
 		opKind: httpdOpKind,
 		soakOps: func(cfg SoakConfig, app recovery.Application) []supervise.Op {
 			srv := app.(*httpd.Server)
-			reqs := workload.HTTPRequestsObserved(cfg.Seed, workload.DefaultHTTPMix(), cfg.Ops, cfg.workloadHook())
+			reqs := workload.HTTPRequests(cfg.Seed, workload.DefaultHTTPMix(), cfg.Ops, cfg.workloadHook())
 			ops := make([]supervise.Op, 0, len(reqs))
 			for _, req := range reqs {
 				name := req.Method + " " + req.Path
@@ -147,7 +147,7 @@ var apps = []appEntry{
 		opKind: sqldbOpKind,
 		soakOps: func(cfg SoakConfig, app recovery.Application) []supervise.Op {
 			db := app.(*sqldb.Server)
-			stmts := workload.SQLStatementsObserved(cfg.Seed, cfg.Ops, cfg.workloadHook())
+			stmts := workload.SQLStatements(cfg.Seed, cfg.Ops, cfg.workloadHook())
 			ops := make([]supervise.Op, 0, len(stmts))
 			for _, stmt := range stmts {
 				ops = append(ops, supervise.Op{Name: stmt, Kind: sqldbOpKind(stmt), Do: func() error {
@@ -189,7 +189,7 @@ var apps = []appEntry{
 		opKind: desktopOpKind,
 		soakOps: func(cfg SoakConfig, app recovery.Application) []supervise.Op {
 			d := app.(*desktop.Desktop)
-			events := workload.DesktopEventsObserved(cfg.Seed, cfg.Ops, cfg.workloadHook())
+			events := workload.DesktopEvents(cfg.Seed, cfg.Ops, cfg.workloadHook())
 			ops := make([]supervise.Op, 0, len(events))
 			for _, ev := range events {
 				name := ev.Widget + " " + ev.Action

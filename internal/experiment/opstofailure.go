@@ -54,7 +54,7 @@ func RunOpsToFailure(maxOps int, seed int64) ([]OpsToFailurePoint, error) {
 			Label:    m.label,
 			CGIShare: float64(m.mix.CGI) / float64(total),
 		}
-		reqs := workload.HTTPRequests(seed, m.mix, maxOps)
+		reqs := workload.HTTPRequests(seed, m.mix, maxOps, nil)
 		point.OpsToFailure = maxOps + 1
 		for i, req := range reqs {
 			if _, err := srv.Serve(req); err != nil {

@@ -82,14 +82,6 @@ func (t *Telemetry) WritePrometheus(w io.Writer) error {
 	return t.Registry.WritePrometheus(w)
 }
 
-// WriteMetricsJSON writes the metrics registry as JSON.
-func (t *Telemetry) WriteMetricsJSON(w io.Writer) error {
-	if t == nil {
-		return nil
-	}
-	return t.Registry.WriteJSON(w)
-}
-
 // superviseConfig returns cfg with its trace hook chained through an observer
 // for the given identity; with telemetry disabled cfg is returned unchanged.
 // The returned observer is nil exactly when telemetry is disabled.

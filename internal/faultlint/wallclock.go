@@ -8,10 +8,9 @@ import (
 )
 
 // wallclock flags direct wall-clock reads and sleeps — time.Now, time.Sleep,
-// time.Since, time.Tick — outside the packages that own the injectable
-// clock (internal/simenv implements the virtual clock; internal/supervise
-// consumes it through its Clock interface). Everything else must thread a
-// clock so experiment runs are deterministic; a raw wall-clock read makes
+// time.Since, time.Tick — outside internal/simenv, the package that
+// implements the virtual clock. Everything else must thread a clock so
+// experiment runs are deterministic; a raw wall-clock read makes
 // behaviour depend on host timing, the classic EDT nondeterminism the paper
 // files under request-timing triggers.
 //
@@ -40,10 +39,9 @@ var wallclockFuncs = map[string]bool{
 }
 
 // wallclockExemptDirs are directory suffixes whose packages legitimately
-// touch the clock (they implement or adapt the injectable clock).
+// touch the clock (they implement the injectable clock).
 var wallclockExemptDirs = []string{
 	"internal/simenv",
-	"internal/supervise",
 }
 
 func wallclockExempt(dir string) bool {
@@ -76,7 +74,7 @@ func runWallclock(p *Pass) {
 				return true
 			}
 			p.Reportf(call.Pos(),
-				"direct time.%s call; thread an injectable clock (supervise.Clock / simenv virtual time) so runs are deterministic", name)
+				"direct time.%s call; thread an injectable clock (simenv virtual time, component.Clock) so runs are deterministic", name)
 			return true
 		})
 	}

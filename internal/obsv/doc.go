@@ -14,9 +14,9 @@
 // The three pieces:
 //
 //   - Registry: counters, gauges, and fixed-bucket histograms with ordered
-//     label sets, exported as Prometheus exposition text (WritePrometheus)
-//     or canonical JSON (WriteJSON). All iteration orders are sorted, so
-//     exports are byte-stable across runs.
+//     label sets, exported as Prometheus exposition text (WritePrometheus).
+//     All iteration orders are sorted, so exports are byte-stable across
+//     runs.
 //   - Recorder: builds Episodes — one per fault-handling episode, from the
 //     first observed failure to the final supervisor decision — out of
 //     timestamped spans (activation, backoff, ladder-rung action,

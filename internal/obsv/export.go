@@ -1,7 +1,6 @@
 package obsv
 
 import (
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
@@ -87,81 +86,4 @@ func typeName(k metricKind) string {
 	default:
 		return "histogram"
 	}
-}
-
-// JSONMetric is one series in the JSON export.
-type JSONMetric struct {
-	// Name is the metric name.
-	Name string `json:"name"`
-	// Type is "counter", "gauge", or "histogram".
-	Type string `json:"type"`
-	// Help is the metric's help string, when registered.
-	Help string `json:"help,omitempty"`
-	// Labels is the series' label set.
-	Labels map[string]string `json:"labels,omitempty"`
-	// Value holds counter and gauge values.
-	Value *float64 `json:"value,omitempty"`
-	// Buckets holds the histogram's cumulative bucket counts.
-	Buckets []JSONBucket `json:"buckets,omitempty"`
-	// Sum is the histogram's observation sum.
-	Sum *float64 `json:"sum,omitempty"`
-	// Count is the histogram's observation count.
-	Count *uint64 `json:"count,omitempty"`
-}
-
-// JSONBucket is one cumulative histogram bucket in the JSON export.
-type JSONBucket struct {
-	// LE is the bucket's inclusive upper bound ("+Inf" for the last).
-	LE string `json:"le"`
-	// Count is the cumulative count of observations ≤ LE.
-	Count uint64 `json:"count"`
-}
-
-// Export returns every series as JSONMetric values in stable order.
-func (r *Registry) Export() []JSONMetric {
-	if r == nil {
-		return nil
-	}
-	var out []JSONMetric
-	for _, s := range r.sortedSeries() {
-		r.mu.Lock()
-		help := r.help[s.name]
-		r.mu.Unlock()
-		m := JSONMetric{Name: s.name, Type: typeName(s.kind), Help: help}
-		if len(s.labels) > 0 {
-			m.Labels = make(map[string]string, len(s.labels))
-			for _, l := range s.labels {
-				m.Labels[l.Name] = l.Value
-			}
-		}
-		switch s.kind {
-		case kindCounter:
-			v := s.c.Value()
-			m.Value = &v
-		case kindGauge:
-			v := s.g.Value()
-			m.Value = &v
-		case kindHistogram:
-			bounds, cum, sum, total := s.h.snapshot()
-			for i, ub := range bounds {
-				m.Buckets = append(m.Buckets, JSONBucket{LE: formatFloat(ub), Count: cum[i]})
-			}
-			m.Buckets = append(m.Buckets, JSONBucket{LE: "+Inf", Count: cum[len(cum)-1]})
-			m.Sum = &sum
-			m.Count = &total
-		}
-		out = append(out, m)
-	}
-	return out
-}
-
-// WriteJSON renders every series as an indented JSON document with stable
-// ordering. A nil registry writes an empty metric list.
-func (r *Registry) WriteJSON(w io.Writer) error {
-	doc := struct {
-		Metrics []JSONMetric `json:"metrics"`
-	}{Metrics: r.Export()}
-	enc := json.NewEncoder(w)
-	enc.SetIndent("", "  ")
-	return enc.Encode(doc)
 }

@@ -59,14 +59,6 @@ func TestWritePrometheusGolden(t *testing.T) {
 	checkGolden(t, "registry.prom", buf.Bytes())
 }
 
-func TestWriteJSONGolden(t *testing.T) {
-	var buf bytes.Buffer
-	if err := fixtureRegistry().WriteJSON(&buf); err != nil {
-		t.Fatal(err)
-	}
-	checkGolden(t, "registry.json", buf.Bytes())
-}
-
 func TestExportersDeterministic(t *testing.T) {
 	var a, b bytes.Buffer
 	if err := fixtureRegistry().WritePrometheus(&a); err != nil {

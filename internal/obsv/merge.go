@@ -7,7 +7,7 @@ import (
 // This file is the observability half of the parallel experiment engine
 // (internal/parallel): each shard writes into its own private Registry and
 // Recorder, and the engine folds the shards back together with Merge and
-// MergeEpisodes in shard order. Because every merge rule below is
+// Recorder.Append in shard order. Because every merge rule below is
 // commutative-with-order-fixed (counters sum, histogram buckets sum, gauges
 // take the last shard's word, episodes renumber in shard order), the merged
 // result depends only on the shard decomposition — never on worker count or
@@ -112,40 +112,6 @@ func (h *Histogram) Merge(src *Histogram) error {
 	h.sum += sum
 	h.total += total
 	return nil
-}
-
-// MergeEpisodes folds per-shard episode streams into one stream, in
-// virtual-time order: within a shard the recorder already emits episodes in
-// the order its clock closed them, and distinct shards run on independent
-// virtual clocks (every shard's environment starts at zero), so shard order
-// — the serial execution order — is the deterministic interleave across
-// clock domains. Episode IDs are renumbered 1..N in the merged order, which
-// reproduces exactly the numbering a serial run sharing one recorder would
-// have assigned. The input episodes are not mutated; renumbered episodes are
-// shallow copies.
-func MergeEpisodes(shards ...[]*Episode) []*Episode {
-	n := 0
-	for _, s := range shards {
-		n += len(s)
-	}
-	if n == 0 {
-		return nil
-	}
-	out := make([]*Episode, 0, n)
-	id := 0
-	for _, s := range shards {
-		for _, e := range s {
-			id++
-			if e.ID == id {
-				out = append(out, e)
-				continue
-			}
-			c := *e
-			c.ID = id
-			out = append(out, &c)
-		}
-	}
-	return out
 }
 
 // Append adopts already-closed episodes into the recorder, renumbering them

@@ -247,12 +247,17 @@ func episodeAt(id int, mechanism string) *Episode {
 	}
 }
 
-// TestMergeEpisodes verifies shard-order concatenation with 1..N renumbering
-// and that inputs are not mutated.
+// TestMergeEpisodes verifies that folding per-shard episode streams into one
+// recorder with Append, shard by shard, concatenates them in shard order with
+// 1..N renumbering, skips an empty shard, and does not mutate the inputs.
 func TestMergeEpisodes(t *testing.T) {
 	s0 := []*Episode{episodeAt(1, "a"), episodeAt(2, "b")}
 	s1 := []*Episode{episodeAt(1, "c")}
-	out := MergeEpisodes(s0, nil, s1)
+	r := NewRecorder()
+	for _, shard := range [][]*Episode{s0, nil, s1} {
+		r.Append(shard...)
+	}
+	out := r.Episodes()
 	if len(out) != 3 {
 		t.Fatalf("len = %d, want 3", len(out))
 	}
@@ -268,8 +273,10 @@ func TestMergeEpisodes(t *testing.T) {
 	if s1[0].ID != 1 {
 		t.Errorf("input episode mutated: ID = %d, want 1", s1[0].ID)
 	}
-	if got := MergeEpisodes(nil, nil); got != nil {
-		t.Errorf("MergeEpisodes(nil, nil) = %v, want nil", got)
+	empty := NewRecorder()
+	empty.Append(nil...)
+	if got := empty.Episodes(); got != nil {
+		t.Errorf("appending only empty shards left %v, want nil", got)
 	}
 }
 

@@ -104,14 +104,15 @@ func (s Strategy) Generic() bool {
 	return s == StrategyProcessPairs || s == StrategyProgressiveRetry
 }
 
+// takeover is the virtual time the environment advances per recovery:
+// failure detection plus backup takeover.
+const takeover = 45 * time.Second
+
 // Policy tunes a recovery run.
 type Policy struct {
 	// MaxRetries is how many times a failing operation is retried after
 	// recovery before the run is declared lost (0 means 3).
 	MaxRetries int
-	// Takeover is the wall-clock the environment advances per recovery —
-	// failure detection plus backup takeover (0 means 45s).
-	Takeover time.Duration
 	// SkipReclaim leaves the failed primary's operating-system resources
 	// (hung children, held ports, open descriptors) in place instead of
 	// reclaiming them — the ablation for the paper's observation that "the
@@ -187,9 +188,6 @@ func (p Policy) withDefaults() Policy {
 	// minus-one times": clamp them to the defaults alongside the zero value.
 	if p.MaxRetries <= 0 {
 		p.MaxRetries = 3
-	}
-	if p.Takeover <= 0 {
-		p.Takeover = 45 * time.Second
 	}
 	return p
 }
@@ -324,7 +322,7 @@ func (m *Manager) recover(app Application, snapshot []byte, strat Strategy, fe *
 	if m.policy.GrowResources {
 		growResources(env, fe)
 	}
-	env.Advance(m.policy.Takeover)
+	env.Advance(takeover)
 	// Every strategy recovers on a fresh schedule: the backup or the
 	// restarted process does not inherit the failed run's interleavings.
 	env.Sched().UnforceAll()
@@ -338,7 +336,7 @@ func (m *Manager) recover(app Application, snapshot []byte, strat Strategy, fe *
 		// retry observes a *different* interleaving, and back off longer on
 		// each attempt so slow external conditions have time to heal.
 		env.Sched().Force(fe.Mechanism, attempt)
-		env.Advance(time.Duration(attempt) * m.policy.Takeover)
+		env.Advance(time.Duration(attempt) * takeover)
 		return app.Restore(snapshot)
 	case StrategyCleanRestart:
 		return app.Reset()

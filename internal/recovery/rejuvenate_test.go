@@ -4,7 +4,6 @@ import (
 	"errors"
 	"strings"
 	"testing"
-	"time"
 
 	"faultstudy/internal/faultinject"
 )
@@ -126,21 +125,18 @@ func TestRejuvenationUnmodeledOpErrorIsHarnessError(t *testing.T) {
 }
 
 func TestPolicyClampsNegativeValues(t *testing.T) {
-	p := Policy{MaxRetries: -5, Takeover: -time.Second}.withDefaults()
+	p := Policy{MaxRetries: -5}.withDefaults()
 	if p.MaxRetries != 3 {
 		t.Errorf("MaxRetries = %d, want clamped default 3", p.MaxRetries)
-	}
-	if p.Takeover != 45*time.Second {
-		t.Errorf("Takeover = %v, want clamped default 45s", p.Takeover)
 	}
 
 	// Zero values take the same defaults; positive values pass through.
 	z := Policy{}.withDefaults()
-	if z.MaxRetries != 3 || z.Takeover != 45*time.Second {
+	if z.MaxRetries != 3 {
 		t.Errorf("zero policy = %+v, want defaults", z)
 	}
-	q := Policy{MaxRetries: 7, Takeover: time.Minute}.withDefaults()
-	if q.MaxRetries != 7 || q.Takeover != time.Minute {
+	q := Policy{MaxRetries: 7}.withDefaults()
+	if q.MaxRetries != 7 {
 		t.Errorf("explicit policy mangled: %+v", q)
 	}
 }
@@ -149,7 +145,7 @@ func TestNegativePolicyBehavesAsDefault(t *testing.T) {
 	// End to end: a manager built with nonsense negatives retries the default
 	// three times rather than zero (or "minus five") times.
 	app := newFakeApp()
-	m := NewManager(Policy{MaxRetries: -5, Takeover: -time.Minute})
+	m := NewManager(Policy{MaxRetries: -5})
 	out, err := m.Run(app, failingScenario(10), StrategyProcessPairs)
 	if err != nil {
 		t.Fatal(err)

@@ -169,27 +169,42 @@ func checkApply(t *testing.T, a Action) {
 }
 
 // TestDegradedReviveBouncesPartialTree drives the supervisor into degraded
-// mode with a component down: the microreboot's restart of mid fails, the
-// ladder escalates, and the retry budget trips. The process is still
-// running, but Revive treats a component tree with a member down as not
-// serving, so it bounces the process and restores the pre-op checkpoint;
-// the shed write then finds every component up.
+// mode with a component down. Nine flaky ops each recover on one retry,
+// spending nine of the twelve retries the budget allows per window; the
+// failing write's two retry-rung attempts spend two more, and its
+// microreboot — whose restart of mid fails — the last. The ladder escalates,
+// and the retry budget trips before the restore rung can bounce the
+// process. The process is still running, but Revive treats a component tree
+// with a member down as not serving, so it bounces the process and restores
+// the pre-op checkpoint; the shed write then finds every component up.
 func TestDegradedReviveBouncesPartialTree(t *testing.T) {
 	app := newHostApp(t)
 	app.midFails = 1
 	var shedAllUp []bool
-	sup := New(app, Config{Seed: 1, RetryBudget: 2, RungAttempts: 1, Trace: func(ev Event) {
+	sup := New(app, Config{Seed: 1, Trace: func(ev Event) {
 		if ev.Kind == EventShed {
 			shedAllUp = append(shedAllUp, app.running && app.tree.AllRunning())
 		}
 	}})
-	rep, err := sup.Run([]Op{{Name: "write", Kind: OpWrite, Do: func() error {
+	var ops []Op
+	for i := 0; i < 9; i++ {
+		fails := 1
+		ops = append(ops, Op{Name: fmt.Sprintf("flaky-%d", i), Kind: OpRead, Do: func() error {
+			if fails > 0 {
+				fails--
+				return &faultinject.FailureError{Mechanism: "host/flaky", Msg: "once"}
+			}
+			return nil
+		}})
+	}
+	rep, err := sup.Run(append(ops, Op{Name: "write", Kind: OpWrite, Do: func() error {
 		return &faultinject.FailureError{Mechanism: hostMech, Msg: "bug"}
-	}}})
+	}}))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep.Escalations[RungMicroreboot] != 1 || rep.CrashLoopTrips != 1 || !rep.Degraded || rep.OpsShed != 1 {
+	if rep.Recovered != 9 || rep.Escalations[RungMicroreboot] != 1 || rep.Escalations[RungRestore] != 1 ||
+		rep.CrashLoopTrips != 1 || !rep.Degraded || rep.OpsShed != 1 {
 		t.Fatalf("want one microreboot, a budget trip and a shed write:\n%s", rep)
 	}
 	if app.midFails != 0 {

@@ -52,18 +52,3 @@ func (b *backoff) next(attempt int) time.Duration {
 	}
 	return d
 }
-
-// BackoffSchedule returns the first n delays the supervisor would sleep for
-// consecutive recovery attempts under cfg — the expected jittered exponential
-// sequence, for tests and capacity planning. It consumes an independent
-// generator seeded identically to the supervisor's, so it reproduces a run's
-// backoff trace exactly.
-func BackoffSchedule(cfg Config, n int) []time.Duration {
-	cfg = cfg.withDefaults()
-	b := newBackoff(cfg.BackoffBase, cfg.BackoffCap, cfg.BackoffJitter, cfg.Seed)
-	out := make([]time.Duration, 0, n)
-	for i := 1; i <= n; i++ {
-		out = append(out, b.next(i))
-	}
-	return out
-}

@@ -44,32 +44,53 @@ func wrapOps(ops []faultinject.Op, kind OpKind) []Op {
 	return out
 }
 
+// TestBackoffScheduleShape pins the supervisor's backoff at the production
+// policy: 1s doubling to a 4m cap, plus up to 25% jitter drawn from a
+// generator seeded by Config.Seed alone.
 func TestBackoffScheduleShape(t *testing.T) {
-	cfg := Config{BackoffBase: time.Second, BackoffCap: 8 * time.Second, BackoffJitter: -1}
-	got := BackoffSchedule(cfg, 6)
 	want := []time.Duration{
-		time.Second, 2 * time.Second, 4 * time.Second,
-		8 * time.Second, 8 * time.Second, 8 * time.Second, // capped
+		time.Second, 2 * time.Second, 4 * time.Second, 8 * time.Second, 16 * time.Second,
+		32 * time.Second, 64 * time.Second, 128 * time.Second,
+		4 * time.Minute, 4 * time.Minute, // capped
 	}
-	for i := range want {
-		if got[i] != want[i] {
-			t.Errorf("delay[%d] = %s, want %s", i, got[i], want[i])
+	exact := newBackoff(backoffBase, backoffCap, 0, 0)
+	for i, w := range want {
+		if got := exact.next(i + 1); got != w {
+			t.Errorf("unjittered delay[%d] = %s, want %s", i, got, w)
 		}
 	}
 
-	// With jitter: every delay lies in [pure, pure*(1+jitter)] and the
-	// sequence is reproducible from the seed.
-	cfg = Config{BackoffBase: time.Second, BackoffCap: 8 * time.Second, BackoffJitter: 0.5, Seed: 42}
-	a := BackoffSchedule(cfg, 6)
-	b := BackoffSchedule(cfg, 6)
-	for i := range a {
-		if a[i] != b[i] {
-			t.Fatalf("schedule not reproducible at %d: %s vs %s", i, a[i], b[i])
+	// The supervisor's own sequence: every delay lies in [pure, pure*1.25],
+	// the jitter is drawn, and the sequence is the 25%-jitter sequence of
+	// its seed.
+	schedule := func(seed int64) []time.Duration {
+		b := New(newStubApp(1), Config{Seed: seed}).backoff
+		out := make([]time.Duration, len(want))
+		for i := range out {
+			out[i] = b.next(i + 1)
 		}
-		lo, hi := want[i], want[i]+want[i]/2
+		return out
+	}
+	a := schedule(42)
+	ref := newBackoff(time.Second, 4*time.Minute, 0.25, 42)
+	jittered := false
+	for i := range a {
+		if w := ref.next(i + 1); a[i] != w {
+			t.Errorf("delay[%d] = %s, want %s from seed 42", i, a[i], w)
+		}
+		lo, hi := want[i], want[i]+want[i]/4
 		if a[i] < lo || a[i] > hi {
 			t.Errorf("jittered delay[%d] = %s outside [%s, %s]", i, a[i], lo, hi)
 		}
+		if a[i] > lo {
+			jittered = true
+		}
+	}
+	if !jittered {
+		t.Error("no delay carried jitter")
+	}
+	if fmt.Sprint(schedule(43)) == fmt.Sprint(a) {
+		t.Error("different seeds produced identical jittered schedules")
 	}
 }
 
@@ -112,15 +133,18 @@ func TestRetryInPlaceSurvivesTransientRace(t *testing.T) {
 
 // TestBreakerOpensOnEnvironmentIndependentFault drives the EI valist-reuse
 // crash: every state-preserving retry recurs, so the failed-recovery streak
-// reaches the breaker threshold, the breaker opens, and later occurrences
-// fast-fail without spending retries.
+// reaches the breaker threshold of 10, the breaker opens, and later
+// occurrences fast-fail without spending retries. A full ladder walk spends
+// only 8 attempts, so the streak spans two episodes: a write walks every
+// rung and is shed at the degraded rung, which leaves the breaker closed,
+// and the next read's second retry is the tenth failed recovery.
 func TestBreakerOpensOnEnvironmentIndependentFault(t *testing.T) {
 	srv, sc := httpdUnder(t, httpd.MechValistReuse, 5)
-	cfg := Config{Seed: 5, BreakerThreshold: 3, RungAttempts: 2}
-	sup := New(srv, cfg)
-	// The same deterministic-crash op three times.
-	op := wrapOps(sc.Ops, OpRead)[0]
-	rep, err := sup.Run([]Op{op, op, op})
+	sup := New(srv, Config{Seed: 5})
+	read := wrapOps(sc.Ops, OpRead)[0]
+	write := read
+	write.Kind = OpWrite
+	rep, err := sup.Run([]Op{write, read, read})
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -131,17 +155,20 @@ func TestBreakerOpensOnEnvironmentIndependentFault(t *testing.T) {
 	if ms.BreakerOpens != 1 {
 		t.Errorf("breaker opens = %d, want 1", ms.BreakerOpens)
 	}
-	if ms.Retries != 3 {
-		t.Errorf("retries = %d, want 3 (threshold reached within the budget)", ms.Retries)
+	if ms.Retries != 10 {
+		t.Errorf("retries = %d, want 10 (8 on the first walk, 2 on the read)", ms.Retries)
 	}
-	if ms.FastFails != 2 {
-		t.Errorf("fast fails = %d, want 2 (ops after the breaker opened)", ms.FastFails)
+	if ms.FastFails != 1 {
+		t.Errorf("fast fails = %d, want 1 (the read after the breaker opened)", ms.FastFails)
 	}
 	if ms.Recoveries != 0 {
 		t.Errorf("recoveries = %d, want 0", ms.Recoveries)
 	}
-	if rep.OpsFailed != 3 {
-		t.Errorf("ops failed = %d, want 3", rep.OpsFailed)
+	if rep.OpsShed != 1 || rep.OpsFailed != 2 {
+		t.Errorf("ops shed/failed = %d/%d, want 1/2", rep.OpsShed, rep.OpsFailed)
+	}
+	if rep.Escalations[RungMicroreboot] != 1 {
+		t.Errorf("escalations = %v, want one walk (the read must stop at the retry rung)", rep.Escalations)
 	}
 	var open bool
 	for _, bs := range rep.Breakers {
@@ -151,9 +178,6 @@ func TestBreakerOpensOnEnvironmentIndependentFault(t *testing.T) {
 	}
 	if !open {
 		t.Errorf("final breaker states = %+v, want %s open", rep.Breakers, httpd.MechValistReuse)
-	}
-	if rep.Degraded {
-		t.Error("breaker must stop the ladder before degraded mode")
 	}
 }
 
@@ -203,13 +227,13 @@ func TestFullDiskEscalatesToDegraded(t *testing.T) {
 }
 
 // TestDegradedRetryFailureReverts drives an EI crash all the way up the
-// ladder with an unreachable breaker threshold: degraded mode is entered, the
-// degraded retry still fails (the fault is not a resource condition), so
-// degraded mode is reverted, the breaker force-opens, and full service
-// resumes for the rest of the workload.
+// ladder, whose eight failed recoveries stay below the breaker threshold:
+// degraded mode is entered, the degraded retry still fails (the fault is not
+// a resource condition), so degraded mode is reverted, the breaker
+// force-opens, and full service resumes for the rest of the workload.
 func TestDegradedRetryFailureReverts(t *testing.T) {
 	srv, sc := httpdUnder(t, httpd.MechValistReuse, 11)
-	sup := New(srv, Config{Seed: 11, BreakerThreshold: 99, RungAttempts: 1})
+	sup := New(srv, Config{Seed: 11})
 	bad := wrapOps(sc.Ops, OpRead)[0]
 	good := Op{Name: "GET /index.html", Kind: OpRead, Do: func() error {
 		_, err := srv.Serve(httpd.Request{Method: "GET", Path: "/index.html"})
@@ -240,32 +264,31 @@ func TestDegradedRetryFailureReverts(t *testing.T) {
 	}
 }
 
-// TestBackoffTraceMatchesSchedule asserts the supervisor's first recovery
-// episode sleeps exactly the delays BackoffSchedule predicts for its config.
+// TestBackoffTraceMatchesSchedule asserts the supervisor sleeps exactly the
+// delays its seed's backoff sequence predicts, attempt by attempt.
 func TestBackoffTraceMatchesSchedule(t *testing.T) {
-	var delays []time.Duration
-	cfg := Config{Seed: 21, BreakerThreshold: 3, RungAttempts: 2,
-		Trace: func(ev Event) {
-			if ev.Kind == EventBackoff {
-				delays = append(delays, ev.Delay)
-			}
-		}}
+	var backoffs []Event
+	cfg := Config{Seed: 21, Trace: func(ev Event) {
+		if ev.Kind == EventBackoff {
+			backoffs = append(backoffs, ev)
+		}
+	}}
 	srv, sc := httpdUnder(t, httpd.MechValistReuse, 21)
 	sup := New(srv, cfg)
 	rep, err := sup.Run(wrapOps(sc.Ops, OpRead))
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	want := BackoffSchedule(Config{Seed: 21}, len(delays))
-	if len(delays) == 0 {
+	if len(backoffs) == 0 {
 		t.Fatal("no backoff events traced")
 	}
+	want := newBackoff(backoffBase, backoffCap, backoffJitter, 21)
 	var total time.Duration
-	for i := range delays {
-		if delays[i] != want[i] {
-			t.Errorf("backoff[%d] = %s, want %s", i, delays[i], want[i])
+	for i, ev := range backoffs {
+		if w := want.next(ev.Attempt); ev.Delay != w {
+			t.Errorf("backoff[%d] (attempt %d) = %s, want %s", i, ev.Attempt, ev.Delay, w)
 		}
-		total += delays[i]
+		total += ev.Delay
 	}
 	if rep.BackoffTotal != total {
 		t.Errorf("BackoffTotal = %s, want %s", rep.BackoffTotal, total)
@@ -289,8 +312,8 @@ func (a *stubApp) Restore([]byte) error      { a.running = true; return nil }
 func (a *stubApp) Reset() error              { a.running = true; return nil }
 
 // TestWatchdogChargesHangSymptom: a failure reporting the hang symptom
-// charges the virtual clock with the watchdog timeout — the modeled time the
-// application sat unresponsive — before recovery proceeds.
+// charges the virtual clock with the 30s watchdog timeout — the modeled time
+// the application sat unresponsive — before recovery proceeds.
 func TestWatchdogChargesHangSymptom(t *testing.T) {
 	app := newStubApp(31)
 	const mech = "stub/hang"
@@ -302,8 +325,7 @@ func TestWatchdogChargesHangSymptom(t *testing.T) {
 		}
 		return nil
 	}}
-	wd := 45 * time.Second
-	sup := New(app, Config{Seed: 31, WatchdogTimeout: wd})
+	sup := New(app, Config{Seed: 31})
 	rep, err := sup.Run([]Op{op})
 	if err != nil {
 		t.Fatalf("run: %v", err)
@@ -315,49 +337,9 @@ func TestWatchdogChargesHangSymptom(t *testing.T) {
 	if ms == nil || ms.WatchdogTimeouts != 1 {
 		t.Errorf("mech stats = %+v, want 1 watchdog timeout", ms)
 	}
-	if got := app.env.Monotonic(); got < wd {
-		t.Errorf("virtual clock advanced %s, want >= %s (the hang was charged)", got, wd)
-	}
-}
-
-// TestWallClockWatchdogAbandonsBlockedOp: an op that genuinely blocks is
-// abandoned after WallTimeout, every retry times out too, the retry budget
-// trips the crash-loop guard, and the degraded retry failure reverts degraded
-// mode — the op is lost but the supervisor survives.
-func TestWallClockWatchdogAbandonsBlockedOp(t *testing.T) {
-	app := newStubApp(37)
-	block := make(chan struct{})
-	defer close(block)
-	op := Op{Name: "blocked", Kind: OpRead, Do: func() error {
-		<-block
-		return nil
-	}}
-	sup := New(app, Config{Seed: 37, WallTimeout: 25 * time.Millisecond, RetryBudget: 2, RungAttempts: 1})
-	rep, err := sup.Run([]Op{op})
-	if err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	if rep.OpsFailed != 1 {
-		t.Errorf("ops failed = %d, want 1\n%s", rep.OpsFailed, rep)
-	}
-	ms := rep.Mechanisms[MechWatchdog]
-	if ms == nil || ms.WatchdogTimeouts == 0 {
-		t.Fatalf("mech stats = %+v, want wall watchdog timeouts", ms)
-	}
-	if rep.CrashLoopTrips != 1 {
-		t.Errorf("crash loop trips = %d, want 1 (retry budget of 2 exhausted)", rep.CrashLoopTrips)
-	}
-	if rep.Degraded {
-		t.Error("degraded mode should have been reverted after the degraded retry also blocked")
-	}
-	var open bool
-	for _, bs := range rep.Breakers {
-		if bs.Mechanism == MechWatchdog && bs.State == BreakerOpen {
-			open = true
-		}
-	}
-	if !open {
-		t.Errorf("breakers = %+v, want %s open", rep.Breakers, MechWatchdog)
+	// The episode is the hang charge plus the one backoff before the retry.
+	if got, want := app.env.Monotonic(), 30*time.Second+rep.BackoffTotal; got != want {
+		t.Errorf("virtual clock advanced %s, want %s (30s hang charge + backoff)", got, want)
 	}
 }
 
@@ -386,16 +368,18 @@ func TestPanicIsSupervised(t *testing.T) {
 	}
 }
 
-// TestBreakerHalfOpenTrialCloses: after the cooldown an open breaker admits
-// one trial episode; a successful recovery closes it again.
+// TestBreakerHalfOpenTrialCloses: an open breaker fast-fails until its 20m
+// cooldown has passed, then admits one trial episode; a successful recovery
+// closes it again.
 func TestBreakerHalfOpenTrialCloses(t *testing.T) {
 	app := newStubApp(43)
 	const mech = "stub/heals-later"
-	// The fault fails a fixed number of executions, then heals: 3 in the
-	// first run (initial + two retries, opening the breaker at threshold 2),
-	// 1 fast-failed initial in the second run, and 1 more initial failure in
-	// the third run whose half-open trial retry then succeeds.
-	failsLeft := 5
+	// The fault fails a fixed number of executions, then heals: 10 in the
+	// first run (initial, eight ladder retries, the degraded retry — after
+	// which the breaker force-opens), 1 fast-failed initial in the second
+	// run, and 1 more initial failure in the third run whose half-open
+	// trial retry then succeeds.
+	failsLeft := 12
 	op := Op{Name: "heals-later", Kind: OpRead, Do: func() error {
 		if failsLeft > 0 {
 			failsLeft--
@@ -403,20 +387,22 @@ func TestBreakerHalfOpenTrialCloses(t *testing.T) {
 		}
 		return nil
 	}}
-	cooldown := 10 * time.Minute
-	sup := New(app, Config{Seed: 43, BreakerThreshold: 2, RungAttempts: 1, BreakerCooldown: cooldown})
+	sup := New(app, Config{Seed: 43})
 	// First run: breaker opens.
 	if rep, err := sup.Run([]Op{op}); err != nil || rep.Mechanisms[mech].BreakerOpens != 1 {
 		t.Fatalf("first run: err=%v report=\n%s", err, rep)
 	}
-	// Second run on the same supervisor, before cooldown: fast-fail.
+	opened := app.env.Monotonic()
+	// Second run on the same supervisor, a second before the cooldown ends:
+	// fast-fail.
+	app.env.Advance(20*time.Minute - time.Second)
 	rep, err := sup.Run([]Op{op})
 	if err != nil || rep.Mechanisms[mech].FastFails != 1 {
 		t.Fatalf("pre-cooldown run: err=%v report=\n%s", err, rep)
 	}
-	// Let the cooldown pass: the next failure is admitted as a half-open
-	// trial, and its successful recovery closes the breaker.
-	app.env.Advance(cooldown)
+	// Once the cooldown has passed, the next failure is admitted as a
+	// half-open trial, and its successful recovery closes the breaker.
+	app.env.Advance(opened + 20*time.Minute - app.env.Monotonic())
 	rep, err = sup.Run([]Op{op})
 	if err != nil {
 		t.Fatalf("post-cooldown run: %v", err)
@@ -428,6 +414,56 @@ func TestBreakerHalfOpenTrialCloses(t *testing.T) {
 		if bs.Mechanism == mech && bs.State != BreakerClosed {
 			t.Errorf("breaker %s = %s, want closed after successful trial", mech, bs.State)
 		}
+	}
+}
+
+// TestCrashLoopTripsRetryBudget: the retry budget allows 12 recovery
+// attempts per 30 virtual minutes. A write of one mechanism exhausts the
+// ladder (8 attempts) and is shed; 20 minutes later a read of a second
+// mechanism spends the remaining 4, and its next attempt trips the crash
+// loop into the degraded rung. When 30 minutes separate the two episodes,
+// the first episode's attempts have left the window and the read walks the
+// whole ladder instead.
+func TestCrashLoopTripsRetryBudget(t *testing.T) {
+	const mechA, mechB = "stub/write-bug", "stub/read-bug"
+	write := Op{Name: "write", Kind: OpWrite, Do: func() error {
+		return faultinject.Fail(mechA, taxonomy.SymptomError, "broken")
+	}}
+	read := Op{Name: "read", Kind: OpRead, Do: func() error {
+		return faultinject.Fail(mechB, taxonomy.SymptomError, "broken")
+	}}
+	run := func(gap time.Duration) *Report {
+		t.Helper()
+		app := newStubApp(47)
+		pause := Op{Name: "pause", Kind: OpRead, Do: func() error { app.env.Advance(gap); return nil }}
+		rep, err := New(app, Config{Seed: 47}).Run([]Op{write, pause, read})
+		if err != nil {
+			t.Fatalf("run: %v", err)
+		}
+		if rep.Mechanisms[mechA].Retries != 8 || rep.OpsShed != 1 {
+			t.Fatalf("gap %s: the write should spend 8 retries and be shed\n%s", gap, rep)
+		}
+		return rep
+	}
+
+	rep := run(20 * time.Minute)
+	if rep.CrashLoopTrips != 1 {
+		t.Errorf("crash loop trips = %d, want 1", rep.CrashLoopTrips)
+	}
+	// Four ladder retries fill the budget; the fifth is the degraded retry.
+	if got := rep.Mechanisms[mechB].Retries; got != 5 {
+		t.Errorf("read retries = %d, want 5 (4 within the budget + the degraded retry)", got)
+	}
+	if rep.Escalations[RungRestart] != 1 {
+		t.Errorf("escalations = %v, want only the write to reach the restart rung", rep.Escalations)
+	}
+
+	rep = run(30 * time.Minute)
+	if rep.CrashLoopTrips != 0 {
+		t.Errorf("crash loop trips = %d after a 30m gap, want 0", rep.CrashLoopTrips)
+	}
+	if got := rep.Mechanisms[mechB].Retries; got != 9 {
+		t.Errorf("read retries = %d after a 30m gap, want 9 (a full walk + the degraded retry)", got)
 	}
 }
 
@@ -559,9 +595,9 @@ func TestBackoffNilRandDisablesJitter(t *testing.T) {
 // TestEpisodeDurationStampedAtDecisionTime is the regression test for the
 // percentile misreport: an episode's duration must be stamped when the
 // supervisor reaches its verdict — after every backoff slept and every
-// watchdog charge incurred — not when the last recovery action ran. An
-// episode that ends mid-ladder (crash-loop trip into a shed) previously
-// excluded its trailing watchdog charge from the percentile sample.
+// watchdog charge incurred — not when the last recovery action ran, which
+// would drop the trailing watchdog charge of an episode whose last retry
+// hung.
 func TestEpisodeDurationStampedAtDecisionTime(t *testing.T) {
 	const hangCharge = 30 * time.Second
 
@@ -576,18 +612,16 @@ func TestEpisodeDurationStampedAtDecisionTime(t *testing.T) {
 		}
 		return nil
 	}}
-	cfg := Config{
-		WatchdogTimeout: hangCharge,
-		BackoffBase:     time.Second,
-		BackoffJitter:   -1, // exact schedule
-		RungAttempts:    1,
-	}
-	sup := New(srv, cfg)
+	sup := New(srv, Config{Seed: 7})
 	rep, err := sup.Run([]Op{op})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
-	wantServed := hangCharge + time.Second // initial hang charge + backoff(1)
+	// The first backoff is 1s plus up to 25% jitter.
+	if rep.BackoffTotal < time.Second || rep.BackoffTotal > time.Second+time.Second/4 {
+		t.Fatalf("BackoffTotal = %s, want the first backoff in [1s, 1.25s]", rep.BackoffTotal)
+	}
+	wantServed := hangCharge + rep.BackoffTotal // initial hang charge + backoff(1)
 	if len(rep.EpisodeDurations) != 1 || rep.EpisodeDurations[0] != wantServed {
 		t.Fatalf("EpisodeDurations = %v, want [%s]", rep.EpisodeDurations, wantServed)
 	}
@@ -598,25 +632,26 @@ func TestEpisodeDurationStampedAtDecisionTime(t *testing.T) {
 		t.Fatalf("report missing episode percentiles:\n%s", s)
 	}
 
-	// Mid-ladder case: the op always hangs and the retry budget is 1, so the
-	// second budget check trips the crash loop and the write is shed at the
-	// degraded rung. The episode's duration must still include the retry's
-	// trailing watchdog charge: hang + backoff(1) + hang.
+	// Shed case: the op always hangs, so the write walks every rung and is
+	// shed at the degraded rung. The episode's duration must still include
+	// the last retry's trailing watchdog charge: nine hangs (the initial one
+	// and one per retry) plus every backoff.
 	srv2, _ := httpdUnder(t, httpd.MechNullDeref, 8)
 	always := Op{Name: "wedged-write", Kind: OpWrite, Do: func() error {
 		return faultinject.Fail("httpd/test-hang", taxonomy.SymptomHang, "wedged")
 	}}
-	cfg2 := cfg
-	cfg2.RetryBudget = 1
-	sup2 := New(srv2, cfg2)
+	sup2 := New(srv2, Config{Seed: 8})
 	rep2, err := sup2.Run([]Op{always})
 	if err != nil {
 		t.Fatalf("Run: %v", err)
 	}
 	if rep2.OpsShed != 1 {
-		t.Fatalf("OpsShed = %d, want 1 (crash loop should shed the write)", rep2.OpsShed)
+		t.Fatalf("OpsShed = %d, want 1 (the degraded rung should shed the write)", rep2.OpsShed)
 	}
-	wantShed := hangCharge + time.Second + hangCharge
+	if rep2.CrashLoopTrips != 0 || rep2.Escalations[RungRestart] != 1 {
+		t.Fatalf("want a full ladder walk without a crash-loop trip:\n%s", rep2)
+	}
+	wantShed := 9*hangCharge + rep2.BackoffTotal
 	if len(rep2.EpisodeDurations) != 1 || rep2.EpisodeDurations[0] != wantShed {
 		t.Fatalf("EpisodeDurations = %v, want [%s] (must include the trailing watchdog charge)",
 			rep2.EpisodeDurations, wantShed)
@@ -709,7 +744,7 @@ func TestMicrorebootWidensToSubtree(t *testing.T) {
 		httpd.New(env, faultinject.NewSet(httpd.MechNullDeref), httpd.Config{}))
 
 	var microAttempts int
-	cfg := Config{Seed: 9, RungAttempts: 2, Trace: func(ev Event) {
+	cfg := Config{Seed: 9, Trace: func(ev Event) {
 		if ev.Kind == EventAction && ev.Rung == RungMicroreboot {
 			if ev.Component != httpd.CompCore {
 				t.Errorf("microreboot component = %q, want %q", ev.Component, httpd.CompCore)

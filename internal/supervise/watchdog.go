@@ -2,27 +2,10 @@ package supervise
 
 import (
 	"fmt"
-	"time"
 
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/taxonomy"
 )
-
-// WatchdogError is the watchdog's verdict on an operation that blocked past
-// the wall-clock budget: the application is hung, and the supervisor treats
-// the op as failed rather than waiting forever. This is how the paper's
-// "application hangs" symptom class becomes recoverable under supervision.
-type WatchdogError struct {
-	// Op is the operation abandoned.
-	Op string
-	// Timeout is the wall-clock budget that was exceeded.
-	Timeout time.Duration
-}
-
-// Error describes the timeout.
-func (e *WatchdogError) Error() string {
-	return fmt.Sprintf("supervise: watchdog: %q still blocked after %s", e.Op, e.Timeout)
-}
 
 // panicError wraps a panic recovered from an operation so it flows through
 // the ladder like any other crash symptom.
@@ -49,27 +32,9 @@ func (s *Supervisor) runOp(op Op) (err error) {
 
 // execute runs one operation under the watchdog. Simulated operations return
 // promptly even when they model a hang (the hang is a symptom on the error),
-// so by default the watchdog charges the virtual clock for hang symptoms and
-// moves on. When WallTimeout is positive, a goroutine-backed wall-clock
-// watchdog additionally abandons operations that genuinely block.
+// so the watchdog charges the virtual clock for hang symptoms and moves on.
 func (s *Supervisor) execute(op Op) error {
-	var err error
-	if s.cfg.WallTimeout <= 0 {
-		err = s.runOp(op)
-	} else {
-		done := make(chan error, 1)
-		go func() { done <- s.runOp(op) }()
-		select {
-		case err = <-done:
-		case <-time.After(s.cfg.WallTimeout):
-			// The op's goroutine is abandoned; its buffered channel lets it
-			// finish without leaking a blocked sender.
-			s.report.mech(MechWatchdog).WatchdogTimeouts++
-			werr := &WatchdogError{Op: op.Name, Timeout: s.cfg.WallTimeout}
-			s.trace(Event{Kind: EventWatchdog, Op: op.Name, Mechanism: MechWatchdog, Err: werr})
-			return werr
-		}
-	}
+	err := s.runOp(op)
 	if err != nil {
 		s.chargeHang(op, err)
 	}
@@ -86,7 +51,7 @@ func (s *Supervisor) chargeHang(op Op, err error) {
 	if !ok || fe.Symptom != taxonomy.SymptomHang {
 		return
 	}
-	s.clock.Sleep(s.cfg.WatchdogTimeout)
+	s.env.Advance(watchdogTimeout)
 	s.report.mech(fe.Mechanism).WatchdogTimeouts++
 	s.trace(Event{Kind: EventWatchdog, Op: op.Name, Mechanism: fe.Mechanism, Err: err})
 }

@@ -28,9 +28,9 @@ func (h *countingHook) Generated(stream, category string) {
 // serial counterparts item for item.
 func TestGeneratorsConcurrentWithSharedHook(t *testing.T) {
 	const n = 400
-	wantHTTP := HTTPRequests(7, DefaultHTTPMix(), n)
-	wantSQL := SQLStatements(7, n)
-	wantEvents := DesktopEvents(7, n)
+	wantHTTP := HTTPRequests(7, DefaultHTTPMix(), n, nil)
+	wantSQL := SQLStatements(7, n, nil)
+	wantEvents := DesktopEvents(7, n, nil)
 
 	hook := &countingHook{counts: make(map[string]int)}
 	var (
@@ -46,19 +46,19 @@ func TestGeneratorsConcurrentWithSharedHook(t *testing.T) {
 		totalWant += 3 * n
 		go func() {
 			defer wg.Done()
-			if got := HTTPRequestsObserved(7, DefaultHTTPMix(), n, hook); !reflect.DeepEqual(got, wantHTTP) {
+			if got := HTTPRequests(7, DefaultHTTPMix(), n, hook); !reflect.DeepEqual(got, wantHTTP) {
 				addErr("http stream diverged from serial generation")
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if got := SQLStatementsObserved(7, n, hook); !reflect.DeepEqual(got, wantSQL) {
+			if got := SQLStatements(7, n, hook); !reflect.DeepEqual(got, wantSQL) {
 				addErr("sql stream diverged from serial generation")
 			}
 		}()
 		go func() {
 			defer wg.Done()
-			if got := DesktopEventsObserved(7, n, hook); !reflect.DeepEqual(got, wantEvents) {
+			if got := DesktopEvents(7, n, hook); !reflect.DeepEqual(got, wantEvents) {
 				addErr("desktop stream diverged from serial generation")
 			}
 		}()

@@ -53,15 +53,10 @@ func DefaultHTTPMix() HTTPMix {
 
 func (m HTTPMix) total() int { return m.Static + m.Listing + m.CGI + m.Proxy + m.NotFound }
 
-// HTTPRequests generates n requests with the given mix.
-func HTTPRequests(seed int64, mix HTTPMix, n int) []httpd.Request {
-	return HTTPRequestsObserved(seed, mix, n, nil)
-}
-
-// HTTPRequestsObserved is HTTPRequests with a generation hook: each request
-// is reported to h (when non-nil) under stream "http" with its mix category.
-// The request stream is identical to HTTPRequests for the same arguments.
-func HTTPRequestsObserved(seed int64, mix HTTPMix, n int, h Hook) []httpd.Request {
+// HTTPRequests generates n requests with the given mix. Each request is
+// reported to h (when non-nil) under stream "http" with its mix category;
+// the stream does not depend on h.
+func HTTPRequests(seed int64, mix HTTPMix, n int, h Hook) []httpd.Request {
 	if mix.total() == 0 {
 		mix = DefaultHTTPMix()
 	}
@@ -92,16 +87,10 @@ func HTTPRequestsObserved(seed int64, mix HTTPMix, n int, h Hook) []httpd.Reques
 
 // SQLStatements generates a CREATE/INSERT/SELECT/UPDATE/DELETE stream over a
 // single table. The first statements create and index the table; the rest
-// are drawn from the mix. All statements are valid against the schema.
-func SQLStatements(seed int64, n int) []string {
-	return SQLStatementsObserved(seed, n, nil)
-}
-
-// SQLStatementsObserved is SQLStatements with a generation hook: each
+// are drawn from the mix. All statements are valid against the schema. Each
 // statement is reported to h (when non-nil) under stream "sql" with its
-// statement kind. The statement stream is identical to SQLStatements for the
-// same arguments.
-func SQLStatementsObserved(seed int64, n int, h Hook) []string {
+// statement kind; the stream does not depend on h.
+func SQLStatements(seed int64, n int, h Hook) []string {
 	rng := rand.New(rand.NewSource(seed))
 	stmts := []string{
 		"CREATE TABLE load (k INT, payload TEXT)",
@@ -133,16 +122,10 @@ func SQLStatementsObserved(seed int64, n int, h Hook) []string {
 	return stmts
 }
 
-// DesktopEvents generates a stream of benign desktop interactions.
-func DesktopEvents(seed int64, n int) []desktop.Event {
-	return DesktopEventsObserved(seed, n, nil)
-}
-
-// DesktopEventsObserved is DesktopEvents with a generation hook: each event
-// is reported to h (when non-nil) under stream "desktop" with its action
-// name. The event stream is identical to DesktopEvents for the same
-// arguments.
-func DesktopEventsObserved(seed int64, n int, h Hook) []desktop.Event {
+// DesktopEvents generates a stream of benign desktop interactions. Each
+// event is reported to h (when non-nil) under stream "desktop" with its
+// action name; the stream does not depend on h.
+func DesktopEvents(seed int64, n int, h Hook) []desktop.Event {
 	rng := rand.New(rand.NewSource(seed))
 	evs := make([]desktop.Event, 0, n)
 	for i := 0; i < n; i++ {

@@ -10,8 +10,8 @@ import (
 )
 
 func TestHTTPRequestsDeterministic(t *testing.T) {
-	a := HTTPRequests(1, DefaultHTTPMix(), 200)
-	b := HTTPRequests(1, DefaultHTTPMix(), 200)
+	a := HTTPRequests(1, DefaultHTTPMix(), 200, nil)
+	b := HTTPRequests(1, DefaultHTTPMix(), 200, nil)
 	if len(a) != 200 {
 		t.Fatalf("generated %d requests", len(a))
 	}
@@ -20,7 +20,7 @@ func TestHTTPRequestsDeterministic(t *testing.T) {
 			t.Fatal("same seed must give identical workloads")
 		}
 	}
-	c := HTTPRequests(2, DefaultHTTPMix(), 200)
+	c := HTTPRequests(2, DefaultHTTPMix(), 200, nil)
 	same := true
 	for i := range a {
 		if a[i] != c[i] {
@@ -34,7 +34,7 @@ func TestHTTPRequestsDeterministic(t *testing.T) {
 }
 
 func TestHTTPMixProportions(t *testing.T) {
-	reqs := HTTPRequests(3, DefaultHTTPMix(), 2000)
+	reqs := HTTPRequests(3, DefaultHTTPMix(), 2000, nil)
 	static := 0
 	for _, r := range reqs {
 		if r.Path == "/index.html" {
@@ -46,7 +46,7 @@ func TestHTTPMixProportions(t *testing.T) {
 		t.Errorf("static share = %d/2000", static)
 	}
 	// Zero mix falls back to the default.
-	if got := HTTPRequests(1, HTTPMix{}, 10); len(got) != 10 {
+	if got := HTTPRequests(1, HTTPMix{}, 10, nil); len(got) != 10 {
 		t.Errorf("zero mix generated %d", len(got))
 	}
 }
@@ -57,7 +57,7 @@ func TestHTTPWorkloadRunsCleanly(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for i, req := range HTTPRequests(7, DefaultHTTPMix(), 500) {
+	for i, req := range HTTPRequests(7, DefaultHTTPMix(), 500, nil) {
 		resp, err := srv.Serve(req)
 		if err != nil {
 			t.Fatalf("request %d (%s): %v", i, req.Path, err)
@@ -74,7 +74,7 @@ func TestSQLWorkloadRunsCleanly(t *testing.T) {
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
-	stmts := SQLStatements(9, 400)
+	stmts := SQLStatements(9, 400, nil)
 	if len(stmts) != 400 {
 		t.Fatalf("generated %d statements", len(stmts))
 	}
@@ -91,7 +91,7 @@ func TestDesktopWorkloadRunsCleanly(t *testing.T) {
 	if err := d.Start(); err != nil {
 		t.Fatal(err)
 	}
-	for i, ev := range DesktopEvents(11, 400) {
+	for i, ev := range DesktopEvents(11, 400, nil) {
 		if err := d.Dispatch(ev); err != nil {
 			t.Fatalf("event %d (%+v): %v", i, ev, err)
 		}
@@ -99,8 +99,8 @@ func TestDesktopWorkloadRunsCleanly(t *testing.T) {
 }
 
 func TestSQLStatementsDeterministic(t *testing.T) {
-	a := SQLStatements(1, 100)
-	b := SQLStatements(1, 100)
+	a := SQLStatements(1, 100, nil)
+	b := SQLStatements(1, 100, nil)
 	for i := range a {
 		if a[i] != b[i] {
 			t.Fatal("same seed must give identical statements")
