@@ -11,11 +11,12 @@
 //	bugminer -simulate -chaos 7 -resilience naive         # ... with the bare client
 //
 // -chaos activates the chaoshttp fault catalogue (seed-deterministic EDT and
-// EDN faults) between the miner and the source: as server middleware when
-// simulating, as a transport wrapper when mining a live URL. -resilience
-// selects the client recovery policy the crawl runs under. Pages lost after
-// the client exhausts recovery become gaps: the mine completes on the
-// partial corpus and prints the gap report instead of dying mid-crawl.
+// EDN faults) between the miner and the source, as a transport wrapper
+// beneath the resilient client in both modes. -resilience selects the client
+// recovery policy the crawl runs under; the crawler itself never retries.
+// Pages lost after the client exhausts recovery become gaps: the mine
+// completes on the partial corpus and prints the gap report instead of dying
+// mid-crawl.
 package main
 
 import (
@@ -42,14 +43,6 @@ func main() {
 	}
 }
 
-// wallClock drives a live-site chaos injector: stamps are real elapsed time
-// and injected latency is really slept.
-type wallClock struct{ start time.Time }
-
-func (c wallClock) Now() time.Duration { return time.Since(c.start) } //faultlint:ignore wallclock live-site chaos stamps real elapsed time
-
-func (c wallClock) Advance(d time.Duration) { time.Sleep(d) } //faultlint:ignore wallclock live-site chaos latency is really slept; simulated runs use the middleware instead
-
 func run() error {
 	var (
 		source     = flag.String("source", "apache", "source kind: apache | gnome | mysql")
@@ -69,10 +62,8 @@ func run() error {
 	if err != nil {
 		return err
 	}
-	chaosCfg := chaoshttp.Config{Seed: *chaosSeed, Faults: chaoshttp.Catalog()}
 
 	base := *url
-	var mw *chaoshttp.Middleware
 	if *simulate {
 		var handler http.Handler
 		switch app {
@@ -82,10 +73,6 @@ func run() error {
 			handler = faultstudy.NewGnomeTrackerSite(faultstudy.SiteConfig{Seed: *seed})
 		default:
 			handler = faultstudy.NewMySQLArchiveSite(faultstudy.SiteConfig{Seed: *seed})
-		}
-		if *chaosSeed != 0 {
-			mw = chaoshttp.NewMiddleware(chaosCfg, nil, handler)
-			handler = mw
 		}
 		ln, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
@@ -101,17 +88,19 @@ func run() error {
 		return fmt.Errorf("need -url or -simulate")
 	}
 
-	// The resilient client fronts every fetch; chaos on a live URL wraps the
-	// transport instead of the (unowned) server.
+	// The resilient client fronts every fetch, and chaos wraps the transport
+	// beneath it. Both share one clock, so a latency fault sleeps no longer
+	// than the client's per-try deadline.
+	clock := resilient.NewRealClock()
 	transport := http.RoundTripper(http.DefaultTransport)
 	var injector *chaoshttp.Injector
-	if *chaosSeed != 0 && !*simulate {
-		injector = chaoshttp.NewInjector(chaosCfg, transport, wallClock{start: time.Now()}) //faultlint:ignore wallclock live-site chaos epoch
+	if *chaosSeed != 0 {
+		injector = chaoshttp.NewInjector(chaoshttp.Config{Seed: *chaosSeed, Faults: chaoshttp.Catalog()}, transport, clock)
 		transport = injector
 	}
 	client := resilient.New(policy,
 		resilient.WithTransport(transport),
-		resilient.WithClock(resilient.NewRealClock()),
+		resilient.WithClock(clock),
 		resilient.WithRand(rand.New(rand.NewSource(*seed))))
 	miner := &core.Miner{Options: []scrape.CrawlerOption{scrape.WithClient(client.HTTPClient())}}
 
@@ -139,24 +128,11 @@ func run() error {
 	}
 	fmt.Println()
 	fmt.Print(res.Table())
-	printChaos(mw, injector)
+	if injector != nil {
+		fmt.Printf("\nchaos: %d faults injected\n", len(injector.Injections()))
+	}
 	printRecovery(client.Stats(), miner.Gaps)
 	return nil
-}
-
-// printChaos summarizes what the chaos layer injected, whichever shape it
-// took.
-func printChaos(mw *chaoshttp.Middleware, injector *chaoshttp.Injector) {
-	var injections []chaoshttp.Injection
-	switch {
-	case mw != nil:
-		injections = mw.Injections()
-	case injector != nil:
-		injections = injector.Injections()
-	default:
-		return
-	}
-	fmt.Printf("\nchaos: %d faults injected\n", len(injections))
 }
 
 // printRecovery reports the client's recovery spend and the gap report — the

@@ -5,19 +5,16 @@
 // its resilient client can be measured fault-class by fault-class instead of
 // only reasoned about.
 //
-// The package offers the same fault plan in two shapes:
+// Faults enter in one place: Injector, an http.RoundTripper that wraps any
+// inner transport (the in-memory HandlerTransport in experiments, a real
+// transport in the CLI, whether it talks to a live tracker or a simulated
+// one) and perturbs requests on the client side, beneath the resilient
+// client that is to recover from them.
 //
-//   - Injector, an http.RoundTripper that wraps any inner transport (the
-//     in-memory HandlerTransport in experiments, a real transport in the
-//     CLI) and perturbs requests on the client side; and
-//   - Middleware, an http.Handler wrapper that perturbs responses on the
-//     server side, for chaos against a served bugsite.
-//
-// Both draw every decision from the configured seed alone: a fault targets
-// a URL iff a SplitMix64-derived hash of (seed, fault, path) falls under
-// the fault's rate, so two runs with equal seeds inject the same faults at
-// the same URLs regardless of worker count, interleaving, or which shape is
-// used. Transient (EDT) faults fire once per URL and then heal — the
+// Every decision is drawn from the configured seed alone: a fault targets a
+// URL iff a SplitMix64-derived hash of (seed, fault, path) falls under the
+// fault's rate, so two runs with equal seeds inject the same faults at the
+// same URLs regardless of worker count or interleaving. Transient (EDT) faults fire once per URL and then heal — the
 // retry-survivable case; nontransient (EDN) faults persist for the life of
 // the injector — the case the paper predicts generic recovery cannot help.
 package chaoshttp

@@ -6,11 +6,11 @@ import (
 	"fmt"
 	"io"
 	"net/http"
-	"net/http/httptest"
 	"strings"
 	"testing"
 	"time"
 
+	"faultstudy/internal/resilient"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -169,6 +169,28 @@ func TestInjectorLatencyAdvancesClock(t *testing.T) {
 	}
 }
 
+// TestInjectorLatencyBoundedByDeadline: on the wall clock, a latency fault
+// sleeps only until the request's deadline, never its full length.
+func TestInjectorLatencyBoundedByDeadline(t *testing.T) {
+	inj := NewInjector(Config{Seed: 1, Faults: []Fault{
+		{Name: "edn/slow-forever", Class: taxonomy.ClassEnvDependentNonTransient,
+			Kind: KindSlowAlways, Rate: 1, Latency: 10 * time.Second},
+	}}, HandlerTransport{Handler: okHandler("fine")}, resilient.NewRealClock())
+	ctx, cancel := context.WithTimeout(context.Background(), 50*time.Millisecond)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, "http://chaos.test/a", nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := time.Now()
+	if _, err := inj.RoundTrip(req); !errors.Is(err, context.DeadlineExceeded) {
+		t.Fatalf("err = %v, want the request's deadline", err)
+	}
+	if took := time.Since(start); took > time.Second {
+		t.Errorf("latency fault held the request %v past its 50ms deadline", took)
+	}
+}
+
 func TestInjectorTruncation(t *testing.T) {
 	clock := NewVirtualClock()
 	inj := NewInjector(Config{Seed: 1, Faults: []Fault{
@@ -219,73 +241,6 @@ func TestHandlerTransportSetsContentLength(t *testing.T) {
 	body, _ := io.ReadAll(resp.Body)
 	if string(body) != "hello" {
 		t.Errorf("body = %q", body)
-	}
-}
-
-func TestMiddlewareOverRealServer(t *testing.T) {
-	mw := NewMiddleware(Config{Seed: 1, Faults: []Fault{
-		{Name: "edt/503-once", Class: taxonomy.ClassEnvDependentTransient, Kind: KindStatusOnce,
-			Rate: 1, Status: 503, RetryAfter: 1 * time.Second},
-	}}, nil, okHandler("fine"))
-	srv := httptest.NewServer(mw)
-	defer srv.Close()
-
-	resp, err := http.Get(srv.URL + "/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 503 || resp.Header.Get("Retry-After") != "1" {
-		t.Fatalf("first response %d %q, want 503 with Retry-After 1", resp.StatusCode, resp.Header.Get("Retry-After"))
-	}
-	resp, err = http.Get(srv.URL + "/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	resp.Body.Close()
-	if resp.StatusCode != 200 {
-		t.Fatalf("second response %d, want healed 200", resp.StatusCode)
-	}
-	if got := mw.Injections(); len(got) != 1 {
-		t.Errorf("middleware logged %d injections, want 1", len(got))
-	}
-}
-
-func TestMiddlewareConnectionDrop(t *testing.T) {
-	mw := NewMiddleware(Config{Seed: 1, Faults: []Fault{
-		{Name: "edt/conn-reset", Class: taxonomy.ClassEnvDependentTransient, Kind: KindConnResetOnce, Rate: 1},
-	}}, nil, okHandler("fine"))
-	srv := httptest.NewServer(mw)
-	defer srv.Close()
-	if _, err := http.Get(srv.URL + "/a"); err == nil {
-		t.Fatal("dropped connection should surface as a client error")
-	}
-	resp, err := http.Get(srv.URL + "/a")
-	if err != nil || resp.StatusCode != 200 {
-		t.Fatalf("second request should heal: %v %v", resp, err)
-	}
-	resp.Body.Close()
-}
-
-func TestMiddlewareTruncation(t *testing.T) {
-	mw := NewMiddleware(Config{Seed: 1, Faults: []Fault{
-		{Name: "edt/truncated-body", Class: taxonomy.ClassEnvDependentTransient, Kind: KindTruncateOnce, Rate: 1},
-	}}, nil, okHandler("0123456789"))
-	srv := httptest.NewServer(mw)
-	defer srv.Close()
-	resp, err := http.Get(srv.URL + "/a")
-	if err != nil {
-		t.Fatal(err)
-	}
-	body, readErr := io.ReadAll(resp.Body)
-	resp.Body.Close()
-	// The abort may surface as a read error or a short body; either way the
-	// full declared length must not arrive.
-	if readErr == nil && int64(len(body)) == resp.ContentLength {
-		t.Errorf("truncation delivered the full %d-byte body", len(body))
-	}
-	if !strings.HasPrefix("0123456789", string(body)) {
-		t.Errorf("body %q is not a prefix of the payload", body)
 	}
 }
 

@@ -6,22 +6,26 @@ import (
 	"time"
 )
 
-// Clock is the injector's view of time: latency faults advance it instead of
-// sleeping, so chaos runs are as fast as the hardware allows and byte-
-// reproducible. It is the minimal subset of the resilient client's clock;
-// *VirtualClock satisfies both.
+// Clock is the injector's view of time: it stamps the injection log, and
+// latency faults sleep on it, bounded by the request's context. It is the
+// subset of the resilient client's clock the injector uses, so one clock
+// serves both: *VirtualClock in experiments, where a latency fault advances
+// time instantly and runs stay byte-reproducible, and the resilient
+// client's real clock in the CLI, where the per-try deadline cuts a latency
+// fault short.
 type Clock interface {
 	// Now returns a monotonic reading.
 	Now() time.Duration
-	// Advance moves time forward by d.
-	Advance(d time.Duration)
+	// Sleep pauses for d, returning early with the context's error if it
+	// expires first.
+	Sleep(ctx context.Context, d time.Duration) error
 }
 
 // VirtualClock is a shared, concurrency-safe virtual monotonic clock. The
-// chaos injector advances it to model latency, the resilient client reads
-// and sleeps on it for deadlines and backoff, and the crawler paces on it —
-// one timeline, no wall-clock reads, so MTTR measurements and retry
-// schedules are deterministic functions of the seed.
+// chaos injector sleeps on it to model latency and the resilient client
+// reads and sleeps on it for deadlines and backoff — one timeline, no
+// wall-clock reads, so MTTR measurements and retry schedules are
+// deterministic functions of the seed.
 type VirtualClock struct {
 	mu  sync.Mutex
 	now time.Duration
@@ -48,8 +52,8 @@ func (c *VirtualClock) Advance(d time.Duration) {
 }
 
 // Sleep advances the clock by d immediately, honoring an already-expired
-// context. It satisfies the resilient client's Clock and the crawler's
-// Sleeper without ever touching the wall clock.
+// context. It satisfies the injector's and the resilient client's Clock
+// without ever touching the wall clock.
 func (c *VirtualClock) Sleep(ctx context.Context, d time.Duration) error {
 	if err := ctx.Err(); err != nil {
 		return err

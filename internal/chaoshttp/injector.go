@@ -15,7 +15,7 @@ import (
 	"faultstudy/internal/taxonomy"
 )
 
-// Config parameterizes an Injector (and a Middleware: both shapes share it).
+// Config parameterizes an Injector.
 type Config struct {
 	// Seed drives every injection decision. Equal seeds inject identically.
 	Seed int64
@@ -84,7 +84,7 @@ type Injector struct {
 }
 
 // NewInjector wraps next with the fault plan in cfg on the given clock. A
-// nil clock panics early rather than on first latency fault.
+// nil clock panics early rather than on the first request.
 func NewInjector(cfg Config, next http.RoundTripper, clock Clock) *Injector {
 	if next == nil {
 		panic("chaoshttp: nil inner transport")
@@ -197,7 +197,9 @@ func (in *Injector) RoundTrip(req *http.Request) (*http.Response, error) {
 	case KindHostExhaust:
 		return nil, ErrInjectedExhaust
 	case KindLatencyOnce, KindSlowAlways:
-		in.clock.Advance(f.Latency)
+		if err := in.clock.Sleep(req.Context(), f.Latency); err != nil {
+			return nil, err
+		}
 		return in.next.RoundTrip(req)
 	case KindTruncateOnce:
 		resp, err := in.next.RoundTrip(req)

@@ -87,6 +87,25 @@ func TestClassifyRace(t *testing.T) {
 	}
 }
 
+// TestWeakTriggerOutscoresEIPrior pins the EI prior: one trigger cue of
+// weight 1.5, with no deterministic cue beside it, must beat the prior of
+// 1.0 and call the fault environment-dependent.
+func TestWeakTriggerOutscoresEIPrior(t *testing.T) {
+	c := New(Options{})
+	r := &report.Report{
+		ID: "x", App: taxonomy.AppApache,
+		Synopsis:    "server stops answering",
+		Description: "The daemon stops answering under sustained high load.",
+	}
+	res := c.Classify(r)
+	if len(res.Evidence) != 1 || res.Evidence[0] != "under sustained high load" {
+		t.Fatalf("evidence = %q, want only the 1.5-weight resource-leak cue", res.Evidence)
+	}
+	if res.Class == taxonomy.ClassEnvIndependent || res.Trigger != taxonomy.TriggerResourceLeak {
+		t.Errorf("class %v trigger %v, want environment-dependent via resource-leak", res.Class, res.Trigger)
+	}
+}
+
 func TestClassifyDiskFull(t *testing.T) {
 	c := New(Options{})
 	r := &report.Report{

@@ -22,10 +22,10 @@ import (
 )
 
 // Miner runs the three per-application mining pipelines. The zero value
-// mines with a default crawler; Options threads extra crawler options (a
-// chaos-wrapped HTTP client, a virtual pacing clock, a Retry-After policy)
-// into every crawl, and Gaps accumulates the URLs each crawl lost after the
-// client exhausted recovery. A Miner that returns reports with a non-empty
+// mines with a default crawler; Options threads extra crawler options (the
+// resilient, possibly chaos-wrapped, HTTP client) into every crawl, and
+// Gaps accumulates the URLs each crawl lost after the client exhausted
+// recovery. A Miner that returns reports with a non-empty
 // Gaps has degraded gracefully: the corpus is partial and says so, instead
 // of the whole mine dying on one bad page.
 type Miner struct {

@@ -44,7 +44,6 @@ func BenchmarkCrawlSite(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		cr := scrape.NewCrawler(
 			scrape.WithMaxPages(400),
-			scrape.WithDelay(0),
 			scrape.WithPathFilter("/gen"),
 			scrape.WithClient(srv.Client()),
 		)

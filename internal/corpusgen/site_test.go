@@ -94,7 +94,6 @@ func TestSiteCrawlable(t *testing.T) {
 	defer srv.Close()
 	cr := scrape.NewCrawler(
 		scrape.WithMaxPages(site.PageCount()+10),
-		scrape.WithDelay(0),
 		scrape.WithPathFilter("/gen"),
 		scrape.WithClient(srv.Client()),
 	)

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"fmt"
+	"strings"
 	"testing"
 	"testing/quick"
 	"time"
@@ -195,5 +196,98 @@ func TestMarkInvariantsProperty(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 40}); err != nil {
 		t.Error(err)
+	}
+}
+
+// boilerplate is a tracker header shared by every report below: twelve
+// shingles on its own.
+const boilerplate = "please fill in the form below describing the problem and how to repeat it"
+
+// withBoilerplate returns a report whose text is the shared header followed
+// by words.
+func withBoilerplate(id string, filed time.Time, words ...string) *report.Report {
+	return &report.Report{ID: id, App: taxonomy.AppApache, Filed: filed,
+		Description: boilerplate + " " + strings.Join(words, " ")}
+}
+
+// uniqueWords returns n words no other report uses.
+func uniqueWords(id string, n int) []string {
+	out := make([]string, n)
+	for i := range out {
+		out[i] = fmt.Sprintf("%sw%d", id, i)
+	}
+	return out
+}
+
+// TestMarkBoilerplateStaysDistinct: more reports than the doc-frequency cap
+// share a header, and the header alone never makes them duplicates.
+func TestMarkBoilerplateStaysDistinct(t *testing.T) {
+	t0 := time.Date(1999, 1, 1, 0, 0, 0, 0, time.UTC)
+	var reports []*report.Report
+	for i := 0; i < maxDocFreq+10; i++ {
+		id := fmt.Sprintf("PR-%d", i)
+		reports = append(reports, withBoilerplate(id, t0.AddDate(0, 0, i), uniqueWords(id, 40)...))
+	}
+	if n := Mark(reports); n != 0 {
+		t.Errorf("marked %d of %d unrelated reports sharing only a header", n, len(reports))
+	}
+}
+
+// TestMarkDocFreqCapKeepsPair: a true duplicate pair shares only header
+// shingles that 49 earlier reports also carry. The canonical is the 50th
+// report to hold them, so a cap of 50 still indexes it and the pair is
+// found; any smaller cap loses it.
+func TestMarkDocFreqCapKeepsPair(t *testing.T) {
+	t0 := time.Date(1999, 1, 1, 0, 0, 0, 0, time.UTC)
+	var reports []*report.Report
+	for i := 0; i < 49; i++ {
+		id := fmt.Sprintf("PR-%d", i)
+		reports = append(reports, withBoilerplate(id, t0.AddDate(0, 0, i), uniqueWords(id, 40)...))
+	}
+	a := withBoilerplate("PR-A", t0.AddDate(0, 0, 49), "segfault", "overflow")
+	b := withBoilerplate("PR-B", t0.AddDate(0, 0, 50), "crash", "loop")
+	if sim := Similarity(a.Text(), b.Text(), shingleSize); sim < threshold {
+		t.Fatalf("premise: pair similarity %.2f is below the threshold", sim)
+	}
+	reports = append(reports, a, b)
+	if n := Mark(reports); n != 1 || b.DuplicateOf != "PR-A" {
+		t.Errorf("marked %d, PR-B duplicates %q; want only PR-B marked, of PR-A", n, b.DuplicateOf)
+	}
+}
+
+// containedPair returns two reports whose second synopsis contains the
+// first's, sharing eleven description words and each adding own words of
+// its own: the more own words, the lower their similarity.
+func containedPair(own int) (a, b *report.Report) {
+	t0 := time.Date(1999, 1, 1, 0, 0, 0, 0, time.UTC)
+	shared := strings.Join(uniqueWords("shared", 11), " ")
+	a = &report.Report{ID: "PR-1", App: taxonomy.AppApache, Filed: t0,
+		Synopsis:    "httpd crashes on long urls",
+		Description: shared + " " + strings.Join(uniqueWords("a", own), " ")}
+	b = &report.Report{ID: "PR-2", App: taxonomy.AppApache, Filed: t0.AddDate(0, 0, 1),
+		Synopsis:    "httpd crashes on long urls under load",
+		Description: shared + " " + strings.Join(uniqueWords("b", own), " ")}
+	return a, b
+}
+
+// TestMarkContainmentFloor pins the synopsis rule's similarity floor: a
+// contained pair just under 0.25 stays apart, one just above merges.
+func TestMarkContainmentFloor(t *testing.T) {
+	for _, tc := range []struct {
+		own      int
+		lo, hi   float64
+		wantDups int
+	}{
+		{own: 16, lo: 0.22, hi: 0.25, wantDups: 0},
+		{own: 14, lo: 0.25, hi: 0.28, wantDups: 1},
+	} {
+		a, b := containedPair(tc.own)
+		sim := Similarity(a.Text(), b.Text(), shingleSize)
+		if sim < tc.lo || sim >= tc.hi {
+			t.Fatalf("premise: %d own words give similarity %.3f, outside [%.2f, %.2f)", tc.own, sim, tc.lo, tc.hi)
+		}
+		if n := Mark([]*report.Report{a, b}); n != tc.wantDups {
+			t.Errorf("similarity %.3f: marked %d, want %d", sim, n, tc.wantDups)
+		}
 	}
 }

@@ -362,7 +362,6 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	defer srv.Close()
 	cr := scrape.NewCrawler(
 		scrape.WithMaxPages(cfg.CrawlPages),
-		scrape.WithDelay(0),
 		scrape.WithPathFilter("/gen"),
 		scrape.WithClient(srv.Client()),
 	)

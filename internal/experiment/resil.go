@@ -131,9 +131,7 @@ func runResilArm(cfg ResilConfig, armIdx int, fault chaoshttp.Fault, policy stri
 		resilient.WithRand(rand.New(rand.NewSource(armSeed))))
 	crawler := scrape.NewCrawler(
 		scrape.WithClient(client.HTTPClient()),
-		scrape.WithSleeper(clock),
 		scrape.WithPathFilter("/bugdb/"),
-		scrape.WithRetryAfterCap(0), // all Retry-After handling belongs to the policy under test
 		scrape.WithMaxPages(cfg.MaxPages))
 	pages, err := crawler.Crawl(context.Background(), resilHost+"/bugdb/")
 	if err != nil {

@@ -2,7 +2,7 @@ package resilient
 
 import "sync"
 
-// Budget is a token-bucket retry budget: the client-side defence against
+// budget is a token-bucket retry budget: the client-side defence against
 // retry storms. Every first attempt deposits Earn tokens (capped at Burst);
 // every retry withdraws one whole token. Under a healthy workload the bucket
 // stays full and retries are free; when a large fraction of requests start
@@ -10,31 +10,30 @@ import "sync"
 // than scattered transient blips — the bucket drains and the client stops
 // amplifying load, exactly the regime the paper's EDN faults create.
 //
-// A Budget is safe for concurrent use and is meant to be shared across every
-// client talking to the same backend, so the storm limit is global rather
-// than per-client.
-type Budget struct {
+// A budget is safe for concurrent use: one client's concurrent requests
+// share it, so the storm limit covers all of them.
+type budget struct {
 	mu     sync.Mutex
 	tokens float64
 	burst  float64
 	earn   float64
 }
 
-// NewBudget builds a budget holding burst tokens initially (and at most),
+// newBudget builds a budget holding burst tokens initially (and at most),
 // earning earn tokens per first attempt. earn is clamped at non-negative;
 // burst below 1 disables retries entirely.
-func NewBudget(burst, earn float64) *Budget {
+func newBudget(burst, earn float64) *budget {
 	if burst < 0 {
 		burst = 0
 	}
 	if earn < 0 {
 		earn = 0
 	}
-	return &Budget{tokens: burst, burst: burst, earn: earn}
+	return &budget{tokens: burst, burst: burst, earn: earn}
 }
 
-// Deposit credits the budget for one first attempt.
-func (b *Budget) Deposit() {
+// deposit credits the budget for one first attempt.
+func (b *budget) deposit() {
 	if b == nil {
 		return
 	}
@@ -46,9 +45,9 @@ func (b *Budget) Deposit() {
 	b.mu.Unlock()
 }
 
-// Withdraw takes one token for a retry, reporting false (and taking
+// withdraw takes one token for a retry, reporting false (and taking
 // nothing) when the budget is exhausted.
-func (b *Budget) Withdraw() bool {
+func (b *budget) withdraw() bool {
 	if b == nil {
 		return true
 	}
@@ -59,14 +58,4 @@ func (b *Budget) Withdraw() bool {
 	}
 	b.tokens--
 	return true
-}
-
-// Tokens returns the current balance, for reports and tests.
-func (b *Budget) Tokens() float64 {
-	if b == nil {
-		return 0
-	}
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.tokens
 }

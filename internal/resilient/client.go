@@ -1,9 +1,10 @@
 // Package resilient is the mining pipeline's tail-tolerant HTTP client
 // layer: per-try deadlines, exponential backoff with seeded jitter, a
 // token-bucket retry budget, optional hedged re-attempts (after Dean &
-// Barroso's "The Tail at Scale"), per-host circuit breakers (the
-// supervision layer's breaker state machine extracted to the transport),
-// Retry-After honoring, and Content-Length truncation detection.
+// Barroso's "The Tail at Scale"), per-host circuit breakers (the breaker
+// state machine the supervision layer also uses, shared through
+// internal/breaker), Retry-After honoring, and Content-Length truncation
+// detection.
 //
 // The layer exists to make the paper's Table 8 logic measurable end-to-end:
 // a state-preserving retry survives environment-dependent-transient faults
@@ -16,12 +17,15 @@
 //
 // The Client is an http.RoundTripper: wrap it in an http.Client and every
 // caller above it (the crawler, the miners) gets resilience without code
-// changes. All time flows through an injected Clock, so experiment runs on
-// the virtual clock are byte-deterministic in the seed.
+// changes. It is the only code in the mining stack that retries a fetch:
+// the crawler records whatever the client returns. All time flows through
+// an injected Clock, so experiment runs on the virtual clock are
+// byte-deterministic in the seed.
 package resilient
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"fmt"
 	"io"
@@ -30,6 +34,8 @@ import (
 	"strconv"
 	"sync"
 	"time"
+
+	"faultstudy/internal/breaker"
 )
 
 // Named failure modes, distinguishable with errors.Is.
@@ -167,19 +173,19 @@ type Stats struct {
 	GiveUps int
 }
 
-// Client is the resilient http.RoundTripper. Build with New; share Breaker
-// and Budget across clients via options when several clients talk to the
-// same backend.
+// Client is the resilient http.RoundTripper. Build with New. It is safe for
+// concurrent use: every request it serves shares one per-host breaker set
+// and one retry budget, so the storm limit holds across all its callers.
 type Client struct {
-	policy  Policy
-	next    http.RoundTripper
-	clock   Clock
-	breaker *Breaker
-	budget  *Budget
+	policy Policy
+	next   http.RoundTripper
+	clock  Clock
 
-	mu    sync.Mutex
-	rng   *rand.Rand
-	stats Stats
+	mu       sync.Mutex // guards the fields below
+	rng      *rand.Rand
+	breakers *breaker.Set // nil when the policy has no breaker
+	budget   *budget      // nil when the policy has no budget
+	stats    Stats
 }
 
 // Option configures a Client.
@@ -195,14 +201,8 @@ func WithClock(clock Clock) Option { return func(c *Client) { c.clock = clock } 
 // convention shared with the supervision layer).
 func WithRand(rng *rand.Rand) Option { return func(c *Client) { c.rng = rng } }
 
-// WithBreaker shares a breaker set across clients.
-func WithBreaker(b *Breaker) Option { return func(c *Client) { c.breaker = b } }
-
-// WithBudget shares a retry budget across clients.
-func WithBudget(b *Budget) Option { return func(c *Client) { c.budget = b } }
-
-// New builds a client for the policy. A breaker and budget are created from
-// the policy's parameters unless shared ones are injected.
+// New builds a client for the policy, with the breaker set and retry budget
+// the policy's parameters describe.
 func New(p Policy, opts ...Option) *Client {
 	if p.MaxAttempts < 1 {
 		p.MaxAttempts = 1
@@ -211,17 +211,14 @@ func New(p Policy, opts ...Option) *Client {
 	for _, o := range opts {
 		o(c)
 	}
-	if c.breaker == nil && p.BreakerThreshold > 0 {
-		c.breaker = NewBreaker(p.BreakerThreshold, p.BreakerCooldown)
+	if p.BreakerThreshold > 0 {
+		c.breakers = breaker.NewSet(p.BreakerThreshold, p.BreakerCooldown)
 	}
-	if c.budget == nil && p.BudgetBurst > 0 {
-		c.budget = NewBudget(p.BudgetBurst, p.BudgetEarn)
+	if p.BudgetBurst > 0 {
+		c.budget = newBudget(p.BudgetBurst, p.BudgetEarn)
 	}
 	return c
 }
-
-// Policy returns the client's policy.
-func (c *Client) Policy() Policy { return c.policy }
 
 // HTTPClient wraps the client in an *http.Client for callers that want the
 // standard interface (the crawler's WithClient option).
@@ -232,6 +229,23 @@ func (c *Client) Stats() Stats {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.stats
+}
+
+// guard applies f to the breaker set under the lock; a policy without a
+// breaker skips it.
+func (c *Client) guard(f func(*breaker.Set)) {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	if c.breakers != nil {
+		f(c.breakers)
+	}
+}
+
+// allow reports whether host's breaker admits a request now.
+func (c *Client) allow(host string) bool {
+	now, ok := c.clock.Now(), true
+	c.guard(func(b *breaker.Set) { ok = b.Allow(host, now) })
+	return ok
 }
 
 // count applies a mutation to the stats under the lock.
@@ -255,11 +269,11 @@ func (c *Client) RoundTrip(req *http.Request) (*http.Response, error) {
 	ctx := req.Context()
 	host := req.URL.Host
 
-	if c.breaker != nil && !c.breaker.Allow(host, c.clock.Now()) {
+	if !c.allow(host) {
 		c.count(func(s *Stats) { s.FastFails++ })
 		return nil, fmt.Errorf("resilient: %s: %w", host, ErrBreakerOpen)
 	}
-	c.budget.Deposit()
+	c.budget.deposit()
 	c.count(func(s *Stats) { s.Requests++ })
 
 	attempt := 0
@@ -269,14 +283,15 @@ func (c *Client) RoundTrip(req *http.Request) (*http.Response, error) {
 		c.count(func(s *Stats) { s.Attempts++ })
 
 		if err == nil && !retryableStatus(resp.StatusCode) {
-			c.breaker.Success(host)
+			c.guard(func(b *breaker.Set) { b.Success(host) })
 			c.count(func(s *Stats) { s.Successes++ })
 			return resp, nil
 		}
 
 		// Failed attempt: transport error, timeout, truncation, or a
 		// retryable status.
-		c.breaker.Failure(host, c.clock.Now())
+		now := c.clock.Now()
+		c.guard(func(b *breaker.Set) { b.Failure(host, now) })
 		if ctx.Err() != nil {
 			closeResp(resp)
 			return nil, ctx.Err()
@@ -301,7 +316,7 @@ func (c *Client) RoundTrip(req *http.Request) (*http.Response, error) {
 			continue
 		}
 
-		if !c.budget.Withdraw() {
+		if !c.budget.withdraw() {
 			c.count(func(s *Stats) { s.BudgetDenied++ })
 			if err == nil {
 				return resp, nil
@@ -326,14 +341,21 @@ func (c *Client) RoundTrip(req *http.Request) (*http.Response, error) {
 
 // try performs one attempt: per-try deadline, post-hoc virtual-clock
 // timeout enforcement, and (when the policy asks) body buffering with the
-// Content-Length truncation check.
+// Content-Length truncation check. An unbuffered body is still read under
+// the per-try deadline, so its context is released when the caller closes
+// it rather than when try returns.
 func (c *Client) try(req *http.Request) (*http.Response, time.Duration, error) {
 	start := c.clock.Now()
-	ctx, cancel := req.Context(), func() {}
+	ctx, cancel := req.Context(), context.CancelFunc(func() {})
 	if c.policy.PerTryTimeout > 0 {
 		ctx, cancel = c.clock.WithTimeout(req.Context(), c.policy.PerTryTimeout)
 	}
-	defer cancel()
+	handedOff := false
+	defer func() {
+		if !handedOff {
+			cancel()
+		}
+	}()
 	resp, err := c.next.RoundTrip(req.Clone(ctx))
 	elapsed := c.clock.Now() - start
 	if err != nil {
@@ -345,6 +367,8 @@ func (c *Client) try(req *http.Request) (*http.Response, time.Duration, error) {
 			elapsed, c.policy.PerTryTimeout, ErrTryTimeout)
 	}
 	if !c.policy.DetectTruncation {
+		handedOff = true
+		resp.Body = cancelOnClose{resp.Body, cancel}
 		return resp, elapsed, nil
 	}
 	body, rerr := io.ReadAll(resp.Body)
@@ -364,17 +388,7 @@ func (c *Client) try(req *http.Request) (*http.Response, time.Duration, error) {
 // backoffDelay returns the jittered exponential delay before the retry that
 // follows the attempt-th attempt.
 func (c *Client) backoffDelay(attempt int) time.Duration {
-	d := c.policy.BackoffBase
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= c.policy.BackoffCap || d <= 0 {
-			d = c.policy.BackoffCap
-			break
-		}
-	}
-	if d > c.policy.BackoffCap {
-		d = c.policy.BackoffCap
-	}
+	d := breaker.Backoff(c.policy.BackoffBase, c.policy.BackoffCap, attempt)
 	if c.policy.Jitter > 0 {
 		c.mu.Lock()
 		rng := c.rng
@@ -407,6 +421,20 @@ func retryAfterDelay(resp *http.Response, p Policy) (time.Duration, bool) {
 		d = p.RetryAfterCap
 	}
 	return d, true
+}
+
+// cancelOnClose is a response body that releases its per-try context when
+// closed.
+type cancelOnClose struct {
+	io.ReadCloser
+	cancel context.CancelFunc
+}
+
+// Close closes the body, then releases the context.
+func (b cancelOnClose) Close() error {
+	err := b.ReadCloser.Close()
+	b.cancel()
+	return err
 }
 
 // closeResp drains nothing and closes the body of a response being

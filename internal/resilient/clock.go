@@ -22,7 +22,9 @@ type Clock interface {
 }
 
 // realClock reads the wall clock. It exists for the CLIs, which talk to real
-// servers; every experiment path injects a virtual clock instead.
+// servers and hand the same clock to their chaos injector; every experiment
+// path injects a virtual clock instead. It is the mining stack's only
+// wall-clock reader.
 type realClock struct {
 	start time.Time
 }

@@ -12,6 +12,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"faultstudy/internal/breaker"
 )
 
 // fakeClock is a test virtual clock: Sleep advances it, WithTimeout is a
@@ -243,8 +245,9 @@ func TestPerTryTimeoutAndHedge(t *testing.T) {
 func TestBudgetExhaustionStopsRetries(t *testing.T) {
 	clock := &fakeClock{}
 	st := &scriptTransport{clock: clock, steps: []scriptStep{{err: errors.New("down")}}}
-	budget := NewBudget(1, 0) // one retry, ever
-	c := New(RetryPolicy(), WithTransport(st), WithClock(clock), WithBudget(budget))
+	pol := RetryPolicy()
+	pol.BudgetBurst, pol.BudgetEarn = 1, 0 // one retry, ever
+	c := New(pol, WithTransport(st), WithClock(clock))
 	_, err := doGet(t, c, "http://h/x")
 	if !errors.Is(err, ErrBudgetExhausted) {
 		t.Fatalf("err = %v, want budget exhaustion", err)
@@ -258,83 +261,96 @@ func TestBudgetExhaustionStopsRetries(t *testing.T) {
 }
 
 func TestBudgetTokenBucket(t *testing.T) {
-	b := NewBudget(2, 0.5)
-	if !b.Withdraw() || !b.Withdraw() {
+	b := newBudget(2, 0.5)
+	if !b.withdraw() || !b.withdraw() {
 		t.Fatal("fresh budget should cover its burst")
 	}
-	if b.Withdraw() {
+	if b.withdraw() {
 		t.Fatal("drained budget should refuse")
 	}
-	b.Deposit()
-	if b.Withdraw() {
+	b.deposit()
+	if b.withdraw() {
 		t.Fatal("half a token is not a whole token")
 	}
-	b.Deposit()
-	if !b.Withdraw() {
+	b.deposit()
+	if !b.withdraw() {
 		t.Fatal("two deposits at 0.5 should fund one retry")
 	}
 	for i := 0; i < 10; i++ {
-		b.Deposit()
+		b.deposit()
 	}
-	if got := b.Tokens(); got != 2 {
-		t.Errorf("tokens = %v, want capped at burst 2", got)
+	if b.tokens != 2 {
+		t.Errorf("tokens = %v, want capped at burst 2", b.tokens)
 	}
-	var nilB *Budget
-	nilB.Deposit()
-	if !nilB.Withdraw() {
+	var nilB *budget
+	nilB.deposit()
+	if !nilB.withdraw() {
 		t.Error("nil budget must be unlimited")
 	}
 }
 
+// TestBreakerStateMachine walks one host's breaker through the client:
+// three failed requests open it, it fails fast until the cooldown, a failed
+// half-open trial re-opens it, and a served trial closes it.
 func TestBreakerStateMachine(t *testing.T) {
-	b := NewBreaker(3, 10*time.Second)
-	now := time.Duration(0)
-	if !b.Allow("h", now) || b.State("h") != BreakerClosed {
-		t.Fatal("fresh breaker should admit")
+	clock := &fakeClock{}
+	st := &scriptTransport{clock: clock, steps: []scriptStep{
+		{err: errors.New("down")}, {err: errors.New("down")}, {err: errors.New("down")},
+		{err: errors.New("still down")},
+		{status: 200, body: "back", declare: -1},
+	}}
+	pol := NaivePolicy()
+	pol.BreakerThreshold, pol.BreakerCooldown = 3, 10*time.Second
+	c := New(pol, WithTransport(st), WithClock(clock))
+	state := func() breaker.State {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		for _, s := range c.breakers.Statuses() {
+			if s.Key == "h" {
+				return s.State
+			}
+		}
+		return breaker.Closed
 	}
-	b.Failure("h", now)
-	b.Failure("h", now)
-	if opened := b.Failure("h", now); !opened {
-		t.Fatal("third failure should open the breaker")
+	for i := 0; i < 3; i++ {
+		if _, err := doGet(t, c, "http://h/x"); err == nil || errors.Is(err, ErrBreakerOpen) {
+			t.Fatalf("request %d: err = %v, want the transport failure", i, err)
+		}
 	}
-	if b.Allow("h", now+time.Second) {
-		t.Fatal("open breaker should fail fast before cooldown")
+	if state() != breaker.Open {
+		t.Fatalf("state = %v after three failures, want open", state())
 	}
-	if !b.Allow("h", now+11*time.Second) {
-		t.Fatal("cooldown elapsed: breaker should admit the half-open trial")
+	clock.advance(time.Second)
+	if _, err := doGet(t, c, "http://h/x"); !errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("err = %v before the cooldown, want fast-fail", err)
 	}
-	if b.State("h") != BreakerHalfOpen {
-		t.Fatalf("state = %v, want half-open", b.State("h"))
+	clock.advance(10 * time.Second)
+	if _, err := doGet(t, c, "http://h/x"); err == nil || errors.Is(err, ErrBreakerOpen) {
+		t.Fatalf("err = %v, want the half-open trial to reach the host and fail", err)
 	}
-	if opened := b.Failure("h", now+12*time.Second); !opened {
-		t.Fatal("failed trial should re-open")
+	if state() != breaker.Open {
+		t.Fatalf("state = %v after a failed trial, want re-opened", state())
 	}
-	if !b.Allow("h", now+23*time.Second) {
-		t.Fatal("second cooldown should admit another trial")
+	clock.advance(10 * time.Second)
+	if resp, err := doGet(t, c, "http://h/x"); err != nil || resp.StatusCode != 200 {
+		t.Fatalf("second trial: %v %v, want served", resp, err)
 	}
-	b.Success("h")
-	if b.State("h") != BreakerClosed {
-		t.Fatalf("state after served trial = %v, want closed", b.State("h"))
+	if state() != breaker.Closed {
+		t.Fatalf("state = %v after a served trial, want closed", state())
 	}
-	if got := b.Hosts(); len(got) != 1 || got[0] != "h" {
-		t.Errorf("hosts = %v", got)
-	}
-	if (BreakerState(42)).String() == "" {
-		t.Error("unknown state should still render")
+	if st.callCount() != 5 || c.Stats().FastFails != 1 {
+		t.Errorf("%d calls, %d fast-fails; want 5 calls and 1 fast-fail", st.callCount(), c.Stats().FastFails)
 	}
 }
 
 func TestClientFastFailsOnOpenBreaker(t *testing.T) {
 	clock := &fakeClock{}
 	st := &scriptTransport{clock: clock, steps: []scriptStep{{err: errors.New("down")}}}
-	breaker := NewBreaker(2, time.Hour)
-	c := New(FullPolicy(), WithTransport(st), WithClock(clock), WithBreaker(breaker),
-		WithRand(rand.New(rand.NewSource(1))))
+	pol := FullPolicy()
+	pol.BreakerThreshold, pol.BreakerCooldown = 2, time.Hour
+	c := New(pol, WithTransport(st), WithClock(clock), WithRand(rand.New(rand.NewSource(1))))
 	if _, err := doGet(t, c, "http://h/x"); err == nil {
 		t.Fatal("dead host should fail")
-	}
-	if breaker.State("h") != BreakerOpen {
-		t.Fatalf("breaker state = %v, want open after repeated failures", breaker.State("h"))
 	}
 	before := st.callCount()
 	if _, err := doGet(t, c, "http://h/y"); !errors.Is(err, ErrBreakerOpen) {
@@ -345,6 +361,27 @@ func TestClientFastFailsOnOpenBreaker(t *testing.T) {
 	}
 	if c.Stats().FastFails != 1 {
 		t.Errorf("fast-fails = %d, want 1", c.Stats().FastFails)
+	}
+}
+
+// TestNaiveBodyOutlivesAttempt: on the real clock an unbuffered body is
+// read after the attempt returns, so the per-try deadline must stay live
+// until the caller closes the body.
+func TestNaiveBodyOutlivesAttempt(t *testing.T) {
+	payload := strings.Repeat("x", 4<<20)
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		fmt.Fprint(w, payload)
+	}))
+	defer srv.Close()
+	c := New(NaivePolicy(), WithClock(NewRealClock()))
+	resp, err := doGet(t, c, srv.URL+"/big")
+	if err != nil {
+		t.Fatal(err)
+	}
+	body, err := io.ReadAll(resp.Body)
+	resp.Body.Close()
+	if err != nil || len(body) != len(payload) {
+		t.Fatalf("read %d of %d bytes: %v", len(body), len(payload), err)
 	}
 }
 
@@ -360,10 +397,11 @@ func TestPolicyByName(t *testing.T) {
 	}
 }
 
-// TestSharedBreakerBudgetConcurrency is the -race exercise: many clients
-// sharing one breaker and one budget hammer a flaky server concurrently.
-// The assertions are structural (no panic, no race, bounded attempts);
-// correctness of individual outcomes is covered by the serial tests.
+// TestSharedBreakerBudgetConcurrency is the -race exercise: one client,
+// and so one breaker set and one budget, serves many goroutines hammering a
+// flaky server at once. The assertions are structural (no panic, no race,
+// bounded state); correctness of individual outcomes is covered by the
+// serial tests.
 func TestSharedBreakerBudgetConcurrency(t *testing.T) {
 	var mu sync.Mutex
 	hits := 0
@@ -380,18 +418,16 @@ func TestSharedBreakerBudgetConcurrency(t *testing.T) {
 	}))
 	defer srv.Close()
 
-	breaker := NewBreaker(50, time.Second) // high threshold: stay closed under 1/3 failures
-	budget := NewBudget(100, 1)
-	clock := NewRealClock()
+	pol := RetryPolicy()
+	pol.BackoffBase, pol.BackoffCap = time.Microsecond, 10*time.Microsecond
+	pol.BudgetBurst, pol.BudgetEarn = 100, 1
+	pol.BreakerThreshold, pol.BreakerCooldown = 50, time.Second // stay closed under 1/3 failures
+	c := New(pol, WithClock(NewRealClock()), WithRand(rand.New(rand.NewSource(1))))
 	var wg sync.WaitGroup
 	for i := 0; i < 8; i++ {
 		wg.Add(1)
 		go func(id int) {
 			defer wg.Done()
-			pol := RetryPolicy()
-			pol.BackoffBase, pol.BackoffCap = time.Microsecond, 10*time.Microsecond
-			c := New(pol, WithClock(clock), WithBreaker(breaker), WithBudget(budget),
-				WithRand(rand.New(rand.NewSource(int64(id)))))
 			for j := 0; j < 20; j++ {
 				resp, err := doGet(t, c, fmt.Sprintf("%s/p/%d/%d", srv.URL, id, j))
 				if err == nil {
@@ -402,10 +438,13 @@ func TestSharedBreakerBudgetConcurrency(t *testing.T) {
 		}(i)
 	}
 	wg.Wait()
-	if budget.Tokens() > 100 {
-		t.Errorf("budget overfilled: %v tokens", budget.Tokens())
+	if c.budget.tokens > 100 {
+		t.Errorf("budget overfilled: %v tokens", c.budget.tokens)
 	}
-	if got := breaker.Hosts(); len(got) != 1 {
-		t.Errorf("breaker tracked hosts %v, want exactly the test server", got)
+	if got := c.breakers.Statuses(); len(got) != 1 {
+		t.Errorf("breaker tracked hosts %+v, want exactly the test server", got)
+	}
+	if st := c.Stats(); st.Requests != 160 || st.Successes+st.GiveUps+st.BudgetDenied != 160 {
+		t.Errorf("stats = %+v, want 160 requests each ending once", st)
 	}
 }

@@ -9,7 +9,6 @@ import (
 	"net/http"
 	"net/url"
 	"sort"
-	"strconv"
 	"strings"
 	"time"
 )
@@ -21,10 +20,6 @@ const MaxBodyBytes = 8 << 20
 
 // ErrBodyTooLarge reports a response body exceeding MaxBodyBytes.
 var ErrBodyTooLarge = errors.New("scrape: response body exceeds size cap")
-
-// maxRetryAfterWaits bounds how many Retry-After waits one fetch honors
-// before returning the throttled response as-is.
-const maxRetryAfterWaits = 2
 
 // Page is one fetched page, or a recorded failure to fetch one.
 type Page struct {
@@ -39,28 +34,6 @@ type Page struct {
 	Err error
 }
 
-// Sleeper paces the crawl: politeness delays and Retry-After waits flow
-// through it, so experiments can inject a virtual clock and crawl at
-// hardware speed. The resilient layer's Clock satisfies it.
-type Sleeper interface {
-	// Sleep pauses for d, returning early with the context's error if it
-	// expires first.
-	Sleep(ctx context.Context, d time.Duration) error
-}
-
-// realSleeper is the default Sleeper: real time, context-bounded.
-type realSleeper struct{}
-
-// Sleep pauses for d or until ctx expires.
-func (realSleeper) Sleep(ctx context.Context, d time.Duration) error {
-	select {
-	case <-time.After(d): //faultlint:ignore wallclock politeness/Retry-After pacing against a real HTTP server; ctx bounds it
-		return nil
-	case <-ctx.Done():
-		return ctx.Err()
-	}
-}
-
 // CrawlerOption configures a Crawler.
 type CrawlerOption func(*Crawler)
 
@@ -68,9 +41,6 @@ type CrawlerOption func(*Crawler)
 // longer reach are neither resolved nor recorded, so a crawl costs what it
 // fetches rather than what the fetched pages link to.
 func WithMaxPages(n int) CrawlerOption { return func(c *Crawler) { c.maxPages = n } }
-
-// WithDelay sets the politeness delay between requests.
-func WithDelay(d time.Duration) CrawlerOption { return func(c *Crawler) { c.delay = d } }
 
 // WithPathFilter restricts the crawl to URLs whose path has the given prefix.
 func WithPathFilter(prefix string) CrawlerOption {
@@ -80,38 +50,21 @@ func WithPathFilter(prefix string) CrawlerOption {
 // WithClient sets the HTTP client (the default has a 10s timeout).
 func WithClient(client *http.Client) CrawlerOption { return func(c *Crawler) { c.client = client } }
 
-// WithSleeper injects the pacing clock (politeness delays and Retry-After
-// waits). The default sleeps real, context-bounded time.
-func WithSleeper(s Sleeper) CrawlerOption { return func(c *Crawler) { c.sleeper = s } }
-
-// WithRetryAfterCap bounds how long one honored Retry-After wait may be.
-// The default is 2s; 0 disables Retry-After honoring entirely (the naive
-// baseline the RESIL experiment measures against).
-func WithRetryAfterCap(d time.Duration) CrawlerOption {
-	return func(c *Crawler) { c.retryAfterCap = d }
-}
-
-// Crawler is a polite, same-host, breadth-first crawler. A fetch that fails
-// outright costs only its own page: the failure is recorded as a gap
-// (Page.Err) and the crawl continues, so one bad page never loses the
-// corpus mined from the rest.
+// Crawler is a same-host, breadth-first crawler. It fetches each page once
+// and never retries: recovery belongs to the HTTP client it is given (the
+// resilient client in the miners), and whatever that client returns is
+// what the crawl records. A fetch that fails outright costs only its own
+// page: the failure is recorded as a gap (Page.Err) and the crawl
+// continues, so one bad page never loses the corpus mined from the rest.
 type Crawler struct {
-	client        *http.Client
-	maxPages      int
-	delay         time.Duration
-	pathPrefix    string
-	sleeper       Sleeper
-	retryAfterCap time.Duration
+	client     *http.Client
+	maxPages   int
+	pathPrefix string
 }
 
 // NewCrawler builds a crawler with the given options.
 func NewCrawler(opts ...CrawlerOption) *Crawler {
-	c := &Crawler{
-		client:        &http.Client{Timeout: 10 * time.Second},
-		maxPages:      10000,
-		sleeper:       realSleeper{},
-		retryAfterCap: 2 * time.Second,
-	}
+	c := &Crawler{client: &http.Client{Timeout: 10 * time.Second}, maxPages: 10000}
 	for _, o := range opts {
 		o(c)
 	}
@@ -140,19 +93,12 @@ func (c *Crawler) Crawl(ctx context.Context, start string) ([]*Page, error) {
 	queue := []string{base.String()}
 	visited := map[string]bool{queue[0]: true}
 	var pages []*Page
-	first := true
 	for len(queue) > 0 && len(pages) < c.maxPages {
 		if err := ctx.Err(); err != nil {
 			return pages, err
 		}
 		next := queue[0]
 		queue = queue[1:]
-		if !first && c.delay > 0 {
-			if err := c.sleeper.Sleep(ctx, c.delay); err != nil {
-				return pages, err
-			}
-		}
-		first = false
 		page, err := c.fetch(ctx, next)
 		if err != nil {
 			if ctx.Err() != nil {
@@ -184,40 +130,18 @@ func (c *Crawler) Crawl(ctx context.Context, start string) ([]*Page, error) {
 	return pages, nil
 }
 
-// fetch gets one URL, honoring Retry-After hints on 429/503 responses: the
-// advertised wait (capped at the crawler's Retry-After cap, bounded by ctx)
-// is slept and the fetch retried, at most maxRetryAfterWaits times. The
-// final response — throttled or not — is returned as the page.
+// fetch performs one GET and returns the page, whatever its status. Bodies
+// over MaxBodyBytes fail with ErrBodyTooLarge rather than being silently
+// cut.
 func (c *Crawler) fetch(ctx context.Context, u string) (*Page, error) {
-	for waits := 0; ; waits++ {
-		page, retryAfter, err := c.fetchOnce(ctx, u)
-		if err != nil {
-			return nil, err
-		}
-		if retryAfter <= 0 || c.retryAfterCap <= 0 || waits >= maxRetryAfterWaits {
-			return page, nil
-		}
-		if retryAfter > c.retryAfterCap {
-			retryAfter = c.retryAfterCap
-		}
-		if err := c.sleeper.Sleep(ctx, retryAfter); err != nil {
-			return nil, err
-		}
-	}
-}
-
-// fetchOnce performs one GET, returning the page and any Retry-After hint
-// carried on a throttling status. Bodies over MaxBodyBytes fail with
-// ErrBodyTooLarge rather than being silently cut.
-func (c *Crawler) fetchOnce(ctx context.Context, u string) (*Page, time.Duration, error) {
 	req, err := http.NewRequestWithContext(ctx, http.MethodGet, u, nil)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	req.Header.Set("User-Agent", "faultstudy-crawler/1.0")
 	resp, err := c.client.Do(req)
 	if err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	defer resp.Body.Close()
 	// A declared length within the cap sizes the buffer once; MinRead spare
@@ -227,19 +151,13 @@ func (c *Crawler) fetchOnce(ctx context.Context, u string) (*Page, time.Duration
 		buf.Grow(int(n) + bytes.MinRead)
 	}
 	if _, err := buf.ReadFrom(io.LimitReader(resp.Body, MaxBodyBytes+1)); err != nil {
-		return nil, 0, err
+		return nil, err
 	}
 	body := buf.Bytes()
 	if len(body) > MaxBodyBytes {
-		return nil, 0, fmt.Errorf("%w: %s is over %d bytes", ErrBodyTooLarge, u, MaxBodyBytes)
+		return nil, fmt.Errorf("%w: %s is over %d bytes", ErrBodyTooLarge, u, MaxBodyBytes)
 	}
-	var retryAfter time.Duration
-	if resp.StatusCode == http.StatusTooManyRequests || resp.StatusCode == http.StatusServiceUnavailable {
-		if secs, aerr := strconv.Atoi(resp.Header.Get("Retry-After")); aerr == nil && secs > 0 {
-			retryAfter = time.Duration(secs) * time.Second
-		}
-	}
-	return &Page{URL: u, Body: string(body), Status: resp.StatusCode}, retryAfter, nil
+	return &Page{URL: u, Body: string(body), Status: resp.StatusCode}, nil
 }
 
 // eligibleLinks resolves and filters the links on a page: same host as base,

@@ -10,31 +10,10 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"faultstudy/internal/chaoshttp"
+	"faultstudy/internal/resilient"
 )
-
-// recordSleeper satisfies Sleeper and records every pause instead of
-// sleeping, so Retry-After tests assert on exact waits in zero time.
-type recordSleeper struct {
-	mu    sync.Mutex
-	slept []time.Duration
-}
-
-func (s *recordSleeper) Sleep(ctx context.Context, d time.Duration) error {
-	s.mu.Lock()
-	s.slept = append(s.slept, d)
-	s.mu.Unlock()
-	return ctx.Err()
-}
-
-func (s *recordSleeper) total() time.Duration {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	var t time.Duration
-	for _, d := range s.slept {
-		t += d
-	}
-	return t
-}
 
 // newFlakySite serves an index linking three pages; /bugs/doomed drops every
 // connection, the others serve normally. The regression target: one
@@ -101,93 +80,88 @@ func TestRenderGapsClean(t *testing.T) {
 	}
 }
 
-// throttleOnce serves 429 + Retry-After on the first request to each path,
-// then 200.
-type throttleOnce struct {
-	mu         sync.Mutex
-	seen       map[string]int
-	retryAfter string
+// countingSite serves an index linking two bug pages and counts the
+// requests each path receives.
+type countingSite struct {
+	mu   sync.Mutex
+	hits map[string]int
 }
 
-func (h *throttleOnce) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	h.mu.Lock()
-	h.seen[r.URL.Path]++
-	first := h.seen[r.URL.Path] == 1
-	h.mu.Unlock()
-	if first {
-		w.Header().Set("Retry-After", h.retryAfter)
-		http.Error(w, "throttled", http.StatusTooManyRequests)
+func (s *countingSite) ServeHTTP(w http.ResponseWriter, r *http.Request) {
+	s.mu.Lock()
+	s.hits[r.URL.Path]++
+	s.mu.Unlock()
+	if r.URL.Path == "/" {
+		fmt.Fprint(w, `<a href="/bugs/1">1</a> <a href="/bugs/2">2</a>`)
 		return
 	}
-	fmt.Fprint(w, "served")
+	fmt.Fprint(w, "bug")
 }
 
+// crawlThrottled crawls a countingSite through pol's resilient client over a
+// chaos injector that answers the first request to every URL with 429 and
+// Retry-After: 1, all on one virtual clock.
+func crawlThrottled(t *testing.T, pol resilient.Policy) ([]*Page, map[string]int, resilient.Stats, time.Duration) {
+	t.Helper()
+	var throttle chaoshttp.Fault
+	for _, f := range chaoshttp.CatalogEDT() {
+		if f.Name == "edt/429-once" {
+			throttle = f
+		}
+	}
+	throttle.Rate = 1
+	site := &countingSite{hits: make(map[string]int)}
+	clock := chaoshttp.NewVirtualClock()
+	inj := chaoshttp.NewInjector(chaoshttp.Config{Seed: 1, Faults: []chaoshttp.Fault{throttle}},
+		chaoshttp.HandlerTransport{Handler: site}, clock)
+	client := resilient.New(pol, resilient.WithTransport(inj), resilient.WithClock(clock))
+	pages, err := NewCrawler(WithClient(client.HTTPClient())).Crawl(context.Background(), "http://tracker.test/")
+	if err != nil {
+		t.Fatalf("Crawl: %v", err)
+	}
+	requests := make(map[string]int)
+	for _, in := range inj.Injections() {
+		requests[in.URL]++
+	}
+	for path, n := range site.hits {
+		requests[path] += n
+	}
+	return pages, requests, client.Stats(), clock.Now()
+}
+
+// TestCrawlHonorsRetryAfter: the crawl honors Retry-After through its
+// client. The retry policy waits out each throttle and refetches, so every
+// page arrives after exactly two requests.
 func TestCrawlHonorsRetryAfter(t *testing.T) {
-	srv := httptest.NewServer(&throttleOnce{seen: make(map[string]int), retryAfter: "1"})
-	defer srv.Close()
-	sl := &recordSleeper{}
-	c := NewCrawler(WithSleeper(sl))
-	pages, err := c.Crawl(context.Background(), srv.URL+"/")
-	if err != nil {
-		t.Fatalf("Crawl: %v", err)
+	pages, requests, st, slept := crawlThrottled(t, resilient.RetryPolicy())
+	if got := crawlTrace(pages); strings.Join(got, "\n") != strings.Join([]string{
+		"http://tracker.test/ 200 gap=false",
+		"http://tracker.test/bugs/1 200 gap=false",
+		"http://tracker.test/bugs/2 200 gap=false",
+	}, "\n") {
+		t.Fatalf("throttled pages not retried to success: %q", got)
 	}
-	if len(pages) != 1 || pages[0].Status != 200 {
-		t.Fatalf("throttled page not retried to success: %+v", pages)
+	if fmt.Sprint(requests) != "map[/:2 /bugs/1:2 /bugs/2:2]" {
+		t.Errorf("requests per path = %v, want two each", requests)
 	}
-	if got := sl.total(); got != 1*time.Second {
-		t.Errorf("slept %v honoring Retry-After, want 1s", got)
-	}
-}
-
-func TestCrawlRetryAfterCapped(t *testing.T) {
-	srv := httptest.NewServer(&throttleOnce{seen: make(map[string]int), retryAfter: "3600"})
-	defer srv.Close()
-	sl := &recordSleeper{}
-	c := NewCrawler(WithSleeper(sl), WithRetryAfterCap(500*time.Millisecond))
-	if _, err := c.Crawl(context.Background(), srv.URL+"/"); err != nil {
-		t.Fatalf("Crawl: %v", err)
-	}
-	if got := sl.total(); got != 500*time.Millisecond {
-		t.Errorf("slept %v, want the 500ms cap", got)
+	if st.RetryAfterWaits != 3 || slept != 3*time.Second {
+		t.Errorf("%d Retry-After waits over %v, want 3 over 3s", st.RetryAfterWaits, slept)
 	}
 }
 
+// TestCrawlRetryAfterDisabled: under the naive client nothing honors
+// Retry-After. The crawler records the throttled root as-is after one
+// request and sleeps nothing.
 func TestCrawlRetryAfterDisabled(t *testing.T) {
-	srv := httptest.NewServer(&throttleOnce{seen: make(map[string]int), retryAfter: "1"})
-	defer srv.Close()
-	sl := &recordSleeper{}
-	c := NewCrawler(WithSleeper(sl), WithRetryAfterCap(0))
-	pages, err := c.Crawl(context.Background(), srv.URL+"/")
-	if err != nil {
-		t.Fatalf("Crawl: %v", err)
+	pages, requests, st, slept := crawlThrottled(t, resilient.NaivePolicy())
+	if len(pages) != 1 || pages[0].Status != http.StatusTooManyRequests || pages[0].Err != nil {
+		t.Fatalf("naive crawl should record the 429 as-is: %q", crawlTrace(pages))
 	}
-	if len(pages) != 1 || pages[0].Status != http.StatusTooManyRequests {
-		t.Fatalf("naive crawl should record the 429 as-is: %+v", pages)
+	if fmt.Sprint(requests) != "map[/:1]" {
+		t.Errorf("requests per path = %v, want one", requests)
 	}
-	if got := sl.total(); got != 0 {
-		t.Errorf("naive crawl slept %v, want nothing", got)
-	}
-}
-
-// alwaysThrottled serves 429 + Retry-After forever: the wait budget must
-// bound how long one fetch chases the hint.
-func TestCrawlRetryAfterWaitBudget(t *testing.T) {
-	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		w.Header().Set("Retry-After", "1")
-		http.Error(w, "throttled", http.StatusTooManyRequests)
-	}))
-	defer srv.Close()
-	sl := &recordSleeper{}
-	c := NewCrawler(WithSleeper(sl))
-	pages, err := c.Crawl(context.Background(), srv.URL+"/")
-	if err != nil {
-		t.Fatalf("Crawl: %v", err)
-	}
-	if len(pages) != 1 || pages[0].Status != http.StatusTooManyRequests {
-		t.Fatalf("exhausted waits should return the throttled page: %+v", pages)
-	}
-	if len(sl.slept) != maxRetryAfterWaits {
-		t.Errorf("honored %d waits, want at most %d", len(sl.slept), maxRetryAfterWaits)
+	if st.RetryAfterWaits != 0 || slept != 0 {
+		t.Errorf("naive crawl made %d Retry-After waits over %v, want none", st.RetryAfterWaits, slept)
 	}
 }
 

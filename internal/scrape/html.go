@@ -1,7 +1,7 @@
 // Package scrape provides the minimal HTML handling the mining pipeline
 // needs: a tokenizer good enough for the static tracker pages of the era,
-// link extraction, tag stripping, and a polite same-host crawler built on
-// net/http.
+// link extraction, tag stripping, and a same-host crawler built on
+// net/http that fetches each page once and leaves recovery to its client.
 package scrape
 
 import (

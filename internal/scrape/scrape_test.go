@@ -7,7 +7,6 @@ import (
 	"net/http/httptest"
 	"strings"
 	"testing"
-	"time"
 )
 
 func TestTokenizeBasic(t *testing.T) {
@@ -196,7 +195,7 @@ func TestCrawlContextCancel(t *testing.T) {
 	defer srv.Close()
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	c := NewCrawler(WithDelay(10 * time.Millisecond))
+	c := NewCrawler()
 	if _, err := c.Crawl(ctx, srv.URL+"/"); err == nil {
 		t.Error("canceled crawl should return an error")
 	}

@@ -3,10 +3,12 @@ package supervise
 import (
 	"math/rand"
 	"time"
+
+	"faultstudy/internal/breaker"
 )
 
 // backoff produces the jittered exponential delay sequence the supervisor
-// sleeps between recovery attempts: base·2^(attempt−1), capped, plus a
+// sleeps between recovery attempts: the shared capped-doubling delay plus a
 // uniformly drawn jitter fraction so synchronized restarts don't stampede.
 // The jitter generator is dedicated to one sequence and derived only from
 // the config seed, so the full delay sequence is reproducible from the seed
@@ -30,20 +32,7 @@ func newBackoff(base, cap time.Duration, jitter float64, seed int64) *backoff {
 
 // next returns the delay before the attempt-th recovery attempt (1-based).
 func (b *backoff) next(attempt int) time.Duration {
-	if attempt < 1 {
-		attempt = 1
-	}
-	d := b.base
-	for i := 1; i < attempt; i++ {
-		d *= 2
-		if d >= b.cap || d <= 0 {
-			d = b.cap
-			break
-		}
-	}
-	if d > b.cap {
-		d = b.cap
-	}
+	d := breaker.Backoff(b.base, b.cap, attempt)
 	if b.jitter > 0 {
 		if b.rng == nil {
 			b.rng = rand.New(rand.NewSource(b.seed))

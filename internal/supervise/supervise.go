@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"time"
 
+	"faultstudy/internal/breaker"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/recovery"
 	"faultstudy/internal/simenv"
@@ -147,7 +148,7 @@ type Supervisor struct {
 	app      recovery.Application
 	env      *simenv.Env // the application's environment, whose clock the policy reads
 	backoff  *backoff
-	breakers *breakerSet
+	breakers *breaker.Set
 
 	report     *Report
 	epoch      []byte // last epoch checkpoint (restore rung target)
@@ -164,7 +165,7 @@ func New(app recovery.Application, cfg Config) *Supervisor {
 		app:      app,
 		env:      app.Env(),
 		backoff:  newBackoff(backoffBase, backoffCap, backoffJitter, cfg.Seed),
-		breakers: newBreakerSet(breakerThreshold, breakerCooldown),
+		breakers: breaker.NewSet(breakerThreshold, breakerCooldown),
 	}
 }
 
@@ -188,7 +189,7 @@ func (s *Supervisor) Run(ops []Op) (*Report, error) {
 		}
 	}
 	defer func() {
-		s.report.Breakers = s.breakers.states()
+		s.report.Breakers = breakerStatuses(s.breakers)
 		s.app.Stop()
 	}()
 
@@ -280,7 +281,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 	mech := s.classify(initial)
 	s.noteFailure(op, mech, 0, initial)
 
-	if !s.breakers.allow(mech, s.env.Monotonic()) {
+	if !s.breakers.Allow(mech, s.env.Monotonic()) {
 		s.report.mech(mech).FastFails++
 		s.trace(Event{Kind: EventFastFail, Op: op.Name, Mechanism: mech, Err: initial})
 		_ = Revive(s.app, preOp)
@@ -328,7 +329,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 		retryErr := s.execute(op)
 		if retryErr == nil {
 			s.report.mech(mech).Recoveries++
-			s.breakers.success(mech)
+			s.breakers.Success(mech)
 			s.trace(Event{Kind: EventRetryOK, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt})
 			return opRecovered
 		}
@@ -336,7 +337,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 		s.noteFailure(op, mech, rung, retryErr)
 		lastFE, _ = faultinject.AsFailure(retryErr)
 
-		if s.breakers.failure(mech, s.env.Monotonic()) {
+		if s.breakers.Failure(mech, s.env.Monotonic()) {
 			s.report.mech(mech).BreakerOpens++
 			s.trace(Event{Kind: EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Err: retryErr})
 			_ = Revive(s.app, preOp)
@@ -366,12 +367,12 @@ func (s *Supervisor) degradeAndFinish(idx int, op Op, preOp []byte, mech string)
 	s.noteRetry()
 	if err := s.execute(op); err == nil {
 		s.report.mech(mech).Recoveries++
-		s.breakers.success(mech)
+		s.breakers.Success(mech)
 		s.trace(Event{Kind: EventRetryOK, Op: op.Name, Mechanism: mech, Rung: RungDegraded})
 		return opRecovered
 	}
 	s.exitDegraded()
-	if s.breakers.forceOpen(mech, s.env.Monotonic()) {
+	if s.breakers.ForceOpen(mech, s.env.Monotonic()) {
 		s.report.mech(mech).BreakerOpens++
 		s.trace(Event{Kind: EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: RungDegraded})
 	}
