@@ -15,7 +15,6 @@
 package cache
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -26,6 +25,7 @@ import (
 	"faultstudy/internal/durable"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/simenv"
+	"faultstudy/internal/snapwire"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -475,15 +475,15 @@ func (s *Server) Flush() error {
 	return nil
 }
 
-// serverState is the wire form of the daemon's logical state.
+// serverState is the daemon's logical state as a snapshot carries it.
 type serverState struct {
-	Items       map[string]string `json:"items"`
-	LRU         []string          `json:"lru"`
-	Requests    int64             `json:"requests"`
-	Gets        int64             `json:"gets"`
-	Hits        int64             `json:"hits"`
-	ShadowBytes int               `json:"shadowBytes"`
-	ConnFDWant  int               `json:"connFDWant"`
+	Items       map[string]string
+	LRU         []string
+	Requests    int64
+	Gets        int64
+	Hits        int64
+	ShadowBytes int
+	ConnFDWant  int
 }
 
 // Snapshot captures the daemon's complete logical state, held (leaked)
@@ -492,30 +492,46 @@ type serverState struct {
 func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	items := make(map[string]string, len(s.items))
-	for k, v := range s.items {
-		items[k] = v
+	e := snapwire.NewEncoder(snapwire.TagCache)
+	e.StrMap(s.items)
+	e.Strs(s.lru)
+	e.Int(s.requests)
+	e.Int(s.gets)
+	e.Int(s.hits)
+	e.Int(int64(s.shadowBytes))
+	e.Int(int64(s.connFDWant))
+	return e.Bytes(), nil
+}
+
+// decodeState reads a snapshot written by Snapshot.
+func decodeState(snapshot []byte) (serverState, error) {
+	d := snapwire.NewDecoder(snapwire.TagCache, snapshot)
+	st := serverState{
+		Items:       d.StrMap(),
+		LRU:         d.Strs(),
+		Requests:    d.Int(),
+		Gets:        d.Int(),
+		Hits:        d.Int(),
+		ShadowBytes: int(d.Int()),
+		ConnFDWant:  int(d.Int()),
 	}
-	lru := append([]string(nil), s.lru...)
-	return json.Marshal(serverState{
-		Items:       items,
-		LRU:         lru,
-		Requests:    s.requests,
-		Gets:        s.gets,
-		Hits:        s.hits,
-		ShadowBytes: s.shadowBytes,
-		ConnFDWant:  s.connFDWant,
-	})
+	return st, d.Finish()
 }
 
 // Restore replaces the daemon's logical state from a snapshot and restarts
 // it, re-acquiring the port and every held descriptor the state mandates.
 // The daemon must be stopped.
 func (s *Server) Restore(snapshot []byte) error {
-	var st serverState
-	if err := json.Unmarshal(snapshot, &st); err != nil {
+	st, err := decodeState(snapshot)
+	if err != nil {
 		return fmt.Errorf("cache: restore: %w", err)
 	}
+	return s.restoreState(st)
+}
+
+// restoreState installs a decoded state, restarts the daemon, and
+// reconciles the append-only store with it.
+func (s *Server) restoreState(st serverState) error {
 	s.mu.Lock()
 	if s.running {
 		s.mu.Unlock()

@@ -9,15 +9,14 @@
 package desktop
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/simenv"
+	"faultstudy/internal/snapwire"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -379,16 +378,16 @@ func (d *Desktop) bugEvent(ev Event) error {
 	}
 }
 
-// desktopState is the wire form of the session's logical state.
+// desktopState is the session's logical state as a snapshot carries it.
 type desktopState struct {
-	StartHostname string   `json:"startHostname"`
-	Applets       []string `json:"applets"`
-	CalendarView  string   `json:"calendarView"`
-	DialogOpen    string   `json:"dialogOpen"`
-	MenuOpen      bool     `json:"menuOpen"`
-	Cells         []string `json:"cells"` // "ref=value", sorted
-	SoundFDWant   int      `json:"soundFDWant"`
-	Events        int64    `json:"events"`
+	StartHostname string
+	Applets       []string
+	CalendarView  string
+	DialogOpen    string
+	MenuOpen      bool
+	Cells         map[string]string
+	SoundFDWant   int
+	Events        int64
 }
 
 // Snapshot captures the session's complete logical state, including the
@@ -397,30 +396,48 @@ type desktopState struct {
 func (d *Desktop) Snapshot() ([]byte, error) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
-	cells := make([]string, 0, len(d.cells))
-	for ref, val := range d.cells {
-		cells = append(cells, ref+"="+val)
+	e := snapwire.NewEncoder(snapwire.TagDesktop)
+	e.Str(d.startHostname)
+	e.Strs(d.applets)
+	e.Str(d.calendarView)
+	e.Str(d.dialogOpen)
+	e.Bool(d.menuOpen)
+	e.StrMap(d.cells)
+	e.Int(int64(d.soundFDWant))
+	e.Int(d.events)
+	return e.Bytes(), nil
+}
+
+// decodeState reads a snapshot written by Snapshot. An empty applet list
+// decodes to nil, so the restored session's Start installs the default
+// applets.
+func decodeState(snapshot []byte) (desktopState, error) {
+	d := snapwire.NewDecoder(snapwire.TagDesktop, snapshot)
+	st := desktopState{
+		StartHostname: d.Str(),
+		Applets:       d.Strs(),
+		CalendarView:  d.Str(),
+		DialogOpen:    d.Str(),
+		MenuOpen:      d.Bool(),
+		Cells:         d.StrMap(),
+		SoundFDWant:   int(d.Int()),
+		Events:        d.Int(),
 	}
-	sort.Strings(cells)
-	return json.Marshal(desktopState{
-		StartHostname: d.startHostname,
-		Applets:       append([]string(nil), d.applets...),
-		CalendarView:  d.calendarView,
-		DialogOpen:    d.dialogOpen,
-		MenuOpen:      d.menuOpen,
-		Cells:         cells,
-		SoundFDWant:   d.soundFDWant,
-		Events:        d.events,
-	})
+	return st, d.Finish()
 }
 
 // Restore replaces the session's logical state from a snapshot and restarts
 // it. The session must be stopped.
 func (d *Desktop) Restore(snapshot []byte) error {
-	var st desktopState
-	if err := json.Unmarshal(snapshot, &st); err != nil {
+	st, err := decodeState(snapshot)
+	if err != nil {
 		return fmt.Errorf("desktop: restore: %w", err)
 	}
+	return d.restoreState(st)
+}
+
+// restoreState installs a decoded state and restarts the session.
+func (d *Desktop) restoreState(st desktopState) error {
 	d.mu.Lock()
 	if d.running {
 		d.mu.Unlock()
@@ -434,11 +451,7 @@ func (d *Desktop) Restore(snapshot []byte) error {
 	d.calendarView = st.CalendarView
 	d.dialogOpen = st.DialogOpen
 	d.menuOpen = st.MenuOpen
-	d.cells = make(map[string]string, len(st.Cells))
-	for _, c := range st.Cells {
-		ref, val, _ := strings.Cut(c, "=")
-		d.cells[ref] = val
-	}
+	d.cells = st.Cells
 	d.soundFDWant = st.SoundFDWant
 	d.events = st.Events
 	d.mu.Unlock()

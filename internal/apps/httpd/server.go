@@ -15,7 +15,6 @@
 package httpd
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sort"
@@ -25,6 +24,7 @@ import (
 
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/simenv"
+	"faultstudy/internal/snapwire"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -568,15 +568,16 @@ func (s *Server) spawnChildIfNeeded(req Request) error {
 	return s.env.Procs().Reap(pid)
 }
 
-// serverState is the wire form of the server's logical state.
+// serverState is the server's logical state as a snapshot carries it. The
+// document tree is not in it: resetContent installs constant content and
+// nothing mutates it, so a restored server already holds the same tree.
 type serverState struct {
-	MemBytes   int64    `json:"memBytes"`
-	LeakUnits  int      `json:"leakUnits"`
-	LeakFDWant int      `json:"leakFDWant"`
-	Requests   int64    `json:"requests"`
-	CacheBytes int64    `json:"cacheBytes"`
-	VHostLogs  int      `json:"vhostLogs"`
-	Docs       []string `json:"docs"` // sorted keys; content regenerable
+	MemBytes   int64
+	LeakUnits  int
+	LeakFDWant int
+	Requests   int64
+	CacheBytes int64
+	VHostLogs  int
 }
 
 // Snapshot captures the server's complete logical state. Children are
@@ -587,30 +588,43 @@ type serverState struct {
 func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.docs))
-	for k := range s.docs {
-		keys = append(keys, k)
+	e := snapwire.NewEncoder(snapwire.TagHTTPD)
+	e.Int(s.memBytes)
+	e.Int(int64(s.leakUnits))
+	e.Int(int64(s.leakFDWant))
+	e.Int(s.requests)
+	e.Int(s.cacheBytes)
+	e.Int(int64(s.cfg.VHostLogs))
+	return e.Bytes(), nil
+}
+
+// decodeState reads a snapshot written by Snapshot.
+func decodeState(snapshot []byte) (serverState, error) {
+	d := snapwire.NewDecoder(snapwire.TagHTTPD, snapshot)
+	st := serverState{
+		MemBytes:   d.Int(),
+		LeakUnits:  int(d.Int()),
+		LeakFDWant: int(d.Int()),
+		Requests:   d.Int(),
+		CacheBytes: d.Int(),
+		VHostLogs:  int(d.Int()),
 	}
-	sort.Strings(keys)
-	return json.Marshal(serverState{
-		MemBytes:   s.memBytes,
-		LeakUnits:  s.leakUnits,
-		LeakFDWant: s.leakFDWant,
-		Requests:   s.requests,
-		CacheBytes: s.cacheBytes,
-		VHostLogs:  s.cfg.VHostLogs,
-		Docs:       keys,
-	})
+	return st, d.Finish()
 }
 
 // Restore replaces the server's logical state from a snapshot and restarts
 // it, re-acquiring the port, the vhost logs, and every held descriptor the
 // state mandates. The server must be stopped.
 func (s *Server) Restore(snapshot []byte) error {
-	var st serverState
-	if err := json.Unmarshal(snapshot, &st); err != nil {
+	st, err := decodeState(snapshot)
+	if err != nil {
 		return fmt.Errorf("httpd: restore: %w", err)
 	}
+	return s.restoreState(st)
+}
+
+// restoreState installs a decoded state and restarts the server.
+func (s *Server) restoreState(st serverState) error {
 	s.mu.Lock()
 	if s.running {
 		s.mu.Unlock()

@@ -179,13 +179,7 @@ func tablesFromStore(st *durable.Store) (map[string]*table, error) {
 			if err != nil {
 				return nil, err
 			}
-			idx := newBTree()
-			for id, row := range t.rows {
-				if row != nil {
-					idx.Insert(row[ci], id)
-				}
-			}
-			t.indexes[col] = idx
+			t.indexes[col] = t.buildIndex(ci)
 		}
 	}
 	return tables, nil

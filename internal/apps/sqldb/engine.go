@@ -36,6 +36,17 @@ func (t *table) colIndex(name string) (int, error) {
 	return 0, fmt.Errorf("sqldb: no column %q in table %q", name, t.name)
 }
 
+// buildIndex builds a B-tree over column ci of t's live rows.
+func (t *table) buildIndex(ci int) *btree {
+	idx := newBTree()
+	for rowID, row := range t.rows {
+		if row != nil {
+			idx.Insert(row[ci], rowID)
+		}
+	}
+	return idx
+}
+
 func (t *table) dataFile() string { return "/var/db/" + t.name + ".ISD" }
 
 // rowBytes is the disk accounting charge per stored row.
@@ -166,13 +177,7 @@ func (s *Server) createIndex(st *Statement) error {
 		[]durable.Op{schemaOp(t, append(indexList(t), st.IndexCol))}); err != nil {
 		return err
 	}
-	idx := newBTree()
-	for rowID, row := range t.rows {
-		if row != nil {
-			idx.Insert(row[ci], rowID)
-		}
-	}
-	t.indexes[st.IndexCol] = idx
+	t.indexes[st.IndexCol] = t.buildIndex(ci)
 	return nil
 }
 
@@ -620,11 +625,7 @@ func (s *Server) optimizeTable(name string) error {
 		if cerr != nil {
 			return cerr
 		}
-		idx := newBTree()
-		for rowID, row := range t.rows {
-			idx.Insert(row[ci], rowID)
-		}
-		t.indexes[col] = idx
+		t.indexes[col] = t.buildIndex(ci)
 	}
 	// Rewrite the datafile at its compacted size.
 	if s.env.Disk().Exists(t.dataFile()) {

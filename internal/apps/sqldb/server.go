@@ -1,15 +1,16 @@
 package sqldb
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 
 	"faultstudy/internal/durable"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/simenv"
+	"faultstudy/internal/snapwire"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -43,8 +44,9 @@ type Server struct {
 	// replays its recovered bytes instead of trusting an in-memory copy.
 	store *durable.Store
 	// walReplays counts restores served by checkpoint-load + log-replay;
-	// logicalFallbacks counts restores that had to rebuild from the JSON
-	// snapshot because the log no longer reached the snapshot's sequence.
+	// logicalFallbacks counts restores that had to rebuild from the
+	// snapshot's table section because the log no longer reached the
+	// snapshot's sequence.
 	walReplays       int64
 	logicalFallbacks int64
 }
@@ -298,23 +300,23 @@ func (s *Server) flushPrivileges() error {
 	return nil
 }
 
-// dbState is the wire form of the server's logical state.
+// dbState is the server's logical state as a snapshot carries it.
 type dbState struct {
-	Tables        []tableState `json:"tables"`
-	LockedTable   string       `json:"lockedTable"`
-	Queries       int64        `json:"queries"`
-	PendingGrants int          `json:"pendingGrants"`
+	Tables        []tableState
+	LockedTable   string
+	Queries       int64
+	PendingGrants int
 	// DurableSeq is the durable store's last acknowledged sequence number at
 	// snapshot time — the rollback target a restore rewinds the log to.
-	DurableSeq uint64 `json:"durableSeq"`
+	DurableSeq uint64
 }
 
+// tableState is one table as a snapshot carries it.
 type tableState struct {
-	Name    string    `json:"name"`
-	Cols    []ColDef  `json:"cols"`
-	Rows    [][]Value `json:"rows"` // nil rows elided via Deleted
-	Deleted []int     `json:"deleted"`
-	Indexes []string  `json:"indexes"`
+	Name    string
+	Cols    []ColDef
+	Rows    []Row // index = row id; nil = deleted
+	Indexes []string
 }
 
 // Snapshot captures the server's complete logical state: schemas, rows,
@@ -323,52 +325,133 @@ type tableState struct {
 func (s *Server) Snapshot() ([]byte, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	st := dbState{
-		LockedTable:   s.lockedTable,
-		Queries:       s.queries,
-		PendingGrants: s.pendingGrants,
-	}
+	e := snapwire.NewEncoder(snapwire.TagSQLDB)
+	e.Str(s.lockedTable)
+	e.Int(s.queries)
+	e.Int(int64(s.pendingGrants))
+	var seq uint64
 	if s.store != nil {
-		st.DurableSeq = s.store.Seq()
+		seq = s.store.Seq()
 	}
-	names := make([]string, 0, len(s.tables))
-	for name := range s.tables {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	for _, name := range names {
-		t := s.tables[name]
-		ts := tableState{Name: t.name, Cols: append([]ColDef(nil), t.cols...)}
-		for rowID, row := range t.rows {
+	e.Uint(seq)
+	e.Len(len(s.tables))
+	for _, t := range s.tables {
+		e.Str(t.name)
+		e.Len(len(t.cols))
+		for _, c := range t.cols {
+			e.Str(c.Name)
+			e.Int(int64(c.Type))
+		}
+		e.Len(len(t.indexes))
+		for col := range t.indexes {
+			e.Str(col)
+		}
+		e.Len(len(t.rows))
+		for _, row := range t.rows {
+			e.Bool(row != nil)
 			if row == nil {
-				ts.Deleted = append(ts.Deleted, rowID)
-				ts.Rows = append(ts.Rows, []Value{})
 				continue
 			}
-			ts.Rows = append(ts.Rows, append([]Value(nil), row...))
+			e.Len(len(row))
+			for _, v := range row {
+				e.Bool(v.IsInt)
+				if v.IsInt {
+					e.Int(v.I)
+				} else {
+					e.Str(v.S)
+				}
+			}
 		}
-		for col := range t.indexes {
-			ts.Indexes = append(ts.Indexes, col)
-		}
-		sort.Strings(ts.Indexes)
-		st.Tables = append(st.Tables, ts)
 	}
-	return json.Marshal(st)
+	return e.Bytes(), nil
+}
+
+// decodeState reads a snapshot written by Snapshot, tables included, and
+// checks that every live row has its table's width and every index names a
+// column — so a malformed snapshot is rejected before Restore touches the
+// server, even when WAL replay will then serve the tables.
+func decodeState(snapshot []byte) (dbState, error) {
+	d := snapwire.NewDecoder(snapwire.TagSQLDB, snapshot)
+	st := dbState{
+		LockedTable:   d.Str(),
+		Queries:       d.Int(),
+		PendingGrants: int(d.Int()),
+		DurableSeq:    d.Uint(),
+	}
+	// A table is at least its name, column, index and row counts.
+	st.Tables = make([]tableState, d.Len(16))
+	for i := range st.Tables {
+		ts := &st.Tables[i]
+		ts.Name = d.Str()
+		ts.Cols = make([]ColDef, d.Len(12))
+		for c := range ts.Cols {
+			ts.Cols[c] = ColDef{Name: d.Str(), Type: ColType(d.Int())}
+		}
+		ts.Indexes = d.Strs()
+		for _, col := range ts.Indexes {
+			if !slices.ContainsFunc(ts.Cols, func(c ColDef) bool { return c.Name == col }) {
+				d.Fail(fmt.Sprintf("table %q indexes unknown column %q", ts.Name, col))
+			}
+		}
+		ts.Rows = make([]Row, d.Len(1))
+		for id := range ts.Rows {
+			if !d.Bool() {
+				continue
+			}
+			// A value is at least its type byte and an empty string.
+			if n := d.Len(5); n != len(ts.Cols) {
+				d.Fail(fmt.Sprintf("table %q row %d has %d values, want %d", ts.Name, id, n, len(ts.Cols)))
+				continue
+			}
+			row := make(Row, len(ts.Cols))
+			for c := range row {
+				if row[c].IsInt = d.Bool(); row[c].IsInt {
+					row[c].I = d.Int()
+				} else {
+					row[c].S = d.Str()
+				}
+			}
+			ts.Rows[id] = row
+		}
+	}
+	return st, d.Finish()
+}
+
+// build makes the in-memory table a snapshot's table section describes,
+// indexes rebuilt from its rows.
+func (ts tableState) build() *table {
+	t := &table{name: ts.Name, cols: ts.Cols, rows: ts.Rows, indexes: make(map[string]*btree, len(ts.Indexes))}
+	for _, row := range t.rows {
+		if row != nil {
+			t.live++
+		}
+	}
+	for _, col := range ts.Indexes {
+		ci, _ := t.colIndex(col) // decodeState checked every index names a column
+		t.indexes[col] = t.buildIndex(ci)
+	}
+	return t
 }
 
 // Restore replaces the server's logical state from a snapshot and restarts
 // it, re-acquiring the port, every table descriptor, and the disk footprint
 // the state mandates. The data plane is rebuilt by recovering the durable
 // store from disk and rewinding its log to the snapshot's sequence number —
-// checkpoint-load plus replay of real bytes — with the snapshot's JSON as
-// the fallback when the log no longer reaches that point (and as the only
-// source for session scalars, which are state, not data). The server must be
-// stopped.
+// checkpoint-load plus replay of real bytes — with the snapshot's table
+// section as the fallback when the log no longer reaches that point (and as
+// the only source for session scalars, which are state, not data). The
+// whole snapshot is decoded before anything changes, so a malformed one is
+// rejected with the server untouched. The server must be stopped.
 func (s *Server) Restore(snapshot []byte) error {
-	var st dbState
-	if err := json.Unmarshal(snapshot, &st); err != nil {
+	st, err := decodeState(snapshot)
+	if err != nil {
 		return fmt.Errorf("sqldb: restore: %w", err)
 	}
+	return s.restoreState(st)
+}
+
+// restoreState installs a decoded state and restarts the server.
+func (s *Server) restoreState(st dbState) error {
 	s.mu.Lock()
 	if s.running {
 		s.mu.Unlock()
@@ -391,34 +474,7 @@ func (s *Server) Restore(snapshot []byte) error {
 		s.logicalFallbacks++
 		s.tables = make(map[string]*table, len(st.Tables))
 		for _, ts := range st.Tables {
-			t := &table{name: ts.Name, cols: append([]ColDef(nil), ts.Cols...), indexes: make(map[string]*btree)}
-			deleted := make(map[int]bool, len(ts.Deleted))
-			for _, d := range ts.Deleted {
-				deleted[d] = true
-			}
-			for rowID, row := range ts.Rows {
-				if deleted[rowID] {
-					t.rows = append(t.rows, nil)
-					continue
-				}
-				t.rows = append(t.rows, append(Row(nil), row...))
-				t.live++
-			}
-			for _, col := range ts.Indexes {
-				ci, err := t.colIndex(col)
-				if err != nil {
-					s.mu.Unlock()
-					return err
-				}
-				idx := newBTree()
-				for rowID, row := range t.rows {
-					if row != nil {
-						idx.Insert(row[ci], rowID)
-					}
-				}
-				t.indexes[col] = idx
-			}
-			s.tables[t.name] = t
+			s.tables[ts.Name] = ts.build()
 		}
 		// Resync the store so the next restore can replay again. A failed
 		// resync leaves the store wounded; the next append repairs it.
@@ -493,8 +549,9 @@ func (s *Server) WALReplays() int64 {
 	return s.walReplays
 }
 
-// LogicalFallbacks counts restores that rebuilt from the JSON snapshot
-// because the log no longer reached the snapshot's sequence number.
+// LogicalFallbacks counts restores that rebuilt the tables from the
+// snapshot's table section because the log no longer reached the snapshot's
+// sequence number.
 func (s *Server) LogicalFallbacks() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()

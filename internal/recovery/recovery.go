@@ -44,7 +44,11 @@ type Application interface {
 	Stop()
 	// Running reports whether the application is up.
 	Running() bool
-	// Snapshot captures the complete logical application state.
+	// Snapshot captures the complete logical application state. The bytes
+	// are opaque and in-memory only: only the same application's Restore
+	// reads them, and no report, trace, metric, warehouse record or
+	// simulated-disk file holds them, so their encoding (internal/snapwire
+	// for the lab's apps) may change between builds.
 	Snapshot() ([]byte, error)
 	// Restore replaces the logical state from a snapshot and restarts the
 	// application, re-acquiring every state-mandated resource.

@@ -42,7 +42,8 @@ import (
 var (
 	// ErrBreakerOpen reports a request declined fast by an open per-host
 	// circuit breaker.
-	ErrBreakerOpen = errors.New("resilient: circuit breaker open")
+	// The client wraps it as "resilient: <host>: circuit breaker open".
+	ErrBreakerOpen = errors.New("circuit breaker open")
 	// ErrTryTimeout reports an attempt that exceeded the per-try deadline.
 	ErrTryTimeout = errors.New("resilient: per-try deadline exceeded")
 	// ErrTruncatedBody reports a response body shorter than its declared

@@ -105,7 +105,8 @@ func (c *Crawler) Crawl(ctx context.Context, start string) ([]*Page, error) {
 				return pages, ctx.Err()
 			}
 			// A lost page is a gap, not a lost crawl: record and move on.
-			pages = append(pages, &Page{URL: next, Err: fmt.Errorf("scrape: fetch %s: %w", next, err)})
+			// Page.URL names the page, so the error is kept as it came.
+			pages = append(pages, &Page{URL: next, Err: err})
 			continue
 		}
 		pages = append(pages, page)
@@ -155,7 +156,7 @@ func (c *Crawler) fetch(ctx context.Context, u string) (*Page, error) {
 	}
 	body := buf.Bytes()
 	if len(body) > MaxBodyBytes {
-		return nil, fmt.Errorf("%w: %s is over %d bytes", ErrBodyTooLarge, u, MaxBodyBytes)
+		return nil, fmt.Errorf("%w: over %d bytes", ErrBodyTooLarge, MaxBodyBytes)
 	}
 	return &Page{URL: u, Body: string(body), Status: resp.StatusCode}, nil
 }

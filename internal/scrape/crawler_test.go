@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -276,5 +277,38 @@ func TestCrawlerReuse(t *testing.T) {
 	a, b := crawlTrace(first), crawlTrace(second)
 	if strings.Join(a, "\n") != strings.Join(b, "\n") {
 		t.Fatalf("second crawl differs:\nfirst:  %q\nsecond: %q", a, b)
+	}
+}
+
+type roundTripFunc func(*http.Request) (*http.Response, error)
+
+func (f roundTripFunc) RoundTrip(r *http.Request) (*http.Response, error) { return f(r) }
+
+// TestGapLineNamesURLOnce pins one gap line: the crawler records the fetch
+// error as it came, so the line shows the URL in its column and once more
+// in net/http's error, and the breaker's reason says "resilient:" once.
+func TestGapLineNamesURLOnce(t *testing.T) {
+	site := roundTripFunc(func(r *http.Request) (*http.Response, error) {
+		if r.URL.Path != "/" {
+			return nil, errors.New("connection reset")
+		}
+		body := `<a href="/bugs/1">1</a> <a href="/bugs/2">2</a>`
+		return &http.Response{StatusCode: 200, Header: http.Header{}, Request: r,
+			Body: io.NopCloser(strings.NewReader(body)), ContentLength: int64(len(body))}, nil
+	})
+	pol := resilient.FullPolicy()
+	pol.BreakerThreshold, pol.BreakerCooldown = 1, time.Hour
+	client := resilient.New(pol, resilient.WithTransport(site), resilient.WithClock(chaoshttp.NewVirtualClock()))
+	pages, err := NewCrawler(WithClient(client.HTTPClient())).Crawl(context.Background(), "http://tracker.test/")
+	if err != nil {
+		t.Fatalf("Crawl: %v", err)
+	}
+	gaps := GapsOf(pages)
+	if len(gaps) != 2 {
+		t.Fatalf("gaps = %+v, want /bugs/1 and /bugs/2", gaps)
+	}
+	want := `  http://tracker.test/bugs/2               Get "http://tracker.test/bugs/2": resilient: tracker.test: circuit breaker open` + "\n"
+	if got := RenderGapList(gaps[1:]); got != want {
+		t.Errorf("gap line\n got %q\nwant %q", got, want)
 	}
 }
