@@ -98,9 +98,10 @@ func benchFigure(b *testing.B, build func() *faultstudy.FigureSeries, wantTotal 
 	if sum != wantTotal {
 		b.Fatalf("figure covers %d faults, want %d", sum, wantTotal)
 	}
-	shares := fig.EIShare()
+	totals := fig.Totals()
+	last := len(totals) - 1
 	b.ReportMetric(float64(len(fig.Buckets)), "buckets")
-	b.ReportMetric(100*shares[len(shares)-1], "EI_share_last_pct")
+	b.ReportMetric(100*float64(fig.PerClass[faultstudy.ClassEnvIndependent][last])/float64(totals[last]), "EI_share_last_pct")
 }
 
 // BenchmarkFigure1ApacheReleases regenerates Figure 1 (faults per Apache

@@ -114,7 +114,8 @@ func NewClassifier(opts ClassifierOptions) *classify.Classifier {
 	return classify.New(opts)
 }
 
-// StudyOptions tunes the full pipeline.
+// StudyOptions is the full pipeline's configuration. It has no settings:
+// the pipeline always runs the paper configuration.
 type StudyOptions = core.Options
 
 // StudySources names the tracker base URLs for a study run.

@@ -34,7 +34,7 @@ const Owner = "cached"
 
 // Default resource limits of the simulated daemon.
 const (
-	defaultPort     = 11211
+	port            = 11211
 	defaultCapacity = 32
 	// aofDir roots the append-only persistence store: a real write-ahead
 	// log plus checkpoint (internal/durable) under /var/lib/cached, written
@@ -48,16 +48,11 @@ const (
 
 // Config sets up a Server.
 type Config struct {
-	// Port is the listening port (0 means 11211).
-	Port int
 	// Capacity is the LRU entry capacity (0 means 32).
 	Capacity int
 }
 
 func (c Config) withDefaults() Config {
-	if c.Port == 0 {
-		c.Port = defaultPort
-	}
 	if c.Capacity == 0 {
 		c.Capacity = defaultCapacity
 	}
@@ -134,13 +129,6 @@ func (s *Server) SetDegraded(on bool) {
 	s.degraded = on
 }
 
-// Degraded reports whether degraded mode is on.
-func (s *Server) Degraded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded
-}
-
 // Running reports whether the daemon is started.
 func (s *Server) Running() bool {
 	s.mu.Lock()
@@ -157,14 +145,14 @@ func (s *Server) Start() error {
 	if s.running {
 		return errors.New("cache: already running")
 	}
-	if err := s.env.Net().BindPort(s.cfg.Port, Owner); err != nil {
+	if err := s.env.Net().BindPort(port, Owner); err != nil {
 		return fmt.Errorf("cache: start: %w", err)
 	}
 	s.portBound = true
 	for len(s.connFDs) < s.connFDWant {
 		fd, err := s.env.FDs().Open(Owner)
 		if err != nil {
-			_ = s.env.Net().ReleasePort(s.cfg.Port)
+			_ = s.env.Net().ReleasePort(port)
 			s.portBound = false
 			s.closeConnFDsLocked()
 			return faultinject.FailCause(MechConnFDLeak, taxonomy.SymptomError,
@@ -173,7 +161,7 @@ func (s *Server) Start() error {
 		s.connFDs = append(s.connFDs, fd)
 	}
 	if err := s.reopenStoreLocked(); err != nil {
-		_ = s.env.Net().ReleasePort(s.cfg.Port)
+		_ = s.env.Net().ReleasePort(port)
 		s.portBound = false
 		s.closeConnFDsLocked()
 		return err
@@ -219,21 +207,7 @@ func (s *Server) Stop() {
 	if s.store != nil {
 		s.store.Close()
 	}
-	_ = s.env.Net().ReleasePort(s.cfg.Port)
-}
-
-// Requests returns the number of operations served.
-func (s *Server) Requests() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.requests
-}
-
-// Len returns the number of cached items.
-func (s *Server) Len() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.items)
+	_ = s.env.Net().ReleasePort(port)
 }
 
 // preamble runs the per-operation environment checks shared by every
@@ -615,16 +589,4 @@ func (s *Server) DurableStore() *durable.Store {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.store
-}
-
-// Keys returns the cached keys, sorted (test helper).
-func (s *Server) Keys() []string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	keys := make([]string, 0, len(s.items))
-	for k := range s.items {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
 }

@@ -48,10 +48,10 @@ func TestLifecycleAndBasicOps(t *testing.T) {
 	if err := srv.Flush(); err != nil {
 		t.Fatalf("flush: %v", err)
 	}
-	if srv.Len() != 0 {
-		t.Errorf("len after flush = %d", srv.Len())
+	if len(srv.items) != 0 {
+		t.Errorf("len after flush = %d", len(srv.items))
 	}
-	if srv.Requests() == 0 {
+	if srv.requests == 0 {
 		t.Error("requests not counted")
 	}
 	srv.Stop()
@@ -80,8 +80,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if err := srv.Set("k3", "v"); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Len() != 4 {
-		t.Fatalf("len = %d, want 4 (capacity)", srv.Len())
+	if len(srv.items) != 4 {
+		t.Fatalf("len = %d, want 4 (capacity)", len(srv.items))
 	}
 	if v, _ := srv.Get("version"); v != "" {
 		t.Errorf("LRU victim survived: version = %q", v)
@@ -93,8 +93,8 @@ func TestLRUEvictionOrder(t *testing.T) {
 	if err := srv.Set("k1", "v2"); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Len() != 4 {
-		t.Errorf("len after overwrite = %d", srv.Len())
+	if len(srv.items) != 4 {
+		t.Errorf("len after overwrite = %d", len(srv.items))
 	}
 }
 
@@ -106,7 +106,7 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if _, err := srv.Get("k"); err != nil {
 		t.Fatal(err)
 	}
-	keys, reqs := srv.Keys(), srv.Requests()
+	keys, reqs := len(srv.items), srv.requests
 	snap, err := srv.Snapshot()
 	if err != nil {
 		t.Fatalf("snapshot: %v", err)
@@ -128,11 +128,11 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !srv.Running() {
 		t.Fatal("daemon not running after restore")
 	}
-	if got := srv.Keys(); len(got) != len(keys) {
-		t.Errorf("keys after restore = %v, want %v", got, keys)
+	if got := len(srv.items); got != keys {
+		t.Errorf("%d keys after restore, want %d", got, keys)
 	}
-	if srv.Requests() != reqs {
-		t.Errorf("requests after restore = %d, want %d", srv.Requests(), reqs)
+	if srv.requests != reqs {
+		t.Errorf("requests after restore = %d, want %d", srv.requests, reqs)
 	}
 	if v, err := srv.Get("k"); err != nil || v != "v" {
 		t.Errorf("get after restore = %q, %v", v, err)
@@ -190,8 +190,8 @@ func TestResetDiscardsAccumulatedState(t *testing.T) {
 	if held != 0 || want != 0 {
 		t.Errorf("reset kept leaks: fds=%d want=%d", held, want)
 	}
-	if srv.Requests() != 0 {
-		t.Errorf("requests after reset = %d", srv.Requests())
+	if srv.requests != 0 {
+		t.Errorf("requests after reset = %d", srv.requests)
 	}
 	if v, err := srv.Get("motd"); err != nil || v != "welcome to cached" {
 		t.Errorf("pristine content missing after reset: %q, %v", v, err)
@@ -212,7 +212,7 @@ func TestDegradedModeSuspendsEnvironmentPaths(t *testing.T) {
 		t.Fatal("miss fill should fail while the resolver flaps")
 	}
 	srv.SetDegraded(true)
-	if !srv.Degraded() {
+	if !srv.degraded {
 		t.Fatal("degraded flag not set")
 	}
 	if _, err := srv.Get("missing"); err != nil {

@@ -85,7 +85,7 @@ func Componentize(s *Server) *Componentized {
 			s.closeConnFDsLocked()
 			s.connFDWant = 0
 			if s.portBound {
-				_ = s.env.Net().ReleasePort(s.cfg.Port)
+				_ = s.env.Net().ReleasePort(port)
 				s.portBound = false
 			}
 		},
@@ -93,7 +93,7 @@ func Componentize(s *Server) *Componentized {
 			s.mu.Lock()
 			defer s.mu.Unlock()
 			if !s.portBound {
-				if err := s.env.Net().BindPort(s.cfg.Port, Owner); err != nil {
+				if err := s.env.Net().BindPort(port, Owner); err != nil {
 					return err
 				}
 				s.portBound = true

@@ -1,6 +1,7 @@
 package cache
 
 import (
+	"reflect"
 	"testing"
 
 	"faultstudy/internal/faultinject"
@@ -58,7 +59,7 @@ func TestPersistDownDegradesToUnpersisted(t *testing.T) {
 	if v, err := c.srv.Get("down"); err != nil || v != "v" {
 		t.Fatalf("get with persist down: %q, %v", v, err)
 	}
-	if err := c.Tree().Restart(CompPersist); err != nil {
+	if err := c.Tree().Reboot(CompPersist, false, nil); err != nil {
 		t.Fatalf("restart persist: %v", err)
 	}
 	c.srv.mu.Lock()
@@ -162,4 +163,64 @@ func TestCoreRebootClearsShadowCopies(t *testing.T) {
 	if leaked != 0 {
 		t.Fatalf("core reboot kept %d shadow copies", leaked)
 	}
+}
+
+// TestAOFMatchesItemsOnBothRestorePaths is the differential check on the
+// cache's two ways back to a state: a process Restore reconciles the
+// append-only store with the snapshot's items, and a persist microreboot
+// rebuilds the store by replaying that log. After each, the store's keys
+// and values must equal the in-memory items exactly.
+func TestAOFMatchesItemsOnBothRestorePaths(t *testing.T) {
+	c := newComponentized(t)
+	for _, kv := range [][2]string{{"a", "1"}, {"b", "2"}, {"c", "3"}} {
+		if err := c.srv.Set(kv[0], kv[1]); err != nil {
+			t.Fatalf("set %s: %v", kv[0], err)
+		}
+	}
+	items := func() map[string]string {
+		c.srv.mu.Lock()
+		defer c.srv.mu.Unlock()
+		out := make(map[string]string, len(c.srv.items))
+		for k, v := range c.srv.items {
+			out[k] = v
+		}
+		return out
+	}
+	want := items()
+	snap, err := c.Snapshot()
+	if err != nil {
+		t.Fatalf("snapshot: %v", err)
+	}
+	// Diverge after the snapshot: a new key, an overwrite, a delete.
+	if err := c.srv.Set("d", "4"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.srv.Set("a", "changed"); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.srv.Del("b"); err != nil {
+		t.Fatal(err)
+	}
+
+	agree := func(step string) {
+		t.Helper()
+		st := c.srv.DurableStore()
+		stored := map[string]string{}
+		for _, k := range st.Keys() {
+			v, _ := st.Get(k)
+			stored[k] = string(v)
+		}
+		if got := items(); !reflect.DeepEqual(got, want) || !reflect.DeepEqual(stored, want) {
+			t.Fatalf("%s: store %v, items %v, want the snapshot's %v in both", step, stored, got, want)
+		}
+	}
+	c.Stop()
+	if err := c.Restore(snap); err != nil {
+		t.Fatalf("restore: %v", err)
+	}
+	agree("after Restore")
+	if err := c.Tree().Reboot(CompPersist, false, nil); err != nil {
+		t.Fatalf("persist reboot: %v", err)
+	}
+	agree("after the persist reboot replayed the log")
 }

@@ -110,7 +110,7 @@ func TestWidgetOutageLeavesSiblingsInteractive(t *testing.T) {
 	if err := c.Dispatch(Event{Widget: "calendar", Action: "next"}); err != nil {
 		t.Fatalf("calendar during gmc outage: %v", err)
 	}
-	if err := c.Tree().Restart(CompGmc); err != nil {
+	if err := c.Tree().Reboot(CompGmc, false, nil); err != nil {
 		t.Fatalf("restart gmc: %v", err)
 	}
 	if err := c.Dispatch(Event{Widget: "gmc", Action: "open", Arg: "notes.txt"}); err != nil {

@@ -79,13 +79,6 @@ func (d *Desktop) SetDegraded(on bool) {
 	d.degraded = on
 }
 
-// Degraded reports whether degraded mode is on.
-func (d *Desktop) Degraded() bool {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.degraded
-}
-
 // Running reports whether the session is up.
 func (d *Desktop) Running() bool {
 	d.mu.Lock()
@@ -142,13 +135,6 @@ func (d *Desktop) Stop() {
 	}
 	d.running = false
 	d.closeSoundFDsLocked()
-}
-
-// Events returns the number of dispatched events.
-func (d *Desktop) Events() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.events
 }
 
 // crash marks the session dead (d.mu held).

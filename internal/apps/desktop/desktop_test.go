@@ -51,8 +51,8 @@ func TestHealthySession(t *testing.T) {
 	dispatch(t, d, "gnumeric", "get-cell", "A1")
 	dispatch(t, d, "gmc", "open", "backup.tar.gz")
 	dispatch(t, d, "session", "play-sound", "")
-	if d.Events() != 11 {
-		t.Errorf("events = %d, want 11", d.Events())
+	if d.events != 11 {
+		t.Errorf("events = %d, want 11", d.events)
 	}
 	if n := d.Env().FDs().OwnedBy(Owner); n != 0 {
 		t.Errorf("healthy session holds %d fds", n)
@@ -262,8 +262,8 @@ func TestSnapshotRestoreRoundTrip(t *testing.T) {
 	if !found {
 		t.Error("applet lost")
 	}
-	if d.Events() != 3 {
-		t.Errorf("event count = %d", d.Events())
+	if d.events != 3 {
+		t.Errorf("event count = %d", d.events)
 	}
 }
 

@@ -9,7 +9,7 @@ import (
 func benchServer(b *testing.B) *Server {
 	b.Helper()
 	env := simenv.New(1, simenv.WithDiskBytes(1<<31), simenv.WithMaxFileSize(1<<30))
-	srv := New(env, nil, Config{})
+	srv := New(env, nil)
 	if err := srv.Start(); err != nil {
 		b.Fatal(err)
 	}

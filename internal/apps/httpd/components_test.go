@@ -12,7 +12,7 @@ import (
 func newComponentized(t *testing.T, mechs ...string) *Componentized {
 	t.Helper()
 	env := simenv.New(1, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
-	c := Componentize(New(env, faultinject.NewSet(mechs...), Config{}))
+	c := Componentize(New(env, faultinject.NewSet(mechs...)))
 	if err := c.Start(); err != nil {
 		t.Fatalf("Start: %v", err)
 	}
@@ -86,7 +86,7 @@ func TestRoutingFailsFastThroughDownComponents(t *testing.T) {
 	if resp, err := c.Serve(Request{Method: "GET", Path: "/"}); err != nil || resp.Status != 200 {
 		t.Fatalf("sibling request failed during cache outage: %v (%+v)", err, resp)
 	}
-	if err := c.Tree().Restart(CompCache); err != nil {
+	if err := c.Tree().Reboot(CompCache, false, nil); err != nil {
 		t.Fatalf("restart cache: %v", err)
 	}
 	if _, err := c.Serve(Request{Method: "GET", Path: "/proxy/x"}); err != nil {
@@ -100,7 +100,7 @@ func TestRoutingFailsFastThroughDownComponents(t *testing.T) {
 	if resp, err := c.Serve(Request{Method: "GET", Path: "/"}); err != nil || resp.Status != 200 {
 		t.Fatalf("request with logger down: %v (%+v)", err, resp)
 	}
-	if err := c.Tree().Restart(CompLogger); err != nil {
+	if err := c.Tree().Reboot(CompLogger, false, nil); err != nil {
 		t.Fatalf("restart logger: %v", err)
 	}
 }

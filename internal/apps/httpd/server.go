@@ -33,33 +33,14 @@ const Owner = "httpd"
 
 // Default resource limits of the simulated server.
 const (
-	defaultPort      = 80
-	defaultVHostLogs = 4
-	accessLog        = "/var/log/httpd/access_log"
-	cacheFile        = "/var/cache/httpd/proxy.data"
-	memLimitBytes    = 100 << 20 // the paper's ">100 Mbytes in <5 hours" leak bound
-	leakUnitCap      = 64        // abstract resource units before the unknown leak kills the server
-	dnsTimeout       = 10 * time.Second
+	port          = 80
+	vhostLogs     = 4 // per-vhost log descriptors held open as configuration state
+	accessLog     = "/var/log/httpd/access_log"
+	cacheFile     = "/var/cache/httpd/proxy.data"
+	memLimitBytes = 100 << 20 // the paper's ">100 Mbytes in <5 hours" leak bound
+	leakUnitCap   = 64        // abstract resource units before the unknown leak kills the server
+	dnsTimeout    = 10 * time.Second
 )
-
-// Config sets up a Server.
-type Config struct {
-	// Port is the listening port (0 means 80).
-	Port int
-	// VHostLogs is how many per-vhost log descriptors the server holds open
-	// as part of its configuration state (0 means 4).
-	VHostLogs int
-}
-
-func (c Config) withDefaults() Config {
-	if c.Port == 0 {
-		c.Port = defaultPort
-	}
-	if c.VHostLogs == 0 {
-		c.VHostLogs = defaultVHostLogs
-	}
-	return c
-}
 
 // Request is one HTTP request value.
 type Request struct {
@@ -92,7 +73,6 @@ type Response struct {
 type Server struct {
 	env    *simenv.Env
 	faults *faultinject.Set
-	cfg    Config
 
 	mu       sync.Mutex
 	running  bool
@@ -120,11 +100,10 @@ type Server struct {
 
 // New builds a server over the environment with the given active bug set.
 // A nil fault set yields a bug-free server.
-func New(env *simenv.Env, faults *faultinject.Set, cfg Config) *Server {
+func New(env *simenv.Env, faults *faultinject.Set) *Server {
 	s := &Server{
 		env:    env,
 		faults: faults,
-		cfg:    cfg.withDefaults(),
 	}
 	s.resetContent()
 	return s
@@ -180,7 +159,7 @@ func (s *Server) Start() error {
 	if s.running {
 		return errors.New("httpd: already running")
 	}
-	if err := s.env.Net().BindPort(s.cfg.Port, Owner); err != nil {
+	if err := s.env.Net().BindPort(port, Owner); err != nil {
 		if errors.Is(err, simenv.ErrPortInUse) && s.faults.Enabled(MechPortSquat) {
 			return faultinject.FailCause(MechPortSquat, taxonomy.SymptomError,
 				"cannot bind: hung child holds the port", err)
@@ -189,7 +168,7 @@ func (s *Server) Start() error {
 	}
 	s.portBound = true
 	if err := s.openLogFDs(); err != nil {
-		_ = s.env.Net().ReleasePort(s.cfg.Port)
+		_ = s.env.Net().ReleasePort(port)
 		s.portBound = false
 		return err
 	}
@@ -198,7 +177,7 @@ func (s *Server) Start() error {
 	for len(s.leakFDs) < s.leakFDWant {
 		fd, err := s.env.FDs().Open(Owner)
 		if err != nil {
-			_ = s.env.Net().ReleasePort(s.cfg.Port)
+			_ = s.env.Net().ReleasePort(port)
 			s.portBound = false
 			s.closeAllFDsLocked()
 			return faultinject.FailCause(MechFDExhaustion, taxonomy.SymptomError,
@@ -212,7 +191,7 @@ func (s *Server) Start() error {
 }
 
 func (s *Server) openLogFDs() error {
-	for len(s.logFDs) < s.cfg.VHostLogs {
+	for len(s.logFDs) < vhostLogs {
 		fd, err := s.env.FDs().Open(Owner)
 		if err != nil {
 			s.closeAllFDsLocked()
@@ -270,7 +249,7 @@ func (s *Server) Stop() {
 		// system that kills the whole process group frees it).
 		return
 	}
-	_ = s.env.Net().ReleasePort(s.cfg.Port)
+	_ = s.env.Net().ReleasePort(port)
 }
 
 // Sig is a process signal.
@@ -320,13 +299,6 @@ func (s *Server) Requests() int64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.requests
-}
-
-// MemBytes returns the current (possibly leaked) memory footprint.
-func (s *Server) MemBytes() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.memBytes
 }
 
 // Serve handles one request. When an active seeded bug fires, the returned
@@ -577,7 +549,6 @@ type serverState struct {
 	LeakFDWant int
 	Requests   int64
 	CacheBytes int64
-	VHostLogs  int
 }
 
 // Snapshot captures the server's complete logical state. Children are
@@ -594,7 +565,6 @@ func (s *Server) Snapshot() ([]byte, error) {
 	e.Int(int64(s.leakFDWant))
 	e.Int(s.requests)
 	e.Int(s.cacheBytes)
-	e.Int(int64(s.cfg.VHostLogs))
 	return e.Bytes(), nil
 }
 
@@ -607,7 +577,6 @@ func decodeState(snapshot []byte) (serverState, error) {
 		LeakFDWant: int(d.Int()),
 		Requests:   d.Int(),
 		CacheBytes: d.Int(),
-		VHostLogs:  int(d.Int()),
 	}
 	return st, d.Finish()
 }
@@ -639,7 +608,6 @@ func (s *Server) restoreState(st serverState) error {
 	s.leakFDWant = st.LeakFDWant
 	s.requests = st.Requests
 	s.cacheBytes = st.CacheBytes
-	s.cfg.VHostLogs = st.VHostLogs
 	s.children = nil
 	s.mu.Unlock()
 	return s.Start()

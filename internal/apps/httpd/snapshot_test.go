@@ -20,7 +20,6 @@ func stateOf(s *Server) serverState {
 		LeakFDWant: s.leakFDWant,
 		Requests:   s.requests,
 		CacheBytes: s.cacheBytes,
-		VHostLogs:  s.cfg.VHostLogs,
 	}
 }
 
@@ -33,10 +32,9 @@ func renderState(t *testing.T, s *Server) string {
 	return string(b)
 }
 
-func fuzzServer(vhostLogs int) *Server {
+func fuzzServer() *Server {
 	env := simenv.New(5, simenv.WithFDLimit(256))
-	return New(env, faultinject.NewSet(MechMemoryLeakHup, MechLoadResourceLeak, MechFDExhaustion),
-		Config{VHostLogs: vhostLogs})
+	return New(env, faultinject.NewSet(MechMemoryLeakHup, MechLoadResourceLeak, MechFDExhaustion))
 }
 
 // FuzzSnapshotRoundTrip drives a server through an op sequence drawn from
@@ -47,18 +45,14 @@ func fuzzServer(vhostLogs int) *Server {
 func FuzzSnapshotRoundTrip(f *testing.F) {
 	f.Add([]byte{0, 1, 2, 3, 4, 5})
 	f.Add([]byte{3, 0, 0, 0, 4, 0, 0, 0, 4, 1, 2})
-	if snap, err := fuzzServer(0).Snapshot(); err == nil {
+	if snap, err := fuzzServer().Snapshot(); err == nil {
 		f.Add(snap)
 	}
 	paths := []string{"/", "/index.html", "/pub/", "/proxy/a", "/missing"}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		_ = fuzzServer(0).Restore(data)
+		_ = fuzzServer().Restore(data)
 
-		vhostLogs := 1
-		if len(data) > 0 {
-			vhostLogs += int(data[0] % 4)
-		}
-		srv := fuzzServer(vhostLogs)
+		srv := fuzzServer()
 		if err := srv.Start(); err != nil {
 			t.Fatal(err)
 		}
@@ -79,13 +73,13 @@ func FuzzSnapshotRoundTrip(f *testing.F) {
 		}
 		srv.Stop()
 
-		got := fuzzServer(0)
+		got := fuzzServer()
 		gotErr := got.Restore(snap)
 		var st serverState
 		if err := json.Unmarshal(ref, &st); err != nil {
 			t.Fatal(err)
 		}
-		want := fuzzServer(0)
+		want := fuzzServer()
 		wantErr := want.restoreState(st)
 		if (gotErr == nil) != (wantErr == nil) {
 			t.Fatalf("restore err = %v, reference err = %v", gotErr, wantErr)

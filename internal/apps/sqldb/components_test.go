@@ -33,14 +33,14 @@ func TestSessionReattachAfterListenerReboot(t *testing.T) {
 	if _, err := c.Exec("alice", "INSERT INTO t VALUES (1, 'a')"); err != nil {
 		t.Fatalf("insert: %v", err)
 	}
-	if c.srv.Connections() != 1 {
-		t.Fatalf("connections = %d", c.srv.Connections())
+	if len(c.srv.connections) != 1 {
+		t.Fatalf("connections = %d", len(c.srv.connections))
 	}
 
 	if err := c.Tree().Reboot(CompListener, false, nil); err != nil {
 		t.Fatalf("reboot listener: %v", err)
 	}
-	if c.srv.Connections() != 0 {
+	if len(c.srv.connections) != 0 {
 		t.Fatal("listener reboot kept connections")
 	}
 	if !c.SessionAlive("alice") {
@@ -54,8 +54,8 @@ func TestSessionReattachAfterListenerReboot(t *testing.T) {
 	if len(rs.Rows) != 1 {
 		t.Fatalf("rows = %d, want 1", len(rs.Rows))
 	}
-	if c.srv.Connections() != 1 {
-		t.Fatalf("re-attach made %d connections", c.srv.Connections())
+	if len(c.srv.connections) != 1 {
+		t.Fatalf("re-attach made %d connections", len(c.srv.connections))
 	}
 }
 
@@ -77,7 +77,7 @@ func TestAdHocSQLFailsFastWhileParserDown(t *testing.T) {
 	if _, err := c.Exec("alice", "SELECT id FROM t"); !errors.As(err, &de) || de.Component != CompParser {
 		t.Fatalf("ad-hoc SQL with parser down: %v", err)
 	}
-	if err := c.Tree().Restart(CompParser); err != nil {
+	if err := c.Tree().Reboot(CompParser, false, nil); err != nil {
 		t.Fatalf("restart parser: %v", err)
 	}
 	if _, err := c.Exec("alice", "SELECT id FROM t"); err != nil {
@@ -112,7 +112,7 @@ func TestStorageRebootReleasesTableDescriptors(t *testing.T) {
 	if _, err := c.Exec("alice", "SELECT id FROM t"); !errors.As(err, &de) || de.Component != CompStorage {
 		t.Fatalf("query with storage down: %v", err)
 	}
-	if err := c.Tree().Restart(CompStorage); err != nil {
+	if err := c.Tree().Reboot(CompStorage, false, nil); err != nil {
 		t.Fatalf("restart storage: %v", err)
 	}
 	if _, err := c.Exec("alice", "SELECT id FROM t"); err != nil {

@@ -80,13 +80,6 @@ func (s *Server) SetDegraded(on bool) {
 	s.degraded = on
 }
 
-// Degraded reports whether degraded mode is on.
-func (s *Server) Degraded() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.degraded
-}
-
 // Running reports whether the server is up.
 func (s *Server) Running() bool {
 	s.mu.Lock()
@@ -215,13 +208,6 @@ func (s *Server) Connect(clientAddr string) (int, error) {
 	return id, nil
 }
 
-// Disconnect closes a client session.
-func (s *Server) Disconnect(conn int) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.connections, conn)
-}
-
 // Connected reports whether a connection id is still open — the probe the
 // componentized layer uses to re-attach externalized sessions after a
 // listener reboot dropped their connections.
@@ -230,20 +216,6 @@ func (s *Server) Connected(conn int) bool {
 	defer s.mu.Unlock()
 	_, ok := s.connections[conn]
 	return ok
-}
-
-// Connections returns the number of open sessions.
-func (s *Server) Connections() int {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return len(s.connections)
-}
-
-// Queries returns the number of statements executed.
-func (s *Server) Queries() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.queries
 }
 
 // Exec parses and executes one SQL statement. Failures from seeded bugs are
@@ -532,14 +504,6 @@ func (s *Server) Reset() error {
 	s.connections = make(map[int]string)
 	s.mu.Unlock()
 	return s.Start()
-}
-
-// DurableStore exposes the engine's durable backend for probes that verify
-// acknowledged statements against recovered bytes.
-func (s *Server) DurableStore() *durable.Store {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.store
 }
 
 // WALReplays counts restores served by checkpoint-load + log-replay.

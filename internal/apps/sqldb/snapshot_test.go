@@ -242,7 +242,7 @@ func TestRestorePathsAgree(t *testing.T) {
 	replayed := viewTables(t, srv)
 
 	srv.Stop()
-	if err := srv.DurableStore().Destroy(); err != nil {
+	if err := srv.store.Destroy(); err != nil {
 		t.Fatal(err)
 	}
 	if err := srv.Restore(snap); err != nil {

@@ -96,10 +96,14 @@ var (
 	ErrInjectedExhaust = errors.New("chaoshttp: cannot assign requested address: descriptor table full (injected)")
 )
 
-// CatalogEDT returns the transient fault specs: each fires once per targeted
-// URL and then heals, so a state-preserving retry is expected to survive it.
-// This is the paper's EDT column made mechanical.
-func CatalogEDT() []Fault {
+// Catalog returns the full fault catalogue in a fixed order the RESIL
+// experiment's arm numbering relies on. The transient (EDT) faults come
+// first: each fires once per targeted URL and then heals, so a
+// state-preserving retry is expected to survive it — the paper's EDT column
+// made mechanical. The nontransient (EDN) faults persist for the injector's
+// lifetime, so no amount of state-preserving retry changes the outcome — the
+// paper's negative result for generic recovery.
+func Catalog() []Fault {
 	return []Fault{
 		{Name: "edt/503-once", Class: taxonomy.ClassEnvDependentTransient, Kind: KindStatusOnce,
 			Rate: 0.25, Status: 503, RetryAfter: 1 * time.Second},
@@ -113,14 +117,6 @@ func CatalogEDT() []Fault {
 			Rate: 0.25},
 		{Name: "edt/dns-flap", Class: taxonomy.ClassEnvDependentTransient, Kind: KindDNSOnce,
 			Rate: 0.25},
-	}
-}
-
-// CatalogEDN returns the nontransient fault specs: each persists for the
-// injector's lifetime, so no amount of state-preserving retry changes the
-// outcome — the paper's negative result for generic recovery.
-func CatalogEDN() []Fault {
-	return []Fault{
 		{Name: "edn/persistent-500", Class: taxonomy.ClassEnvDependentNonTransient, Kind: KindStatusAlways,
 			Rate: 0.25, Status: 500},
 		{Name: "edn/fd-exhausted", Class: taxonomy.ClassEnvDependentNonTransient, Kind: KindHostExhaust,
@@ -129,7 +125,3 @@ func CatalogEDN() []Fault {
 			Rate: 0.25, Latency: 30 * time.Second},
 	}
 }
-
-// Catalog returns the full fault catalogue, EDT first, in a fixed order the
-// RESIL experiment's arm numbering relies on.
-func Catalog() []Fault { return append(CatalogEDT(), CatalogEDN()...) }

@@ -210,7 +210,7 @@ func TestInjectorTruncation(t *testing.T) {
 func TestInjectorDeterministicLog(t *testing.T) {
 	run := func() []Injection {
 		clock := NewVirtualClock()
-		inj := NewInjector(Config{Seed: 99, Faults: CatalogEDT()},
+		inj := NewInjector(Config{Seed: 99, Faults: Catalog()[:6]}, // the EDT faults
 			HandlerTransport{Handler: okHandler("fine")}, clock)
 		for i := 0; i < 50; i++ {
 			resp, err := get(t, inj, fmt.Sprintf("http://chaos.test/bugdb/pr/%d", i))

@@ -106,8 +106,8 @@ func TestTreeRebootChargesClockAndCounts(t *testing.T) {
 	if comps["core"].kills != 0 {
 		t.Fatal("sibling core was killed by a leaf reboot")
 	}
-	if tree.Reboots("logger") != 1 || tree.TotalReboots() != 1 {
-		t.Fatalf("reboot counters: %d/%d", tree.Reboots("logger"), tree.TotalReboots())
+	if tree.Reboots("logger") != 1 || tree.Reboots("core") != 0 {
+		t.Fatalf("reboot counters: logger %d, core %d", tree.Reboots("logger"), tree.Reboots("core"))
 	}
 	if err := tree.Reboot("nope", false, nil); err == nil {
 		t.Fatal("reboot of unknown component accepted")
@@ -119,15 +119,23 @@ func TestTreeSubtree(t *testing.T) {
 	if err := tree.StartAll(); err != nil {
 		t.Fatalf("StartAll: %v", err)
 	}
-	sub := tree.SubtreeOf("cache")
-	if len(sub) != 2 || sub[0] != "cache" || sub[1] != "proxy" {
-		t.Fatalf("SubtreeOf(cache) = %v", sub)
+	var down []string
+	var cost time.Duration
+	if err := tree.Reboot("cache", true, func(c time.Duration) {
+		cost = c
+		for _, name := range tree.Names() {
+			if !tree.Running(name) {
+				down = append(down, name)
+			}
+		}
+	}); err != nil {
+		t.Fatalf("widened Reboot: %v", err)
 	}
-	if got, want := tree.SubtreeCost("cache"), 8*time.Millisecond; got != want {
-		t.Fatalf("SubtreeCost = %s, want %s", got, want)
+	if len(down) != 2 || down[0] != "cache" || down[1] != "proxy" {
+		t.Fatalf("down during the cache subtree reboot = %v, want [cache proxy]", down)
 	}
-	if err := tree.Reboot("cache", true, nil); err != nil {
-		t.Fatalf("RebootSubtree: %v", err)
+	if want := 8 * time.Millisecond; cost != want {
+		t.Fatalf("subtree reboot cost = %s, want %s", cost, want)
 	}
 	if comps["cache"].kills != 1 || comps["proxy"].kills != 1 {
 		t.Fatal("subtree reboot missed a dependent")
@@ -135,12 +143,20 @@ func TestTreeSubtree(t *testing.T) {
 	if comps["core"].kills != 0 || comps["logger"].kills != 0 {
 		t.Fatal("subtree reboot touched components outside the subtree")
 	}
-	if tree.TotalReboots() != 2 {
-		t.Fatalf("TotalReboots = %d, want 2", tree.TotalReboots())
+	if tree.Reboots("cache") != 1 || tree.Reboots("proxy") != 1 {
+		t.Fatalf("reboot counters: cache %d, proxy %d, want 1/1", tree.Reboots("cache"), tree.Reboots("proxy"))
 	}
-	root := tree.SubtreeOf("core")
-	if len(root) != 4 {
-		t.Fatalf("SubtreeOf(core) = %v, want all 4", root)
+	before := map[string]int{}
+	for name, c := range comps {
+		before[name] = c.kills
+	}
+	if err := tree.Reboot("core", true, nil); err != nil {
+		t.Fatalf("widened root Reboot: %v", err)
+	}
+	for name, c := range comps {
+		if c.kills != before[name]+1 {
+			t.Fatalf("widened root reboot killed %s %d times, want once", name, c.kills-before[name])
+		}
 	}
 }
 
@@ -159,8 +175,8 @@ func TestTreeKillRestartWindow(t *testing.T) {
 		t.Fatal("siblings down after a single-component Kill")
 	}
 	before := clock.Now()
-	if err := tree.Restart("cache"); err != nil {
-		t.Fatalf("Restart: %v", err)
+	if err := tree.Reboot("cache", false, nil); err != nil {
+		t.Fatalf("Reboot: %v", err)
 	}
 	if clock.Now()-before != 5*time.Millisecond {
 		t.Fatalf("restart charged %s", clock.Now()-before)

@@ -219,7 +219,7 @@ func TestRebootWindowPanicLeavesTreeUsable(t *testing.T) {
 	if tree.Running("core") {
 		t.Error("core up after a reboot whose window panicked")
 	}
-	if err := tree.Restart("core"); err != nil || !tree.Running("core") {
+	if err := tree.Reboot("core", false, nil); err != nil || !tree.Running("core") {
 		t.Errorf("tree unusable after the panic: %v", err)
 	}
 }

@@ -152,14 +152,8 @@ func (t *Tree) AllRunning() bool {
 	return true
 }
 
-// SubtreeOf returns name followed by every transitive dependent, in
+// subtreeLocked returns name followed by every transitive dependent, in
 // dependency order — the set a widened Reboot cycles.
-func (t *Tree) SubtreeOf(name string) []string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.subtreeLocked(name)
-}
-
 func (t *Tree) subtreeLocked(name string) []string {
 	in := map[string]bool{name: true}
 	// One forward pass over insertion order suffices: dependencies precede
@@ -182,33 +176,9 @@ func (t *Tree) subtreeLocked(name string) []string {
 	return out
 }
 
-// RebootCost returns the virtual time a Reboot of name charges (zero for
-// unknown names).
-func (t *Tree) RebootCost(name string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n, ok := t.nodes[name]
-	if !ok {
-		return 0
-	}
-	return n.spec.StartCost
-}
-
-// SubtreeCost returns the virtual time a widened Reboot of name charges: the
-// summed StartCost of the component and its transitive dependents.
-func (t *Tree) SubtreeCost(name string) time.Duration {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	var total time.Duration
-	for _, n := range t.subtreeLocked(name) {
-		total += t.nodes[n].spec.StartCost
-	}
-	return total
-}
-
 // Kill crash-stops one component without restarting it. Serving continues
 // through siblings; operations routed through the dead component observe
-// DownError until Restart brings it back.
+// DownError until a Reboot brings it back.
 func (t *Tree) Kill(name string) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
@@ -220,14 +190,8 @@ func (t *Tree) Kill(name string) error {
 	return nil
 }
 
-// Restart brings one killed component back up, charging its StartCost to
-// the clock and counting the completed reboot.
-func (t *Tree) Restart(name string) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.restartLocked(name)
-}
-
+// restartLocked brings one killed component back up, charging its StartCost
+// to the clock and counting the completed reboot.
 func (t *Tree) restartLocked(name string) error {
 	n, err := t.lookup(name)
 	if err != nil {
@@ -246,7 +210,7 @@ func (t *Tree) restartLocked(name string) error {
 // dependency order and restarted forward, each restart charging its
 // StartCost; siblings outside the set are untouched. Between the two halves
 // window, when non-nil, runs with the tree unlocked and the reboot's cost
-// (RebootCost or SubtreeCost): the outage during which requests routed
+// (the members' summed StartCost): the outage during which requests routed
 // through a member observe DownError while siblings keep serving through the
 // same tree. Every member is restarted even when an earlier one fails to
 // start; the first error is returned.
@@ -295,15 +259,4 @@ func (t *Tree) Reboots(name string) int {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	return t.reboots[name]
-}
-
-// TotalReboots returns the completed reboot count across all components.
-func (t *Tree) TotalReboots() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	total := 0
-	for _, n := range t.reboots {
-		total += n
-	}
-	return total
 }

@@ -10,12 +10,9 @@ import (
 	"faultstudy/internal/taxonomy"
 )
 
-// Options tunes the study pipeline; the zero value is the paper
-// configuration.
-type Options struct {
-	// Classifier tunes the fault classifier.
-	Classifier classify.Options
-}
+// Options is the study pipeline's configuration. It has no settings: the
+// pipeline always runs the paper configuration.
+type Options struct{}
 
 // Classified pairs a canonical report with its classification.
 type Classified struct {
@@ -69,7 +66,7 @@ func Classify(raw []*report.Report, opts Options) *AppResult {
 	canonical := report.Canonical(qualifying)
 	res.Unique = len(canonical)
 
-	classifier := classify.New(opts.Classifier)
+	classifier := classify.New(classify.Options{})
 	for _, r := range canonical {
 		decision := classifier.Classify(r)
 		res.Counts[decision.Class]++

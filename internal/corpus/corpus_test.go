@@ -26,9 +26,18 @@ var paperCounts = map[taxonomy.Application]map[taxonomy.FaultClass]int{
 	},
 }
 
+// countByClass tallies faults per class.
+func countByClass(faults []*Fault) map[taxonomy.FaultClass]int {
+	out := make(map[taxonomy.FaultClass]int, 3)
+	for _, f := range faults {
+		out[f.Class]++
+	}
+	return out
+}
+
 func TestTableCounts(t *testing.T) {
 	for app, want := range paperCounts {
-		got := CountByClass(ByApp(app))
+		got := countByClass(ByApp(app))
 		for class, n := range want {
 			if got[class] != n {
 				t.Errorf("%s %s: %d faults, paper says %d", app, class.Short(), got[class], n)
@@ -54,7 +63,7 @@ func TestTotals(t *testing.T) {
 
 func TestAggregateDiscussionNumbers(t *testing.T) {
 	// §5.4: of the 139 bugs, 14 are EDN (10%) and 12 are EDT (9%).
-	counts := CountByClass(All())
+	counts := countByClass(All())
 	if counts[taxonomy.ClassEnvDependentNonTransient] != 14 {
 		t.Errorf("EDN total = %d, want 14", counts[taxonomy.ClassEnvDependentNonTransient])
 	}
@@ -70,7 +79,7 @@ func TestEIShareRange(t *testing.T) {
 	// §1/§8: 72-87% of each application's faults are environment-independent.
 	for _, app := range taxonomy.Applications() {
 		faults := ByApp(app)
-		counts := CountByClass(faults)
+		counts := countByClass(faults)
 		share := float64(counts[taxonomy.ClassEnvIndependent]) / float64(len(faults))
 		if share < 0.72 || share > 0.87 {
 			t.Errorf("%s EI share = %.2f, want within [0.72, 0.87]", app, share)
@@ -106,19 +115,6 @@ func TestValidation(t *testing.T) {
 		if !r.Qualifies() {
 			t.Errorf("fault %s report does not meet the study bar", f.ID)
 		}
-	}
-}
-
-func TestByID(t *testing.T) {
-	f, ok := ByID("apache/ei-long-url")
-	if !ok {
-		t.Fatal("apache/ei-long-url missing")
-	}
-	if f.Mechanism != "httpd/long-url-overflow" {
-		t.Errorf("mechanism = %q", f.Mechanism)
-	}
-	if _, ok := ByID("nope/nothing"); ok {
-		t.Error("ByID should miss for unknown ID")
 	}
 }
 

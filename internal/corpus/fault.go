@@ -86,16 +86,6 @@ func All() []*Fault {
 	return out
 }
 
-// ByID returns the fault with the given corpus ID.
-func ByID(id string) (*Fault, bool) {
-	for _, f := range All() {
-		if f.ID == id {
-			return f, true
-		}
-	}
-	return nil, false
-}
-
 // ByApp returns the faults of one application.
 func ByApp(app taxonomy.Application) []*Fault {
 	switch app {
@@ -108,15 +98,6 @@ func ByApp(app taxonomy.Application) []*Fault {
 	default:
 		return nil
 	}
-}
-
-// CountByClass tallies faults per class.
-func CountByClass(faults []*Fault) map[taxonomy.FaultClass]int {
-	out := make(map[taxonomy.FaultClass]int, 3)
-	for _, f := range faults {
-		out[f.Class]++
-	}
-	return out
 }
 
 // validateSet checks structural invariants of a per-app fault list; used by

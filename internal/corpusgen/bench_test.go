@@ -14,7 +14,7 @@ func benchCorpus() *Corpus { return New(DefaultSpec(), 42) }
 
 func BenchmarkFaultAt(b *testing.B) {
 	c := benchCorpus()
-	n := c.Spec().Faults
+	n := c.spec.Faults
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = c.FaultAt(i % n)
@@ -23,7 +23,7 @@ func BenchmarkFaultAt(b *testing.B) {
 
 func BenchmarkEpisodeAt(b *testing.B) {
 	c := benchCorpus()
-	n := c.Spec().Episodes
+	n := c.spec.Episodes
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = c.EpisodeAt(i % n)

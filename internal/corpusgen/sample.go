@@ -128,9 +128,6 @@ func New(spec *Spec, seed int64) *Corpus {
 	return c
 }
 
-// Spec returns the corpus spec.
-func (c *Corpus) Spec() *Spec { return c.spec }
-
 // Derived-seed stream layout: fault i draws from index i, episode j from
 // Faults+j, and the PR site's duplicate counts from Faults+Episodes onward —
 // disjoint streams off one root seed.

@@ -52,7 +52,7 @@ func BenchmarkSimilarity(b *testing.B) {
 	c := "server dies with a segfault when the submitted url is very long; looks like hash overflow in the uri code"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Similarity(a, c, 3)
+		_ = similarity(a, c, 3)
 	}
 }
 

@@ -122,11 +122,6 @@ func Shingles(text string, k int) map[string]struct{} {
 	return set
 }
 
-// Similarity returns the Jaccard similarity of two texts' k-shingle sets.
-func Similarity(a, b string, k int) float64 {
-	return jaccard(Shingles(a, k), Shingles(b, k))
-}
-
 func jaccard(a, b map[string]struct{}) float64 {
 	if len(a) == 0 && len(b) == 0 {
 		return 0

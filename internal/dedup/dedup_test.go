@@ -39,17 +39,22 @@ func TestShingles(t *testing.T) {
 	}
 }
 
+// similarity is the Jaccard similarity of two texts' k-shingle sets.
+func similarity(a, b string, k int) float64 {
+	return jaccard(Shingles(a, k), Shingles(b, k))
+}
+
 func TestSimilarity(t *testing.T) {
 	a := "the server dies with a segfault when the submitted url is very long"
 	b := "server dies with a segfault when the submitted url is very long indeed"
-	if sim := Similarity(a, b, 3); sim < 0.5 {
+	if sim := similarity(a, b, 3); sim < 0.5 {
 		t.Errorf("near-duplicates similarity = %.2f, want >= 0.5", sim)
 	}
 	c := "optimize table crashes the database server"
-	if sim := Similarity(a, c, 3); sim > 0.1 {
+	if sim := similarity(a, c, 3); sim > 0.1 {
 		t.Errorf("unrelated similarity = %.2f, want ~0", sim)
 	}
-	if Similarity(a, a, 3) != 1.0 {
+	if similarity(a, a, 3) != 1.0 {
 		t.Error("self similarity should be 1")
 	}
 }
@@ -145,7 +150,7 @@ func TestMarkThresholdRespected(t *testing.T) {
 	// The pair shares all but its last word, which keeps it just below the
 	// 0.6 threshold, and neither synopsis contains the other, so nothing
 	// matches.
-	if sim := Similarity(a.Text(), b.Text(), 3); sim < 0.55 || sim >= 0.6 {
+	if sim := similarity(a.Text(), b.Text(), 3); sim < 0.55 || sim >= 0.6 {
 		t.Fatalf("premise: similarity %.2f is not just below the threshold", sim)
 	}
 	if n := Mark([]*report.Report{a, b}); n != 0 {
@@ -246,7 +251,7 @@ func TestMarkDocFreqCapKeepsPair(t *testing.T) {
 	}
 	a := withBoilerplate("PR-A", t0.AddDate(0, 0, 49), "segfault", "overflow")
 	b := withBoilerplate("PR-B", t0.AddDate(0, 0, 50), "crash", "loop")
-	if sim := Similarity(a.Text(), b.Text(), shingleSize); sim < threshold {
+	if sim := similarity(a.Text(), b.Text(), shingleSize); sim < threshold {
 		t.Fatalf("premise: pair similarity %.2f is below the threshold", sim)
 	}
 	reports = append(reports, a, b)
@@ -282,7 +287,7 @@ func TestMarkContainmentFloor(t *testing.T) {
 		{own: 14, lo: 0.25, hi: 0.28, wantDups: 1},
 	} {
 		a, b := containedPair(tc.own)
-		sim := Similarity(a.Text(), b.Text(), shingleSize)
+		sim := similarity(a.Text(), b.Text(), shingleSize)
 		if sim < tc.lo || sim >= tc.hi {
 			t.Fatalf("premise: %d own words give similarity %.3f, outside [%.2f, %.2f)", tc.own, sim, tc.lo, tc.hi)
 		}

@@ -96,7 +96,9 @@ func checkHistory(h history, crashAt int, tear int64) (int64, error) {
 		case stepCheckpoint:
 			err = st.Checkpoint()
 		case stepRollback:
-			lo := st.CheckpointSeq()
+			st.mu.Lock()
+			lo := st.ckptSeq
+			st.mu.Unlock()
 			target := lo + step.pick%(acked-lo+1)
 			if err = st.RollbackTo(target); err == nil {
 				model = model[:target]

@@ -230,11 +230,6 @@ func (s *Store) Put(key string, value []byte) error {
 	return s.Apply([]Op{{Kind: OpPut, Key: key, Value: value}})
 }
 
-// Delete removes key (idempotent).
-func (s *Store) Delete(key string) error {
-	return s.Apply([]Op{{Kind: OpDelete, Key: key}})
-}
-
 // Get returns the value stored under key.
 func (s *Store) Get(key string) ([]byte, bool) {
 	s.mu.Lock()
@@ -269,13 +264,6 @@ func (s *Store) Seq() uint64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.seq
-}
-
-// CheckpointSeq returns the sequence number the on-disk checkpoint covers.
-func (s *Store) CheckpointSeq() uint64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.ckptSeq
 }
 
 // Stats returns a copy of the lifetime counters.

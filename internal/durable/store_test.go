@@ -28,7 +28,7 @@ func TestPutGetReopenReplay(t *testing.T) {
 	}
 	mustPut(t, s, "k1", "v1")
 	mustPut(t, s, "k2", "v2")
-	if err := s.Delete("k1"); err != nil {
+	if err := s.Apply([]Op{{Kind: OpDelete, Key: "k1"}}); err != nil {
 		t.Fatalf("delete: %v", err)
 	}
 	if got, ok := s.Get("k2"); !ok || string(got) != "v2" {
@@ -87,8 +87,11 @@ func TestAutomaticCheckpoint(t *testing.T) {
 	if got := s.Stats().Checkpoints; got != 2 {
 		t.Fatalf("auto checkpoints %d, want 2", got)
 	}
-	if s.CheckpointSeq() != 8 {
-		t.Fatalf("checkpoint seq %d, want 8", s.CheckpointSeq())
+	s.Close()
+	s2, info := openTest(t, env, Options{CheckpointEvery: 4})
+	defer s2.Close()
+	if info.CheckpointSeq != 8 {
+		t.Fatalf("checkpoint seq %d, want 8", info.CheckpointSeq)
 	}
 }
 
@@ -114,7 +117,7 @@ func TestKillAtEveryWriteBoundary(t *testing.T) {
 			}
 			acked[st.key] = st.val
 		}
-		if err := s.Delete("c"); err != nil {
+		if err := s.Apply([]Op{{Kind: OpDelete, Key: "c"}}); err != nil {
 			return err
 		}
 		delete(acked, "c")

@@ -81,7 +81,7 @@ var apps = []appEntry{
 		register: httpd.RegisterMechanisms,
 		build: func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, scenarioFunc) {
 			env := simenv.New(seed, simenv.WithFDLimit(fdLimit(soak)), simenv.WithProcLimit(192))
-			srv := httpd.New(env, set, httpd.Config{})
+			srv := httpd.New(env, set)
 			return srv, func(key string) (faultinject.Scenario, bool) { return httpd.Scenario(srv, key) }
 		},
 		componentize: func(app recovery.Application) componentApp {

@@ -67,17 +67,11 @@ type CorpusConfig struct {
 	// DriftBand is the allowed per-class recovery-rate drift against the
 	// curated baseline, in percentage points (0 means 10).
 	DriftBand float64
-	// MinAgreement is the required classifier agreement over generated
-	// reports (0 means 0.98).
-	MinAgreement float64
 	// SiteFaults sizes the synthetic PR site's population (0 means 50000,
 	// which yields >= 100k PR pages).
 	SiteFaults int
 	// CrawlPages bounds the crawl sample over the site (0 means 400).
 	CrawlPages int
-	// MinSitePages gates the site's total page count; it defaults to 100000
-	// only when SiteFaults also defaults, and 0 otherwise (no gate).
-	MinSitePages int
 	// Telemetry, when non-nil, receives per-run traces and the corpus
 	// metric family. Nil costs nothing.
 	Telemetry *Telemetry
@@ -87,24 +81,30 @@ type CorpusConfig struct {
 	Workers int
 }
 
-// withDefaults fills the zero fields.
-func (c CorpusConfig) withDefaults() CorpusConfig {
+const (
+	// corpusMinAgreement is the required classifier agreement over
+	// generated reports.
+	corpusMinAgreement = 0.98
+	// corpusMinSitePages gates the default-sized site's total page count:
+	// 50000 faults yield at least 100k PR pages. A site sized by the caller
+	// has no page gate.
+	corpusMinSitePages = 100000
+)
+
+// withDefaults fills the zero fields and returns the site's page gate.
+func (c CorpusConfig) withDefaults() (CorpusConfig, int) {
 	if c.DriftBand == 0 {
 		c.DriftBand = 10
-	}
-	if c.MinAgreement == 0 {
-		c.MinAgreement = 0.98
 	}
 	if c.CrawlPages <= 0 {
 		c.CrawlPages = 400
 	}
+	minSitePages := 0
 	if c.SiteFaults <= 0 {
 		c.SiteFaults = 50000
-		if c.MinSitePages == 0 {
-			c.MinSitePages = 100000
-		}
+		minSitePages = corpusMinSitePages
 	}
-	return c
+	return c, minSitePages
 }
 
 // CorpusClassStat aggregates one fault class over the generated population.
@@ -171,9 +171,8 @@ type CorpusReport struct {
 	EpisodeStats []CorpusEpisodeStat
 	// GOF holds every sampled dimension's goodness-of-fit test.
 	GOF []corpusgen.GOFResult
-	// DriftBand and MinAgreement are the gates the report checks against.
-	DriftBand    float64
-	MinAgreement float64
+	// DriftBand is the recovery-rate drift gate the report checks against.
+	DriftBand float64
 	// SitePages is the synthetic PR site's total page count; SiteCrawled and
 	// SiteGaps are the crawl sample's outcomes; MinSitePages is the gate.
 	SitePages, SiteCrawled, SiteGaps, MinSitePages int
@@ -189,7 +188,7 @@ type CorpusReport struct {
 // Faults, episodes, and baseline runs are arms of runArms, seeded from
 // (Seed, salted index): outputs are byte-identical at every worker count.
 func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
-	cfg = cfg.withDefaults()
+	cfg, minSitePages := cfg.withDefaults()
 	spec, err := corpusgen.ParseCorpusSpec(cfg.Spec)
 	if err != nil {
 		return nil, err
@@ -207,8 +206,7 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	rep := &CorpusReport{
 		Seed: cfg.Seed, SpecText: spec.String(),
 		Faults: len(faults), Episodes: len(episodes),
-		DriftBand: cfg.DriftBand, MinAgreement: cfg.MinAgreement,
-		MinSitePages: cfg.MinSitePages,
+		DriftBand: cfg.DriftBand, MinSitePages: minSitePages,
 	}
 
 	// Phase 1: every generated fault through the classifier and the ladder.
@@ -516,9 +514,9 @@ func (r *CorpusReport) Check() error {
 		agree += st.Agreement.Hits
 		total += st.Agreement.N
 	}
-	if total > 0 && float64(agree)/float64(total) < r.MinAgreement {
+	if total > 0 && float64(agree)/float64(total) < corpusMinAgreement {
 		return fmt.Errorf("experiment: corpus check: classifier agreement %d/%d below %.2f",
-			agree, total, r.MinAgreement)
+			agree, total, corpusMinAgreement)
 	}
 	for _, st := range r.Classes {
 		if st.Covered.N == 0 {

@@ -155,7 +155,7 @@ func TestCorpusCheckGates(t *testing.T) {
 	good := func() *CorpusReport {
 		return &CorpusReport{
 			Faults: 100, Episodes: 10,
-			DriftBand: 10, MinAgreement: 0.98, MinSitePages: 100,
+			DriftBand: 10, MinSitePages: 100,
 			Classes: []CorpusClassStat{{
 				Class:        taxonomy.ClassEnvIndependent,
 				Agreement:    stats.Proportion{Hits: 100, N: 100},

@@ -7,6 +7,7 @@ import (
 	"faultstudy/internal/classify"
 	"faultstudy/internal/corpus"
 	"faultstudy/internal/recovery"
+	"faultstudy/internal/stats"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -58,8 +59,8 @@ func TestFigure1Shape(t *testing.T) {
 	if sum != 50 {
 		t.Errorf("figure covers %d faults, want 50", sum)
 	}
-	for i, share := range fig.EIShare() {
-		if share < 0.5 {
+	for i, total := range fig.Totals() {
+		if share := float64(fig.PerClass[taxonomy.ClassEnvIndependent][i]) / float64(total); total > 0 && share < 0.5 {
 			t.Errorf("bucket %d EI share %.2f; should stay a majority", i, share)
 		}
 	}
@@ -354,7 +355,15 @@ func TestClassProportionIndependence(t *testing.T) {
 	// critical value for the table's degrees of freedom (18.3 at dof=10,
 	// alpha=0.05).
 	for _, fig := range []*FigureSeries{Figure1Apache(), Figure3MySQL()} {
-		chi2, dof := ClassReleaseIndependence(fig)
+		table := make([][]float64, 0, 3)
+		for _, c := range taxonomy.Classes() {
+			row := make([]float64, len(fig.Buckets))
+			for i, n := range fig.PerClass[c] {
+				row[i] = float64(n)
+			}
+			table = append(table, row)
+		}
+		chi2, dof := stats.ChiSquare(table)
 		if dof == 0 {
 			t.Fatalf("%s: degenerate table", fig.App)
 		}
@@ -379,8 +388,12 @@ func TestMitigationAblation(t *testing.T) {
 	if ab.Governed.Hits >= ab.Governed.N {
 		t.Errorf("governor rescued all %d EDN faults; host-config conditions must remain fatal", ab.Governed.N)
 	}
+	byID := make(map[string]*corpus.Fault)
+	for _, f := range corpus.All() {
+		byID[f.ID] = f
+	}
 	for _, id := range ab.Rescued {
-		f, ok := corpus.ByID(id)
+		f, ok := byID[id]
 		if !ok {
 			t.Fatalf("unknown rescued fault %s", id)
 		}

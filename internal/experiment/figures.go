@@ -33,18 +33,6 @@ func (f *FigureSeries) Totals() []int {
 	return totals
 }
 
-// EIShare returns the environment-independent share per bucket.
-func (f *FigureSeries) EIShare() []float64 {
-	totals := f.Totals()
-	shares := make([]float64, len(f.Buckets))
-	for i, total := range totals {
-		if total > 0 {
-			shares[i] = float64(f.PerClass[taxonomy.ClassEnvIndependent][i]) / float64(total)
-		}
-	}
-	return shares
-}
-
 // Render draws the figure as an ASCII stacked bar chart.
 func (f *FigureSeries) Render() string {
 	series := []stats.StackedSeries{
@@ -168,21 +156,4 @@ func versionLess(a, b string) bool {
 		return as[i] < bs[i]
 	}
 	return len(as) < len(bs)
-}
-
-// ClassReleaseIndependence computes the chi-square statistic of the figure's
-// class-by-bucket contingency table against independence. The paper reads
-// Figures 1 and 3 as "the relative proportion of environment-independent
-// bugs stays about the same even for new releases" — a low statistic
-// relative to its degrees of freedom is that claim, quantified.
-func ClassReleaseIndependence(fig *FigureSeries) (chi2 float64, dof int) {
-	table := make([][]float64, 0, 3)
-	for _, c := range taxonomy.Classes() {
-		row := make([]float64, len(fig.Buckets))
-		for i, n := range fig.PerClass[c] {
-			row[i] = float64(n)
-		}
-		table = append(table, row)
-	}
-	return stats.ChiSquare(table)
 }

@@ -69,15 +69,6 @@ type LintApp struct {
 	Missing []string
 }
 
-// TruePositives sums TP across classes.
-func (a *LintApp) TruePositives() int {
-	n := 0
-	for _, s := range a.Scores {
-		n += s.TP
-	}
-	return n
-}
-
 // LintReport is the full validation result.
 type LintReport struct {
 	Root string

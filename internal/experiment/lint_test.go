@@ -36,7 +36,11 @@ func TestLintValidation(t *testing.T) {
 		if la.Sites == 0 {
 			t.Errorf("%s: no attributed raise sites", la.App)
 		}
-		if tp := la.TruePositives(); tp < 1 {
+		tp := 0
+		for _, s := range la.Scores {
+			tp += s.TP
+		}
+		if tp < 1 {
 			t.Errorf("%s: true positives = %d, want >= 1", la.App, tp)
 		}
 	}

@@ -45,7 +45,7 @@ func RunOpsToFailure(maxOps int, seed int64) ([]OpsToFailurePoint, error) {
 	for _, m := range mixes {
 		env := simenv.New(seed, simenv.WithProcLimit(64), simenv.WithFDLimit(1024),
 			simenv.WithDiskBytes(1<<30), simenv.WithMaxFileSize(1<<29))
-		srv := httpd.New(env, faultinject.NewSet(httpd.MechProcTableFull), httpd.Config{})
+		srv := httpd.New(env, faultinject.NewSet(httpd.MechProcTableFull))
 		if err := srv.Start(); err != nil {
 			return nil, fmt.Errorf("experiment: ops-to-failure start: %w", err)
 		}

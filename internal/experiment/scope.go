@@ -59,9 +59,6 @@ type ScopeConfig struct {
 	// negative means one per processor; 1 is serial). Reports and telemetry
 	// are byte-identical at every worker count.
 	Workers int
-	// Root overrides the module root the application sources are loaded
-	// from ("" walks up from the working directory to the nearest go.mod).
-	Root string
 }
 
 // ScopeArm is one (mechanism, rung) probe cell: the application run under
@@ -152,12 +149,9 @@ type ScopeReport struct {
 // Probe arms run on runArms, seeded from (Seed, arm index): outputs are
 // byte-identical at every worker count.
 func RunScope(cfg ScopeConfig) (*ScopeReport, error) {
-	root := cfg.Root
-	if root == "" {
-		var err error
-		if root, err = ModuleRoot(); err != nil {
-			return nil, err
-		}
+	root, err := ModuleRoot()
+	if err != nil {
+		return nil, err
 	}
 	pkgs, err := faultlint.Load(root, []string{"internal/apps/..."})
 	if err != nil {

@@ -82,9 +82,6 @@ type ServeConfig struct {
 	// Arrival is the arrival-process spec ("poisson:<gap>" or
 	// "fixed:<gap>"; default "poisson:1ms").
 	Arrival string
-	// SLO is the objective requests are scored against (default
-	// traffic.DefaultSLO).
-	SLO traffic.SLO
 	// Telemetry, when non-nil, receives per-episode traces and the serve
 	// metric family from every arm. Nil costs nothing.
 	Telemetry *Telemetry
@@ -107,9 +104,6 @@ func (c ServeConfig) withDefaults() ServeConfig {
 	}
 	if c.Arrival == "" {
 		c.Arrival = serveDefaultArrival
-	}
-	if c.SLO == (traffic.SLO{}) {
-		c.SLO = traffic.DefaultSLO()
 	}
 	return c
 }
@@ -176,8 +170,6 @@ type ServeReport struct {
 	Users, Requests int
 	// Arrival is the arrival-process spec the schedules used.
 	Arrival string
-	// SLO is the objective every arm was scored against.
-	SLO traffic.SLO
 	// Arms holds every (mechanism, rung) cell.
 	Arms []ServeArm
 }
@@ -234,7 +226,7 @@ func RunServe(cfg ServeConfig) (*ServeReport, error) {
 		return nil, err
 	}
 	return &ServeReport{Seed: cfg.Seed, Users: cfg.Users, Requests: cfg.Requests,
-		Arrival: cfg.Arrival, SLO: cfg.SLO, Arms: arms}, nil
+		Arrival: cfg.Arrival, Arms: arms}, nil
 }
 
 // serveApp is what a SERVE arm needs from an application: the recovery
@@ -394,7 +386,7 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 	var de *component.DownError
 	switch {
 	case err == nil:
-		r.record(arr, r.cfg.SLO.Outcome(arr.Service), "", "", arr.Service)
+		r.record(arr, traffic.DefaultSLO().Outcome(arr.Service), "", "", arr.Service)
 	case errors.As(err, &de):
 		r.record(arr, traffic.OutcomeRefused, de.Component, err.Error(), 0)
 	default:
@@ -415,7 +407,7 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 		if recovered {
 			// The user waited from arrival through recovery, then was served.
 			latency := r.env.Monotonic() - arrivedAt + arr.Service
-			r.record(arr, r.cfg.SLO.Outcome(latency), "", "", latency)
+			r.record(arr, traffic.DefaultSLO().Outcome(latency), "", "", latency)
 		} else {
 			r.record(arr, traffic.OutcomeLost, "", err.Error(), 0)
 		}
@@ -534,7 +526,7 @@ func (r *serveRun) outage(target string, cost time.Duration) {
 		switch {
 		case err == nil:
 			r.arm.OutageServed++
-			r.record(arr, r.cfg.SLO.Outcome(arr.Service), "", "", arr.Service)
+			r.record(arr, traffic.DefaultSLO().Outcome(arr.Service), "", "", arr.Service)
 		case errors.As(err, &de):
 			r.record(arr, traffic.OutcomeRefused, de.Component, err.Error(), 0)
 		default:
@@ -558,7 +550,7 @@ func (r *serveRun) drainLost(until time.Duration, why string) {
 // score computes the arm's SLO burn and emits the terminal gauge.
 func (r *serveRun) score() float64 {
 	bad := r.arm.Requests - r.arm.Good
-	burn := r.cfg.SLO.Burn(bad, r.arm.Requests)
+	burn := traffic.DefaultSLO().Burn(bad, r.arm.Requests)
 	if r.tel != nil {
 		r.tel.Registry.Gauge(MetricServeSLOBurn,
 			obsv.L("app", r.mech.App.String(), "rung", r.rung,
@@ -589,7 +581,7 @@ func (r *ServeReport) cell(class taxonomy.FaultClass, rung string) ServeArm {
 // total bad requests over total requests, as error-budget multiples.
 func (r *ServeReport) BurnBy(class taxonomy.FaultClass, rung string) float64 {
 	c := r.cell(class, rung)
-	return r.SLO.Burn(c.Requests-c.Good, c.Requests)
+	return traffic.DefaultSLO().Burn(c.Requests-c.Good, c.Requests)
 }
 
 // WriteRequestLog writes every arm's request records as one JSONL stream in
@@ -627,9 +619,9 @@ func (r *ServeReport) Check() error {
 // String renders the class × rung aggregate and the headline.
 func (r *ServeReport) String() string {
 	var b strings.Builder
+	slo := traffic.DefaultSLO()
 	fmt.Fprintf(&b, "SERVE experiment (seed %d, %d arms, %d users × %d requests, %s, SLO %.3g%% @ %s):\n",
-		r.Seed, len(r.Arms), r.Users, r.Requests, r.Arrival,
-		r.SLO.Objective*100, r.SLO.Latency)
+		r.Seed, len(r.Arms), r.Users, r.Requests, r.Arrival, slo.Objective*100, slo.Latency)
 	tbl := &stats.Table{Header: []string{
 		"class", "rung", "requests", "good", "refused", "lost", "burn", "reboot-served", "mttr"}}
 	for _, class := range taxonomy.Classes() {
@@ -641,7 +633,7 @@ func (r *ServeReport) String() string {
 			gp := stats.Proportion{Hits: c.OutageServed, N: c.OutageArrivals}
 			tbl.Add(class.Short(), rung,
 				fmt.Sprint(c.Requests), fmt.Sprint(c.Good), fmt.Sprint(c.Refused), fmt.Sprint(c.Lost),
-				fmt.Sprintf("%.1fx", r.SLO.Burn(c.Requests-c.Good, c.Requests)),
+				fmt.Sprintf("%.1fx", slo.Burn(c.Requests-c.Good, c.Requests)),
 				fmt.Sprintf("%d/%d (%s)", gp.Hits, gp.N, gp.Percent()),
 				mrebootMTTRCell(c.MTTR()))
 		}

@@ -170,9 +170,6 @@ func TestServeConfigDefaults(t *testing.T) {
 	if c.Users != 1200 || c.Requests != 2400 || c.Arrival != "poisson:1ms" {
 		t.Fatalf("defaults = %d users, %d requests, %q", c.Users, c.Requests, c.Arrival)
 	}
-	if c.SLO != traffic.DefaultSLO() {
-		t.Fatalf("default SLO = %+v", c.SLO)
-	}
 	c = ServeConfig{Users: 500, Requests: 100}.withDefaults()
 	if c.Requests != 500 {
 		t.Fatalf("requests floor = %d, want raised to users (500)", c.Requests)

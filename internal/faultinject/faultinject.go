@@ -107,9 +107,8 @@ func (r *Registry) ByApp(app taxonomy.Application) []Mechanism {
 
 // Set is the activation set: which seeded bugs are live. The zero Set has
 // everything disabled; applications consult Enabled at each potential fault
-// point.
+// point. A Set is fixed when it is built, so concurrent reads need no lock.
 type Set struct {
-	mu      sync.Mutex
 	enabled map[string]bool
 }
 
@@ -128,26 +127,7 @@ func (s *Set) Enabled(key string) bool {
 	if s == nil {
 		return false
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
 	return s.enabled[key]
-}
-
-// Enable turns a bug on.
-func (s *Set) Enable(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.enabled == nil {
-		s.enabled = make(map[string]bool)
-	}
-	s.enabled[key] = true
-}
-
-// Disable turns a bug off.
-func (s *Set) Disable(key string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.enabled, key)
 }
 
 // FailureError is the error a simulated application raises when a seeded bug

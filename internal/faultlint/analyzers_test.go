@@ -71,7 +71,7 @@ func TestAnalyzerFixtures(t *testing.T) {
 				t.Fatalf("fixture %s has no want markers", a.Name)
 			}
 			got := make(map[string]string)
-			for _, d := range result.Active() {
+			for _, d := range activeOf(result) {
 				key := fmt.Sprintf("%s:%d", d.File, d.Line)
 				got[key] = d.Class.Short()
 				if d.Rule != a.Name {
@@ -147,7 +147,7 @@ func TestSuppression(t *testing.T) {
 	if !reasons["deliberate demo pacing"] || !reasons["covers the next line"] {
 		t.Errorf("suppression reasons not carried through: %v", reasons)
 	}
-	if got := len(result.Active()); got != active {
+	if got := len(activeOf(result)); got != active {
 		t.Errorf("Active() = %d findings, want %d", got, active)
 	}
 }

@@ -171,17 +171,6 @@ type Result struct {
 	Diagnostics []Diagnostic `json:"diagnostics"`
 }
 
-// Active returns the unsuppressed findings.
-func (r *Result) Active() []Diagnostic {
-	var out []Diagnostic
-	for _, d := range r.Diagnostics {
-		if !d.Suppressed {
-			out = append(out, d)
-		}
-	}
-	return out
-}
-
 // Gating returns the findings that fail the gate: active and non-advisory.
 func (r *Result) Gating() []Diagnostic {
 	var out []Diagnostic
@@ -189,15 +178,6 @@ func (r *Result) Gating() []Diagnostic {
 		if !d.Suppressed && !d.Advisory {
 			out = append(out, d)
 		}
-	}
-	return out
-}
-
-// ByRule tallies findings (suppressed included) per rule.
-func (r *Result) ByRule() map[string]int {
-	out := make(map[string]int)
-	for _, d := range r.Diagnostics {
-		out[d.Rule]++
 	}
 	return out
 }

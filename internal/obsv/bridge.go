@@ -117,22 +117,12 @@ type Observer struct {
 
 // NewObserver builds an observer writing to the given sinks under the given
 // identity context. The context's App/FaultID/Class label every episode and
-// metric the observer emits; SetContext switches identity between runs.
+// metric the observer emits; each run builds its own observer.
 func NewObserver(reg *Registry, rec *Recorder, ctx Context) *Observer {
 	registerHelp(reg)
 	rec.SetContext(ctx)
 	return &Observer{reg: reg, rec: rec, ctx: ctx}
 }
-
-// SetContext switches the identity attached to subsequent episodes and
-// metrics — the soak and matrix paths reuse one observer across faults.
-func (o *Observer) SetContext(ctx Context) {
-	o.ctx = ctx
-	o.rec.SetContext(ctx)
-}
-
-// Recorder returns the observer's episode sink (may be nil).
-func (o *Observer) Recorder() *Recorder { return o.rec }
 
 // class resolves the class label for a mechanism under the current context.
 func (o *Observer) class(mechanism string) string {

@@ -76,7 +76,7 @@ func TestObserverSuperviseStream(t *testing.T) {
 	if got := reg.Counter(MetricBackoffSeconds, L("app", "apache")...).Value(); got != 3 {
 		t.Errorf("backoff seconds = %v, want 3", got)
 	}
-	if got := reg.Histogram(MetricRetriesPerRecovery, RetryBuckets, L("app", "apache", "class", "EI")...).Count(); got != 1 {
+	if got := histCount(reg.Histogram(MetricRetriesPerRecovery, RetryBuckets, L("app", "apache", "class", "EI")...)); got != 1 {
 		t.Errorf("retry histogram count = %v, want 1", got)
 	}
 	if got := reg.Counter(MetricWatchdogTimeouts, L("app", "apache", "mechanism", "httpd/wedge")...).Value(); got != 1 {

@@ -32,8 +32,8 @@
 //
 // Instrumentation attaches through the hook interfaces the instrumented
 // packages already expose (supervise.Config.Trace, recovery.Policy.Trace,
-// workload.Hook): SuperviseObserver, RecoveryObserver, and WorkloadHook
-// adapt those event streams into registry metrics and recorder episodes.
+// workload.Hook): Observer, RecoveryObserver, and WorkloadHook adapt those
+// event streams into registry metrics and recorder episodes.
 // Hooks are nil-safe and cost one branch when disabled.
 //
 // Metric names, label sets, histogram buckets, and the trace-span schema

@@ -52,8 +52,8 @@ func TestRegistryUnsortedLabelsShareSeries(t *testing.T) {
 	if sorted != unsorted {
 		t.Error("unsorted labels resolved to a different series than sorted ones")
 	}
-	if r.Len() != 1 {
-		t.Errorf("Len = %d, want 1", r.Len())
+	if seriesLen(r) != 1 {
+		t.Errorf("Len = %d, want 1", seriesLen(r))
 	}
 }
 
@@ -78,8 +78,8 @@ func TestRegistryOwnsItsLabels(t *testing.T) {
 			if out := buf.String(); strings.Contains(out, "mutated") || !strings.Contains(out, `c{a="1",b="2"} 1`) {
 				t.Errorf("export reflects the caller's later mutation:\n%s", out)
 			}
-			if r.Len() != 1 {
-				t.Errorf("Len = %d, want 1", r.Len())
+			if seriesLen(r) != 1 {
+				t.Errorf("Len = %d, want 1", seriesLen(r))
 			}
 		})
 	}

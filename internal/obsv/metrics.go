@@ -125,13 +125,6 @@ func (g *Gauge) Set(v float64) {
 	g.mu.Unlock()
 }
 
-// Add shifts the gauge by delta (negative deltas allowed).
-func (g *Gauge) Add(delta float64) {
-	g.mu.Lock()
-	g.v += delta
-	g.mu.Unlock()
-}
-
 // Value returns the current value.
 func (g *Gauge) Value() float64 {
 	g.mu.Lock()
@@ -195,20 +188,6 @@ func (h *Histogram) Observe(v float64) {
 
 // ObserveDuration records a duration observation in seconds.
 func (h *Histogram) ObserveDuration(d time.Duration) { h.Observe(d.Seconds()) }
-
-// Count returns the number of observations.
-func (h *Histogram) Count() uint64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.total
-}
-
-// Sum returns the sum of all observations.
-func (h *Histogram) Sum() float64 {
-	h.mu.Lock()
-	defer h.mu.Unlock()
-	return h.sum
-}
 
 // snapshot returns the bucket bounds with cumulative counts, plus sum and
 // total, under the lock.
@@ -380,14 +359,4 @@ func (r *Registry) sortedSeries() []*series {
 		return labelKey(out[i].labels) < labelKey(out[j].labels)
 	})
 	return out
-}
-
-// Len returns the number of live series.
-func (r *Registry) Len() int {
-	if r == nil {
-		return 0
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.series)
 }

@@ -6,7 +6,7 @@
 // The design contract is worker-count invariance: every quantity a shard
 // computes may depend only on the shard's index and the root seed — never on
 // which worker ran it, when it ran, or what ran before it. Shards write into
-// index-addressed slots and derive their randomness through Derive/Stream, so
+// index-addressed slots and derive their randomness through Derive, so
 // an experiment sharded over N workers is byte-identical to the same
 // experiment run serially. That property is what lets the recovery-matrix and
 // soak sweeps run as fast as the hardware allows while keeping the paper's

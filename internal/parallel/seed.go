@@ -1,26 +1,11 @@
 package parallel
 
-// SplitMix64 is the 64-bit mixing generator from Steele, Lea & Flood,
-// "Fast Splittable Pseudorandom Number Generators" (OOPSLA 2014) — the
-// standard way to split one root seed into statistically independent
-// per-shard streams. It is tiny, allocation-free, and passes BigCrush when
-// used as a stepper, which is far more than the experiment engine needs:
-// here it only has to guarantee that shard i's seed is a pure function of
-// (root, i), so any worker can compute it without coordination.
-type SplitMix64 struct {
-	state uint64
-}
-
-// NewSplitMix64 seeds a stepper.
-func NewSplitMix64(seed uint64) *SplitMix64 { return &SplitMix64{state: seed} }
-
-// Next returns the next value in the stream.
-func (s *SplitMix64) Next() uint64 {
-	s.state += 0x9e3779b97f4a7c15
-	return mix64(s.state)
-}
-
-// mix64 is SplitMix64's output finalizer.
+// mix64 is the output finalizer of SplitMix64, the 64-bit mixing generator
+// from Steele, Lea & Flood, "Fast Splittable Pseudorandom Number Generators"
+// (OOPSLA 2014) — the standard way to split one root seed into statistically
+// independent per-shard streams. Here it only has to guarantee that shard i's
+// seed is a pure function of (root, i), so any worker can compute it without
+// coordination.
 func mix64(z uint64) uint64 {
 	z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9
 	z = (z ^ (z >> 27)) * 0x94d049bb133111eb
@@ -37,14 +22,3 @@ func Derive(root int64, index uint64) int64 {
 	const gamma = 0x9e3779b97f4a7c15
 	return int64(mix64(uint64(root) + (index+1)*gamma))
 }
-
-// Stream hands out per-shard seeds derived from one root. The zero value is
-// the stream rooted at 0. Stream is stateless and safe for concurrent use:
-// Seed(i) always returns Derive(root, i).
-type Stream struct {
-	// Root is the root seed the per-shard seeds derive from.
-	Root int64
-}
-
-// Seed returns shard i's seed.
-func (s Stream) Seed(i int) int64 { return Derive(s.Root, uint64(i)) }

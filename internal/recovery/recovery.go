@@ -102,12 +102,6 @@ func Strategies() []Strategy {
 	return []Strategy{StrategyNone, StrategyProcessPairs, StrategyProgressiveRetry, StrategyCleanRestart}
 }
 
-// Generic reports whether the strategy is application-generic (uses no
-// application-specific knowledge or code).
-func (s Strategy) Generic() bool {
-	return s == StrategyProcessPairs || s == StrategyProgressiveRetry
-}
-
 // takeover is the virtual time the environment advances per recovery:
 // failure detection plus backup takeover.
 const takeover = 45 * time.Second

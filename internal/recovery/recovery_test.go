@@ -22,7 +22,7 @@ var (
 func httpdScenario(t *testing.T, mech string, seed int64) (*httpd.Server, faultinject.Scenario) {
 	t.Helper()
 	env := simenv.New(seed, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
-	srv := httpd.New(env, faultinject.NewSet(mech), httpd.Config{})
+	srv := httpd.New(env, faultinject.NewSet(mech))
 	sc, ok := httpd.Scenario(srv, mech)
 	if !ok {
 		t.Fatalf("no scenario for %s", mech)
@@ -286,12 +286,6 @@ func TestStrategyStrings(t *testing.T) {
 	}
 	if Strategy(99).String() != "Strategy(99)" {
 		t.Error("unknown strategy string")
-	}
-	if StrategyNone.Generic() || StrategyCleanRestart.Generic() {
-		t.Error("none/clean-restart are not generic")
-	}
-	if !StrategyProcessPairs.Generic() || !StrategyProgressiveRetry.Generic() {
-		t.Error("process pairs and progressive retry are generic")
 	}
 }
 

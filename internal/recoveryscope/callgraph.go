@@ -65,16 +65,6 @@ type FuncNode struct {
 	Reach *WriteSet
 }
 
-// SortedTriggers returns the reachable trigger kinds in ascending order.
-func (n *FuncNode) SortedTriggers() []taxonomy.TriggerKind {
-	out := make([]taxonomy.TriggerKind, 0, len(n.Triggers))
-	for t := range n.Triggers {
-		out = append(out, t)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
-
 // Graph is the whole-program call graph over the loaded packages.
 type Graph struct {
 	// Pkgs are the packages, in load (directory) order.

@@ -51,16 +51,6 @@ func (r Rung) String() string {
 	return fmt.Sprintf("Rung(%d)", int(r))
 }
 
-// ParseRung parses a canonical rung name.
-func ParseRung(v string) (Rung, error) {
-	for r, s := range rungNames {
-		if s == v {
-			return r, nil
-		}
-	}
-	return RungNone, fmt.Errorf("recoveryscope: unrecognized rung %q", v)
-}
-
 // Rungs returns the ladder in ascending cost order, RungNone excluded —
 // the probe axis of the SCOPE experiment.
 func Rungs() []Rung {

@@ -67,17 +67,20 @@ func TestCrawlRecordsGapAndContinues(t *testing.T) {
 	if len(gaps) != 1 || !strings.HasSuffix(gaps[0].URL, "/bugs/doomed") {
 		t.Errorf("gaps = %+v", gaps)
 	}
-	report := RenderGaps(pages)
-	if !strings.Contains(report, "3/4 pages fetched") || !strings.Contains(report, "/bugs/doomed") {
+	report := RenderGapList(gaps)
+	if !strings.Contains(report, "/bugs/doomed") {
 		t.Errorf("gap report missing expected lines:\n%s", report)
 	}
 }
 
-func TestRenderGapsClean(t *testing.T) {
+func TestCoverageClean(t *testing.T) {
 	pages := []*Page{{URL: "http://x/a", Status: 200}, {URL: "http://x/b", Status: 404}}
-	got := RenderGaps(pages)
-	if !strings.Contains(got, "no gaps") || !strings.Contains(got, "1/2 pages fetched") {
-		t.Errorf("clean report wrong:\n%s", got)
+	cov := CoverageOf(pages)
+	if cov != (Coverage{Attempted: 2, Fetched: 1, NonOK: 1}) {
+		t.Errorf("coverage = %+v, want 2 attempted / 1 fetched / 1 non-2xx / 0 gaps", cov)
+	}
+	if gaps := GapsOf(pages); len(gaps) != 0 {
+		t.Errorf("a non-2xx page is not a gap: %+v", gaps)
 	}
 }
 
@@ -105,7 +108,7 @@ func (s *countingSite) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 func crawlThrottled(t *testing.T, pol resilient.Policy) ([]*Page, map[string]int, resilient.Stats, time.Duration) {
 	t.Helper()
 	var throttle chaoshttp.Fault
-	for _, f := range chaoshttp.CatalogEDT() {
+	for _, f := range chaoshttp.Catalog() {
 		if f.Name == "edt/429-once" {
 			throttle = f
 		}

@@ -56,26 +56,8 @@ func CoverageOf(pages []*Page) Coverage {
 	return cov
 }
 
-// RenderGaps renders the coverage summary and the gap report for a crawl —
-// the text bugminer prints on exit instead of dying mid-crawl.
-func RenderGaps(pages []*Page) string {
-	cov := CoverageOf(pages)
-	var b strings.Builder
-	fmt.Fprintf(&b, "crawl coverage: %d/%d pages fetched (%d non-2xx, %d gaps)\n",
-		cov.Fetched, cov.Attempted, cov.NonOK, cov.Gaps)
-	gaps := GapsOf(pages)
-	if len(gaps) == 0 {
-		b.WriteString("no gaps: every reachable page was fetched\n")
-		return b.String()
-	}
-	b.WriteString("gap report (pages lost after exhausting recovery):\n")
-	b.WriteString(RenderGapList(gaps))
-	return b.String()
-}
-
-// RenderGapList renders the per-gap lines of an already-extracted gap set —
-// the shape callers holding a Miner's accumulated gaps (rather than raw
-// pages) print.
+// RenderGapList renders the per-gap lines of a gap set — the gap report
+// bugminer prints from a Miner's accumulated gaps.
 func RenderGapList(gaps []Gap) string {
 	var b strings.Builder
 	for _, g := range gaps {

@@ -3,7 +3,6 @@ package simenv
 import (
 	"errors"
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -17,7 +16,7 @@ var (
 	// ErrNoSuchFile is returned for operations on missing files.
 	ErrNoSuchFile = errors.New("simenv: no such file")
 	// ErrDiskCrashed is returned by every disk operation after a simulated
-	// process crash at a write boundary (ScheduleCrash/CrashNow) until
+	// process crash at a write boundary (ScheduleCrash) until
 	// ClearCrash models the replacement process starting up.
 	ErrDiskCrashed = errors.New("simenv: process crashed at a write boundary")
 	// ErrShortWrite is returned by a Write that persisted only a prefix of
@@ -122,20 +121,6 @@ func (d *Disk) SetMaxFileSize(n int64) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
 	d.maxFileSize = n
-}
-
-// Used returns the bytes in use.
-func (d *Disk) Used() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.used
-}
-
-// Free returns the bytes available.
-func (d *Disk) Free() int64 {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.capacity - d.used
 }
 
 // mutateLocked is the crash-boundary gate every data-mutating operation
@@ -442,29 +427,6 @@ func (d *Disk) RemoveOwner(owner string) int64 {
 	return freed
 }
 
-// Owner returns the owner tag the named file is charged to.
-func (d *Disk) Owner(name string) (string, error) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	f, ok := d.files[name]
-	if !ok {
-		return "", fmt.Errorf("owner %q: %w", name, ErrNoSuchFile)
-	}
-	return f.owner, nil
-}
-
-// Files returns the file names in sorted order.
-func (d *Disk) Files() []string {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	names := make([]string, 0, len(d.files))
-	for name := range d.files {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
 // SetIllegalOwner marks the file's owner field as holding an illegal value —
 // the GNOME host-config trigger. Applications that parse the owner field
 // observe the flag through IllegalOwner.
@@ -540,14 +502,6 @@ func (d *Disk) ScheduleCrash(after int, keepTail int64) {
 	d.crashArmed = true
 	d.crashAfter = after
 	d.crashKeep = keepTail
-}
-
-// CrashNow crashes the process immediately, tearing unsynced tails to at
-// most keepTail bytes, without waiting for a write boundary.
-func (d *Disk) CrashNow(keepTail int64) {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.crashLocked(keepTail)
 }
 
 // crashLocked applies the crash: durable bytes survive, each unsynced tail

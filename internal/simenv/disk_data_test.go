@@ -9,6 +9,33 @@ import (
 
 func newTestDisk(capacity, maxFile int64) *Disk { return newDisk(capacity, maxFile) }
 
+// diskUsed reads the disk's space accounting.
+func diskUsed(d *Disk) int64 {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return d.used
+}
+
+// fileOwner reads the owner tag a file is charged to ("" when absent).
+func fileOwner(d *Disk, name string) string {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if f, ok := d.files[name]; ok {
+		return f.owner
+	}
+	return ""
+}
+
+// crashAtNextWrite crashes d at its next data-mutating operation, which must
+// report ErrDiskCrashed, tearing unsynced tails to at most keep bytes.
+func crashAtNextWrite(t *testing.T, d *Disk, name string, keep int64) {
+	t.Helper()
+	d.ScheduleCrash(0, keep)
+	if err := d.Write(name, "app", []byte("lost")); !errors.Is(err, ErrDiskCrashed) {
+		t.Fatalf("write at the crash boundary: %v, want ErrDiskCrashed", err)
+	}
+}
+
 func TestWriteSyncReadAll(t *testing.T) {
 	d := newTestDisk(1024, 512)
 	if err := d.Write("/w/log", "app", []byte("hello ")); err != nil {
@@ -31,8 +58,8 @@ func TestWriteSyncReadAll(t *testing.T) {
 	if sz, _ := d.Size("/w/log"); sz != 11 {
 		t.Fatalf("size %d, want 11", sz)
 	}
-	if d.Used() != 11 {
-		t.Fatalf("used %d, want 11", d.Used())
+	if diskUsed(d) != 11 {
+		t.Fatalf("used %d, want 11", diskUsed(d))
 	}
 }
 
@@ -48,8 +75,8 @@ func TestWriteEnforcesLimits(t *testing.T) {
 		t.Fatalf("over-capacity write: %v, want ErrDiskFull", err)
 	}
 	// Failed writes leave the file and accounting unchanged.
-	if d.Used() != 60 {
-		t.Fatalf("used %d, want 60", d.Used())
+	if diskUsed(d) != 60 {
+		t.Fatalf("used %d, want 60", diskUsed(d))
 	}
 }
 
@@ -60,7 +87,7 @@ func TestCrashDiscardsUnsyncedTail(t *testing.T) {
 		t.Fatalf("sync: %v", err)
 	}
 	mustWrite(t, d, "/w/log", []byte("buffered"))
-	d.CrashNow(0)
+	crashAtNextWrite(t, d, "/w/log", 0)
 	if !d.Crashed() {
 		t.Fatal("disk not crashed")
 	}
@@ -78,8 +105,8 @@ func TestCrashDiscardsUnsyncedTail(t *testing.T) {
 	if string(got) != "durable." {
 		t.Fatalf("survived %q, want %q", got, "durable.")
 	}
-	if d.Used() != 8 {
-		t.Fatalf("used %d, want 8", d.Used())
+	if diskUsed(d) != 8 {
+		t.Fatalf("used %d, want 8", diskUsed(d))
 	}
 }
 
@@ -90,7 +117,7 @@ func TestCrashTearsTail(t *testing.T) {
 		t.Fatalf("sync: %v", err)
 	}
 	mustWrite(t, d, "/w/log", []byte("EFGHIJ"))
-	d.CrashNow(3) // keep a 3-byte torn prefix of the tail
+	crashAtNextWrite(t, d, "/w/log", 3) // keep a 3-byte torn prefix of the tail
 	d.ClearCrash()
 	got, _ := d.ReadAll("/w/log")
 	if string(got) != "abcdEFG" {
@@ -144,8 +171,8 @@ func TestArmShortWrite(t *testing.T) {
 	if string(got) != "ab" {
 		t.Fatalf("persisted %q, want %q", got, "ab")
 	}
-	if d.Used() != 2 {
-		t.Fatalf("used %d, want 2", d.Used())
+	if diskUsed(d) != 2 {
+		t.Fatalf("used %d, want 2", diskUsed(d))
 	}
 	// The arm is consumed: the next write is whole.
 	if err := d.Write("/w/log", "app", []byte("cd")); err != nil {
@@ -176,8 +203,8 @@ func TestArmSyncFail(t *testing.T) {
 	if len(got) != 0 {
 		t.Fatalf("tail survived failed sync: %q", got)
 	}
-	if d.Used() != 0 {
-		t.Fatalf("used %d, want 0", d.Used())
+	if diskUsed(d) != 0 {
+		t.Fatalf("used %d, want 0", diskUsed(d))
 	}
 }
 
@@ -216,12 +243,11 @@ func TestRenameReplacesTarget(t *testing.T) {
 	if d.Exists("/w/ckpt.tmp") {
 		t.Fatal("tmp survived rename")
 	}
-	if d.Used() != 5 {
-		t.Fatalf("used %d, want 5 (old charge released)", d.Used())
+	if diskUsed(d) != 5 {
+		t.Fatalf("used %d, want 5 (old charge released)", diskUsed(d))
 	}
-	owner, err := d.Owner("/w/ckpt")
-	if err != nil || owner != "app" {
-		t.Fatalf("owner %q (%v), want app", owner, err)
+	if owner := fileOwner(d, "/w/ckpt"); owner != "app" {
+		t.Fatalf("owner %q, want app", owner)
 	}
 }
 
@@ -236,8 +262,8 @@ func TestTruncateToRepairsTail(t *testing.T) {
 	if string(got) != "goodrecord|" {
 		t.Fatalf("repaired %q, want %q", got, "goodrecord|")
 	}
-	if d.Used() != 11 {
-		t.Fatalf("used %d, want 11", d.Used())
+	if diskUsed(d) != 11 {
+		t.Fatalf("used %d, want 11", diskUsed(d))
 	}
 	if err := d.TruncateTo("/w/log", 999); err == nil {
 		t.Fatal("growing TruncateTo accepted")
@@ -252,8 +278,8 @@ func TestShrinkAccounting(t *testing.T) {
 	if err := d.Shrink("/var/db/t.ISD", 64); err != nil {
 		t.Fatalf("shrink: %v", err)
 	}
-	if d.Used() != 64 {
-		t.Fatalf("used %d, want 64", d.Used())
+	if diskUsed(d) != 64 {
+		t.Fatalf("used %d, want 64", diskUsed(d))
 	}
 	// A data-bearing file cannot shrink below its held bytes.
 	mustWrite(t, d, "/w/log", []byte("held"))
@@ -302,24 +328,24 @@ func TestTruncatePreservesOwnerAccountingUnderRace(t *testing.T) {
 	}
 	wg.Wait()
 	var total int64
-	for _, name := range d.Files() {
+	for w := 0; w < writers; w++ {
+		name := fmt.Sprintf("/var/log/app.%d", w)
 		sz, err := d.Size(name)
 		if err != nil {
 			t.Fatalf("size %q: %v", name, err)
 		}
-		owner, err := d.Owner(name)
-		if err != nil || owner != "app" {
-			t.Fatalf("owner %q: %q (%v), want app", name, owner, err)
+		if owner := fileOwner(d, name); owner != "app" {
+			t.Fatalf("owner %q: %q, want app", name, owner)
 		}
 		total += sz
 	}
-	if used := d.Used(); used != total {
+	if used := diskUsed(d); used != total {
 		t.Fatalf("used %d != sum of sizes %d after concurrent truncates", used, total)
 	}
 	if freed := d.RemoveOwner("app"); freed != total {
 		t.Fatalf("RemoveOwner freed %d, want %d", freed, total)
 	}
-	if used := d.Used(); used != 0 {
+	if used := diskUsed(d); used != 0 {
 		t.Fatalf("used %d after RemoveOwner, want 0", used)
 	}
 }

@@ -71,13 +71,6 @@ func newDNS(rng *rand.Rand) *DNS {
 	}
 }
 
-// Mode returns the current health state.
-func (d *DNS) Mode() DNSMode {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	return d.mode
-}
-
 // Fail stages a DNS outage that heals after ttr of virtual time.
 func (d *DNS) Fail(ttr time.Duration) {
 	d.mu.Lock()
@@ -92,14 +85,6 @@ func (d *DNS) Slow(ttr time.Duration) {
 	defer d.mu.Unlock()
 	d.mode = DNSSlow
 	d.healIn = ttr
-}
-
-// Heal restores the service immediately.
-func (d *DNS) Heal() {
-	d.mu.Lock()
-	defer d.mu.Unlock()
-	d.mode = DNSHealthy
-	d.healIn = 0
 }
 
 func (d *DNS) advance(dt time.Duration) {

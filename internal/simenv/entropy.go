@@ -17,21 +17,19 @@ var ErrEntropyStarved = errors.New("simenv: entropy pool starved")
 // entropy starvation a transient condition: recovery that simply waits will
 // find the pool replenished.
 type EntropyPool struct {
-	mu         sync.Mutex
-	bits       int
-	capBits    int
-	refillRate int // bits per second of virtual time
+	mu   sync.Mutex
+	bits int
 }
 
-func newEntropyPool(bits int) *EntropyPool {
-	return &EntropyPool{bits: bits, capBits: bits, refillRate: 64}
-}
+const (
+	// entropyCapBits is the pool's size, and what a new pool holds.
+	entropyCapBits = 4096
+	// entropyRefillRate is the refill in bits per second of virtual time.
+	entropyRefillRate = 64
+)
 
-// Bits returns the bits currently available.
-func (p *EntropyPool) Bits() int {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.bits
+func newEntropyPool() *EntropyPool {
+	return &EntropyPool{bits: entropyCapBits}
 }
 
 // Draw removes n bits from the pool, failing with ErrEntropyStarved when the
@@ -57,19 +55,12 @@ func (p *EntropyPool) Drain() {
 	p.bits = 0
 }
 
-// SetRefillRate sets the replenishment rate in bits per virtual second.
-func (p *EntropyPool) SetRefillRate(bitsPerSecond int) {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	p.refillRate = bitsPerSecond
-}
-
 func (p *EntropyPool) advance(dt time.Duration) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	gained := int(dt.Seconds() * float64(p.refillRate))
+	gained := int(dt.Seconds() * entropyRefillRate)
 	p.bits += gained
-	if p.bits > p.capBits {
-		p.bits = p.capBits
+	if p.bits > entropyCapBits {
+		p.bits = entropyCapBits
 	}
 }

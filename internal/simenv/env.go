@@ -28,8 +28,6 @@ type config struct {
 	procLimit   int
 	diskBytes   int64
 	maxFileSize int64
-	entropyBits int
-	hostname    string
 }
 
 // WithFDLimit sets the per-process file-descriptor limit.
@@ -44,12 +42,6 @@ func WithDiskBytes(n int64) Option { return func(c *config) { c.diskBytes = n } 
 // WithMaxFileSize sets the maximum allowed size of a single file (the study's
 // "size of log file is greater than maximum allowed file size" condition).
 func WithMaxFileSize(n int64) Option { return func(c *config) { c.maxFileSize = n } }
-
-// WithEntropyBits sets the initial /dev/random pool size in bits.
-func WithEntropyBits(n int) Option { return func(c *config) { c.entropyBits = n } }
-
-// WithHostname sets the machine's hostname.
-func WithHostname(h string) Option { return func(c *config) { c.hostname = h } }
 
 // Env is a simulated operating environment. All methods are safe for
 // concurrent use.
@@ -78,8 +70,6 @@ func New(seed int64, opts ...Option) *Env {
 		procLimit:   128,
 		diskBytes:   64 << 20, // 64 MiB
 		maxFileSize: 16 << 20, // 16 MiB
-		entropyBits: 4096,
-		hostname:    "darkstar",
 	}
 	for _, o := range opts {
 		o(&cfg)
@@ -90,7 +80,7 @@ func New(seed int64, opts ...Option) *Env {
 		rng:      rng,
 		now:      epoch,
 		start:    epoch,
-		hostname: cfg.hostname,
+		hostname: "darkstar",
 	}
 	e.fds = newFDTable(cfg.fdLimit)
 	e.procs = newProcTable(cfg.procLimit)
@@ -98,7 +88,7 @@ func New(seed int64, opts ...Option) *Env {
 	e.dns = newDNS(rng)
 	e.net = newNetwork()
 	e.sched = newScheduler(rng)
-	e.entropy = newEntropyPool(cfg.entropyBits)
+	e.entropy = newEntropyPool()
 	return e
 }
 

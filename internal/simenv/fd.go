@@ -79,13 +79,6 @@ func (t *FDTable) Close(fd FD) error {
 	return nil
 }
 
-// Owner returns the owner of fd, or "" if it is not open.
-func (t *FDTable) Owner(fd FD) string {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return t.open[fd]
-}
-
 // OwnedBy returns how many descriptors the owner holds.
 func (t *FDTable) OwnedBy(owner string) int {
 	t.mu.Lock()

@@ -48,13 +48,6 @@ func (n *Network) RemoveInterface() {
 	n.ifacePresent = false
 }
 
-// InsertInterface restores the card.
-func (n *Network) InsertInterface() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.ifacePresent = true
-}
-
 // InterfacePresent reports whether the card is installed.
 func (n *Network) InterfacePresent() bool {
 	n.mu.Lock()
@@ -115,13 +108,6 @@ func (n *Network) ReleasePort(port int) error {
 	}
 	delete(n.ports, port)
 	return nil
-}
-
-// PortOwner returns the owner of a bound port, or "".
-func (n *Network) PortOwner(port int) string {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ports[port]
 }
 
 // ReleaseOwnerPorts releases every port bound by owner and returns the count.

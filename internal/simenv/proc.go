@@ -43,8 +43,11 @@ func (s ProcState) String() string {
 
 // Proc is one process-table entry.
 type Proc struct {
-	PID   PID
+	// PID identifies the process.
+	PID PID
+	// Owner is the environment owner tag the slot is charged to.
 	Owner string
+	// State is the process's lifecycle state.
 	State ProcState
 }
 
@@ -84,13 +87,6 @@ func (t *ProcTable) SetLimit(n int) error {
 	}
 	t.limit = n
 	return nil
-}
-
-// InUse returns the number of occupied slots (running, hung, and zombie).
-func (t *ProcTable) InUse() int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	return len(t.procs)
 }
 
 // Spawn allocates a slot for a new process belonging to owner.
@@ -190,19 +186,6 @@ func (t *ProcTable) OwnedBy(owner string) int {
 	n := 0
 	for _, p := range t.procs {
 		if p.Owner == owner {
-			n++
-		}
-	}
-	return n
-}
-
-// HungOwnedBy returns how many of owner's processes are hung.
-func (t *ProcTable) HungOwnedBy(owner string) int {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	n := 0
-	for _, p := range t.procs {
-		if p.Owner == owner && p.State == ProcHung {
 			n++
 		}
 	}

@@ -1,7 +1,6 @@
 package simenv
 
 import (
-	"fmt"
 	"math/rand"
 	"sync"
 )
@@ -83,13 +82,6 @@ func (s *Scheduler) Force(point string, choice int) {
 	s.forced[point] = choice
 }
 
-// Unforce removes a pinned choice.
-func (s *Scheduler) Unforce(point string) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	delete(s.forced, point)
-}
-
 // UnforceAll clears every pinned choice.
 func (s *Scheduler) UnforceAll() {
 	s.mu.Lock()
@@ -107,15 +99,4 @@ func (s *Scheduler) RaceFires(point string, window int) bool {
 		return true
 	}
 	return s.Interleave(point, window) == 0
-}
-
-// Describe returns a human-readable summary of the pinned points, for debug
-// logs.
-func (s *Scheduler) Describe() string {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if len(s.forced) == 0 {
-		return "scheduler: free-running"
-	}
-	return fmt.Sprintf("scheduler: %d forced point(s)", len(s.forced))
 }

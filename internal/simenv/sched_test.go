@@ -39,7 +39,7 @@ func (r *eagerScheduler) raceFires(point string, window int) bool {
 
 // TestLazySchedulerMatchesEagerReference drives an Env and the eager
 // reference through the same seeded random sequences of Reroll, Interleave,
-// RaceFires, Force, Unforce and UnforceAll and requires identical choices.
+// RaceFires, Force and UnforceAll and requires identical choices.
 // The reference's seeds come from a mirror of the Env's generator: one draw
 // when the scheduler is built, one per Reroll.
 func TestLazySchedulerMatchesEagerReference(t *testing.T) {
@@ -74,13 +74,8 @@ func TestLazySchedulerMatchesEagerReference(t *testing.T) {
 				env.Sched().Force(point, c)
 				ref.forced[point] = c
 			default:
-				if ops.Intn(3) == 0 {
-					env.Sched().UnforceAll()
-					ref.forced = map[string]int{}
-				} else {
-					env.Sched().Unforce(point)
-					delete(ref.forced, point)
-				}
+				env.Sched().UnforceAll()
+				ref.forced = map[string]int{}
 			}
 		}
 	}

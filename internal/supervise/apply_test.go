@@ -108,9 +108,9 @@ func checkApply(t *testing.T, a Action) {
 	wantTarget, wantCost, wantLog := "", time.Duration(-1), []string(nil)
 	switch {
 	case a.Rung == RungMicroreboot && a.Mechanism == hostMech:
-		wantTarget, wantCost = "mid", app.tree.RebootCost("mid")
+		wantTarget, wantCost = "mid", 3*time.Millisecond // mid's StartCost
 		if a.Widen {
-			wantCost = app.tree.SubtreeCost("mid")
+			wantCost += 4 * time.Millisecond // and its dependent top's
 		}
 	case a.Rung == RungRestart:
 		wantCost, wantLog = 0, []string{"stop", "reset"}
@@ -163,8 +163,8 @@ func checkApply(t *testing.T, a Action) {
 	if got := app.env.Sched().Interleave(a.Mechanism, 5); got != a.Attempt {
 		t.Errorf("Interleave(%s) = %d after Apply, want the attempt %d forced", a.Mechanism, got, a.Attempt)
 	}
-	if got := app.env.Sched().Describe(); got != "scheduler: 1 forced point(s)" {
-		t.Errorf("after Apply %s, want only the attempt forced", got)
+	if got := app.env.Sched().Interleave("unrelated/point", 1<<30); got == 1 {
+		t.Errorf("after Apply, the unrelated point is still forced to %d", got)
 	}
 }
 

@@ -14,7 +14,7 @@ var supervisorSink *Supervisor
 // supervised ladder run whether or not the run ever backs off.
 func BenchmarkSupervisorNew(b *testing.B) {
 	env := simenv.New(1)
-	srv := httpd.New(env, faultinject.NewSet(), httpd.Config{})
+	srv := httpd.New(env, faultinject.NewSet())
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {

@@ -242,11 +242,6 @@ func (r *Report) mech(mechanism string) *MechStats {
 	return ms
 }
 
-// Healthy reports whether the run completed at full service with no op lost.
-func (r *Report) Healthy() bool {
-	return r.OpsFailed == 0 && r.OpsShed == 0 && !r.Degraded
-}
-
 // Served reports whether every op was either served or deliberately shed —
 // the availability criterion: nothing was lost, though service may be
 // degraded.

@@ -169,9 +169,6 @@ func New(app recovery.Application, cfg Config) *Supervisor {
 	}
 }
 
-// Report returns the accumulated report (valid during and after Run).
-func (s *Supervisor) Report() *Report { return s.report }
-
 // Run drives the ops through the application under supervision and returns
 // the report. Errors are reserved for harness problems (checkpointing
 // failed, the application cannot be brought up at all); every behaviour of

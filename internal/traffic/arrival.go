@@ -13,8 +13,6 @@ import (
 type Arrivals interface {
 	// Next returns the inter-arrival gap before the next request.
 	Next(rng *rand.Rand) time.Duration
-	// Mean returns the process's mean inter-arrival gap.
-	Mean() time.Duration
 }
 
 // FixedRate arrives exactly every Interval — the deterministic pacing used
@@ -26,9 +24,6 @@ type FixedRate struct {
 
 // Next returns the constant gap.
 func (f FixedRate) Next(*rand.Rand) time.Duration { return f.Interval }
-
-// Mean returns the constant gap.
-func (f FixedRate) Mean() time.Duration { return f.Interval }
 
 // Poisson is a Poisson arrival process: exponentially distributed
 // inter-arrival gaps with the given mean — the classic open-loop model of
@@ -42,9 +37,6 @@ type Poisson struct {
 func (p Poisson) Next(rng *rand.Rand) time.Duration {
 	return time.Duration(rng.ExpFloat64() * float64(p.MeanGap))
 }
-
-// Mean returns the mean gap.
-func (p Poisson) Mean() time.Duration { return p.MeanGap }
 
 // ParseArrivals parses an arrival-process spec of the form
 //

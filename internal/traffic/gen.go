@@ -36,15 +36,12 @@ type GenConfig struct {
 	// Process is the arrival process; nil defaults to Poisson with a 1ms
 	// mean gap.
 	Process Arrivals
-	// Service is the service-latency distribution; nil defaults to
-	// DefaultServiceDist.
-	Service *LatencyDist
 }
 
-// DefaultServiceDist is the service-latency distribution used when a
-// schedule does not supply one: mostly fast sub-millisecond hits with a
-// small slow tail, spread to exercise the request-latency histogram buckets.
-func DefaultServiceDist() *LatencyDist {
+// serviceDist is the service-latency distribution every schedule samples:
+// mostly fast sub-millisecond hits with a small slow tail, spread to exercise
+// the request-latency histogram buckets.
+func serviceDist() *LatencyDist {
 	l, err := ParseLatencyDist("60%300us,25%900us,10%3ms,4%12ms,1%80ms")
 	if err != nil {
 		panic(err) // the literal above is a compile-time property
@@ -67,10 +64,7 @@ func Schedule(cfg GenConfig) ([]Arrival, error) {
 	if proc == nil {
 		proc = Poisson{MeanGap: time.Millisecond}
 	}
-	svc := cfg.Service
-	if svc == nil {
-		svc = DefaultServiceDist()
-	}
+	svc := serviceDist()
 	rng := rand.New(rand.NewSource(cfg.Seed))
 	out := make([]Arrival, cfg.Requests)
 	var t time.Duration

@@ -1,9 +1,6 @@
 package traffic
 
-import (
-	"fmt"
-	"time"
-)
+import "time"
 
 // SLO is a service-level objective over a request stream: at least Objective
 // of all requests must be good, where good means served (ok, not refused,
@@ -19,11 +16,6 @@ type SLO struct {
 // within 50 virtual milliseconds.
 func DefaultSLO() SLO {
 	return SLO{Objective: 0.999, Latency: 50 * time.Millisecond}
-}
-
-// Good reports whether one record met the objective.
-func (s SLO) Good(rec Record) bool {
-	return (rec.Outcome == OutcomeOK || rec.Outcome == OutcomeSlow) && rec.Latency <= s.Latency
 }
 
 // Outcome classifies a served request's latency against the threshold —
@@ -50,36 +42,4 @@ func (s SLO) Burn(bad, total int) float64 {
 		return float64(bad)
 	}
 	return float64(bad) / budget
-}
-
-// Score tallies a record stream against the SLO.
-type Score struct {
-	// Requests is the stream length.
-	Requests int
-	// Good counts records meeting the objective.
-	Good int
-	// Bad counts records missing it (slow beyond threshold, refused,
-	// errored, or lost).
-	Bad int
-	// Burn is the error-budget multiple the bad records consumed.
-	Burn float64
-}
-
-// ScoreRecords scores a record stream against the SLO.
-func (s SLO) ScoreRecords(recs []Record) Score {
-	sc := Score{Requests: len(recs)}
-	for _, r := range recs {
-		if s.Good(r) {
-			sc.Good++
-		} else {
-			sc.Bad++
-		}
-	}
-	sc.Burn = s.Burn(sc.Bad, sc.Requests)
-	return sc
-}
-
-// String renders the score compactly.
-func (sc Score) String() string {
-	return fmt.Sprintf("%d/%d good, burn %.1fx", sc.Good, sc.Requests, sc.Burn)
 }

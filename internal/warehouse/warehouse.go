@@ -15,7 +15,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"sort"
 	"sync"
 
 	"faultstudy/internal/durable"
@@ -127,33 +126,6 @@ func (w *Warehouse) Get(key string) ([]byte, bool) {
 		return nil, false
 	}
 	return append([]byte(nil), v...), true
-}
-
-// Has reports whether key is stored.
-func (w *Warehouse) Has(key string) bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	_, ok := w.state[key]
-	return ok
-}
-
-// Keys returns every stored key in sorted order.
-func (w *Warehouse) Keys() []string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	keys := make([]string, 0, len(w.state))
-	for k := range w.state {
-		keys = append(keys, k)
-	}
-	sort.Strings(keys)
-	return keys
-}
-
-// Len returns the number of stored keys.
-func (w *Warehouse) Len() int {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return len(w.state)
 }
 
 // Close releases the underlying file. Pending records are already synced —

@@ -53,7 +53,7 @@ func TestHTTPMixProportions(t *testing.T) {
 
 func TestHTTPWorkloadRunsCleanly(t *testing.T) {
 	env := simenv.New(5)
-	srv := httpd.New(env, nil, httpd.Config{})
+	srv := httpd.New(env, nil)
 	if err := srv.Start(); err != nil {
 		t.Fatal(err)
 	}
