@@ -12,7 +12,6 @@ import (
 	"faultstudy/internal/recovery"
 	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
-	"faultstudy/internal/supervise"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -242,7 +241,7 @@ type mrebootRun struct {
 	drv    *mrebootDriver
 	env    *simenv.Env
 	epoch  []byte
-	action supervise.Action // the policy's executor input, less the per-attempt fields
+	action recovery.Action // the policy's executor input, less the per-attempt fields
 	arm    *MRebootArm
 	tel    *Telemetry
 	rec    *obsv.Recorder // tel's recorder; nil without telemetry
@@ -272,9 +271,9 @@ func runMRebootArm(cfg MRebootConfig, armIdx int, mech faultinject.Mechanism, po
 	}
 	// Restart and rollback bounce the process and restore a snapshot.
 	run := &mrebootRun{mech: mech, policy: policy, drv: drv, env: app.Env(), epoch: epoch, arm: &arm, tel: tel,
-		bgIdx: mrebootBgOps, action: supervise.Action{Rung: supervise.RungRestore, Mechanism: mech.Key, ResetOnFail: true}}
+		bgIdx: mrebootBgOps, action: recovery.Action{Rung: recovery.RungRestore, Mechanism: mech.Key, ResetOnFail: true}}
 	if policy == "microreboot" {
-		run.action.Rung = supervise.RungMicroreboot
+		run.action.Rung = recovery.RungMicroreboot
 	}
 	if tel != nil {
 		obsv.RegisterBridgeHelp(tel.Registry)
@@ -342,7 +341,7 @@ func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 		if r.policy == "rollback" {
 			act.Snapshot = r.epoch
 		}
-		target, _ := supervise.Apply(r.drv.app, act, r.outage)
+		target, _ := recovery.Apply(r.drv.app, act, r.outage)
 		return target
 	}, a.do) > 0
 	end, outcome := r.env.Monotonic(), obsv.OutcomeLost
@@ -361,10 +360,10 @@ func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 		// rest of the workload.
 		arm.Lost++
 		revive := preOp
-		if r.action.Rung == supervise.RungMicroreboot {
+		if r.action.Rung == recovery.RungMicroreboot {
 			revive = nil // the crash-only tree revives in place
 		}
-		_ = supervise.Revive(r.drv.app, revive)
+		recovery.Revive(r.drv.app, revive)
 	}
 	r.rec.End(end, outcome, r.policy)
 	if r.tel != nil {

@@ -8,9 +8,9 @@ import (
 	"faultstudy/internal/faultlint"
 	"faultstudy/internal/obsv"
 	"faultstudy/internal/parallel"
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/recoveryscope"
 	"faultstudy/internal/stats"
-	"faultstudy/internal/supervise"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -351,18 +351,18 @@ func (r *scopeRun) episode(a mrebootArrival, preOp []byte, opErr error) bool {
 func (r *scopeRun) apply(attempt int, preOp []byte) string {
 	act := ladderActions[r.rung]
 	act.Mechanism, act.Attempt, act.Snapshot, act.ResetOnFail = r.mech.Key, attempt, preOp, true
-	target, _ := supervise.Apply(r.drv.app, act, nil)
+	target, _ := recovery.Apply(r.drv.app, act, nil)
 	return target
 }
 
 // ladderActions maps each rung of the recovery-scope ladder onto the
 // executor's: a subtree reboot is a widened microreboot.
-var ladderActions = map[recoveryscope.Rung]supervise.Action{
-	recoveryscope.RungRetry:         {Rung: supervise.RungRetry},
-	recoveryscope.RungMicroreboot:   {Rung: supervise.RungMicroreboot},
-	recoveryscope.RungSubtreeReboot: {Rung: supervise.RungMicroreboot, Widen: true},
-	recoveryscope.RungRestore:       {Rung: supervise.RungRestore},
-	recoveryscope.RungRestart:       {Rung: supervise.RungRestart},
+var ladderActions = map[recoveryscope.Rung]recovery.Action{
+	recoveryscope.RungRetry:         {Rung: recovery.RungRetry},
+	recoveryscope.RungMicroreboot:   {Rung: recovery.RungMicroreboot},
+	recoveryscope.RungSubtreeReboot: {Rung: recovery.RungMicroreboot, Widen: true},
+	recoveryscope.RungRestore:       {Rung: recovery.RungRestore},
+	recoveryscope.RungRestart:       {Rung: recovery.RungRestart},
 }
 
 // ClassRecall is the fraction of mechanisms whose static class matches the

@@ -11,10 +11,10 @@ import (
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/obsv"
 	"faultstudy/internal/parallel"
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/recoveryscope"
 	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
-	"faultstudy/internal/supervise"
 	"faultstudy/internal/taxonomy"
 	"faultstudy/internal/traffic"
 	"faultstudy/internal/workload"
@@ -261,10 +261,10 @@ type serveRun struct {
 	tel      *Telemetry
 	rec      *obsv.Recorder // tel's recorder; nil without telemetry
 	schedule []traffic.Arrival
-	next     int              // cursor into schedule
-	base     time.Duration    // virtual clock at traffic start
-	cp       []byte           // most recent healthy checkpoint (restore rung)
-	action   supervise.Action // the rung's executor input, less the per-attempt fields
+	next     int             // cursor into schedule
+	base     time.Duration   // virtual clock at traffic start
+	cp       []byte          // most recent healthy checkpoint (restore rung)
+	action   recovery.Action // the rung's executor input, less the per-attempt fields
 }
 
 // runServeArm runs one (mechanism, rung) cell. Everything it does is a pure
@@ -364,7 +364,7 @@ func (r *serveRun) trigger(op faultinject.Op) {
 	}
 	if r.breakerOpen() {
 		r.arm.Shed++
-		_ = supervise.Revive(r.app, nil)
+		recovery.Revive(r.app, nil)
 		return
 	}
 	r.episode(op.Name, err, op.Do)
@@ -379,7 +379,7 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 		// Nothing is listening; the supervisor of last resort brings the
 		// process back for subsequent traffic.
 		r.record(arr, traffic.OutcomeLost, "", "process down", 0)
-		_ = supervise.Revive(r.app, nil)
+		recovery.Revive(r.app, nil)
 		return
 	}
 	err := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
@@ -397,7 +397,7 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 		if r.breakerOpen() {
 			r.arm.Shed++
 			r.record(arr, traffic.OutcomeError, "", err.Error(), 0)
-			_ = supervise.Revive(r.app, nil)
+			recovery.Revive(r.app, nil)
 			return
 		}
 		arrivedAt := r.base + arr.At
@@ -473,7 +473,7 @@ func (r *serveRun) episode(name string, faultErr error, retry func() error) bool
 				obsv.L("rung", r.rung, "class", r.mech.Class().Short())...).ObserveDuration(end - start)
 		}
 	} else {
-		_ = supervise.Revive(r.app, nil)
+		recovery.Revive(r.app, nil)
 	}
 	r.rec.End(end, outcome, r.rung)
 	if r.tel != nil {
@@ -495,8 +495,8 @@ func (r *serveRun) episode(name string, faultErr error, retry func() error) bool
 func (r *serveRun) apply(attempt int) string {
 	act := r.action
 	act.Attempt, act.Snapshot = attempt, r.cp
-	target, err := supervise.Apply(r.app, act, r.outage)
-	if act.Rung == supervise.RungRestart || (target == "" && err != nil) {
+	target, err := recovery.Apply(r.app, act, r.outage)
+	if act.Rung == recovery.RungRestart || (target == "" && err != nil) {
 		// A restart re-runs the init script: schema and seed state return,
 		// accumulated state does not.
 		_ = r.app.ServeWarm()

@@ -209,7 +209,7 @@ func (o *Observer) observe(ev supervise.Event) {
 			L("app", app, "class", o.class(ev.Mechanism), "rung", rungName(ev.Rung))...).Inc()
 		o.rec.Note(ev.At, Span{Kind: SpanRetry, Rung: rungName(ev.Rung), Attempt: ev.Attempt, Outcome: "ok"})
 		outcome := OutcomeRecovered
-		if ev.Rung == supervise.RungDegraded {
+		if ev.Rung == recovery.RungDegraded {
 			outcome = OutcomeDegraded
 		}
 		o.closeEpisode(ev.At, outcome, rungName(ev.Rung))
@@ -254,7 +254,7 @@ func (o *Observer) observe(ev supervise.Event) {
 // rungName renders a supervisor rung for span and metric labels; the zero
 // value (no rung in effect yet, e.g. the initial failure of an episode)
 // renders as empty so instant spans stay compact in JSONL.
-func rungName(r supervise.Rung) string {
+func rungName(r recovery.Rung) string {
 	if r == 0 {
 		return ""
 	}
@@ -306,7 +306,8 @@ func (o *Observer) Flush(at time.Duration) *Episode {
 // RecoveryObserver adapts the one-shot recovery manager's trace stream
 // (internal/recovery) into the same episode and metric vocabulary the
 // supervisor bridge uses, with the strategy name standing in for the ladder
-// rung. One observer instruments one Manager.Run.
+// rung. One observer instruments one strategy's run, whose every recovery
+// action goes through recovery.Apply.
 type RecoveryObserver struct {
 	obs      *Observer
 	strategy string

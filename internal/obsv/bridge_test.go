@@ -28,19 +28,19 @@ func TestObserverSuperviseStream(t *testing.T) {
 		{Kind: supervise.EventWatchdog, At: sec(30), Op: "GET /", Mechanism: "httpd/wedge", Err: hangErr},
 		{Kind: supervise.EventFailure, At: sec(30), Op: "GET /", Mechanism: "httpd/wedge", Err: hangErr},
 		{Kind: supervise.EventBackoff, At: sec(30), Op: "GET /", Mechanism: "httpd/wedge",
-			Rung: supervise.RungRetry, Attempt: 1, Delay: sec(1)},
+			Rung: recovery.RungRetry, Attempt: 1, Delay: sec(1)},
 		{Kind: supervise.EventAction, At: sec(31), Op: "GET /", Mechanism: "httpd/wedge",
-			Rung: supervise.RungRetry, Attempt: 1},
+			Rung: recovery.RungRetry, Attempt: 1},
 		{Kind: supervise.EventFailure, At: sec(61), Op: "GET /", Mechanism: "httpd/wedge", Err: hangErr,
-			Rung: supervise.RungRetry},
+			Rung: recovery.RungRetry},
 		{Kind: supervise.EventEscalate, At: sec(61), Op: "GET /", Mechanism: "httpd/wedge",
-			Rung: supervise.RungMicroreboot},
+			Rung: recovery.RungMicroreboot},
 		{Kind: supervise.EventBackoff, At: sec(61), Op: "GET /", Mechanism: "httpd/wedge",
-			Rung: supervise.RungMicroreboot, Attempt: 2, Delay: sec(2)},
+			Rung: recovery.RungMicroreboot, Attempt: 2, Delay: sec(2)},
 		{Kind: supervise.EventAction, At: sec(63), Op: "GET /", Mechanism: "httpd/wedge",
-			Rung: supervise.RungMicroreboot, Attempt: 2},
+			Rung: recovery.RungMicroreboot, Attempt: 2},
 		{Kind: supervise.EventRetryOK, At: sec(63), Op: "GET /", Mechanism: "httpd/wedge",
-			Rung: supervise.RungMicroreboot, Attempt: 2},
+			Rung: recovery.RungMicroreboot, Attempt: 2},
 	}
 	for _, ev := range events {
 		hook(ev)
@@ -94,10 +94,10 @@ func TestObserverShedAndFastFail(t *testing.T) {
 
 	// Episode 1: degraded entry sheds the write.
 	hook(supervise.Event{Kind: supervise.EventFailure, At: time.Second, Op: "INSERT", Mechanism: "sqldb/disk-full", Err: err})
-	hook(supervise.Event{Kind: supervise.EventDegraded, At: 2 * time.Second, Rung: supervise.RungDegraded})
-	hook(supervise.Event{Kind: supervise.EventShed, At: 2 * time.Second, Op: "INSERT", Rung: supervise.RungDegraded})
+	hook(supervise.Event{Kind: supervise.EventDegraded, At: 2 * time.Second, Rung: recovery.RungDegraded})
+	hook(supervise.Event{Kind: supervise.EventShed, At: 2 * time.Second, Op: "INSERT", Rung: recovery.RungDegraded})
 	// Steady-state shed: no open episode, metrics only.
-	hook(supervise.Event{Kind: supervise.EventShed, At: 3 * time.Second, Op: "UPDATE", Rung: supervise.RungDegraded})
+	hook(supervise.Event{Kind: supervise.EventShed, At: 3 * time.Second, Op: "UPDATE", Rung: recovery.RungDegraded})
 	// Episode 2: open breaker fast-fails the next failure.
 	hook(supervise.Event{Kind: supervise.EventFailure, At: 4 * time.Second, Op: "INSERT", Mechanism: "sqldb/disk-full", Err: err})
 	hook(supervise.Event{Kind: supervise.EventFastFail, At: 4 * time.Second, Op: "INSERT", Mechanism: "sqldb/disk-full", Err: err})

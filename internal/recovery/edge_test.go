@@ -4,6 +4,7 @@ import (
 	"errors"
 	"strings"
 	"testing"
+	"time"
 
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/simenv"
@@ -244,7 +245,7 @@ func TestGovernorGrowsExhaustedResources(t *testing.T) {
 		}
 	}
 	_, fdErr := env.FDs().Open("x")
-	if !growResources(env, faultinject.FailCause("m", taxonomy.SymptomError, "fds", fdErr)) {
+	if !GrowResources(env, faultinject.FailCause("m", taxonomy.SymptomError, "fds", fdErr)) {
 		t.Error("fd exhaustion should be growable")
 	}
 	if _, err := env.FDs().Open("x"); err != nil {
@@ -262,7 +263,7 @@ func TestGovernorGrowsExhaustedResources(t *testing.T) {
 	if diskErr == nil {
 		t.Fatal("premise broken: disk not full")
 	}
-	if !growResources(env, faultinject.FailCause("m", taxonomy.SymptomError, "disk", diskErr)) {
+	if !GrowResources(env, faultinject.FailCause("m", taxonomy.SymptomError, "disk", diskErr)) {
 		t.Error("full disk should be growable")
 	}
 	if err := env.Disk().Append("/c", "x", 50); err != nil {
@@ -274,7 +275,7 @@ func TestGovernorGrowsExhaustedResources(t *testing.T) {
 	if sizeErr == nil {
 		t.Skip("premise broken: file not at limit")
 	}
-	if !growResources(env, faultinject.FailCause("m", taxonomy.SymptomError, "file", sizeErr)) {
+	if !GrowResources(env, faultinject.FailCause("m", taxonomy.SymptomError, "file", sizeErr)) {
 		t.Error("file-size limit should be growable")
 	}
 	if err := env.Disk().Append("/a", "x", 10); err != nil {
@@ -282,10 +283,10 @@ func TestGovernorGrowsExhaustedResources(t *testing.T) {
 	}
 
 	// Non-growable conditions.
-	if growResources(env, faultinject.Fail("m", taxonomy.SymptomError, "hostname changed")) {
+	if GrowResources(env, faultinject.Fail("m", taxonomy.SymptomError, "hostname changed")) {
 		t.Error("host config must not be growable")
 	}
-	if growResources(env, faultinject.FailCause("m", taxonomy.SymptomError, "card", simenv.ErrNetworkDown)) {
+	if GrowResources(env, faultinject.FailCause("m", taxonomy.SymptomError, "card", simenv.ErrNetworkDown)) {
 		t.Error("a removed card must not be growable")
 	}
 }
@@ -296,7 +297,7 @@ func TestGovernorGrowsNetResource(t *testing.T) {
 	_ = env.Net().AcquireResource()
 	_ = env.Net().AcquireResource()
 	err := env.Net().AcquireResource()
-	if !growResources(env, faultinject.FailCause("m", taxonomy.SymptomError, "net", err)) {
+	if !GrowResources(env, faultinject.FailCause("m", taxonomy.SymptomError, "net", err)) {
 		t.Error("net resource should be growable")
 	}
 	if err := env.Net().AcquireResource(); err != nil {
@@ -349,5 +350,51 @@ func TestTraceGaveUp(t *testing.T) {
 	}
 	if TraceEventKind(42).String() != "TraceEventKind(42)" {
 		t.Error("unknown kind string")
+	}
+}
+
+// TestStrategyPerturbationContract pins what each bare strategy's recovery
+// leaves the retry: process pairs and clean restart force no choice at the
+// failing mechanism, progressive retry forces the attempt there, and each
+// recovery advances the virtual clock by the 45 s takeover — (1+attempt)
+// takeovers for progressive retry.
+func TestStrategyPerturbationContract(t *testing.T) {
+	const mech = "fake/race"
+	for _, strat := range []Strategy{StrategyProcessPairs, StrategyProgressiveRetry, StrategyCleanRestart} {
+		t.Run(strat.String(), func(t *testing.T) {
+			app := newFakeApp()
+			sched := app.env.Sched()
+			attempt, last := 0, app.env.Monotonic()
+			sc := faultinject.Scenario{Mechanism: mech, Ops: []faultinject.Op{{Name: "op", Do: func() error {
+				now := app.env.Monotonic()
+				if attempt > 0 {
+					want := 45 * time.Second
+					if strat == StrategyProgressiveRetry {
+						want *= time.Duration(1 + attempt)
+					}
+					if now-last != want {
+						t.Errorf("attempt %d: recovery advanced the clock %s, want %s", attempt, now-last, want)
+					}
+					// A pinned point answers the same on every draw; a
+					// reseeded one almost never does over 2^30 choices.
+					first, second := sched.Interleave(mech, 1<<30), sched.Interleave(mech, 1<<30)
+					switch {
+					case strat == StrategyProgressiveRetry && (first != attempt || second != attempt):
+						t.Errorf("attempt %d: Interleave(%s) = %d, %d, want the attempt forced", attempt, mech, first, second)
+					case strat != StrategyProgressiveRetry && first == second:
+						t.Errorf("attempt %d: %s pinned choice %d at %s", attempt, strat, first, mech)
+					}
+				}
+				attempt, last = attempt+1, now
+				return faultinject.Fail(mech, taxonomy.SymptomCrash, "boom")
+			}}}}
+			out, err := NewManager(Policy{}).Run(app, sc, strat)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if out.Attempts != 3 || attempt != 4 {
+				t.Errorf("attempts = %d, op runs = %d, want 3 recoveries and 4 runs", out.Attempts, attempt)
+			}
+		})
 	}
 }

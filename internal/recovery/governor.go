@@ -7,7 +7,7 @@ import (
 	"faultstudy/internal/simenv"
 )
 
-// growResources implements the paper's first §6.2 mitigation for
+// GrowResources implements the paper's first §6.2 mitigation for
 // environment-dependent-nontransient faults: "detect the problem and
 // automatically increase the resources available to the application". The
 // governor inspects the failure's underlying environment error and widens
@@ -17,8 +17,9 @@ import (
 // It returns true when it grew something; conditions without a growable
 // resource (a missing PTR record, a pulled network card, an application-
 // internal leak) are untouched, which is why the governor rescues some
-// nontransient faults and not others.
-func growResources(env *simenv.Env, fe *faultinject.FailureError) bool {
+// nontransient faults and not others. The strategies and the supervisor
+// both run it just before a recovery action.
+func GrowResources(env *simenv.Env, fe *faultinject.FailureError) bool {
 	switch {
 	case errors.Is(fe, simenv.ErrFDExhausted):
 		env.FDs().SetLimit(env.FDs().Limit() * 2)
@@ -44,11 +45,4 @@ func growResources(env *simenv.Env, fe *faultinject.FailureError) bool {
 	default:
 		return false
 	}
-}
-
-// GrowResources exposes the §6.2 resource governor to other layers (the
-// supervisor applies it before each recovery action). It returns true when a
-// growable environment limit matching the failure's cause was widened.
-func GrowResources(env *simenv.Env, fe *faultinject.FailureError) bool {
-	return growResources(env, fe)
 }

@@ -1,6 +1,16 @@
-// Package recovery implements the recovery systems the paper reasons about
-// (§2, §6) and runs them against the seeded faults — the end-to-end
-// verification the authors proposed as future work (§5.4, §8).
+// Package recovery performs recovery actions and runs the recovery systems
+// the paper reasons about (§2, §6) against the seeded faults — the
+// end-to-end verification the authors proposed as future work (§5.4, §8).
+//
+// Apply is the one executor: it performs a single Action (restore a
+// checkpoint, restart pristine, or microreboot a component), charges its
+// outage through a hook, and perturbs the schedule for the retry. Revive
+// brings an application back up after an abandoned episode. Deciding which
+// action to take is left to the caller: the strategies below, the
+// supervisor's escalation ladder (internal/supervise) and the experiment
+// sweeps. The paper's generic systems differ only in their action: process
+// pairs restores the checkpoint, progressive retry also forces a different
+// interleaving (Wang93), and clean restart reinitializes.
 //
 // The central construct is the truly application-generic recovery system:
 // it knows nothing about the application beyond the Application interface.
@@ -23,7 +33,6 @@
 package recovery
 
 import (
-	"errors"
 	"fmt"
 	"time"
 
@@ -116,7 +125,8 @@ type Policy struct {
 	// reclaiming them — the ablation for the paper's observation that "the
 	// recovery system is likely to kill all processes associated with the
 	// application". With reclaim off, the process-table and port-holding
-	// transients stop being survivable.
+	// transients stop being survivable. It reaches the executor as
+	// Action.KeepResources.
 	SkipReclaim bool
 	// GrowResources enables the §6.2 resource governor: when a failure's
 	// underlying cause is an exhausted, growable environment resource
@@ -267,7 +277,17 @@ func (m *Manager) Run(app Application, sc faultinject.Scenario, strat Strategy) 
 		for attempt := 1; attempt <= m.policy.MaxRetries; attempt++ {
 			out.Attempts++
 			m.trace(env, TraceEvent{Kind: TraceRecover, Op: op.Name, Attempt: attempt})
-			if rerr := m.recover(app, snapshot, strat, fe, attempt); rerr != nil {
+			// The governor grows the exhausted resource just before the
+			// action. The whole-process outage is the takeover; progressive
+			// retry also waits attempt takeovers more, so slow external
+			// conditions have time to heal.
+			if m.policy.GrowResources {
+				GrowResources(env, fe)
+			}
+			a := m.action(strat, snapshot, fe, attempt)
+			if _, rerr := Apply(app, a, func(string, time.Duration) {
+				env.Advance(time.Duration(1+a.Attempt) * takeover)
+			}); rerr != nil {
 				out.Err = fmt.Errorf("recovery failed on attempt %d: %w", attempt, rerr)
 				return out, nil
 			}
@@ -308,37 +328,19 @@ func (m *Manager) trace(env *simenv.Env, ev TraceEvent) {
 	}
 }
 
-// recover applies one recovery action. The dead primary's operating-system
-// resources are reclaimed in every strategy — processes do not outlive their
-// failure — and the environment advances by the takeover time.
-func (m *Manager) recover(app Application, snapshot []byte, strat Strategy, fe *faultinject.FailureError, attempt int) error {
-	env := app.Env()
-	app.Stop()
-	if !m.policy.SkipReclaim {
-		env.ReclaimOwner(app.Name())
-	}
-	if m.policy.GrowResources {
-		growResources(env, fe)
-	}
-	env.Advance(takeover)
-	// Every strategy recovers on a fresh schedule: the backup or the
-	// restarted process does not inherit the failed run's interleavings.
-	env.Sched().UnforceAll()
-	env.Reroll()
-
+// action is the recovery action a strategy takes after a failure at
+// attempt. Process pairs fails over to the checkpoint; progressive retry
+// does too and also forces the attempt's interleaving at the failing point
+// (Wang93); clean restart reinitializes the application.
+func (m *Manager) action(strat Strategy, snapshot []byte, fe *faultinject.FailureError, attempt int) Action {
+	a := Action{Mechanism: fe.Mechanism, Snapshot: snapshot, KeepResources: m.policy.SkipReclaim}
 	switch strat {
 	case StrategyProcessPairs:
-		return app.Restore(snapshot)
+		a.Rung = RungRestore
 	case StrategyProgressiveRetry:
-		// Wang93: deliberately reorder events at the failing point so the
-		// retry observes a *different* interleaving, and back off longer on
-		// each attempt so slow external conditions have time to heal.
-		env.Sched().Force(fe.Mechanism, attempt)
-		env.Advance(time.Duration(attempt) * takeover)
-		return app.Restore(snapshot)
+		a.Rung, a.Attempt = RungRestore, attempt
 	case StrategyCleanRestart:
-		return app.Reset()
-	default:
-		return errors.New("recovery: unknown strategy")
+		a.Rung = RungRestart
 	}
+	return a
 }

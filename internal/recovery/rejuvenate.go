@@ -30,9 +30,7 @@ func (m *Manager) RunRejuvenating(app Application, sc faultinject.Scenario, inte
 	}
 	for i, op := range sc.Ops {
 		if i > 0 && i%interval == 0 {
-			app.Stop()
-			app.Env().ReclaimOwner(app.Name())
-			if err := app.Reset(); err != nil {
+			if _, err := Apply(app, Action{Rung: RungRestart}, nil); err != nil {
 				return out, fmt.Errorf("recovery: rejuvenate before op %d: %w", i, err)
 			}
 			out.Recoveries++

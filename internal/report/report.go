@@ -144,15 +144,6 @@ func FilterQualifying(reports []*Report) []*Report {
 	return out
 }
 
-// ByApp partitions reports by application.
-func ByApp(reports []*Report) map[taxonomy.Application][]*Report {
-	out := make(map[taxonomy.Application][]*Report)
-	for _, r := range reports {
-		out[r.App] = append(out[r.App], r)
-	}
-	return out
-}
-
 // Canonical returns the subset of reports that are not marked as duplicates,
 // preserving order.
 func Canonical(reports []*Report) []*Report {

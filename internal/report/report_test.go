@@ -125,16 +125,6 @@ func TestFilterQualifying(t *testing.T) {
 	}
 }
 
-func TestByApp(t *testing.T) {
-	a := sample()
-	g := sample()
-	g.App = taxonomy.AppGnome
-	m := ByApp([]*Report{a, g})
-	if len(m[taxonomy.AppApache]) != 1 || len(m[taxonomy.AppGnome]) != 1 {
-		t.Errorf("ByApp partition wrong: %v", m)
-	}
-}
-
 func TestCanonical(t *testing.T) {
 	a := sample()
 	dup := sample()

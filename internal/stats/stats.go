@@ -33,29 +33,6 @@ func (p Proportion) Percent() string {
 	return fmt.Sprintf("%.0f%%", 100*p.Value())
 }
 
-// Wilson returns the 95% Wilson score interval for the proportion — the
-// right interval for the small per-class samples in this study.
-func (p Proportion) Wilson() (lo, hi float64) {
-	if p.N == 0 {
-		return 0, 1
-	}
-	const z = 1.96
-	n := float64(p.N)
-	phat := p.Value()
-	denom := 1 + z*z/n
-	center := (phat + z*z/(2*n)) / denom
-	margin := z * math.Sqrt(phat*(1-phat)/n+z*z/(4*n*n)) / denom
-	lo = center - margin
-	hi = center + margin
-	if lo < 0 {
-		lo = 0
-	}
-	if hi > 1 {
-		hi = 1
-	}
-	return lo, hi
-}
-
 // Quantile returns the q-th quantile (0 ≤ q ≤ 1) of the sample by linear
 // interpolation between order statistics (the R-7/Excel definition). The
 // input slice is not modified and need not be sorted. An empty sample

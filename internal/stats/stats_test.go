@@ -4,7 +4,6 @@ import (
 	"math"
 	"strings"
 	"testing"
-	"testing/quick"
 )
 
 func TestProportion(t *testing.T) {
@@ -18,42 +17,6 @@ func TestProportion(t *testing.T) {
 	zero := Proportion{}
 	if zero.Value() != 0 {
 		t.Error("empty proportion should be 0")
-	}
-}
-
-func TestWilsonInterval(t *testing.T) {
-	p := Proportion{Hits: 7, N: 50}
-	lo, hi := p.Wilson()
-	if lo >= p.Value() || hi <= p.Value() {
-		t.Errorf("interval [%v,%v] does not bracket %v", lo, hi, p.Value())
-	}
-	if lo < 0 || hi > 1 {
-		t.Errorf("interval [%v,%v] out of [0,1]", lo, hi)
-	}
-	// Empty sample spans everything.
-	lo, hi = Proportion{}.Wilson()
-	if lo != 0 || hi != 1 {
-		t.Errorf("empty interval [%v,%v]", lo, hi)
-	}
-	// Extreme proportions stay clamped.
-	lo, hi = Proportion{Hits: 50, N: 50}.Wilson()
-	if hi > 1 || lo > 1 || lo < 0 {
-		t.Errorf("clamped interval [%v,%v]", lo, hi)
-	}
-}
-
-// Property: Wilson intervals shrink as N grows at a fixed ratio.
-func TestWilsonShrinksProperty(t *testing.T) {
-	f := func(k uint8) bool {
-		n := int(k)%100 + 2
-		small := Proportion{Hits: n / 2, N: n}
-		big := Proportion{Hits: n * 5, N: n * 10}
-		slo, shi := small.Wilson()
-		blo, bhi := big.Wilson()
-		return (bhi - blo) <= (shi - slo)
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Error(err)
 	}
 }
 

@@ -8,6 +8,7 @@ import (
 
 	"faultstudy/internal/component"
 	"faultstudy/internal/faultinject"
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/simenv"
 )
 
@@ -80,46 +81,63 @@ func (a *hostApp) ComponentFor(mech string) (string, bool) {
 
 // TestApplyContract pins the executor over rung × attribution × widening:
 // where the outage hook fires and what it sees, which state a process-level
-// action reinstates, and the Wang93 perturbation every action ends with.
+// action reinstates, and the Wang93 perturbation every action ends with. Two
+// rows pin the fields the bare strategies set: Attempt 0 forces no choice,
+// and KeepResources leaves the stopped process's resources in place.
 func TestApplyContract(t *testing.T) {
-	for _, rung := range []Rung{RungRetry, RungMicroreboot, RungRestore, RungRestart} {
+	type row struct {
+		name string
+		a    recovery.Action
+	}
+	var rows []row
+	for _, rung := range []recovery.Rung{recovery.RungRetry, recovery.RungMicroreboot, recovery.RungRestore, recovery.RungRestart} {
 		for _, attributed := range []bool{true, false} {
 			for _, widen := range []bool{false, true} {
 				mech := "host/unattributed"
 				if attributed {
 					mech = hostMech
 				}
-				t.Run(fmt.Sprintf("%s/attributed=%t/widen=%t", rung, attributed, widen), func(t *testing.T) {
-					checkApply(t, Action{Rung: rung, Mechanism: mech, Attempt: 2, Widen: widen,
-						Snapshot: []byte("pre-op")})
-				})
+				rows = append(rows, row{fmt.Sprintf("%s/attributed=%t/widen=%t", rung, attributed, widen),
+					recovery.Action{Rung: rung, Mechanism: mech, Attempt: 2, Widen: widen, Snapshot: []byte("pre-op")}})
 			}
 		}
 	}
+	rows = append(rows,
+		row{"restore/attempt=0", recovery.Action{Rung: recovery.RungRestore, Mechanism: hostMech, Snapshot: []byte("pre-op")}},
+		row{"restart/keep-resources", recovery.Action{Rung: recovery.RungRestart, Mechanism: hostMech, Attempt: 2, KeepResources: true}})
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) { checkApply(t, r.a) })
+	}
 }
 
-func checkApply(t *testing.T, a Action) {
+func checkApply(t *testing.T, a recovery.Action) {
 	app := newHostApp(t)
 	if _, err := app.env.FDs().Open(app.Name()); err != nil {
 		t.Fatalf("open fd: %v", err)
+	}
+	if _, err := app.env.Procs().Spawn(app.Name()); err != nil {
+		t.Fatalf("spawn: %v", err)
+	}
+	if err := app.env.Net().BindPort(8080, app.Name()); err != nil {
+		t.Fatalf("bind: %v", err)
 	}
 	app.env.Sched().Force("unrelated/point", 1)
 
 	wantTarget, wantCost, wantLog := "", time.Duration(-1), []string(nil)
 	switch {
-	case a.Rung == RungMicroreboot && a.Mechanism == hostMech:
+	case a.Rung == recovery.RungMicroreboot && a.Mechanism == hostMech:
 		wantTarget, wantCost = "mid", 3*time.Millisecond // mid's StartCost
 		if a.Widen {
 			wantCost += 4 * time.Millisecond // and its dependent top's
 		}
-	case a.Rung == RungRestart:
+	case a.Rung == recovery.RungRestart:
 		wantCost, wantLog = 0, []string{"stop", "reset"}
-	case a.Rung != RungRetry: // a restore, or the microreboot's fallback to one
+	case a.Rung != recovery.RungRetry: // a restore, or the microreboot's fallback to one
 		wantCost, wantLog = 0, []string{"stop", "restore pre-op"}
 	}
 
 	var fired []string
-	target, err := Apply(app, a, func(comp string, cost time.Duration) {
+	target, err := recovery.Apply(app, a, func(comp string, cost time.Duration) {
 		fired = append(fired, comp)
 		if comp != wantTarget || cost != wantCost {
 			t.Errorf("outage(%q, %s), want (%q, %s)", comp, cost, wantTarget, wantCost)
@@ -157,14 +175,26 @@ func checkApply(t *testing.T, a Action) {
 	if !app.running || !app.tree.AllRunning() {
 		t.Error("application not fully up after Apply")
 	}
-	if wantLog != nil && app.env.FDs().OwnedBy(app.Name()) != 0 {
-		t.Error("process-level action left the process's descriptors unreclaimed")
+	held := app.env.FDs().OwnedBy(app.Name()) + app.env.Procs().OwnedBy(app.Name()) + app.env.Net().ReleaseOwnerPorts(app.Name())
+	switch {
+	case wantLog != nil && !a.KeepResources && held != 0:
+		t.Errorf("process-level action left %d of the process's descriptors, processes and ports unreclaimed", held)
+	case a.KeepResources && held != 3:
+		t.Errorf("KeepResources left %d of the process's descriptor, process and port, want all 3", held)
 	}
-	if got := app.env.Sched().Interleave(a.Mechanism, 5); got != a.Attempt {
+	// A pinned point answers the same on every draw; a reseeded one almost
+	// never does over 2^30 choices.
+	pinned := func(point string) bool {
+		return app.env.Sched().Interleave(point, 1<<30) == app.env.Sched().Interleave(point, 1<<30)
+	}
+	if a.Attempt == 0 && pinned(a.Mechanism) {
+		t.Errorf("Apply with Attempt 0 pinned a choice at %s", a.Mechanism)
+	}
+	if got := app.env.Sched().Interleave(a.Mechanism, 5); a.Attempt > 0 && got != a.Attempt {
 		t.Errorf("Interleave(%s) = %d after Apply, want the attempt %d forced", a.Mechanism, got, a.Attempt)
 	}
-	if got := app.env.Sched().Interleave("unrelated/point", 1<<30); got == 1 {
-		t.Errorf("after Apply, the unrelated point is still forced to %d", got)
+	if pinned("unrelated/point") {
+		t.Error("after Apply, the unrelated point is still forced")
 	}
 }
 
@@ -203,7 +233,7 @@ func TestDegradedReviveBouncesPartialTree(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep.Recovered != 9 || rep.Escalations[RungMicroreboot] != 1 || rep.Escalations[RungRestore] != 1 ||
+	if rep.Recovered != 9 || rep.Escalations[recovery.RungMicroreboot] != 1 || rep.Escalations[recovery.RungRestore] != 1 ||
 		rep.CrashLoopTrips != 1 || !rep.Degraded || rep.OpsShed != 1 {
 		t.Fatalf("want one microreboot, a budget trip and a shed write:\n%s", rep)
 	}

@@ -6,6 +6,7 @@ import (
 
 	"faultstudy/internal/apps/sqldb"
 	"faultstudy/internal/faultinject"
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/simenv"
 )
 
@@ -38,7 +39,7 @@ func TestRestoreRungReplaysWAL(t *testing.T) {
 		switch {
 		case ev.Kind == EventCheckpoint:
 			checkpoints = append(checkpoints, ev.Op)
-		case ev.Kind == EventEscalate && ev.Rung == RungRestart:
+		case ev.Kind == EventEscalate && ev.Rung == recovery.RungRestart:
 			replays, fallbacks = srv.WALReplays(), srv.LogicalFallbacks()
 		}
 	}})
@@ -55,7 +56,7 @@ func TestRestoreRungReplaysWAL(t *testing.T) {
 	if want := fmt.Sprint([]string{"", ops[15].Name}); fmt.Sprint(checkpoints) != want {
 		t.Errorf("checkpoints at %q, want %s", checkpoints, want)
 	}
-	if rep.Escalations[RungRestore] == 0 || replays < 0 {
+	if rep.Escalations[recovery.RungRestore] == 0 || replays < 0 {
 		t.Fatalf("the ladder never reached the restart rung through the restore rung\n%s", rep)
 	}
 	// Two retry-rung restores, two microreboot fallbacks, two restore-rung
@@ -81,7 +82,7 @@ func TestRestartRungFallsBackToLogicalRebuild(t *testing.T) {
 	if err != nil {
 		t.Fatalf("run: %v", err)
 	}
-	if rep.Escalations[RungRestart] == 0 {
+	if rep.Escalations[recovery.RungRestart] == 0 {
 		t.Fatalf("the ladder never reached the restart rung\n%s", rep)
 	}
 	if got := srv.LogicalFallbacks(); got == 0 {

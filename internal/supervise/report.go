@@ -6,59 +6,13 @@ import (
 	"strings"
 	"time"
 
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/stats"
 )
 
-// Rung is one level of the supervisor's escalation ladder, ordered from
-// cheapest to most drastic. The ladder follows the microreboot argument
-// (Candea & Fox): try the recovery that preserves the most state and costs
-// the least first, and only discard more when the outcome doesn't change.
-type Rung int
-
-const (
-	// RungRetry re-executes the operation in place (restoring the pre-op
-	// checkpoint first if the failure killed the application) with a fresh,
-	// deliberately perturbed interleaving — Wang93's induced environment
-	// change. Survives the transient class.
-	RungRetry Rung = iota + 1
-	// RungMicroreboot crash-reboots the component the failing mechanism is
-	// attributed to — its dependent subtree on the rung's later attempts —
-	// while siblings serve. An application with no attributed component is
-	// stopped, reclaimed and restored from the pre-op checkpoint instead: a
-	// coarse reboot that preserves all logical state.
-	RungMicroreboot
-	// RungRestore rolls back to the last epoch checkpoint — older state, on
-	// the theory that recently accumulated state is what's poisoned.
-	RungRestore
-	// RungRestart reinitializes the application to pristine state through
-	// its application-specific recovery code, discarding everything.
-	RungRestart
-	// RungDegraded gives up on full service: writes are shed and the
-	// application's degraded mode (when it has one) serves reads only.
-	RungDegraded
-)
-
-// String names the rung.
-func (r Rung) String() string {
-	switch r {
-	case RungRetry:
-		return "retry"
-	case RungMicroreboot:
-		return "microreboot"
-	case RungRestore:
-		return "restore"
-	case RungRestart:
-		return "restart"
-	case RungDegraded:
-		return "degraded"
-	default:
-		return fmt.Sprintf("Rung(%d)", int(r))
-	}
-}
-
 // Rungs returns the ladder in escalation order.
-func Rungs() []Rung {
-	return []Rung{RungRetry, RungMicroreboot, RungRestore, RungRestart, RungDegraded}
+func Rungs() []recovery.Rung {
+	return []recovery.Rung{recovery.RungRetry, recovery.RungMicroreboot, recovery.RungRestore, recovery.RungRestart, recovery.RungDegraded}
 }
 
 // EventKind discriminates supervisor trace events.
@@ -144,7 +98,7 @@ type Event struct {
 	// Mechanism is the fault mechanism involved, when known.
 	Mechanism string
 	// Rung is the ladder rung in effect.
-	Rung Rung
+	Rung recovery.Rung
 	// Attempt is the episode-wide recovery attempt number.
 	Attempt int
 	// Delay is the backoff delay (EventBackoff only).
@@ -205,7 +159,7 @@ type Report struct {
 	// entered (0 when it never was).
 	DegradedAtOp int
 	// Escalations counts how many times each rung was escalated to.
-	Escalations map[Rung]int
+	Escalations map[recovery.Rung]int
 	// CrashLoopTrips counts retry-budget exhaustions (crash loops detected).
 	CrashLoopTrips int
 	// BackoffTotal is the cumulative time slept in backoff.
@@ -228,7 +182,7 @@ type Report struct {
 func newReport() *Report {
 	return &Report{
 		Mechanisms:  make(map[string]*MechStats),
-		Escalations: make(map[Rung]int),
+		Escalations: make(map[recovery.Rung]int),
 	}
 }
 

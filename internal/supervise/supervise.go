@@ -1,6 +1,8 @@
-// Package supervise is the production supervision layer over the paper's
-// one-shot recovery strategies: a supervisor that keeps a simulated
-// application serving a sustained workload while faults fire repeatedly.
+// Package supervise is the production supervision policy over the recovery
+// executor: a supervisor that keeps a simulated application serving a
+// sustained workload while faults fire repeatedly. internal/recovery performs
+// each recovery action (recovery.Apply); this package decides which action
+// runs, when, and when to stop trying.
 //
 // Where internal/recovery answers the paper's question — *does a single
 // generic recovery survive fault X?* — this package answers the operator's
@@ -179,8 +181,7 @@ func (s *Supervisor) Run(ops []Op) (*Report, error) {
 	if !s.app.Running() {
 		if err := s.app.Start(); err != nil {
 			// One second chance: reclaim leftovers and reinitialize.
-			s.app.Env().ReclaimOwner(s.app.Name())
-			if rerr := s.app.Reset(); rerr != nil {
+			if _, rerr := recovery.Apply(s.app, recovery.Action{Rung: recovery.RungRestart}, nil); rerr != nil {
 				return s.report, fmt.Errorf("supervise: start %s: %w", s.app.Name(), err)
 			}
 		}
@@ -202,7 +203,7 @@ func (s *Supervisor) Run(ops []Op) (*Report, error) {
 		s.report.OpsTotal++
 		if s.degraded && op.Kind == OpWrite {
 			s.report.OpsShed++
-			s.trace(Event{Kind: EventShed, Op: op.Name, Rung: RungDegraded})
+			s.trace(Event{Kind: EventShed, Op: op.Name, Rung: recovery.RungDegraded})
 			continue
 		}
 		preOp, err := s.app.Snapshot()
@@ -281,26 +282,26 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 	if !s.breakers.Allow(mech, s.env.Monotonic()) {
 		s.report.mech(mech).FastFails++
 		s.trace(Event{Kind: EventFastFail, Op: op.Name, Mechanism: mech, Err: initial})
-		_ = Revive(s.app, preOp)
+		recovery.Revive(s.app, preOp)
 		return opFailed
 	}
 
-	rung := RungRetry
+	rung := recovery.RungRetry
 	attempt := 0   // episode-wide recovery attempts
 	attemptAt := 0 // attempts spent on the current rung
 	var lastFE *faultinject.FailureError
 	lastFE, _ = faultinject.AsFailure(initial)
 
 	for {
-		if rung >= RungDegraded {
+		if rung >= recovery.RungDegraded {
 			return s.degradeAndFinish(idx, op, preOp, mech)
 		}
 		if !s.budgetAllows() {
 			// Crash loop: the retry budget for this window is gone. Protect
 			// the service instead of burning more retries.
 			s.report.CrashLoopTrips++
-			s.escalateTo(op, mech, RungDegraded)
-			rung = RungDegraded
+			s.escalateTo(op, mech, recovery.RungDegraded)
+			rung = recovery.RungDegraded
 			continue
 		}
 		attempt++
@@ -337,7 +338,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 		if s.breakers.Failure(mech, s.env.Monotonic()) {
 			s.report.mech(mech).BreakerOpens++
 			s.trace(Event{Kind: EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Err: retryErr})
-			_ = Revive(s.app, preOp)
+			recovery.Revive(s.app, preOp)
 			s.trace(Event{Kind: EventGiveUp, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Err: retryErr})
 			return opFailed
 		}
@@ -355,9 +356,9 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 // mode is reverted, full service resumes, and the mechanism's breaker opens.
 func (s *Supervisor) degradeAndFinish(idx int, op Op, preOp []byte, mech string) opResult {
 	s.enterDegraded(idx)
-	_ = Revive(s.app, preOp)
+	recovery.Revive(s.app, preOp)
 	if op.Kind == OpWrite {
-		s.trace(Event{Kind: EventShed, Op: op.Name, Mechanism: mech, Rung: RungDegraded})
+		s.trace(Event{Kind: EventShed, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
 		return opShed
 	}
 	s.report.mech(mech).Retries++
@@ -365,36 +366,36 @@ func (s *Supervisor) degradeAndFinish(idx int, op Op, preOp []byte, mech string)
 	if err := s.execute(op); err == nil {
 		s.report.mech(mech).Recoveries++
 		s.breakers.Success(mech)
-		s.trace(Event{Kind: EventRetryOK, Op: op.Name, Mechanism: mech, Rung: RungDegraded})
+		s.trace(Event{Kind: EventRetryOK, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
 		return opRecovered
 	}
 	s.exitDegraded()
 	if s.breakers.ForceOpen(mech, s.env.Monotonic()) {
 		s.report.mech(mech).BreakerOpens++
-		s.trace(Event{Kind: EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: RungDegraded})
+		s.trace(Event{Kind: EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
 	}
-	_ = Revive(s.app, preOp)
-	s.trace(Event{Kind: EventGiveUp, Op: op.Name, Mechanism: mech, Rung: RungDegraded})
+	recovery.Revive(s.app, preOp)
+	s.trace(Event{Kind: EventGiveUp, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
 	return opFailed
 }
 
-// applyRung applies one ladder rung's recovery action through Apply and
-// names the component a microreboot targeted. attemptAt is the attempt
-// number within the current rung: the microreboot rung widens to the
-// dependent subtree after its first attempt. A retry on a dead application
-// restores the pre-op checkpoint instead.
-func (s *Supervisor) applyRung(rung Rung, preOp []byte, mech string, attempt, attemptAt int, fe *faultinject.FailureError) (string, error) {
+// applyRung applies one ladder rung's recovery action through
+// recovery.Apply and names the component a microreboot targeted. attemptAt
+// is the attempt number within the current rung: the microreboot rung
+// widens to the dependent subtree after its first attempt. A retry on a
+// dead application restores the pre-op checkpoint instead.
+func (s *Supervisor) applyRung(rung recovery.Rung, preOp []byte, mech string, attempt, attemptAt int, fe *faultinject.FailureError) (string, error) {
 	if s.cfg.GrowResources && fe != nil {
 		recovery.GrowResources(s.app.Env(), fe)
 	}
-	a := Action{Rung: rung, Mechanism: mech, Attempt: attempt, Widen: attemptAt > 1, Snapshot: preOp}
+	a := recovery.Action{Rung: rung, Mechanism: mech, Attempt: attempt, Widen: attemptAt > 1, Snapshot: preOp}
 	switch {
-	case rung == RungRetry && !s.app.Running():
-		a.Rung = RungRestore
-	case rung == RungRestore:
+	case rung == recovery.RungRetry && !s.app.Running():
+		a.Rung = recovery.RungRestore
+	case rung == recovery.RungRestore:
 		a.Snapshot = s.epoch
 	}
-	return Apply(s.app, a, nil)
+	return recovery.Apply(s.app, a, nil)
 }
 
 func (s *Supervisor) enterDegraded(idx int) {
@@ -406,11 +407,11 @@ func (s *Supervisor) enterDegraded(idx int) {
 	if s.report.DegradedAtOp == 0 {
 		s.report.DegradedAtOp = idx + 1
 	}
-	s.report.Escalations[RungDegraded]++
+	s.report.Escalations[recovery.RungDegraded]++
 	if d, ok := s.app.(Degradable); ok {
 		d.SetDegraded(true)
 	}
-	s.trace(Event{Kind: EventDegraded, Rung: RungDegraded})
+	s.trace(Event{Kind: EventDegraded, Rung: recovery.RungDegraded})
 }
 
 func (s *Supervisor) exitDegraded() {
@@ -426,12 +427,12 @@ func (s *Supervisor) exitDegraded() {
 }
 
 // escalateTo records a ladder escalation.
-func (s *Supervisor) escalateTo(op Op, mech string, to Rung) {
-	if to > RungDegraded {
-		to = RungDegraded
+func (s *Supervisor) escalateTo(op Op, mech string, to recovery.Rung) {
+	if to > recovery.RungDegraded {
+		to = recovery.RungDegraded
 	}
 	s.report.mech(mech).Escalations++
-	if to != RungDegraded { // degraded entry is counted by enterDegraded
+	if to != recovery.RungDegraded { // degraded entry is counted by enterDegraded
 		s.report.Escalations[to]++
 	}
 	s.trace(Event{Kind: EventEscalate, Op: op.Name, Mechanism: mech, Rung: to})
@@ -458,7 +459,7 @@ func (s *Supervisor) noteRetry() {
 // noteFailure records one observed failure in the report. rung is the
 // ladder rung whose retry just failed, or zero for the initial failure
 // that opens the episode.
-func (s *Supervisor) noteFailure(op Op, mech string, rung Rung, err error) {
+func (s *Supervisor) noteFailure(op Op, mech string, rung recovery.Rung, err error) {
 	s.report.mech(mech).Failures++
 	s.trace(Event{Kind: EventFailure, Op: op.Name, Mechanism: mech, Rung: rung, Err: err})
 }

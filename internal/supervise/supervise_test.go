@@ -11,6 +11,7 @@ import (
 	"faultstudy/internal/apps/httpd"
 	"faultstudy/internal/apps/sqldb"
 	"faultstudy/internal/faultinject"
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/simenv"
 	"faultstudy/internal/taxonomy"
 )
@@ -167,7 +168,7 @@ func TestBreakerOpensOnEnvironmentIndependentFault(t *testing.T) {
 	if rep.OpsShed != 1 || rep.OpsFailed != 2 {
 		t.Errorf("ops shed/failed = %d/%d, want 1/2", rep.OpsShed, rep.OpsFailed)
 	}
-	if rep.Escalations[RungMicroreboot] != 1 {
+	if rep.Escalations[recovery.RungMicroreboot] != 1 {
 		t.Errorf("escalations = %v, want one walk (the read must stop at the retry rung)", rep.Escalations)
 	}
 	var open bool
@@ -213,7 +214,7 @@ func TestFullDiskEscalatesToDegraded(t *testing.T) {
 		t.Error("Served() = false, want true: nothing was lost")
 	}
 	// The ladder was walked in full: every intermediate rung was tried.
-	for _, rung := range []Rung{RungMicroreboot, RungRestore, RungRestart, RungDegraded} {
+	for _, rung := range []recovery.Rung{recovery.RungMicroreboot, recovery.RungRestore, recovery.RungRestart, recovery.RungDegraded} {
 		if rep.Escalations[rung] == 0 {
 			t.Errorf("escalations[%s] = 0, want > 0", rung)
 		}
@@ -451,7 +452,7 @@ func TestCrashLoopTripsRetryBudget(t *testing.T) {
 	if got := rep.Mechanisms[mechB].Retries; got != 5 {
 		t.Errorf("read retries = %d, want 5 (4 within the budget + the degraded retry)", got)
 	}
-	if rep.Escalations[RungRestart] != 1 {
+	if rep.Escalations[recovery.RungRestart] != 1 {
 		t.Errorf("escalations = %v, want only the write to reach the restart rung", rep.Escalations)
 	}
 
@@ -541,7 +542,7 @@ func TestRungAndEventNames(t *testing.T) {
 			t.Errorf("rung %d = %q, want %q", i, r, wantRungs[i])
 		}
 	}
-	if !strings.Contains((&Report{Mechanisms: map[string]*MechStats{}, Escalations: map[Rung]int{}}).String(), "Supervisor report") {
+	if !strings.Contains((&Report{Mechanisms: map[string]*MechStats{}, Escalations: map[recovery.Rung]int{}}).String(), "Supervisor report") {
 		t.Error("report header missing")
 	}
 }
@@ -645,7 +646,7 @@ func TestEpisodeDurationStampedAtDecisionTime(t *testing.T) {
 	if rep2.OpsShed != 1 {
 		t.Fatalf("OpsShed = %d, want 1 (the degraded rung should shed the write)", rep2.OpsShed)
 	}
-	if rep2.CrashLoopTrips != 0 || rep2.Escalations[RungRestart] != 1 {
+	if rep2.CrashLoopTrips != 0 || rep2.Escalations[recovery.RungRestart] != 1 {
 		t.Fatalf("want a full ladder walk without a crash-loop trip:\n%s", rep2)
 	}
 	wantShed := 9*hangCharge + rep2.BackoffTotal
@@ -694,17 +695,17 @@ func TestMicrorebootTargetsFaultyComponent(t *testing.T) {
 	if rep.Recovered == 0 {
 		t.Fatal("expected at least one recovered episode")
 	}
-	if rep.Escalations[RungMicroreboot] == 0 {
+	if rep.Escalations[recovery.RungMicroreboot] == 0 {
 		t.Fatalf("escalations = %v, want microreboot reached", rep.Escalations)
 	}
-	for _, r := range []Rung{RungRestore, RungRestart, RungDegraded} {
+	for _, r := range []recovery.Rung{recovery.RungRestore, recovery.RungRestart, recovery.RungDegraded} {
 		if rep.Escalations[r] != 0 {
 			t.Fatalf("escalated past microreboot (%v): the component reboot must suffice", rep.Escalations)
 		}
 	}
 	var targeted int
 	for _, ev := range actions {
-		if ev.Rung == RungMicroreboot {
+		if ev.Rung == recovery.RungMicroreboot {
 			if ev.Component != httpd.CompCore {
 				t.Fatalf("microreboot action component = %q, want %q", ev.Component, httpd.CompCore)
 			}
@@ -742,7 +743,7 @@ func TestMicrorebootWidensToSubtree(t *testing.T) {
 
 	var microAttempts int
 	cfg := Config{Seed: 9, Trace: func(ev Event) {
-		if ev.Kind == EventAction && ev.Rung == RungMicroreboot {
+		if ev.Kind == EventAction && ev.Rung == recovery.RungMicroreboot {
 			if ev.Component != httpd.CompCore {
 				t.Errorf("microreboot component = %q, want %q", ev.Component, httpd.CompCore)
 			}

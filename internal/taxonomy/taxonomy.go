@@ -74,14 +74,6 @@ func (c FaultClass) Valid() bool {
 	return c == ClassEnvIndependent || c == ClassEnvDependentNonTransient || c == ClassEnvDependentTransient
 }
 
-// Deterministic reports whether a fault of this class recurs deterministically
-// under a truly generic recovery system that preserves all application state
-// and replays the same workload. Environment-independent faults are
-// deterministic by definition; the other classes depend on the environment.
-func (c FaultClass) Deterministic() bool {
-	return c == ClassEnvIndependent
-}
-
 // ParseClass parses a class name in any of the accepted spellings
 // (full paper name, short form, or common aliases). Matching is
 // case-insensitive.

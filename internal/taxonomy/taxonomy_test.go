@@ -83,18 +83,6 @@ func TestClassValidity(t *testing.T) {
 	}
 }
 
-func TestDeterministic(t *testing.T) {
-	if !ClassEnvIndependent.Deterministic() {
-		t.Error("environment-independent faults are deterministic")
-	}
-	if ClassEnvDependentTransient.Deterministic() {
-		t.Error("transient faults are not deterministic")
-	}
-	if ClassEnvDependentNonTransient.Deterministic() {
-		t.Error("nontransient env-dependent faults are not deterministic")
-	}
-}
-
 func TestTriggerRoundTrip(t *testing.T) {
 	kinds := []TriggerKind{
 		TriggerWorkloadOnly, TriggerResourceLeak, TriggerFDExhaustion,
