@@ -289,7 +289,7 @@ type TableResult = experiment.TableResult
 // Table regenerates one application's classification table (paper Tables
 // 1–3) from the corpus via the reproducible classifier.
 func Table(app Application) *TableResult {
-	return experiment.Table(app, classify.Options{})
+	return experiment.Table(app)
 }
 
 // FigureSeries is a regenerated fault-distribution figure.
@@ -310,7 +310,7 @@ type AggregateResult = experiment.Aggregate
 // Aggregate computes the cross-application totals (139 faults; 10% EDN, 9%
 // EDT; 72–87% EI per application).
 func Aggregate() *AggregateResult {
-	return experiment.ComputeAggregate(classify.Options{})
+	return experiment.ComputeAggregate()
 }
 
 // ExportArtifacts renders every regenerated artifact as named CSV documents

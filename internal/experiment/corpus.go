@@ -216,7 +216,7 @@ func RunCorpus(cfg CorpusConfig) (*CorpusReport, error) {
 	}
 	fouts, err := runArms(cfg.Workers, len(faults), cfg.Telemetry, func(i int, tel *Telemetry) (faultOut, error) {
 		f := faults[i]
-		res := classify.New(classifyDefaults()).Classify(f.Report())
+		res := classify.New(classify.Options{}).Classify(f.Report())
 		out := faultOut{agree: res.Class == f.Class}
 		seed := parallel.Derive(cfg.Seed, corpusLadderSalt+uint64(i))
 		verdict, err := runLadder(cfg.Supervise, tel, obsv.Context{FaultID: f.ID, Class: f.Class.Short()},

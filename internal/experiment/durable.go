@@ -351,12 +351,6 @@ func deriveDurableTelemetry(tel *Telemetry, arms []DurableArm) {
 	if tel == nil {
 		return
 	}
-	obsv.RegisterBridgeHelp(tel.Registry)
-	tel.Registry.Help(MetricDurableEpisodes, "Durable-store fault episodes, by arm, class and outcome.")
-	tel.Registry.Help(MetricDurableAckedLost, "Acknowledged records silently missing after recovery.")
-	tel.Registry.Help(MetricDurableDetectedLoss, "Acknowledged records lost to detected, reported damage.")
-	tel.Registry.Help(MetricDurableRepairs, "Tail truncations performed over damaged log bytes.")
-	tel.Registry.Help(MetricDurableMTTRSeconds, "Per-episode store repair time: detection to recovered and writable.")
 	for _, a := range arms {
 		mech := "durable/" + a.Name
 		tel.Recorder.SetContext(obsv.Context{App: "durable", FaultID: mech, Class: a.Class})

@@ -69,8 +69,8 @@ func (t *TableResult) String() string {
 
 // Table regenerates one application's classification table from the corpus
 // via the reproducible classifier (the oracle path).
-func Table(app taxonomy.Application, opts classify.Options) *TableResult {
-	classifier := classify.New(opts)
+func Table(app taxonomy.Application) *TableResult {
+	classifier := classify.New(classify.Options{})
 	counts := make(map[taxonomy.FaultClass]int, 3)
 	for _, f := range corpus.ByApp(app) {
 		counts[classifier.Classify(f.Report()).Class]++
@@ -91,13 +91,13 @@ type Aggregate struct {
 }
 
 // ComputeAggregate builds the aggregate from the oracle tables.
-func ComputeAggregate(opts classify.Options) *Aggregate {
+func ComputeAggregate() *Aggregate {
 	agg := &Aggregate{
 		Counts:  make(map[taxonomy.FaultClass]int, 3),
 		EIShare: make(map[taxonomy.Application]stats.Proportion, 3),
 	}
 	for _, app := range taxonomy.Applications() {
-		t := Table(app, opts)
+		t := Table(app)
 		total := 0
 		for c, n := range t.Counts {
 			agg.Counts[c] += n
@@ -126,6 +126,3 @@ func (a *Aggregate) String() string {
 	}
 	return b.String()
 }
-
-// classifyDefaults returns the study's classifier configuration.
-func classifyDefaults() classify.Options { return classify.Options{} }

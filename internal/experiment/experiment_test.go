@@ -4,7 +4,6 @@ import (
 	"strings"
 	"testing"
 
-	"faultstudy/internal/classify"
 	"faultstudy/internal/corpus"
 	"faultstudy/internal/recovery"
 	"faultstudy/internal/stats"
@@ -13,7 +12,7 @@ import (
 
 func TestTablesMatchPaper(t *testing.T) {
 	for _, app := range taxonomy.Applications() {
-		res := Table(app, classify.Options{})
+		res := Table(app)
 		if !res.Matches() {
 			t.Errorf("%s table does not match the paper:\n%s", app, res)
 		}
@@ -21,7 +20,7 @@ func TestTablesMatchPaper(t *testing.T) {
 }
 
 func TestAggregateMatchesDiscussion(t *testing.T) {
-	agg := ComputeAggregate(classify.Options{})
+	agg := ComputeAggregate()
 	if agg.Total != 139 {
 		t.Errorf("total = %d, want 139", agg.Total)
 	}

@@ -126,7 +126,7 @@ func ExportAll(m *Matrix) (map[string]string, error) {
 		"table2_gnome.csv":  taxonomy.AppGnome,
 		"table3_mysql.csv":  taxonomy.AppMySQL,
 	} {
-		csvText, err := TableCSV(Table(app, classifyDefaults()))
+		csvText, err := TableCSV(Table(app))
 		if err != nil {
 			return nil, fmt.Errorf("experiment: export %s: %w", name, err)
 		}

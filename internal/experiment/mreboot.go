@@ -169,18 +169,20 @@ type componentApp interface {
 }
 
 // mrebootDriver binds a componentized application to its background
-// workload: warm establishes the sessions and state the workload uses, and
-// bg serves the i-th background arrival through the component routing.
+// workload: bg serves the i-th background arrival through the component
+// routing.
 type mrebootDriver struct {
-	app  componentApp
-	warm func()
-	bg   func(i int) error
+	app componentApp
+	bg  func(i int) error
 }
 
 // buildComponentized constructs the componentized application, its scenario,
-// and the background-workload driver for a mechanism. Warmup errors are
-// tolerated (a seeded bug may fire during warmup; the workload then reports
-// it), with crashes contained so staging still runs against a live process.
+// and the background-workload driver for a mechanism, then starts the
+// application, warms it (establishing the sessions and state the workload
+// uses) and stages the scenario's environmental precondition: the preamble
+// of every MREBOOT and SCOPE arm. Warmup errors are tolerated (a seeded bug
+// may fire during warmup; the workload then reports it), with crashes
+// contained so staging still runs against a live process.
 func buildComponentized(mechanism string, seed int64) (*mrebootDriver, faultinject.Scenario, error) {
 	e, app, sc, err := buildScenario(mechanism, seed)
 	if err == nil && e.drive == nil {
@@ -191,7 +193,14 @@ func buildComponentized(mechanism string, seed int64) (*mrebootDriver, faultinje
 	}
 	c := e.componentize(app)
 	warm, bg := e.drive(c)
-	return &mrebootDriver{app: c, warm: warm, bg: bg}, sc, nil
+	if err := c.Start(); err != nil {
+		return nil, faultinject.Scenario{}, fmt.Errorf("experiment: %s: start: %w", mechanism, err)
+	}
+	warm()
+	if sc.Stage != nil {
+		sc.Stage()
+	}
+	return &mrebootDriver{app: c, bg: bg}, sc, nil
 }
 
 // tolerate runs a warmup step, containing any crash it causes so the arm
@@ -258,13 +267,6 @@ func runMRebootArm(cfg MRebootConfig, armIdx int, mech faultinject.Mechanism, po
 		return arm, err
 	}
 	app := drv.app
-	if err := app.Start(); err != nil {
-		return arm, fmt.Errorf("experiment: mreboot %s × %s: start: %w", mech.Key, policy, err)
-	}
-	drv.warm()
-	if sc.Stage != nil {
-		sc.Stage()
-	}
 	epoch, err := app.Snapshot()
 	if err != nil {
 		return arm, fmt.Errorf("experiment: mreboot %s × %s: checkpoint: %w", mech.Key, policy, err)
@@ -276,7 +278,6 @@ func runMRebootArm(cfg MRebootConfig, armIdx int, mech faultinject.Mechanism, po
 		run.action.Rung = recovery.RungMicroreboot
 	}
 	if tel != nil {
-		obsv.RegisterBridgeHelp(tel.Registry)
 		run.rec = tel.Recorder
 		tel.Recorder.SetContext(obsv.Context{
 			App: mech.App.String(), FaultID: mech.Key, Class: mech.Class().Short()})
@@ -337,7 +338,10 @@ func (r *mrebootRun) episode(a mrebootArrival, preOp []byte, opErr error) {
 
 	recovered := recoverAttempts(r.rec, r.env, r.policy, recoveryAttempts, func(attempt int) string {
 		act := r.action
-		act.Attempt, act.Widen, act.Snapshot = attempt, attempt > 1, preOp
+		act.Attempt, act.Snapshot = attempt, preOp
+		if act.Rung == recovery.RungMicroreboot && attempt > 1 {
+			act.Rung = recovery.RungSubtreeReboot
+		}
 		if r.policy == "rollback" {
 			act.Snapshot = r.epoch
 		}

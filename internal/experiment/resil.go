@@ -167,7 +167,6 @@ func observeResilArm(tel *Telemetry, arm ResilArm, inj *chaoshttp.Injector, endA
 	if tel == nil {
 		return
 	}
-	obsv.RegisterBridgeHelp(tel.Registry)
 	class := arm.Class.Short()
 	rec := tel.Recorder
 	rec.SetContext(obsv.Context{App: "miner", Class: class})

@@ -69,7 +69,7 @@ type ScopeArm struct {
 	// App is the application hosting the bug.
 	App taxonomy.Application
 	// Rung is the recovery rung under test.
-	Rung recoveryscope.Rung
+	Rung recovery.Rung
 	// Episodes counts fault episodes (any arrival failing with a seeded
 	// fault).
 	Episodes int
@@ -96,7 +96,7 @@ type ScopeMech struct {
 	// StaticRung is the predicted minimal rung; TruthRung the cheapest rung
 	// whose probe arm cured (RungRestart when none did — the ladder's
 	// ceiling is the honest floor for an uncurable fault).
-	StaticRung, TruthRung recoveryscope.Rung
+	StaticRung, TruthRung recovery.Rung
 	// Curable reports whether any rung's probe cured the mechanism.
 	Curable bool
 	// Component is the statically predicted owning component.
@@ -161,7 +161,7 @@ func RunScope(cfg ScopeConfig) (*ScopeReport, error) {
 	byMech := analysis.ByMechanism()
 
 	mechs := registryMechanisms()
-	rungs := recoveryscope.Rungs()
+	rungs := recovery.Rungs()
 	arms, err := runArms(cfg.Workers, len(mechs)*len(rungs), cfg.Telemetry, func(i int, tel *Telemetry) (ScopeArm, error) {
 		mech := mechs[i/len(rungs)]
 		return runScopeArm(cfg, i, mech, rungs[i%len(rungs)], byMech[mech.Key].Rung, tel)
@@ -170,7 +170,7 @@ func RunScope(cfg ScopeConfig) (*ScopeReport, error) {
 		return nil, err
 	}
 	rep := &ScopeReport{Seed: cfg.Seed, Arms: arms, Sites: len(analysis.Sites)}
-	curedAt := make(map[string]recoveryscope.Rung, len(mechs))
+	curedAt := make(map[string]recovery.Rung, len(mechs))
 	for _, a := range arms {
 		if _, ok := curedAt[a.Mechanism]; a.Cured && !ok {
 			curedAt[a.Mechanism] = a.Rung // arms arrive in ladder order
@@ -192,7 +192,7 @@ func RunScope(cfg ScopeConfig) (*ScopeReport, error) {
 		} else {
 			// Nothing cures (a persistent environment condition): the
 			// ladder's top is the minimal honest plan.
-			sm.TruthRung = recoveryscope.RungRestart
+			sm.TruthRung = recovery.RungRestart
 		}
 		rep.Mechs = append(rep.Mechs, sm)
 	}
@@ -206,7 +206,6 @@ func (r *ScopeReport) observe(tel *Telemetry, analysis *recoveryscope.Analysis) 
 	if tel == nil {
 		return
 	}
-	obsv.RegisterBridgeHelp(tel.Registry)
 	for _, s := range analysis.Sites {
 		app := strings.SplitN(firstMechanism(s.Mechanisms), "/", 2)[0]
 		if app == "" {
@@ -251,7 +250,7 @@ func firstMechanism(mechs []string) string {
 // handler.
 type scopeRun struct {
 	mech faultinject.Mechanism
-	rung recoveryscope.Rung
+	rung recovery.Rung
 	drv  *mrebootDriver
 	arm  *ScopeArm
 	rec  *obsv.Recorder
@@ -262,7 +261,7 @@ type scopeRun struct {
 // planned is the statically predicted minimal rung for the mechanism
 // (RungNone when the analysis found no site), stamped onto the recorded
 // episodes so the telemetry summary reads planned against final.
-func runScopeArm(cfg ScopeConfig, armIdx int, mech faultinject.Mechanism, rung recoveryscope.Rung, planned recoveryscope.Rung, tel *Telemetry) (ScopeArm, error) {
+func runScopeArm(cfg ScopeConfig, armIdx int, mech faultinject.Mechanism, rung, planned recovery.Rung, tel *Telemetry) (ScopeArm, error) {
 	arm := ScopeArm{Mechanism: mech.Key, App: mech.App, Rung: rung}
 	armSeed := parallel.Derive(cfg.Seed, uint64(armIdx))
 	drv, sc, err := buildComponentized(mech.Key, armSeed)
@@ -270,18 +269,11 @@ func runScopeArm(cfg ScopeConfig, armIdx int, mech faultinject.Mechanism, rung r
 		return arm, err
 	}
 	app := drv.app
-	if err := app.Start(); err != nil {
-		return arm, fmt.Errorf("experiment: scope %s × %s: start: %w", mech.Key, rung, err)
-	}
-	drv.warm()
-	if sc.Stage != nil {
-		sc.Stage()
-	}
 	run := &scopeRun{mech: mech, rung: rung, drv: drv, arm: &arm}
 	if tel != nil {
 		run.rec = tel.Recorder
 		ctx := obsv.Context{App: mech.App.String(), FaultID: mech.Key, Class: mech.Class().Short()}
-		if planned != recoveryscope.RungNone {
+		if planned != recovery.RungNone {
 			ctx.PlannedRung = planned.String()
 		}
 		run.rec.SetContext(ctx)
@@ -349,20 +341,9 @@ func (r *scopeRun) episode(a mrebootArrival, preOp []byte, opErr error) bool {
 // recovery — a crashed process cannot retry itself back to life; measuring
 // that is the point.
 func (r *scopeRun) apply(attempt int, preOp []byte) string {
-	act := ladderActions[r.rung]
-	act.Mechanism, act.Attempt, act.Snapshot, act.ResetOnFail = r.mech.Key, attempt, preOp, true
-	target, _ := recovery.Apply(r.drv.app, act, nil)
+	target, _ := recovery.Apply(r.drv.app, recovery.Action{Rung: r.rung, Mechanism: r.mech.Key,
+		Attempt: attempt, Snapshot: preOp, ResetOnFail: true}, nil)
 	return target
-}
-
-// ladderActions maps each rung of the recovery-scope ladder onto the
-// executor's: a subtree reboot is a widened microreboot.
-var ladderActions = map[recoveryscope.Rung]recovery.Action{
-	recoveryscope.RungRetry:         {Rung: recovery.RungRetry},
-	recoveryscope.RungMicroreboot:   {Rung: recovery.RungMicroreboot},
-	recoveryscope.RungSubtreeReboot: {Rung: recovery.RungMicroreboot, Widen: true},
-	recoveryscope.RungRestore:       {Rung: recovery.RungRestore},
-	recoveryscope.RungRestart:       {Rung: recovery.RungRestart},
 }
 
 // ClassRecall is the fraction of mechanisms whose static class matches the

@@ -6,7 +6,7 @@ import (
 	"strings"
 	"testing"
 
-	"faultstudy/internal/recoveryscope"
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -62,7 +62,7 @@ func TestScopeGate(t *testing.T) {
 	if len(rep.Mechs) != len(keys) {
 		t.Fatalf("scorecards = %d, want one per mechanism (%d)", len(rep.Mechs), len(keys))
 	}
-	if len(rep.Arms) != len(keys)*len(recoveryscope.Rungs()) {
+	if len(rep.Arms) != len(keys)*len(recovery.Rungs()) {
 		t.Fatalf("arms = %d, want mechanisms x rungs", len(rep.Arms))
 	}
 	if rep.Sites == 0 {
@@ -87,7 +87,7 @@ func TestScopeGate(t *testing.T) {
 		t.Fatal("no probe arm cured its mechanism — ground truth degenerate")
 	}
 	for _, m := range rep.Mechs {
-		if m.Curable && m.TruthRung == recoveryscope.RungNone {
+		if m.Curable && m.TruthRung == recovery.RungNone {
 			t.Fatalf("%s: curable with no truth rung", m.Mechanism)
 		}
 	}
@@ -132,13 +132,13 @@ func TestScopeGate(t *testing.T) {
 // when the prediction pays more than measured, under when it pays less.
 func TestScopeRungVerdict(t *testing.T) {
 	cases := []struct {
-		static, truth recoveryscope.Rung
+		static, truth recovery.Rung
 		want          string
 	}{
-		{recoveryscope.RungRetry, recoveryscope.RungRetry, "exact"},
-		{recoveryscope.RungRestart, recoveryscope.RungMicroreboot, "over"},
-		{recoveryscope.RungRetry, recoveryscope.RungRestore, "under"},
-		{recoveryscope.RungNone, recoveryscope.RungRetry, "under"},
+		{recovery.RungRetry, recovery.RungRetry, "exact"},
+		{recovery.RungRestart, recovery.RungMicroreboot, "over"},
+		{recovery.RungRetry, recovery.RungRestore, "under"},
+		{recovery.RungNone, recovery.RungRetry, "under"},
 	}
 	for _, c := range cases {
 		m := ScopeMech{StaticRung: c.static, TruthRung: c.truth}
@@ -154,12 +154,12 @@ func TestScopeCheckFails(t *testing.T) {
 	mech := func(classOK bool, verdict string) ScopeMech {
 		m := ScopeMech{TruthClass: taxonomy.ClassEnvIndependent,
 			StaticClass: taxonomy.ClassEnvIndependent,
-			StaticRung:  recoveryscope.RungRetry, TruthRung: recoveryscope.RungRetry}
+			StaticRung:  recovery.RungRetry, TruthRung: recovery.RungRetry}
 		if !classOK {
 			m.StaticClass = taxonomy.ClassEnvDependentTransient
 		}
 		if verdict == "under" {
-			m.TruthRung = recoveryscope.RungRestart
+			m.TruthRung = recovery.RungRestart
 		}
 		return m
 	}
@@ -201,17 +201,17 @@ func TestScopeKnownDisagreements(t *testing.T) {
 	)
 	type verdict struct {
 		truthClass, staticClass taxonomy.FaultClass
-		truthRung, staticRung   recoveryscope.Rung
+		truthRung, staticRung   recovery.Rung
 	}
 	cases := []struct {
 		mech string
 		want verdict
 	}{
-		{"httpd/load-resource-leak", verdict{edn, ei, recoveryscope.RungMicroreboot, recoveryscope.RungRestore}},
-		{"desktop/hostname-change", verdict{edn, edn, recoveryscope.RungRestart, recoveryscope.RungRestore}},
-		{"httpd/port-squat", verdict{edt, edt, recoveryscope.RungMicroreboot, recoveryscope.RungRetry}},
-		{"httpd/slow-network", verdict{edt, edt, recoveryscope.RungRestart, recoveryscope.RungRetry}},
-		{"sqldb/no-reverse-dns", verdict{edn, edn, recoveryscope.RungRestart, recoveryscope.RungMicroreboot}},
+		{"httpd/load-resource-leak", verdict{edn, ei, recovery.RungMicroreboot, recovery.RungRestore}},
+		{"desktop/hostname-change", verdict{edn, edn, recovery.RungRestart, recovery.RungRestore}},
+		{"httpd/port-squat", verdict{edt, edt, recovery.RungMicroreboot, recovery.RungRetry}},
+		{"httpd/slow-network", verdict{edt, edt, recovery.RungRestart, recovery.RungRetry}},
+		{"sqldb/no-reverse-dns", verdict{edn, edn, recovery.RungRestart, recovery.RungMicroreboot}},
 	}
 	rep, err := RunScope(ScopeConfig{Seed: 42, Workers: 0})
 	if err != nil {

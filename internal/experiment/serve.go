@@ -12,7 +12,6 @@ import (
 	"faultstudy/internal/obsv"
 	"faultstudy/internal/parallel"
 	"faultstudy/internal/recovery"
-	"faultstudy/internal/recoveryscope"
 	"faultstudy/internal/simenv"
 	"faultstudy/internal/stats"
 	"faultstudy/internal/taxonomy"
@@ -60,13 +59,6 @@ const (
 	// arrival per simulated millisecond on average.
 	serveDefaultArrival = "poisson:1ms"
 )
-
-// ServeRungs is the recovery-mechanism axis of the SERVE experiment: the
-// full escalation ladder, in ascending cost order, matching
-// recoveryscope.Rungs.
-func ServeRungs() []string {
-	return []string{"retry", "microreboot", "subtree-reboot", "restore", "restart"}
-}
 
 // ServeConfig tunes the SERVE experiment: sustained open-loop traffic
 // against daemonized applications with seeded bugs striking mid-stream, one
@@ -202,7 +194,7 @@ func serveMechanisms() []faultinject.Mechanism {
 	return out
 }
 
-// RunServe runs the SERVE experiment: serveMechanisms() × ServeRungs(), one
+// RunServe runs the SERVE experiment: serveMechanisms() × recovery.Rungs(), one
 // arm per cell. Each arm daemonizes a componentized application, precomputes
 // an open-loop traffic schedule over cfg.Users simulated users, splices the
 // mechanism's trigger ops into the stream at evenly spaced positions, and
@@ -218,7 +210,7 @@ func RunServe(cfg ServeConfig) (*ServeReport, error) {
 		return nil, err
 	}
 	mechs := serveMechanisms()
-	rungs := recoveryscope.Rungs()
+	rungs := recovery.Rungs()
 	arms, err := runArms(cfg.Workers, len(mechs)*len(rungs), cfg.Telemetry, func(i int, tel *Telemetry) (ServeArm, error) {
 		return runServeArm(cfg, i, mechs[i/len(rungs)], rungs[i%len(rungs)], tel)
 	})
@@ -269,7 +261,7 @@ type serveRun struct {
 
 // runServeArm runs one (mechanism, rung) cell. Everything it does is a pure
 // function of (cfg, arm index); it shares no state with other arms.
-func runServeArm(cfg ServeConfig, armIdx int, mech faultinject.Mechanism, ladderRung recoveryscope.Rung, tel *Telemetry) (ServeArm, error) {
+func runServeArm(cfg ServeConfig, armIdx int, mech faultinject.Mechanism, ladderRung recovery.Rung, tel *Telemetry) (ServeArm, error) {
 	rung := ladderRung.String()
 	arm := ServeArm{Mechanism: mech.Key, App: mech.App, Class: mech.Class(), Rung: rung}
 	armSeed := parallel.Derive(cfg.Seed, uint64(armIdx))
@@ -304,10 +296,9 @@ func runServeArm(cfg ServeConfig, armIdx int, mech faultinject.Mechanism, ladder
 	}
 	run := &serveRun{cfg: cfg, mech: mech, rung: rung, app: app,
 		env: app.Env(), arm: &arm, tel: tel, schedule: schedule,
-		base: app.Env().Monotonic(), cp: cp, action: ladderActions[ladderRung]}
-	run.action.Mechanism, run.action.ResetOnFail = mech.Key, true
+		base: app.Env().Monotonic(), cp: cp,
+		action: recovery.Action{Rung: ladderRung, Mechanism: mech.Key, ResetOnFail: true}}
 	if tel != nil {
-		obsv.RegisterBridgeHelp(tel.Registry)
 		run.rec = tel.Recorder
 		tel.Recorder.SetContext(obsv.Context{
 			App: mech.App.String(), FaultID: mech.Key, Class: mech.Class().Short()})
@@ -625,7 +616,8 @@ func (r *ServeReport) String() string {
 	tbl := &stats.Table{Header: []string{
 		"class", "rung", "requests", "good", "refused", "lost", "burn", "reboot-served", "mttr"}}
 	for _, class := range taxonomy.Classes() {
-		for _, rung := range ServeRungs() {
+		for _, ladderRung := range recovery.Rungs() {
+			rung := ladderRung.String()
 			c := r.cell(class, rung)
 			if c.Requests == 0 {
 				continue

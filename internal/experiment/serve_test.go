@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/taxonomy"
 	"faultstudy/internal/traffic"
 )
@@ -62,7 +63,7 @@ func TestServeGate(t *testing.T) {
 	if rep.Users < 1000 {
 		t.Fatalf("users = %d, want >= 1000 simulated users", rep.Users)
 	}
-	if want := len(serveMechanisms()) * len(ServeRungs()); len(rep.Arms) != want {
+	if want := len(serveMechanisms()) * len(recovery.Rungs()); len(rep.Arms) != want {
 		t.Fatalf("arms = %d, want %d (mechanisms x rungs)", len(rep.Arms), want)
 	}
 

@@ -66,38 +66,40 @@ const (
 	MetricResilMTTRSeconds = "faultstudy_resil_mttr_seconds"
 )
 
-// registerHelp attaches the exporter help strings for every bridge metric.
-func registerHelp(reg *Registry) {
-	reg.Help(MetricEpisodes, "Fault episodes closed, by app, class and outcome.")
-	reg.Help(MetricFailures, "Observed operation failures, initial and retried.")
-	reg.Help(MetricRecoveryAttempts, "Recovery actions applied, by ladder rung or strategy.")
-	reg.Help(MetricRecoveries, "Recovery retries that served the failed operation.")
-	reg.Help(MetricEscalations, "Escalation-ladder transitions, by target rung.")
-	reg.Help(MetricBreakerOpens, "Per-mechanism circuit breakers opening.")
-	reg.Help(MetricFastFails, "Failures declined by an already-open breaker.")
-	reg.Help(MetricWatchdogTimeouts, "Hangs the watchdog converted into failures.")
-	reg.Help(MetricBackoffSeconds, "Virtual seconds slept in recovery backoff.")
-	reg.Help(MetricCheckpoints, "Application state snapshots taken.")
-	reg.Help(MetricShedOps, "Write operations shed in degraded mode.")
-	reg.Help(MetricDegraded, "1 while the service is in degraded mode, else 0.")
-	reg.Help(MetricEpisodeSeconds, "Episode duration from dispatch to verdict, virtual seconds.")
-	reg.Help(MetricRetriesPerRecovery, "Recovery retries spent per served episode.")
-	reg.Help(MetricWorkloadOps, "Workload items generated, by stream and category.")
-	reg.Help(MetricResilURLs, "Chaos-targeted URLs, by policy, fault, class and verdict.")
-	reg.Help(MetricResilPages, "RESIL crawl pages, by policy, fault and result.")
-	reg.Help(MetricResilRetries, "Resilient-client retries spent, by policy and class.")
-	reg.Help(MetricResilHedges, "Hedged re-attempts after slow failures, by policy and class.")
-	reg.Help(MetricResilFastFails, "Requests declined by an open host breaker, by policy and class.")
-	reg.Help(MetricResilBudgetDenied, "Retries refused by a drained retry budget, by policy and class.")
-	reg.Help(MetricResilTruncations, "Content-Length truncation detections, by policy and class.")
-	reg.Help(MetricResilMTTRSeconds, "Per-URL repair time: first injected failure to first clean fetch.")
+// metricHelp is the exporter's help string for every metric the bridges and
+// the DURABLE sweep (internal/experiment's MetricDurable* names) emit,
+// written as # HELP by WritePrometheus. A metric not named here is exported
+// without one.
+var metricHelp = map[string]string{
+	MetricEpisodes:                           "Fault episodes closed, by app, class and outcome.",
+	MetricFailures:                           "Observed operation failures, initial and retried.",
+	MetricRecoveryAttempts:                   "Recovery actions applied, by ladder rung or strategy.",
+	MetricRecoveries:                         "Recovery retries that served the failed operation.",
+	MetricEscalations:                        "Escalation-ladder transitions, by target rung.",
+	MetricBreakerOpens:                       "Per-mechanism circuit breakers opening.",
+	MetricFastFails:                          "Failures declined by an already-open breaker.",
+	MetricWatchdogTimeouts:                   "Hangs the watchdog converted into failures.",
+	MetricBackoffSeconds:                     "Virtual seconds slept in recovery backoff.",
+	MetricCheckpoints:                        "Application state snapshots taken.",
+	MetricShedOps:                            "Write operations shed in degraded mode.",
+	MetricDegraded:                           "1 while the service is in degraded mode, else 0.",
+	MetricEpisodeSeconds:                     "Episode duration from dispatch to verdict, virtual seconds.",
+	MetricRetriesPerRecovery:                 "Recovery retries spent per served episode.",
+	MetricWorkloadOps:                        "Workload items generated, by stream and category.",
+	MetricResilURLs:                          "Chaos-targeted URLs, by policy, fault, class and verdict.",
+	MetricResilPages:                         "RESIL crawl pages, by policy, fault and result.",
+	MetricResilRetries:                       "Resilient-client retries spent, by policy and class.",
+	MetricResilHedges:                        "Hedged re-attempts after slow failures, by policy and class.",
+	MetricResilFastFails:                     "Requests declined by an open host breaker, by policy and class.",
+	MetricResilBudgetDenied:                  "Retries refused by a drained retry budget, by policy and class.",
+	MetricResilTruncations:                   "Content-Length truncation detections, by policy and class.",
+	MetricResilMTTRSeconds:                   "Per-URL repair time: first injected failure to first clean fetch.",
+	"faultstudy_durable_episodes_total":      "Durable-store fault episodes, by arm, class and outcome.",
+	"faultstudy_durable_acked_lost_total":    "Acknowledged records silently missing after recovery.",
+	"faultstudy_durable_detected_loss_total": "Acknowledged records lost to detected, reported damage.",
+	"faultstudy_durable_repairs_total":       "Tail truncations performed over damaged log bytes.",
+	"faultstudy_durable_mttr_seconds":        "Per-episode store repair time: detection to recovered and writable.",
 }
-
-// RegisterBridgeHelp attaches the exporter help strings for the bridge
-// metric catalogue — the hook for instrumentation paths that write into a
-// registry directly rather than through an Observer (the RESIL sweep).
-// Nil-safe.
-func RegisterBridgeHelp(reg *Registry) { registerHelp(reg) }
 
 // Observer adapts the supervisor's trace-event stream into recorder episodes
 // and registry metrics. One Observer instruments one supervised run; build it
@@ -119,7 +121,6 @@ type Observer struct {
 // identity context. The context's App/FaultID/Class label every episode and
 // metric the observer emits; each run builds its own observer.
 func NewObserver(reg *Registry, rec *Recorder, ctx Context) *Observer {
-	registerHelp(reg)
 	rec.SetContext(ctx)
 	return &Observer{reg: reg, rec: rec, ctx: ctx}
 }
@@ -255,7 +256,7 @@ func (o *Observer) observe(ev supervise.Event) {
 // value (no rung in effect yet, e.g. the initial failure of an episode)
 // renders as empty so instant spans stay compact in JSONL.
 func rungName(r recovery.Rung) string {
-	if r == 0 {
+	if r == recovery.RungNone {
 		return ""
 	}
 	return r.String()
@@ -361,7 +362,10 @@ func (ro *RecoveryObserver) observe(ev recovery.TraceEvent) {
 		o.rec.Note(ev.At, Span{Kind: SpanRetry, Rung: ro.strategy, Attempt: ev.Attempt, Outcome: "ok"})
 		ro.closeEpisode(ev.At, OutcomeRecovered)
 	case recovery.TraceRetryFail:
-		o.rec.Drift(mechanismOf(ev.Err))
+		mech := mechanismOf(ev.Err)
+		o.reg.Counter(MetricFailures,
+			L("app", app, "class", o.class(mech), "mechanism", mech)...).Inc()
+		o.rec.Drift(mech)
 		o.rec.Note(ev.At, Span{Kind: SpanRetry, Rung: ro.strategy, Attempt: ev.Attempt,
 			Outcome: "fail", Note: errText(ev.Err)})
 	case recovery.TraceGaveUp:

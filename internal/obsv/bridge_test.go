@@ -151,6 +151,10 @@ func TestRecoveryObserverStream(t *testing.T) {
 	if got := reg.Counter(MetricRecoveries, L("app", "apache", "class", "EDT", "rung", "process-pairs")...).Value(); got != 1 {
 		t.Errorf("recoveries = %v, want 1", got)
 	}
+	// The initial failure and the failed retry both count.
+	if got := reg.Counter(MetricFailures, L("app", "apache", "class", "EDT", "mechanism", "httpd/dns-error")...).Value(); got != 2 {
+		t.Errorf("failures = %v, want 2 (initial and retried)", got)
+	}
 
 	// A strategy with no recovery leaves the episode open; Flush closes it.
 	hook(recovery.TraceEvent{Kind: recovery.TraceFailure, At: 100 * time.Second, Op: "GET", Err: ferr})

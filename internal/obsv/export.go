@@ -46,10 +46,7 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 	lastName := ""
 	for _, s := range r.sortedSeries() {
 		if s.name != lastName {
-			r.mu.Lock()
-			help := r.help[s.name]
-			r.mu.Unlock()
-			if help != "" {
+			if help := metricHelp[s.name]; help != "" {
 				fmt.Fprintf(&b, "# HELP %s %s\n", s.name, help)
 			}
 			fmt.Fprintf(&b, "# TYPE %s %s\n", s.name, typeName(s.kind))

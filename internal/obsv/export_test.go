@@ -15,8 +15,6 @@ var update = flag.Bool("update", false, "rewrite golden files")
 // fixtureRegistry builds the registry every exporter golden test renders.
 func fixtureRegistry() *Registry {
 	r := NewRegistry()
-	r.Help(MetricFailures, "Observed operation failures, initial and retried.")
-	r.Help(MetricEpisodeSeconds, "Episode duration from dispatch to verdict, virtual seconds.")
 	r.Counter(MetricFailures, L("app", "apache", "class", "EI", "mechanism", "httpd/null-deref")...).Add(4)
 	r.Counter(MetricFailures, L("app", "mysql", "class", "EDT", "mechanism", "sqldb/signal-mask-race")...).Inc()
 	r.Gauge(MetricDegraded, L("app", "apache")...).Set(1)

@@ -15,35 +15,21 @@ import (
 
 // Merge folds src's series into r: counters sum, histograms merge
 // bucket-wise, and gauges take src's value (last-merged-shard wins — the
-// same answer a serial run's final Set would leave). Help strings are copied
-// for names r has not documented yet. Merging is an error when the same
-// (name, labels) series exists in both registries with different kinds, or
-// when two histograms disagree about bucket bounds — both are
-// instrumentation bugs, not runtime conditions, but during a merge they are
-// reported rather than panicking so a CLI can surface them. A nil src (or
-// nil r) merges nothing.
+// same answer a serial run's final Set would leave). Merging is an error
+// when the same (name, labels) series exists in both registries with
+// different kinds, or when two histograms disagree about bucket bounds —
+// both are instrumentation bugs, not runtime conditions, but during a merge
+// they are reported rather than panicking so a CLI can surface them. A nil
+// src (or nil r) merges nothing.
 func (r *Registry) Merge(src *Registry) error {
 	if r == nil || src == nil {
 		return nil
 	}
-	// Snapshot src's sorted series and help outside r's lock; the two
-	// registries are distinct by contract (merging a registry into itself
-	// would double its counters, so it is rejected).
+	// Snapshot src's sorted series outside r's lock; the two registries are
+	// distinct by contract (merging a registry into itself would double its
+	// counters, so it is rejected).
 	if r == src {
 		return fmt.Errorf("obsv: cannot merge a registry into itself")
-	}
-	src.mu.Lock()
-	help := make(map[string]string, len(src.help))
-	for k, v := range src.help {
-		help[k] = v
-	}
-	src.mu.Unlock()
-	for name, h := range help {
-		r.mu.Lock()
-		if _, ok := r.help[name]; !ok {
-			r.help[name] = h
-		}
-		r.mu.Unlock()
 	}
 	for _, s := range src.sortedSeries() {
 		if err := r.mergeSeries(s); err != nil {

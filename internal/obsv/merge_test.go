@@ -169,15 +169,13 @@ func TestHistogramNaNGuards(t *testing.T) {
 	}
 }
 
-// TestRegistryMergeHelp verifies help strings copy over without overwriting
-// the destination's own documentation.
+// TestRegistryMergeHelp verifies help text comes from the metric name
+// alone: a catalogued metric merged into a fresh registry exports its
+// # HELP line, and an uncatalogued one is exported without one.
 func TestRegistryMergeHelp(t *testing.T) {
 	a, b := NewRegistry(), NewRegistry()
-	a.Help("x", "dst doc")
-	b.Help("x", "src doc")
-	b.Help("y", "only in src")
-	b.Counter("x").Inc()
-	b.Counter("y").Inc()
+	b.Counter(MetricFailures).Inc()
+	b.Counter("x_total").Inc()
 	if err := a.Merge(b); err != nil {
 		t.Fatalf("Merge: %v", err)
 	}
@@ -186,11 +184,11 @@ func TestRegistryMergeHelp(t *testing.T) {
 		t.Fatalf("WritePrometheus: %v", err)
 	}
 	out := buf.String()
-	if !strings.Contains(out, "dst doc") || strings.Contains(out, "src doc") {
-		t.Errorf("existing help overwritten:\n%s", out)
+	if want := "# HELP " + MetricFailures + " " + metricHelp[MetricFailures] + "\n"; !strings.Contains(out, want) {
+		t.Errorf("missing %q:\n%s", want, out)
 	}
-	if !strings.Contains(out, "only in src") {
-		t.Errorf("missing src-only help:\n%s", out)
+	if strings.Contains(out, "# HELP x_total") {
+		t.Errorf("uncatalogued metric has help:\n%s", out)
 	}
 }
 

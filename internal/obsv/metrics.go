@@ -254,23 +254,11 @@ type series struct {
 type Registry struct {
 	mu     sync.Mutex
 	series map[string]*series
-	help   map[string]string
 }
 
 // NewRegistry builds an empty registry.
 func NewRegistry() *Registry {
-	return &Registry{series: make(map[string]*series), help: make(map[string]string)}
-}
-
-// Help attaches a help string to a metric name, emitted as # HELP by the
-// Prometheus exporter.
-func (r *Registry) Help(name, help string) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.help[name] = help
-	r.mu.Unlock()
+	return &Registry{series: make(map[string]*series)}
 }
 
 // seriesKey builds the registry key for a (name, labels) pair.

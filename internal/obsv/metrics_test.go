@@ -86,7 +86,6 @@ func TestNilRegistryIsSafe(t *testing.T) {
 	r.Counter("a").Inc()
 	r.Gauge("b").Set(1)
 	r.Histogram("c", LatencyBuckets).Observe(1)
-	r.Help("a", "help")
 	if seriesLen(r) != 0 {
 		t.Fatal("nil registry reported series")
 	}

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"time"
 
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/stats"
 )
 
@@ -144,63 +145,49 @@ func secDur(s float64) time.Duration {
 	return (time.Duration(s*1e6) * time.Microsecond).Round(time.Microsecond)
 }
 
-// rungOrder fixes the ladder order used when rendering rung distributions.
-var rungOrder = []string{"retry", "microreboot", "subtree-reboot", "restore", "restart", "degraded"}
+// ladderOrder returns the keys of a per-rung count map for rendering: the
+// rungs from retry up with a positive count in recovery.Rung order, then
+// every other key (strategy names, zero counts) alphabetically. "none" is
+// one of those others: it names the bare no-recovery strategy.
+func ladderOrder(counts map[string]int) []string {
+	var keys, rest []string
+	seen := make(map[string]bool)
+	for r := recovery.RungRetry; r <= recovery.RungDegraded; r++ {
+		if name := r.String(); counts[name] > 0 {
+			keys = append(keys, name)
+			seen[name] = true
+		}
+	}
+	for k := range counts {
+		if !seen[k] {
+			rest = append(rest, k)
+		}
+	}
+	sort.Strings(rest)
+	return append(keys, rest...)
+}
 
-// renderRungs renders a final-rung distribution compactly in ladder order,
-// unknown rungs last alphabetically.
+// renderRungs renders a final-rung distribution compactly in ladder order.
 func renderRungs(rungs map[string]int) string {
 	if len(rungs) == 0 {
 		return "-"
 	}
 	var parts []string
-	seen := make(map[string]bool)
-	for _, r := range rungOrder {
-		if n := rungs[r]; n > 0 {
-			parts = append(parts, fmt.Sprintf("%s=%d", r, n))
-			seen[r] = true
-		}
-	}
-	var rest []string
-	for r := range rungs {
-		if !seen[r] {
-			rest = append(rest, r)
-		}
-	}
-	sort.Strings(rest)
-	for _, r := range rest {
+	for _, r := range ladderOrder(rungs) {
 		parts = append(parts, fmt.Sprintf("%s=%d", r, rungs[r]))
 	}
 	return strings.Join(parts, " ")
 }
 
 // renderRungRatio renders per-rung attempts/successes compactly in ladder
-// order ("retry=3/1" is 3 attempts, 1 of which served the op), unknown rungs
-// last alphabetically.
+// order ("retry=3/1" is 3 attempts, 1 of which served the op).
 func renderRungRatio(attempts, successes map[string]int) string {
 	if len(attempts) == 0 {
 		return "-"
 	}
 	var parts []string
-	seen := make(map[string]bool)
-	add := func(r string) {
+	for _, r := range ladderOrder(attempts) {
 		parts = append(parts, fmt.Sprintf("%s=%d/%d", r, attempts[r], successes[r]))
-		seen[r] = true
-	}
-	for _, r := range rungOrder {
-		if attempts[r] > 0 {
-			add(r)
-		}
-	}
-	var rest []string
-	for r := range attempts {
-		if !seen[r] {
-			rest = append(rest, r)
-		}
-	}
-	sort.Strings(rest)
-	for _, r := range rest {
-		add(r)
 	}
 	return strings.Join(parts, " ")
 }

@@ -7,25 +7,36 @@ import (
 	"faultstudy/internal/component"
 )
 
-// Rung is one recovery action, ordered from cheapest to most drastic. The
-// order follows the microreboot argument (Candea & Fox): try the recovery
-// that preserves the most state and costs the least first, and only discard
-// more when the outcome doesn't change. internal/supervise walks it as its
-// escalation ladder.
+// Rung is one recovery action, ordered from cheapest to most drastic: a
+// larger rung discards strictly more state (and loses strictly more
+// service) than a smaller one. The order follows the microreboot argument
+// (Candea & Fox): try the recovery that preserves the most state and costs
+// the least first, and only discard more when the outcome doesn't change.
+// internal/supervise walks it as its escalation ladder, internal/recoveryscope
+// predicts the cheapest rung that cures a fault, and the SCOPE and SERVE
+// sweeps probe every rung in Rungs.
 type Rung int
 
 const (
+	// RungNone is no rung: the initial failure of an episode, before any
+	// recovery, or a fault no rung on the ladder cures (the environment
+	// persists across every generic mechanism — the paper's unrecoverable
+	// EDN residue). Apply refuses it.
+	RungNone Rung = iota
 	// RungRetry re-executes the operation in place (restoring the pre-op
 	// checkpoint first if the failure killed the application) with a fresh,
 	// deliberately perturbed interleaving — Wang93's induced environment
 	// change. Survives the transient class.
-	RungRetry Rung = iota + 1
+	RungRetry
 	// RungMicroreboot crash-reboots the component the failing mechanism is
-	// attributed to — its dependent subtree on the rung's later attempts —
-	// while siblings serve. An application with no attributed component is
-	// stopped, reclaimed and restored from the pre-op checkpoint instead: a
-	// coarse reboot that preserves all logical state.
+	// attributed to while siblings serve. An application with no attributed
+	// component is stopped, reclaimed and restored from the pre-op
+	// checkpoint instead: a coarse reboot that preserves all logical state.
 	RungMicroreboot
+	// RungSubtreeReboot is a microreboot that also cycles the target's
+	// dependent subtree: crash-stopped in reverse dependency order and
+	// restarted forward.
+	RungSubtreeReboot
 	// RungRestore rolls back to a checkpoint: the failover of process pairs,
 	// or the supervisor's epoch checkpoint on the theory that recently
 	// accumulated state is what's poisoned.
@@ -39,30 +50,29 @@ const (
 	RungDegraded
 )
 
+// rungNames are the rungs' report names, indexed by Rung.
+var rungNames = [...]string{"none", "retry", "microreboot", "subtree-reboot", "restore", "restart", "degraded"}
+
 // String names the rung.
 func (r Rung) String() string {
-	switch r {
-	case RungRetry:
-		return "retry"
-	case RungMicroreboot:
-		return "microreboot"
-	case RungRestore:
-		return "restore"
-	case RungRestart:
-		return "restart"
-	case RungDegraded:
-		return "degraded"
-	default:
-		return fmt.Sprintf("Rung(%d)", int(r))
+	if r >= 0 && int(r) < len(rungNames) {
+		return rungNames[r]
 	}
+	return fmt.Sprintf("Rung(%d)", int(r))
+}
+
+// Rungs returns the five recovery actions in ascending cost order, RungNone
+// and RungDegraded excluded: the probe axis of the SCOPE and SERVE sweeps.
+func Rungs() []Rung {
+	return []Rung{RungRetry, RungMicroreboot, RungSubtreeReboot, RungRestore, RungRestart}
 }
 
 // Action is one recovery action for Apply, the executor the paper's
 // strategies, rejuvenation, the supervisor's ladder and every experiment
 // sweep share.
 type Action struct {
-	// Rung is the action. A microreboot of a mechanism no component is
-	// attributed to restores Snapshot instead.
+	// Rung is the action. A microreboot or subtree reboot of a mechanism no
+	// component is attributed to restores Snapshot instead.
 	Rung Rung
 	// Mechanism is the failing fault mechanism: the component tree's
 	// attribution key and the program point Attempt is forced at.
@@ -71,8 +81,6 @@ type Action struct {
 	// choice at Mechanism so successive retries run successive schedules.
 	// Zero forces nothing: the retry runs on the fresh schedule alone.
 	Attempt int
-	// Widen makes a microreboot cycle the target's dependent subtree.
-	Widen bool
 	// Snapshot is the state a restore reinstates.
 	Snapshot []byte
 	// ResetOnFail makes a failed restore fall back to a pristine Reset. The
@@ -113,7 +121,8 @@ func Apply(app Application, a Action, outage Outage) (string, error) {
 
 // act performs the structural half of an Action.
 func act(app Application, a Action, outage Outage) (string, error) {
-	if host, ok := app.(component.Host); ok && a.Rung == RungMicroreboot {
+	reboot := a.Rung == RungMicroreboot || a.Rung == RungSubtreeReboot
+	if host, ok := app.(component.Host); ok && reboot {
 		if target, attributed := host.ComponentFor(a.Mechanism); attributed {
 			// Crash-only: contain the crash and cycle the faulty component
 			// while siblings serve.
@@ -122,13 +131,13 @@ func act(app Application, a Action, outage Outage) (string, error) {
 			if outage != nil {
 				window = func(cost time.Duration) { outage(target, cost) }
 			}
-			return target, host.Tree().Reboot(target, a.Widen, window)
+			return target, host.Tree().Reboot(target, a.Rung == RungSubtreeReboot, window)
 		}
 	}
 	switch a.Rung {
 	case RungRetry:
 		return "", nil
-	case RungMicroreboot, RungRestore:
+	case RungMicroreboot, RungSubtreeReboot, RungRestore:
 		bounce(app, a.KeepResources, outage)
 		err := app.Restore(a.Snapshot)
 		if err != nil && a.ResetOnFail {

@@ -1,6 +1,7 @@
 package recovery
 
 import (
+	"fmt"
 	"strings"
 	"testing"
 
@@ -286,6 +287,26 @@ func TestStrategyStrings(t *testing.T) {
 	}
 	if Strategy(99).String() != "Strategy(99)" {
 		t.Error("unknown strategy string")
+	}
+}
+
+// TestRungNames pins every rung's report name in cost order, RungNone
+// first, and the five action rungs Rungs returns.
+func TestRungNames(t *testing.T) {
+	want := []string{"none", "retry", "microreboot", "subtree-reboot", "restore", "restart", "degraded"}
+	for i, name := range want {
+		if got := Rung(i).String(); got != name {
+			t.Errorf("Rung(%d) = %q, want %q", i, got, name)
+		}
+	}
+	if RungNone != 0 || RungDegraded != Rung(len(want)-1) {
+		t.Errorf("RungNone = %d, RungDegraded = %d: the enum no longer runs none..degraded", RungNone, RungDegraded)
+	}
+	if got := Rung(99).String(); got != "Rung(99)" {
+		t.Errorf("unknown rung renders %q, want Rung(99)", got)
+	}
+	if got := fmt.Sprint(Rungs()); got != "[retry microreboot subtree-reboot restore restart]" {
+		t.Errorf("Rungs() = %s, want the five action rungs in cost order", got)
 	}
 }
 

@@ -31,8 +31,8 @@
 //     releases them.
 //
 // The three feed a per-site prediction {class, owning component, blast
-// radius, minimal rung} over the ladder retry < microreboot <
-// subtree-reboot < restore < restart. The rung rules follow the paper's
+// radius, minimal rung} over recovery.Rungs, the ladder retry < microreboot
+// < subtree-reboot < restore < restart. The rung rules follow the paper's
 // table 8 reasoning (what each class leaves behind decides what must be
 // discarded to cure it); see DESIGN.md §12 for the exact lattice. The SCOPE
 // experiment (internal/experiment, recoverylab -scope) validates the

@@ -8,6 +8,7 @@ import (
 	"strings"
 
 	"faultstudy/internal/faultlint"
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -63,9 +64,7 @@ type Prediction struct {
 	// hook releases — the state a crash-stop can free (exhaustion cures).
 	Releasable []string `json:"releasable,omitempty"`
 	// Rung is the predicted minimal recovery rung.
-	Rung Rung `json:"-"`
-	// RungName is the rung's wire form.
-	RungName string `json:"rung"`
+	Rung recovery.Rung `json:"-"`
 }
 
 // Analysis is the whole-program result: the graph, the component maps, and
@@ -145,7 +144,6 @@ func (a *Analysis) predict(p *faultlint.Package, f *ast.File, site faultlint.Fai
 	cm := a.Maps[p.Dir]
 	pred.Component = a.owningComponent(cm, pred.Mechanisms)
 	pred.Rung = a.rungFor(cm, &pred, path, releasable, site.Symptom)
-	pred.RungName = pred.Rung.String()
 	return pred
 }
 
@@ -363,24 +361,24 @@ func (a *Analysis) owningComponent(cm *ComponentMap, mechanisms []string) string
 //     OnKill hook frees): that component's reboot IS the cure.
 //   - EDN otherwise: the environment persists across every generic
 //     mechanism; restart is the ceiling (and the honest prediction).
-func (a *Analysis) rungFor(cm *ComponentMap, pred *Prediction, path *WriteSet, releasable []string, symptom taxonomy.Symptom) Rung {
+func (a *Analysis) rungFor(cm *ComponentMap, pred *Prediction, path *WriteSet, releasable []string, symptom taxonomy.Symptom) recovery.Rung {
 	crashLike := symptom == taxonomy.SymptomCrash || symptom == taxonomy.SymptomHang
 	switch pred.Class {
 	case taxonomy.ClassEnvDependentTransient:
 		if !crashLike {
-			return RungRetry
+			return recovery.RungRetry
 		}
 		return a.containment(cm, pred, path, releasable)
 	case taxonomy.ClassEnvIndependent:
 		if !crashLike && path.Empty() {
-			return RungRetry
+			return recovery.RungRetry
 		}
 		return a.containment(cm, pred, path, releasable)
 	default: // EDN
 		if len(releasable) > 0 {
 			return a.containment(cm, pred, path, releasable)
 		}
-		return RungRestart
+		return recovery.RungRestart
 	}
 }
 
@@ -389,18 +387,18 @@ func (a *Analysis) rungFor(cm *ComponentMap, pred *Prediction, path *WriteSet, r
 // smallest subtree containing every tainted component (subtree-reboot), or
 // the whole process with state preserved (restore) when the taint escapes
 // component ownership entirely.
-func (a *Analysis) containment(cm *ComponentMap, pred *Prediction, path *WriteSet, releasable []string) Rung {
+func (a *Analysis) containment(cm *ComponentMap, pred *Prediction, path *WriteSet, releasable []string) recovery.Rung {
 	if cm == nil || pred.Component == "" {
-		return RungRestore
+		return recovery.RungRestore
 	}
 	if len(path.Globals) > 0 || len(path.Buckets) > 0 {
 		// Package-global or externalized-store corruption: outside every
 		// component's failure domain. Globals fall to process recovery;
 		// store corruption survives even that, so restart is the ceiling.
 		if len(path.Buckets) > 0 {
-			return RungRestart
+			return recovery.RungRestart
 		}
-		return RungRestore
+		return recovery.RungRestore
 	}
 	blast := map[string]bool{pred.Component: true}
 	escaped := false
@@ -429,10 +427,10 @@ func (a *Analysis) containment(cm *ComponentMap, pred *Prediction, path *WriteSe
 	if escaped {
 		// Path corruption no kill hook clears: component reboots cannot
 		// cure it; process restore (pre-op state) is the cheapest cure.
-		return RungRestore
+		return recovery.RungRestore
 	}
 	if len(blast) == 1 {
-		return RungMicroreboot
+		return recovery.RungMicroreboot
 	}
 	// Cheapest single subtree covering the radius, by member count.
 	bestName, bestSize := "", -1
@@ -451,9 +449,9 @@ func (a *Analysis) containment(cm *ComponentMap, pred *Prediction, path *WriteSe
 	}
 	if bestName != "" {
 		pred.Component = bestName
-		return RungSubtreeReboot
+		return recovery.RungSubtreeReboot
 	}
-	return RungRestore
+	return recovery.RungRestore
 }
 
 // MechPrediction is the per-mechanism collapse of the site predictions —
@@ -468,7 +466,7 @@ type MechPrediction struct {
 	Component string
 	// Rung is the costliest minimal rung across sites (the conservative
 	// whole-mechanism plan).
-	Rung Rung
+	Rung recovery.Rung
 	// Sites counts the raise sites speaking for the mechanism.
 	Sites int
 	// Interprocedural marks mechanisms where any site's class needed the
@@ -485,7 +483,7 @@ func (a *Analysis) ByMechanism() map[string]MechPrediction {
 		sites           int
 		ei, edn, edt    int
 		comp            map[string]int
-		rung            Rung
+		rung            recovery.Rung
 		interprocedural bool
 	}
 	tallies := make(map[string]*tally)
@@ -557,7 +555,7 @@ func boolKeys(m map[string]int) map[string]bool {
 func (a *Analysis) Diagnostics() []faultlint.Diagnostic {
 	var out []faultlint.Diagnostic
 	for _, s := range a.Sites {
-		msg := fmt.Sprintf("predicted %s fault, minimal rung %s", s.Class.Short(), s.RungName)
+		msg := fmt.Sprintf("predicted %s fault, minimal rung %s", s.Class.Short(), s.Rung)
 		if s.Component != "" {
 			msg += " targeting " + s.Component
 		}

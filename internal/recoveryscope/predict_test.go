@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"faultstudy/internal/faultlint"
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -115,20 +116,20 @@ func TestPredictions(t *testing.T) {
 	cases := []struct {
 		mech      string
 		class     taxonomy.FaultClass
-		rung      Rung
+		rung      recovery.Rung
 		component string
 		interproc bool
 	}{
-		{"app/pure-bug", taxonomy.ClassEnvIndependent, RungRetry, "app/core", false},
-		{"app/slow-leak", taxonomy.ClassEnvIndependent, RungMicroreboot, "app/core", false},
-		{"app/fd-leak", taxonomy.ClassEnvDependentNonTransient, RungMicroreboot, "app/worker", true},
-		{"app/disk-full", taxonomy.ClassEnvDependentNonTransient, RungRestart, "app/core", false},
-		{"app/dns-flap", taxonomy.ClassEnvDependentTransient, RungRetry, "app/worker", false},
-		{"app/race-crash", taxonomy.ClassEnvDependentTransient, RungMicroreboot, "app/cache", false},
-		{"app/cross-taint", taxonomy.ClassEnvIndependent, RungSubtreeReboot, "app/worker", false},
-		{"app/ledger-skew", taxonomy.ClassEnvIndependent, RungRestart, "app/core", false},
-		{"app/wild-write", taxonomy.ClassEnvIndependent, RungRestore, "app/core", false},
-		{"app/orphan", taxonomy.ClassEnvIndependent, RungRestore, "", false},
+		{"app/pure-bug", taxonomy.ClassEnvIndependent, recovery.RungRetry, "app/core", false},
+		{"app/slow-leak", taxonomy.ClassEnvIndependent, recovery.RungMicroreboot, "app/core", false},
+		{"app/fd-leak", taxonomy.ClassEnvDependentNonTransient, recovery.RungMicroreboot, "app/worker", true},
+		{"app/disk-full", taxonomy.ClassEnvDependentNonTransient, recovery.RungRestart, "app/core", false},
+		{"app/dns-flap", taxonomy.ClassEnvDependentTransient, recovery.RungRetry, "app/worker", false},
+		{"app/race-crash", taxonomy.ClassEnvDependentTransient, recovery.RungMicroreboot, "app/cache", false},
+		{"app/cross-taint", taxonomy.ClassEnvIndependent, recovery.RungSubtreeReboot, "app/worker", false},
+		{"app/ledger-skew", taxonomy.ClassEnvIndependent, recovery.RungRestart, "app/core", false},
+		{"app/wild-write", taxonomy.ClassEnvIndependent, recovery.RungRestore, "app/core", false},
+		{"app/orphan", taxonomy.ClassEnvIndependent, recovery.RungRestore, "", false},
 	}
 	for _, tc := range cases {
 		s := siteFor(t, a, tc.mech)
@@ -194,10 +195,10 @@ func TestByMechanism(t *testing.T) {
 		t.Fatalf("ByMechanism: %d mechanisms, want 10", len(byMech))
 	}
 	fd, ok := byMech["app/fd-leak"]
-	if !ok || fd.Sites != 1 || fd.Rung != RungMicroreboot || !fd.Interprocedural {
+	if !ok || fd.Sites != 1 || fd.Rung != recovery.RungMicroreboot || !fd.Interprocedural {
 		t.Errorf("fd-leak mech prediction = %+v", fd)
 	}
-	if got := byMech["app/disk-full"]; got.Class != taxonomy.ClassEnvDependentNonTransient || got.Rung != RungRestart {
+	if got := byMech["app/disk-full"]; got.Class != taxonomy.ClassEnvDependentNonTransient || got.Rung != recovery.RungRestart {
 		t.Errorf("disk-full mech prediction = %+v", got)
 	}
 }
@@ -230,22 +231,5 @@ func TestDiagnostics(t *testing.T) {
 	}
 	if scopegap != 1 {
 		t.Errorf("scopegap findings = %d, want 1 (the orphan)", scopegap)
-	}
-}
-
-func TestRungNames(t *testing.T) {
-	seen := map[string]bool{}
-	for _, r := range Rungs() {
-		name := r.String()
-		if name == "" || strings.HasPrefix(name, "Rung(") || seen[name] {
-			t.Errorf("rung %d has no distinct canonical name: %q", int(r), name)
-		}
-		seen[name] = true
-	}
-	if got := Rung(99).String(); got != "Rung(99)" {
-		t.Errorf("unknown rung renders %q, want Rung(99)", got)
-	}
-	if len(Rungs()) != 5 {
-		t.Errorf("Rungs() = %v, want the five-step ladder", Rungs())
 	}
 }

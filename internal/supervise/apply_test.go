@@ -79,11 +79,15 @@ func (a *hostApp) ComponentFor(mech string) (string, bool) {
 	return "", false
 }
 
-// TestApplyContract pins the executor over rung × attribution × widening:
-// where the outage hook fires and what it sees, which state a process-level
-// action reinstates, and the Wang93 perturbation every action ends with. Two
-// rows pin the fields the bare strategies set: Attempt 0 forces no choice,
-// and KeepResources leaves the stopped process's resources in place.
+// TestApplyContract pins the executor over ladder rung × attribution ×
+// widening: where the outage hook fires and what it sees, which state a
+// process-level action reinstates, and the Wang93 perturbation every action
+// ends with. Widening is the ladder's later attempt on a rung, which turns a
+// microreboot into a RungSubtreeReboot and leaves every other rung as it is:
+// an attributed subtree reboot cycles mid and its dependent top, and an
+// unattributed one restores like a microreboot. Two rows pin the fields the
+// bare strategies set: Attempt 0 forces no choice, and KeepResources leaves
+// the stopped process's resources in place.
 func TestApplyContract(t *testing.T) {
 	type row struct {
 		name string
@@ -97,8 +101,11 @@ func TestApplyContract(t *testing.T) {
 				if attributed {
 					mech = hostMech
 				}
-				rows = append(rows, row{fmt.Sprintf("%s/attributed=%t/widen=%t", rung, attributed, widen),
-					recovery.Action{Rung: rung, Mechanism: mech, Attempt: 2, Widen: widen, Snapshot: []byte("pre-op")}})
+				a := recovery.Action{Rung: rung, Mechanism: mech, Attempt: 2, Snapshot: []byte("pre-op")}
+				if widen && rung == recovery.RungMicroreboot {
+					a.Rung = recovery.RungSubtreeReboot
+				}
+				rows = append(rows, row{fmt.Sprintf("%s/attributed=%t/widen=%t", rung, attributed, widen), a})
 			}
 		}
 	}
@@ -124,15 +131,16 @@ func checkApply(t *testing.T, a recovery.Action) {
 	app.env.Sched().Force("unrelated/point", 1)
 
 	wantTarget, wantCost, wantLog := "", time.Duration(-1), []string(nil)
+	subtree := a.Rung == recovery.RungSubtreeReboot
 	switch {
-	case a.Rung == recovery.RungMicroreboot && a.Mechanism == hostMech:
+	case (a.Rung == recovery.RungMicroreboot || subtree) && a.Mechanism == hostMech:
 		wantTarget, wantCost = "mid", 3*time.Millisecond // mid's StartCost
-		if a.Widen {
+		if subtree {
 			wantCost += 4 * time.Millisecond // and its dependent top's
 		}
 	case a.Rung == recovery.RungRestart:
 		wantCost, wantLog = 0, []string{"stop", "reset"}
-	case a.Rung != recovery.RungRetry: // a restore, or the microreboot's fallback to one
+	case a.Rung != recovery.RungRetry: // a restore, or a reboot's fallback to one
 		wantCost, wantLog = 0, []string{"stop", "restore pre-op"}
 	}
 
@@ -153,7 +161,7 @@ func checkApply(t *testing.T, a recovery.Action) {
 			return
 		}
 		// Component: the rebooting members are down, everything else is up.
-		down := map[string]bool{"mid": true, "top": a.Widen}
+		down := map[string]bool{"mid": true, "top": subtree}
 		for _, name := range app.tree.Names() {
 			if app.tree.Running(name) == down[name] {
 				t.Errorf("inside the %s window: %s running=%t", comp, name, !down[name])

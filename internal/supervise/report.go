@@ -10,7 +10,9 @@ import (
 	"faultstudy/internal/stats"
 )
 
-// Rungs returns the ladder in escalation order.
+// Rungs returns the ladder in escalation order: the recovery rungs without
+// RungSubtreeReboot, which is the microreboot rung's later attempts rather
+// than a rung of its own, then RungDegraded.
 func Rungs() []recovery.Rung {
 	return []recovery.Rung{recovery.RungRetry, recovery.RungMicroreboot, recovery.RungRestore, recovery.RungRestart, recovery.RungDegraded}
 }

@@ -300,8 +300,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 			// Crash loop: the retry budget for this window is gone. Protect
 			// the service instead of burning more retries.
 			s.report.CrashLoopTrips++
-			s.escalateTo(op, mech, recovery.RungDegraded)
-			rung = recovery.RungDegraded
+			rung = s.escalateTo(op, mech, recovery.RungDegraded)
 			continue
 		}
 		attempt++
@@ -317,8 +316,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 		if err != nil {
 			// The recovery action itself failed (e.g. restore ran into the
 			// same full disk): escalate immediately.
-			s.escalateTo(op, mech, rung+1)
-			rung++
+			rung = s.escalateTo(op, mech, nextRung(rung))
 			attemptAt = 0
 			continue
 		}
@@ -343,8 +341,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 			return opFailed
 		}
 		if attemptAt >= rungAttempts {
-			s.escalateTo(op, mech, rung+1)
-			rung++
+			rung = s.escalateTo(op, mech, nextRung(rung))
 			attemptAt = 0
 		}
 	}
@@ -382,16 +379,18 @@ func (s *Supervisor) degradeAndFinish(idx int, op Op, preOp []byte, mech string)
 // applyRung applies one ladder rung's recovery action through
 // recovery.Apply and names the component a microreboot targeted. attemptAt
 // is the attempt number within the current rung: the microreboot rung
-// widens to the dependent subtree after its first attempt. A retry on a
+// reboots the dependent subtree after its first attempt. A retry on a
 // dead application restores the pre-op checkpoint instead.
 func (s *Supervisor) applyRung(rung recovery.Rung, preOp []byte, mech string, attempt, attemptAt int, fe *faultinject.FailureError) (string, error) {
 	if s.cfg.GrowResources && fe != nil {
 		recovery.GrowResources(s.app.Env(), fe)
 	}
-	a := recovery.Action{Rung: rung, Mechanism: mech, Attempt: attempt, Widen: attemptAt > 1, Snapshot: preOp}
+	a := recovery.Action{Rung: rung, Mechanism: mech, Attempt: attempt, Snapshot: preOp}
 	switch {
 	case rung == recovery.RungRetry && !s.app.Running():
 		a.Rung = recovery.RungRestore
+	case rung == recovery.RungMicroreboot && attemptAt > 1:
+		a.Rung = recovery.RungSubtreeReboot
 	case rung == recovery.RungRestore:
 		a.Snapshot = s.epoch
 	}
@@ -426,16 +425,26 @@ func (s *Supervisor) exitDegraded() {
 	s.trace(Event{Kind: EventDegradedExit})
 }
 
-// escalateTo records a ladder escalation.
-func (s *Supervisor) escalateTo(op Op, mech string, to recovery.Rung) {
-	if to > recovery.RungDegraded {
-		to = recovery.RungDegraded
-	}
+// escalateTo records a ladder escalation and returns the rung escalated to.
+func (s *Supervisor) escalateTo(op Op, mech string, to recovery.Rung) recovery.Rung {
 	s.report.mech(mech).Escalations++
 	if to != recovery.RungDegraded { // degraded entry is counted by enterDegraded
 		s.report.Escalations[to]++
 	}
 	s.trace(Event{Kind: EventEscalate, Op: op.Name, Mechanism: mech, Rung: to})
+	return to
+}
+
+// nextRung is the rung after r in the escalation order of Rungs, which
+// steps from microreboot straight to restore.
+func nextRung(r recovery.Rung) recovery.Rung {
+	rungs := Rungs()
+	for i := range rungs[:len(rungs)-1] {
+		if rungs[i] == r {
+			return rungs[i+1]
+		}
+	}
+	return recovery.RungDegraded
 }
 
 // budgetAllows prunes the retry log to the sliding window and reports

@@ -735,14 +735,24 @@ func TestMicrorebootTargetsFaultyComponent(t *testing.T) {
 // TestMicrorebootWidensToSubtree drives the EI null-deref crash: the first
 // microreboot attempt cycles only the attributed core component, and when
 // the deterministic bug recurs the rung's second attempt must widen to the
-// core's dependent subtree before the ladder escalates past it.
+// core's dependent subtree before the ladder escalates past it. The subtree
+// reboot is the microreboot rung's action, not a rung of its own: both
+// attempts' events carry RungMicroreboot, no event carries
+// RungSubtreeReboot, and the ladder escalates from microreboot to restore.
 func TestMicrorebootWidensToSubtree(t *testing.T) {
 	env := simenv.New(9, simenv.WithFDLimit(64), simenv.WithProcLimit(192))
 	c := httpd.Componentize(
 		httpd.New(env, faultinject.NewSet(httpd.MechNullDeref)))
 
 	var microAttempts int
+	var escalations []recovery.Rung
 	cfg := Config{Seed: 9, Trace: func(ev Event) {
+		if ev.Rung == recovery.RungSubtreeReboot {
+			t.Errorf("%v event carries the subtree-reboot rung", ev.Kind)
+		}
+		if ev.Kind == EventEscalate {
+			escalations = append(escalations, ev.Rung)
+		}
 		if ev.Kind == EventAction && ev.Rung == recovery.RungMicroreboot {
 			if ev.Component != httpd.CompCore {
 				t.Errorf("microreboot component = %q, want %q", ev.Component, httpd.CompCore)
@@ -770,5 +780,8 @@ func TestMicrorebootWidensToSubtree(t *testing.T) {
 		if got := c.Tree().Reboots(name); got != 1 {
 			t.Fatalf("%s reboots = %d, want 1 (subtree widening only)", name, got)
 		}
+	}
+	if len(escalations) < 2 || escalations[0] != recovery.RungMicroreboot || escalations[1] != recovery.RungRestore {
+		t.Errorf("escalations = %v, want microreboot then restore first", escalations)
 	}
 }
