@@ -466,7 +466,7 @@ func runOne(w io.Writer, mechanism string, policy faultstudy.RecoveryPolicy, see
 		runPolicy := policy
 		var ro *obsv.RecoveryObserver
 		if tel != nil {
-			mech, _ := experiment.Registry().Lookup(mechanism)
+			mech, _ := experiment.CorpusRegistry().Lookup(mechanism)
 			ro = obsv.NewRecoveryObserver(tel.Registry, tel.Recorder, obsv.Context{
 				App:     mech.App.String(),
 				FaultID: mechanism,

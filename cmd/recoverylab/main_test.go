@@ -84,6 +84,40 @@ func TestDurableTraceRoundTrip(t *testing.T) {
 	}
 }
 
+// TestMechanismLabelsExtensionApps runs one cache mechanism with telemetry:
+// its metric series and trace episodes carry the cache's application and
+// the mechanism's class, looked up in the full catalogue.
+func TestMechanismLabelsExtensionApps(t *testing.T) {
+	dir := t.TempDir()
+	trace, prom := filepath.Join(dir, "c.jsonl"), filepath.Join(dir, "c.prom")
+	code, _, stderr := runCLI(t, "-mechanism", "cache/aof-disk-full", "-prom", prom, "-trace", trace)
+	if code != 0 {
+		t.Fatalf("-mechanism exit %d: %s", code, stderr)
+	}
+	for _, c := range []struct {
+		file       string
+		want, lost []string
+	}{
+		{prom, []string{`app="cached"`, `class="EDN"`}, []string{`app="unknown"`, `class="?"`}},
+		{trace, []string{`"app":"cached"`, `"class":"EDN"`}, []string{`"app":"unknown"`, `"class":"?"`}},
+	} {
+		b, err := os.ReadFile(c.file)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, w := range c.want {
+			if !bytes.Contains(b, []byte(w)) {
+				t.Errorf("%s lacks %s", filepath.Base(c.file), w)
+			}
+		}
+		for _, l := range c.lost {
+			if bytes.Contains(b, []byte(l)) {
+				t.Errorf("%s holds %s", filepath.Base(c.file), l)
+			}
+		}
+	}
+}
+
 // TestCheckTraceRejectsEmpty checks a failing gate exits 1, not 2.
 func TestCheckTraceRejectsEmpty(t *testing.T) {
 	empty := filepath.Join(t.TempDir(), "empty.jsonl")

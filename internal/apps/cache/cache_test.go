@@ -240,11 +240,10 @@ func TestCrashMechanismStopsTheDaemon(t *testing.T) {
 }
 
 func TestScenariosCoverEveryMechanism(t *testing.T) {
-	reg := faultinject.NewRegistry()
-	RegisterMechanisms(reg)
 	env := simenv.New(1)
 	srv := New(env, faultinject.NewSet(), Config{})
-	for _, key := range reg.Keys() {
+	for _, m := range Mechanisms {
+		key := m.Key
 		sc, ok := Scenario(srv, key)
 		if !ok {
 			t.Errorf("mechanism %s has no scenario", key)
@@ -263,10 +262,8 @@ func TestScenariosCoverEveryMechanism(t *testing.T) {
 }
 
 func TestEveryScenarioTriggersItsMechanism(t *testing.T) {
-	reg := faultinject.NewRegistry()
-	RegisterMechanisms(reg)
-	for _, key := range reg.Keys() {
-		key := key
+	for _, m := range Mechanisms {
+		key := m.Key
 		t.Run(key, func(t *testing.T) {
 			env := simenv.New(7, simenv.WithFDLimit(64))
 			srv := New(env, faultinject.NewSet(key), Config{})

@@ -30,24 +30,19 @@ const (
 	MechSlowReplFlush = "cache/slow-repl-flush"
 )
 
-// RegisterMechanisms adds the daemon's seeded-bug catalogue to a registry.
-func RegisterMechanisms(r *faultinject.Registry) {
-	A := taxonomy.AppCache
-	for _, m := range []faultinject.Mechanism{
-		{Key: MechEmptyKeyDeref, App: A, Trigger: taxonomy.TriggerWorkloadOnly, Description: "null item pointer dereferenced on an empty-key lookup"},
-		{Key: MechEvictOffByOne, App: A, Trigger: taxonomy.TriggerWorkloadOnly, Description: "off-by-one in the eviction scan corrupts the LRU index at capacity"},
-		{Key: MechTTLParseLoop, App: A, Trigger: taxonomy.TriggerWorkloadOnly, Description: "expiry parser loops forever on a negative TTL"},
-		{Key: MechStatsDivZero, App: A, Trigger: taxonomy.TriggerWorkloadOnly, Description: "hit-ratio division by zero before the first lookup"},
-		{Key: MechBigValueBounds, App: A, Trigger: taxonomy.TriggerWorkloadOnly, Description: "slab bounds overrun storing an oversized value"},
-		{Key: MechFlushDoubleFree, App: A, Trigger: taxonomy.TriggerWorkloadOnly, Description: "double free of the slab list on consecutive flushes"},
-		{Key: MechWrongHitCount, App: A, Trigger: taxonomy.TriggerWorkloadOnly, Description: "stats assembled from a stale counter snapshot"},
-		{Key: MechAOFDiskFull, App: A, Trigger: taxonomy.TriggerDiskFull, Description: "append-only log writes fail on a full partition"},
-		{Key: MechConnFDLeak, App: A, Trigger: taxonomy.TriggerFDExhaustion, Description: "per-connection descriptors never closed until the table is full"},
-		{Key: MechShadowCopyLeak, App: A, Trigger: taxonomy.TriggerResourceLeak, Description: "shadow copies leak under sustained load until memory is gone"},
-		{Key: MechPeerDNSFlap, App: A, Trigger: taxonomy.TriggerDNSFailure, Description: "replication-peer lookups fail while the resolver flaps"},
-		{Key: MechExpiryRace, App: A, Trigger: taxonomy.TriggerRace, Description: "delete racing the expiry sweep frees an entry twice"},
-		{Key: MechSlowReplFlush, App: A, Trigger: taxonomy.TriggerSlowNetwork, Description: "replication flush stalls on a saturated link"},
-	} {
-		r.MustRegister(m)
-	}
+// Mechanisms is the daemon's seeded-bug catalogue.
+var Mechanisms = []faultinject.Mechanism{
+	{Key: MechEmptyKeyDeref, App: taxonomy.AppCache, Trigger: taxonomy.TriggerWorkloadOnly, Description: "null item pointer dereferenced on an empty-key lookup"},
+	{Key: MechEvictOffByOne, App: taxonomy.AppCache, Trigger: taxonomy.TriggerWorkloadOnly, Description: "off-by-one in the eviction scan corrupts the LRU index at capacity"},
+	{Key: MechTTLParseLoop, App: taxonomy.AppCache, Trigger: taxonomy.TriggerWorkloadOnly, Description: "expiry parser loops forever on a negative TTL"},
+	{Key: MechStatsDivZero, App: taxonomy.AppCache, Trigger: taxonomy.TriggerWorkloadOnly, Description: "hit-ratio division by zero before the first lookup"},
+	{Key: MechBigValueBounds, App: taxonomy.AppCache, Trigger: taxonomy.TriggerWorkloadOnly, Description: "slab bounds overrun storing an oversized value"},
+	{Key: MechFlushDoubleFree, App: taxonomy.AppCache, Trigger: taxonomy.TriggerWorkloadOnly, Description: "double free of the slab list on consecutive flushes"},
+	{Key: MechWrongHitCount, App: taxonomy.AppCache, Trigger: taxonomy.TriggerWorkloadOnly, Description: "stats assembled from a stale counter snapshot"},
+	{Key: MechAOFDiskFull, App: taxonomy.AppCache, Trigger: taxonomy.TriggerDiskFull, Description: "append-only log writes fail on a full partition"},
+	{Key: MechConnFDLeak, App: taxonomy.AppCache, Trigger: taxonomy.TriggerFDExhaustion, Description: "per-connection descriptors never closed until the table is full"},
+	{Key: MechShadowCopyLeak, App: taxonomy.AppCache, Trigger: taxonomy.TriggerResourceLeak, Description: "shadow copies leak under sustained load until memory is gone"},
+	{Key: MechPeerDNSFlap, App: taxonomy.AppCache, Trigger: taxonomy.TriggerDNSFailure, Description: "replication-peer lookups fail while the resolver flaps"},
+	{Key: MechExpiryRace, App: taxonomy.AppCache, Trigger: taxonomy.TriggerRace, Description: "delete racing the expiry sweep frees an entry twice"},
+	{Key: MechSlowReplFlush, App: taxonomy.AppCache, Trigger: taxonomy.TriggerSlowNetwork, Description: "replication flush stalls on a saturated link"},
 }

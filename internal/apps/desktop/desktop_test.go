@@ -286,10 +286,9 @@ func TestLifecycleGuards(t *testing.T) {
 }
 
 func TestScenariosCoverEveryMechanism(t *testing.T) {
-	reg := faultinject.NewRegistry()
-	RegisterMechanisms(reg)
 	d := New(simenv.New(1), faultinject.NewSet())
-	for _, key := range reg.Keys() {
+	for _, m := range Mechanisms {
+		key := m.Key
 		sc, ok := Scenario(d, key)
 		if !ok {
 			t.Errorf("mechanism %s has no scenario", key)
@@ -305,10 +304,8 @@ func TestScenariosCoverEveryMechanism(t *testing.T) {
 }
 
 func TestEveryScenarioTriggersItsMechanism(t *testing.T) {
-	reg := faultinject.NewRegistry()
-	RegisterMechanisms(reg)
-	for _, key := range reg.Keys() {
-		key := key
+	for _, m := range Mechanisms {
+		key := m.Key
 		t.Run(key, func(t *testing.T) {
 			env := simenv.New(7)
 			d := New(env, faultinject.NewSet(key))

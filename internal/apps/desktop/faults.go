@@ -36,31 +36,26 @@ const (
 	MechAppletRace       = "desktop/applet-race"
 )
 
-// RegisterMechanisms adds the desktop's seeded-bug catalogue to a registry.
-func RegisterMechanisms(r *faultinject.Registry) {
-	G := taxonomy.AppGnome
-	for _, m := range []faultinject.Mechanism{
-		{Key: MechTasklistTab, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "tasklist tab in pager settings kills the pager"},
-		{Key: MechCalendarPrev, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "prev in the calendar year view crashes"},
-		{Key: MechGnumericTab, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "Tab inside the define-name dialog crashes gnumeric"},
-		{Key: MechGmcTarGz, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "double-clicking a tar.gz icon crashes gmc"},
-		{Key: MechMenuFreeze, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "dismissing the main menu by clicking the desktop freezes it"},
-		{Key: MechStaleWidget, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "destroyed widget pointer dereferenced"},
-		{Key: MechBadInit, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "dialog struct field read before initialization"},
-		{Key: MechEventLoopStall, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "event loop re-enters a consumed wait"},
-		{Key: MechConfigTruncate, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "config value truncated on write"},
-		{Key: MechOffByOne, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "item list iterated one past the end"},
-		{Key: MechTypeMismatch, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "long vs unsigned long comparison fails a sanity check"},
-		{Key: MechDoubleFree, App: G, Trigger: taxonomy.TriggerWorkloadOnly, Description: "undo path frees a list node twice"},
-		{Key: MechHostnameChange, App: G, Trigger: taxonomy.TriggerHostConfig, Description: "hostname changed under a running session"},
-		{Key: MechSoundSocketLeak, App: G, Trigger: taxonomy.TriggerFDExhaustion, Description: "sound utilities leak sockets until descriptors run out"},
-		{Key: MechIllegalOwner, App: G, Trigger: taxonomy.TriggerHostConfig, Description: "file with an illegal owner field crashes the property dialog"},
-		{Key: MechUnknownTransient, App: G, Trigger: taxonomy.TriggerRace, Description: "unexplained failure that works on retry"},
-		{Key: MechViewerRace, App: G, Trigger: taxonomy.TriggerRace, Description: "image viewer races the property editor"},
-		{Key: MechAppletRace, App: G, Trigger: taxonomy.TriggerRace, Description: "applet action races its removal"},
-	} {
-		r.MustRegister(m)
-	}
+// Mechanisms is the desktop's seeded-bug catalogue.
+var Mechanisms = []faultinject.Mechanism{
+	{Key: MechTasklistTab, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "tasklist tab in pager settings kills the pager"},
+	{Key: MechCalendarPrev, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "prev in the calendar year view crashes"},
+	{Key: MechGnumericTab, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "Tab inside the define-name dialog crashes gnumeric"},
+	{Key: MechGmcTarGz, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "double-clicking a tar.gz icon crashes gmc"},
+	{Key: MechMenuFreeze, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "dismissing the main menu by clicking the desktop freezes it"},
+	{Key: MechStaleWidget, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "destroyed widget pointer dereferenced"},
+	{Key: MechBadInit, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "dialog struct field read before initialization"},
+	{Key: MechEventLoopStall, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "event loop re-enters a consumed wait"},
+	{Key: MechConfigTruncate, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "config value truncated on write"},
+	{Key: MechOffByOne, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "item list iterated one past the end"},
+	{Key: MechTypeMismatch, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "long vs unsigned long comparison fails a sanity check"},
+	{Key: MechDoubleFree, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerWorkloadOnly, Description: "undo path frees a list node twice"},
+	{Key: MechHostnameChange, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerHostConfig, Description: "hostname changed under a running session"},
+	{Key: MechSoundSocketLeak, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerFDExhaustion, Description: "sound utilities leak sockets until descriptors run out"},
+	{Key: MechIllegalOwner, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerHostConfig, Description: "file with an illegal owner field crashes the property dialog"},
+	{Key: MechUnknownTransient, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerRace, Description: "unexplained failure that works on retry"},
+	{Key: MechViewerRace, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerRace, Description: "image viewer races the property editor"},
+	{Key: MechAppletRace, App: taxonomy.AppGnome, Trigger: taxonomy.TriggerRace, Description: "applet action races its removal"},
 }
 
 // Scenario returns the executable reproduction of the seeded GNOME bug named

@@ -35,30 +35,25 @@ const (
 	MechLoginAdminRace = "sqldb/login-admin-race"
 )
 
-// RegisterMechanisms adds the database's seeded-bug catalogue to a registry.
-func RegisterMechanisms(r *faultinject.Registry) {
-	M := taxonomy.AppMySQL
-	for _, m := range []faultinject.Mechanism{
-		{Key: MechIndexUpdateScan, App: M, Trigger: taxonomy.TriggerWorkloadOnly, Description: "updating an indexed key to a value found later in the scan crashes the server"},
-		{Key: MechOrderByEmpty, App: M, Trigger: taxonomy.TriggerWorkloadOnly, Description: "ORDER BY over zero matching records crashes the sort setup"},
-		{Key: MechCountEmpty, App: M, Trigger: taxonomy.TriggerWorkloadOnly, Description: "COUNT on an empty table crashes"},
-		{Key: MechOptimizeCrash, App: M, Trigger: taxonomy.TriggerWorkloadOnly, Description: "OPTIMIZE TABLE crashes in the rebuild path"},
-		{Key: MechFlushAfterLock, App: M, Trigger: taxonomy.TriggerWorkloadOnly, Description: "FLUSH TABLES after LOCK TABLES crashes"},
-		{Key: MechNullDeref, App: M, Trigger: taxonomy.TriggerWorkloadOnly, Description: "specific query shape dereferences a null handle"},
-		{Key: MechStaleBuffer, App: M, Trigger: taxonomy.TriggerWorkloadOnly, Description: "reused sort buffer leaks rows between queries"},
-		{Key: MechBadInit, App: M, Trigger: taxonomy.TriggerWorkloadOnly, Description: "descriptor used before initialization aborts the server"},
-		{Key: MechExecLoop, App: M, Trigger: taxonomy.TriggerWorkloadOnly, Description: "executor re-enqueues the same work item forever"},
-		{Key: MechBounds, App: M, Trigger: taxonomy.TriggerWorkloadOnly, Description: "row longer than the 16-bit length field corrupts headers"},
-		{Key: MechMissingCheck, App: M, Trigger: taxonomy.TriggerWorkloadOnly, Description: "empty-result branch misses a bounds check"},
-		{Key: MechFDCompetition, App: M, Trigger: taxonomy.TriggerFDExhaustion, Description: "a co-hosted web server exhausts the descriptors tables need"},
-		{Key: MechNoReverseDNS, App: M, Trigger: taxonomy.TriggerHostConfig, Description: "connection from a host without a PTR record crashes the server"},
-		{Key: MechDBFileLimit, App: M, Trigger: taxonomy.TriggerFileSizeLimit, Description: "datafile at the maximum file size fails inserts"},
-		{Key: MechFSFull, App: M, Trigger: taxonomy.TriggerDiskFull, Description: "full file system prevents all operations"},
-		{Key: MechSignalMaskRace, App: M, Trigger: taxonomy.TriggerRace, Description: "signal arrives inside the unmask window"},
-		{Key: MechLoginAdminRace, App: M, Trigger: taxonomy.TriggerRace, Description: "login interleaves with a privilege reload"},
-	} {
-		r.MustRegister(m)
-	}
+// Mechanisms is the database's seeded-bug catalogue.
+var Mechanisms = []faultinject.Mechanism{
+	{Key: MechIndexUpdateScan, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerWorkloadOnly, Description: "updating an indexed key to a value found later in the scan crashes the server"},
+	{Key: MechOrderByEmpty, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerWorkloadOnly, Description: "ORDER BY over zero matching records crashes the sort setup"},
+	{Key: MechCountEmpty, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerWorkloadOnly, Description: "COUNT on an empty table crashes"},
+	{Key: MechOptimizeCrash, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerWorkloadOnly, Description: "OPTIMIZE TABLE crashes in the rebuild path"},
+	{Key: MechFlushAfterLock, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerWorkloadOnly, Description: "FLUSH TABLES after LOCK TABLES crashes"},
+	{Key: MechNullDeref, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerWorkloadOnly, Description: "specific query shape dereferences a null handle"},
+	{Key: MechStaleBuffer, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerWorkloadOnly, Description: "reused sort buffer leaks rows between queries"},
+	{Key: MechBadInit, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerWorkloadOnly, Description: "descriptor used before initialization aborts the server"},
+	{Key: MechExecLoop, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerWorkloadOnly, Description: "executor re-enqueues the same work item forever"},
+	{Key: MechBounds, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerWorkloadOnly, Description: "row longer than the 16-bit length field corrupts headers"},
+	{Key: MechMissingCheck, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerWorkloadOnly, Description: "empty-result branch misses a bounds check"},
+	{Key: MechFDCompetition, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerFDExhaustion, Description: "a co-hosted web server exhausts the descriptors tables need"},
+	{Key: MechNoReverseDNS, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerHostConfig, Description: "connection from a host without a PTR record crashes the server"},
+	{Key: MechDBFileLimit, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerFileSizeLimit, Description: "datafile at the maximum file size fails inserts"},
+	{Key: MechFSFull, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerDiskFull, Description: "full file system prevents all operations"},
+	{Key: MechSignalMaskRace, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerRace, Description: "signal arrives inside the unmask window"},
+	{Key: MechLoginAdminRace, App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerRace, Description: "login interleaves with a privilege reload"},
 }
 
 // genericBugKey maps a "bug_<defect>" table name to its mechanism key, or "".

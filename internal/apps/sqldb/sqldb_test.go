@@ -385,10 +385,9 @@ func TestConnectionsLifecycle(t *testing.T) {
 }
 
 func TestScenariosCoverEveryMechanism(t *testing.T) {
-	reg := faultinject.NewRegistry()
-	RegisterMechanisms(reg)
 	srv := New(simenv.New(1), faultinject.NewSet())
-	for _, key := range reg.Keys() {
+	for _, m := range Mechanisms {
+		key := m.Key
 		sc, ok := Scenario(srv, key)
 		if !ok {
 			t.Errorf("mechanism %s has no scenario", key)
@@ -404,10 +403,8 @@ func TestScenariosCoverEveryMechanism(t *testing.T) {
 }
 
 func TestEveryScenarioTriggersItsMechanism(t *testing.T) {
-	reg := faultinject.NewRegistry()
-	RegisterMechanisms(reg)
-	for _, key := range reg.Keys() {
-		key := key
+	for _, m := range Mechanisms {
+		key := m.Key
 		t.Run(key, func(t *testing.T) {
 			env := simenv.New(7, simenv.WithFDLimit(64))
 			srv := New(env, faultinject.NewSet(key))

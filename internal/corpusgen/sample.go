@@ -75,16 +75,13 @@ type Episode struct {
 	GapText string `json:"gapText"`
 }
 
+// registry is the lab's one mechanism catalogue: the paper's three
+// applications plus the cache extension archetype.
+var registry = faultinject.NewRegistry(httpd.Mechanisms, sqldb.Mechanisms, desktop.Mechanisms, cache.Mechanisms)
+
 // Registry returns the extended mechanism catalogue the generator samples
-// from: the paper's three applications plus the cache extension archetype.
-func Registry() *faultinject.Registry {
-	r := faultinject.NewRegistry()
-	httpd.RegisterMechanisms(r)
-	sqldb.RegisterMechanisms(r)
-	desktop.RegisterMechanisms(r)
-	cache.RegisterMechanisms(r)
-	return r
-}
+// from. Every call returns the same read-only instance.
+func Registry() *faultinject.Registry { return registry }
 
 // Corpus is a generative fault population: a spec, a root seed, and the
 // mechanism pools sampling draws from. Every accessor is safe for concurrent
@@ -101,7 +98,6 @@ type Corpus struct {
 
 // New builds a corpus over the spec with the given root seed.
 func New(spec *Spec, seed int64) *Corpus {
-	reg := Registry()
 	c := &Corpus{
 		spec:  spec,
 		seed:  seed,
@@ -111,7 +107,7 @@ func New(spec *Spec, seed int64) *Corpus {
 	}
 	for name, app := range appValues {
 		byClass := make(map[taxonomy.FaultClass][]string, 3)
-		for _, m := range reg.ByApp(app) {
+		for _, m := range registry.ByApp(app) {
 			c.mechs[m.Key] = m
 			byClass[m.Class()] = append(byClass[m.Class()], m.Key)
 			c.all[name] = append(c.all[name], m.Key)

@@ -3,6 +3,7 @@ package corpusgen
 import (
 	"math/rand"
 	"strings"
+	"sync"
 	"testing"
 
 	"faultstudy/internal/classify"
@@ -137,6 +138,38 @@ func TestEmptyClassPoolImpossible(t *testing.T) {
 		}
 	}()
 	testCorpus(t, "faults=1", 1)
+}
+
+// TestRegistryConcurrentReads reads the shared catalogue from 8 goroutines
+// while corpora are built over it; under -race it checks that the catalogue
+// needs no lock once built.
+func TestRegistryConcurrentReads(t *testing.T) {
+	want := Registry().Mechanisms()
+	var wg sync.WaitGroup
+	for g := 0; g < 8; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if Registry() != registry {
+				t.Error("Registry() returned a second instance")
+			}
+			for i, m := range Registry().Mechanisms() {
+				if m != want[i] {
+					t.Errorf("Mechanisms()[%d] = %s, want %s", i, m.Key, want[i].Key)
+				}
+				if got, ok := Registry().Lookup(m.Key); !ok || got != m {
+					t.Errorf("Lookup(%s) = %+v, %v", m.Key, got, ok)
+				}
+			}
+			s, err := ParseCorpusSpec("faults=20")
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			New(s, int64(g)).FaultAt(g)
+		}()
+	}
+	wg.Wait()
 }
 
 // TestSamplerMatchesFreshSource pins what the sampler pool relies on: a

@@ -8,6 +8,7 @@ import (
 	"faultstudy/internal/apps/desktop"
 	"faultstudy/internal/apps/httpd"
 	"faultstudy/internal/apps/sqldb"
+	"faultstudy/internal/corpusgen"
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/recovery"
 	"faultstudy/internal/simenv"
@@ -25,13 +26,8 @@ type appEntry struct {
 	ns string
 	// app is the application the namespace's mechanisms belong to.
 	app taxonomy.Application
-	// paper marks the studied applications, the ones in Registry(); the
-	// others are extension archetypes, in CorpusRegistry() only.
-	paper bool
 	// serve marks the daemons the SERVE sweep drives with open-loop traffic.
 	serve bool
-	// register adds the namespace's seeded-bug mechanisms to a registry.
-	register func(*faultinject.Registry)
 	// build constructs the application on a fresh environment with the given
 	// mechanisms seeded, and returns it with its scenario lookup, which builds
 	// only the scenario asked for. Scenario runs size the environment so
@@ -73,12 +69,10 @@ func fdLimit(soak bool) int {
 	return scenarioFDLimit
 }
 
-// apps is the catalogue, in presentation order: the soak's shard order and
-// the registries' registration order.
+// apps is the catalogue, in presentation order: the soak's shard order.
 var apps = []appEntry{
 	{
-		ns: "httpd/", app: taxonomy.AppApache, paper: true, serve: true,
-		register: httpd.RegisterMechanisms,
+		ns: "httpd/", app: taxonomy.AppApache, serve: true,
 		build: func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, scenarioFunc) {
 			env := simenv.New(seed, simenv.WithFDLimit(fdLimit(soak)), simenv.WithProcLimit(192))
 			srv := httpd.New(env, set)
@@ -117,8 +111,7 @@ var apps = []appEntry{
 		lintDir: "internal/apps/httpd",
 	},
 	{
-		ns: "sqldb/", app: taxonomy.AppMySQL, paper: true, serve: true,
-		register: sqldb.RegisterMechanisms,
+		ns: "sqldb/", app: taxonomy.AppMySQL, serve: true,
 		build: func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, scenarioFunc) {
 			db := sqldb.New(simenv.New(seed, simenv.WithFDLimit(fdLimit(soak))), set)
 			return db, func(key string) (faultinject.Scenario, bool) { return sqldb.Scenario(db, key) }
@@ -162,8 +155,7 @@ var apps = []appEntry{
 		lintDir:   "internal/apps/sqldb",
 	},
 	{
-		ns: "desktop/", app: taxonomy.AppGnome, paper: true,
-		register: desktop.RegisterMechanisms,
+		ns: "desktop/", app: taxonomy.AppGnome,
 		// The desktop runs at simenv's default limits, scenario and soak alike.
 		build: func(seed int64, _ bool, set *faultinject.Set) (recovery.Application, scenarioFunc) {
 			d := desktop.New(simenv.New(seed), set)
@@ -203,7 +195,6 @@ var apps = []appEntry{
 	},
 	{
 		ns: "cache/", app: taxonomy.AppCache,
-		register: cache.RegisterMechanisms,
 		build: func(seed int64, soak bool, set *faultinject.Set) (recovery.Application, scenarioFunc) {
 			srv := cache.New(simenv.New(seed, simenv.WithFDLimit(fdLimit(soak))), set, cache.Config{Capacity: 16})
 			return srv, func(key string) (faultinject.Scenario, bool) { return cache.Scenario(srv, key) }
@@ -264,18 +255,6 @@ func appOf(app taxonomy.Application) *appEntry {
 	return nil
 }
 
-// newRegistry registers the mechanisms of the paper's applications, plus the
-// extension archetypes when all is set.
-func newRegistry(all bool) *faultinject.Registry {
-	r := faultinject.NewRegistry()
-	for _, e := range apps {
-		if e.paper || all {
-			e.register(r)
-		}
-	}
-	return r
-}
-
 // buildScenario is BuildScenario that also returns the mechanism's
 // catalogue entry.
 func buildScenario(mechanism string, seed int64) (*appEntry, recovery.Application, faultinject.Scenario, error) {
@@ -299,15 +278,25 @@ func BuildScenario(mechanism string, seed int64) (recovery.Application, faultinj
 	return app, sc, err
 }
 
-// Registry returns the full seeded-bug catalogue of all three applications.
-func Registry() *faultinject.Registry { return newRegistry(false) }
+// Registry returns the seeded-bug catalogue of the paper's three studied
+// applications: CorpusRegistry() restricted to taxonomy.Applications(). The
+// paper-table experiments (matrix, soak, mreboot, lint, scope, serve) use it,
+// so extension archetypes leave the studied universe untouched. Every call
+// returns the same read-only instance.
+func Registry() *faultinject.Registry { return paperRegistry }
 
-// CorpusRegistry returns the extended mechanism catalogue the generated
-// corpus samples from: the paper's three applications plus the extension
-// archetypes. It is deliberately distinct from Registry() so the paper-table
-// experiments (matrix, soak, mreboot, lint, scope, serve) keep the studied
-// universe untouched.
-func CorpusRegistry() *faultinject.Registry { return newRegistry(true) }
+var paperRegistry = func() *faultinject.Registry {
+	var tables [][]faultinject.Mechanism
+	for _, app := range taxonomy.Applications() {
+		tables = append(tables, CorpusRegistry().ByApp(app))
+	}
+	return faultinject.NewRegistry(tables...)
+}()
+
+// CorpusRegistry returns the lab's one mechanism catalogue, the one the
+// generated corpus samples from: the paper's three applications plus the
+// extension archetypes. It is corpusgen.Registry().
+func CorpusRegistry() *faultinject.Registry { return corpusgen.Registry() }
 
 // wrapScenarioOps converts scenario trigger ops into supervised ops,
 // classified by an application's op-kind rule.

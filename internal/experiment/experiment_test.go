@@ -5,6 +5,8 @@ import (
 	"testing"
 
 	"faultstudy/internal/corpus"
+	"faultstudy/internal/corpusgen"
+	"faultstudy/internal/faultinject"
 	"faultstudy/internal/recovery"
 	"faultstudy/internal/stats"
 	"faultstudy/internal/taxonomy"
@@ -117,16 +119,53 @@ func TestBuildScenarioErrors(t *testing.T) {
 }
 
 func TestRegistryComplete(t *testing.T) {
-	r := Registry()
-	keys := r.Keys()
-	if len(keys) < 27+17+18 {
-		t.Errorf("registry has %d mechanisms", len(keys))
+	paper, corpus := Registry(), CorpusRegistry()
+	if Registry() != paper || CorpusRegistry() != corpus || corpus != corpusgen.Registry() {
+		t.Error("the catalogue accessors must each return one instance")
 	}
-	// Every corpus mechanism must exist in the registry with a scenario.
-	for _, key := range keys {
-		if _, _, err := BuildScenario(key, 1); err != nil {
-			t.Errorf("mechanism %s has no scenario: %v", key, err)
+	for _, c := range []struct {
+		name string
+		reg  *faultinject.Registry
+		n    int
+	}{{"Registry", paper, 27 + 17 + 18}, {"CorpusRegistry", corpus, 27 + 17 + 18 + 13}} {
+		mechs := c.reg.Mechanisms()
+		if len(mechs) != c.n {
+			t.Errorf("%s has %d mechanisms, want %d", c.name, len(mechs), c.n)
 		}
+		// Every catalogued mechanism must build a scenario.
+		for _, m := range mechs {
+			if _, _, err := BuildScenario(m.Key, 1); err != nil {
+				t.Errorf("%s: mechanism %s has no scenario: %v", c.name, m.Key, err)
+			}
+		}
+	}
+
+	// Registry() is exactly CorpusRegistry() restricted to the studied
+	// applications; cache/ keys appear only in the corpus catalogue.
+	studied := map[taxonomy.Application]bool{}
+	for _, app := range taxonomy.Applications() {
+		studied[app] = true
+	}
+	var want []faultinject.Mechanism
+	for _, m := range corpus.Mechanisms() {
+		if studied[m.App] {
+			want = append(want, m)
+		}
+	}
+	got := paper.Mechanisms()
+	if len(got) != len(want) {
+		t.Fatalf("Registry has %d mechanisms, the restricted corpus catalogue %d", len(got), len(want))
+	}
+	for i := range got {
+		if got[i] != want[i] {
+			t.Errorf("Registry()[%d] = %s, want %s", i, got[i].Key, want[i].Key)
+		}
+		if strings.HasPrefix(got[i].Key, "cache/") {
+			t.Errorf("Registry holds the extension mechanism %s", got[i].Key)
+		}
+	}
+	if cache := corpus.ByApp(taxonomy.AppCache); len(cache) != 13 || !strings.HasPrefix(cache[0].Key, "cache/") {
+		t.Errorf("CorpusRegistry holds %d cache mechanisms, want 13", len(cache))
 	}
 }
 

@@ -139,7 +139,7 @@ type MRebootReport struct {
 // Arms run on runArms, seeded from (Seed, arm index): outputs are
 // byte-identical at every worker count.
 func RunMReboot(cfg MRebootConfig) (*MRebootReport, error) {
-	mechs := registryMechanisms()
+	mechs := Registry().Mechanisms()
 	policies := MRebootPolicies()
 	arms, err := runArms(cfg.Workers, len(mechs)*len(policies), cfg.Telemetry, func(i int, tel *Telemetry) (MRebootArm, error) {
 		return runMRebootArm(cfg, i, mechs[i/len(policies)], policies[i%len(policies)], tel)
@@ -148,17 +148,6 @@ func RunMReboot(cfg MRebootConfig) (*MRebootReport, error) {
 		return nil, err
 	}
 	return &MRebootReport{Seed: cfg.Seed, Arms: arms}, nil
-}
-
-// registryMechanisms returns every mechanism of Registry(), in key order.
-func registryMechanisms() []faultinject.Mechanism {
-	reg := Registry()
-	keys := reg.Keys()
-	mechs := make([]faultinject.Mechanism, len(keys))
-	for i, k := range keys {
-		mechs[i], _ = reg.Lookup(k)
-	}
-	return mechs
 }
 
 // componentApp is what an MREBOOT arm needs from an application: the recovery

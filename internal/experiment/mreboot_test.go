@@ -56,7 +56,7 @@ func TestMRebootGate(t *testing.T) {
 	if err := rep.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
-	if len(rep.Arms) != len(Registry().Keys())*len(MRebootPolicies()) {
+	if len(rep.Arms) != len(Registry().Mechanisms())*len(MRebootPolicies()) {
 		t.Fatalf("arms = %d, want mechanisms x policies", len(rep.Arms))
 	}
 

@@ -160,7 +160,7 @@ func RunScope(cfg ScopeConfig) (*ScopeReport, error) {
 	analysis := recoveryscope.Analyze(pkgs)
 	byMech := analysis.ByMechanism()
 
-	mechs := registryMechanisms()
+	mechs := Registry().Mechanisms()
 	rungs := recovery.Rungs()
 	arms, err := runArms(cfg.Workers, len(mechs)*len(rungs), cfg.Telemetry, func(i int, tel *Telemetry) (ScopeArm, error) {
 		mech := mechs[i/len(rungs)]

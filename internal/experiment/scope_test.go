@@ -58,11 +58,11 @@ func TestScopeGate(t *testing.T) {
 	if err := rep.Check(); err != nil {
 		t.Fatalf("Check: %v", err)
 	}
-	keys := Registry().Keys()
-	if len(rep.Mechs) != len(keys) {
-		t.Fatalf("scorecards = %d, want one per mechanism (%d)", len(rep.Mechs), len(keys))
+	mechs := Registry().Mechanisms()
+	if len(rep.Mechs) != len(mechs) {
+		t.Fatalf("scorecards = %d, want one per mechanism (%d)", len(rep.Mechs), len(mechs))
 	}
-	if len(rep.Arms) != len(keys)*len(recovery.Rungs()) {
+	if len(rep.Arms) != len(mechs)*len(recovery.Rungs()) {
 		t.Fatalf("arms = %d, want mechanisms x rungs", len(rep.Arms))
 	}
 	if rep.Sites == 0 {

@@ -24,10 +24,10 @@ func NewTelemetry() *Telemetry {
 }
 
 // ClassFor resolves a mechanism key to its EI/EDN/EDT short class name via
-// the mechanism catalogue, or "?" for keys outside it (the supervisor's
+// the full mechanism catalogue, or "?" for keys outside it (the supervisor's
 // pseudo-mechanisms).
 func ClassFor(mechanism string) string {
-	if m, ok := Registry().Lookup(mechanism); ok {
+	if m, ok := CorpusRegistry().Lookup(mechanism); ok {
 		return m.Class().Short()
 	}
 	return "?"

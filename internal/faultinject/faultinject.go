@@ -15,7 +15,6 @@ import (
 	"errors"
 	"fmt"
 	"sort"
-	"sync"
 
 	"faultstudy/internal/taxonomy"
 )
@@ -38,70 +37,56 @@ func (m Mechanism) Class() taxonomy.FaultClass {
 	return m.Trigger.DefaultClass()
 }
 
-// Registry is a catalogue of mechanisms.
+// Registry is a read-only catalogue of mechanisms, held in key order. It
+// never changes after NewRegistry builds it, so concurrent reads need no
+// lock.
 type Registry struct {
-	mu sync.Mutex
-	m  map[string]Mechanism
+	mechs []Mechanism
 }
 
-// NewRegistry returns an empty registry.
-func NewRegistry() *Registry {
-	return &Registry{m: make(map[string]Mechanism)}
-}
-
-// Register adds a mechanism; re-registering a key is an error.
-func (r *Registry) Register(m Mechanism) error {
-	if m.Key == "" {
-		return errors.New("faultinject: mechanism with empty key")
+// NewRegistry builds the catalogue of the given mechanism tables. It panics
+// on an empty or duplicate key: tables are package-level catalogues whose
+// keys are compile-time constants.
+func NewRegistry(tables ...[]Mechanism) *Registry {
+	var mechs []Mechanism
+	for _, t := range tables {
+		mechs = append(mechs, t...)
 	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if _, dup := r.m[m.Key]; dup {
-		return fmt.Errorf("faultinject: mechanism %q already registered", m.Key)
+	sort.Slice(mechs, func(i, j int) bool { return mechs[i].Key < mechs[j].Key })
+	for i, m := range mechs {
+		if m.Key == "" {
+			panic("faultinject: mechanism with empty key")
+		}
+		if i > 0 && mechs[i-1].Key == m.Key {
+			panic(fmt.Sprintf("faultinject: mechanism %q registered twice", m.Key))
+		}
 	}
-	r.m[m.Key] = m
-	return nil
-}
-
-// MustRegister registers and panics on error; for package-level catalogues
-// whose keys are compile-time constants.
-func (r *Registry) MustRegister(m Mechanism) {
-	if err := r.Register(m); err != nil {
-		panic(err)
-	}
+	return &Registry{mechs: mechs}
 }
 
 // Lookup returns the mechanism for key.
 func (r *Registry) Lookup(key string) (Mechanism, bool) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	m, ok := r.m[key]
-	return m, ok
-}
-
-// Keys returns all keys in sorted order.
-func (r *Registry) Keys() []string {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	keys := make([]string, 0, len(r.m))
-	for k := range r.m {
-		keys = append(keys, k)
+	i := sort.Search(len(r.mechs), func(i int) bool { return r.mechs[i].Key >= key })
+	if i < len(r.mechs) && r.mechs[i].Key == key {
+		return r.mechs[i], true
 	}
-	sort.Strings(keys)
-	return keys
+	return Mechanism{}, false
 }
 
-// ByApp returns the mechanisms of one application, sorted by key.
+// Mechanisms returns every mechanism, in key order. The slice is the
+// caller's own.
+func (r *Registry) Mechanisms() []Mechanism {
+	return append([]Mechanism(nil), r.mechs...)
+}
+
+// ByApp returns the mechanisms of one application, in key order.
 func (r *Registry) ByApp(app taxonomy.Application) []Mechanism {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	var out []Mechanism
-	for _, m := range r.m {
+	for _, m := range r.mechs {
 		if m.App == app {
 			out = append(out, m)
 		}
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Key < out[j].Key })
 	return out
 }
 

@@ -10,47 +10,75 @@ import (
 )
 
 func TestRegistry(t *testing.T) {
-	r := NewRegistry()
 	m := Mechanism{Key: "httpd/x", App: taxonomy.AppApache, Trigger: taxonomy.TriggerWorkloadOnly, Description: "d"}
-	if err := r.Register(m); err != nil {
-		t.Fatal(err)
-	}
-	if err := r.Register(m); err == nil {
-		t.Error("duplicate registration should fail")
-	}
-	if err := r.Register(Mechanism{}); err == nil {
-		t.Error("empty key should fail")
-	}
+	r := NewRegistry([]Mechanism{m}, nil)
 	got, ok := r.Lookup("httpd/x")
-	if !ok || got.Description != "d" {
+	if !ok || got != m {
 		t.Errorf("Lookup = %+v, %v", got, ok)
 	}
-	if _, ok := r.Lookup("nope"); ok {
-		t.Error("Lookup should miss")
+	for _, miss := range []string{"nope", "", "httpd/", "httpd/y", "a"} {
+		if _, ok := r.Lookup(miss); ok {
+			t.Errorf("Lookup(%q) should miss", miss)
+		}
+	}
+	if _, ok := NewRegistry().Lookup("httpd/x"); ok {
+		t.Error("the empty registry should miss")
 	}
 }
 
+// TestRegistryKeysSorted checks that Mechanisms returns key order whatever
+// the order of the tables and of their rows.
 func TestRegistryKeysSorted(t *testing.T) {
-	r := NewRegistry()
-	for _, k := range []string{"c/z", "a/x", "b/y"} {
-		r.MustRegister(Mechanism{Key: k, App: taxonomy.AppApache, Trigger: taxonomy.TriggerWorkloadOnly})
+	mech := func(k string) Mechanism {
+		return Mechanism{Key: k, App: taxonomy.AppApache, Trigger: taxonomy.TriggerWorkloadOnly}
 	}
-	keys := r.Keys()
+	r := NewRegistry([]Mechanism{mech("c/z"), mech("a/x")}, []Mechanism{mech("b/y")})
 	want := []string{"a/x", "b/y", "c/z"}
-	for i := range want {
-		if keys[i] != want[i] {
-			t.Fatalf("Keys = %v", keys)
+	got := r.Mechanisms()
+	if len(got) != len(want) {
+		t.Fatalf("Mechanisms = %+v", got)
+	}
+	for i, m := range got {
+		if m.Key != want[i] {
+			t.Fatalf("Mechanisms()[%d] = %s, want %s", i, m.Key, want[i])
 		}
+		if hit, ok := r.Lookup(m.Key); !ok || hit != m {
+			t.Errorf("Lookup(%s) = %+v, %v", m.Key, hit, ok)
+		}
+	}
+
+	// The returned slice is the caller's: editing it leaves the registry as
+	// it was.
+	got[0] = mech("z/z")
+	got = append(got[:1], got[2:]...)
+	if again := r.Mechanisms(); len(again) != 3 || again[0].Key != "a/x" || again[1].Key != "b/y" {
+		t.Errorf("mutating Mechanisms() changed the registry: %+v", again)
+	}
+	if _, ok := r.Lookup("z/z"); ok {
+		t.Error("mutating Mechanisms() added a key")
 	}
 }
 
 func TestRegistryByApp(t *testing.T) {
-	r := NewRegistry()
-	r.MustRegister(Mechanism{Key: "httpd/a", App: taxonomy.AppApache, Trigger: taxonomy.TriggerWorkloadOnly})
-	r.MustRegister(Mechanism{Key: "sqldb/b", App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerRace})
+	r := NewRegistry([]Mechanism{
+		{Key: "sqldb/d", App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerRace},
+		{Key: "httpd/a", App: taxonomy.AppApache, Trigger: taxonomy.TriggerWorkloadOnly},
+		{Key: "sqldb/b", App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerRace},
+	}, []Mechanism{
+		{Key: "sqldb/c", App: taxonomy.AppMySQL, Trigger: taxonomy.TriggerDiskFull},
+	})
 	got := r.ByApp(taxonomy.AppMySQL)
-	if len(got) != 1 || got[0].Key != "sqldb/b" {
-		t.Errorf("ByApp = %+v", got)
+	want := []string{"sqldb/b", "sqldb/c", "sqldb/d"}
+	if len(got) != len(want) {
+		t.Fatalf("ByApp = %+v", got)
+	}
+	for i, m := range got {
+		if m.Key != want[i] {
+			t.Errorf("ByApp()[%d] = %s, want %s", i, m.Key, want[i])
+		}
+	}
+	if got := r.ByApp(taxonomy.AppGnome); len(got) != 0 {
+		t.Errorf("ByApp(gnome) = %+v, want none", got)
 	}
 }
 
@@ -104,48 +132,29 @@ func TestFailureErrorUnwrap(t *testing.T) {
 }
 
 func TestRegistryErrorPaths(t *testing.T) {
-	r := NewRegistry()
 	base := Mechanism{Key: "app/one", App: taxonomy.AppApache, Trigger: taxonomy.TriggerDiskFull, Description: "d"}
-	if err := r.Register(base); err != nil {
-		t.Fatal(err)
+	panicText := func(tables ...[]Mechanism) (msg string) {
+		defer func() { msg = fmt.Sprint(recover()) }()
+		NewRegistry(tables...)
+		return ""
 	}
 
-	// Duplicate keys carry the offending key in the error.
-	err := r.Register(base)
-	if err == nil {
-		t.Fatal("duplicate key accepted")
+	// A duplicate key panics naming the key, within one table or across two.
+	if msg := panicText([]Mechanism{base, base}); !strings.Contains(msg, "app/one") {
+		t.Errorf("duplicate within a table: panic %q does not name the key", msg)
 	}
-	if !strings.Contains(err.Error(), "app/one") {
-		t.Errorf("duplicate error does not name the key: %v", err)
-	}
-
-	// Empty keys are rejected before the map is touched.
-	if err := r.Register(Mechanism{App: taxonomy.AppApache}); err == nil {
-		t.Error("empty key accepted")
-	}
-	if got := len(r.Keys()); got != 1 {
-		t.Errorf("failed registrations mutated the registry: %d keys", got)
+	other := Mechanism{Key: "app/two", App: taxonomy.AppApache, Trigger: taxonomy.TriggerRace}
+	if msg := panicText([]Mechanism{base, other}, []Mechanism{other}); !strings.Contains(msg, "app/two") {
+		t.Errorf("duplicate across tables: panic %q does not name the key", msg)
 	}
 
-	// MustRegister panics on the same errors and registers otherwise.
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MustRegister(duplicate) did not panic")
-			}
-		}()
-		r.MustRegister(base)
-	}()
-	func() {
-		defer func() {
-			if recover() == nil {
-				t.Error("MustRegister(empty key) did not panic")
-			}
-		}()
-		r.MustRegister(Mechanism{})
-	}()
-	r.MustRegister(Mechanism{Key: "app/two", App: taxonomy.AppApache, Trigger: taxonomy.TriggerRace})
-	if _, ok := r.Lookup("app/two"); !ok {
-		t.Error("MustRegister(fresh key) did not register")
+	// An empty key panics.
+	if msg := panicText([]Mechanism{base}, []Mechanism{{App: taxonomy.AppApache}}); !strings.Contains(msg, "empty key") {
+		t.Errorf("empty key: panic %q", msg)
+	}
+
+	// Distinct keys build.
+	if msg := panicText([]Mechanism{base}, []Mechanism{other}); msg != "<nil>" {
+		t.Errorf("distinct keys panicked: %s", msg)
 	}
 }
