@@ -87,27 +87,6 @@ type Cond struct {
 	Val Value
 }
 
-// Matches evaluates the condition against a value.
-func (c Cond) Matches(v Value) bool {
-	cmp := v.Compare(c.Val)
-	switch c.Op {
-	case "=":
-		return cmp == 0
-	case "<":
-		return cmp < 0
-	case ">":
-		return cmp > 0
-	case "<=":
-		return cmp <= 0
-	case ">=":
-		return cmp >= 0
-	case "!=", "<>":
-		return cmp != 0
-	default:
-		return false
-	}
-}
-
 // Statement is a parsed SQL statement; exactly one field group is set.
 type Statement struct {
 	Kind StmtKind

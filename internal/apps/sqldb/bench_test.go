@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"fmt"
+	"math/rand"
 	"testing"
 
 	"faultstudy/internal/simenv"
@@ -125,6 +126,33 @@ func BenchmarkSnapshotRestore(b *testing.B) {
 		srv.Stop()
 		if err := srv.Restore(snap); err != nil {
 			b.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkServeArrival measures SERVE's statement path: one op is 2,400
+// open-loop arrivals from 1,200 users, the sweep's per-arm defaults, served
+// through a freshly warmed componentized server so the serve table grows
+// the same way in every op.
+func BenchmarkServeArrival(b *testing.B) {
+	const arrivals, users = 2400, 1200
+	b.ReportAllocs()
+	for i := 0; i < b.N; i++ {
+		b.StopTimer()
+		env := simenv.New(1, simenv.WithDiskBytes(1<<30), simenv.WithMaxFileSize(1<<28))
+		c := Componentize(New(env, nil))
+		if err := c.Start(); err != nil {
+			b.Fatal(err)
+		}
+		if err := c.ServeWarm(); err != nil {
+			b.Fatal(err)
+		}
+		rng := rand.New(rand.NewSource(1))
+		b.StartTimer()
+		for seq := 0; seq < arrivals; seq++ {
+			if err := c.ServeArrival(seq, rng.Intn(users), rng.Float64()); err != nil {
+				b.Fatal(err)
+			}
 		}
 	}
 }

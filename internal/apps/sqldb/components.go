@@ -3,6 +3,7 @@ package sqldb
 import (
 	"fmt"
 	"sort"
+	"strconv"
 	"time"
 
 	"faultstudy/internal/component"
@@ -145,7 +146,7 @@ func (c *Componentized) Connect(session, clientAddr string) error {
 		return err
 	}
 	c.Store().Put(SessionBucket, session, clientAddr)
-	c.Store().Put(ConnBucket, session, fmt.Sprint(id))
+	c.Store().Put(ConnBucket, session, strconv.Itoa(id))
 	return nil
 }
 
@@ -157,9 +158,10 @@ func (c *Componentized) reattach(session string) error {
 	if !ok {
 		return fmt.Errorf("sqldb: unknown session %q", session)
 	}
+	// Connect and reattach are the only writers of ConnBucket, and they
+	// write strconv.Itoa of a connection id.
 	if v, ok := c.Store().Get(ConnBucket, session); ok {
-		var id int
-		if _, err := fmt.Sscanf(v, "%d", &id); err == nil && c.srv.Connected(id) {
+		if id, err := strconv.Atoi(v); err == nil && c.srv.Connected(id) {
 			return nil
 		}
 	}
@@ -170,7 +172,7 @@ func (c *Componentized) reattach(session string) error {
 	if err != nil {
 		return err
 	}
-	c.Store().Put(ConnBucket, session, fmt.Sprint(id))
+	c.Store().Put(ConnBucket, session, strconv.Itoa(id))
 	return nil
 }
 

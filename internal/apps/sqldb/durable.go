@@ -25,7 +25,11 @@ const storeDir = "/var/db"
 // preserves the id holes the ISAM-style format leaves until OPTIMIZE.
 func schemaKey(table string) string { return "s/" + table }
 
-func rowKey(table string, id int) string { return fmt.Sprintf("r/%s/%08d", table, id) }
+func rowKey(table string, id int) string {
+	var buf [64]byte
+	b := append(append(append(buf[:0], "r/"...), table...), '/')
+	return string(appendPadded(b, id, 8))
+}
 
 // schemaRec is the stored form of a table definition.
 type schemaRec struct {

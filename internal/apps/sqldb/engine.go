@@ -3,6 +3,7 @@ package sqldb
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 
 	"faultstudy/internal/durable"
@@ -232,35 +233,14 @@ func (s *Server) selectRows(st *Statement) (*ResultSet, error) {
 	if err != nil {
 		return nil, err
 	}
-
 	if st.CountCol != "" {
-		if t.live == 0 && s.faults.Enabled(MechCountEmpty) {
-			s.crash()
-			return nil, faultinject.Fail(MechCountEmpty, taxonomy.SymptomCrash,
-				"COUNT on an empty table dereferences the missing first block")
-		}
-		if st.CountCol != "*" {
-			if _, err := t.colIndex(st.CountCol); err != nil {
-				return nil, err
-			}
-		}
-		count := int64(0)
-		for rowID, row := range t.rows {
-			if row == nil {
-				continue
-			}
-			if st.Where != nil && !s.rowMatches(t, rowID, st.Where) {
-				continue
-			}
-			count++
-		}
-		return &ResultSet{IsCount: true, Count: count}, nil
+		return s.countRows(t, st)
 	}
-
-	matched, err := s.matchRows(t, st.Where)
+	f, err := t.where(st.Where)
 	if err != nil {
 		return nil, err
 	}
+	matched := t.matchRows(f)
 
 	if st.OrderBy != "" {
 		ci, err := t.colIndex(st.OrderBy)
@@ -275,12 +255,12 @@ func (s *Server) selectRows(st *Statement) (*ResultSet, error) {
 		if idx, ok := t.indexes[st.OrderBy]; ok {
 			matched = orderByIndex(idx, matched, st.OrderDesc)
 		} else {
-			sort.SliceStable(matched, func(i, j int) bool {
-				cmp := t.rows[matched[i]][ci].Compare(t.rows[matched[j]][ci])
+			slices.SortStableFunc(matched, func(a, b int) int {
+				cmp := t.rows[a][ci].Compare(t.rows[b][ci])
 				if st.OrderDesc {
-					return cmp > 0
+					return -cmp
 				}
-				return cmp < 0
+				return cmp
 			})
 		}
 	}
@@ -294,25 +274,71 @@ func (s *Server) selectRows(st *Statement) (*ResultSet, error) {
 		return nil, err
 	}
 	rs := &ResultSet{Cols: cols}
-	for _, rowID := range matched {
-		src := t.rows[rowID]
-		out := make(Row, len(proj))
-		for i, ci := range proj {
-			out[i] = src[ci]
+	if len(matched) == 0 {
+		return rs, nil
+	}
+	// One backing array holds every returned value; each row is a
+	// full-capacity window onto it, so appending to one row cannot write
+	// into the next.
+	w := len(cols)
+	vals := make([]Value, len(matched)*w)
+	rs.Rows = make([]Row, len(matched))
+	for i, rowID := range matched {
+		src, out := t.rows[rowID], vals[i*w:(i+1)*w:(i+1)*w]
+		if proj == nil {
+			copy(out, src)
 		}
-		rs.Rows = append(rs.Rows, out)
+		for j, ci := range proj {
+			out[j] = src[ci]
+		}
+		rs.Rows[i] = out
 	}
 	return rs, nil
 }
 
+// countRows answers SELECT COUNT(...). Without a WHERE every live row
+// counts, so the answer is the table's live count; with one, the rows the
+// filter matches are counted. Columns hold no NULLs, so COUNT(col) and
+// COUNT(*) agree.
+func (s *Server) countRows(t *table, st *Statement) (*ResultSet, error) {
+	if t.live == 0 && s.faults.Enabled(MechCountEmpty) {
+		s.crash()
+		return nil, faultinject.Fail(MechCountEmpty, taxonomy.SymptomCrash,
+			"COUNT on an empty table dereferences the missing first block")
+	}
+	if st.CountCol != "*" {
+		if _, err := t.colIndex(st.CountCol); err != nil {
+			return nil, err
+		}
+	}
+	f, err := t.where(st.Where)
+	if err != nil {
+		return nil, err
+	}
+	count := int64(t.live)
+	if f.cond != nil {
+		count = 0
+		for _, row := range t.rows {
+			if row != nil && f.matches(row) {
+				count++
+			}
+		}
+	}
+	return &ResultSet{IsCount: true, Count: count}, nil
+}
+
+// projection resolves a SELECT list against t: the returned column names
+// and their positions in a row. SELECT * returns every column in order and
+// nil positions.
 func projection(t *table, sel []string) (names []string, colIdx []int, err error) {
 	if len(sel) == 1 && sel[0] == "*" {
+		names = make([]string, len(t.cols))
 		for i, c := range t.cols {
-			names = append(names, c.Name)
-			colIdx = append(colIdx, i)
+			names[i] = c.Name
 		}
-		return names, colIdx, nil
+		return names, nil, nil
 	}
+	names, colIdx = make([]string, 0, len(sel)), make([]int, 0, len(sel))
 	for _, name := range sel {
 		ci, err := t.colIndex(name)
 		if err != nil {
@@ -369,16 +395,69 @@ func orderByIndex(idx *btree, matched []int, desc bool) []int {
 	return ordered
 }
 
-// matchRows returns the live row ids satisfying the condition, in row-id
-// order. Equality conditions on an indexed column use the B-tree; everything
-// else scans.
-func (s *Server) matchRows(t *table, cond *Cond) ([]int, error) {
-	if cond != nil {
-		if _, err := t.colIndex(cond.Col); err != nil {
-			return nil, err
+// filter is a WHERE condition resolved against one table: the column's
+// position and the operator's truth table are looked up once per
+// statement, not once per row. The zero filter (no WHERE) matches every
+// row.
+type filter struct {
+	cond *Cond
+	ci   int
+	// holds[c+1] reports whether a row value that compares c (-1, 0 or 1)
+	// with the condition's value satisfies the operator.
+	holds [3]bool
+}
+
+// where resolves a statement's WHERE condition (nil when it has none)
+// against t's columns; a column t lacks is an error.
+func (t *table) where(cond *Cond) (filter, error) {
+	if cond == nil {
+		return filter{}, nil
+	}
+	ci, err := t.colIndex(cond.Col)
+	if err != nil {
+		return filter{}, err
+	}
+	f := filter{cond: cond, ci: ci}
+	switch cond.Op {
+	case "=":
+		f.holds = [3]bool{false, true, false}
+	case "<":
+		f.holds = [3]bool{true, false, false}
+	case ">":
+		f.holds = [3]bool{false, false, true}
+	case "<=":
+		f.holds = [3]bool{true, true, false}
+	case ">=":
+		f.holds = [3]bool{false, true, true}
+	case "!=", "<>":
+		f.holds = [3]bool{true, false, true}
+	}
+	return f, nil
+}
+
+// matches reports whether the live row satisfies the filter.
+func (f *filter) matches(row Row) bool {
+	return f.cond == nil || f.holds[row[f.ci].Compare(f.cond.Val)+1]
+}
+
+// scan returns the ids of the live rows the filter matches, in row-id
+// order.
+func (t *table) scan(f filter) []int {
+	var ids []int
+	for rowID, row := range t.rows {
+		if row != nil && f.matches(row) {
+			ids = append(ids, rowID)
 		}
-		if idx, ok := t.indexes[cond.Col]; ok && cond.Op == "=" {
-			rows := idx.Lookup(cond.Val)
+	}
+	return ids
+}
+
+// matchRows returns the live row ids the filter matches, in row-id order.
+// Equality on an indexed column uses the B-tree; everything else scans.
+func (t *table) matchRows(f filter) []int {
+	if f.cond != nil && f.cond.Op == "=" {
+		if idx, ok := t.indexes[f.cond.Col]; ok {
+			rows := idx.Lookup(f.cond.Val)
 			sort.Ints(rows)
 			live := rows[:0]
 			for _, rowID := range rows {
@@ -386,28 +465,10 @@ func (s *Server) matchRows(t *table, cond *Cond) ([]int, error) {
 					live = append(live, rowID)
 				}
 			}
-			return live, nil
+			return live
 		}
 	}
-	matched := make([]int, 0, t.live)
-	for rowID, row := range t.rows {
-		if row == nil {
-			continue
-		}
-		if cond != nil && !s.rowMatches(t, rowID, cond) {
-			continue
-		}
-		matched = append(matched, rowID)
-	}
-	return matched, nil
-}
-
-func (s *Server) rowMatches(t *table, rowID int, cond *Cond) bool {
-	ci, err := t.colIndex(cond.Col)
-	if err != nil {
-		return false
-	}
-	return cond.Matches(t.rows[rowID][ci])
+	return t.scan(f)
 }
 
 func (s *Server) updateRows(st *Statement) error {
@@ -416,6 +477,10 @@ func (s *Server) updateRows(st *Statement) error {
 		return err
 	}
 	ci, err := t.colIndex(st.SetCol)
+	if err != nil {
+		return err
+	}
+	f, err := t.where(st.Where)
 	if err != nil {
 		return err
 	}
@@ -431,25 +496,30 @@ func (s *Server) updateRows(st *Statement) error {
 		return st.SetVal, nil
 	}
 
-	// Plan the statement's final row images with the fixed algorithm and
-	// WAL them before touching memory: the log carries the statement as one
-	// atomic batch, so replay never sees a half-applied UPDATE even when the
-	// in-place scan below dies halfway through.
-	var planOps []durable.Op
+	// One scan finds the matching rows and plans their final images with
+	// the fixed algorithm; the plan is WAL-logged before memory is touched.
+	// The log carries the statement as one atomic batch, so replay never
+	// sees a half-applied UPDATE even when the in-place scan below dies
+	// halfway through.
+	var (
+		targets []int
+		vals    []Value
+		planOps []durable.Op
+		image   Row // reused: rowOp encodes the image before the next overwrites it
+	)
 	for rowID, row := range t.rows {
-		if row == nil {
-			continue
-		}
-		if st.Where != nil && !s.rowMatches(t, rowID, st.Where) {
+		if row == nil || !f.matches(row) {
 			continue
 		}
 		nv, nerr := newVal(row[ci])
 		if nerr != nil {
 			return nerr
 		}
-		updated := append(Row(nil), row...)
-		updated[ci] = nv
-		planOps = append(planOps, rowOp(t.name, rowID, updated))
+		image = append(image[:0], row...)
+		image[ci] = nv
+		planOps = append(planOps, rowOp(t.name, rowID, image))
+		targets = append(targets, rowID)
+		vals = append(vals, nv)
 	}
 	if len(planOps) > 0 {
 		if err := s.logDurable("update", planOps); err != nil {
@@ -467,10 +537,7 @@ func (s *Server) updateRows(st *Statement) error {
 		var ferr error
 		idx.Scan(func(key Value, rowID int) bool {
 			row := t.rows[rowID]
-			if row == nil {
-				return true
-			}
-			if st.Where != nil && !s.rowMatches(t, rowID, st.Where) {
+			if row == nil || !f.matches(row) {
 				return true
 			}
 			if updated[rowID] {
@@ -493,28 +560,15 @@ func (s *Server) updateRows(st *Statement) error {
 		return ferr
 	}
 
-	// The fixed algorithm (the paper's fix): first scan for all matching
-	// rows, then update the found rows.
-	var targets []int
-	for rowID, row := range t.rows {
-		if row == nil {
-			continue
-		}
-		if st.Where != nil && !s.rowMatches(t, rowID, st.Where) {
-			continue
-		}
-		targets = append(targets, rowID)
-	}
-	for _, rowID := range targets {
-		nv, nerr := newVal(t.rows[rowID][ci])
-		if nerr != nil {
-			return nerr
-		}
+	// The fixed algorithm (the paper's fix): the scan above found every
+	// matching row first; now update the found rows.
+	for i, rowID := range targets {
+		row := t.rows[rowID]
 		if idx != nil {
-			idx.Delete(t.rows[rowID][ci], rowID)
-			idx.Insert(nv, rowID)
+			idx.Delete(row[ci], rowID)
+			idx.Insert(vals[i], rowID)
 		}
-		t.rows[rowID][ci] = nv
+		row[ci] = vals[i]
 	}
 	return nil
 }
@@ -524,39 +578,35 @@ func (s *Server) deleteRows(st *Statement) error {
 	if err != nil {
 		return err
 	}
-	// WAL the victims' tombstones as one atomic batch before deleting.
-	var ops []durable.Op
-	for rowID, row := range t.rows {
-		if row == nil {
-			continue
-		}
-		if st.Where != nil && !s.rowMatches(t, rowID, st.Where) {
-			continue
-		}
-		ops = append(ops, rowOp(t.name, rowID, nil))
+	f, err := t.where(st.Where)
+	if err != nil {
+		return err
 	}
-	if len(ops) > 0 {
-		if err := s.logDurable("delete", ops); err != nil {
+	victims := t.scan(f)
+	if len(victims) == 0 {
+		return nil
+	}
+	// WAL the victims' tombstones as one atomic batch before deleting.
+	ops := make([]durable.Op, len(victims))
+	for i, rowID := range victims {
+		ops[i] = rowOp(t.name, rowID, nil)
+	}
+	if err := s.logDurable("delete", ops); err != nil {
+		return err
+	}
+	for col, idx := range t.indexes {
+		ci, err := t.colIndex(col)
+		if err != nil {
 			return err
 		}
+		for _, rowID := range victims {
+			idx.Delete(t.rows[rowID][ci], rowID)
+		}
 	}
-	for rowID, row := range t.rows {
-		if row == nil {
-			continue
-		}
-		if st.Where != nil && !s.rowMatches(t, rowID, st.Where) {
-			continue
-		}
-		for col, idx := range t.indexes {
-			ci, cerr := t.colIndex(col)
-			if cerr != nil {
-				return cerr
-			}
-			idx.Delete(row[ci], rowID)
-		}
+	for _, rowID := range victims {
 		t.rows[rowID] = nil
-		t.live--
 	}
+	t.live -= len(victims)
 	return nil
 }
 

@@ -36,10 +36,15 @@ type token struct {
 	text string // identifiers are kept verbatim; keywords match case-insensitively
 }
 
-// lex splits a statement into tokens. SQL strings use single quotes with ”
-// escaping. C-style /* */ comments are skipped.
+// lex splits a statement into tokens. SQL strings use single quotes, with
+// a doubled quote standing for one. C-style /* */ comments are skipped.
+// Token texts are slices of the input wherever the text appears there
+// verbatim, which is every token but a string literal with an escaped
+// quote.
 func lex(input string) ([]token, error) {
-	var toks []token
+	// Statements average about one token per four bytes; the slice grows
+	// past that when a statement is denser.
+	toks := make([]token, 0, len(input)/4+2)
 	i := 0
 	n := len(input)
 	for i < n {
@@ -54,25 +59,12 @@ func lex(input string) ([]token, error) {
 			}
 			i += 2 + end + 2
 		case c == '\'':
-			j := i + 1
-			var sb strings.Builder
-			for {
-				if j >= n {
-					return nil, fmt.Errorf("sqldb: unterminated string at byte %d", i)
-				}
-				if input[j] == '\'' {
-					if j+1 < n && input[j+1] == '\'' {
-						sb.WriteByte('\'')
-						j += 2
-						continue
-					}
-					break
-				}
-				sb.WriteByte(input[j])
-				j++
+			text, next, err := lexString(input, i)
+			if err != nil {
+				return nil, err
 			}
-			toks = append(toks, token{kind: tokString, text: sb.String()})
-			i = j + 1
+			toks = append(toks, token{kind: tokString, text: text})
+			i = next
 		case c >= '0' && c <= '9' || (c == '-' && i+1 < n && input[i+1] >= '0' && input[i+1] <= '9'):
 			j := i + 1
 			for j < n && input[j] >= '0' && input[j] <= '9' {
@@ -87,8 +79,8 @@ func lex(input string) ([]token, error) {
 			}
 			toks = append(toks, token{kind: tokIdent, text: input[i:j]})
 			i = j
-		case strings.ContainsRune("(),=*+", rune(c)):
-			toks = append(toks, token{kind: tokSymbol, text: string(c)})
+		case strings.IndexByte("(),=*+", c) >= 0:
+			toks = append(toks, token{kind: tokSymbol, text: input[i : i+1]})
 			i++
 		case c == '<' || c == '>' || c == '!':
 			if i+1 < n && input[i+1] == '=' {
@@ -97,7 +89,7 @@ func lex(input string) ([]token, error) {
 			} else if c == '!' {
 				return nil, fmt.Errorf("sqldb: stray '!' at byte %d", i)
 			} else {
-				toks = append(toks, token{kind: tokSymbol, text: string(c)})
+				toks = append(toks, token{kind: tokSymbol, text: input[i : i+1]})
 				i++
 			}
 		case c == ';':
@@ -108,6 +100,38 @@ func lex(input string) ([]token, error) {
 	}
 	toks = append(toks, token{kind: tokEOF})
 	return toks, nil
+}
+
+// lexString reads the string literal whose opening quote is at input[i],
+// returning its text and the byte after its closing quote. A literal with
+// no doubled quote is a slice of the input; only an escaped one is copied.
+func lexString(input string, i int) (text string, next int, err error) {
+	j := i + 1
+	end := strings.IndexByte(input[j:], '\'')
+	if end < 0 {
+		return "", 0, fmt.Errorf("sqldb: unterminated string at byte %d", i)
+	}
+	j += end
+	if j+1 >= len(input) || input[j+1] != '\'' {
+		return input[i+1 : j], j + 1, nil
+	}
+	var sb strings.Builder
+	sb.WriteString(input[i+1 : j])
+	for {
+		if j >= len(input) {
+			return "", 0, fmt.Errorf("sqldb: unterminated string at byte %d", i)
+		}
+		if input[j] == '\'' {
+			if j+1 < len(input) && input[j+1] == '\'' {
+				sb.WriteByte('\'')
+				j += 2
+				continue
+			}
+			return sb.String(), j + 1, nil
+		}
+		sb.WriteByte(input[j])
+		j++
+	}
 }
 
 func isIdentByte(c byte) bool {

@@ -1,6 +1,6 @@
 package sqldb
 
-import "fmt"
+import "strconv"
 
 // Serving-tier category names for the SQL operation mix.
 const (
@@ -26,7 +26,8 @@ func (c *Componentized) ServeWarm() error {
 		return err
 	}
 	for i := 0; i < 8; i++ {
-		if _, err := c.Exec("warmup", fmt.Sprintf("INSERT INTO %s VALUES (%d, 'seed%d')", ServeTable, i, i)); err != nil {
+		n := strconv.Itoa(i)
+		if _, err := c.Exec("warmup", "INSERT INTO "+ServeTable+" VALUES ("+n+", 'seed"+n+"')"); err != nil {
 			return err
 		}
 	}
@@ -53,23 +54,60 @@ func (c *Componentized) ServeCategory(u float64) string {
 // session. Sessions connect lazily and survive in the externalized store,
 // so a rebooted listener does not force every user back through Connect.
 func (c *Componentized) ServeArrival(seq, user int, u float64) error {
-	session := fmt.Sprintf("u%05d", user)
+	session := sessionName(user)
 	if !c.SessionAlive(session) {
-		if err := c.Connect(session, fmt.Sprintf("10.1.%d.%d", user/256, user%256)); err != nil {
+		addr := "10.1." + strconv.Itoa(user/256) + "." + strconv.Itoa(user%256)
+		if err := c.Connect(session, addr); err != nil {
 			return err
 		}
 	}
-	var stmt string
-	switch c.ServeCategory(u) {
-	case ServeSelect:
-		stmt = fmt.Sprintf("SELECT * FROM %s WHERE k <= %d ORDER BY k LIMIT 10", ServeTable, seq%64)
-	case ServeInsert:
-		stmt = fmt.Sprintf("INSERT INTO %s VALUES (%d, 'p%d')", ServeTable, 8+seq, seq)
-	case ServeCount:
-		stmt = "SELECT COUNT(*) FROM " + ServeTable
-	default:
-		stmt = fmt.Sprintf("UPDATE %s SET payload = 'u%d' WHERE k = %d", ServeTable, seq, seq%8)
-	}
-	_, err := c.Exec(session, stmt)
+	_, err := c.Exec(session, serveStatement(c.ServeCategory(u), seq))
 	return err
+}
+
+// sessionName names a serving user's session: "u" and the user number,
+// zero-padded to five digits. User numbers are non-negative.
+func sessionName(user int) string {
+	var buf [24]byte
+	return string(appendPadded(append(buf[:0], 'u'), user, 5))
+}
+
+// serveStatement is the SQL text of the arrival numbered seq in the given
+// serving category.
+func serveStatement(category string, seq int) string {
+	var buf [96]byte
+	b := buf[:0]
+	switch category {
+	case ServeSelect:
+		b = append(b, "SELECT * FROM "+ServeTable+" WHERE k <= "...)
+		b = strconv.AppendInt(b, int64(seq%64), 10)
+		b = append(b, " ORDER BY k LIMIT 10"...)
+	case ServeInsert:
+		b = append(b, "INSERT INTO "+ServeTable+" VALUES ("...)
+		b = strconv.AppendInt(b, int64(8+seq), 10)
+		b = append(b, ", 'p"...)
+		b = strconv.AppendInt(b, int64(seq), 10)
+		b = append(b, "')"...)
+	case ServeCount:
+		return "SELECT COUNT(*) FROM " + ServeTable
+	default:
+		b = append(b, "UPDATE "+ServeTable+" SET payload = 'u"...)
+		b = strconv.AppendInt(b, int64(seq), 10)
+		b = append(b, "' WHERE k = "...)
+		b = strconv.AppendInt(b, int64(seq%8), 10)
+	}
+	return string(b)
+}
+
+// appendPadded appends the decimal form of the non-negative n, zero-padded
+// to at least width digits.
+func appendPadded(b []byte, n, width int) []byte {
+	digits := 1
+	for v := n; v >= 10; v /= 10 {
+		digits++
+	}
+	for ; digits < width; digits++ {
+		b = append(b, '0')
+	}
+	return strconv.AppendInt(b, int64(n), 10)
 }

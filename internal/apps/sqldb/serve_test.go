@@ -2,6 +2,7 @@ package sqldb
 
 import (
 	"errors"
+	"fmt"
 	"testing"
 
 	"faultstudy/internal/component"
@@ -81,5 +82,40 @@ func TestServeArrivalRefusedNamesComponent(t *testing.T) {
 	}
 	if err := c.ServeArrival(2, 9, 0.1); err != nil {
 		t.Fatalf("post-reboot serve: err=%v, want clean serve", err)
+	}
+}
+
+// TestServeArrivalText pins the statement texts, session names and client
+// addresses ServeArrival builds to their fmt.Sprintf forms, on both sides
+// of each zero-padding and modulus boundary.
+func TestServeArrivalText(t *testing.T) {
+	for _, user := range []int{0, 7, 99_999, 100_000, 1_234_567} {
+		if got, want := sessionName(user), fmt.Sprintf("u%05d", user); got != want {
+			t.Errorf("sessionName(%d) = %q, want %q", user, got, want)
+		}
+	}
+	for _, seq := range []int{0, 63, 64, 1_000_000} {
+		for _, tc := range []struct{ category, want string }{
+			{ServeSelect, fmt.Sprintf("SELECT * FROM %s WHERE k <= %d ORDER BY k LIMIT 10", ServeTable, seq%64)},
+			{ServeInsert, fmt.Sprintf("INSERT INTO %s VALUES (%d, 'p%d')", ServeTable, 8+seq, seq)},
+			{ServeCount, "SELECT COUNT(*) FROM " + ServeTable},
+			{ServeUpdate, fmt.Sprintf("UPDATE %s SET payload = 'u%d' WHERE k = %d", ServeTable, seq, seq%8)},
+		} {
+			if got := serveStatement(tc.category, seq); got != tc.want {
+				t.Errorf("serveStatement(%s, %d) = %q, want %q", tc.category, seq, got, tc.want)
+			}
+		}
+	}
+	c := newComponentized(t)
+	if err := c.ServeWarm(); err != nil {
+		t.Fatalf("ServeWarm: %v", err)
+	}
+	const user = 1_234_567
+	if err := c.ServeArrival(5, user, 0.8); err != nil {
+		t.Fatalf("ServeArrival: %v", err)
+	}
+	addr, ok := c.Store().Get(SessionBucket, fmt.Sprintf("u%05d", user))
+	if want := fmt.Sprintf("10.1.%d.%d", user/256, user%256); !ok || addr != want {
+		t.Errorf("session address %q (stored %v), want %q", addr, ok, want)
 	}
 }

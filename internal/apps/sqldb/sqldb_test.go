@@ -643,11 +643,33 @@ func TestIndexedLookupSkipsDeletedRows(t *testing.T) {
 	}
 }
 
-func TestWhereUnknownColumnErrors(t *testing.T) {
+// TestUnknownWhereColumnErrors checks that a WHERE on a column the table
+// lacks fails every statement that takes one with the same error, and that
+// the failed UPDATE and DELETE leave the rows and the log untouched.
+func TestUnknownWhereColumnErrors(t *testing.T) {
 	srv := newDB(t, nil)
-	mustExec(t, srv, "CREATE TABLE t (k INT)")
-	if _, err := srv.Exec("SELECT * FROM t WHERE nope = 1"); err == nil {
-		t.Error("unknown WHERE column should fail")
+	seed(t, srv, 3)
+	before := fmt.Sprint(mustExec(t, srv, "SELECT * FROM t").Rows)
+	seq := srv.store.Seq()
+	const want = `sqldb: no column "nosuch" in table "t"`
+	for _, q := range []string{
+		"SELECT * FROM t WHERE nosuch = 1",
+		"SELECT COUNT(*) FROM t WHERE nosuch = 1",
+		"UPDATE t SET name = 'x' WHERE nosuch = 1",
+		"DELETE FROM t WHERE nosuch = 1",
+	} {
+		if _, err := srv.Exec(q); err == nil || err.Error() != want {
+			t.Errorf("%s: err %v, want %q", q, err, want)
+		}
+	}
+	if after := fmt.Sprint(mustExec(t, srv, "SELECT * FROM t").Rows); after != before {
+		t.Errorf("rows changed: %s, were %s", after, before)
+	}
+	if got := srv.store.Seq(); got != seq {
+		t.Errorf("log advanced to seq %d from %d", got, seq)
+	}
+	if !srv.Running() {
+		t.Error("a statement error killed the server")
 	}
 }
 

@@ -2,6 +2,7 @@ package component
 
 import (
 	"errors"
+	"strconv"
 	"testing"
 	"time"
 )
@@ -197,6 +198,33 @@ func TestStoreBasics(t *testing.T) {
 	}
 	if n := s.Incr("b", "seq"); n != 2 {
 		t.Fatalf("second Incr = %d", n)
+	}
+	s.Put("b", "word", "seven")
+	if n := s.Incr("b", "word"); n != 1 {
+		t.Fatalf("Incr of a non-integer value = %d, want 1", n)
+	}
+	s.Put("b", "big", "41")
+	if n := s.Incr("b", "big"); n != 42 {
+		t.Fatalf("Incr of \"41\" = %d, want 42", n)
+	}
+	if v, _ := s.Get("b", "big"); v != "42" {
+		t.Fatalf("stored value after Incr = %q, want \"42\"", v)
+	}
+	if n := s.Incr("fresh", "seq"); n != 1 {
+		t.Fatalf("Incr in a missing bucket = %d, want 1", n)
+	}
+	// A missing key counts as zero without a parse: the only allocations
+	// left are the map's occasional growth, well under one per call.
+	keys := make([]string, 1001)
+	for i := range keys {
+		keys[i] = "k" + strconv.Itoa(i)
+	}
+	next := 0
+	if allocs := testing.AllocsPerRun(1000, func() {
+		s.Incr("fresh", keys[next])
+		next++
+	}); allocs != 0 {
+		t.Errorf("Incr of a missing key: %v allocations per call, want 0", allocs)
 	}
 }
 

@@ -57,7 +57,10 @@ func (s *Store) Incr(bucket, key string) int64 {
 		b = make(map[string]string)
 		s.buckets[bucket] = b
 	}
-	n, _ := strconv.ParseInt(b[key], 10, 64)
+	var n int64
+	if v, ok := b[key]; ok {
+		n, _ = strconv.ParseInt(v, 10, 64) // a non-integer value parses as 0
+	}
 	n++
 	b[key] = strconv.FormatInt(n, 10)
 	return n

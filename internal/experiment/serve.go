@@ -294,6 +294,9 @@ func runServeArm(cfg ServeConfig, armIdx int, mech faultinject.Mechanism, ladder
 	if err != nil {
 		return arm, fmt.Errorf("experiment: serve %s × %s: checkpoint: %w", mech.Key, rung, err)
 	}
+	// Every arrival is recorded exactly once: served, refused, errored or
+	// lost.
+	arm.Records = make([]traffic.Record, 0, len(schedule))
 	run := &serveRun{cfg: cfg, mech: mech, rung: rung, app: app,
 		env: app.Env(), arm: &arm, tel: tel, schedule: schedule,
 		base: app.Env().Monotonic(), cp: cp,
@@ -374,34 +377,37 @@ func (r *serveRun) serve(arr traffic.Arrival) {
 		return
 	}
 	err := r.app.ServeArrival(arr.Seq, arr.User, arr.U)
-	var de *component.DownError
-	switch {
-	case err == nil:
+	if err == nil {
 		r.record(arr, traffic.DefaultSLO().Outcome(arr.Service), "", "", arr.Service)
-	case errors.As(err, &de):
+		return
+	}
+	// Declared past the success path: errors.As takes its address, which
+	// puts it on the heap.
+	var de *component.DownError
+	if errors.As(err, &de) {
 		r.record(arr, traffic.OutcomeRefused, de.Component, err.Error(), 0)
-	default:
-		if _, isFault := faultinject.AsFailure(err); !isFault { //faultlint:ignore swallowfail fault failures proceed to the breaker/episode paths below; non-fault errors are recorded as error outcomes
-			r.record(arr, traffic.OutcomeError, "", err.Error(), 0)
-			return
-		}
-		if r.breakerOpen() {
-			r.arm.Shed++
-			r.record(arr, traffic.OutcomeError, "", err.Error(), 0)
-			recovery.Revive(r.app, nil)
-			return
-		}
-		arrivedAt := r.base + arr.At
-		recovered := r.episode(fmt.Sprintf("arr-%04d", arr.Seq), err, func() error {
-			return r.app.ServeArrival(arr.Seq, arr.User, arr.U)
-		})
-		if recovered {
-			// The user waited from arrival through recovery, then was served.
-			latency := r.env.Monotonic() - arrivedAt + arr.Service
-			r.record(arr, traffic.DefaultSLO().Outcome(latency), "", "", latency)
-		} else {
-			r.record(arr, traffic.OutcomeLost, "", err.Error(), 0)
-		}
+		return
+	}
+	if _, isFault := faultinject.AsFailure(err); !isFault { //faultlint:ignore swallowfail fault failures proceed to the breaker/episode paths below; non-fault errors are recorded as error outcomes
+		r.record(arr, traffic.OutcomeError, "", err.Error(), 0)
+		return
+	}
+	if r.breakerOpen() {
+		r.arm.Shed++
+		r.record(arr, traffic.OutcomeError, "", err.Error(), 0)
+		recovery.Revive(r.app, nil)
+		return
+	}
+	arrivedAt := r.base + arr.At
+	recovered := r.episode(fmt.Sprintf("arr-%04d", arr.Seq), err, func() error {
+		return r.app.ServeArrival(arr.Seq, arr.User, arr.U)
+	})
+	if recovered {
+		// The user waited from arrival through recovery, then was served.
+		latency := r.env.Monotonic() - arrivedAt + arr.Service
+		r.record(arr, traffic.DefaultSLO().Outcome(latency), "", "", latency)
+	} else {
+		r.record(arr, traffic.OutcomeLost, "", err.Error(), 0)
 	}
 }
 
