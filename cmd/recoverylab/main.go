@@ -445,8 +445,8 @@ func checkTraceFile(path string) (fmt.Stringer, error) {
 }
 
 // stepPrinter is the -steps trace hook: one line per recovery step.
-func stepPrinter(w io.Writer) func(recovery.TraceEvent) {
-	return func(ev recovery.TraceEvent) {
+func stepPrinter(w io.Writer) func(recovery.Event) {
+	return func(ev recovery.Event) {
 		if ev.Err != nil {
 			fmt.Fprintf(w, "    [%s] %s (attempt %d): %v\n", ev.Kind, ev.Op, ev.Attempt, ev.Err)
 		} else {
@@ -464,23 +464,21 @@ func runOne(w io.Writer, mechanism string, policy faultstudy.RecoveryPolicy, see
 			return err
 		}
 		runPolicy := policy
-		var ro *obsv.RecoveryObserver
+		var obs *obsv.Observer
 		if tel != nil {
 			mech, _ := experiment.CorpusRegistry().Lookup(mechanism)
-			ro = obsv.NewRecoveryObserver(tel.Registry, tel.Recorder, obsv.Context{
+			obs = obsv.NewObserver(tel.Registry, tel.Recorder, obsv.Context{
 				App:     mech.App.String(),
 				FaultID: mechanism,
 				Class:   experiment.ClassFor(mechanism),
-			}, strat.String())
-			runPolicy.Trace = ro.Trace(policy.Trace)
+			})
+			runPolicy.Trace = obs.Trace(policy.Trace)
 		}
 		out, err := faultstudy.NewRecoveryManager(runPolicy).Run(app, sc, strat)
 		if err != nil {
 			return err
 		}
-		if ro != nil {
-			ro.Flush(app.Env().Monotonic())
-		}
+		obs.Flush(app.Env().Monotonic())
 		status := "LOST"
 		if out.Survived {
 			status = "survived"

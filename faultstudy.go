@@ -185,8 +185,8 @@ type (
 	// application.
 	RecoverableApp = recovery.Application
 	// RecoveryTraceEvent is one step of a recovery run, delivered to
-	// RecoveryPolicy.Trace.
-	RecoveryTraceEvent = recovery.TraceEvent
+	// RecoveryPolicy.Trace (and to a supervised run's trace hook).
+	RecoveryTraceEvent = recovery.Event
 	// Scenario is an executable fault reproduction.
 	Scenario = faultinject.Scenario
 )

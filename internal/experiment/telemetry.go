@@ -90,7 +90,7 @@ func (t *Telemetry) superviseConfig(cfg supervise.Config, ctx obsv.Context) (sup
 		return cfg, nil
 	}
 	obs := t.observer(ctx)
-	cfg.Trace = obs.SuperviseTrace(cfg.Trace)
+	cfg.Trace = obs.Trace(cfg.Trace)
 	return cfg, obs
 }
 

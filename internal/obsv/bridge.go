@@ -3,9 +3,7 @@ package obsv
 import (
 	"time"
 
-	"faultstudy/internal/faultinject"
 	"faultstudy/internal/recovery"
-	"faultstudy/internal/supervise"
 )
 
 // Metric names emitted by the bridges. The full catalogue — label sets,
@@ -101,12 +99,13 @@ var metricHelp = map[string]string{
 	"faultstudy_durable_mttr_seconds":        "Per-episode store repair time: detection to recovered and writable.",
 }
 
-// Observer adapts the supervisor's trace-event stream into recorder episodes
-// and registry metrics. One Observer instruments one supervised run; build it
-// with NewObserver, point supervise.Config.Trace at SuperviseTrace(nil), and
-// read the episodes and metrics afterwards. Both the registry and the
-// recorder may be nil — a nil sink simply receives nothing, so callers can
-// ask for metrics without traces or vice versa.
+// Observer adapts the recovery trace-event stream into recorder episodes and
+// registry metrics. One Observer instruments one run — a supervised run or
+// one strategy's run under recovery.Manager; build it with NewObserver, point
+// the run's trace hook at Trace(nil), and read the episodes and metrics
+// afterwards. Both the registry and the recorder may be nil — a nil sink
+// simply receives nothing, so callers can ask for metrics without traces or
+// vice versa.
 type Observer struct {
 	reg *Registry
 	rec *Recorder
@@ -146,11 +145,12 @@ func errText(err error) string {
 	return err.Error()
 }
 
-// SuperviseTrace returns a supervise trace hook feeding this observer; when
-// next is non-nil every event is forwarded to it afterwards, so the observer
+// Trace returns a recovery trace hook feeding this observer — point
+// supervise.Config.Trace or recovery.Policy.Trace at it. When next is
+// non-nil every event is forwarded to it afterwards, so the observer
 // composes with logging hooks.
-func (o *Observer) SuperviseTrace(next func(supervise.Event)) func(supervise.Event) {
-	return func(ev supervise.Event) {
+func (o *Observer) Trace(next func(recovery.Event)) func(recovery.Event) {
+	return func(ev recovery.Event) {
 		o.observe(ev)
 		if next != nil {
 			next(ev)
@@ -158,11 +158,17 @@ func (o *Observer) SuperviseTrace(next func(supervise.Event)) func(supervise.Eve
 	}
 }
 
-// observe folds one supervisor event into the recorder and the registry.
-func (o *Observer) observe(ev supervise.Event) {
+// observe folds one recovery event into the recorder and the registry. A
+// strategy run's events are labelled with the strategy in place of a ladder
+// rung.
+func (o *Observer) observe(ev recovery.Event) {
 	app := o.ctx.App
+	rung := rungName(ev.Rung)
+	if ev.Strategy != 0 {
+		rung = ev.Strategy.String()
+	}
 	switch ev.Kind {
-	case supervise.EventFailure:
+	case recovery.EventFailure:
 		o.reg.Counter(MetricFailures,
 			L("app", app, "class", o.class(ev.Mechanism), "mechanism", ev.Mechanism)...).Inc()
 		if !o.rec.Active() {
@@ -178,8 +184,8 @@ func (o *Observer) observe(ev supervise.Event) {
 		// op; the mechanism may have drifted (e.g. a restore hitting a full
 		// disk fails differently than the original crash).
 		o.rec.Drift(ev.Mechanism)
-		o.rec.Note(ev.At, Span{Kind: SpanRetry, Rung: rungName(ev.Rung), Outcome: "fail", Note: errText(ev.Err)})
-	case supervise.EventWatchdog:
+		o.rec.Note(ev.At, Span{Kind: SpanRetry, Rung: rung, Attempt: ev.Attempt, Outcome: "fail", Note: errText(ev.Err)})
+	case recovery.EventWatchdog:
 		o.reg.Counter(MetricWatchdogTimeouts,
 			L("app", app, "mechanism", ev.Mechanism)...).Inc()
 		sp := Span{Kind: SpanWatchdog, Note: errText(ev.Err)}
@@ -192,59 +198,59 @@ func (o *Observer) observe(ev supervise.Event) {
 		sp.StartUS = US(ev.At)
 		sp.EndUS = sp.StartUS
 		o.pending = append(o.pending, sp)
-	case supervise.EventBackoff:
+	case recovery.EventBackoff:
 		o.reg.Counter(MetricBackoffSeconds, L("app", app)...).Add(ev.Delay.Seconds())
 		o.rec.Interval(ev.At, ev.At+ev.Delay,
-			Span{Kind: SpanBackoff, Rung: rungName(ev.Rung), Attempt: ev.Attempt})
-	case supervise.EventAction:
+			Span{Kind: SpanBackoff, Rung: rung, Attempt: ev.Attempt})
+	case recovery.EventAction:
 		o.reg.Counter(MetricRecoveryAttempts,
-			L("app", app, "class", o.class(ev.Mechanism), "rung", rungName(ev.Rung))...).Inc()
+			L("app", app, "class", o.class(ev.Mechanism), "rung", rung)...).Inc()
 		outcome := "ok"
 		if ev.Err != nil {
 			outcome = "fail" // the recovery action itself failed
 		}
-		o.rec.Note(ev.At, Span{Kind: SpanAction, Rung: rungName(ev.Rung), Attempt: ev.Attempt,
+		o.rec.Note(ev.At, Span{Kind: SpanAction, Rung: rung, Attempt: ev.Attempt,
 			Outcome: outcome, Component: ev.Component, Note: errText(ev.Err)})
-	case supervise.EventRetryOK:
+	case recovery.EventRetryOK:
 		o.reg.Counter(MetricRecoveries,
-			L("app", app, "class", o.class(ev.Mechanism), "rung", rungName(ev.Rung))...).Inc()
-		o.rec.Note(ev.At, Span{Kind: SpanRetry, Rung: rungName(ev.Rung), Attempt: ev.Attempt, Outcome: "ok"})
+			L("app", app, "class", o.class(ev.Mechanism), "rung", rung)...).Inc()
+		o.rec.Note(ev.At, Span{Kind: SpanRetry, Rung: rung, Attempt: ev.Attempt, Outcome: "ok"})
 		outcome := OutcomeRecovered
 		if ev.Rung == recovery.RungDegraded {
 			outcome = OutcomeDegraded
 		}
-		o.closeEpisode(ev.At, outcome, rungName(ev.Rung))
-	case supervise.EventEscalate:
+		o.closeEpisode(ev.At, outcome, rung)
+	case recovery.EventEscalate:
 		o.reg.Counter(MetricEscalations,
-			L("app", app, "class", o.class(ev.Mechanism), "rung", rungName(ev.Rung))...).Inc()
-		o.rec.Note(ev.At, Span{Kind: SpanDecision, Rung: rungName(ev.Rung), Outcome: "escalate"})
-	case supervise.EventBreakerOpen:
+			L("app", app, "class", o.class(ev.Mechanism), "rung", rung)...).Inc()
+		o.rec.Note(ev.At, Span{Kind: SpanDecision, Rung: rung, Outcome: "escalate"})
+	case recovery.EventBreakerOpen:
 		o.reg.Counter(MetricBreakerOpens, L("app", app, "mechanism", ev.Mechanism)...).Inc()
-		o.rec.Note(ev.At, Span{Kind: SpanDecision, Rung: rungName(ev.Rung), Outcome: "breaker-open",
+		o.rec.Note(ev.At, Span{Kind: SpanDecision, Rung: rung, Outcome: "breaker-open",
 			Note: ev.Mechanism})
-	case supervise.EventFastFail:
+	case recovery.EventFastFail:
 		o.reg.Counter(MetricFastFails, L("app", app, "mechanism", ev.Mechanism)...).Inc()
 		o.rec.Note(ev.At, Span{Kind: SpanDecision, Outcome: "fast-fail", Note: ev.Mechanism})
 		o.closeEpisode(ev.At, OutcomeFastFail, "")
-	case supervise.EventDegraded:
+	case recovery.EventDegraded:
 		o.reg.Gauge(MetricDegraded, L("app", app)...).Set(1)
-		o.rec.Note(ev.At, Span{Kind: SpanDecision, Rung: rungName(ev.Rung), Outcome: "degraded-enter"})
-	case supervise.EventDegradedExit:
+		o.rec.Note(ev.At, Span{Kind: SpanDecision, Rung: rung, Outcome: "degraded-enter"})
+	case recovery.EventDegradedExit:
 		o.reg.Gauge(MetricDegraded, L("app", app)...).Set(0)
 		o.rec.Note(ev.At, Span{Kind: SpanDecision, Outcome: "degraded-exit"})
-	case supervise.EventShed:
+	case recovery.EventShed:
 		o.reg.Counter(MetricShedOps, L("app", app)...).Inc()
 		if o.rec.Active() {
 			// The op whose episode is open was itself shed at the degraded
 			// rung; steady-state sheds (no open episode) are metrics-only.
-			o.rec.Note(ev.At, Span{Kind: SpanDecision, Rung: rungName(ev.Rung), Outcome: "shed"})
-			o.closeEpisode(ev.At, OutcomeShed, rungName(ev.Rung))
+			o.rec.Note(ev.At, Span{Kind: SpanDecision, Rung: rung, Outcome: "shed"})
+			o.closeEpisode(ev.At, OutcomeShed, rung)
 		}
-	case supervise.EventGiveUp:
-		o.rec.Note(ev.At, Span{Kind: SpanDecision, Rung: rungName(ev.Rung), Outcome: "gave-up",
+	case recovery.EventGiveUp:
+		o.rec.Note(ev.At, Span{Kind: SpanDecision, Rung: rung, Outcome: "gave-up",
 			Note: errText(ev.Err)})
-		o.closeEpisode(ev.At, OutcomeLost, rungName(ev.Rung))
-	case supervise.EventCheckpoint:
+		o.closeEpisode(ev.At, OutcomeLost, rung)
+	case recovery.EventCheckpoint:
 		o.reg.Counter(MetricCheckpoints, L("app", app)...).Inc()
 		// Checkpoints happen between episodes; Note drops the span when no
 		// episode is open, which keeps traces episode-shaped.
@@ -252,7 +258,7 @@ func (o *Observer) observe(ev supervise.Event) {
 	}
 }
 
-// rungName renders a supervisor rung for span and metric labels; the zero
+// rungName renders a ladder rung for span and metric labels; the zero
 // value (no rung in effect yet, e.g. the initial failure of an episode)
 // renders as empty so instant spans stay compact in JSONL.
 func rungName(r recovery.Rung) string {
@@ -303,87 +309,6 @@ func (o *Observer) Flush(at time.Duration) *Episode {
 	}
 	return ep
 }
-
-// RecoveryObserver adapts the one-shot recovery manager's trace stream
-// (internal/recovery) into the same episode and metric vocabulary the
-// supervisor bridge uses, with the strategy name standing in for the ladder
-// rung. One observer instruments one strategy's run, whose every recovery
-// action goes through recovery.Apply.
-type RecoveryObserver struct {
-	obs      *Observer
-	strategy string
-}
-
-// NewRecoveryObserver builds a recovery-run observer. The strategy name
-// labels every action span and attempt metric the run emits.
-func NewRecoveryObserver(reg *Registry, rec *Recorder, ctx Context, strategy string) *RecoveryObserver {
-	return &RecoveryObserver{obs: NewObserver(reg, rec, ctx), strategy: strategy}
-}
-
-// Trace returns a recovery trace hook feeding this observer; a non-nil next
-// receives every event afterwards.
-func (ro *RecoveryObserver) Trace(next func(recovery.TraceEvent)) func(recovery.TraceEvent) {
-	return func(ev recovery.TraceEvent) {
-		ro.observe(ev)
-		if next != nil {
-			next(ev)
-		}
-	}
-}
-
-// mechanismOf extracts the seeded-bug mechanism from a trace error.
-func mechanismOf(err error) string {
-	if fe, ok := faultinject.AsFailure(err); ok {
-		return fe.Mechanism
-	}
-	return ""
-}
-
-// observe folds one recovery-manager event into the sinks.
-func (ro *RecoveryObserver) observe(ev recovery.TraceEvent) {
-	o := ro.obs
-	app := o.ctx.App
-	switch ev.Kind {
-	case recovery.TraceFailure:
-		mech := mechanismOf(ev.Err)
-		o.reg.Counter(MetricFailures,
-			L("app", app, "class", o.class(mech), "mechanism", mech)...).Inc()
-		if !o.rec.Active() {
-			o.rec.Begin(ev.At, ev.Op, mech)
-			o.rec.Note(ev.At, Span{Kind: SpanActivation, Note: errText(ev.Err)})
-		}
-	case recovery.TraceRecover:
-		o.reg.Counter(MetricRecoveryAttempts,
-			L("app", app, "class", o.class(""), "rung", ro.strategy)...).Inc()
-		o.rec.Note(ev.At, Span{Kind: SpanAction, Rung: ro.strategy, Attempt: ev.Attempt, Outcome: "ok"})
-	case recovery.TraceRetryOK:
-		o.reg.Counter(MetricRecoveries,
-			L("app", app, "class", o.class(""), "rung", ro.strategy)...).Inc()
-		o.rec.Note(ev.At, Span{Kind: SpanRetry, Rung: ro.strategy, Attempt: ev.Attempt, Outcome: "ok"})
-		ro.closeEpisode(ev.At, OutcomeRecovered)
-	case recovery.TraceRetryFail:
-		mech := mechanismOf(ev.Err)
-		o.reg.Counter(MetricFailures,
-			L("app", app, "class", o.class(mech), "mechanism", mech)...).Inc()
-		o.rec.Drift(mech)
-		o.rec.Note(ev.At, Span{Kind: SpanRetry, Rung: ro.strategy, Attempt: ev.Attempt,
-			Outcome: "fail", Note: errText(ev.Err)})
-	case recovery.TraceGaveUp:
-		o.rec.Note(ev.At, Span{Kind: SpanDecision, Rung: ro.strategy, Outcome: "gave-up",
-			Note: errText(ev.Err)})
-		ro.closeEpisode(ev.At, OutcomeLost)
-	}
-}
-
-// closeEpisode ends the open episode under the strategy rung and observes it.
-func (ro *RecoveryObserver) closeEpisode(at time.Duration, outcome string) {
-	ep := ro.obs.rec.End(at, outcome, ro.strategy)
-	ro.obs.observeEpisode(ep, outcome, "")
-}
-
-// Flush closes any episode the run left open (StrategyNone stops at the
-// first failure) as lost.
-func (ro *RecoveryObserver) Flush(at time.Duration) *Episode { return ro.obs.Flush(at) }
 
 // WorkloadHook counts generated workload items in a registry; it satisfies
 // workload.Hook without the workload package importing obsv. A nil

@@ -7,7 +7,6 @@ import (
 
 	"faultstudy/internal/faultinject"
 	"faultstudy/internal/recovery"
-	"faultstudy/internal/supervise"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -18,28 +17,28 @@ func TestObserverSuperviseStream(t *testing.T) {
 	reg, rec := NewRegistry(), NewRecorder()
 	obs := NewObserver(reg, rec, Context{App: "apache", Class: "EI"})
 	var forwarded int
-	hook := obs.SuperviseTrace(func(supervise.Event) { forwarded++ })
+	hook := obs.Trace(func(recovery.Event) { forwarded++ })
 
 	sec := func(s int) time.Duration { return time.Duration(s) * time.Second }
 	hangErr := faultinject.Fail("httpd/wedge", taxonomy.SymptomHang, "wedged")
-	events := []supervise.Event{
+	events := []recovery.Event{
 		// chargeHang emits the watchdog event before the failure is
 		// classified; the bridge must hold the span for the episode.
-		{Kind: supervise.EventWatchdog, At: sec(30), Op: "GET /", Mechanism: "httpd/wedge", Err: hangErr},
-		{Kind: supervise.EventFailure, At: sec(30), Op: "GET /", Mechanism: "httpd/wedge", Err: hangErr},
-		{Kind: supervise.EventBackoff, At: sec(30), Op: "GET /", Mechanism: "httpd/wedge",
+		{Kind: recovery.EventWatchdog, At: sec(30), Op: "GET /", Mechanism: "httpd/wedge", Err: hangErr},
+		{Kind: recovery.EventFailure, At: sec(30), Op: "GET /", Mechanism: "httpd/wedge", Err: hangErr},
+		{Kind: recovery.EventBackoff, At: sec(30), Op: "GET /", Mechanism: "httpd/wedge",
 			Rung: recovery.RungRetry, Attempt: 1, Delay: sec(1)},
-		{Kind: supervise.EventAction, At: sec(31), Op: "GET /", Mechanism: "httpd/wedge",
+		{Kind: recovery.EventAction, At: sec(31), Op: "GET /", Mechanism: "httpd/wedge",
 			Rung: recovery.RungRetry, Attempt: 1},
-		{Kind: supervise.EventFailure, At: sec(61), Op: "GET /", Mechanism: "httpd/wedge", Err: hangErr,
+		{Kind: recovery.EventFailure, At: sec(61), Op: "GET /", Mechanism: "httpd/wedge", Err: hangErr,
 			Rung: recovery.RungRetry},
-		{Kind: supervise.EventEscalate, At: sec(61), Op: "GET /", Mechanism: "httpd/wedge",
+		{Kind: recovery.EventEscalate, At: sec(61), Op: "GET /", Mechanism: "httpd/wedge",
 			Rung: recovery.RungMicroreboot},
-		{Kind: supervise.EventBackoff, At: sec(61), Op: "GET /", Mechanism: "httpd/wedge",
+		{Kind: recovery.EventBackoff, At: sec(61), Op: "GET /", Mechanism: "httpd/wedge",
 			Rung: recovery.RungMicroreboot, Attempt: 2, Delay: sec(2)},
-		{Kind: supervise.EventAction, At: sec(63), Op: "GET /", Mechanism: "httpd/wedge",
+		{Kind: recovery.EventAction, At: sec(63), Op: "GET /", Mechanism: "httpd/wedge",
 			Rung: recovery.RungMicroreboot, Attempt: 2},
-		{Kind: supervise.EventRetryOK, At: sec(63), Op: "GET /", Mechanism: "httpd/wedge",
+		{Kind: recovery.EventRetryOK, At: sec(63), Op: "GET /", Mechanism: "httpd/wedge",
 			Rung: recovery.RungMicroreboot, Attempt: 2},
 	}
 	for _, ev := range events {
@@ -89,18 +88,18 @@ func TestObserverSuperviseStream(t *testing.T) {
 func TestObserverShedAndFastFail(t *testing.T) {
 	reg, rec := NewRegistry(), NewRecorder()
 	obs := NewObserver(reg, rec, Context{App: "mysql", Class: "EDN"})
-	hook := obs.SuperviseTrace(nil)
+	hook := obs.Trace(nil)
 	err := errors.New("disk full")
 
 	// Episode 1: degraded entry sheds the write.
-	hook(supervise.Event{Kind: supervise.EventFailure, At: time.Second, Op: "INSERT", Mechanism: "sqldb/disk-full", Err: err})
-	hook(supervise.Event{Kind: supervise.EventDegraded, At: 2 * time.Second, Rung: recovery.RungDegraded})
-	hook(supervise.Event{Kind: supervise.EventShed, At: 2 * time.Second, Op: "INSERT", Rung: recovery.RungDegraded})
+	hook(recovery.Event{Kind: recovery.EventFailure, At: time.Second, Op: "INSERT", Mechanism: "sqldb/disk-full", Err: err})
+	hook(recovery.Event{Kind: recovery.EventDegraded, At: 2 * time.Second, Rung: recovery.RungDegraded})
+	hook(recovery.Event{Kind: recovery.EventShed, At: 2 * time.Second, Op: "INSERT", Rung: recovery.RungDegraded})
 	// Steady-state shed: no open episode, metrics only.
-	hook(supervise.Event{Kind: supervise.EventShed, At: 3 * time.Second, Op: "UPDATE", Rung: recovery.RungDegraded})
+	hook(recovery.Event{Kind: recovery.EventShed, At: 3 * time.Second, Op: "UPDATE", Rung: recovery.RungDegraded})
 	// Episode 2: open breaker fast-fails the next failure.
-	hook(supervise.Event{Kind: supervise.EventFailure, At: 4 * time.Second, Op: "INSERT", Mechanism: "sqldb/disk-full", Err: err})
-	hook(supervise.Event{Kind: supervise.EventFastFail, At: 4 * time.Second, Op: "INSERT", Mechanism: "sqldb/disk-full", Err: err})
+	hook(recovery.Event{Kind: recovery.EventFailure, At: 4 * time.Second, Op: "INSERT", Mechanism: "sqldb/disk-full", Err: err})
+	hook(recovery.Event{Kind: recovery.EventFastFail, At: 4 * time.Second, Op: "INSERT", Mechanism: "sqldb/disk-full", Err: err})
 
 	eps := rec.Episodes()
 	if len(eps) != 2 {
@@ -120,19 +119,20 @@ func TestObserverShedAndFastFail(t *testing.T) {
 	}
 }
 
-// TestRecoveryObserverStream replays a one-shot recovery trace and checks the
-// strategy-labelled episode it produces.
-func TestRecoveryObserverStream(t *testing.T) {
+// TestObserverStrategyStream replays a bare strategy's trace (recovery.Manager)
+// and checks the strategy-labelled episode it produces.
+func TestObserverStrategyStream(t *testing.T) {
 	reg, rec := NewRegistry(), NewRecorder()
-	ro := NewRecoveryObserver(reg, rec, Context{App: "apache", FaultID: "apache-7", Class: "EDT"}, "process-pairs")
-	hook := ro.Trace(nil)
+	obs := NewObserver(reg, rec, Context{App: "apache", FaultID: "apache-7", Class: "EDT"})
+	hook := obs.Trace(nil)
 
-	ferr := faultinject.Fail("httpd/dns-error", taxonomy.SymptomError, "lookup failed")
-	hook(recovery.TraceEvent{Kind: recovery.TraceFailure, At: time.Second, Op: "GET", Err: ferr})
-	hook(recovery.TraceEvent{Kind: recovery.TraceRecover, At: time.Second, Op: "GET", Attempt: 1})
-	hook(recovery.TraceEvent{Kind: recovery.TraceRetryFail, At: 46 * time.Second, Op: "GET", Attempt: 1, Err: ferr})
-	hook(recovery.TraceEvent{Kind: recovery.TraceRecover, At: 46 * time.Second, Op: "GET", Attempt: 2})
-	hook(recovery.TraceEvent{Kind: recovery.TraceRetryOK, At: 91 * time.Second, Op: "GET", Attempt: 2})
+	const mech, pp = "httpd/dns-error", recovery.StrategyProcessPairs
+	ferr := faultinject.Fail(mech, taxonomy.SymptomError, "lookup failed")
+	hook(recovery.Event{Kind: recovery.EventFailure, At: time.Second, Op: "GET", Mechanism: mech, Strategy: pp, Err: ferr})
+	hook(recovery.Event{Kind: recovery.EventAction, At: time.Second, Op: "GET", Mechanism: mech, Strategy: pp, Attempt: 1})
+	hook(recovery.Event{Kind: recovery.EventFailure, At: 46 * time.Second, Op: "GET", Mechanism: mech, Strategy: pp, Attempt: 1, Err: ferr})
+	hook(recovery.Event{Kind: recovery.EventAction, At: 46 * time.Second, Op: "GET", Mechanism: mech, Strategy: pp, Attempt: 2})
+	hook(recovery.Event{Kind: recovery.EventRetryOK, At: 91 * time.Second, Op: "GET", Mechanism: mech, Strategy: pp, Attempt: 2})
 
 	eps := rec.Episodes()
 	if len(eps) != 1 {
@@ -151,14 +151,21 @@ func TestRecoveryObserverStream(t *testing.T) {
 	if got := reg.Counter(MetricRecoveries, L("app", "apache", "class", "EDT", "rung", "process-pairs")...).Value(); got != 1 {
 		t.Errorf("recoveries = %v, want 1", got)
 	}
+	if got := reg.Counter(MetricRecoveryAttempts, L("app", "apache", "class", "EDT", "rung", "process-pairs")...).Value(); got != 2 {
+		t.Errorf("recovery attempts = %v, want 2", got)
+	}
+	if sp := e.Spans[2]; sp.Kind != SpanRetry || sp.Rung != "process-pairs" || sp.Attempt != 1 || sp.Outcome != "fail" {
+		t.Errorf("failed retry span = %+v, want process-pairs attempt 1 fail", sp)
+	}
 	// The initial failure and the failed retry both count.
 	if got := reg.Counter(MetricFailures, L("app", "apache", "class", "EDT", "mechanism", "httpd/dns-error")...).Value(); got != 2 {
 		t.Errorf("failures = %v, want 2 (initial and retried)", got)
 	}
 
 	// A strategy with no recovery leaves the episode open; Flush closes it.
-	hook(recovery.TraceEvent{Kind: recovery.TraceFailure, At: 100 * time.Second, Op: "GET", Err: ferr})
-	if ep := ro.Flush(101 * time.Second); ep == nil || ep.Outcome != OutcomeLost {
+	hook(recovery.Event{Kind: recovery.EventFailure, At: 100 * time.Second, Op: "GET", Mechanism: mech,
+		Strategy: recovery.StrategyNone, Err: ferr})
+	if ep := obs.Flush(101 * time.Second); ep == nil || ep.Outcome != OutcomeLost {
 		t.Fatalf("Flush = %+v, want lost episode", ep)
 	}
 }

@@ -305,11 +305,15 @@ func TestGovernorGrowsNetResource(t *testing.T) {
 	}
 }
 
+// TestTraceSequence pins the events one strategy run emits: the failure that
+// opens the episode, then an action before every retry and each retry's
+// outcome. Every event carries the strategy, and a failure carries its
+// mechanism and the attempt it failed on.
 func TestTraceSequence(t *testing.T) {
-	var events []TraceEventKind
+	var events []Event
 	app := newFakeApp()
-	m := NewManager(Policy{Trace: func(ev TraceEvent) {
-		events = append(events, ev.Kind)
+	m := NewManager(Policy{Trace: func(ev Event) {
+		events = append(events, ev)
 	}})
 	out, err := m.Run(app, failingScenario(2), StrategyProcessPairs)
 	if err != nil {
@@ -318,21 +322,32 @@ func TestTraceSequence(t *testing.T) {
 	if !out.Survived {
 		t.Fatalf("out = %+v", out)
 	}
-	want := []TraceEventKind{TraceFailure, TraceRecover, TraceRetryFail, TraceRecover, TraceRetryOK}
+	want := []struct {
+		kind    EventKind
+		attempt int
+	}{{EventFailure, 0}, {EventAction, 1}, {EventFailure, 1}, {EventAction, 2}, {EventRetryOK, 2}}
 	if len(events) != len(want) {
 		t.Fatalf("events = %v, want %v", events, want)
 	}
-	for i := range want {
-		if events[i] != want[i] {
-			t.Fatalf("events = %v, want %v", events, want)
+	for i, w := range want {
+		ev := events[i]
+		if ev.Kind != w.kind || ev.Attempt != w.attempt || ev.Strategy != StrategyProcessPairs {
+			t.Errorf("event %d = %v attempt %d strategy %v, want %v attempt %d process-pairs",
+				i, ev.Kind, ev.Attempt, ev.Strategy, w.kind, w.attempt)
+		}
+		if ev.Kind == EventFailure && (ev.Mechanism != "fake/transient" || ev.Err == nil) {
+			t.Errorf("failure event %d = %+v, want the mechanism and its error", i, ev)
+		}
+		if ev.Kind == EventAction && ev.Err != nil {
+			t.Errorf("action event %d carries error %v", i, ev.Err)
 		}
 	}
 }
 
 func TestTraceGaveUp(t *testing.T) {
-	var last TraceEvent
+	var last Event
 	app := newFakeApp()
-	m := NewManager(Policy{MaxRetries: 1, Trace: func(ev TraceEvent) { last = ev }})
+	m := NewManager(Policy{MaxRetries: 1, Trace: func(ev Event) { last = ev }})
 	out, err := m.Run(app, failingScenario(10), StrategyProcessPairs)
 	if err != nil {
 		t.Fatal(err)
@@ -340,15 +355,15 @@ func TestTraceGaveUp(t *testing.T) {
 	if out.Survived {
 		t.Fatal("should be lost")
 	}
-	if last.Kind != TraceGaveUp {
+	if last.Kind != EventGiveUp {
 		t.Errorf("last event = %v, want gave-up", last.Kind)
 	}
-	for _, k := range []TraceEventKind{TraceFailure, TraceRecover, TraceRetryOK, TraceRetryFail, TraceGaveUp} {
-		if k.String() == "" {
-			t.Errorf("empty kind string for %d", int(k))
+	for k := EventFailure; k <= EventCheckpoint; k++ {
+		if k.String() == "" || strings.HasPrefix(k.String(), "EventKind(") {
+			t.Errorf("no name for kind %d", int(k))
 		}
 	}
-	if TraceEventKind(42).String() != "TraceEventKind(42)" {
+	if EventKind(42).String() != "EventKind(42)" {
 		t.Error("unknown kind string")
 	}
 }

@@ -137,56 +137,109 @@ type Policy struct {
 	GrowResources bool
 	// Trace, when non-nil, receives an event at each step of a run: the
 	// initial failure, every recovery action, every retry outcome, and the
-	// final verdict. For logging and the recoverylab CLI.
-	Trace func(TraceEvent)
+	// final verdict. For logging, telemetry and the recoverylab CLI.
+	Trace func(Event)
 }
 
-// TraceEventKind discriminates trace events.
-type TraceEventKind int
+// EventKind discriminates recovery trace events.
+type EventKind int
 
 const (
-	// TraceFailure is an operation failing with a seeded-bug error.
-	TraceFailure TraceEventKind = iota + 1
-	// TraceRecover is a recovery action (failover/restart) being applied.
-	TraceRecover
-	// TraceRetryOK is a retried operation succeeding.
-	TraceRetryOK
-	// TraceRetryFail is a retried operation failing again.
-	TraceRetryFail
-	// TraceGaveUp is the retry budget running out.
-	TraceGaveUp
+	// EventFailure is an operation failing: the failure that opens an
+	// episode, or a retry that did not serve the operation.
+	EventFailure EventKind = iota + 1
+	// EventBackoff is the supervisor sleeping before a recovery attempt.
+	EventBackoff
+	// EventAction is a recovery action being applied: a ladder rung's, or
+	// a strategy's failover or restart.
+	EventAction
+	// EventRetryOK is a retried operation succeeding.
+	EventRetryOK
+	// EventEscalate is the ladder moving up a rung.
+	EventEscalate
+	// EventBreakerOpen is a mechanism's circuit breaker opening.
+	EventBreakerOpen
+	// EventFastFail is a failure hitting an already-open breaker: no retries
+	// are spent.
+	EventFastFail
+	// EventWatchdog is the watchdog declaring an operation hung.
+	EventWatchdog
+	// EventDegraded is the supervisor entering degraded mode.
+	EventDegraded
+	// EventDegradedExit is the supervisor reverting degraded mode because it
+	// did not change the outcome.
+	EventDegradedExit
+	// EventShed is a write operation shed in degraded mode.
+	EventShed
+	// EventGiveUp is an operation abandoned.
+	EventGiveUp
+	// EventCheckpoint is an application state snapshot being taken: the
+	// initial checkpoint at Run start and each epoch refresh thereafter.
+	EventCheckpoint
 )
 
 // String names the event kind.
-func (k TraceEventKind) String() string {
+func (k EventKind) String() string {
 	switch k {
-	case TraceFailure:
+	case EventFailure:
 		return "failure"
-	case TraceRecover:
-		return "recover"
-	case TraceRetryOK:
+	case EventBackoff:
+		return "backoff"
+	case EventAction:
+		return "action"
+	case EventRetryOK:
 		return "retry-ok"
-	case TraceRetryFail:
-		return "retry-fail"
-	case TraceGaveUp:
+	case EventEscalate:
+		return "escalate"
+	case EventBreakerOpen:
+		return "breaker-open"
+	case EventFastFail:
+		return "fast-fail"
+	case EventWatchdog:
+		return "watchdog"
+	case EventDegraded:
+		return "degraded"
+	case EventDegradedExit:
+		return "degraded-exit"
+	case EventShed:
+		return "shed"
+	case EventGiveUp:
 		return "gave-up"
+	case EventCheckpoint:
+		return "checkpoint"
 	default:
-		return fmt.Sprintf("TraceEventKind(%d)", int(k))
+		return fmt.Sprintf("EventKind(%d)", int(k))
 	}
 }
 
-// TraceEvent is one step of a recovery run.
-type TraceEvent struct {
+// Event is one step of a recovery run: a strategy's run under Manager
+// (Policy.Trace) or a supervised run (internal/supervise's Config.Trace).
+type Event struct {
 	// Kind is the event kind.
-	Kind TraceEventKind
+	Kind EventKind
 	// At is the environment's monotonic virtual clock reading when the event
 	// was emitted — deterministic for a seeded environment, so traces built
-	// from these events are byte-stable across runs.
+	// from these events are byte-stable across runs. Backoff events are
+	// stamped at the start of the sleep (At + Delay is the wake time); every
+	// other event is stamped when it happens.
 	At time.Duration
 	// Op is the workload operation involved.
 	Op string
-	// Attempt is the retry attempt number (0 for the initial failure).
+	// Mechanism is the fault mechanism involved, when known.
+	Mechanism string
+	// Strategy is the strategy whose run emitted the event; Manager always
+	// sets it and the supervisor never does.
+	Strategy Strategy
+	// Rung is the supervisor's ladder rung in effect.
+	Rung Rung
+	// Attempt is the episode-wide recovery attempt number (0 for the
+	// failure that opens an episode).
 	Attempt int
+	// Delay is the backoff delay (EventBackoff only).
+	Delay time.Duration
+	// Component names the component a real microreboot targeted (EventAction
+	// on the microreboot rung only; empty for process-level actions).
+	Component string
 	// Err is the error involved, when any.
 	Err error
 }
@@ -267,7 +320,7 @@ func (m *Manager) Run(app Application, sc faultinject.Scenario, strat Strategy) 
 		if out.FirstFailure == nil {
 			out.FirstFailure = fe
 		}
-		m.trace(env, TraceEvent{Kind: TraceFailure, Op: op.Name, Err: fe})
+		m.trace(env, strat, Event{Kind: EventFailure, Op: op.Name, Mechanism: fe.Mechanism, Err: fe})
 		if strat == StrategyNone {
 			out.Err = fe
 			return out, nil
@@ -276,7 +329,7 @@ func (m *Manager) Run(app Application, sc faultinject.Scenario, strat Strategy) 
 		recovered := false
 		for attempt := 1; attempt <= m.policy.MaxRetries; attempt++ {
 			out.Attempts++
-			m.trace(env, TraceEvent{Kind: TraceRecover, Op: op.Name, Attempt: attempt})
+			m.trace(env, strat, Event{Kind: EventAction, Op: op.Name, Mechanism: fe.Mechanism, Attempt: attempt})
 			// The governor grows the exhausted resource just before the
 			// action. The whole-process outage is the takeover; progressive
 			// retry also waits attempt takeovers more, so slow external
@@ -295,11 +348,16 @@ func (m *Manager) Run(app Application, sc faultinject.Scenario, strat Strategy) 
 			if retryErr == nil {
 				recovered = true
 				out.Recoveries++
-				m.trace(env, TraceEvent{Kind: TraceRetryOK, Op: op.Name, Attempt: attempt})
+				m.trace(env, strat, Event{Kind: EventRetryOK, Op: op.Name, Mechanism: fe.Mechanism, Attempt: attempt})
 				break
 			}
-			m.trace(env, TraceEvent{Kind: TraceRetryFail, Op: op.Name, Attempt: attempt, Err: retryErr})
-			if rfe, ok := faultinject.AsFailure(retryErr); ok {
+			rfe, ok := faultinject.AsFailure(retryErr)
+			mech := ""
+			if ok {
+				mech = rfe.Mechanism
+			}
+			m.trace(env, strat, Event{Kind: EventFailure, Op: op.Name, Mechanism: mech, Attempt: attempt, Err: retryErr})
+			if ok {
 				fe = rfe
 				continue
 			}
@@ -309,7 +367,7 @@ func (m *Manager) Run(app Application, sc faultinject.Scenario, strat Strategy) 
 			return out, nil
 		}
 		if !recovered {
-			m.trace(env, TraceEvent{Kind: TraceGaveUp, Op: op.Name, Attempt: m.policy.MaxRetries, Err: fe})
+			m.trace(env, strat, Event{Kind: EventGiveUp, Op: op.Name, Mechanism: fe.Mechanism, Attempt: m.policy.MaxRetries, Err: fe})
 			out.Err = fe
 			return out, nil
 		}
@@ -319,11 +377,11 @@ func (m *Manager) Run(app Application, sc faultinject.Scenario, strat Strategy) 
 }
 
 // trace emits an event to the policy's trace hook, when one is set, stamped
-// with the environment's monotonic clock. Nothing is computed when tracing
-// is disabled.
-func (m *Manager) trace(env *simenv.Env, ev TraceEvent) {
+// with the environment's monotonic clock and the run's strategy. Nothing is
+// computed when tracing is disabled.
+func (m *Manager) trace(env *simenv.Env, strat Strategy, ev Event) {
 	if m.policy.Trace != nil {
-		ev.At = env.Monotonic()
+		ev.At, ev.Strategy = env.Monotonic(), strat
 		m.policy.Trace(ev)
 	}
 }

@@ -219,8 +219,8 @@ func TestDegradedReviveBouncesPartialTree(t *testing.T) {
 	app := newHostApp(t)
 	app.midFails = 1
 	var shedAllUp []bool
-	sup := New(app, Config{Seed: 1, Trace: func(ev Event) {
-		if ev.Kind == EventShed {
+	sup := New(app, Config{Seed: 1, Trace: func(ev recovery.Event) {
+		if ev.Kind == recovery.EventShed {
 			shedAllUp = append(shedAllUp, app.running && app.tree.AllRunning())
 		}
 	}})

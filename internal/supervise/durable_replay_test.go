@@ -35,11 +35,11 @@ func TestRestoreRungReplaysWAL(t *testing.T) {
 
 	replays, fallbacks := int64(-1), int64(-1)
 	var checkpoints []string
-	sup := New(srv, Config{Seed: 31, Trace: func(ev Event) {
+	sup := New(srv, Config{Seed: 31, Trace: func(ev recovery.Event) {
 		switch {
-		case ev.Kind == EventCheckpoint:
+		case ev.Kind == recovery.EventCheckpoint:
 			checkpoints = append(checkpoints, ev.Op)
-		case ev.Kind == EventEscalate && ev.Rung == recovery.RungRestart:
+		case ev.Kind == recovery.EventEscalate && ev.Rung == recovery.RungRestart:
 			replays, fallbacks = srv.WALReplays(), srv.LogicalFallbacks()
 		}
 	}})

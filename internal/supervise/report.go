@@ -17,101 +17,6 @@ func Rungs() []recovery.Rung {
 	return []recovery.Rung{recovery.RungRetry, recovery.RungMicroreboot, recovery.RungRestore, recovery.RungRestart, recovery.RungDegraded}
 }
 
-// EventKind discriminates supervisor trace events.
-type EventKind int
-
-const (
-	// EventFailure is an operation failing.
-	EventFailure EventKind = iota + 1
-	// EventBackoff is the supervisor sleeping before a recovery attempt.
-	EventBackoff
-	// EventAction is a ladder rung's recovery action being applied.
-	EventAction
-	// EventRetryOK is a retried operation succeeding.
-	EventRetryOK
-	// EventEscalate is the ladder moving up a rung.
-	EventEscalate
-	// EventBreakerOpen is a mechanism's circuit breaker opening.
-	EventBreakerOpen
-	// EventFastFail is a failure hitting an already-open breaker: no retries
-	// are spent.
-	EventFastFail
-	// EventWatchdog is the watchdog declaring an operation hung.
-	EventWatchdog
-	// EventDegraded is the supervisor entering degraded mode.
-	EventDegraded
-	// EventDegradedExit is the supervisor reverting degraded mode because it
-	// did not change the outcome.
-	EventDegradedExit
-	// EventShed is a write operation shed in degraded mode.
-	EventShed
-	// EventGiveUp is an operation abandoned.
-	EventGiveUp
-	// EventCheckpoint is an application state snapshot being taken: the
-	// initial checkpoint at Run start and each epoch refresh thereafter.
-	EventCheckpoint
-)
-
-// String names the event kind.
-func (k EventKind) String() string {
-	switch k {
-	case EventFailure:
-		return "failure"
-	case EventBackoff:
-		return "backoff"
-	case EventAction:
-		return "action"
-	case EventRetryOK:
-		return "retry-ok"
-	case EventEscalate:
-		return "escalate"
-	case EventBreakerOpen:
-		return "breaker-open"
-	case EventFastFail:
-		return "fast-fail"
-	case EventWatchdog:
-		return "watchdog"
-	case EventDegraded:
-		return "degraded"
-	case EventDegradedExit:
-		return "degraded-exit"
-	case EventShed:
-		return "shed"
-	case EventGiveUp:
-		return "gave-up"
-	case EventCheckpoint:
-		return "checkpoint"
-	default:
-		return fmt.Sprintf("EventKind(%d)", int(k))
-	}
-}
-
-// Event is one step of a supervised run, delivered to Config.Trace.
-type Event struct {
-	// Kind is the event kind.
-	Kind EventKind
-	// At is the environment's monotonic virtual clock reading when the event
-	// was emitted — deterministic for a seeded environment.
-	// Backoff events are stamped at the start of the sleep (At + Delay is the
-	// wake time); every other event is stamped when it happens.
-	At time.Duration
-	// Op is the workload operation involved.
-	Op string
-	// Mechanism is the fault mechanism involved, when known.
-	Mechanism string
-	// Rung is the ladder rung in effect.
-	Rung recovery.Rung
-	// Attempt is the episode-wide recovery attempt number.
-	Attempt int
-	// Delay is the backoff delay (EventBackoff only).
-	Delay time.Duration
-	// Component names the component a real microreboot targeted (EventAction
-	// on the microreboot rung only; empty for process-level actions).
-	Component string
-	// Err is the error involved, when any.
-	Err error
-}
-
 // durQuantile computes a duration quantile (rounded to the microsecond, the
 // trace schema's resolution) over an episode-duration sample.
 func durQuantile(ds []time.Duration, q float64) time.Duration {

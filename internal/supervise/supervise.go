@@ -101,7 +101,7 @@ type Config struct {
 	// action when the failure's cause is a growable environment resource.
 	GrowResources bool
 	// Trace, when non-nil, receives every supervision event.
-	Trace func(Event)
+	Trace func(recovery.Event)
 }
 
 // The supervision policy. Every duration is virtual time on the
@@ -197,13 +197,13 @@ func (s *Supervisor) Run(ops []Op) (*Report, error) {
 	}
 	s.epoch = snap
 	s.sinceEpoch = 0
-	s.trace(Event{Kind: EventCheckpoint})
+	s.trace(recovery.Event{Kind: recovery.EventCheckpoint})
 
 	for i, op := range ops {
 		s.report.OpsTotal++
 		if s.degraded && op.Kind == OpWrite {
 			s.report.OpsShed++
-			s.trace(Event{Kind: EventShed, Op: op.Name, Rung: recovery.RungDegraded})
+			s.trace(recovery.Event{Kind: recovery.EventShed, Op: op.Name, Rung: recovery.RungDegraded})
 			continue
 		}
 		preOp, err := s.app.Snapshot()
@@ -261,7 +261,7 @@ func (s *Supervisor) opServed(op Op, preOp []byte) {
 	if s.sinceEpoch >= checkpointEvery {
 		s.epoch = preOp
 		s.sinceEpoch = 0
-		s.trace(Event{Kind: EventCheckpoint, Op: op.Name})
+		s.trace(recovery.Event{Kind: recovery.EventCheckpoint, Op: op.Name})
 	}
 }
 
@@ -281,7 +281,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 
 	if !s.breakers.Allow(mech, s.env.Monotonic()) {
 		s.report.mech(mech).FastFails++
-		s.trace(Event{Kind: EventFastFail, Op: op.Name, Mechanism: mech, Err: initial})
+		s.trace(recovery.Event{Kind: recovery.EventFastFail, Op: op.Name, Mechanism: mech, Err: initial})
 		recovery.Revive(s.app, preOp)
 		return opFailed
 	}
@@ -308,11 +308,11 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 		s.noteRetry()
 		delay := s.backoff.next(attempt)
 		s.report.BackoffTotal += delay
-		s.trace(Event{Kind: EventBackoff, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Delay: delay})
+		s.trace(recovery.Event{Kind: recovery.EventBackoff, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Delay: delay})
 		s.env.Advance(delay)
 
 		target, err := s.applyRung(rung, preOp, mech, attempt, attemptAt, lastFE)
-		s.trace(Event{Kind: EventAction, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Component: target, Err: err})
+		s.trace(recovery.Event{Kind: recovery.EventAction, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Component: target, Err: err})
 		if err != nil {
 			// The recovery action itself failed (e.g. restore ran into the
 			// same full disk): escalate immediately.
@@ -326,7 +326,7 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 		if retryErr == nil {
 			s.report.mech(mech).Recoveries++
 			s.breakers.Success(mech)
-			s.trace(Event{Kind: EventRetryOK, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt})
+			s.trace(recovery.Event{Kind: recovery.EventRetryOK, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt})
 			return opRecovered
 		}
 		mech = s.classify(retryErr)
@@ -335,9 +335,9 @@ func (s *Supervisor) superviseOp(idx int, op Op, preOp []byte, initial error) op
 
 		if s.breakers.Failure(mech, s.env.Monotonic()) {
 			s.report.mech(mech).BreakerOpens++
-			s.trace(Event{Kind: EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Err: retryErr})
+			s.trace(recovery.Event{Kind: recovery.EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Err: retryErr})
 			recovery.Revive(s.app, preOp)
-			s.trace(Event{Kind: EventGiveUp, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Err: retryErr})
+			s.trace(recovery.Event{Kind: recovery.EventGiveUp, Op: op.Name, Mechanism: mech, Rung: rung, Attempt: attempt, Err: retryErr})
 			return opFailed
 		}
 		if attemptAt >= rungAttempts {
@@ -355,7 +355,7 @@ func (s *Supervisor) degradeAndFinish(idx int, op Op, preOp []byte, mech string)
 	s.enterDegraded(idx)
 	recovery.Revive(s.app, preOp)
 	if op.Kind == OpWrite {
-		s.trace(Event{Kind: EventShed, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
+		s.trace(recovery.Event{Kind: recovery.EventShed, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
 		return opShed
 	}
 	s.report.mech(mech).Retries++
@@ -363,16 +363,16 @@ func (s *Supervisor) degradeAndFinish(idx int, op Op, preOp []byte, mech string)
 	if err := s.execute(op); err == nil {
 		s.report.mech(mech).Recoveries++
 		s.breakers.Success(mech)
-		s.trace(Event{Kind: EventRetryOK, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
+		s.trace(recovery.Event{Kind: recovery.EventRetryOK, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
 		return opRecovered
 	}
 	s.exitDegraded()
 	if s.breakers.ForceOpen(mech, s.env.Monotonic()) {
 		s.report.mech(mech).BreakerOpens++
-		s.trace(Event{Kind: EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
+		s.trace(recovery.Event{Kind: recovery.EventBreakerOpen, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
 	}
 	recovery.Revive(s.app, preOp)
-	s.trace(Event{Kind: EventGiveUp, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
+	s.trace(recovery.Event{Kind: recovery.EventGiveUp, Op: op.Name, Mechanism: mech, Rung: recovery.RungDegraded})
 	return opFailed
 }
 
@@ -410,7 +410,7 @@ func (s *Supervisor) enterDegraded(idx int) {
 	if d, ok := s.app.(Degradable); ok {
 		d.SetDegraded(true)
 	}
-	s.trace(Event{Kind: EventDegraded, Rung: recovery.RungDegraded})
+	s.trace(recovery.Event{Kind: recovery.EventDegraded, Rung: recovery.RungDegraded})
 }
 
 func (s *Supervisor) exitDegraded() {
@@ -422,7 +422,7 @@ func (s *Supervisor) exitDegraded() {
 	if d, ok := s.app.(Degradable); ok {
 		d.SetDegraded(false)
 	}
-	s.trace(Event{Kind: EventDegradedExit})
+	s.trace(recovery.Event{Kind: recovery.EventDegradedExit})
 }
 
 // escalateTo records a ladder escalation and returns the rung escalated to.
@@ -431,7 +431,7 @@ func (s *Supervisor) escalateTo(op Op, mech string, to recovery.Rung) recovery.R
 	if to != recovery.RungDegraded { // degraded entry is counted by enterDegraded
 		s.report.Escalations[to]++
 	}
-	s.trace(Event{Kind: EventEscalate, Op: op.Name, Mechanism: mech, Rung: to})
+	s.trace(recovery.Event{Kind: recovery.EventEscalate, Op: op.Name, Mechanism: mech, Rung: to})
 	return to
 }
 
@@ -470,7 +470,7 @@ func (s *Supervisor) noteRetry() {
 // that opens the episode.
 func (s *Supervisor) noteFailure(op Op, mech string, rung recovery.Rung, err error) {
 	s.report.mech(mech).Failures++
-	s.trace(Event{Kind: EventFailure, Op: op.Name, Mechanism: mech, Rung: rung, Err: err})
+	s.trace(recovery.Event{Kind: recovery.EventFailure, Op: op.Name, Mechanism: mech, Rung: rung, Err: err})
 }
 
 // classify maps an error to its fault mechanism key.
@@ -487,7 +487,7 @@ func (s *Supervisor) classify(err error) string {
 
 // trace emits an event to the configured hook, stamping it with the
 // environment's monotonic clock. Nothing is computed when no hook is configured.
-func (s *Supervisor) trace(ev Event) {
+func (s *Supervisor) trace(ev recovery.Event) {
 	if s.cfg.Trace != nil {
 		ev.At = s.env.Monotonic()
 		s.cfg.Trace(ev)

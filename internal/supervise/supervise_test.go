@@ -265,9 +265,9 @@ func TestDegradedRetryFailureReverts(t *testing.T) {
 // TestBackoffTraceMatchesSchedule asserts the supervisor sleeps exactly the
 // delays its seed's backoff sequence predicts, attempt by attempt.
 func TestBackoffTraceMatchesSchedule(t *testing.T) {
-	var backoffs []Event
-	cfg := Config{Seed: 21, Trace: func(ev Event) {
-		if ev.Kind == EventBackoff {
+	var backoffs []recovery.Event
+	cfg := Config{Seed: 21, Trace: func(ev recovery.Event) {
+		if ev.Kind == recovery.EventBackoff {
 			backoffs = append(backoffs, ev)
 		}
 	}}
@@ -670,9 +670,9 @@ func TestMicrorebootTargetsFaultyComponent(t *testing.T) {
 	c := httpd.Componentize(
 		httpd.New(env, faultinject.NewSet(httpd.MechFDExhaustion)))
 
-	var actions []Event
-	cfg := Config{Seed: 7, Trace: func(ev Event) {
-		if ev.Kind == EventAction {
+	var actions []recovery.Event
+	cfg := Config{Seed: 7, Trace: func(ev recovery.Event) {
+		if ev.Kind == recovery.EventAction {
 			actions = append(actions, ev)
 		}
 	}}
@@ -746,14 +746,14 @@ func TestMicrorebootWidensToSubtree(t *testing.T) {
 
 	var microAttempts int
 	var escalations []recovery.Rung
-	cfg := Config{Seed: 9, Trace: func(ev Event) {
+	cfg := Config{Seed: 9, Trace: func(ev recovery.Event) {
 		if ev.Rung == recovery.RungSubtreeReboot {
 			t.Errorf("%v event carries the subtree-reboot rung", ev.Kind)
 		}
-		if ev.Kind == EventEscalate {
+		if ev.Kind == recovery.EventEscalate {
 			escalations = append(escalations, ev.Rung)
 		}
-		if ev.Kind == EventAction && ev.Rung == recovery.RungMicroreboot {
+		if ev.Kind == recovery.EventAction && ev.Rung == recovery.RungMicroreboot {
 			if ev.Component != httpd.CompCore {
 				t.Errorf("microreboot component = %q, want %q", ev.Component, httpd.CompCore)
 			}

@@ -4,6 +4,7 @@ import (
 	"fmt"
 
 	"faultstudy/internal/faultinject"
+	"faultstudy/internal/recovery"
 	"faultstudy/internal/taxonomy"
 )
 
@@ -53,5 +54,5 @@ func (s *Supervisor) chargeHang(op Op, err error) {
 	}
 	s.env.Advance(watchdogTimeout)
 	s.report.mech(fe.Mechanism).WatchdogTimeouts++
-	s.trace(Event{Kind: EventWatchdog, Op: op.Name, Mechanism: fe.Mechanism, Err: err})
+	s.trace(recovery.Event{Kind: recovery.EventWatchdog, Op: op.Name, Mechanism: fe.Mechanism, Err: err})
 }
