@@ -113,9 +113,10 @@ type Statement struct {
 	// UPDATE
 	SetCol string
 	SetVal Value
-	// SetDelta is non-zero for "SET col = col + n" self-referencing updates
-	// (the shape that exercises the index-update-scan bug).
-	SetDelta int64
+	// SetDelta is n for a "SET col = col + n" self-referencing update (the
+	// shape that exercises the index-update-scan bug), zero included, and
+	// nil for a plain "SET col = value", which writes SetVal.
+	SetDelta *int64
 
 	// LOCK TABLES
 	LockWrite bool
@@ -470,7 +471,7 @@ func parseUpdate(c *cursor) (*Statement, error) {
 		if err != nil {
 			return nil, err
 		}
-		st.SetDelta = n
+		st.SetDelta = &n
 	} else {
 		v, err := parseValue(c)
 		if err != nil {

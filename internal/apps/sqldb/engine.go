@@ -487,11 +487,11 @@ func (s *Server) updateRows(st *Statement) error {
 	idx := t.indexes[st.SetCol]
 
 	newVal := func(old Value) (Value, error) {
-		if st.SetDelta != 0 {
+		if st.SetDelta != nil {
 			if !old.IsInt {
 				return Value{}, fmt.Errorf("sqldb: arithmetic update on non-integer column %q", st.SetCol)
 			}
-			return IntValue(old.I + st.SetDelta), nil
+			return IntValue(old.I + *st.SetDelta), nil
 		}
 		return st.SetVal, nil
 	}

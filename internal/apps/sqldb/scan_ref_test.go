@@ -190,11 +190,11 @@ func (s *Server) refUpdate(st *Statement) error {
 	}
 	idx := t.indexes[st.SetCol]
 	newVal := func(old Value) (Value, error) {
-		if st.SetDelta != 0 {
+		if st.SetDelta != nil {
 			if !old.IsInt {
 				return Value{}, fmt.Errorf("sqldb: arithmetic update on non-integer column %q", st.SetCol)
 			}
-			return IntValue(old.I + st.SetDelta), nil
+			return IntValue(old.I + *st.SetDelta), nil
 		}
 		return st.SetVal, nil
 	}
@@ -308,7 +308,7 @@ func scanStatement(op, arg byte) string {
 	case 2:
 		return fmt.Sprintf("UPDATE %s SET name = '%s'%s", tbl, fuzzText(arg/5), where)
 	case 3:
-		return fmt.Sprintf("UPDATE %s SET k = k + %d%s", tbl, []int{1, 2, -1, 7}[arg%4], where)
+		return fmt.Sprintf("UPDATE %s SET k = k + %d%s", tbl, []int{1, 2, -1, 7, 0}[arg%5], where)
 	case 4:
 		return fmt.Sprintf("UPDATE %s SET k = %d%s", tbl, int(arg%7), where)
 	default:

@@ -86,6 +86,24 @@ func TestSelfReferencingUpdateHealthy(t *testing.T) {
 	}
 }
 
+// TestSelfReferencingUpdateZeroDelta pins that "k = k + 0" is arithmetic
+// like any other delta: every key keeps its value instead of being
+// overwritten by an empty plain-SET value.
+func TestSelfReferencingUpdateZeroDelta(t *testing.T) {
+	srv := newDB(t, nil)
+	seed(t, srv, 5)
+	mustExec(t, srv, "UPDATE t SET k = k + 0 WHERE k = 5")
+	rs := mustExec(t, srv, "SELECT k, name FROM t ORDER BY k")
+	if len(rs.Rows) != 5 {
+		t.Fatalf("rows = %v, want 5", rs.Rows)
+	}
+	for i, row := range rs.Rows {
+		if !row[0].IsInt || row[0].I != int64(i+1) || row[1].S != fmt.Sprintf("row%d", i+1) {
+			t.Errorf("row %d = %v, want (%d, 'row%d')", i, row, i+1, i+1)
+		}
+	}
+}
+
 func TestStatementErrorsDoNotKillServer(t *testing.T) {
 	srv := newDB(t, nil)
 	bad := []string{
