@@ -76,8 +76,11 @@ type RecoveryInfo struct {
 type Store struct {
 	env   *simenv.Env
 	owner string
-	dir   string
 	opts  Options
+	// wal, ckpt and tmp are the store's three files under its directory:
+	// the log, the checkpoint, and the checkpoint's write-then-rename
+	// temporary.
+	wal, ckpt, tmp string
 
 	mu        sync.Mutex
 	state     map[string][]byte
@@ -92,10 +95,6 @@ type Store struct {
 	stats     Stats
 }
 
-func (s *Store) walPath() string  { return s.dir + "/wal.log" }
-func (s *Store) ckptPath() string { return s.dir + "/checkpoint.db" }
-func (s *Store) tmpPath() string  { return s.dir + "/checkpoint.tmp" }
-
 // Open builds a store rooted at dir, recovering whatever a previous
 // incarnation left behind: it sweeps a mid-checkpoint temporary file, loads
 // the checkpoint, replays the WAL on top, and truncates the log at the
@@ -108,7 +107,8 @@ func Open(env *simenv.Env, owner, dir string, opts Options) (*Store, *RecoveryIn
 	if opts.CheckpointEvery == 0 {
 		opts.CheckpointEvery = DefaultCheckpointEvery
 	}
-	s := &Store{env: env, owner: owner, dir: dir, opts: opts, state: make(map[string][]byte)}
+	s := &Store{env: env, owner: owner, opts: opts, state: make(map[string][]byte),
+		wal: dir + "/wal.log", ckpt: dir + "/checkpoint.db", tmp: dir + "/checkpoint.tmp"}
 	if !opts.NoFD {
 		fd, err := env.FDs().Open(owner)
 		if err != nil {
@@ -127,26 +127,26 @@ func Open(env *simenv.Env, owner, dir string, opts Options) (*Store, *RecoveryIn
 // recover is Open's body: checkpoint-load + log-replay + tail repair.
 func (s *Store) recover(info *RecoveryInfo) error {
 	disk := s.env.Disk()
-	if disk.Exists(s.tmpPath()) {
-		if err := disk.Remove(s.tmpPath()); err != nil {
-			return fmt.Errorf("durable: sweep %q: %w", s.tmpPath(), err)
+	if disk.Exists(s.tmp) {
+		if err := disk.Remove(s.tmp); err != nil {
+			return fmt.Errorf("durable: sweep %q: %w", s.tmp, err)
 		}
 		info.TmpRemoved = true
 	}
-	if disk.Exists(s.ckptPath()) {
-		raw, err := disk.ReadAll(s.ckptPath())
+	if disk.Exists(s.ckpt) {
+		raw, err := disk.ReadAll(s.ckpt)
 		if err != nil {
 			return fmt.Errorf("durable: read checkpoint: %w", err)
 		}
 		state, seq, err := ReadCheckpoint(raw)
 		if err != nil {
-			return fmt.Errorf("durable: checkpoint %q: %w", s.ckptPath(), err)
+			return fmt.Errorf("durable: checkpoint %q: %w", s.ckpt, err)
 		}
 		s.state, s.ckptSeq, s.seq = state, seq, seq
 		info.CheckpointSeq = seq
 	}
-	if disk.Exists(s.walPath()) {
-		raw, err := disk.ReadAll(s.walPath())
+	if disk.Exists(s.wal) {
+		raw, err := disk.ReadAll(s.wal)
 		if err != nil {
 			return fmt.Errorf("durable: read wal: %w", err)
 		}
@@ -163,7 +163,7 @@ func (s *Store) recover(info *RecoveryInfo) error {
 			info.TornTail = errors.Is(rerr, ErrTornTail)
 			info.Corrupt = errors.Is(rerr, ErrCorrupt)
 			info.TruncatedBytes = int64(len(raw) - valid)
-			if err := disk.TruncateTo(s.walPath(), int64(valid)); err != nil {
+			if err := disk.TruncateTo(s.wal, int64(valid)); err != nil {
 				return fmt.Errorf("durable: repair wal tail: %w", err)
 			}
 		}
@@ -193,8 +193,8 @@ func (s *Store) Apply(ops []Op) error {
 	}
 	disk := s.env.Disk()
 	if s.wounded {
-		if sz, err := disk.Size(s.walPath()); err == nil && sz > s.walGood {
-			if err := disk.TruncateTo(s.walPath(), s.walGood); err != nil {
+		if sz, err := disk.Size(s.wal); err == nil && sz > s.walGood {
+			if err := disk.TruncateTo(s.wal, s.walGood); err != nil {
 				return fmt.Errorf("durable: repair wal tail: %w", err)
 			}
 			s.stats.Repairs++
@@ -202,11 +202,11 @@ func (s *Store) Apply(ops []Op) error {
 		s.wounded = false
 	}
 	buf := AppendRecord(nil, Record{Seq: s.seq + 1, Ops: ops})
-	if err := disk.Write(s.walPath(), s.owner, buf); err != nil {
+	if err := disk.Write(s.wal, s.owner, buf); err != nil {
 		s.wounded = true
 		return fmt.Errorf("durable: append: %w", err)
 	}
-	if err := disk.Sync(s.walPath()); err != nil {
+	if err := disk.Sync(s.wal); err != nil {
 		s.wounded = true
 		return fmt.Errorf("durable: sync: %w", err)
 	}
@@ -289,26 +289,26 @@ func (s *Store) Checkpoint() error {
 
 func (s *Store) checkpointLocked() error {
 	disk := s.env.Disk()
-	if disk.Exists(s.tmpPath()) {
-		if err := disk.Remove(s.tmpPath()); err != nil {
+	if disk.Exists(s.tmp) {
+		if err := disk.Remove(s.tmp); err != nil {
 			return fmt.Errorf("durable: checkpoint sweep: %w", err)
 		}
 	}
 	buf := EncodeCheckpoint(s.state, s.seq)
-	if err := disk.Write(s.tmpPath(), s.owner, buf); err != nil {
+	if err := disk.Write(s.tmp, s.owner, buf); err != nil {
 		return fmt.Errorf("durable: checkpoint write: %w", err)
 	}
-	if err := disk.Sync(s.tmpPath()); err != nil {
+	if err := disk.Sync(s.tmp); err != nil {
 		return fmt.Errorf("durable: checkpoint sync: %w", err)
 	}
-	if err := disk.Rename(s.tmpPath(), s.ckptPath()); err != nil {
+	if err := disk.Rename(s.tmp, s.ckpt); err != nil {
 		return fmt.Errorf("durable: checkpoint commit: %w", err)
 	}
 	s.ckptSeq = s.seq
 	s.sinceCkpt = 0
 	s.stats.Checkpoints++
-	if disk.Exists(s.walPath()) {
-		if err := disk.Truncate(s.walPath()); err != nil {
+	if disk.Exists(s.wal) {
+		if err := disk.Truncate(s.wal); err != nil {
 			// The checkpoint committed; stale log records before ckptSeq are
 			// skipped at replay, so a failed truncation costs bytes, not
 			// correctness.
@@ -344,8 +344,8 @@ func (s *Store) RollbackTo(seq uint64) error {
 	}
 	disk := s.env.Disk()
 	state := make(map[string][]byte)
-	if disk.Exists(s.ckptPath()) {
-		raw, err := disk.ReadAll(s.ckptPath())
+	if disk.Exists(s.ckpt) {
+		raw, err := disk.ReadAll(s.ckpt)
 		if err != nil {
 			return fmt.Errorf("durable: rollback read checkpoint: %w", err)
 		}
@@ -356,8 +356,8 @@ func (s *Store) RollbackTo(seq uint64) error {
 		state = cstate
 	}
 	var off int64
-	if disk.Exists(s.walPath()) {
-		raw, err := disk.ReadAll(s.walPath())
+	if disk.Exists(s.wal) {
+		raw, err := disk.ReadAll(s.wal)
 		if err != nil {
 			return fmt.Errorf("durable: rollback read wal: %w", err)
 		}
@@ -373,7 +373,7 @@ func (s *Store) RollbackTo(seq uint64) error {
 			}
 			prev = end
 		}
-		if err := disk.TruncateTo(s.walPath(), off); err != nil {
+		if err := disk.TruncateTo(s.wal, off); err != nil {
 			return fmt.Errorf("durable: rollback truncate: %w", err)
 		}
 	}
@@ -418,7 +418,7 @@ func (s *Store) Destroy() error {
 	s.closed = true
 	s.releaseFD()
 	disk := s.env.Disk()
-	for _, p := range []string{s.walPath(), s.ckptPath(), s.tmpPath()} {
+	for _, p := range []string{s.wal, s.ckpt, s.tmp} {
 		if disk.Exists(p) {
 			if err := disk.Remove(p); err != nil {
 				return fmt.Errorf("durable: destroy: %w", err)
