@@ -9,9 +9,11 @@ import (
 	"faultstudy/internal/taxonomy"
 )
 
-// This file is the exported surface other analyses build on. The envsite
-// rule's internals — environment-call recognition, the guard-path backward
-// walk, fail-site recognition — are re-exported here so that
+// This file holds most of the exported surface other analyses build on. The
+// envsite rule's own judgment — environment-call recognition (EnvOp), the
+// guard-path backward walk (GuardNodes, NearestEnvOp in envsite.go),
+// fail-site recognition, and the syntax helpers ConstString, PkgQualified
+// and WalkWithStack (util.go) — is exported as is, so that
 // internal/recoveryscope can extend the same judgment interprocedurally
 // without re-deriving (and drifting from) the intraprocedural semantics.
 
@@ -33,13 +35,9 @@ type EnvOp struct {
 // EnvOpsIn gathers every recognized environment operation inside a subtree,
 // in source order.
 func EnvOpsIn(n ast.Node) []EnvOp {
-	var calls []envCall
-	collectEnvCalls(n, &calls)
-	out := make([]EnvOp, 0, len(calls))
-	for _, c := range calls {
-		out = append(out, EnvOp{Facility: c.Facility, Method: c.Method, Pos: c.Pos, Trigger: envCallTrigger(c)})
-	}
-	return out
+	var ops []EnvOp
+	collectEnvCalls(n, &ops)
+	return ops
 }
 
 // GuardNodes returns the syntax regions that guard a site, innermost first:
@@ -111,17 +109,6 @@ func GuardCalls(site token.Pos, stack []ast.Node) []*ast.CallExpr {
 	return out
 }
 
-// NearestEnvOp finds the environment operation that guards a site: the
-// latest-positioned recognized env call preceding the site within its guard
-// regions. This is the exact intraprocedural judgment of the envsite rule.
-func NearestEnvOp(site token.Pos, stack []ast.Node) (EnvOp, bool) {
-	ec, ok := nearestEnvCall(site, stack)
-	if !ok {
-		return EnvOp{}, false
-	}
-	return EnvOp{Facility: ec.Facility, Method: ec.Method, Pos: ec.Pos, Trigger: envCallTrigger(ec)}, true
-}
-
 // FailSite is one recognized seeded fault-raise site: a call to
 // faultinject.Fail or faultinject.FailCause.
 type FailSite struct {
@@ -160,7 +147,7 @@ func (p *Package) failSymptom(f *ast.File, call *ast.CallExpr) taxonomy.Symptom 
 	if len(call.Args) < 2 {
 		return taxonomy.SymptomUnknown
 	}
-	if v, ok := p.constString(call.Args[1]); ok {
+	if v, ok := p.ConstString(call.Args[1]); ok {
 		if s, err := taxonomy.ParseSymptom(v); err == nil {
 			return s
 		}
@@ -170,7 +157,7 @@ func (p *Package) failSymptom(f *ast.File, call *ast.CallExpr) taxonomy.Symptom 
 	if !ok {
 		return taxonomy.SymptomUnknown
 	}
-	path, name, ok := p.pkgQualified(f, sel)
+	path, name, ok := p.PkgQualified(f, sel)
 	if !ok || (path != "taxonomy" && !strings.HasSuffix(path, "/taxonomy")) {
 		return taxonomy.SymptomUnknown
 	}
@@ -182,26 +169,6 @@ func (p *Package) failSymptom(f *ast.File, call *ast.CallExpr) taxonomy.Symptom 
 		return taxonomy.SymptomUnknown
 	}
 	return s
-}
-
-// ConstString resolves the string value of an expression — a literal, a
-// constant identifier (through type info, falling back to the syntactic
-// package-level constant table), or nothing for computed values.
-func (p *Package) ConstString(expr ast.Expr) (string, bool) {
-	return p.constString(expr)
-}
-
-// PkgQualified reports the import path and selector name of a qualified
-// selector expression pkg.Name in a file, resolving the package identifier
-// through type info first and the import table second.
-func (p *Package) PkgQualified(f *ast.File, sel *ast.SelectorExpr) (path, name string, ok bool) {
-	return p.pkgQualified(f, sel)
-}
-
-// WalkWithStack walks a file depth-first, handing each node its ancestor
-// path (excluding the node itself). Returning false skips the subtree.
-func WalkWithStack(f *ast.File, fn func(n ast.Node, stack []ast.Node) bool) {
-	withStack(f, fn)
 }
 
 // SortDiagnostics orders diagnostics deterministically by

@@ -63,7 +63,7 @@ func (p *Package) discardedEnvAcquire(f *ast.File, call *ast.CallExpr) (what str
 		return "", false
 	}
 	if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-		if path, name, resolved := p.pkgQualified(f, sel); resolved {
+		if path, name, resolved := p.PkgQualified(f, sel); resolved {
 			if funcs, known := osNetAcquireFuncs[path]; known && funcs[name] {
 				return path + "." + name, true
 			}

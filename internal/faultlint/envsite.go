@@ -65,12 +65,12 @@ var envFacilityTrigger = map[string]taxonomy.TriggerKind{
 	"Env":     taxonomy.TriggerHostConfig,
 }
 
-// envCallTrigger resolves the trigger kind an environment call stands for.
-func envCallTrigger(c envCall) taxonomy.TriggerKind {
-	if t, ok := envMethodTrigger[c.Facility+"."+c.Method]; ok {
+// envTrigger resolves the trigger kind an environment operation stands for.
+func envTrigger(facility, method string) taxonomy.TriggerKind {
+	if t, ok := envMethodTrigger[facility+"."+method]; ok {
 		return t
 	}
-	if t, ok := envFacilityTrigger[c.Facility]; ok {
+	if t, ok := envFacilityTrigger[facility]; ok {
 		return t
 	}
 	return taxonomy.TriggerUnknownKind
@@ -89,7 +89,7 @@ func (p *Package) asFailCall(f *ast.File, call *ast.CallExpr) (isFail, withCause
 	if !ok {
 		return false, false
 	}
-	path, name, ok := p.pkgQualified(f, sel)
+	path, name, ok := p.PkgQualified(f, sel)
 	if !ok || !isFaultinjectPath(path) {
 		return false, false
 	}
@@ -108,7 +108,7 @@ func (p *Package) asFailCall(f *ast.File, call *ast.CallExpr) (isFail, withCause
 // constants enumerated by the enclosing case clause.
 func (p *Package) mechanismsOf(call *ast.CallExpr, stack []ast.Node) []string {
 	if len(call.Args) > 0 {
-		if v, ok := p.constString(call.Args[0]); ok {
+		if v, ok := p.ConstString(call.Args[0]); ok {
 			return []string{v}
 		}
 	}
@@ -119,7 +119,7 @@ func (p *Package) mechanismsOf(call *ast.CallExpr, stack []ast.Node) []string {
 		}
 		var keys []string
 		for _, expr := range cc.List {
-			if v, ok := p.constString(expr); ok && strings.Contains(v, "/") {
+			if v, ok := p.ConstString(expr); ok && strings.Contains(v, "/") {
 				keys = append(keys, v)
 			}
 		}
@@ -131,7 +131,7 @@ func (p *Package) mechanismsOf(call *ast.CallExpr, stack []ast.Node) []string {
 }
 
 // collectEnvCalls gathers all recognized environment calls inside a subtree.
-func collectEnvCalls(n ast.Node, out *[]envCall) {
+func collectEnvCalls(n ast.Node, out *[]EnvOp) {
 	if n == nil {
 		return
 	}
@@ -157,17 +157,18 @@ func isSimpleStmt(s ast.Stmt) bool {
 	return false
 }
 
-// nearestEnvCall finds the environment operation that guards a raise site:
-// the latest-positioned recognized env call that precedes the site, drawn
-// from (a) the init/cond of enclosing if/switch/for statements and (b) the
-// simple sibling statements above the site in each enclosing block, all
-// bounded by the enclosing function.
-func nearestEnvCall(site token.Pos, stack []ast.Node) (envCall, bool) {
-	var candidates []envCall
+// NearestEnvOp finds the environment operation that guards a site: the
+// latest-positioned recognized env call that precedes the site, drawn from
+// (a) the init/cond of enclosing if/switch/for statements and (b) the simple
+// sibling statements above the site in each enclosing block, all bounded by
+// the enclosing function. This is the exact intraprocedural judgment of the
+// envsite rule.
+func NearestEnvOp(site token.Pos, stack []ast.Node) (EnvOp, bool) {
+	var candidates []EnvOp
 	for _, n := range GuardNodes(site, stack) {
 		collectEnvCalls(n, &candidates)
 	}
-	best := envCall{}
+	best := EnvOp{}
 	found := false
 	for _, c := range candidates {
 		if c.Pos < site && (!found || c.Pos > best.Pos) {
@@ -180,7 +181,7 @@ func nearestEnvCall(site token.Pos, stack []ast.Node) (envCall, bool) {
 func runEnvsite(p *Pass) {
 	for _, f := range p.Pkg.Files {
 		file := f
-		withStack(file, func(n ast.Node, stack []ast.Node) bool {
+		WalkWithStack(file, func(n ast.Node, stack []ast.Node) bool {
 			call, ok := n.(*ast.CallExpr)
 			if !ok {
 				return true
@@ -190,10 +191,10 @@ func runEnvsite(p *Pass) {
 				return true
 			}
 			mechs := p.Pkg.mechanismsOf(call, stack)
-			ec, found := nearestEnvCall(call.Pos(), stack)
+			ec, found := NearestEnvOp(call.Pos(), stack)
 			switch {
 			case found:
-				trigger := envCallTrigger(ec)
+				trigger := ec.Trigger
 				class := trigger.DefaultClass()
 				p.ReportSite(call.Pos(), class, mechs,
 					"fault raise depends on env %s.%s (trigger %s): predicted %s",

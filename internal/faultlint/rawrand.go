@@ -48,7 +48,7 @@ func runRawrand(p *Pass) {
 			if !ok {
 				return true
 			}
-			path, name, resolved := p.Pkg.pkgQualified(file, sel)
+			path, name, resolved := p.Pkg.PkgQualified(file, sel)
 			if !resolved || !randPaths[path] || !globalRandFuncs[name] {
 				return true
 			}

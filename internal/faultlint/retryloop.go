@@ -56,7 +56,7 @@ func (p *Package) loopEnvOp(f *ast.File, body *ast.BlockStmt) (string, bool) {
 			return true
 		}
 		if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-			if path, name, resolved := p.pkgQualified(f, sel); resolved {
+			if path, name, resolved := p.PkgQualified(f, sel); resolved {
 				if funcs, known := osNetAcquireFuncs[path]; known && funcs[name] {
 					found = path + "." + name
 				}

@@ -40,7 +40,7 @@ func (p *Package) failureCatch(f *ast.File, ifStmt *ast.IfStmt) (failIdent, errI
 	if init, isAssign := ifStmt.Init.(*ast.AssignStmt); isAssign && len(init.Rhs) == 1 {
 		if call, isCall := init.Rhs[0].(*ast.CallExpr); isCall {
 			if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-				if path, name, resolved := p.pkgQualified(f, sel); resolved &&
+				if path, name, resolved := p.PkgQualified(f, sel); resolved &&
 					isFaultinjectPath(path) && name == "AsFailure" {
 					fe := ""
 					if len(init.Lhs) > 0 {
@@ -63,7 +63,7 @@ func (p *Package) failureCatch(f *ast.File, ifStmt *ast.IfStmt) (failIdent, errI
 	// *FailureError somewhere in the file.
 	if call, isCall := ifStmt.Cond.(*ast.CallExpr); isCall && len(call.Args) == 2 {
 		if sel, isSel := call.Fun.(*ast.SelectorExpr); isSel {
-			if path, name, resolved := p.pkgQualified(f, sel); resolved && path == "errors" && name == "As" {
+			if path, name, resolved := p.PkgQualified(f, sel); resolved && path == "errors" && name == "As" {
 				if unary, isUnary := call.Args[1].(*ast.UnaryExpr); isUnary {
 					if target, isIdent := unary.X.(*ast.Ident); isIdent && fileDeclaresFailureVar(f, target.Name) {
 						errName := ""

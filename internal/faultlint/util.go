@@ -35,10 +35,10 @@ func fileImports(f *ast.File) map[string]string {
 	return out
 }
 
-// pkgQualified reports the import path and selector name of a qualified call
-// or selector expression pkg.Name, resolving pkg first through type info
-// (shadow-proof) and then through the file's import table.
-func (p *Package) pkgQualified(f *ast.File, sel *ast.SelectorExpr) (path, name string, ok bool) {
+// PkgQualified reports the import path and selector name of a qualified
+// selector expression pkg.Name in a file, resolving pkg first through type
+// info (shadow-proof) and then through the file's import table.
+func (p *Package) PkgQualified(f *ast.File, sel *ast.SelectorExpr) (path, name string, ok bool) {
 	id, isIdent := sel.X.(*ast.Ident)
 	if !isIdent {
 		return "", "", false
@@ -58,10 +58,10 @@ func (p *Package) pkgQualified(f *ast.File, sel *ast.SelectorExpr) (path, name s
 	return "", "", false
 }
 
-// constString resolves the string value of an expression: a string literal,
-// a constant identifier (via type info, falling back to the syntactic
-// package-level constant table), or a qualified constant reference.
-func (p *Package) constString(expr ast.Expr) (string, bool) {
+// ConstString resolves the string value of an expression — a literal, a
+// constant identifier (through type info, falling back to the syntactic
+// package-level constant table), or nothing for computed values.
+func (p *Package) ConstString(expr ast.Expr) (string, bool) {
 	if tv, ok := p.Info.Types[expr]; ok && tv.Value != nil && tv.Value.Kind() == constant.String {
 		return constant.StringVal(tv.Value), true
 	}
@@ -109,52 +109,45 @@ var envDirectMethods = map[string]bool{
 	"Reroll":   true,
 }
 
-// envCall describes one recognized environment operation.
-type envCall struct {
-	// Facility is the env getter ("FDs", "Disk", ... or "Env" for direct
-	// methods).
-	Facility string
-	// Method is the operation name.
-	Method string
-	// Pos is the call position.
-	Pos token.Pos
-}
-
 // asEnvCall recognizes calls against the simulated environment:
 //
 //	x.FDs().Open(...)    -> {FDs, Open}
 //	s.env.Hostname()     -> {Env, Hostname}
-func asEnvCall(call *ast.CallExpr) (envCall, bool) {
+func asEnvCall(call *ast.CallExpr) (EnvOp, bool) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
 	if !ok {
-		return envCall{}, false
+		return EnvOp{}, false
 	}
+	facility := ""
 	// Facility form: receiver is itself a call to an env getter.
 	if inner, ok := sel.X.(*ast.CallExpr); ok {
 		if innerSel, ok := inner.Fun.(*ast.SelectorExpr); ok && envGetters[innerSel.Sel.Name] && len(inner.Args) == 0 {
-			return envCall{Facility: innerSel.Sel.Name, Method: sel.Sel.Name, Pos: call.Pos()}, true
+			facility = innerSel.Sel.Name
 		}
 	}
 	// Direct form: method on something named env/Env.
-	if envDirectMethods[sel.Sel.Name] {
+	if facility == "" && envDirectMethods[sel.Sel.Name] {
 		switch x := sel.X.(type) {
 		case *ast.Ident:
 			if strings.EqualFold(x.Name, "env") {
-				return envCall{Facility: "Env", Method: sel.Sel.Name, Pos: call.Pos()}, true
+				facility = "Env"
 			}
 		case *ast.SelectorExpr:
 			if strings.EqualFold(x.Sel.Name, "env") {
-				return envCall{Facility: "Env", Method: sel.Sel.Name, Pos: call.Pos()}, true
+				facility = "Env"
 			}
 		}
 	}
-	return envCall{}, false
+	if facility == "" {
+		return EnvOp{}, false
+	}
+	method := sel.Sel.Name
+	return EnvOp{Facility: facility, Method: method, Pos: call.Pos(), Trigger: envTrigger(facility, method)}, true
 }
 
-// enclosure computes, per file, the ancestor path of every node of
-// interest. It is a lightweight replacement for ast.Inspect-with-stack
-// utilities: analyzers that need context walk with WithStack.
-func withStack(f *ast.File, fn func(n ast.Node, stack []ast.Node) bool) {
+// WalkWithStack walks a file depth-first, handing each node its ancestor
+// path (excluding the node itself). Returning false skips the subtree.
+func WalkWithStack(f *ast.File, fn func(n ast.Node, stack []ast.Node) bool) {
 	var stack []ast.Node
 	ast.Inspect(f, func(n ast.Node) bool {
 		if n == nil {

@@ -69,7 +69,7 @@ func runWallclock(p *Pass) {
 			if !ok {
 				return true
 			}
-			path, name, resolved := p.Pkg.pkgQualified(file, sel)
+			path, name, resolved := p.Pkg.PkgQualified(file, sel)
 			if !resolved || path != "time" || !wallclockFuncs[name] {
 				return true
 			}
