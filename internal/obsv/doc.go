@@ -31,10 +31,10 @@
 //     headline split be read directly off measured recovery telemetry.
 //
 // Instrumentation attaches through the hook interfaces the instrumented
-// packages already expose: Observer adapts the recovery.Event stream that
-// supervise.Config.Trace and recovery.Policy.Trace both deliver, and
-// WorkloadHook adapts workload.Hook, into registry metrics and recorder
-// episodes.
+// packages already expose, by two bridges that turn events into registry
+// metrics and recorder episodes: Observer folds the recovery.Event stream
+// that supervise.Config.Trace and recovery.Policy.Trace both deliver, and
+// WorkloadHook counts what workload.Hook reports.
 // Hooks are nil-safe and cost one branch when disabled.
 //
 // Metric names, label sets, histogram buckets, and the trace-span schema

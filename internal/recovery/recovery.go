@@ -232,8 +232,9 @@ type Event struct {
 	Strategy Strategy
 	// Rung is the supervisor's ladder rung in effect.
 	Rung Rung
-	// Attempt is the episode-wide recovery attempt number (0 for the
-	// failure that opens an episode).
+	// Attempt is the episode-wide recovery attempt number: 0 for the
+	// failure that opens an episode, and also 0 on the supervisor's
+	// failure events, while a strategy's failed retry carries its attempt.
 	Attempt int
 	// Delay is the backoff delay (EventBackoff only).
 	Delay time.Duration
