@@ -10,10 +10,18 @@
 // with a deterministic-workload prior. The mapping from the winning trigger
 // to a class is the taxonomy's (persistent conditions → nontransient,
 // self-healing conditions → transient).
+//
+// Both lexicons are compiled, on first use, into one Aho–Corasick
+// automaton, so each report is matched in a single pass over its lowercased
+// text. A cue counts when one of its occurrences is not immediately preceded
+// by "not ", "never " or "no " (e.g. "not reproducible" must not fire a
+// "reproducible" cue; the negated form is its own cue where it matters), nor
+// starts inside a negated occurrence of the same cue. Weights are summed in
+// lexicon order, so scores do not depend on the order in which the pass
+// finds the cues.
 package classify
 
 import (
-	"sort"
 	"strings"
 
 	"faultstudy/internal/report"
@@ -67,55 +75,55 @@ func New(opts Options) *Classifier {
 // Classify decides the fault class of one report.
 func (c *Classifier) Classify(r *report.Report) Result {
 	text := strings.ToLower(r.Text())
+	lex := cues()
+	hits := lex.match(text)
 
 	// Score the environment-independent hypothesis.
 	eiScore := eiPrior
-	var eiEvidence []string
-	for _, p := range deterministicLexicon {
-		if matchPhrase(text, p.text) {
+	for k, p := range lex.deterministic.phrases {
+		if hits.has(lex.deterministic.first + k) {
 			eiScore += p.weight
-			eiEvidence = append(eiEvidence, p.text)
 		}
 	}
 
-	// Score each trigger hypothesis.
+	// Score each trigger hypothesis, keeping the two highest-scoring ones
+	// (higher score first, then lower kind for determinism).
 	type hypothesis struct {
-		kind     taxonomy.TriggerKind
-		score    float64
-		evidence []string
+		score float64
+		group cueGroup
 	}
-	var hyps []hypothesis
-	for kind, phrases := range triggerLexicon {
-		h := hypothesis{kind: kind}
-		for _, p := range phrases {
-			if matchPhrase(text, p.text) {
+	var top [2]hypothesis
+	nhyps := 0
+	for _, g := range lex.triggers {
+		h := hypothesis{group: g}
+		for k, p := range g.phrases {
+			if hits.has(g.first + k) {
 				h.score += p.weight * c.opts.TriggerWeightScale
-				h.evidence = append(h.evidence, p.text)
 			}
 		}
-		if h.score > 0 {
-			hyps = append(hyps, h)
+		if h.score <= 0 {
+			continue
+		}
+		nhyps++
+		switch {
+		case nhyps == 1 || outranks(h.score, g.kind, top[0].score, top[0].group.kind):
+			top[1], top[0] = top[0], h
+		case nhyps == 2 || outranks(h.score, g.kind, top[1].score, top[1].group.kind):
+			top[1] = h
 		}
 	}
-	sort.Slice(hyps, func(i, j int) bool {
-		if hyps[i].score != hyps[j].score {
-			return hyps[i].score > hyps[j].score
-		}
-		return hyps[i].kind < hyps[j].kind // deterministic tie-break
-	})
 
-	best := hypothesis{kind: taxonomy.TriggerWorkloadOnly, score: eiScore, evidence: eiEvidence}
+	best := hypothesis{score: eiScore, group: lex.deterministic}
 	runnerUp := 0.0
-	if len(hyps) > 0 {
-		top := hyps[0]
-		if top.score > eiScore {
-			best = top
+	if nhyps > 0 {
+		if top[0].score > eiScore {
+			best = top[0]
 			runnerUp = eiScore
-			if len(hyps) > 1 && hyps[1].score > runnerUp {
-				runnerUp = hyps[1].score
+			if nhyps > 1 && top[1].score > runnerUp {
+				runnerUp = top[1].score
 			}
 		} else {
-			runnerUp = top.score
+			runnerUp = top[0].score
 		}
 	}
 
@@ -123,38 +131,30 @@ func (c *Classifier) Classify(r *report.Report) Result {
 	if best.score+runnerUp > 0 {
 		conf = best.score / (best.score + runnerUp)
 	}
-	class := best.kind.DefaultClass()
-	if best.kind == taxonomy.TriggerWorkloadOnly {
+	class := best.group.kind.DefaultClass()
+	if best.group.kind == taxonomy.TriggerWorkloadOnly {
 		class = taxonomy.ClassEnvIndependent
 	}
-	sort.Strings(best.evidence)
 	return Result{
 		Class:      class,
-		Trigger:    best.kind,
+		Trigger:    best.group.kind,
 		Confidence: conf,
-		Evidence:   best.evidence,
+		Evidence:   best.group.evidence(hits),
 	}
 }
 
-// matchPhrase reports whether the cue occurs in the text, honoring a simple
-// negation guard: a cue immediately preceded by "not " or "never " does not
-// count (e.g. "not reproducible" must not fire the "reproducible" cue — the
-// negated form is its own cue where it matters).
-func matchPhrase(text, cue string) bool {
-	idx := 0
-	for {
-		i := strings.Index(text[idx:], cue)
-		if i < 0 {
-			return false
-		}
-		abs := idx + i
-		if !negatedAt(text, abs) {
-			return true
-		}
-		idx = abs + len(cue)
+// outranks reports whether a hypothesis scoring a with kind ka ranks above
+// one scoring b with kind kb: the higher score wins, and the lower kind
+// breaks a tie.
+func outranks(a float64, ka taxonomy.TriggerKind, b float64, kb taxonomy.TriggerKind) bool {
+	if a != b {
+		return a > b
 	}
+	return ka < kb
 }
 
+// negatedAt reports whether the text at pos is immediately preceded by
+// "not ", "never " or "no ".
 func negatedAt(text string, pos int) bool {
 	for _, neg := range []string{"not ", "never ", "no "} {
 		if pos >= len(neg) && text[pos-len(neg):pos] == neg {

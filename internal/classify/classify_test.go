@@ -139,14 +139,25 @@ func TestReverseDNSOutranksDNS(t *testing.T) {
 }
 
 func TestNegationGuard(t *testing.T) {
-	if matchPhrase("this is not reproducible at all", "reproducible") {
-		t.Error("negated cue should not match")
+	always := -1
+	for k, p := range deterministicLexicon {
+		if p.text == "always" {
+			always = k
+		}
 	}
-	if !matchPhrase("fully reproducible here", "reproducible") {
-		t.Error("plain cue should match")
-	}
-	if !matchPhrase("not here, but reproducible there", "reproducible") {
-		t.Error("later unnegated occurrence should match")
+	for _, tc := range []struct {
+		text string
+		want bool
+	}{
+		{"it does not always crash", false},
+		{"never always, no always", false},
+		{"it always crashes", true},
+		{"not here, but always there", true},
+		{"not always here, but always there", true},
+	} {
+		if got := cues().match(tc.text).has(always); got != tc.want {
+			t.Errorf("%q: cue \"always\" hit %v, want %v", tc.text, got, tc.want)
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"sync"
 
 	"faultstudy/internal/classify"
 	"faultstudy/internal/dedup"
@@ -106,26 +107,45 @@ type Sources struct {
 }
 
 // Study mines all three sources and runs the full pipeline over each — the
-// paper's methodology end to end.
+// paper's methodology end to end. The three sources are mined and classified
+// concurrently, one goroutine each, and Study returns once all three are
+// done. If any fails, Study returns the first error in paper order (Apache,
+// GNOME, MySQL).
 func Study(ctx context.Context, src Sources, opts Options) (*StudyResult, error) {
-	out := &StudyResult{Apps: make(map[taxonomy.Application]*AppResult, 3)}
-
-	apache, err := MineApache(ctx, src.ApacheBase)
-	if err != nil {
-		return nil, err
+	sources := [...]struct {
+		app  taxonomy.Application
+		mine func(context.Context, string) ([]*report.Report, error)
+		base string
+	}{
+		{taxonomy.AppApache, MineApache, src.ApacheBase},
+		{taxonomy.AppGnome, MineGnome, src.GnomeBase},
+		{taxonomy.AppMySQL, MineMySQL, src.MySQLBase},
 	}
-	out.Apps[taxonomy.AppApache] = Classify(apache, opts)
-
-	gnome, err := MineGnome(ctx, src.GnomeBase)
-	if err != nil {
-		return nil, err
+	var (
+		results [len(sources)]*AppResult
+		errs    [len(sources)]error
+		wg      sync.WaitGroup
+	)
+	for i, s := range sources {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			raw, err := s.mine(ctx, s.base)
+			if err != nil {
+				errs[i] = err
+				return
+			}
+			results[i] = Classify(raw, opts)
+		}()
 	}
-	out.Apps[taxonomy.AppGnome] = Classify(gnome, opts)
+	wg.Wait()
 
-	mysql, err := MineMySQL(ctx, src.MySQLBase)
-	if err != nil {
-		return nil, err
+	out := &StudyResult{Apps: make(map[taxonomy.Application]*AppResult, len(sources))}
+	for i, s := range sources {
+		if errs[i] != nil {
+			return nil, errs[i]
+		}
+		out.Apps[s.app] = results[i]
 	}
-	out.Apps[taxonomy.AppMySQL] = Classify(mysql, opts)
 	return out, nil
 }

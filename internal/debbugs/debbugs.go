@@ -47,7 +47,7 @@ type Bug struct {
 // Parse reads one debbugs bug log.
 func Parse(r io.Reader) (*Bug, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 
 	b := &Bug{}
 	var (
@@ -147,7 +147,7 @@ type CVSCommit struct {
 // messages and any "Fixes bug #N" references.
 func ParseCVSLog(r io.Reader) ([]*CVSCommit, error) {
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	var (
 		commits []*CVSCommit
 		cur     *CVSCommit

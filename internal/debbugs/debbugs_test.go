@@ -1,6 +1,8 @@
 package debbugs
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -226,5 +228,36 @@ func BenchmarkParseCVSLog(b *testing.B) {
 		if _, err := ParseCVSLog(strings.NewReader(sampleCVSLog)); err != nil {
 			b.Fatal(err)
 		}
+	}
+}
+
+// TestParseLongLines: in a bug log and in a CVS log, a 200 KiB line parses,
+// and a line over the 1 MiB cap fails with bufio.ErrTooLong.
+func TestParseLongLines(t *testing.T) {
+	long := strings.Repeat("a", 200<<10)
+	tooLong := strings.Repeat("a", 1<<20+1)
+
+	const bugMarker = "pager to die immediately."
+	b, err := Parse(strings.NewReader(strings.Replace(sampleBug, bugMarker, long, 1)))
+	if err != nil {
+		t.Fatalf("bug log, 200 KiB line: %v", err)
+	}
+	if !strings.Contains(b.Body, long) {
+		t.Errorf("bug log, 200 KiB line lost: body is %d bytes", len(b.Body))
+	}
+	if _, err := Parse(strings.NewReader(strings.Replace(sampleBug, bugMarker, tooLong, 1))); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("bug log, line over 1 MiB: error %v, want bufio.ErrTooLong", err)
+	}
+
+	const cvsMarker = "Cosmetic cleanups."
+	commits, err := ParseCVSLog(strings.NewReader(strings.Replace(sampleCVSLog, cvsMarker, long, 1)))
+	if err != nil {
+		t.Fatalf("cvs log, 200 KiB line: %v", err)
+	}
+	if len(commits) != 2 || !strings.Contains(commits[1].Log, long) {
+		t.Errorf("cvs log, 200 KiB line lost: %d commits", len(commits))
+	}
+	if _, err := ParseCVSLog(strings.NewReader(strings.Replace(sampleCVSLog, cvsMarker, tooLong, 1))); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("cvs log, line over 1 MiB: error %v, want bufio.ErrTooLong", err)
 	}
 }

@@ -52,14 +52,15 @@ func BenchmarkSimilarity(b *testing.B) {
 	c := "server dies with a segfault when the submitted url is very long; looks like hash overflow in the uri code"
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = similarity(a, c, 3)
+		_ = similarity(a, c)
 	}
 }
 
 func BenchmarkShingles(b *testing.B) {
 	text := benchReports(2)[0].Text()
+	var in interner
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		_ = Shingles(text, 3)
+		_ = in.shingles(text)
 	}
 }

@@ -22,7 +22,7 @@ func TestDistinctCorpusFaultsStayBelowThreshold(t *testing.T) {
 			if faults[i].App != faults[j].App {
 				continue
 			}
-			if sim := similarity(texts[i], texts[j], 3); sim > worst {
+			if sim := similarity(texts[i], texts[j]); sim > worst {
 				worst = sim
 				worstPair = [2]string{faults[i].ID, faults[j].ID}
 			}

@@ -2,6 +2,7 @@ package dedup
 
 import (
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -22,39 +23,50 @@ func mk(id string, app taxonomy.Application, filed time.Time, text string) *repo
 }
 
 func TestShingles(t *testing.T) {
-	set := Shingles("the server dies with a segfault", 3)
-	if _, ok := set["the server dies"]; !ok {
-		t.Errorf("missing shingle: %v", set)
-	}
+	var in interner
+	set := in.shingles("the server dies with a segfault")
 	if len(set) != 4 {
 		t.Errorf("got %d shingles, want 4", len(set))
 	}
-	// Short text collapses to one shingle.
-	short := Shingles("hi there", 3)
-	if len(short) != 1 {
-		t.Errorf("short text shingles = %v", short)
+	if !slices.IsSorted(set) {
+		t.Errorf("shingle set %v is not sorted", set)
 	}
-	if len(Shingles("", 3)) != 0 {
-		t.Error("empty text should have no shingles")
+	// Case and punctuation do not split a shingle: the same words intern to
+	// the same ID.
+	if again := in.shingles("The server, dies!"); len(again) != 1 || !slices.Contains(set, again[0]) {
+		t.Errorf("\"The server, dies!\" = %v, want one shingle of %v", again, set)
+	}
+	// A repeated shingle counts once.
+	if rep := in.shingles("a b c a b c a b c"); len(rep) != 3 {
+		t.Errorf("repeated text has %d shingles, want 3", len(rep))
+	}
+	// Short text collapses to one shingle, distinct from any longer text's.
+	short := in.shingles("the server")
+	if len(short) != 1 || slices.Contains(set, short[0]) {
+		t.Errorf("short text shingles = %v (long text %v)", short, set)
+	}
+	if len(in.shingles("")) != 0 || len(in.shingles(" ,; ")) != 0 {
+		t.Error("a text without words should have no shingles")
 	}
 }
 
-// similarity is the Jaccard similarity of two texts' k-shingle sets.
-func similarity(a, b string, k int) float64 {
-	return jaccard(Shingles(a, k), Shingles(b, k))
+// similarity is the Jaccard similarity of two texts' shingle sets.
+func similarity(a, b string) float64 {
+	var in interner
+	return jaccard(in.shingles(a), in.shingles(b))
 }
 
 func TestSimilarity(t *testing.T) {
 	a := "the server dies with a segfault when the submitted url is very long"
 	b := "server dies with a segfault when the submitted url is very long indeed"
-	if sim := similarity(a, b, 3); sim < 0.5 {
+	if sim := similarity(a, b); sim < 0.5 {
 		t.Errorf("near-duplicates similarity = %.2f, want >= 0.5", sim)
 	}
 	c := "optimize table crashes the database server"
-	if sim := similarity(a, c, 3); sim > 0.1 {
+	if sim := similarity(a, c); sim > 0.1 {
 		t.Errorf("unrelated similarity = %.2f, want ~0", sim)
 	}
-	if similarity(a, a, 3) != 1.0 {
+	if similarity(a, a) != 1.0 {
 		t.Error("self similarity should be 1")
 	}
 }
@@ -150,7 +162,7 @@ func TestMarkThresholdRespected(t *testing.T) {
 	// The pair shares all but its last word, which keeps it just below the
 	// 0.6 threshold, and neither synopsis contains the other, so nothing
 	// matches.
-	if sim := similarity(a.Text(), b.Text(), 3); sim < 0.55 || sim >= 0.6 {
+	if sim := similarity(a.Text(), b.Text()); sim < 0.55 || sim >= 0.6 {
 		t.Fatalf("premise: similarity %.2f is not just below the threshold", sim)
 	}
 	if n := Mark([]*report.Report{a, b}); n != 0 {
@@ -251,7 +263,7 @@ func TestMarkDocFreqCapKeepsPair(t *testing.T) {
 	}
 	a := withBoilerplate("PR-A", t0.AddDate(0, 0, 49), "segfault", "overflow")
 	b := withBoilerplate("PR-B", t0.AddDate(0, 0, 50), "crash", "loop")
-	if sim := similarity(a.Text(), b.Text(), shingleSize); sim < threshold {
+	if sim := similarity(a.Text(), b.Text()); sim < threshold {
 		t.Fatalf("premise: pair similarity %.2f is below the threshold", sim)
 	}
 	reports = append(reports, a, b)
@@ -287,7 +299,7 @@ func TestMarkContainmentFloor(t *testing.T) {
 		{own: 14, lo: 0.25, hi: 0.28, wantDups: 1},
 	} {
 		a, b := containedPair(tc.own)
-		sim := similarity(a.Text(), b.Text(), shingleSize)
+		sim := similarity(a.Text(), b.Text())
 		if sim < tc.lo || sim >= tc.hi {
 			t.Fatalf("premise: %d own words give similarity %.3f, outside [%.2f, %.2f)", tc.own, sim, tc.lo, tc.hi)
 		}

@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"hash/crc32"
+	"slices"
 	"sort"
 )
 
@@ -78,21 +79,30 @@ const (
 // for puts). All integers are little-endian; the CRC (IEEE) covers the
 // payload.
 func AppendRecord(buf []byte, r Record) []byte {
-	payload := make([]byte, 0, 16)
-	payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
-	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(r.Ops)))
+	size := 8 + 2
 	for _, op := range r.Ops {
-		payload = append(payload, byte(op.Kind))
-		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(op.Key)))
-		payload = append(payload, op.Key...)
+		size += 1 + 4 + len(op.Key)
 		if op.Kind == OpPut {
-			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(op.Value)))
-			payload = append(payload, op.Value...)
+			size += 4 + len(op.Value)
 		}
 	}
-	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
-	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
-	return append(buf, payload...)
+	buf = slices.Grow(buf, walHeader+size)
+	frame := len(buf)
+	buf = append(buf, make([]byte, walHeader)...) // length and CRC, set below
+	buf = binary.LittleEndian.AppendUint64(buf, r.Seq)
+	buf = binary.LittleEndian.AppendUint16(buf, uint16(len(r.Ops)))
+	for _, op := range r.Ops {
+		buf = append(buf, byte(op.Kind))
+		buf = binary.LittleEndian.AppendUint32(buf, uint32(len(op.Key)))
+		buf = append(buf, op.Key...)
+		if op.Kind == OpPut {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(len(op.Value)))
+			buf = append(buf, op.Value...)
+		}
+	}
+	binary.LittleEndian.PutUint32(buf[frame:], uint32(size))
+	binary.LittleEndian.PutUint32(buf[frame+4:], crc32.ChecksumIEEE(buf[frame+walHeader:]))
+	return buf
 }
 
 // ReadWAL decodes a write-ahead log. It returns every intact record in

@@ -2,7 +2,9 @@ package durable
 
 import (
 	"bytes"
+	"encoding/binary"
 	"errors"
+	"hash/crc32"
 	"testing"
 )
 
@@ -139,5 +141,53 @@ func TestCheckpointDamageDetected(t *testing.T) {
 		if _, _, err := ReadCheckpoint(buf[:cut]); !errors.Is(err, ErrCorrupt) {
 			t.Fatalf("cut %d: %v, want ErrCorrupt", cut, err)
 		}
+	}
+}
+
+// refAppendRecord is the encoder AppendRecord replaced, which built the
+// payload in a buffer of its own and then copied it into the frame.
+func refAppendRecord(buf []byte, r Record) []byte {
+	payload := make([]byte, 0, 16)
+	payload = binary.LittleEndian.AppendUint64(payload, r.Seq)
+	payload = binary.LittleEndian.AppendUint16(payload, uint16(len(r.Ops)))
+	for _, op := range r.Ops {
+		payload = append(payload, byte(op.Kind))
+		payload = binary.LittleEndian.AppendUint32(payload, uint32(len(op.Key)))
+		payload = append(payload, op.Key...)
+		if op.Kind == OpPut {
+			payload = binary.LittleEndian.AppendUint32(payload, uint32(len(op.Value)))
+			payload = append(payload, op.Value...)
+		}
+	}
+	buf = binary.LittleEndian.AppendUint32(buf, uint32(len(payload)))
+	buf = binary.LittleEndian.AppendUint32(buf, crc32.ChecksumIEEE(payload))
+	return append(buf, payload...)
+}
+
+// TestAppendRecordMatchesReference: the in-place encoder writes the same
+// bytes as the reference, after an empty or a non-empty prefix, into a
+// buffer that must grow or one with room; with room it allocates nothing.
+func TestAppendRecordMatchesReference(t *testing.T) {
+	recs := append(sampleRecords(),
+		Record{Seq: 1<<64 - 1},
+		Record{Seq: 0, Ops: []Op{{Kind: OpPut, Key: "", Value: []byte{}}, {Kind: OpDelete, Key: ""}}},
+		Record{Seq: 42, Ops: []Op{{Kind: OpPut, Key: "big", Value: bytes.Repeat([]byte{0xAB}, 70000)}}},
+		Record{Seq: 43, Ops: []Op{{Kind: OpDelete, Key: "k", Value: []byte("ignored for deletes")}}},
+	)
+	for _, prefix := range []string{"", "prefix"} {
+		for _, room := range []int{0, 1 << 17} {
+			got := append(make([]byte, 0, room), prefix...)
+			want := []byte(prefix)
+			for _, r := range recs {
+				got, want = AppendRecord(got, r), refAppendRecord(want, r)
+				if !bytes.Equal(got, want) {
+					t.Fatalf("prefix %q, room %d, record seq %d: encodings differ", prefix, room, r.Seq)
+				}
+			}
+		}
+	}
+	roomy, rec := make([]byte, 0, 1<<10), sampleRecords()[1]
+	if n := testing.AllocsPerRun(100, func() { _ = AppendRecord(roomy, rec) }); n != 0 {
+		t.Errorf("AppendRecord into a buffer with room allocates %v times, want 0", n)
 	}
 }

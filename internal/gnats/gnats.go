@@ -70,7 +70,7 @@ func Parse(r io.Reader) (*PR, error) {
 	sections := make(map[string][]string)
 	var current string
 	sc := bufio.NewScanner(r)
-	sc.Buffer(make([]byte, 64*1024), 1<<20)
+	sc.Buffer(nil, 1<<20)
 	for sc.Scan() {
 		line := sc.Text()
 		if strings.HasPrefix(line, ">") {

@@ -1,6 +1,8 @@
 package gnats
 
 import (
+	"bufio"
+	"errors"
 	"strings"
 	"testing"
 	"time"
@@ -215,5 +217,23 @@ func BenchmarkInferSymptom(b *testing.B) {
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
 		_ = InferSymptom(text)
+	}
+}
+
+// TestParseLongLines: a 200 KiB line parses, and a line over the 1 MiB cap
+// fails with bufio.ErrTooLong.
+func TestParseLongLines(t *testing.T) {
+	const marker = "The server child dies with a segmentation fault whenever"
+	long := strings.Repeat("a", 200<<10)
+	pr, err := Parse(strings.NewReader(strings.Replace(samplePR, marker, long, 1)))
+	if err != nil {
+		t.Fatalf("200 KiB line: %v", err)
+	}
+	if !strings.Contains(pr.Description, long) {
+		t.Errorf("200 KiB line lost: description is %d bytes", len(pr.Description))
+	}
+	tooLong := strings.Repeat("a", 1<<20+1)
+	if _, err := Parse(strings.NewReader(strings.Replace(samplePR, marker, tooLong, 1))); !errors.Is(err, bufio.ErrTooLong) {
+		t.Errorf("line over 1 MiB: error %v, want bufio.ErrTooLong", err)
 	}
 }
